@@ -19,8 +19,10 @@
 //!
 //! Exempt: `crates/sync` (the facade is the one place allowed to name
 //! `std::sync` types), `crates/model` (the checker runtime *implements*
-//! the scheduler on top of real `std::sync`), the dependency shims, and
-//! anything under `target/`. Enforced in CI by the `lint-sync` binary;
+//! the scheduler on top of real `std::sync`), the dependency shims,
+//! `benchmark/` (a package outside the workspace: the measuring harness,
+//! not the code the checker certifies), and anything under `target/`.
+//! Enforced in CI by the `lint-sync` binary;
 //! `clippy.toml`'s `disallowed-types` backs R1 at the type level.
 
 use std::fmt;
@@ -77,8 +79,14 @@ impl fmt::Display for SyncDiag {
 /// Paths (relative to the workspace root) whose sources may name
 /// `std::sync` directly. This module is exempt too: its test fixtures
 /// spell the forbidden patterns out as string literals.
-const EXEMPT: &[&str] =
-    &["crates/sync", "crates/model", "crates/check/src/sync_lint.rs", "shims", "target"];
+const EXEMPT: &[&str] = &[
+    "crates/sync",
+    "crates/model",
+    "crates/check/src/sync_lint.rs",
+    "shims",
+    "benchmark",
+    "target",
+];
 
 fn is_exempt(rel: &Path) -> bool {
     EXEMPT.iter().any(|e| rel.starts_with(e))

@@ -2,7 +2,7 @@
 
 use jgi_algebra::{ConjunctiveQuery, NodeId, Plan};
 use jgi_engine::logical_exec::{execute_serialized, ExecBudget, ExecError};
-use jgi_engine::optimizer::PlanStats;
+use jgi_engine::optimizer::{PlanMemo, PlanStats};
 use jgi_engine::physical::ExecStats;
 use jgi_engine::{optimizer, physical, Database};
 use jgi_nav::{NavDb, NavError, NavMode, NavOptions, NavStats};
@@ -127,8 +127,13 @@ pub struct QueryReport {
     /// Metrics gathered by the obs recording across prepare + execute
     /// (per-rule counters, optimizer/executor/nav counters).
     pub metrics: jgi_obs::Metrics,
-    /// DP search effort (join-graph back-end only).
+    /// DP search effort (join-graph back-end only). On a plan-memo hit
+    /// these are the counters of the run that built the memoised plan.
     pub optimizer: Option<PlanStats>,
+    /// The physical plan came from the [`Prepared`]'s memo: this execution
+    /// did no planning, its `plan` phase is the lookup, and `metrics`
+    /// carries no `opt.*` counters.
+    pub plan_cached: bool,
     /// Per-operator actuals (join-graph back-end only).
     pub exec: Option<ExecStats>,
     /// Navigation accounting (nav back-ends only).
@@ -168,7 +173,8 @@ impl QueryReport {
         if let Some(o) = &self.optimizer {
             let _ = writeln!(
                 out,
-                "  optimizer: {} states considered, {} pruned, {} access paths, {} hash options",
+                "  optimizer ({}): {} states considered, {} pruned, {} access paths, {} hash options",
+                if self.plan_cached { "cached" } else { "planned" },
                 o.states_considered,
                 o.states_pruned,
                 o.access_paths_considered,
@@ -241,6 +247,7 @@ impl QueryReport {
             pairs.push((
                 "optimizer".into(),
                 Json::obj([
+                    ("plan_cached", Json::Bool(self.plan_cached)),
                     ("states_considered", Json::UInt(o.states_considered as u64)),
                     ("states_pruned", Json::UInt(o.states_pruned as u64)),
                     ("access_paths_considered", Json::UInt(o.access_paths_considered as u64)),
@@ -376,10 +383,13 @@ pub struct Prepared {
     /// emit-SQL); [`Session::execute`] extends a copy with plan/execute.
     pub report: QueryReport,
     /// Documents the query references via `doc("uri")`, deduplicated in
-    /// first-occurrence order. The serve layer uses this as the plan's
-    /// dependency set: a cached plan is reusable iff every listed
-    /// document is at the version it was compiled against.
+    /// first-occurrence order. The serve layer routes the execution by
+    /// it: a single listed document runs on that document's own segment.
     pub docs: Vec<String>,
+    /// The physical plan of `cq` for the database it last ran against.
+    /// Nothing else here depends on a document; this does, so it is keyed
+    /// on the database's identity and re-planned when that changes.
+    plan_memo: PlanMemo,
 }
 
 /// Intra-query parallelism degree for the join-graph executor.
@@ -606,6 +616,7 @@ pub fn prepare_on(
         stacked_sql,
         report,
         docs,
+        plan_memo: PlanMemo::new(),
     })
 }
 
@@ -637,11 +648,12 @@ pub fn execute_prepared(
                 };
                 let t0 = Instant::now();
                 let span = jgi_obs::span("plan");
-                let (plan, plan_stats) =
-                    optimizer::plan_with_stats_opts(db, cq, &plan_options(&ctx.budgets));
+                let (plan, plan_stats, plan_cached) =
+                    prepared.plan_memo.plan(db, cq, &plan_options(&ctx.budgets));
                 drop(span);
                 report.record_phase("plan", t0.elapsed());
                 report.optimizer = Some(plan_stats);
+                report.plan_cached = plan_cached;
                 let t0 = Instant::now();
                 let span = jgi_obs::span("execute");
                 let opts = exec_options(&ctx.budgets);
@@ -869,21 +881,21 @@ impl Session {
         Ok(jgi_engine::explain::render(db, &plan))
     }
 
-    /// EXPLAIN ANALYZE: plan, execute, and render the operator tree with
-    /// estimated vs actual row counts per operator (deterministic — no
-    /// timings — so the output shape can be golden-tested).
+    /// EXPLAIN ANALYZE: plan (through the prepared query's memo, like an
+    /// execution), execute, and render the operator tree with estimated vs
+    /// actual row counts per operator (deterministic — no timings — so the
+    /// output shape can be golden-tested).
     pub fn explain_analyze(&mut self, prepared: &Prepared) -> Result<String, SessionError> {
         let cq = prepared
             .cq
             .as_ref()
-            .ok_or(SessionError::Extract(ExtractError::NoSerializeRoot))?
-            .clone();
+            .ok_or(SessionError::Extract(ExtractError::NoSerializeRoot))?;
         let opts = exec_options(&self.budgets);
         let popts = plan_options(&self.budgets);
         let db = self.database();
-        let plan = optimizer::plan_opts(db, &cq, &popts);
+        let (plan, plan_stats, cached) = prepared.plan_memo.plan(db, cq, &popts);
         let (_, stats) = physical::execute_with_stats_opts(db, &plan, &opts);
-        Ok(jgi_engine::explain::render_analyze(db, &plan, &stats))
+        Ok(jgi_engine::explain::render_analyze(db, &plan, &plan_stats, cached, &stats))
     }
 
     /// Serialize a node sequence to XML text.
@@ -972,6 +984,149 @@ mod tests {
         let out = s.execute(&p, Engine::JoinGraph).unwrap();
         assert_eq!(out.len(), 2);
         assert!(s.load_xml("bad.xml", "<a>").is_err());
+    }
+
+    /// One document as the serving layer holds it: store, database (its
+    /// indexes created in the order given), navigational oracle.
+    struct Doc {
+        db: Database,
+        nav: NavDb,
+    }
+
+    impl Doc {
+        fn build(tree: Tree, index_order: &[&str]) -> Doc {
+            let mut store = DocStore::new();
+            store.add_tree(&tree);
+            let mut db = Database::new(store);
+            for spec in index_order {
+                db.create_index_by_name(spec).unwrap();
+            }
+            let mut nav = NavDb::new();
+            nav.add_tree(tree);
+            Doc { db, nav }
+        }
+
+        fn run(&self, p: &Prepared, engine: Engine, budgets: Budgets) -> QueryOutcome {
+            let ctx =
+                ExecCtx { store: &self.db.store, db: Some(&self.db), nav: Some(&self.nav), budgets };
+            execute_prepared(&ctx, p, engine).unwrap()
+        }
+    }
+
+    const EXPENSIVE: &str = r#"doc("auction.xml")//closed_auction[price > 500]"#;
+
+    /// The auction document before and after a `REPLACE` of one cheap
+    /// closed auction's price by an expensive one. The new price string
+    /// shifts every later value id; the second database also creates its
+    /// indexes in reverse, so the two disagree on index slots as well.
+    fn before_and_after_replace() -> (Doc, Doc) {
+        let before = generate_xmark(XmarkConfig { scale: 0.002, seed: 5 });
+        let mut after = before.clone();
+        let cheap_price = after
+            .preorder()
+            .into_iter()
+            .filter(|&n| after.name(n) == Some("closed_auction"))
+            .flat_map(|ca| after.content_children(ca).to_vec())
+            .find(|&c| {
+                after.name(c) == Some("price")
+                    && after.string_value(c).parse::<f64>().is_ok_and(|v| v <= 500.0)
+            })
+            .expect("some closed auction went for 500 or less");
+        let mut frag = Tree::new("frag.xml");
+        let root = frag.root();
+        let price = frag.add_text_element(root, "price", "99999.5");
+        after.replace_subtree(cheap_price, &frag, price);
+        let in_order = jgi_engine::catalog::DEFAULT_INDEXES;
+        let reversed: Vec<&str> = in_order.iter().rev().copied().collect();
+        (Doc::build(before, in_order), Doc::build(after, &reversed))
+    }
+
+    #[test]
+    fn same_database_plans_once() {
+        let (doc, _) = before_and_after_replace();
+        let p = prepare_on(&doc.db.store, EXPENSIVE, None).unwrap();
+        let budgets = Budgets::default();
+        let first = doc.run(&p, Engine::JoinGraph, budgets);
+        let second = doc.run(&p, Engine::JoinGraph, budgets);
+        assert!(!first.report.plan_cached, "the first execution plans");
+        assert!(second.report.plan_cached, "the second does not");
+        assert_eq!(first.nodes, second.nodes);
+        assert_eq!(first.report.optimizer, second.report.optimizer, "memoised search effort");
+        assert!(first.report.metrics.counter_value("opt.states_considered") > 0);
+        assert_eq!(
+            second.report.metrics.counter_value("opt.states_considered"),
+            0,
+            "a memo hit re-emits no optimizer counters"
+        );
+    }
+
+    #[test]
+    fn alternating_databases_each_get_their_own_plan_and_answer() {
+        let (before, after) = before_and_after_replace();
+        let p = prepare_on(&before.db.store, EXPENSIVE, None).unwrap();
+        let budgets = Budgets::default();
+        let expect_before = before.run(&p, Engine::NavWhole, budgets).nodes;
+        let expect_after = after.run(&p, Engine::NavWhole, budgets).nodes;
+        assert_eq!(
+            expect_after.as_ref().map(Vec::len),
+            expect_before.as_ref().map(|n| n.len() + 1),
+            "the replaced price moved one auction over the bar"
+        );
+        for round in 0..3 {
+            for (doc, expected) in [(&before, &expect_before), (&after, &expect_after)] {
+                let out = doc.run(&p, Engine::JoinGraph, budgets);
+                assert_eq!(&out.nodes, expected, "round {round}: this database's own answer");
+                assert!(!out.report.plan_cached, "round {round}: other database, other plan");
+                let again = doc.run(&p, Engine::JoinGraph, budgets);
+                assert!(again.report.plan_cached, "round {round}: same database, same plan");
+                assert_eq!(&again.nodes, expected);
+            }
+        }
+    }
+
+    #[test]
+    fn plan_options_are_part_of_the_memo_key() {
+        let (doc, _) = before_and_after_replace();
+        let p = prepare_on(&doc.db.store, EXPENSIVE, None).unwrap();
+        let base = Budgets {
+            join: optimizer::JoinStrategy::Auto,
+            vectorized: true,
+            ..Budgets::default()
+        };
+        let expected = doc.run(&p, Engine::JoinGraph, base).nodes;
+        assert!(doc.run(&p, Engine::JoinGraph, base).report.plan_cached);
+        for changed in [
+            Budgets { join: optimizer::JoinStrategy::Nl, ..base },
+            Budgets { vectorized: false, ..base },
+        ] {
+            let out = doc.run(&p, Engine::JoinGraph, changed);
+            assert!(!out.report.plan_cached, "a planner option changed: re-plan");
+            assert_eq!(out.nodes, expected);
+            assert!(doc.run(&p, Engine::JoinGraph, changed).report.plan_cached);
+            assert!(!doc.run(&p, Engine::JoinGraph, base).report.plan_cached, "and back");
+        }
+        // Budgets the planner does not read leave the plan alone.
+        let more_threads = Budgets { parallelism: Parallelism::Fixed(2), ..base };
+        assert!(doc.run(&p, Engine::JoinGraph, more_threads).report.plan_cached);
+    }
+
+    #[test]
+    fn creating_an_index_changes_the_database_identity() {
+        let (mut doc, other) = before_and_after_replace();
+        assert_ne!(doc.db.id(), other.db.id());
+        assert_eq!(doc.db.id(), doc.db.clone().id(), "a clone reads the same statistics");
+        let p = prepare_on(&doc.db.store, EXPENSIVE, None).unwrap();
+        let budgets = Budgets::default();
+        let expected = doc.run(&p, Engine::JoinGraph, budgets).nodes;
+        let id = doc.db.id();
+        doc.db.create_index_by_name("nksp").unwrap();
+        assert_eq!(doc.db.id(), id, "an index that already exists changes nothing");
+        doc.db.create_index_by_name("dnkp").unwrap();
+        assert_ne!(doc.db.id(), id, "a new index is something the optimizer reads");
+        let out = doc.run(&p, Engine::JoinGraph, budgets);
+        assert!(!out.report.plan_cached);
+        assert_eq!(out.nodes, expected);
+        assert_ne!(doc.db.hypothetical().id(), doc.db.id());
     }
 
     #[test]

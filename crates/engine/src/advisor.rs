@@ -37,12 +37,7 @@ pub fn advise(db: &Database, workload: &[ConjunctiveQuery]) -> Vec<Recommendatio
     let candidates = generate_candidates(workload);
     // What-if database: same store/stats, hypothetical (empty) indexes —
     // planning consults only key shapes and statistics.
-    let mut hypo = Database {
-        store: db.store.clone(),
-        stats: db.stats.clone(),
-        indexes: vec![],
-        symbols: db.symbols.clone(),
-    };
+    let mut hypo = db.hypothetical();
     let baseline: f64 = workload.iter().map(|q| optimizer::plan(&hypo, q).est_cost).sum();
     let mut picked: Vec<Recommendation> = Vec::new();
     let mut current_cost = baseline;

@@ -5,6 +5,7 @@ use crate::stats::DocStats;
 use jgi_algebra::cq::DocCol;
 use jgi_algebra::Value;
 use jgi_xml::encode::{NO_NAME, NO_PARENT, NO_VALUE};
+use jgi_sync::AtomicU64;
 use jgi_xml::DocStore;
 use std::sync::Arc;
 
@@ -144,10 +145,23 @@ pub struct Database {
     pub store: Arc<DocStore>,
     /// Collected statistics.
     pub stats: DocStats,
-    /// Available indexes.
+    /// Available indexes. Add one through [`Database::create_index`] /
+    /// [`Database::create_index_by_name`], which also change the
+    /// database's [identity](Database::id).
     pub indexes: Vec<Index>,
     /// Lexicographic rank tables for interned names/values (see [`Symbols`]).
     pub symbols: Symbols,
+    /// See [`Database::id`].
+    id: u64,
+}
+
+/// Mint a process-unique database identity.
+fn next_database_id() -> u64 {
+    static NEXT: AtomicU64 = AtomicU64::new(1);
+    // relaxed: ticket allocator — RMW atomicity alone guarantees the
+    // uniqueness we need; an id reaches another thread only together with
+    // the `Database` that carries it (audit: DESIGN.md §10).
+    NEXT.fetch_add_relaxed(1)
 }
 
 impl Database {
@@ -158,7 +172,30 @@ impl Database {
         let store = store.into();
         let stats = DocStats::collect(&store);
         let symbols = Symbols::build(&store);
-        Database { store, stats, indexes: Vec::new(), symbols }
+        Database { store, stats, indexes: Vec::new(), symbols, id: next_database_id() }
+    }
+
+    /// Process-unique identity of what the optimizer reads from this
+    /// database: its statistics and its index set. A physical plan is
+    /// reusable exactly on the identity it was planned for
+    /// ([`crate::optimizer::PlanMemo`]) — it names index slots and embeds
+    /// cost decisions. The identity is a ticket, not an address: a freed
+    /// database's address can be handed to the next one. Creating an index
+    /// takes a new ticket; a clone keeps its original's until then.
+    pub fn id(&self) -> u64 {
+        self.id
+    }
+
+    /// A what-if copy for the index advisor: same store, statistics and
+    /// symbols, no indexes, an identity of its own.
+    pub fn hypothetical(&self) -> Database {
+        Database {
+            store: Arc::clone(&self.store),
+            stats: self.stats.clone(),
+            indexes: Vec::new(),
+            symbols: self.symbols.clone(),
+            id: next_database_id(),
+        }
     }
 
     /// Load a store and create the paper's Table 6 index family.
@@ -217,6 +254,7 @@ impl Database {
             .collect();
         let btree = BTree::bulk_load(key.len(), entries);
         self.indexes.push(Index { name, key, include, btree });
+        self.id = next_database_id();
         self.indexes.len() - 1
     }
 

@@ -9,6 +9,7 @@
 //! which is exactly the "half-cooked step" reading of the paper.
 
 use crate::catalog::Database;
+use crate::optimizer::PlanStats;
 use crate::physical::{Access, ExecStats, Method, OpActuals, PhysPlan, Step};
 use jgi_algebra::cq::{CqAtom, CqScalar, DocCol};
 use jgi_algebra::pred::CmpOp;
@@ -69,9 +70,17 @@ pub fn render(db: &Database, plan: &PhysPlan) -> String {
 
 /// Render the plan annotated with per-operator *actuals* from an execution
 /// — EXPLAIN ANALYZE. Each access line carries estimated vs actual row
-/// counts plus probe/comparison work; the output is deterministic (no
-/// timings), so it can be golden-tested.
-pub fn render_analyze(db: &Database, plan: &PhysPlan, stats: &ExecStats) -> String {
+/// counts plus probe/comparison work; the `PLAN` line says whether the
+/// execution planned (`planning` is then its own search effort) or reused
+/// a memoised plan (`planning` is the effort that built it). The output is
+/// deterministic (no timings), so it can be golden-tested.
+pub fn render_analyze(
+    db: &Database,
+    plan: &PhysPlan,
+    planning: &PlanStats,
+    plan_cached: bool,
+    stats: &ExecStats,
+) -> String {
     let result_rows = stats.sort_rows - stats.dedup_removed;
     let mut out = String::new();
     let _ = writeln!(
@@ -89,6 +98,12 @@ pub fn render_analyze(db: &Database, plan: &PhysPlan, stats: &ExecStats) -> Stri
         stats.sort_rows,
         stats.dedup_removed,
         stats.sort_spills
+    );
+    let _ = writeln!(
+        out,
+        " PLAN ({}, states={})",
+        if plan_cached { "cached" } else { "planned" },
+        planning.states_considered
     );
     // Only annotate when the morsel scheduler actually fanned out, so
     // sequential EXPLAIN ANALYZE output (and its golden tests) is

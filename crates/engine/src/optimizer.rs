@@ -19,8 +19,10 @@ use crate::physical::{Access, Method, PhysPlan, Probe, RangeProbe, Step};
 use jgi_algebra::cq::{ColRef, CqAtom, CqScalar, DocCol};
 use jgi_algebra::pred::CmpOp;
 use jgi_algebra::{ConjunctiveQuery, Value};
+use jgi_sync::Mutex;
 use jgi_xml::NodeKind;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Cost of touching one row in a scan (arbitrary unit).
 const ROW_COST: f64 = 1.0;
@@ -215,6 +217,67 @@ pub fn plan_with_stats(db: &Database, cq: &ConjunctiveQuery) -> (PhysPlan, PlanS
 /// [`plan`] with explicit [`PlanOptions`].
 pub fn plan_opts(db: &Database, cq: &ConjunctiveQuery, opts: &PlanOptions) -> PhysPlan {
     plan_with_stats_opts(db, cq, opts).0
+}
+
+/// One-slot memo of the physical plan of **one** conjunctive query — the
+/// caller keeps it beside that query and never offers it another.
+///
+/// A plan depends on the query, the database's statistics and index set
+/// ([`Database::id`]) and the [`PlanOptions`]; none of these change between
+/// two executions against the same database, so warm traffic plans once. On
+/// a key mismatch (a commit published a new database, a budget changed) the
+/// caller re-plans and overwrites the slot: the latest database wins, and
+/// two threads racing after a publish each plan once. The slot holds no
+/// reference to the database, so a memo never keeps a retired one alive.
+pub struct PlanMemo {
+    slot: Mutex<Option<MemoEntry>>,
+}
+
+struct MemoEntry {
+    /// [`Database::id`] the plan was built on.
+    db: u64,
+    opts: PlanOptions,
+    plan: Arc<PhysPlan>,
+    stats: PlanStats,
+}
+
+impl PlanMemo {
+    /// An empty memo.
+    pub fn new() -> PlanMemo {
+        PlanMemo { slot: Mutex::named("plan_memo", None) }
+    }
+
+    /// The plan of `cq` on `db` under `opts`, its search-effort counters,
+    /// and whether it came from the memo. A miss runs
+    /// [`plan_with_stats_opts`] outside the lock (and emits the `opt.*`
+    /// counters); a hit does neither.
+    pub fn plan(
+        &self,
+        db: &Database,
+        cq: &ConjunctiveQuery,
+        opts: &PlanOptions,
+    ) -> (Arc<PhysPlan>, PlanStats, bool) {
+        if let Some(e) = self.slot.lock().as_ref() {
+            if e.db == db.id() && e.opts == *opts {
+                return (Arc::clone(&e.plan), e.stats.clone(), true);
+            }
+        }
+        let (plan, stats) = plan_with_stats_opts(db, cq, opts);
+        let plan = Arc::new(plan);
+        *self.slot.lock() = Some(MemoEntry {
+            db: db.id(),
+            opts: *opts,
+            plan: Arc::clone(&plan),
+            stats: stats.clone(),
+        });
+        (plan, stats, false)
+    }
+}
+
+impl Default for PlanMemo {
+    fn default() -> PlanMemo {
+        PlanMemo::new()
+    }
 }
 
 /// The dynamic program. Two structural choices keep it off the query's

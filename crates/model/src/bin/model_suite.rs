@@ -14,7 +14,7 @@ use jgi_model::models::{catalog, Expectation};
 use jgi_model::{Config, Outcome};
 
 fn main() {
-    let mut min_schedules: u64 = 10;
+    let mut min_schedules: u64 = 30;
     let mut config = Config::default();
     let mut verbose = false;
     let mut args = std::env::args().skip(1);

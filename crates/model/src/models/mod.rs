@@ -1,4 +1,4 @@
-//! Executable models of the serving core's five concurrency protocols.
+//! Executable models of the serving core's concurrency protocols.
 //!
 //! Each model is a faithful miniature of the real protocol — same
 //! operation order, same lock granularity, scaled-down constants so the
@@ -11,12 +11,14 @@
 //! |----------------------------|-------------------------------------------|
 //! | [`queue`]                  | `jgi-serve` admission-queue accounting     |
 //! | [`registry`]               | `jgi-obs` lock-striped registry merge      |
-//! | [`snapshot_cache`]         | `jgi-serve` snapshot publish + plan cache  |
+//! | [`snapshot_cache`]         | the pre-mutation generation-keyed cache    |
 //! | [`publish`]                | `jgi-serve` transactional mutation publish |
+//! | [`plan_memo`]              | `jgi-serve` publish vs. physical-plan memo |
 //! | [`flight`]                 | `jgi-obs` flight-recorder ring admission   |
 //! | [`window`]                 | `jgi-obs` window-histogram epoch rotation  |
 
 pub mod flight;
+pub mod plan_memo;
 pub mod publish;
 pub mod queue;
 pub mod registry;
@@ -66,11 +68,15 @@ pub fn catalog() -> Vec<ModelSpec> {
         },
         ModelSpec {
             name: "snapshot-publish-atomicity",
-            about: "single-swap publish + dep-validated probe: no torn batch, no stale plan",
+            about: "single-swap publish: no reader sees a torn batch",
             expect: Expectation::Certify,
-            run: |cfg| {
-                publish::check(publish::PublishMode::SingleSwap, publish::ProbeRule::ValidateDeps, cfg)
-            },
+            run: |cfg| publish::check(publish::PublishMode::SingleSwap, cfg),
+        },
+        ModelSpec {
+            name: "plan-memo-consistency",
+            about: "id-keyed plan memo, no purge: no request runs another database's plan",
+            expect: Expectation::Certify,
+            run: |cfg| plan_memo::check(plan_memo::MemoKeying::ByDatabaseId, cfg),
         },
         ModelSpec {
             name: "flight-ring-admission",
@@ -100,17 +106,13 @@ pub fn catalog() -> Vec<ModelSpec> {
             name: "regression-publish-per-doc",
             about: "REGRESSION per-document publish pointers: reader sees a torn batch",
             expect: Expectation::Refute,
-            run: |cfg| {
-                publish::check(publish::PublishMode::PerDocument, publish::ProbeRule::ValidateDeps, cfg)
-            },
+            run: |cfg| publish::check(publish::PublishMode::PerDocument, cfg),
         },
         ModelSpec {
-            name: "regression-cache-trust-purge",
-            about: "REGRESSION purge-only cache freshness: racing miss re-inserts a stale plan",
+            name: "regression-plan-memo-unkeyed",
+            about: "REGRESSION plan memo without the database id: runs the old database's plan",
             expect: Expectation::Refute,
-            run: |cfg| {
-                publish::check(publish::PublishMode::SingleSwap, publish::ProbeRule::TrustPurge, cfg)
-            },
+            run: |cfg| plan_memo::check(plan_memo::MemoKeying::Unkeyed, cfg),
         },
         ModelSpec {
             name: "regression-window-stale-reset",

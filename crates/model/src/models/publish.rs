@@ -1,32 +1,20 @@
-//! Transactional snapshot publish vs. dependency-validated plan cache
-//! (`jgi-serve` since live mutation).
+//! Transactional snapshot publish (`jgi-serve` since live mutation).
 //!
 //! A mutation batch can touch several documents. `Master::commit` bumps
 //! every touched document's version inside the master lock, `publish`
 //! assembles one immutable snapshot carrying all the versions, and the
-//! server installs it with a **single pointer swap** — then, in a
-//! *separate* critical section, eagerly purges cache entries depending on
-//! the touched documents. Plan-cache entries record the `(document,
-//! version)` pairs they were compiled against, and a probe re-validates
-//! them against the snapshot the request holds.
+//! server installs it with a **single pointer swap**. Nothing follows the
+//! swap: compiled queries do not depend on a document, and the physical
+//! plan that does is re-validated by every reader ([`super::plan_memo`]).
 //!
-//! Two invariants, each with a refutable variant that earns its keep:
-//!
-//! * **Publish atomicity** — no reader observes a half-published batch:
-//!   the versions a request sees are either all pre-commit or all
-//!   post-commit. The broken variant publishes per-document pointers in
-//!   two critical sections; the checker finds the torn read.
-//! * **Cache freshness** — no request executes a plan compiled against
-//!   document versions other than its snapshot's (an entry "newer than
-//!   its snapshot" is just the mirror image of a stale one). The eager
-//!   purge alone cannot guarantee this: a racing miss can insert a
-//!   stale-dep entry *after* the purge ran. The shipped probe re-checks
-//!   dependencies at lookup time; the broken variant trusts the purge and
-//!   the checker finds the insert-after-purge schedule.
+//! **Publish atomicity** — no reader observes a half-published batch: the
+//! versions a request sees are either all pre-commit or all post-commit.
+//! The broken variant publishes per-document pointers in two critical
+//! sections; the checker finds the torn read.
 
 use std::sync::Arc;
 
-use crate::sync::{Mutex, RwLock};
+use crate::sync::RwLock;
 use crate::{ensure, explore, thread, Config, Report};
 
 /// How a committed batch becomes visible to readers.
@@ -40,17 +28,6 @@ pub enum PublishMode {
     PerDocument,
 }
 
-/// How a cache probe decides an entry is usable.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ProbeRule {
-    /// Shipped: an entry hits only if every recorded `(doc, version)`
-    /// dependency matches the probing snapshot.
-    ValidateDeps,
-    /// Broken: any entry for the query hits; freshness is left entirely
-    /// to the eager purge — refutable (insert-after-purge window).
-    TrustPurge,
-}
-
 struct S {
     /// The snapshot pointer: versions of documents (a, b), swapped as one
     /// value (the real field is `RwLock<Arc<Snapshot>>`).
@@ -58,9 +35,6 @@ struct S {
     /// Per-document pointers for the broken publish mode.
     published_a: RwLock<u64>,
     published_b: RwLock<u64>,
-    /// Cached plans as the `(version_a, version_b)` they were compiled
-    /// against — the dependency list of the real `PlanCache` entry.
-    cache: Mutex<Vec<(u64, u64)>>,
 }
 
 fn read_snapshot(s: &S, mode: PublishMode) -> (u64, u64) {
@@ -71,7 +45,7 @@ fn read_snapshot(s: &S, mode: PublishMode) -> (u64, u64) {
     }
 }
 
-/// Commit a batch touching BOTH documents (1 → 2), publish, then purge.
+/// Commit a batch touching BOTH documents (1 → 2) and publish it.
 fn writer(s: &S, mode: PublishMode) {
     match mode {
         PublishMode::SingleSwap => {
@@ -89,56 +63,27 @@ fn writer(s: &S, mode: PublishMode) {
             *b = 2;
         }
     }
-    // Eager invalidation, deliberately in its own critical section (the
-    // real server drops the snapshot lock before taking the cache lock).
-    let mut cache = s.cache.lock();
-    cache.retain(|&(a, b)| a >= 2 && b >= 2);
 }
 
-/// One request: read the snapshot once, probe, compile on miss, execute.
-fn request(s: &S, mode: PublishMode, rule: ProbeRule) {
+/// One request: read the snapshot once and execute against it.
+fn request(s: &S, mode: PublishMode) {
     let (va, vb) = read_snapshot(s, mode);
-    // Publish atomicity: the batch bumped both documents together, so any
-    // consistent snapshot has them in lockstep.
+    // The batch bumped both documents together, so any consistent
+    // snapshot has them in lockstep.
     ensure!(
         va == vb,
         "torn publish: reader saw document a at v{va} but document b at v{vb}"
     );
-    let hit = s.cache.lock().iter().copied().find(|&(a, b)| match rule {
-        ProbeRule::ValidateDeps => (a, b) == (va, vb),
-        ProbeRule::TrustPurge => true,
-    });
-    let plan = match hit {
-        Some(deps) => deps,
-        None => {
-            // Miss: compile against the snapshot we hold, insert. This
-            // insert can land after the writer's purge — the window the
-            // probe-time validation exists for.
-            s.cache.lock().push((va, vb));
-            (va, vb)
-        }
-    };
-    // Cache freshness: the plan's recorded dependencies must be exactly
-    // the versions this request executes against.
-    ensure!(
-        plan == (va, vb),
-        "stale cache entry: plan compiled against (v{}, v{}) executed on snapshot \
-         (v{va}, v{vb})",
-        plan.0,
-        plan.1
-    );
 }
 
-/// One writer commits a two-document batch while two requests race the
-/// read-probe-execute path. The cache starts empty so a request can be
-/// the one inserting the entry the other one probes.
-pub fn check(mode: PublishMode, rule: ProbeRule, cfg: &Config) -> Report {
+/// One writer commits a two-document batch while two requests read the
+/// snapshot.
+pub fn check(mode: PublishMode, cfg: &Config) -> Report {
     explore(cfg, move || {
         let s = Arc::new(S {
             published: RwLock::named("snapshot", (1, 1)),
             published_a: RwLock::named("doc_a", 1),
             published_b: RwLock::named("doc_b", 1),
-            cache: Mutex::named("plan_cache", Vec::new()),
         });
         let w = {
             let s = Arc::clone(&s);
@@ -148,18 +93,14 @@ pub fn check(mode: PublishMode, rule: ProbeRule, cfg: &Config) -> Report {
             .into_iter()
             .map(|name| {
                 let s = Arc::clone(&s);
-                thread::spawn(name, move || request(&s, mode, rule))
+                thread::spawn(name, move || request(&s, mode))
             })
             .collect();
         w.join().expect("committer");
         for r in requests {
             r.join().expect("request");
         }
-        // Quiescent: the final snapshot is the fully-published batch, and
-        // under the shipped probe every surviving entry that could still
-        // hit matches it (stale leftovers from old-snapshot inserts are
-        // permitted to linger — the probe screens them — but the purge
-        // must have removed everything it was asked to).
+        // Quiescent: the final snapshot is the fully-published batch.
         let (va, vb) = read_snapshot(&s, mode);
         ensure!((va, vb) == (2, 2), "batch not fully published at quiescence");
     })

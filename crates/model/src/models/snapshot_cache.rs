@@ -12,12 +12,13 @@
 //! and the checker finds the stale-plan schedule in that window.
 //!
 //! Historical note: this models the pre-mutation cache, whose key
-//! embedded the snapshot generation. The shipped cache now validates
-//! per-document `(uri, version)` dependencies instead — that protocol
-//! (and its own refutable variants) is [`super::publish`]. The
-//! generation-keyed design stays in the suite because it is the simpler
-//! instance of the same publish/invalidate window and its refutation
-//! still guards the checker against vacuity.
+//! embedded the snapshot generation. The shipped cache has no such
+//! window — it holds only document-independent compiled queries and
+//! nothing invalidates them; the freshness protocol that *is* shipped
+//! (the physical-plan memo keyed on the database identity) is
+//! [`super::plan_memo`]. The generation-keyed design stays in the suite
+//! because it is the simplest instance of a publish/invalidate window
+//! and its refutation still guards the checker against vacuity.
 
 use std::sync::Arc;
 

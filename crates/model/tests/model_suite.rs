@@ -8,7 +8,7 @@ use jgi_model::{Config, Outcome};
 
 /// Floor for certified models — an exploration this small would be
 /// vacuous for protocols with three racing threads.
-const MIN_SCHEDULES: u64 = 10;
+const MIN_SCHEDULES: u64 = 30;
 
 #[test]
 fn catalog_meets_expectations() {

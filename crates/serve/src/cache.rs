@@ -1,23 +1,22 @@
-//! The prepared-plan cache.
+//! The prepared-query cache.
 //!
-//! Compilation — parse, normalize, loop-lift, join-graph isolation, SQL
-//! emission — is the part of the pipeline the paper argues should happen
-//! once; execution is what the relational workhorse repeats. The cache
-//! keys the full [`Prepared`] artifact set on `(query text, context
-//! document)` and tracks **per-document dependencies**: each entry
-//! records the `(uri, version)` pairs its plan was compiled against (the
-//! plan's `doc("uri")` set), and a probe only hits while every dependency
-//! is still at that version in the probing snapshot. A mutation commit to
-//! one document therefore invalidates exactly the plans that read it —
-//! plans over other documents keep serving out of the cache (the old
-//! design embedded the snapshot generation in the key, so *any* load
-//! recompiled *everything*).
+//! What is cached, and what it depends on:
 //!
-//! Invalidation is two-layered: [`PlanCache::invalidate_docs`] purges
-//! eagerly when a commit publishes, and the dependency check on probe
-//! catches any entry a racing insert slipped past the purge. A plan that
-//! depends on an *unloaded* document records `(uri, 0)` and stays valid
-//! until that document first loads.
+//! * a [`Prepared`] — Core, the isolated plan DAG, the join graph, both
+//!   SQL blocks — depends on the **query text and context document only**.
+//!   Compilation reads no document, so this cache keys it on exactly that
+//!   and **nothing invalidates an entry**: not a load, not a commit. The
+//!   paper's *compile once* is literal here; an entry leaves only by LRU
+//!   eviction.
+//! * the optimizer's physical plan depends on the **database** it runs on
+//!   (statistics, index set) and on the plan options. It is not cached
+//!   here: it hangs off the `Prepared` as a one-slot memo keyed on
+//!   `Database::id` (`jgi_engine::optimizer::PlanMemo`), so the first
+//!   execution after a commit re-plans (~0.3 ms) and every other one plans
+//!   nothing.
+//!
+//! [`CacheStats::invalidations`] and [`CacheStats::invalidated_docs`]
+//! remain as fields for the `STATS` wire format and stay 0.
 //!
 //! Eviction is LRU over a monotonic touch tick. The scan on eviction is
 //! O(capacity), which is deliberate: capacities are small (hundreds), the
@@ -28,9 +27,8 @@ use jgi_core::Prepared;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
-/// Cache key: one prepared plan per query text and context document.
-/// Freshness is *not* part of the key — it is checked against the entry's
-/// recorded document dependencies at probe time.
+/// Cache key: one prepared query per query text and context document —
+/// everything a [`Prepared`] depends on.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct CacheKey {
     /// The query text, verbatim.
@@ -42,19 +40,16 @@ pub struct CacheKey {
 /// Hit/miss/eviction accounting, mirrored into the service metrics.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
-    /// Probes that found a live, version-valid entry.
+    /// Probes that found an entry.
     pub hits: u64,
     /// Probes that found nothing usable (caller compiles and inserts).
     pub misses: u64,
     /// Entries evicted by LRU capacity pressure.
     pub evictions: u64,
-    /// Entries dropped because a document dependency changed version
-    /// (eager purge on commit, or stale-dependency detection on probe).
+    /// Always 0: no document change drops an entry. Kept for the `STATS`
+    /// wire format.
     pub invalidations: u64,
-    /// Document-invalidation events processed: one per document per
-    /// [`PlanCache::invalidate_docs`] call. `invalidations /
-    /// invalidated_docs` is the average number of warmed plans one
-    /// document change costs.
+    /// Always 0, like `invalidations`.
     pub invalidated_docs: u64,
 }
 
@@ -70,30 +65,25 @@ impl CacheStats {
     }
 }
 
-/// Per-generation accounting: how the plans compiled during one snapshot
-/// generation fared. A generation that keeps missing after its load
-/// settles points at a churning workload; high invalidations quantify
-/// what a document change cost in warmed plans.
+/// Per-generation accounting: how the queries compiled during one
+/// snapshot generation fared. A generation that keeps missing after its
+/// load settles points at a churning workload.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct GenStats {
     /// Probe hits against entries compiled in this generation.
     pub hits: u64,
     /// Probe misses while this generation was current.
     pub misses: u64,
-    /// Entries compiled in this generation that were purged.
-    pub invalidations: u64,
 }
 
 struct Entry {
     plan: Arc<Prepared>,
-    /// `(uri, version)` the plan was compiled against — its `doc()` set.
-    deps: Vec<(String, u64)>,
-    /// Snapshot generation the plan was compiled in (accounting only).
+    /// Snapshot generation the query was compiled in (accounting only).
     generation: u64,
     touched: u64,
 }
 
-/// LRU cache of prepared plans with per-document dependency validation.
+/// LRU cache of prepared queries.
 pub struct PlanCache {
     capacity: usize,
     tick: u64,
@@ -115,32 +105,15 @@ impl PlanCache {
         }
     }
 
-    /// Look up a plan valid against the probing snapshot: `version_of`
-    /// maps a document URI to its current version (0 = not loaded).
-    /// An entry whose recorded dependencies all match is a hit; a
-    /// version mismatch drops the stale entry and counts both an
-    /// invalidation and a miss. `generation` is the probing snapshot's
+    /// Look up a prepared query. `generation` is the probing snapshot's
     /// generation, used for the per-generation breakdown only.
-    pub fn get(
-        &mut self,
-        key: &CacheKey,
-        generation: u64,
-        version_of: &dyn Fn(&str) -> u64,
-    ) -> Option<Arc<Prepared>> {
+    pub fn get(&mut self, key: &CacheKey, generation: u64) -> Option<Arc<Prepared>> {
         self.tick += 1;
         if let Some(e) = self.map.get_mut(key) {
-            if e.deps.iter().all(|(uri, v)| version_of(uri) == *v) {
-                e.touched = self.tick;
-                self.stats.hits += 1;
-                self.per_gen.entry(e.generation).or_default().hits += 1;
-                return Some(Arc::clone(&e.plan));
-            }
-            // Stale dependency the eager purge missed (insert raced a
-            // commit): drop it here.
-            let compiled_in = e.generation;
-            self.map.remove(key);
-            self.stats.invalidations += 1;
-            self.per_gen.entry(compiled_in).or_default().invalidations += 1;
+            e.touched = self.tick;
+            self.stats.hits += 1;
+            self.per_gen.entry(e.generation).or_default().hits += 1;
+            return Some(Arc::clone(&e.plan));
         }
         self.stats.misses += 1;
         self.per_gen.entry(generation).or_default().misses += 1;
@@ -153,19 +126,9 @@ impl PlanCache {
     /// after a wait — so `misses` keeps meaning *compilations* exactly.
     /// `generation` must be the same probing generation the original miss
     /// was counted under.
-    pub fn get_after_wait(
-        &mut self,
-        key: &CacheKey,
-        generation: u64,
-        version_of: &dyn Fn(&str) -> u64,
-    ) -> Option<Arc<Prepared>> {
+    pub fn get_after_wait(&mut self, key: &CacheKey, generation: u64) -> Option<Arc<Prepared>> {
         self.tick += 1;
         let e = self.map.get_mut(key)?;
-        if !e.deps.iter().all(|(uri, v)| version_of(uri) == *v) {
-            // The fill we waited for is already stale (a commit landed in
-            // between): leave the original miss standing and recompile.
-            return None;
-        }
         e.touched = self.tick;
         self.stats.misses = self.stats.misses.saturating_sub(1);
         self.stats.hits += 1;
@@ -175,20 +138,13 @@ impl PlanCache {
         Some(Arc::clone(&e.plan))
     }
 
-    /// Insert a plan compiled against the given document versions,
-    /// evicting the least-recently-used entry when at capacity.
-    /// Re-inserting an existing key refreshes it in place.
-    pub fn insert(
-        &mut self,
-        key: CacheKey,
-        plan: Arc<Prepared>,
-        deps: Vec<(String, u64)>,
-        generation: u64,
-    ) {
+    /// Insert a query compiled during `generation`, evicting the
+    /// least-recently-used entry when at capacity. Re-inserting an
+    /// existing key refreshes it in place.
+    pub fn insert(&mut self, key: CacheKey, plan: Arc<Prepared>, generation: u64) {
         self.tick += 1;
         if let Some(e) = self.map.get_mut(&key) {
             e.plan = plan;
-            e.deps = deps;
             e.generation = generation;
             e.touched = self.tick;
             return;
@@ -207,31 +163,7 @@ impl PlanCache {
                 self.stats.evictions += 1;
             }
         }
-        self.map
-            .insert(key, Entry { plan, deps, generation, touched: self.tick });
-    }
-
-    /// Eagerly drop every entry depending on any of `uris` (at whatever
-    /// version — the documents just changed, so any recorded version is
-    /// stale). Called when a commit or load publishes. Returns the number
-    /// of entries purged.
-    pub fn invalidate_docs<S: AsRef<str>>(&mut self, uris: &[S]) -> u64 {
-        let mut purged = 0u64;
-        let per_gen = &mut self.per_gen;
-        self.map.retain(|_, e| {
-            let keep = !e
-                .deps
-                .iter()
-                .any(|(dep, _)| uris.iter().any(|u| u.as_ref() == dep));
-            if !keep {
-                purged += 1;
-                per_gen.entry(e.generation).or_default().invalidations += 1;
-            }
-            keep
-        });
-        self.stats.invalidations += purged;
-        self.stats.invalidated_docs += uris.len() as u64;
-        purged
+        self.map.insert(key, Entry { plan, generation, touched: self.tick });
     }
 
     /// Live entry count.
@@ -249,9 +181,8 @@ impl PlanCache {
         self.stats
     }
 
-    /// Per-generation hit/miss/invalidation breakdown, generation-ordered.
-    /// Generations appear once probed or invalidated, and are retained
-    /// after their entries go stale (`STATS` reports the history).
+    /// Per-generation hit/miss breakdown, generation-ordered. Generations
+    /// appear once probed and are retained (`STATS` reports the history).
     pub fn generation_stats(&self) -> impl Iterator<Item = (u64, GenStats)> + '_ {
         self.per_gen.iter().map(|(&g, &s)| (g, s))
     }
@@ -262,160 +193,105 @@ mod tests {
     use super::*;
     use jgi_core::prepare_on;
     use jgi_xml::DocStore;
-    use jgi_xml::Tree;
-
-    fn store() -> DocStore {
-        let t: Tree = jgi_xml::parse("t.xml", "<a><b>1</b><b>2</b></a>").unwrap();
-        let mut s = DocStore::new();
-        s.add_tree(&t);
-        s
-    }
 
     fn key(q: &str) -> CacheKey {
         CacheKey { query: q.to_string(), context_doc: None }
     }
 
-    fn plan(s: &DocStore, q: &str) -> Arc<Prepared> {
-        Arc::new(prepare_on(s, q, None).unwrap())
-    }
-
-    /// A fixed version map: every listed doc at the given version.
-    fn vmap<'a>(pairs: &'a [(&'a str, u64)]) -> impl Fn(&str) -> u64 + 'a {
-        move |uri| pairs.iter().find(|(u, _)| *u == uri).map_or(0, |(_, v)| *v)
+    /// Compilation reads no document: an empty store will do.
+    fn plan(q: &str) -> Arc<Prepared> {
+        Arc::new(prepare_on(&DocStore::new(), q, None).unwrap())
     }
 
     #[test]
-    fn hit_after_prepare() {
-        let s = store();
+    fn hit_after_prepare_in_any_later_generation() {
         let mut c = PlanCache::new(4);
         let q = r#"doc("t.xml")/child::a/child::b"#;
-        let versions = vmap(&[("t.xml", 1)]);
-        assert!(c.get(&key(q), 1, &versions).is_none());
-        c.insert(key(q), plan(&s, q), vec![("t.xml".into(), 1)], 1);
-        let hit = c.get(&key(q), 1, &versions).expect("second probe hits");
+        assert!(c.get(&key(q), 1).is_none());
+        c.insert(key(q), plan(q), 1);
+        let hit = c.get(&key(q), 1).expect("second probe hits");
         assert_eq!(hit.text, q);
-        assert_eq!(c.stats(), CacheStats { hits: 1, misses: 1, ..Default::default() });
+        // Generations pass (loads, commits): the entry still hits.
+        assert!(c.get(&key(q), 7).is_some());
+        assert_eq!(c.stats(), CacheStats { hits: 2, misses: 1, ..Default::default() });
     }
 
     #[test]
-    fn version_bump_invalidates_only_dependents() {
-        let s = store();
+    fn context_document_is_part_of_the_key() {
         let mut c = PlanCache::new(4);
-        let qt = r#"doc("t.xml")/child::a/child::b"#;
-        let qu = r#"doc("u.xml")/child::a"#;
-        c.insert(key(qt), plan(&s, qt), vec![("t.xml".into(), 1)], 2);
-        c.insert(key(qu), plan(&s, qu), vec![("u.xml".into(), 1)], 2);
-        // t.xml moves to version 2: the eager purge drops exactly the
-        // t-dependent entry.
-        assert_eq!(c.invalidate_docs(&["t.xml"]), 1);
-        assert_eq!(c.len(), 1);
-        let after = vmap(&[("t.xml", 2), ("u.xml", 1)]);
-        assert!(c.get(&key(qt), 3, &after).is_none(), "t plan gone");
-        assert!(c.get(&key(qu), 3, &after).is_some(), "u plan survives the t commit");
-        let cs = c.stats();
-        assert_eq!(cs.invalidations, 1);
-        assert_eq!(cs.invalidated_docs, 1);
-    }
-
-    #[test]
-    fn stale_dependency_is_caught_on_probe() {
-        let s = store();
-        let mut c = PlanCache::new(4);
-        let q = r#"doc("t.xml")/child::a/child::b"#;
-        // Entry recorded against version 1; the snapshot has moved on to
-        // version 2 without an eager purge (insert raced the commit).
-        c.insert(key(q), plan(&s, q), vec![("t.xml".into(), 1)], 1);
-        assert!(c.get(&key(q), 2, &vmap(&[("t.xml", 2)])).is_none());
-        assert_eq!(c.len(), 0, "the stale entry was dropped by the probe");
-        assert_eq!(c.stats().invalidations, 1);
-    }
-
-    #[test]
-    fn unloaded_dependency_stays_valid_until_the_doc_loads() {
-        let s = store();
-        let mut c = PlanCache::new(4);
-        let q = r#"doc("ghost.xml")/child::a"#;
-        // Compiled while ghost.xml was absent: dependency (ghost.xml, 0).
-        c.insert(key(q), plan(&s, q), vec![("ghost.xml".into(), 0)], 1);
-        assert!(c.get(&key(q), 1, &vmap(&[])).is_some(), "still absent: valid");
-        // The document appears: the plan must recompile against it.
-        assert!(c.get(&key(q), 2, &vmap(&[("ghost.xml", 1)])).is_none());
+        let q = "/site/people";
+        let with = |ctx: &str| CacheKey { query: q.into(), context_doc: Some(ctx.into()) };
+        let compiled = Arc::new(prepare_on(&DocStore::new(), q, Some("a.xml")).unwrap());
+        c.insert(with("a.xml"), compiled, 1);
+        assert!(c.get(&with("a.xml"), 1).is_some());
+        assert!(c.get(&with("b.xml"), 1).is_none(), "same text, other context: other query");
     }
 
     #[test]
     fn lru_eviction_at_capacity() {
-        let s = store();
         let mut c = PlanCache::new(2);
         let (qa, qb, qc) = (
             r#"doc("t.xml")/child::a"#,
             r#"doc("t.xml")/child::a/child::b"#,
             r#"doc("t.xml")/descendant::b"#,
         );
-        let deps = || vec![("t.xml".to_string(), 1)];
-        let versions = vmap(&[("t.xml", 1)]);
-        c.insert(key(qa), plan(&s, qa), deps(), 1);
-        c.insert(key(qb), plan(&s, qb), deps(), 1);
+        c.insert(key(qa), plan(qa), 1);
+        c.insert(key(qb), plan(qb), 1);
         // Touch qa so qb becomes the LRU victim.
-        assert!(c.get(&key(qa), 1, &versions).is_some());
-        c.insert(key(qc), plan(&s, qc), deps(), 1);
+        assert!(c.get(&key(qa), 1).is_some());
+        c.insert(key(qc), plan(qc), 1);
         assert_eq!(c.len(), 2);
         assert_eq!(c.stats().evictions, 1);
-        assert!(c.get(&key(qa), 1, &versions).is_some(), "recently-used survives");
-        assert!(c.get(&key(qb), 1, &versions).is_none(), "LRU evicted");
-        assert!(c.get(&key(qc), 1, &versions).is_some());
+        assert!(c.get(&key(qa), 1).is_some(), "recently-used survives");
+        assert!(c.get(&key(qb), 1).is_none(), "LRU evicted");
+        assert!(c.get(&key(qc), 1).is_some());
     }
 
     #[test]
-    fn per_generation_breakdown_tracks_probes_and_purges() {
-        let s = store();
+    fn per_generation_breakdown_credits_the_compiling_generation() {
         let mut c = PlanCache::new(4);
         let q = r#"doc("t.xml")/child::a/child::b"#;
-        let v1 = vmap(&[("t.xml", 1)]);
-        assert!(c.get(&key(q), 1, &v1).is_none()); // miss in gen 1
-        c.insert(key(q), plan(&s, q), vec![("t.xml".into(), 1)], 1);
-        assert!(c.get(&key(q), 1, &v1).is_some()); // hit on the gen-1 entry
-        c.invalidate_docs(&["t.xml"]); // commit purges it
-        let v2 = vmap(&[("t.xml", 2)]);
-        assert!(c.get(&key(q), 2, &v2).is_none()); // miss in gen 2
+        assert!(c.get(&key(q), 1).is_none()); // miss in gen 1
+        c.insert(key(q), plan(q), 1);
+        assert!(c.get(&key(q), 1).is_some()); // hit on the gen-1 entry
+        assert!(c.get(&key(q), 2).is_some()); // still the gen-1 entry
+        assert!(c.get(&key("1 + 1"), 2).is_none()); // miss in gen 2
         let gens: Vec<_> = c.generation_stats().collect();
         assert_eq!(
             gens,
             vec![
-                (1, GenStats { hits: 1, misses: 1, invalidations: 1 }),
-                (2, GenStats { hits: 0, misses: 1, invalidations: 0 }),
+                (1, GenStats { hits: 2, misses: 1 }),
+                (2, GenStats { hits: 0, misses: 1 }),
             ]
         );
     }
 
     #[test]
     fn wait_hit_reclassifies_the_miss() {
-        let s = store();
         let mut c = PlanCache::new(4);
         let q = r#"doc("t.xml")/child::a/child::b"#;
-        let versions = vmap(&[("t.xml", 1)]);
         // Two threads miss; the leader compiles and inserts, the follower
         // re-probes after the wait.
-        assert!(c.get(&key(q), 1, &versions).is_none()); // leader
-        assert!(c.get(&key(q), 1, &versions).is_none()); // follower
-        c.insert(key(q), plan(&s, q), vec![("t.xml".into(), 1)], 1);
-        assert!(c.get_after_wait(&key(q), 1, &versions).is_some());
+        assert!(c.get(&key(q), 1).is_none()); // leader
+        assert!(c.get(&key(q), 1).is_none()); // follower
+        c.insert(key(q), plan(q), 1);
+        assert!(c.get_after_wait(&key(q), 1).is_some());
         // Net accounting: one compile (the leader), one served-from-cache.
         assert_eq!(c.stats(), CacheStats { hits: 1, misses: 1, ..Default::default() });
         let gens: Vec<_> = c.generation_stats().collect();
-        assert_eq!(gens, vec![(1, GenStats { hits: 1, misses: 1, invalidations: 0 })]);
-        // A fill that went stale while the follower waited is NOT a hit:
-        // the original miss stands and the caller recompiles.
-        assert!(c.get_after_wait(&key(q), 2, &vmap(&[("t.xml", 2)])).is_none());
+        assert_eq!(gens, vec![(1, GenStats { hits: 1, misses: 1 })]);
+        // Nothing to wait for (the leader's compile failed): the original
+        // miss stands and the caller compiles.
+        assert!(c.get_after_wait(&key("1 + 1"), 1).is_none());
         assert_eq!(c.stats().hits, 1);
     }
 
     #[test]
     fn zero_capacity_disables_caching() {
-        let s = store();
         let mut c = PlanCache::new(0);
         let q = r#"doc("t.xml")/child::a"#;
-        c.insert(key(q), plan(&s, q), vec![("t.xml".into(), 1)], 1);
-        assert!(c.get(&key(q), 1, &vmap(&[("t.xml", 1)])).is_none());
+        c.insert(key(q), plan(q), 1);
+        assert!(c.get(&key(q), 1).is_none());
         assert!(c.is_empty());
     }
 }

@@ -16,9 +16,10 @@
 //!   through the per-document delta overlays, bumps only the touched
 //!   documents' versions, and publishes the next generation;
 //! * [`PlanCache`] — LRU cache of full [`jgi_core::Prepared`] artifact
-//!   sets keyed on `(query, context doc)` with per-document
-//!   `(uri, version)` dependency validation: a commit invalidates exactly
-//!   the plans that read the touched documents;
+//!   sets keyed on `(query, context doc)`; nothing invalidates an entry
+//!   (a compiled query depends on no document), and the one thing that
+//!   does depend on the document — the physical plan — is memoised on the
+//!   `Prepared` under the database's identity;
 //! * [`Server`] — worker pool of N OS threads behind a *bounded*
 //!   admission queue (full queue = immediate [`ServeError::Overloaded`]
 //!   shed), per-request deadlines, structured errors end-to-end;

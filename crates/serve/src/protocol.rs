@@ -383,6 +383,7 @@ fn run_command(server: &Server, cmd: &Command) -> Result<Reply, ServeError> {
                 ("queue_us", Json::UInt(reply.queue_wait.as_micros() as u64)),
                 ("prepare_us", Json::UInt(reply.prepare.as_micros() as u64)),
                 ("cached", Json::Bool(reply.cached_plan)),
+                ("plan_cached", Json::Bool(reply.report.plan_cached)),
                 ("deadline_exceeded", Json::Bool(reply.deadline_exceeded)),
                 ("generation", Json::UInt(reply.generation)),
             ]);

@@ -2,13 +2,13 @@
 //! pool, admission control, and always-on telemetry.
 //!
 //! Request path: the calling thread mints a trace id, resolves the
-//! current [`Snapshot`] and the prepared plan (cache probe, compile on
-//! miss), then submits an execution job to a bounded queue served by N OS
-//! worker threads. The queue is the admission controller — when it is
-//! full the request is shed immediately with [`ServeError::Overloaded`]
-//! instead of growing an unbounded backlog. Workers check per-request
-//! deadlines at dequeue time and refuse work that can no longer meet
-//! them.
+//! current [`Snapshot`] and the prepared query (cache probe, compile on
+//! miss — a commit or load costs no entry), then submits an execution
+//! job to a bounded queue served by N OS worker threads. The queue is
+//! the admission controller — when it is full the request is shed
+//! immediately with [`ServeError::Overloaded`] instead of growing an
+//! unbounded backlog. Workers check per-request deadlines at dequeue
+//! time and refuse work that can no longer meet them.
 //!
 //! Telemetry is two-layered:
 //!
@@ -40,7 +40,7 @@ use jgi_sync::thread::JoinHandle;
 use jgi_sync::{AtomicUsize, Mutex, RwLock};
 use std::collections::HashMap;
 use std::sync::mpsc::{self, Receiver, SyncSender, TrySendError};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
 
 /// Service configuration.
@@ -160,6 +160,8 @@ impl Server {
             "serve.errors",
             "serve.cache.hit",
             "serve.cache.miss",
+            "serve.plan_memo.hit",
+            "serve.plan_memo.miss",
             "serve.admission.shed",
             "serve.deadline.missed",
             "serve.commits",
@@ -207,11 +209,10 @@ impl Server {
 
     /// Load an already-built tree (e.g. from the synthetic generators);
     /// returns the new generation. Publishes a fresh snapshot (index
-    /// build happens here, never on the request path) and eagerly purges
-    /// exactly the cached plans that depend on the loaded document —
-    /// plans over other documents keep serving from the cache.
+    /// build happens here, never on the request path). The prepared-query
+    /// cache is untouched: queries over the loaded document re-plan on
+    /// their next execution, nothing recompiles.
     pub fn add_tree(&self, tree: Tree) -> u64 {
-        let uri = tree.uri().to_string();
         let snapshot = {
             let mut master = self.state.master.lock();
             master.add_tree(tree);
@@ -219,9 +220,7 @@ impl Server {
         };
         let generation = snapshot.generation;
         *self.state.snapshot.write() = snapshot;
-        let invalidated = self.state.cache.lock().invalidate_docs(&[uri]);
         self.state.registry.counter("serve.loads", 1);
-        self.state.registry.counter("serve.cache.invalidation", invalidated);
         generation
     }
 
@@ -229,9 +228,8 @@ impl Server {
     /// publish the resulting snapshot. Either every op in the batch
     /// validates and the new generation becomes visible in one pointer
     /// swap, or the document state is untouched and the error names the
-    /// offending op. Cached plans depending on the touched documents are
-    /// purged; everything else stays warm — the point of per-document
-    /// versioning.
+    /// offending op. Every cached query stays warm; those over a touched
+    /// document re-plan once against its new database.
     pub fn commit(&self, ops: &[Op]) -> Result<CommitOutcome, ServeError> {
         let (outcome, snapshot) = {
             let mut master = self.state.master.lock();
@@ -239,11 +237,7 @@ impl Server {
             (outcome, master.publish(self.state.config.budgets))
         };
         *self.state.snapshot.write() = snapshot;
-        let touched: Vec<&str> = outcome.touched.iter().map(|(u, _)| u.as_str()).collect();
-        let invalidated = self.state.cache.lock().invalidate_docs(&touched);
-        let reg = &self.state.registry;
-        reg.counter("serve.commits", 1);
-        reg.counter("serve.cache.invalidation", invalidated);
+        self.state.registry.counter("serve.commits", 1);
         Ok(outcome)
     }
 
@@ -274,18 +268,13 @@ impl Server {
             context_doc: context_doc.map(|s| s.to_string()),
         };
         let t0 = Instant::now();
-        let versions = |uri: &str| snapshot.version_of(uri);
-        if let Some(plan) =
-            self.state.cache.lock().get(&key, snapshot.generation, &versions)
-        {
+        if let Some(plan) = self.state.cache.lock().get(&key, snapshot.generation) {
             self.state.registry.counter("serve.cache.hit", 1);
             return Ok((plan, true));
         }
         // Miss. Take the key's flight lock: the first misser leads and
         // compiles; followers block here until the leader's insert lands,
-        // then re-probe instead of duplicating an expensive compile (a
-        // commit invalidating N warm plans would otherwise trigger
-        // threads × N concurrent compilations of the same N plans).
+        // then re-probe instead of duplicating an expensive compile.
         let flight = {
             let mut flights = self.state.flights.lock();
             Arc::clone(
@@ -295,9 +284,7 @@ impl Server {
             )
         };
         let _leader = flight.lock();
-        if let Some(plan) =
-            self.state.cache.lock().get_after_wait(&key, snapshot.generation, &versions)
-        {
+        if let Some(plan) = self.state.cache.lock().get_after_wait(&key, snapshot.generation) {
             self.state.registry.counter("serve.cache.hit", 1);
             return Ok((plan, true));
         }
@@ -311,18 +298,14 @@ impl Server {
                 return Err(e.into());
             }
         };
-        // Record the document versions the plan was compiled against (its
-        // doc() set): the entry stays valid exactly while they all hold.
-        let deps: Vec<(String, u64)> =
-            plan.docs.iter().map(|u| (u.clone(), snapshot.version_of(u))).collect();
         let evicted = {
             let mut cache = self.state.cache.lock();
             let before = cache.stats().evictions;
-            cache.insert(key.clone(), Arc::clone(&plan), deps, snapshot.generation);
+            cache.insert(key.clone(), Arc::clone(&plan), snapshot.generation);
             cache.stats().evictions - before
         };
         // The insert is visible: retire the flight entry so later misses
-        // (after an invalidation) start a fresh flight.
+        // (after an eviction) start a fresh flight.
         self.state.flights.lock().remove(&key);
         let reg = &self.state.registry;
         reg.counter("serve.cache.miss", 1);
@@ -491,9 +474,11 @@ impl Server {
     /// slowest first, one JSON object each. The expensive diagnostics —
     /// EXPLAIN ANALYZE re-derivation, report JSON — are rendered *here*,
     /// from the cheap handles the record kept, so dumping is where the
-    /// cost lands, never the serving path. Records are cloned out of the
-    /// lock first (clones are `Arc` bumps plus a report copy), so a slow
-    /// render never blocks admission.
+    /// cost lands, never the serving path. `explain` is `null` once a
+    /// commit has retired the database the request ran on (the record
+    /// does not keep it alive); the report is always there. Records are
+    /// cloned out of the lock first (clones are `Arc` bumps plus a report
+    /// copy), so a slow render never blocks admission.
     pub fn trace_dump(&self, n: usize) -> Vec<Json> {
         let records: Vec<FlightRecord<Option<FlightPayload>>> = {
             let flight = self.state.flight.lock();
@@ -508,13 +493,22 @@ impl Server {
                     // re-deriving the physical plan is deterministic given
                     // (db, cq), so the recorded actuals line up
                     // operator-for-operator without re-executing.
-                    if let (Some(cq), Some(exec)) = (&p.prepared.cq, &p.report.exec) {
-                        let plan = jgi_engine::optimizer::plan(&p.db, cq);
-                        fields.push((
-                            "explain".into(),
-                            Json::Str(jgi_engine::explain::render_analyze(&p.db, &plan, exec)),
-                        ));
+                    if let (Some(cq), Some(planning), Some(exec)) =
+                        (&p.prepared.cq, &p.report.optimizer, &p.report.exec)
+                    {
+                        let explain = p.db.upgrade().map_or(Json::Null, |db| {
+                            let plan = jgi_engine::optimizer::plan(&db, cq);
+                            Json::Str(jgi_engine::explain::render_analyze(
+                                &db,
+                                &plan,
+                                planning,
+                                p.report.plan_cached,
+                                exec,
+                            ))
+                        });
+                        fields.push(("explain".into(), explain));
                     }
+                    fields.push(("plan_cached".into(), Json::Bool(p.report.plan_cached)));
                     fields.push(("report".into(), p.report.to_json()));
                 }
                 json
@@ -588,7 +582,6 @@ impl Server {
                                         ("generation", Json::UInt(g)),
                                         ("hits", Json::UInt(s.hits)),
                                         ("misses", Json::UInt(s.misses)),
-                                        ("invalidations", Json::UInt(s.invalidations)),
                                     ])
                                 })
                                 .collect(),
@@ -658,7 +651,7 @@ impl Server {
             payload: Some(FlightPayload {
                 // Re-resolve the segment the worker executed against (same
                 // snapshot, same dependency set → same segment).
-                db: Arc::clone(&snapshot.resolve(&prepared.docs).0.db),
+                db: Arc::downgrade(&snapshot.resolve(&prepared.docs).0.db),
                 prepared: Arc::clone(prepared),
                 report: reply.report.clone(),
             }),
@@ -707,13 +700,13 @@ impl Server {
 }
 
 /// Lazy flight-record payload: cheap handles captured at offer time. The
-/// database `Arc` pins the exact segment (document + version) the request
-/// executed against, so the EXPLAIN ANALYZE re-derivation at dump time
-/// sees exactly the database the run saw — at most `flight_capacity` old
-/// per-document versions stay alive, not whole snapshots.
+/// database is the exact segment (document + version) the request
+/// executed against, held **weakly**: a retained record must not keep a
+/// retired document version (indexes and all) resident, or a full
+/// recorder pins one dead version per slot while commits land.
 #[derive(Clone)]
 struct FlightPayload {
-    db: Arc<Database>,
+    db: Weak<Database>,
     prepared: Arc<Prepared>,
     report: QueryReport,
 }
@@ -790,6 +783,10 @@ fn worker_loop(rx: &Mutex<Receiver<Job>>, state: &State) {
                 // the prepare, operator counters from the run) into the
                 // always-on totals.
                 reg.merge_metrics(&outcome.report.metrics);
+                if outcome.report.optimizer.is_some() {
+                    let hit = outcome.report.plan_cached;
+                    reg.counter(if hit { "serve.plan_memo.hit" } else { "serve.plan_memo.miss" }, 1);
+                }
                 Ok(ExecReply {
                     deadline_exceeded: job.deadline.is_some_and(|d| Instant::now() > d),
                     nodes: outcome
@@ -894,22 +891,31 @@ mod tests {
         let g = s.load_xml("extra.xml", "<a><b>1</b></a>").unwrap();
         assert_eq!(g, 2);
         let after = s.execute(q, None, Engine::JoinGraph, None).unwrap();
-        assert!(
-            after.cached_plan,
-            "loading an unrelated document keeps the auction plan warm"
-        );
+        assert!(after.cached_plan && after.report.plan_cached, "an unrelated load costs nothing");
         assert_eq!(after.generation, 2);
         assert_eq!(before.nodes, after.nodes, "old document unchanged");
-        assert_eq!(s.cache_stats().invalidations, 0);
         let extra = s
             .execute(r#"doc("extra.xml")/child::a/child::b"#, None, Engine::JoinGraph, None)
             .unwrap();
         assert_eq!(extra.nodes.map(|n| n.len()), Some(1));
-        // Reloading a document the plan DOES depend on purges it.
-        s.add_tree(generate_xmark(XmarkConfig { scale: 0.002, seed: 7 }));
+        // Reloading the document the query reads keeps the compiled query
+        // too: only the physical plan is rebuilt, and the answer is the
+        // new document's.
+        let misses = s.cache_stats().misses;
+        let reload = generate_xmark(XmarkConfig { scale: 0.003, seed: 7 });
+        let mut fresh = jgi_core::Session::new();
+        fresh.add_tree(reload.clone());
+        let p = fresh.prepare(q, None).unwrap();
+        let expected = fresh.execute(&p, Engine::NavWhole).unwrap().nodes;
+        s.add_tree(reload);
         let reloaded = s.execute(q, None, Engine::JoinGraph, None).unwrap();
-        assert!(!reloaded.cached_plan, "reload of auction.xml recompiles its plans");
-        assert_eq!(s.cache_stats().invalidations, 1);
+        assert!(reloaded.cached_plan, "a reload of auction.xml recompiles nothing");
+        assert!(!reloaded.report.plan_cached, "but re-plans against the new database");
+        assert_eq!(reloaded.nodes, expected, "and answers from the reloaded document");
+        assert_ne!(reloaded.nodes, before.nodes);
+        let cs = s.cache_stats();
+        assert_eq!(cs.misses, misses, "no compile since the reload");
+        assert_eq!((cs.invalidations, cs.invalidated_docs), (0, 0));
     }
 
     #[test]
@@ -921,6 +927,7 @@ mod tests {
         let bidders = s.execute(qa, None, Engine::JoinGraph, None).unwrap();
         let before = s.execute(qe, None, Engine::JoinGraph, None).unwrap();
         assert_eq!(before.nodes.as_ref().map(|n| n.len()), Some(1));
+        let warm = s.cache_stats();
         // Insert a second <b> under extra.xml's root element. extra.xml
         // loads after auction.xml, so its root element sits at global
         // base_pre + 1.
@@ -930,11 +937,15 @@ mod tests {
             .expect("commit applies");
         assert_eq!(out.touched, vec![("extra.xml".to_string(), 2)]);
         let after = s.execute(qe, None, Engine::JoinGraph, None).unwrap();
-        assert!(!after.cached_plan, "mutation recompiles the touched doc's plan");
+        assert!(after.cached_plan, "a commit recompiles nothing");
+        assert!(!after.report.plan_cached, "the touched document's query re-plans once");
         assert_eq!(after.nodes.map(|n| n.len()), Some(2), "insert is visible");
         let again = s.execute(qa, None, Engine::JoinGraph, None).unwrap();
-        assert!(again.cached_plan, "auction plan survives the extra.xml commit");
+        assert!(again.cached_plan && again.report.plan_cached, "auction.xml was not touched");
         assert_eq!(again.nodes, bidders.nodes, "auction results untouched");
+        let cs = s.cache_stats();
+        assert_eq!(cs.misses, warm.misses, "the commit cost no compile");
+        assert_eq!((cs.invalidations, cs.invalidated_docs), (0, 0));
         // A bad batch is rejected atomically and leaves state alone.
         let err = s.commit(&[
             Op::Insert { parent: base + 1, pos: 0, xml: "<c/>".into() },
@@ -942,7 +953,11 @@ mod tests {
         ]);
         assert!(matches!(err, Err(ServeError::Mutate(_))));
         let still = s.execute(qe, None, Engine::JoinGraph, None).unwrap();
+        assert!(still.report.plan_cached, "same database as the previous execution");
         assert_eq!(still.nodes.map(|n| n.len()), Some(2), "failed batch applied nothing");
+        let m = s.metrics();
+        assert_eq!(m.counter_value("serve.plan_memo.miss"), 3, "qa, qe, qe after the commit");
+        assert_eq!(m.counter_value("serve.plan_memo.hit"), 2);
     }
 
     #[test]
@@ -974,6 +989,8 @@ mod tests {
             .find(|r| r.contains("\"status\":\"ok\""))
             .expect("successful request retained");
         assert!(ok.contains("\"explain\":\""), "success carries EXPLAIN ANALYZE: {ok}");
+        assert!(ok.contains(" PLAN (planned, states="), "the first execution planned: {ok}");
+        assert!(ok.contains("\"plan_cached\":false"), "{ok}");
         assert!(ok.contains("\"report\":{"), "success carries the full report");
         assert!(ok.contains("\"queue\":"), "per-phase breakdown present");
         assert!(ok.contains("\"execute\":"), "pipeline phases present");
@@ -1019,6 +1036,8 @@ mod tests {
             "jgi_serve_admission_shed_total 0",
             "jgi_serve_deadline_missed_total 0",
             "jgi_serve_errors_total 0",
+            "jgi_serve_plan_memo_miss_total 1",
+            "jgi_serve_plan_memo_hit_total 1",
             "# TYPE jgi_serve_total_us summary",
             "jgi_serve_total_us{quantile=\"0.99\"}",
             "jgi_serve_total_us_count 2",

@@ -113,9 +113,7 @@ impl Snapshot {
         self.docs.iter().map(|d| d.snap.store.len() as u64).sum()
     }
 
-    /// Version of `uri` in this snapshot; 0 when not loaded. Plan-cache
-    /// dependency checks compare against exactly this: an entry recorded
-    /// against `(uri, 0)` stays valid until the document first loads.
+    /// Version of `uri` in this snapshot; 0 when not loaded.
     pub fn version_of(&self, uri: &str) -> u64 {
         self.docs.iter().find(|d| d.snap.uri == uri).map_or(0, |d| d.snap.version)
     }
@@ -137,10 +135,11 @@ impl Snapshot {
         (self.combined(), 0)
     }
 
-    /// The store compilation should run against. Plans are
-    /// store-independent in normal operation, but under `JGI_CHECK=1` the
-    /// prepare pipeline audits rewrite rules against real documents — give
-    /// it the combined view so audit `pre` ranks match what clients see.
+    /// The store compilation should run against. Compilation reads no
+    /// document in normal operation, but under `JGI_CHECK=1` the prepare
+    /// pipeline audits rewrite rules against real documents — give it the
+    /// combined view so audit `pre` ranks match what clients see. A query
+    /// compiles once, so the audit sees the documents of that moment only.
     pub fn prepare_store(&self) -> Arc<DocStore> {
         match self.docs.as_slice() {
             [d] => Arc::clone(&d.snap.store),

@@ -12,12 +12,14 @@
 //!
 //! A second test pins the incremental-publish contract: committing to one
 //! document must not rebuild the other document's stores or indexes
-//! (asserted by `Arc` pointer identity across publishes).
+//! (asserted by `Arc` pointer identity across publishes). A third pins
+//! bounded memory under commits: nothing the server retains — plan memo,
+//! flight recorder — keeps a retired document version alive.
 
 use jgi_core::queries::paper_corpus;
 use jgi_core::{execute_prepared, prepare_on, Budgets, Engine, Parallelism, Session};
 use jgi_mutate::{parse_fragment, Op};
-use jgi_serve::Master;
+use jgi_serve::{Master, ServeConfig, Server};
 use jgi_xml::generate::{generate_dblp, generate_xmark, DblpConfig, XmarkConfig};
 use jgi_xml::serialize::tree_to_xml;
 use jgi_xml::{parse, Tree};
@@ -203,4 +205,62 @@ fn publish_rebuilds_only_touched_documents() {
     let s3 = master.publish(Budgets::default());
     assert!(Arc::ptr_eq(&s2.docs[0].snap, &s3.docs[0].snap));
     assert!(Arc::ptr_eq(&s2.docs[1].snap, &s3.docs[1].snap));
+}
+
+/// Memory stays bounded while commits land: a retired document version
+/// (store, nine indexes, navigational database) must be freed once no
+/// request runs on it. Asserted by liveness, not by reading RSS: after 64
+/// commits with traffic in between — enough to fill the flight recorder's
+/// slow pool several times over and to leave a plan memo on every query —
+/// at most two databases per document can still be upgraded from `Weak`
+/// (the published one, plus slack for a worker that has replied but not
+/// yet dropped its job).
+#[test]
+fn retired_document_versions_are_freed_under_commits() {
+    let (xmark, dblp) = trees();
+    let server = Server::new(ServeConfig { workers: 2, ..ServeConfig::default() });
+    server.add_tree(xmark);
+    server.add_tree(dblp);
+    let corpus: Vec<_> = paper_corpus()
+        .into_iter()
+        .filter(|(name, _, _)| matches!(*name, "Q1" | "Q3" | "Q4" | "Q5" | "Q6"))
+        .collect();
+
+    let mut versions: [Vec<std::sync::Weak<jgi_engine::Database>>; 2] = [Vec::new(), Vec::new()];
+    let mut witness = |server: &Server| {
+        let snapshot = server.snapshot();
+        for (doc, seen) in versions.iter_mut().enumerate() {
+            let db = Arc::downgrade(&snapshot.docs[doc].snap.db);
+            if !seen.iter().any(|w| w.ptr_eq(&db)) {
+                seen.push(db);
+            }
+        }
+    };
+    witness(&server);
+    for i in 0..64u32 {
+        // Alternate the touched document: global pre 1 is auction.xml's
+        // root element, dblp.xml's sits right after auction.xml's rows.
+        let parent = if i % 2 == 0 { 1 } else { server.snapshot().docs[1].base_pre + 1 };
+        server
+            .commit(&[Op::Insert { parent, pos: 0, xml: format!("<probe n=\"{i}\"/>") }])
+            .expect("probe commits");
+        witness(&server);
+        for &(name, query, ctx) in &corpus {
+            let reply = server
+                .execute(query, ctx, Engine::JoinGraph, None)
+                .unwrap_or_else(|e| panic!("{name} after commit {i}: {e}"));
+            assert!(reply.cached_plan || i == 0, "{name}: a commit must not cost a compile");
+        }
+    }
+    let (retained, _, _) = server.flight_stats();
+    assert!(retained >= 48, "the slow pool is full: {retained} records retained");
+    for (doc, seen) in versions.iter().enumerate() {
+        assert_eq!(seen.len(), 33, "document {doc}: the load plus 32 commits");
+        let alive = seen.iter().filter(|w| w.upgrade().is_some()).count();
+        assert!(alive <= 2, "document {doc}: {alive} of {} versions still resident", seen.len());
+    }
+    // The recorder still answers for requests whose database is gone.
+    let dump = server.trace_dump(64);
+    assert!(dump.iter().any(|r| r.render().contains("\"explain\":null")));
+    assert!(dump.iter().all(|r| r.render().contains("\"report\":{")));
 }

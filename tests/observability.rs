@@ -113,6 +113,7 @@ fn explain_analyze_q1_shape() {
     let expected = "\
 RETURN (est_rows N, act_rows N)
  SORT (DISTINCT, ORDER BY dN.pre) (rows_in N, dedup_removed N, spills N)
+ PLAN (cached, states=N)
  VECTORIZED (batch=N, batches=N, kernels=N, fallbacks=N, descents=N, skips=N)
  JOIN (strategy hash+leapfrog, build_rows N, probe_batches N, seeks N)
   LFJOIN (early-out ⋉)
@@ -173,12 +174,19 @@ fn concurrent_requests_isolate_recordings_and_sum_into_registry() {
     assert_eq!(ids.len(), replies.len(), "trace ids must be unique");
 
     // (a) Isolation: every concurrent run of a query reports the same
-    // rows and byte-identical counter deltas as every other run of it.
+    // rows and byte-identical counter deltas as every other run of it —
+    // except the optimizer's `opt.*`, which only the runs that planned
+    // carry: a memo hit plans nothing. At least one run per query planned,
+    // and no more than could have raced on the empty memo (one per worker).
     type RunShape = (Option<usize>, Vec<(&'static str, u64)>);
     let mut reference: BTreeMap<usize, RunShape> = BTreeMap::new();
+    let mut planned = vec![0usize; queries.len()];
     for (qi, reply) in &replies {
-        let counters: Vec<(&'static str, u64)> = reply.report.metrics.counters().collect();
+        let (opt, counters): (Vec<_>, Vec<_>) =
+            reply.report.metrics.counters().partition(|(k, _)| k.starts_with("opt."));
         assert!(!counters.is_empty(), "report must carry counter deltas");
+        assert_eq!(opt.is_empty(), reply.report.plan_cached, "opt.* iff this run planned");
+        planned[*qi] += usize::from(!reply.report.plan_cached);
         let entry = reference
             .entry(*qi)
             .or_insert_with(|| (reply.report.rows, counters.clone()));
@@ -189,6 +197,7 @@ fn concurrent_requests_isolate_recordings_and_sum_into_registry() {
         );
     }
     assert_eq!(reference.len(), queries.len());
+    assert!(planned.iter().all(|&n| (1..=4).contains(&n)), "planned runs per query: {planned:?}");
 
     // (b) Registry totals are exactly the sum of per-request deltas.
     let mut expected: BTreeMap<&'static str, u64> = BTreeMap::new();

@@ -14,7 +14,7 @@ use crate::col::{Col, ColSet};
 use crate::op::Op;
 use crate::pred::{pred_cols, DocCols};
 use jgi_xml::Interner;
-use std::collections::HashMap;
+use std::collections::hash_map::{Entry, HashMap};
 
 /// Index of a node in its [`Plan`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -99,30 +99,39 @@ impl Plan {
     /// by the compiler/rewriter, where such violations are bugs.
     pub fn add(&mut self, op: Op, inputs: Vec<NodeId>) -> NodeId {
         assert_eq!(op.arity(), inputs.len(), "operator arity mismatch for {}", op.name());
-        if let Some(&id) = self.memo.get(&(op.clone(), inputs.clone())) {
-            return id;
+        // One hash per call: the entry is looked up by the moved key, so a
+        // hit (the common case in the rewriter, which re-derives existing
+        // nodes all the time) clones nothing and a miss clones once, for
+        // the arena's own copy.
+        let Plan { cols, nodes, memo, .. } = self;
+        match memo.entry((op, inputs)) {
+            Entry::Occupied(hit) => *hit.get(),
+            Entry::Vacant(miss) => {
+                let (op, inputs) = miss.key();
+                let schema = Plan::compute_schema(nodes, cols, op, inputs);
+                let id = NodeId(nodes.len() as u32);
+                nodes.push(Node { op: op.clone(), inputs: inputs.clone(), schema });
+                *miss.insert(id)
+            }
         }
-        let schema = self.compute_schema(&op, &inputs);
-        let id = NodeId(self.nodes.len() as u32);
-        self.nodes.push(Node { op: op.clone(), inputs: inputs.clone(), schema });
-        self.memo.insert((op, inputs), id);
-        id
     }
 
-    fn compute_schema(&mut self, op: &Op, inputs: &[NodeId]) -> ColSet {
+    /// Output schema of `op` over `inputs`, checking the operator's constraints.
+    fn compute_schema(nodes: &[Node], cols: &mut Interner, op: &Op, inputs: &[NodeId]) -> ColSet {
+        let schema = |k: usize| &nodes[inputs[k].0 as usize].schema;
         match op {
             Op::Serialize { item, pos } => {
-                let s = self.schema(inputs[0]);
+                let s = schema(0);
                 assert!(s.contains(*item) && s.contains(*pos), "serialize columns missing");
                 s.clone()
             }
             Op::Project(mapping) => {
-                let s = self.schema(inputs[0]);
+                let s = schema(0);
                 for (_, src) in mapping {
                     assert!(
                         s.contains(*src),
                         "projection source column `{}` missing from input schema",
-                        self.col_name(*src)
+                        cols.resolve(src.0)
                     );
                 }
                 let outs = ColSet::from_iter(mapping.iter().map(|(out, _)| *out));
@@ -134,7 +143,7 @@ impl Plan {
                 outs
             }
             Op::Select(p) => {
-                let s = self.schema(inputs[0]);
+                let s = schema(0);
                 assert!(
                     pred_cols(p).is_subset(s),
                     "selection predicate references columns outside the input schema"
@@ -142,8 +151,8 @@ impl Plan {
                 s.clone()
             }
             Op::Join(p) => {
-                let l = self.schema(inputs[0]);
-                let r = self.schema(inputs[1]);
+                let l = schema(0);
+                let r = schema(1);
                 assert!(l.is_disjoint(r), "join input schemas must be disjoint");
                 let joined = l.union(r);
                 assert!(
@@ -153,21 +162,21 @@ impl Plan {
                 joined
             }
             Op::Cross => {
-                let l = self.schema(inputs[0]);
-                let r = self.schema(inputs[1]);
+                let l = schema(0);
+                let r = schema(1);
                 assert!(l.is_disjoint(r), "cross input schemas must be disjoint");
                 l.union(r)
             }
-            Op::Distinct => self.schema(inputs[0]).clone(),
+            Op::Distinct => schema(0).clone(),
             Op::Attach(c, _) | Op::RowId(c) => {
-                let s = self.schema(inputs[0]);
-                assert!(!s.contains(*c), "attached column `{}` already exists", self.col_name(*c));
+                let s = schema(0);
+                assert!(!s.contains(*c), "attached column `{}` already exists", cols.resolve(c.0));
                 let mut s = s.clone();
                 s.insert(*c);
                 s
             }
             Op::Rank { out, by } => {
-                let s = self.schema(inputs[0]);
+                let s = schema(0);
                 assert!(!s.contains(*out), "rank column already exists");
                 for b in by {
                     assert!(s.contains(*b), "rank criterion column missing");
@@ -176,11 +185,7 @@ impl Plan {
                 s.insert(*out);
                 s
             }
-            Op::Doc => {
-                let cols: Vec<Col> =
-                    DOC_COL_NAMES.iter().map(|n| Col(self.cols.intern(n))).collect();
-                ColSet::from_iter(cols)
-            }
+            Op::Doc => ColSet::from_iter(DOC_COL_NAMES.iter().map(|n| Col(cols.intern(n)))),
             Op::Lit { cols, rows } => {
                 for row in rows {
                     assert_eq!(row.len(), cols.len(), "literal row width mismatch");
@@ -188,8 +193,8 @@ impl Plan {
                 ColSet::from_iter(cols.iter().copied())
             }
             Op::Union => {
-                let l = self.schema(inputs[0]).clone();
-                let r = self.schema(inputs[1]);
+                let l = schema(0).clone();
+                let r = schema(1);
                 assert_eq!(&l, r, "union input schemas must match");
                 l
             }
@@ -287,7 +292,10 @@ impl Plan {
     /// Node ids reachable from `root` (including it), in topological order
     /// (inputs before consumers).
     pub fn topo_order(&self, root: NodeId) -> Vec<NodeId> {
-        let mut visited = vec![false; self.nodes.len()];
+        // Inputs are allocated before their consumers, so nothing reachable
+        // from `root` has a larger id: one bit per id up to `root` is all
+        // the bookkeeping the walk needs, however large the arena has grown.
+        let mut visited = vec![0u64; root.0 as usize / 64 + 1];
         let mut order = Vec::new();
         // Iterative post-order.
         let mut stack = vec![(root, false)];
@@ -296,10 +304,11 @@ impl Plan {
                 order.push(id);
                 continue;
             }
-            if visited[id.0 as usize] {
+            let (word, bit) = (id.0 as usize / 64, 1u64 << (id.0 % 64));
+            if visited[word] & bit != 0 {
                 continue;
             }
-            visited[id.0 as usize] = true;
+            visited[word] |= bit;
             stack.push((id, true));
             for &i in &self.node(id).inputs {
                 stack.push((i, false));

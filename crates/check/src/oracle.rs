@@ -112,7 +112,7 @@ pub fn falsify(
             for &id in candidates.iter().step_by(stride) {
                 let mut probe = plan.clone();
                 let dd = probe.distinct(id);
-                let new_root = substitute(&mut probe, root, id, dd);
+                let (new_root, _) = substitute(&mut probe, props, id, dd);
                 match execute_serialized(&probe, new_root, store, cfg.budget) {
                     Ok(actual) if actual != expected => out.push(Violation {
                         kind: "set",
@@ -165,8 +165,9 @@ mod tests {
         let mut props = infer(&p, root);
         let kind = jgi_algebra::Col(p.cols.get("kind").unwrap());
         // `kind` is certainly not unique across the doc table, nor constant.
-        props.keys.get_mut(&d).unwrap().push(ColSet::single(kind));
-        props.consts.get_mut(&d).unwrap().push((kind, Value::Int(99)));
+        let claims = props.get_mut(d).unwrap();
+        claims.keys.push(ColSet::single(kind));
+        claims.consts.push((kind, Value::Int(99)));
         let violations = falsify(&p, root, &props, &tiny_store(), &OracleConfig::default());
         assert!(violations.iter().any(|v| v.kind == "key" && v.node == d), "{violations:?}");
         assert!(violations.iter().any(|v| v.kind == "const" && v.node == d), "{violations:?}");
@@ -187,7 +188,7 @@ mod tests {
         let root = p.serialize(r, item, pos);
         let mut props = infer(&p, root);
         assert!(!props.set(lit), "inference knows duplicates matter here");
-        props.set.insert(lit, true);
+        props.get_mut(lit).unwrap().ctx.set = true;
         let violations = falsify(&p, root, &props, &tiny_store(), &OracleConfig::default());
         assert!(violations.iter().any(|v| v.kind == "set" && v.node == lit), "{violations:?}");
     }

@@ -2,21 +2,37 @@
 //!
 //! Applies the Fig. 5 rules with the paper's goal order: house-cleaning
 //! whenever necessary, subgoal ϱ before the δ/⋈ subgoals. Each step is a
-//! single rewrite followed by DAG substitution and property re-inference;
-//! progress is guaranteed by the rules themselves (house-cleaning shrinks,
-//! ϱ rules only move ranks rootward, join push-down descends), and a fuel
-//! counter bounds pathological inputs defensively. All rewrites preserve
-//! semantics, so running out of fuel still yields a *correct* (merely less
-//! isolated) plan.
+//! single rewrite followed by substitution into the ancestors of the
+//! replaced node and by advancing one [`Props`] table to the new root —
+//! both at a cost proportional to what the fire touched, not to the DAG
+//! (see [`crate::props`] for why carrying the table over is sound).
+//!
+//! Termination. House-cleaning shrinks the plan, ϱ rules only move ranks
+//! rootward and join push-down descends, but adjacent equi-joins can trade
+//! places forever under rule (18) (the paper's footnote 5). Hash-consing
+//! makes plan states comparable by root id, so the driver keeps three
+//! sets; each of them decides which rewrite fires next, so all three stay:
+//! `visited`, every root seen so far — a rewrite whose substitution lands
+//! on one is not applied; `banned`, the `(old, new)` pairs turned down that
+//! way, so that the scan proposes the next candidate — cleared when a phase
+//! rule or a join elimination changes the state, not by a push of the join
+//! descent; `stuck`, the equi-joins whose descent ended without
+//! elimination — retried only after an elimination, since a changed
+//! neighbourhood rebuilds them under new ids anyway. A fuel constant bounds
+//! pathological inputs defensively; all rewrites preserve semantics, so
+//! running out of it still yields a *correct* (merely less isolated) plan.
 
-use crate::props::infer;
+use crate::props::{infer, Props};
 use crate::rules::{
-    below_union, find_rewrite_excluding, is_pushable_equijoin, substitute, try_eliminate_join,
-    try_push_join, Phase,
+    find_rewrite, is_pushable_equijoin, substitute, try_eliminate_join, try_push_join, Phase,
+    Rewrite,
 };
 use jgi_algebra::{NodeId, Plan};
 use std::collections::{HashMap, HashSet};
 use std::fmt;
+
+/// Steps after which isolation gives up (the benchmark's longest run: 4 269).
+const FUEL: usize = 20_000;
 
 /// Is checked-mode rewriting enabled (`JGI_CHECK=1`)?
 ///
@@ -97,6 +113,30 @@ impl RewriteObserver for NoopObserver {
     }
 }
 
+/// Observer that writes one line per fire (step, rule, DAG size, replaced
+/// and replacement node) and both sub-plans of the step named in `detail`.
+pub struct TraceObserver<W: std::io::Write> {
+    /// Where the trace goes.
+    pub out: W,
+    /// The step whose `old` and `new` sub-plans are rendered.
+    pub detail: Option<usize>,
+}
+
+impl<W: std::io::Write> RewriteObserver for TraceObserver<W> {
+    fn after_fire(&mut self, info: &FireInfo<'_>) -> Result<(), String> {
+        let FireInfo { plan, rule, step, old, new, root_after, .. } = *info;
+        let nodes = plan.reachable_count(root_after);
+        let mut text =
+            format!("step {step:5} {rule:5} nodes={nodes} old={} new={}\n", old.0, new.0);
+        if self.detail == Some(step) {
+            let render = jgi_algebra::pretty::render_text;
+            text +=
+                &format!("--- OLD ---\n{}--- NEW ---\n{}", render(plan, old), render(plan, new));
+        }
+        self.out.write_all(text.as_bytes()).map_err(|e| format!("trace sink failed: {e}"))
+    }
+}
+
 /// Statistics of one isolation run.
 #[derive(Debug, Clone, Default)]
 pub struct IsolateStats {
@@ -108,6 +148,11 @@ pub struct IsolateStats {
     pub nodes_before: usize,
     /// Reachable node count after isolation.
     pub nodes_after: usize,
+    /// Per-node property derivations, the initial whole-DAG pass included:
+    /// one per node entering the DAG, one per top-down recomputation.
+    pub props_derived: usize,
+    /// Ancestors rebuilt by substitution, rejected attempts included.
+    pub nodes_rebuilt: usize,
     /// Whether the fuel limit was hit (plan still valid, possibly not
     /// fully isolated).
     pub fuel_exhausted: bool,
@@ -154,137 +199,132 @@ pub fn isolate_checked(
 /// The general driver entry point: run isolation with a caller-supplied
 /// [`RewriteObserver`] auditing every rule fire. Independently of the
 /// observer, when `JGI_CHECK=1` the whole plan is re-validated after every
-/// fire (release builds included).
+/// fire (release builds included) and the carried-over property table is
+/// compared with a from-scratch [`infer`] of the new DAG.
 pub fn isolate_with_observer(
     plan: &mut Plan,
     root: NodeId,
     observer: &mut dyn RewriteObserver,
 ) -> Result<(NodeId, IsolateStats), IsolateError> {
-    let mut stats = IsolateStats {
-        nodes_before: plan.reachable_count(root),
-        ..Default::default()
-    };
-    let mut root = root;
-    let fuel_limit = std::env::var("JGI_FUEL")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(20_000usize);
-    // Termination: hash-consing makes plan states comparable by root id;
-    // a rewrite that would revisit a seen state is banned (for the current
-    // state) and the next candidate is tried. This implements the paper's
-    // footnote-5 repetition avoidance exactly. Join push-down additionally
-    // runs as a *descent*: each equi-join is driven to its destination in
-    // one sweep (deepest first), so adjacent equi-joins never tumble.
-    let mut visited: HashSet<NodeId> = HashSet::from([root]);
-    let mut banned: HashSet<(NodeId, NodeId)> = HashSet::new();
-    // Joins that reached an impasse; retried only after the plan around
-    // them changes (their node would then have been rebuilt under new ids).
-    let mut stuck: HashSet<NodeId> = HashSet::new();
+    isolate_with_fuel(plan, root, observer, FUEL)
+}
 
-    let trace = std::env::var_os("JGI_TRACE_REWRITE").is_some();
-    let checked = check_enabled();
-    let apply = |plan: &mut Plan,
-                     root: &mut NodeId,
-                     rw: crate::rules::Rewrite,
-                     visited: &mut HashSet<NodeId>,
-                     stats: &mut IsolateStats,
-                     observer: &mut dyn RewriteObserver|
-     -> Result<bool, IsolateError> {
-        let new_root = substitute(plan, *root, rw.old, rw.new);
-        if new_root == *root || visited.contains(&new_root) {
+/// One run: the plan, the table following its root, the module docs' sets.
+struct Run<'a> {
+    plan: &'a mut Plan,
+    props: Props,
+    visited: HashSet<NodeId>,
+    banned: HashSet<(NodeId, NodeId)>,
+    stats: IsolateStats,
+    checked: bool,
+    observer: &'a mut dyn RewriteObserver,
+}
+
+impl Run<'_> {
+    /// Substitute `rw` into the plan and make the result the current state,
+    /// unless that state was seen before (`Ok(false)`).
+    fn apply(&mut self, rw: Rewrite) -> Result<bool, IsolateError> {
+        let root_before = self.props.root();
+        let (new_root, rebuilt) = substitute(self.plan, &self.props, rw.old, rw.new);
+        self.stats.nodes_rebuilt += rebuilt;
+        if new_root == root_before || !self.visited.insert(new_root) {
             return Ok(false);
         }
-        let root_before = *root;
-        *root = new_root;
-        visited.insert(new_root);
-        *stats.applied.entry(rw.rule).or_default() += 1;
-        stats.steps += 1;
+        self.props.advance(self.plan, new_root);
+        *self.stats.applied.entry(rw.rule).or_default() += 1;
+        self.stats.steps += 1;
         // Per-rule fire counts for the active obs recording (rule labels
         // are 'static, so this is allocation-free and a no-op when no
         // recording is active).
         jgi_obs::counter(rw.rule, 1);
         jgi_obs::counter("rewrite.steps", 1);
-        if trace {
-            eprintln!(
-                "step {:5} {:5} nodes={} old={} new={}",
-                stats.steps,
-                rw.rule,
-                plan.reachable_count(new_root),
-                rw.old.0,
-                rw.new.0
-            );
-            if std::env::var("JGI_TRACE_STEP").ok().and_then(|v| v.parse::<usize>().ok())
-                == Some(stats.steps)
-            {
-                eprintln!("--- OLD ---\n{}", jgi_algebra::pretty::render_text(plan, rw.old));
-                eprintln!("--- NEW ---\n{}", jgi_algebra::pretty::render_text(plan, rw.new));
-            }
-        }
-        if checked {
+        let fail = |message: String| IsolateError {
+            rule: rw.rule,
+            step: self.stats.steps,
+            node: rw.new,
+            message,
+        };
+        if self.checked {
             // The promoted debug_assert!: full-plan validation after every
             // fire, active in release builds, failing with a structured
-            // error that names the rule.
-            if let Err(msg) = jgi_algebra::validate::validate(plan, new_root) {
+            // error that names the rule — and the carried-over properties
+            // against the reference inference.
+            jgi_algebra::validate::validate(self.plan, new_root)
+                .map_err(|msg| fail(format!("fire produced an invalid plan: {msg}")))?;
+            if let Some((node, what)) = self.props.first_mismatch(&infer(self.plan, new_root)) {
                 return Err(IsolateError {
-                    rule: rw.rule,
-                    step: stats.steps,
-                    node: rw.new,
-                    message: format!("fire produced an invalid plan: {msg}"),
+                    node,
+                    ..fail(format!("carried-over `{what}` differs from a fresh inference"))
                 });
             }
         } else {
             debug_assert_eq!(
-                jgi_algebra::validate::validate(plan, new_root),
+                jgi_algebra::validate::validate(self.plan, new_root),
                 Ok(()),
                 "rule {} produced an invalid plan",
                 rw.rule
             );
         }
         let info = FireInfo {
-            plan,
+            plan: self.plan,
             rule: rw.rule,
-            step: stats.steps,
+            step: self.stats.steps,
             old: rw.old,
             new: rw.new,
             root_before,
             root_after: new_root,
         };
-        observer.after_fire(&info).map_err(|message| IsolateError {
-            rule: rw.rule,
-            step: stats.steps,
-            node: rw.new,
-            message,
-        })?;
+        self.observer.after_fire(&info).map_err(fail)?;
         Ok(true)
+    }
+}
+
+/// [`isolate_with_observer`] with an explicit step budget.
+pub(crate) fn isolate_with_fuel(
+    plan: &mut Plan,
+    root: NodeId,
+    observer: &mut dyn RewriteObserver,
+    fuel: usize,
+) -> Result<(NodeId, IsolateStats), IsolateError> {
+    let props = infer(plan, root);
+    let mut run = Run {
+        stats: IsolateStats { nodes_before: props.order().len(), ..Default::default() },
+        plan,
+        props,
+        visited: HashSet::from([root]),
+        banned: HashSet::new(),
+        checked: check_enabled(),
+        observer,
     };
+    let mut stuck: HashSet<NodeId> = HashSet::new();
 
     'outer: loop {
         jgi_obs::counter("rewrite.passes", 1);
-        if stats.steps >= fuel_limit {
-            stats.fuel_exhausted = true;
+        if run.stats.steps >= fuel {
+            run.stats.fuel_exhausted = true;
             break;
         }
         // House-cleaning and the ϱ subgoal to fixpoint.
-        let props = infer(plan, root);
         for phase in [Phase::House, Phase::RankGoal, Phase::JoinGoal] {
-            while let Some(rw) = find_rewrite_excluding(plan, root, &props, phase, &banned) {
-                let key = (rw.old, rw.new);
-                if apply(plan, &mut root, rw, &mut visited, &mut stats, &mut *observer)? {
-                    banned.clear();
+            while let Some(rw) = find_rewrite(run.plan, &mut run.props, phase, &run.banned) {
+                if run.apply(rw)? {
+                    run.banned.clear();
                     continue 'outer;
                 }
-                banned.insert(key);
+                run.banned.insert((rw.old, rw.new));
             }
         }
 
         // Join descent: deepest pushable equi-join not known to be stuck.
-        let blocked = below_union(plan, root);
-        let candidates: Vec<NodeId> = plan
-            .topo_order(root)
-            .into_iter()
-            .filter(|&id| is_pushable_equijoin(plan, id) && !stuck.contains(&id))
+        // Each equi-join is driven to its destination in one sweep, so
+        // adjacent equi-joins never tumble.
+        let candidates: Vec<NodeId> = run
+            .props
+            .order()
+            .iter()
+            .copied()
+            .filter(|&id| is_pushable_equijoin(run.plan, id) && !stuck.contains(&id))
             .collect();
-        let mut progressed = false;
         for mut j in candidates {
             // Drive this join downward until eliminated or stuck; the
             // descent direction is chosen on the first push and then kept.
@@ -295,70 +335,57 @@ pub fn isolate_with_observer(
             let mut path = vec![j];
             let mut eliminated = false;
             loop {
-                if stats.steps >= fuel_limit {
-                    stats.fuel_exhausted = true;
+                if run.stats.steps >= fuel {
+                    run.stats.fuel_exhausted = true;
                     break 'outer;
                 }
-                let props = infer(plan, root);
-                if let Some(rw) = try_eliminate_join(plan, &props, j) {
-                    if apply(plan, &mut root, rw, &mut visited, &mut stats, &mut *observer)? {
-                        banned.clear();
+                if let Some(rw) = try_eliminate_join(run.plan, &run.props, j) {
+                    if run.apply(rw)? {
+                        run.banned.clear();
                         stuck.clear(); // elimination may unstick others
-                        progressed = true;
                         eliminated = true;
                     }
                     break;
                 }
-                match try_push_join(plan, j, &blocked, dir) {
-                    Some((rw, moved, used_dir)) => {
-                        if apply(plan, &mut root, rw, &mut visited, &mut stats, &mut *observer)? {
-                            progressed = true;
-                            j = moved;
-                            dir = Some(used_dir);
-                            path.push(j);
-                        } else {
-                            break;
-                        }
-                    }
-                    None => break,
+                let Some((rw, moved, used_dir)) = try_push_join(run.plan, &run.props, j, dir)
+                else {
+                    break;
+                };
+                if !run.apply(rw)? {
+                    break;
                 }
+                j = moved;
+                dir = Some(used_dir);
+                path.push(j);
             }
             if !eliminated {
-                stuck.extend(path);
+                stuck.extend(&path);
             }
-            if progressed {
+            if eliminated || path.len() > 1 {
                 // Re-run the cheap phases before the next join.
                 continue 'outer;
             }
         }
-        if !progressed {
-            break;
-        }
+        break;
     }
-    stats.nodes_after = plan.reachable_count(root);
+
+    let Run { plan, props, mut stats, checked, observer, .. } = run;
+    let root = props.root();
+    stats.nodes_after = props.order().len();
+    stats.props_derived = props.derived();
+    let fail =
+        |message: String| IsolateError { rule: "(final)", step: stats.steps, node: root, message };
     if checked {
-        if let Err(msg) = jgi_algebra::validate::validate(plan, root) {
-            return Err(IsolateError {
-                rule: "(final)",
-                step: stats.steps,
-                node: root,
-                message: format!("final plan is invalid: {msg}"),
-            });
-        }
+        jgi_algebra::validate::validate(plan, root)
+            .map_err(|msg| fail(format!("final plan is invalid: {msg}")))?;
     }
-    observer.finish(plan, root).map_err(|message| IsolateError {
-        rule: "(final)",
-        step: stats.steps,
-        node: root,
-        message,
-    })?;
+    observer.finish(plan, root).map_err(fail)?;
+    jgi_obs::counter("rewrite.props_derived", stats.props_derived as u64);
+    jgi_obs::counter("rewrite.nodes_rebuilt", stats.nodes_rebuilt as u64);
     if jgi_obs::is_active() {
         jgi_obs::gauge("rewrite.nodes_before", stats.nodes_before as i64);
         jgi_obs::gauge("rewrite.nodes_after", stats.nodes_after as i64);
-        jgi_obs::gauge(
-            "rewrite.fuel_remaining",
-            fuel_limit.saturating_sub(stats.steps) as i64,
-        );
+        jgi_obs::gauge("rewrite.fuel_remaining", fuel.saturating_sub(stats.steps) as i64);
         jgi_obs::gauge("rewrite.fuel_exhausted", stats.fuel_exhausted as i64);
     }
     Ok((root, stats))
@@ -487,6 +514,87 @@ mod tests {
                return $c/parent::node()"#,
             &store,
         );
+    }
+
+    #[test]
+    fn fuel_bounds_the_run_and_leaves_a_correct_plan() {
+        let store = fig2_store();
+        let core = compile_to_core(r#"doc("auction.xml")/descendant::open_auction[bidder]"#)
+            .unwrap();
+        let c = compile(&core).unwrap();
+        let mut plan = c.plan;
+        let before = execute_serialized(&plan, c.root, &store, ExecBudget::default()).unwrap();
+        let (root, stats) = isolate_with_fuel(&mut plan, c.root, &mut NoopObserver, 5).unwrap();
+        assert!(stats.fuel_exhausted);
+        assert_eq!(stats.steps, 5);
+        let after = execute_serialized(&plan, root, &store, ExecBudget::default()).unwrap();
+        assert_eq!(before, after);
+    }
+
+    #[test]
+    fn trace_observer_writes_one_line_per_fire() {
+        let core = compile_to_core(r#"doc("auction.xml")/descendant::open_auction[bidder]"#)
+            .unwrap();
+        let c = compile(&core).unwrap();
+        let mut plan = c.plan;
+        let mut trace = TraceObserver { out: Vec::new(), detail: Some(2) };
+        let (_, stats) = isolate_with_observer(&mut plan, c.root, &mut trace).unwrap();
+        let text = String::from_utf8(trace.out).unwrap();
+        assert_eq!(text.lines().filter(|l| l.starts_with("step ")).count(), stats.steps);
+        assert_eq!(text.matches("--- OLD ---").count(), 1);
+    }
+
+    /// `value`-equality self-join of the doc table over a selection — the
+    /// shape rule (17) pushes below the σ — serialized directly, or as one
+    /// branch of a ∪ with `other` as the second branch.
+    fn value_join(under_union: bool) -> (Plan, NodeId) {
+        let mut p = Plan::new();
+        let d = p.doc();
+        let dc = p.doc_cols();
+        let value = p.col("value");
+        let [a, k, b, item, pos] = ["a", "k", "b", "item", "pos"].map(|n| p.col(n));
+        let left = p.project(d, vec![(a, value), (k, dc.kind), (item, dc.pre)]);
+        let elem = jgi_algebra::Value::Kind(jgi_xml::NodeKind::Elem);
+        let sel = p.select(left, vec![jgi_algebra::pred::Atom::col_eq_const(k, elem)]);
+        let right = p.project(d, vec![(b, value)]);
+        let j = p.join(sel, right, vec![jgi_algebra::pred::Atom::col_eq(a, b)]);
+        let mut body = p.project(j, vec![(item, item), (pos, item)]);
+        if under_union {
+            let other = p.project(d, vec![(item, dc.pre), (pos, dc.pre)]);
+            body = p.union(body, other);
+        }
+        let root = p.serialize(body, item, pos);
+        (p, root)
+    }
+
+    /// Equi-joins left directly above a σ, i.e. not pushed through it.
+    fn joins_over_select(plan: &Plan, root: NodeId) -> usize {
+        let over_select = |id: NodeId| {
+            matches!(plan.node(id).op, Op::Join(_))
+                && plan.node(id).inputs.iter().any(|&i| matches!(plan.node(i).op, Op::Select(_)))
+        };
+        plan.topo_order(root).into_iter().filter(|&id| over_select(id)).count()
+    }
+
+    #[test]
+    fn equijoin_below_a_union_stays_put_throughout_its_descent() {
+        let store = fig2_store();
+        // Control: without the ∪ the join descends through the σ.
+        let (mut plan, root) = value_join(false);
+        let (new_root, stats) = isolate(&mut plan, root);
+        assert!(stats.applied.contains_key("(17)"), "{}", stats.summary());
+        assert_eq!(joins_over_select(&plan, new_root), 0);
+
+        // Below the ∪ no position of the join may be pushed: below-∪ is read
+        // from the property table of the *current* root at every step.
+        let (mut plan, root) = value_join(true);
+        let before = execute_serialized(&plan, root, &store, ExecBudget::default()).unwrap();
+        let (new_root, stats) = isolate(&mut plan, root);
+        assert!(!stats.applied.contains_key("(17)"), "{}", stats.summary());
+        assert!(!stats.applied.contains_key("(18)"), "{}", stats.summary());
+        assert_eq!(joins_over_select(&plan, new_root), 1);
+        let after = execute_serialized(&plan, new_root, &store, ExecBudget::default()).unwrap();
+        assert_eq!(before, after);
     }
 
     #[test]

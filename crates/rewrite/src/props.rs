@@ -1,43 +1,137 @@
-//! Plan property inference (paper §3.1, Tables 2–5).
+//! Plan property inference (paper §3.1, Tables 2–5), carried across fires.
 //!
 //! Properties are inferred over the *shared DAG*: `icols` of a node is the
 //! union of what every consumer needs; `set` holds only if *every* consumer
 //! path performs duplicate elimination (∧ over parents).
+//!
+//! A [`Props`] table holds the properties of exactly the nodes reachable
+//! from one root; [`Props::advance`] moves it to another root of the same
+//! arena at a cost proportional to what differs. `const`, `key` and the
+//! column equivalence are **bottom-up** — functions of a node's sub-DAG,
+//! which the append-only arena never changes — so a node that stays in the
+//! DAG keeps them and only entering nodes (a replacement and its rebuilt
+//! ancestors) are derived. `icols`, `set`, below-∪ and the consumer lists
+//! are **top-down** — functions of a node's consumers — so they are
+//! recomputed, consumers first, for the entering nodes and the nodes that
+//! gained or lost a consumer, stopping wherever a value did not change.
+//! [`infer`] is the same code advancing an empty table: the transfer
+//! functions below are the only statement of Tables 2–5.
 
 use jgi_algebra::pred::pred_cols;
 use jgi_algebra::{Col, ColSet, NodeId, Op, Plan, Value};
-use std::collections::HashMap;
+use std::collections::BinaryHeap;
 
-/// Inferred properties for every node reachable from the root.
+const NO_SLOT: u32 = u32::MAX;
+
+/// The top-down properties of one node: what its consumers make of it.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct Context {
+    /// Table 2: columns strictly required to evaluate the node's upstream
+    /// plan.
+    pub icols: ColSet,
+    /// Table 5: will the node's output undergo duplicate elimination
+    /// upstream on every consumer path?
+    pub set: bool,
+    /// Does the node lie below some ∪? Schema-changing rules are blocked
+    /// there, since ∪ requires its inputs' schemas to stay equal.
+    pub below_union: bool,
+    /// Is some consumer a ∪?
+    pub union_parent: bool,
+}
+
+/// The inferred properties of one node.
+#[derive(Debug, Clone, Default)]
+pub struct NodeProps {
+    /// Tables 2 and 5, below-∪ (top-down).
+    pub ctx: Context,
+    /// Table 3: constant columns with their values (bottom-up).
+    pub consts: Vec<(Col, Value)>,
+    /// Table 4: candidate keys (bottom-up).
+    pub keys: Vec<ColSet>,
+    /// Column equivalence (engineering extension, see crate docs): the
+    /// columns that are *not* the canonical representative of their
+    /// equal-in-every-row class, each with that representative. Derived
+    /// from duplicating projections and `col = col` predicates; used to
+    /// canonicalize references so that the order-isomorphic copies made by
+    /// rule (9) stay visible to rule (19).
+    pub eq: Vec<(Col, Col)>,
+    /// Consumers in the current DAG, one entry per input edge.
+    parents: Vec<NodeId>,
+    /// Position in [`Props::order`].
+    pos: u32,
+    /// Rule phases (one bit each) known to have no rewrite for this node
+    /// under its current top-down properties.
+    settled: u8,
+    /// Entered the DAG in the current `advance`; top-down values pending.
+    fresh: bool,
+    /// Visit mark of the last `order` walk.
+    stamp: u32,
+}
+
+/// Inferred properties for every node reachable from one root.
 #[derive(Debug, Clone, Default)]
 pub struct Props {
-    /// Table 2: columns strictly required to evaluate the node's upstream
-    /// plan (top-down).
-    pub icols: HashMap<NodeId, ColSet>,
-    /// Table 3: constant columns with their values (bottom-up).
-    pub consts: HashMap<NodeId, Vec<(Col, Value)>>,
-    /// Table 4: candidate keys (bottom-up).
-    pub keys: HashMap<NodeId, Vec<ColSet>>,
-    /// Table 5: will the node's output undergo duplicate elimination
-    /// upstream on every consumer path (top-down)?
-    pub set: HashMap<NodeId, bool>,
-    /// Column equivalence (engineering extension, see crate docs): for each
-    /// node, a map from column to the canonical representative of its
-    /// equal-in-every-row class. Derived from duplicating projections and
-    /// `col = col` predicates; used to canonicalize references so that the
-    /// order-isomorphic copies made by rule (9) stay visible to rule (19).
-    pub eq: HashMap<NodeId, HashMap<Col, Col>>,
+    root: Option<NodeId>,
+    /// `NodeId` → index into `nodes`, `NO_SLOT` for ids outside the DAG.
+    slot: Vec<u32>,
+    nodes: Vec<NodeProps>,
+    free: Vec<u32>,
+    /// The DAG in `Plan::topo_order(root)` order.
+    order: Vec<NodeId>,
+    epoch: u32,
+    derived: usize,
+    /// What accessors hand out for a node outside the DAG.
+    unseen: NodeProps,
 }
 
 impl Props {
+    /// The root the table currently describes.
+    ///
+    /// # Panics
+    /// Panics on a table that was never advanced to a root.
+    pub fn root(&self) -> NodeId {
+        self.root.expect("property table has a root")
+    }
+
+    /// The DAG under [`Props::root`], in `Plan::topo_order` order.
+    pub fn order(&self) -> &[NodeId] {
+        &self.order
+    }
+
+    /// Per-node property derivations performed so far: one per node entering
+    /// the DAG (bottom-up) and one per top-down recomputation.
+    pub fn derived(&self) -> usize {
+        self.derived
+    }
+
+    /// All properties of a node (`None` outside the DAG).
+    pub fn get(&self, id: NodeId) -> Option<&NodeProps> {
+        let s = *self.slot.get(id.0 as usize)?;
+        (s != NO_SLOT).then(|| &self.nodes[s as usize])
+    }
+
+    /// Mutable properties of a node — for checkers planting false claims.
+    pub fn get_mut(&mut self, id: NodeId) -> Option<&mut NodeProps> {
+        let s = *self.slot.get(id.0 as usize)?;
+        (s != NO_SLOT).then(|| &mut self.nodes[s as usize])
+    }
+
+    fn entry(&self, id: NodeId) -> &NodeProps {
+        self.get(id).unwrap_or(&self.unseen)
+    }
+
+    fn entry_mut(&mut self, id: NodeId) -> &mut NodeProps {
+        self.get_mut(id).expect("node is in the property table")
+    }
+
     /// `icols` of a node (empty if unseen).
-    pub fn icols(&self, id: NodeId) -> ColSet {
-        self.icols.get(&id).cloned().unwrap_or_default()
+    pub fn icols(&self, id: NodeId) -> &ColSet {
+        &self.entry(id).ctx.icols
     }
 
     /// Constant columns of a node.
     pub fn consts(&self, id: NodeId) -> &[(Col, Value)] {
-        self.consts.get(&id).map(|v| v.as_slice()).unwrap_or(&[])
+        &self.entry(id).consts
     }
 
     /// The set of constant column names of a node.
@@ -52,7 +146,7 @@ impl Props {
 
     /// Candidate keys of a node.
     pub fn keys(&self, id: NodeId) -> &[ColSet] {
-        self.keys.get(&id).map(|v| v.as_slice()).unwrap_or(&[])
+        &self.entry(id).keys
     }
 
     /// Is `{c}` a key of node `id`?
@@ -62,250 +156,331 @@ impl Props {
 
     /// `set` property of a node.
     pub fn set(&self, id: NodeId) -> bool {
-        self.set.get(&id).copied().unwrap_or(false)
+        self.entry(id).ctx.set
+    }
+
+    /// Does the node have a ∪ ancestor?
+    pub fn below_union(&self, id: NodeId) -> bool {
+        self.entry(id).ctx.below_union
+    }
+
+    /// Is some consumer of the node a ∪?
+    pub fn union_parent(&self, id: NodeId) -> bool {
+        self.entry(id).ctx.union_parent
+    }
+
+    /// Consumers of a node in the current DAG, one entry per input edge.
+    pub fn parents(&self, id: NodeId) -> &[NodeId] {
+        &self.entry(id).parents
+    }
+
+    /// Position of a node in [`Props::order`].
+    pub(crate) fn pos(&self, id: NodeId) -> u32 {
+        self.entry(id).pos
     }
 
     /// Canonical representative of `c`'s equal-columns class at node `id`.
     pub fn canon(&self, id: NodeId, c: Col) -> Col {
-        self.eq.get(&id).and_then(|m| m.get(&c)).copied().unwrap_or(c)
+        canon_in(&self.entry(id).eq, c)
+    }
+
+    /// Is the node known to have no rewrite in the phase with bit `phase`?
+    pub(crate) fn is_settled(&self, id: NodeId, phase: u8) -> bool {
+        self.entry(id).settled & phase != 0
+    }
+
+    /// Record that the phase with bit `phase` has no rewrite for the node;
+    /// forgotten as soon as its top-down properties change.
+    pub(crate) fn settle(&mut self, id: NodeId, phase: u8) {
+        self.entry_mut(id).settled |= phase;
+    }
+
+    /// Move the table to the DAG under `root` (a node of the same arena the
+    /// table was built over): derive the nodes that enter, drop the nodes
+    /// that leave, re-propagate the top-down properties from both.
+    pub fn advance(&mut self, plan: &Plan, root: NodeId) {
+        let old_root = self.root.replace(root);
+        if self.slot.len() <= root.0 as usize {
+            self.slot.resize(root.0 as usize + 1, NO_SLOT);
+        }
+        // Node ids are topological (inputs precede consumers), so popping
+        // the largest id first visits consumers before their inputs.
+        let mut dirty: BinaryHeap<NodeId> = BinaryHeap::new();
+
+        // Enter: post-order over the nodes not yet in the table. A node in
+        // the table has its whole sub-DAG there, so the walk stops at it.
+        let mut stack = vec![(root, false)];
+        while let Some((id, expanded)) = stack.pop() {
+            if expanded {
+                let (consts, keys) = derive_const_key(plan, self, id);
+                let eq = derive_eq(plan, self, id);
+                let e = self.entry_mut(id);
+                (e.consts, e.keys, e.eq) = (consts, keys, eq);
+                for &i in &plan.node(id).inputs {
+                    self.entry_mut(i).parents.push(id);
+                    dirty.push(i);
+                }
+                dirty.push(id);
+                self.derived += 1;
+            } else if self.slot[id.0 as usize] == NO_SLOT {
+                let s = self.free.pop().unwrap_or_else(|| {
+                    self.nodes.push(NodeProps::default());
+                    self.nodes.len() as u32 - 1
+                });
+                self.nodes[s as usize] = NodeProps { fresh: true, ..NodeProps::default() };
+                self.slot[id.0 as usize] = s;
+                stack.push((id, true));
+                stack.extend(plan.node(id).inputs.iter().map(|&i| (i, false)));
+            }
+        }
+
+        // Leave: the old root is unreachable unless an entering node
+        // consumes it; a node that loses its last consumer follows.
+        let mut dead: Vec<NodeId> = old_root
+            .filter(|&old| old != root && self.entry(old).parents.is_empty())
+            .into_iter()
+            .collect();
+        while let Some(d) = dead.pop() {
+            for &i in &plan.node(d).inputs {
+                let parents = &mut self.entry_mut(i).parents;
+                let k = parents.iter().position(|&p| p == d).expect("consumer edge is recorded");
+                parents.swap_remove(k);
+                if parents.is_empty() && i != root {
+                    dead.push(i);
+                } else {
+                    dirty.push(i);
+                }
+            }
+            let s = std::mem::replace(&mut self.slot[d.0 as usize], NO_SLOT);
+            self.free.push(s);
+        }
+
+        // Top-down, consumers first; stop where nothing changed.
+        while let Some(id) = dirty.pop() {
+            while dirty.peek() == Some(&id) {
+                dirty.pop();
+            }
+            if self.get(id).is_none() {
+                continue; // left the DAG after it was marked
+            }
+            let ctx = self.context(plan, id);
+            let e = self.entry_mut(id);
+            let was_fresh = std::mem::take(&mut e.fresh);
+            if was_fresh || ctx != e.ctx {
+                e.ctx = ctx;
+                e.settled = 0;
+                if !was_fresh {
+                    // (An entering node marked its inputs already.)
+                    dirty.extend(plan.node(id).inputs.iter().copied());
+                }
+            }
+            // An entering node was counted when it was derived bottom-up.
+            self.derived += usize::from(!was_fresh);
+        }
+
+        // The scan order of the rules: exactly `plan.topo_order(root)`.
+        self.epoch += 1;
+        self.order.clear();
+        stack.push((root, false));
+        while let Some((id, expanded)) = stack.pop() {
+            let s = self.slot[id.0 as usize] as usize;
+            if expanded {
+                self.nodes[s].pos = self.order.len() as u32;
+                self.order.push(id);
+            } else if self.nodes[s].stamp != self.epoch {
+                self.nodes[s].stamp = self.epoch;
+                stack.push((id, true));
+                stack.extend(plan.node(id).inputs.iter().map(|&i| (i, false)));
+            }
+        }
+    }
+
+    /// Tables 2 and 5 plus below-∪ for one node: what its consumers, whose
+    /// own top-down properties are final, ask of it. The root seeds the
+    /// lattices (nothing required, no duplicate elimination upstream).
+    fn context(&self, plan: &Plan, id: NodeId) -> Context {
+        let mut ctx = Context { set: self.root != Some(id), ..Context::default() };
+        let mut need: Vec<Col> = Vec::new();
+        let schema = plan.schema(id);
+        for &p in &self.entry(id).parents {
+            let (node, mine) = (plan.node(p), self.entry(p));
+            let is_union = matches!(node.op, Op::Union);
+            ctx.union_parent |= is_union;
+            ctx.below_union |= is_union || mine.ctx.below_union;
+            // Table 5. Row ids observe multiplicity, so duplicates may never
+            // be removed below a #; a bag union preserves them on both sides.
+            ctx.set &= match node.op {
+                Op::Serialize { .. } | Op::RowId(_) => false,
+                Op::Distinct => true,
+                _ => mine.ctx.set,
+            };
+            // Table 2.
+            let icols = mine.ctx.icols.iter();
+            match &node.op {
+                Op::Serialize { item, pos } => need.extend(icols.chain([*item, *pos])),
+                Op::Project(mapping) => need.extend(
+                    mapping
+                        .iter()
+                        .filter(|(out, _)| mine.ctx.icols.contains(*out))
+                        .map(|(_, src)| *src),
+                ),
+                Op::Select(p) => need.extend(icols.chain(pred_cols(p).iter())),
+                Op::Join(p) => {
+                    need.extend(icols.chain(pred_cols(p).iter()).filter(|c| schema.contains(*c)))
+                }
+                Op::Cross => need.extend(icols.filter(|c| schema.contains(*c))),
+                Op::Distinct | Op::Union => need.extend(icols),
+                Op::Attach(c, _) | Op::RowId(c) => need.extend(icols.filter(|x| x != c)),
+                Op::Rank { out, by } => {
+                    need.extend(icols.filter(|x| x != out).chain(by.iter().copied()))
+                }
+                Op::Doc | Op::Lit { .. } => {}
+            }
+        }
+        ctx.icols = ColSet::from_iter(need);
+        ctx
+    }
+
+    /// First node (in scan order) on which this table and `reference`
+    /// disagree, with the name of the property — `None` when both describe
+    /// the same DAG identically.
+    pub fn first_mismatch(&self, reference: &Props) -> Option<(NodeId, &'static str)> {
+        if self.root != reference.root || self.order != reference.order {
+            return Some((reference.root(), "reachable nodes"));
+        }
+        let sorted = |v: &[NodeId]| {
+            let mut v = v.to_vec();
+            v.sort();
+            v
+        };
+        self.order.iter().find_map(|&id| {
+            let (a, b) = (self.entry(id), reference.entry(id));
+            let differs = [
+                ("icols", a.ctx.icols != b.ctx.icols),
+                ("const", a.consts != b.consts),
+                ("key", a.keys != b.keys),
+                ("set", a.ctx.set != b.ctx.set),
+                ("eq", a.eq != b.eq),
+                ("below-union", a.ctx != b.ctx),
+                ("consumers", sorted(&a.parents) != sorted(&b.parents)),
+            ];
+            differs.into_iter().find(|(_, d)| *d).map(|(what, _)| (id, what))
+        })
     }
 }
 
-/// Infer all four properties for the DAG under `root`.
+/// Infer all properties for the DAG under `root`: a table carried over
+/// from nothing.
 pub fn infer(plan: &Plan, root: NodeId) -> Props {
-    let topo = plan.topo_order(root);
     let mut props = Props::default();
-
-    // ---- bottom-up: const and key (Tables 3 and 4) -------------------------
-    for &id in &topo {
-        let node = plan.node(id);
-        let (consts, mut keys) = infer_up(plan, &props, id, node);
-        // Constant columns discriminate nothing: a key stays a key when its
-        // constant members are dropped (engineering refinement of Table 4).
-        let const_set = ColSet::from_iter(consts.iter().map(|(c, _)| *c));
-        let extra: Vec<ColSet> = keys
-            .iter()
-            .filter(|k| !k.intersect(&const_set).is_empty())
-            .map(|k| k.minus(&const_set))
-            .filter(|k| !k.is_empty() && !keys.contains(k))
-            .collect();
-        keys.extend(extra);
-        keys.sort_by_key(|k| k.len());
-        keys.dedup();
-        props.consts.insert(id, consts);
-        props.keys.insert(id, keys);
-    }
-
-    // ---- bottom-up: column equivalence --------------------------------------
-    for &id in &topo {
-        let eq = infer_eq(plan, &props, id);
-        props.eq.insert(id, eq);
-    }
-
-    // ---- top-down: icols and set (Tables 2 and 5) --------------------------
-    // Root seeds: serialize needs {item,pos} (via its own Table-2 row) and
-    // set(root) = false; all other nodes start from the identities of the
-    // respective lattices (∅ for icols, true for set) and accumulate from
-    // every consumer.
-    for &id in &topo {
-        props.icols.insert(id, ColSet::new());
-        props.set.insert(id, true);
-    }
-    props.set.insert(root, false);
-    for &id in topo.iter().rev() {
-        let node = plan.node(id);
-        let my_icols = props.icols(id);
-        let my_set = props.set(id);
-        match &node.op {
-            Op::Serialize { item, pos } => {
-                let e = node.inputs[0];
-                let mut add = my_icols.clone();
-                add.insert(*item);
-                add.insert(*pos);
-                merge_icols(&mut props, e, &add);
-                merge_set(&mut props, e, false);
-            }
-            Op::Project(mapping) => {
-                let e = node.inputs[0];
-                let add = ColSet::from_iter(
-                    mapping
-                        .iter()
-                        .filter(|(out, _)| my_icols.contains(*out))
-                        .map(|(_, src)| *src),
-                );
-                merge_icols(&mut props, e, &add);
-                merge_set(&mut props, e, my_set);
-            }
-            Op::Select(p) => {
-                let e = node.inputs[0];
-                let add = my_icols.union(&pred_cols(p));
-                merge_icols(&mut props, e, &add);
-                merge_set(&mut props, e, my_set);
-            }
-            Op::Join(p) => {
-                let need = my_icols.union(&pred_cols(p));
-                for k in 0..2 {
-                    let e = node.inputs[k];
-                    let add = need.intersect(plan.schema(e));
-                    merge_icols(&mut props, e, &add);
-                    merge_set(&mut props, e, my_set);
-                }
-            }
-            Op::Cross => {
-                for k in 0..2 {
-                    let e = node.inputs[k];
-                    let add = my_icols.intersect(plan.schema(e));
-                    merge_icols(&mut props, e, &add);
-                    merge_set(&mut props, e, my_set);
-                }
-            }
-            Op::Distinct => {
-                let e = node.inputs[0];
-                merge_icols(&mut props, e, &my_icols);
-                merge_set(&mut props, e, true);
-            }
-            Op::Attach(c, _) => {
-                let e = node.inputs[0];
-                let mut add = my_icols.clone();
-                add.remove(*c);
-                merge_icols(&mut props, e, &add);
-                merge_set(&mut props, e, my_set);
-            }
-            Op::RowId(c) => {
-                let e = node.inputs[0];
-                let mut add = my_icols.clone();
-                add.remove(*c);
-                merge_icols(&mut props, e, &add);
-                // Row ids observe multiplicity: duplicates may never be
-                // removed below a # (Table 5).
-                merge_set(&mut props, e, false);
-            }
-            Op::Rank { out, by } => {
-                let e = node.inputs[0];
-                let mut add = my_icols.clone();
-                add.remove(*out);
-                for b in by {
-                    add.insert(*b);
-                }
-                merge_icols(&mut props, e, &add);
-                merge_set(&mut props, e, my_set);
-            }
-            Op::Union => {
-                for k in 0..2 {
-                    let e = node.inputs[k];
-                    merge_icols(&mut props, e, &my_icols);
-                    // Bag union preserves multiplicities from both sides.
-                    merge_set(&mut props, e, my_set);
-                }
-            }
-            Op::Doc | Op::Lit { .. } => {}
-        }
-    }
+    props.advance(plan, root);
     props
 }
 
-/// Infer the equal-columns map of one node (bottom-up). Every column of the
-/// node's schema maps to its class representative (the smallest column id of
-/// the class, for determinism).
-fn infer_eq(plan: &Plan, props: &Props, id: NodeId) -> HashMap<Col, Col> {
+fn canon_in(eq: &[(Col, Col)], c: Col) -> Col {
+    eq.iter().find(|(x, _)| *x == c).map_or(c, |(_, rep)| *rep)
+}
+
+/// The representative of the class named `key`, `member` founding the class
+/// if it is the first of it.
+fn class_rep<K: PartialEq>(first: &mut Vec<(K, Col)>, key: K, member: Col) -> Col {
+    match first.iter().find(|(k, _)| *k == key) {
+        Some((_, rep)) => *rep,
+        None => {
+            first.push((key, member));
+            member
+        }
+    }
+}
+
+/// The equal-columns classes of one node from those of its inputs
+/// (bottom-up): every column that is not its class's representative, with
+/// the representative.
+fn derive_eq(plan: &Plan, props: &Props, id: NodeId) -> Vec<(Col, Col)> {
     let node = plan.node(id);
-    let input_eq = |k: usize| props.eq.get(&node.inputs[k]).cloned().unwrap_or_default();
-    let identity = |plan: &Plan, id: NodeId| -> HashMap<Col, Col> {
-        plan.schema(id).iter().map(|c| (c, c)).collect()
-    };
-    let mut eq: HashMap<Col, Col> = match &node.op {
+    let input_eq = |k: usize| props.entry(node.inputs[k]).eq.as_slice();
+    let mut eq: Vec<(Col, Col)> = match &node.op {
         Op::Project(m) => {
+            // Outputs whose sources are equal in the input are equal; the
+            // first output of a class represents it.
             let inp = input_eq(0);
-            // Outputs whose sources are equal in the input are equal.
-            let mut first: HashMap<Col, Col> = HashMap::new(); // canon src -> rep out
-            let mut eq = HashMap::new();
-            for (out, src) in m {
-                let key = *inp.get(src).unwrap_or(src);
-                let rep = *first.entry(key).or_insert(*out);
-                eq.insert(*out, rep);
-            }
-            eq
+            let mut first = Vec::new();
+            m.iter()
+                .filter_map(|(out, src)| {
+                    let rep = class_rep(&mut first, canon_in(inp, *src), *out);
+                    (rep != *out).then_some((*out, rep))
+                })
+                .collect()
         }
-        Op::Select(_) | Op::Distinct | Op::Serialize { .. } => input_eq(0),
-        Op::Join(_) | Op::Cross => {
-            let mut eq = input_eq(0);
-            eq.extend(input_eq(1));
-            eq
-        }
-        Op::Attach(c, _) => {
-            let mut eq = input_eq(0);
-            eq.insert(*c, *c);
-            eq
-        }
-        Op::RowId(c) => {
-            let mut eq = input_eq(0);
-            eq.insert(*c, *c);
-            eq
-        }
-        Op::Rank { out, .. } => {
-            let mut eq = input_eq(0);
-            eq.insert(*out, *out);
-            eq
-        }
-        Op::Doc | Op::Lit { .. } => identity(plan, id),
+        Op::Select(_)
+        | Op::Distinct
+        | Op::Serialize { .. }
+        | Op::Attach(..)
+        | Op::RowId(_)
+        | Op::Rank { .. } => input_eq(0).to_vec(),
+        Op::Join(_) | Op::Cross => [input_eq(0), input_eq(1)].concat(),
+        Op::Doc | Op::Lit { .. } => Vec::new(),
         Op::Union => {
-            // c ~ d in the union iff c ~ d in both branches.
-            let e1 = input_eq(0);
-            let e2 = input_eq(1);
-            let mut first: HashMap<(Col, Col), Col> = HashMap::new();
-            let mut eq = HashMap::new();
-            let mut cols: Vec<Col> = plan.schema(id).iter().collect();
-            cols.sort();
-            for c in cols {
-                let key = (*e1.get(&c).unwrap_or(&c), *e2.get(&c).unwrap_or(&c));
-                let rep = *first.entry(key).or_insert(c);
-                eq.insert(c, rep);
-            }
-            eq
+            // c ~ d in the union iff c ~ d in both branches; the smallest
+            // column of a class represents it.
+            let (e1, e2) = (input_eq(0), input_eq(1));
+            let mut first = Vec::new();
+            plan.schema(id)
+                .iter()
+                .filter_map(|c| {
+                    let rep = class_rep(&mut first, (canon_in(e1, c), canon_in(e2, c)), c);
+                    (rep != c).then_some((c, rep))
+                })
+                .collect()
         }
     };
     // Merge classes connected by col=col equality predicates.
     if let Op::Select(p) | Op::Join(p) = &node.op {
-        for atom in p {
-            if let Some((a, b)) = atom.as_col_eq() {
-                let ra = *eq.get(&a).unwrap_or(&a);
-                let rb = *eq.get(&b).unwrap_or(&b);
-                if ra != rb {
-                    let (keep, gone) = if ra < rb { (ra, rb) } else { (rb, ra) };
-                    for v in eq.values_mut() {
-                        if *v == gone {
-                            *v = keep;
-                        }
+        for (a, b) in p.iter().filter_map(|atom| atom.as_col_eq()) {
+            let (ra, rb) = (canon_in(&eq, a), canon_in(&eq, b));
+            if ra != rb {
+                let (keep, gone) = if ra < rb { (ra, rb) } else { (rb, ra) };
+                for (_, rep) in &mut eq {
+                    if *rep == gone {
+                        *rep = keep;
                     }
                 }
+                eq.push((gone, keep));
             }
         }
     }
     eq
 }
 
-fn merge_icols(props: &mut Props, id: NodeId, add: &ColSet) {
-    let cur = props.icols.entry(id).or_default();
-    *cur = cur.union(add);
+/// Tables 3 and 4 for one node from its inputs (bottom-up).
+fn derive_const_key(plan: &Plan, props: &Props, id: NodeId) -> (Vec<(Col, Value)>, Vec<ColSet>) {
+    let (consts, mut keys) = infer_up(plan, props, plan.node(id));
+    // Constant columns discriminate nothing: a key stays a key when its
+    // constant members are dropped (engineering refinement of Table 4).
+    let const_set = ColSet::from_iter(consts.iter().map(|(c, _)| *c));
+    let extra: Vec<ColSet> = keys
+        .iter()
+        .filter(|k| !k.intersect(&const_set).is_empty())
+        .map(|k| k.minus(&const_set))
+        .filter(|k| !k.is_empty() && !keys.contains(k))
+        .collect();
+    keys.extend(extra);
+    keys.sort_by_key(|k| k.len());
+    keys.dedup();
+    (consts, keys)
 }
 
-fn merge_set(props: &mut Props, id: NodeId, v: bool) {
-    let cur = props.set.entry(id).or_insert(true);
-    *cur = *cur && v;
-}
-
-/// Bottom-up const/key inference for one node.
+/// Table 3/4 transfer function of one operator.
 fn infer_up(
     plan: &Plan,
     props: &Props,
-    _id: NodeId,
     node: &jgi_algebra::Node,
 ) -> (Vec<(Col, Value)>, Vec<ColSet>) {
-    let input_consts = |k: usize| props.consts(node.inputs[k]).to_vec();
-    let input_keys = |k: usize| props.keys(node.inputs[k]).to_vec();
+    let input_consts = |k: usize| props.consts(node.inputs[k]);
+    let input_keys = |k: usize| props.keys(node.inputs[k]);
     match &node.op {
         Op::Serialize { .. } | Op::Select(_) | Op::Distinct => {
-            let mut keys = input_keys(0);
+            let mut keys = input_keys(0).to_vec();
             if matches!(node.op, Op::Distinct) {
                 // After δ the full schema is a key (Table 4).
                 let schema = plan.schema(node.inputs[0]).clone();
@@ -313,7 +488,7 @@ fn infer_up(
                     keys.push(schema);
                 }
             }
-            (input_consts(0), keys)
+            (input_consts(0).to_vec(), keys)
         }
         Op::Project(mapping) => {
             let ic = input_consts(0);
@@ -345,8 +520,7 @@ fn infer_up(
             (consts, keys)
         }
         Op::Join(p) => {
-            let mut consts = input_consts(0);
-            consts.extend(input_consts(1));
+            let consts = [input_consts(0), input_consts(1)].concat();
             let k1 = input_keys(0);
             let k2 = input_keys(1);
             let mut keys = Vec::new();
@@ -364,8 +538,8 @@ fn infer_up(
                     keys.extend(k2.iter().cloned()); // {k2 | {a} ∈ e1.key}
                 }
                 if b_key {
-                    for ka in &k1 {
-                        for kb in &k2 {
+                    for ka in k1 {
+                        for kb in k2 {
                             let mut k = ka.clone();
                             k.remove(a);
                             let k = k.union(kb);
@@ -374,8 +548,8 @@ fn infer_up(
                     }
                 }
                 if a_key {
-                    for ka in &k1 {
-                        for kb in &k2 {
+                    for ka in k1 {
+                        for kb in k2 {
                             let mut k = kb.clone();
                             k.remove(b);
                             let k = ka.union(&k);
@@ -384,8 +558,8 @@ fn infer_up(
                     }
                 }
             }
-            for ka in &k1 {
-                for kb in &k2 {
+            for ka in k1 {
+                for kb in k2 {
                     keys.push(ka.union(kb));
                 }
             }
@@ -395,29 +569,28 @@ fn infer_up(
             (consts, keys)
         }
         Op::Cross => {
-            let mut consts = input_consts(0);
-            consts.extend(input_consts(1));
+            let consts = [input_consts(0), input_consts(1)].concat();
             let mut keys = Vec::new();
             for ka in input_keys(0) {
                 for kb in input_keys(1) {
-                    keys.push(ka.union(&kb));
+                    keys.push(ka.union(kb));
                 }
             }
             keys.truncate(16);
             (consts, keys)
         }
         Op::Attach(c, v) => {
-            let mut consts = input_consts(0);
+            let mut consts = input_consts(0).to_vec();
             consts.push((*c, v.clone()));
-            (consts, input_keys(0))
+            (consts, input_keys(0).to_vec())
         }
         Op::RowId(c) => {
-            let mut keys = input_keys(0);
+            let mut keys = input_keys(0).to_vec();
             keys.push(ColSet::single(*c));
-            (input_consts(0), keys)
+            (input_consts(0).to_vec(), keys)
         }
         Op::Rank { out, by } => {
-            let mut keys = input_keys(0);
+            let mut keys = input_keys(0).to_vec();
             let by_set = ColSet::from_iter(by.iter().copied());
             let extra: Vec<ColSet> = keys
                 .iter()
@@ -432,7 +605,7 @@ fn infer_up(
             keys.sort_by_key(|k| k.len());
             keys.dedup();
             keys.truncate(16);
-            (input_consts(0), keys)
+            (input_consts(0).to_vec(), keys)
         }
         Op::Doc => {
             let pre = Col(plan.cols.get("pre").expect("doc plan has pre"));
@@ -470,8 +643,9 @@ fn infer_up(
             let c1 = input_consts(0);
             let c2 = input_consts(1);
             let consts = c1
-                .into_iter()
+                .iter()
                 .filter(|(c, v)| c2.iter().any(|(c2, v2)| c2 == c && v2 == v))
+                .cloned()
                 .collect();
             (consts, Vec::new())
         }
@@ -583,6 +757,64 @@ mod tests {
         let root = p.serialize(joined, item, pos);
         let props = infer(&p, root);
         assert!(!props.set(lit));
+    }
+
+    /// serialize(∪(rank(distinct(lit)), π(lit′))) with a shared literal.
+    fn union_plan() -> (Plan, NodeId, NodeId) {
+        let mut p = Plan::new();
+        let [item, pos, junk] = ["item", "pos", "junk"].map(|n| p.col(n));
+        let lit = p.lit(vec![item], vec![vec![Value::Int(3)], vec![Value::Int(3)]]);
+        let att = p.attach(lit, junk, Value::Int(0));
+        let dd = p.distinct(att);
+        let rk = p.rank(dd, pos, vec![item]);
+        let other = p.project(rk, vec![(item, item), (junk, junk), (pos, item)]);
+        let u = p.union(rk, other);
+        let root = p.serialize(u, item, pos);
+        (p, root, att)
+    }
+
+    #[test]
+    fn advancing_equals_inferring_afresh() {
+        let (mut p, root, att) = union_plan();
+        let mut props = infer(&p, root);
+        assert!(props.below_union(att) && !props.union_parent(att));
+        let derived = props.derived();
+        assert_eq!(derived, props.order().len(), "one derivation per node from nothing");
+
+        // Replace the attach below the ∪; every ancestor is rebuilt.
+        let junk = p.col("junk");
+        let lit = p.node(att).inputs[0];
+        let new = p.attach(lit, junk, Value::Int(1));
+        let (new_root, rebuilt) = crate::rules::substitute(&mut p, &props, att, new);
+        assert_eq!(rebuilt, 5);
+        props.advance(&p, new_root);
+        assert_eq!(props.first_mismatch(&infer(&p, new_root)), None);
+        assert!(props.get(att).is_none(), "the table holds the current DAG only");
+        // Rebuilt nodes below the rebuilt ∪ know where they are.
+        let rebuilt_distinct = props.parents(new)[0];
+        assert!(matches!(p.node(rebuilt_distinct).op, Op::Distinct));
+        assert!(props.below_union(rebuilt_distinct));
+        // The shared literal kept its bottom-up values and was not re-derived:
+        // the fire cost the replacement, its ancestors and the literal's
+        // top-down refresh.
+        assert_eq!(props.derived() - derived, 1 + 5 + 1);
+
+        // Going back revives the old nodes and drops the new ones.
+        props.advance(&p, root);
+        assert_eq!(props.first_mismatch(&infer(&p, root)), None);
+        assert!(props.get(new).is_none());
+    }
+
+    #[test]
+    fn first_mismatch_names_node_and_property() {
+        let (p, root, att) = union_plan();
+        let reference = infer(&p, root);
+        let mut props = infer(&p, root);
+        props.get_mut(att).unwrap().ctx.below_union = false;
+        assert_eq!(props.first_mismatch(&reference), Some((att, "below-union")));
+        let mut props = infer(&p, root);
+        props.get_mut(att).unwrap().consts.clear();
+        assert_eq!(props.first_mismatch(&reference), Some((att, "const")));
     }
 
     #[test]

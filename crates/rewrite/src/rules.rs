@@ -2,7 +2,11 @@
 //!
 //! Each function inspects one node (plus its close neighborhood) and the
 //! inferred properties, and — if its rule applies — returns the replacement
-//! node. The driver substitutes and re-infers. Rule numbers follow Fig. 5;
+//! node. The driver substitutes and advances the property table. A rule
+//! that does not apply allocates nothing, and whether it applies is a
+//! function of the node's immutable sub-DAG and its top-down properties —
+//! which is what lets [`find_rewrite`] skip nodes it has already turned
+//! down for as long as those properties stand. Rule numbers follow Fig. 5;
 //! the few engineering deviations (guards that keep schemas disjoint under
 //! hash-consing, the generalized singleton-literal detection of rule (1),
 //! the projection-based formulation of rule (19)) are noted inline and in
@@ -11,7 +15,8 @@
 use crate::props::Props;
 use jgi_algebra::pred::{Atom, Pred};
 use jgi_algebra::{Col, ColSet, NodeId, Op, Plan, Value};
-use std::collections::HashMap;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashMap, HashSet};
 
 /// A single applicable rewrite: replace `old` by `new`.
 #[derive(Debug, Clone, Copy)]
@@ -24,101 +29,78 @@ pub struct Rewrite {
     pub rule: &'static str,
 }
 
-/// Rewrite goal phases (paper §3.2).
+/// Rewrite goal phases (paper §3.2). The discriminants are the bits of the
+/// per-node "settled" mask kept with the properties.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Phase {
     /// House-cleaning rules (1)–(8), (14), (15).
-    House,
+    House = 1,
     /// Subgoal ϱ: establish a single rank in the plan tail — rules (9)–(13).
-    RankGoal,
+    RankGoal = 2,
     /// Subgoals δ and ⋈: distinct relocation, join push-down and removal —
     /// rules (16)–(19) plus (6).
-    JoinGoal,
+    JoinGoal = 4,
 }
 
-/// Find the first applicable rewrite of the given phase.
-///
-/// House/rank rules scan bottom-up; rule (16) scans top-down so the new
-/// tail δ lands as high as possible (Fig. 6 staging).
-pub fn find_rewrite(
-    plan: &mut Plan,
-    root: NodeId,
-    props: &Props,
-    phase: Phase,
-) -> Option<Rewrite> {
-    find_rewrite_excluding(plan, root, props, phase, &Default::default())
-}
-
-/// Like [`find_rewrite`], but skipping candidates in `banned` — the driver
-/// bans rewrites that would revisit an already-seen plan state (the paper's
+/// Find the first applicable rewrite of the given phase in the DAG that
+/// `props` describes, skipping candidates in `banned` — the driver bans
+/// rewrites that would revisit an already-seen plan state (the paper's
 /// footnote 5: adjacent equi-joins can otherwise trade places forever under
 /// rule (18); "our implementation avoids such repetition by taking operator
 /// argument plan sizes into account" — we use state identity, which
 /// hash-consing makes exact).
-pub fn find_rewrite_excluding(
+///
+/// House/rank rules scan bottom-up; rule (16) scans top-down so the new
+/// tail δ lands as high as possible (Fig. 6 staging). A node found without
+/// a rewrite is settled for the phase and not tested again until its
+/// top-down properties change; a node with a banned rewrite is re-tested
+/// on every scan, exactly as a scan without the shortcut would.
+pub fn find_rewrite(
     plan: &mut Plan,
-    root: NodeId,
-    props: &Props,
+    props: &mut Props,
     phase: Phase,
-    banned: &std::collections::HashSet<(NodeId, NodeId)>,
+    banned: &HashSet<(NodeId, NodeId)>,
 ) -> Option<Rewrite> {
-    let topo = plan.topo_order(root);
-    let blocked = below_union(plan, root);
-    let ok = |rw: &Rewrite| !banned.contains(&(rw.old, rw.new));
-    match phase {
-        Phase::House => {
-            for &id in &topo {
-                if let Some(rw) = house_rules(plan, props, id, &blocked) {
-                    if ok(&rw) {
-                        return Some(rw);
-                    }
-                }
-            }
-            None
+    let n = props.order().len();
+    for k in 0..n {
+        // Rule (16): topmost eligible node. (Join push-down/removal is
+        // orchestrated by the driver's descent loop, not here.)
+        let id = props.order()[if phase == Phase::JoinGoal { n - 1 - k } else { k }];
+        // Debug builds re-test settled nodes too, to assert the shortcut.
+        let settled = props.is_settled(id, phase as u8);
+        if settled && !cfg!(debug_assertions) {
+            continue;
         }
-        Phase::RankGoal => {
-            let parents = plan.parents(root);
-            for &id in &topo {
-                if let Some(rw) = rank_rules(plan, props, id, &parents, &blocked) {
-                    if ok(&rw) {
-                        return Some(rw);
-                    }
-                }
-            }
-            None
-        }
-        Phase::JoinGoal => {
-            // Rule (16): topmost eligible node. (Join push-down/removal is
-            // orchestrated by the driver's descent loop, not here.)
-            for &id in topo.iter().rev() {
-                if let Some(rw) = rule_16(plan, props, id, root, &blocked) {
-                    if ok(&rw) {
-                        return Some(rw);
-                    }
-                }
-            }
-            None
+        let found = match phase {
+            Phase::House => house_rules(plan, props, id),
+            Phase::RankGoal => rank_rules(plan, props, id),
+            Phase::JoinGoal => rule_16(plan, props, id),
+        };
+        debug_assert!(!settled || found.is_none(), "settled node {} has a rewrite", id.0);
+        match found {
+            Some(rw) if !banned.contains(&(rw.old, rw.new)) => return Some(rw),
+            Some(_) => {}
+            None => props.settle(id, phase as u8),
         }
     }
+    None
 }
 
 // ===========================================================================
 // House-cleaning: rules (1)-(8), (14), (15)
 // ===========================================================================
 
-fn house_rules(
-    plan: &mut Plan,
-    props: &Props,
-    id: NodeId,
-    blocked: &std::collections::HashSet<NodeId>,
-) -> Option<Rewrite> {
+fn house_rules(plan: &mut Plan, props: &Props, id: NodeId) -> Option<Rewrite> {
     if let Some(rw) = canonicalize_columns(plan, props, id) {
         return Some(rw);
     }
+    // Schema-shrinking rules are disabled below a ∪, which requires its
+    // two inputs' schemas to stay exactly equal.
+    let schema_locked = props.below_union(id);
     // Cheap pre-filters on borrowed data before the operator clone below.
     match &plan.node(id).op {
         Op::Attach(c, _) => {
-            let removable = !blocked.contains(&id) && !props.icols(id).contains(*c);
+            let removable = !schema_locked && !props.icols(id).contains(*c);
             if !removable {
                 return None;
             }
@@ -127,8 +109,6 @@ fn house_rules(
         _ => {}
     }
     let node = plan.node(id).clone();
-    // Schema-shrinking rules are disabled below a ∪ (see `below_union`).
-    let schema_locked = blocked.contains(&id);
     match &node.op {
         // (1)  q × [singleton constant table] → @…(q)
         // Generalized: the literal side may be wrapped in attaches and
@@ -293,8 +273,7 @@ fn house_rules(
             // (15)  project away constant columns nobody needs before δ.
             let input = node.inputs[0];
             let consts = props.const_cols(input);
-            let icols = props.icols(id);
-            let drop = consts.minus(&icols);
+            let drop = consts.minus(props.icols(id));
             if !schema_locked && !drop.is_empty() {
                 let keep = plan.schema(input).minus(&drop);
                 if !keep.is_empty() {
@@ -429,21 +408,12 @@ fn singleton_consts(plan: &Plan, id: NodeId) -> Option<Vec<(Col, Value)>> {
 // Subgoal ϱ: rules (9)-(13)
 // ===========================================================================
 
-fn rank_rules(
-    plan: &mut Plan,
-    _props: &Props,
-    id: NodeId,
-    parents: &HashMap<NodeId, Vec<NodeId>>,
-    blocked: &std::collections::HashSet<NodeId>,
-) -> Option<Rewrite> {
+fn rank_rules(plan: &mut Plan, props: &Props, id: NodeId) -> Option<Rewrite> {
     let node = plan.node(id).clone();
     // Pull-ups must not change the schema seen by a ∪ (which requires both
     // inputs to agree exactly), so any rule that would alter `id`'s schema
     // is blocked under a Union parent.
-    let union_parent = parents
-        .get(&id)
-        .map(|ps| ps.iter().any(|&p| matches!(plan.node(p).op, Op::Union)))
-        .unwrap_or(false);
+    let union_parent = props.union_parent(id);
 
     match &node.op {
         Op::Rank { out, by } => {
@@ -504,7 +474,7 @@ fn rank_rules(
             let Op::Rank { out, by } = plan.node(input).op.clone() else {
                 return None;
             };
-            if union_parent || blocked.contains(&id) {
+            if union_parent || props.below_union(id) {
                 return None;
             }
             let a_outs: Vec<(Col, Col)> =
@@ -568,25 +538,18 @@ fn rank_rules(
 /// (16)  (q) → δ(π_icols((q))) when  is keyed within icols and no
 /// duplicate elimination happens upstream. Restricted to ⋈/× nodes — the
 /// fragments rule (16) targets are the equi-join tops of Fig. 6.
-fn rule_16(
-    plan: &mut Plan,
-    props: &Props,
-    id: NodeId,
-    root: NodeId,
-    blocked: &std::collections::HashSet<NodeId>,
-) -> Option<Rewrite> {
-    let node = plan.node(id).clone();
-    if !matches!(node.op, Op::Join(_) | Op::Cross) {
+fn rule_16(plan: &mut Plan, props: &Props, id: NodeId) -> Option<Rewrite> {
+    if !matches!(plan.node(id).op, Op::Join(_) | Op::Cross) {
         return None;
     }
-    if id == root || props.set(id) || blocked.contains(&id) {
+    if id == props.root() || props.set(id) || props.below_union(id) {
         return None;
     }
     let icols = props.icols(id);
     if icols.is_empty() {
         return None;
     }
-    if !props.keys(id).iter().any(|k| k.is_subset(&icols)) {
+    if !props.keys(id).iter().any(|k| k.is_subset(icols)) {
         return None;
     }
     let proj = plan.project_same(id, icols.as_slice());
@@ -608,11 +571,14 @@ pub fn try_eliminate_join(plan: &mut Plan, props: &Props, id: NodeId) -> Option<
 /// driver's descent loop can follow it.
 pub fn try_push_join(
     plan: &mut Plan,
+    props: &Props,
     id: NodeId,
-    blocked: &std::collections::HashSet<NodeId>,
     dir: Option<bool>,
 ) -> Option<(Rewrite, NodeId, bool)> {
     let (l, r, a, b) = as_pushable(plan, id)?;
+    if props.below_union(id) {
+        return None;
+    }
     // The paper's footnote 5: take operator argument plan sizes into
     // account. A descent picks its direction once — the *larger* input,
     // the deep body side where the join's partner occurrence lives — and
@@ -630,8 +596,7 @@ pub fn try_push_join(
         if dir.is_some() && side_is_left != prefer_left {
             break; // sticky direction: never bounce to the other side
         }
-        if let Some((rw, moved)) = push_join_down(plan, id, side, col, other, side_is_left, blocked)
-        {
+        if let Some((rw, moved)) = push_join_down(plan, id, side, col, other, side_is_left) {
             return Some((rw, moved, side_is_left));
         }
     }
@@ -655,10 +620,7 @@ fn as_pushable(plan: &Plan, id: NodeId) -> Option<(NodeId, NodeId, Col, Col)> {
 /// Is this node a single-atom column-equality join (the class rules
 /// (17)–(19) move around)?
 pub fn is_pushable_equijoin(plan: &Plan, id: NodeId) -> bool {
-    match &plan.node(id).op {
-        Op::Join(p) => p.len() == 1 && p[0].as_col_eq().is_some(),
-        _ => false,
-    }
+    as_pushable(plan, id).is_some()
 }
 
 /// Rename the columns of `other` that clash with `avoid` to deterministic
@@ -712,13 +674,9 @@ fn push_join_down(
     col: Col,
     other: NodeId,
     side_is_left: bool,
-    blocked: &std::collections::HashSet<NodeId>,
 ) -> Option<(Rewrite, NodeId)> {
     let node = plan.node(id).clone();
     let Op::Join(pred) = node.op else { return None };
-    if blocked.contains(&id) {
-        return None;
-    }
     let oc = other_col(&pred[0], col);
     let side_node = plan.node(side).clone();
     let out_schema = plan.schema(id).clone();
@@ -940,57 +898,48 @@ fn factor_binding(plan: &Plan, base: NodeId, x: NodeId) -> Option<HashMap<Col, C
     }
 }
 
-/// Substitute `old` → `new` under `root`, rebuilding all ancestors.
+/// Substitute `old` → `new` in the DAG that `props` describes, rebuilding
+/// the ancestors of `old` — and nothing else: they are found through the
+/// consumer lists kept with the properties and rebuilt in scan order
+/// (inputs first), which is the order a walk over the whole DAG would
+/// rebuild them in. Returns the new root and the number of nodes rebuilt;
+/// `props` still describes the old root afterwards.
 ///
 /// Rebuilding *repairs* projections along the way: when a column-removing
 /// rule (4)/(5)/(6) strips a column that an ancestor π still mentions, that
 /// mention is — by the icols reasoning that licensed the removal — feeding
 /// an output nobody needs, so the pair is dropped.
-pub fn substitute(plan: &mut Plan, root: NodeId, old: NodeId, new: NodeId) -> NodeId {
-    let mut map: HashMap<NodeId, NodeId> = HashMap::new();
-    map.insert(old, new);
-    let topo = plan.topo_order(root);
-    for id in topo {
-        if map.contains_key(&id) {
-            continue;
+pub fn substitute(plan: &mut Plan, props: &Props, old: NodeId, new: NodeId) -> (NodeId, usize) {
+    // Replaced → replacement, in rebuild order. An ancestor's rebuilt input
+    // is almost always the latest entry, so a scan from the back beats
+    // hashing for the few dozen entries a fire produces.
+    let mut map: Vec<(NodeId, NodeId)> = vec![(old, new)];
+    let by_pos = |id: NodeId| Reverse((props.pos(id), id));
+    let mut pending: BinaryHeap<_> = props.parents(old).iter().map(|&p| by_pos(p)).collect();
+    while let Some(Reverse((_, id))) = pending.pop() {
+        if map.last().is_some_and(|(done, _)| *done == id) {
+            continue; // reached over more than one consumer edge
         }
-        let inputs = plan.node(id).inputs.clone();
-        let mapped: Vec<NodeId> = inputs.iter().map(|i| *map.get(i).unwrap_or(i)).collect();
-        if mapped != inputs {
-            let nid = match plan.node(id).op.clone() {
-                Op::Project(m) => {
-                    let avail = plan.schema(mapped[0]).clone();
-                    let kept: Vec<(Col, Col)> =
-                        m.iter().filter(|(_, src)| avail.contains(*src)).cloned().collect();
-                    assert!(
-                        !kept.is_empty(),
-                        "projection lost all sources during substitution"
-                    );
-                    plan.project(mapped[0], kept)
-                }
-                op => plan.add(op, mapped),
-            };
-            map.insert(id, nid);
-        }
-    }
-    *map.get(&root).unwrap_or(&root)
-}
-
-/// Nodes lying below some ∪ operator (i.e. having a Union ancestor).
-/// Schema-changing rules are blocked there, since ∪ requires its two
-/// inputs' schemas to stay exactly equal.
-pub fn below_union(plan: &Plan, root: NodeId) -> std::collections::HashSet<NodeId> {
-    let mut out = std::collections::HashSet::new();
-    for id in plan.topo_order(root) {
-        if matches!(plan.node(id).op, Op::Union) {
-            for &i in &plan.node(id).inputs {
-                for sub in plan.topo_order(i) {
-                    out.insert(sub);
-                }
+        let mapped: Vec<NodeId> = plan
+            .node(id)
+            .inputs
+            .iter()
+            .map(|i| map.iter().rev().find(|(from, _)| from == i).map_or(*i, |(_, to)| *to))
+            .collect();
+        let nid = match plan.node(id).op.clone() {
+            Op::Project(mut m) => {
+                let avail = plan.schema(mapped[0]);
+                m.retain(|(_, src)| avail.contains(*src));
+                assert!(!m.is_empty(), "projection lost all sources during substitution");
+                plan.project(mapped[0], m)
             }
-        }
+            op => plan.add(op, mapped),
+        };
+        map.push((id, nid));
+        pending.extend(props.parents(id).iter().map(|&p| by_pos(p)));
     }
-    out
+    // The root is rebuilt last (or is `old` itself).
+    (map[map.len() - 1].1, map.len() - 1)
 }
 
 #[cfg(test)]
@@ -999,15 +948,17 @@ mod tests {
     use crate::props::infer;
 
     fn apply_house(plan: &mut Plan, root: NodeId) -> NodeId {
-        let mut root = root;
+        let mut props = infer(plan, root);
         for _ in 0..200 {
-            let props = infer(plan, root);
-            match find_rewrite(plan, root, &props, Phase::House) {
-                Some(rw) => root = substitute(plan, root, rw.old, rw.new),
+            match find_rewrite(plan, &mut props, Phase::House, &HashSet::new()) {
+                Some(rw) => {
+                    let (root, _) = substitute(plan, &props, rw.old, rw.new);
+                    props.advance(plan, root);
+                }
                 None => break,
             }
         }
-        root
+        props.root()
     }
 
     #[test]
@@ -1102,8 +1053,7 @@ mod tests {
         let rk = p.rank(lit, pos, vec![item]);
         let root = p.serialize(rk, item, pos);
         let props = infer(&p, root);
-        let parents = p.parents(root);
-        let rw = rank_rules(&mut p, &props, rk, &parents, &Default::default()).expect("rule 9 applies");
+        let rw = rank_rules(&mut p, &props, rk).expect("rule 9 applies");
         assert_eq!(rw.rule, "(9)");
         assert!(matches!(p.node(rw.new).op, Op::Project(_)));
     }
@@ -1125,8 +1075,7 @@ mod tests {
         let att = p.attach(r2, pos, Value::Int(1));
         let root = p.serialize(att, r2c, pos);
         let props = infer(&p, root);
-        let parents = p.parents(root);
-        let rw = rank_rules(&mut p, &props, r2, &parents, &Default::default()).expect("rule 13 applies");
+        let rw = rank_rules(&mut p, &props, r2).expect("rule 13 applies");
         assert_eq!(rw.rule, "(13)");
         if let Op::Rank { by, .. } = &p.node(rw.new).op {
             assert_eq!(by, &vec![c0, a, b]);
@@ -1145,8 +1094,10 @@ mod tests {
         let pos = p.col("pos");
         let att = p.attach(d, pos, Value::Int(1));
         let root = p.serialize(att, a, pos);
-        let new_root = substitute(&mut p, root, lit1, lit2);
+        let props = infer(&p, root);
+        let (new_root, rebuilt) = substitute(&mut p, &props, lit1, lit2);
         assert_ne!(new_root, root);
+        assert_eq!(rebuilt, 3, "δ, @ and the serialize root");
         let leaves: Vec<NodeId> = p
             .topo_order(new_root)
             .into_iter()

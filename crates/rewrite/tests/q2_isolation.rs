@@ -41,6 +41,25 @@ fn q2_isolates_to_join_graph() {
     assert!(ranks <= 1, "tail must hold at most one ϱ");
 }
 
+/// A complexity guard that holds on any box: a step of Q2 derives the
+/// properties of what the fire touched — the replacement, its rebuilt
+/// ancestors and the nodes whose consumers changed — not of the whole DAG.
+/// Re-inferring the ~180-node DAG 1.3 times per step, as the restart loop
+/// did, comes to about 235 derivations per step.
+#[test]
+fn q2_steps_cost_what_they_touch() {
+    let core = compile_to_core(Q2).unwrap();
+    let c = compile(&core).unwrap();
+    let mut plan = c.plan;
+    let (_, stats) = isolate(&mut plan, c.root);
+    let per_step = stats.props_derived as f64 / stats.steps as f64;
+    assert!(per_step < 235.0 / 2.0, "{per_step:.1} property derivations per step");
+    // Substitution rebuilds ancestors only: far fewer nodes per step than
+    // the DAG holds.
+    let rebuilt_per_step = stats.nodes_rebuilt as f64 / stats.steps as f64;
+    assert!(rebuilt_per_step < stats.nodes_after as f64 / 2.0, "{rebuilt_per_step:.1}");
+}
+
 /// Differential check on a small synthetic XMark instance: the isolated Q2
 /// computes the same node sequence as the stacked plan.
 #[test]

@@ -5,8 +5,16 @@
 //! per-fire rule audit, and the structural validator that `JGI_CHECK=1`
 //! arms inside the rewrite driver. Any violation anywhere is a test
 //! failure naming the rule and node.
+//!
+//! A second property drives the rules in a *random* order — not the
+//! driver's goal order — and checks after every fire that the property
+//! table carried over by `Props::advance` equals a from-scratch `infer`.
 
 use jgi_compiler::compile;
+use jgi_rewrite::rules::{
+    find_rewrite, is_pushable_equijoin, substitute, try_eliminate_join, try_push_join, Phase,
+};
+use jgi_rewrite::infer;
 use jgi_xml::{DocStore, Tree};
 use jgi_xquery::compile_to_core;
 use proptest::prelude::*;
@@ -119,6 +127,49 @@ fn check_query(tree: &Tree, query: &str) {
         .unwrap_or_else(|e| panic!("isolated plan of {query} invalid: {e}"));
 }
 
+/// Fire rules as `choices` dictates — each entry picks a rule family and
+/// how many of its candidates to pass over first — and compare the carried
+/// table with the reference inference after every fire.
+fn check_random_fires(query: &str, choices: &[(usize, usize)]) {
+    let Ok(core) = compile_to_core(query) else { return };
+    let compiled = compile(&core).expect("compilation succeeds");
+    let mut plan = compiled.plan;
+    let mut props = infer(&plan, compiled.root);
+    for (step, &(family, skip)) in choices.iter().enumerate() {
+        let rewrite = match [Phase::House, Phase::RankGoal, Phase::JoinGoal].get(family) {
+            Some(&phase) => {
+                let mut passed_over = std::collections::HashSet::new();
+                let mut found = find_rewrite(&mut plan, &mut props, phase, &passed_over);
+                for _ in 0..skip {
+                    let Some(rw) = found else { break };
+                    passed_over.insert((rw.old, rw.new));
+                    found = find_rewrite(&mut plan, &mut props, phase, &passed_over);
+                }
+                found
+            }
+            None => {
+                let joins: Vec<_> = props
+                    .order()
+                    .iter()
+                    .copied()
+                    .filter(|&id| is_pushable_equijoin(&plan, id))
+                    .collect();
+                joins.get(skip % joins.len().max(1)).and_then(|&j| {
+                    try_eliminate_join(&mut plan, &props, j)
+                        .or_else(|| try_push_join(&mut plan, &props, j, None).map(|(rw, ..)| rw))
+                })
+            }
+        };
+        let Some(rw) = rewrite else { continue };
+        let (new_root, _) = substitute(&mut plan, &props, rw.old, rw.new);
+        jgi_algebra::validate::validate(&plan, new_root)
+            .unwrap_or_else(|e| panic!("{query}: rule {} at fire {step}: {e}", rw.rule));
+        props.advance(&plan, new_root);
+        let mismatch = props.first_mismatch(&infer(&plan, new_root));
+        assert_eq!(mismatch, None, "{query}: after rule {} at fire {step}", rw.rule);
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig {
         cases: 48,
@@ -129,5 +180,14 @@ proptest! {
     #[test]
     fn checker_finds_no_violations_on_random_queries(tree in gen_tree(), query in gen_query()) {
         check_query(&tree, &query);
+    }
+
+    /// Carry-over equals fresh inference along random fire sequences.
+    #[test]
+    fn carried_properties_survive_random_fire_sequences(
+        query in gen_query(),
+        choices in proptest::collection::vec((0..4usize, 0..3usize), 1..60),
+    ) {
+        check_random_fires(&query, &choices);
     }
 }

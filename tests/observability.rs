@@ -61,6 +61,16 @@ fn q2_rule_fires_match_isolate_stats() {
         prepared.report.metrics.counter_value("rewrite.steps"),
         stats.steps as u64
     );
+    // What the steps cost: property derivations and rebuilt ancestors.
+    assert!(stats.props_derived > 0 && stats.nodes_rebuilt > 0);
+    assert_eq!(
+        prepared.report.metrics.counter_value("rewrite.props_derived"),
+        stats.props_derived as u64
+    );
+    assert_eq!(
+        prepared.report.metrics.counter_value("rewrite.nodes_rebuilt"),
+        stats.nodes_rebuilt as u64
+    );
     assert_eq!(prepared.report.rewrite.applied, stats.applied);
 }
 

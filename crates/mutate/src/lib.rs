@@ -2,55 +2,37 @@
 //!
 //! The tabular infoset encoding (paper §2.1) keys every node by its
 //! document-order rank `pre`, which is what makes XPath axes cheap range
-//! predicates — and what makes updates expensive: one subtree insert
-//! renumbers every following node. This crate removes that limitation with
-//! a **delta overlay** per document:
-//!
-//! * the immutable **base** columns (an [`jgi_xml::DocStore`] holding
-//!   exactly one document) stay shared, `Arc`-style;
-//! * deletes become **tombstones** — whole-subtree `[lo, hi]` ranges of
-//!   base `pre` ranks masked out of the merged view;
-//! * inserts become **pending fragments** with *gapped numbering*: each
-//!   fragment is keyed by `(anchor, gap)` where `anchor` is the base `pre`
-//!   rank the fragment immediately precedes in merged document order and
-//!   `gap` is a bisectable 64-bit sequence number ordering fragments that
-//!   share an anchor. New inserts bisect the gap between their neighbours,
-//!   so no existing key ever changes;
-//! * `size` is maintained **incrementally**: every surviving base ancestor
-//!   of an edit carries a signed correction in a side table, so the merged
-//!   `size` column is `base size + correction` without renumbering. Base
-//!   `level` values are invariant under subtree insertion and deletion,
-//!   and fragment levels derive from their (base) parent.
-//!
-//! The merged view is addressable row by row ([`OverlayDoc::merged_row`],
-//! [`OverlayDoc::locate`]) and collapses to dense columns via
-//! [`OverlayDoc::materialize`] — byte-identical to a full reparse of the
-//! mutated document, which is exactly what the oracle test suite checks.
-//! When the overlay grows past a threshold, [`OverlayDoc::compact`] folds
-//! it into a new base; until then every operation costs `O(overlay +
-//! affected subtree)`, not `O(document)` re-encoding.
+//! predicates — and what makes updates renumber: one subtree insert moves
+//! every following node. This crate does exactly that, in place, on one
+//! dense copy-on-write [`jgi_xml::DocStore`] per document
+//! ([`OverlayDoc`]): an insert encodes the fragment with the loader's own
+//! encoder and splices its rows in, a delete drains a subtree's rows, a
+//! replace does both at one slot, and each repairs `parent` pointers past
+//! the edit and `size` along the ancestor chain. After every operation the
+//! columns equal a from-scratch encode of the mutated document, which the
+//! full-reparse oracle suite (`tests/oracle.rs`) checks.
 //!
 //! `jgi-serve` builds its transactional multi-document commit on top: one
-//! `OverlayDoc` per loaded document, per-document snapshots rebuilt only
-//! for documents a commit touched, published with a single atomic snapshot
-//! swap (DESIGN.md §11).
+//! `OverlayDoc` per loaded document, cloned per batch, and a snapshot
+//! rebuilt only for the documents a commit touched, published with a
+//! single atomic swap (DESIGN.md §11).
 
-mod overlay;
+mod edit;
 
-pub use overlay::{Loc, MergedRow, OverlayDoc};
+pub use edit::OverlayDoc;
 
 use jgi_xml::{NodeId, NodeKind, Tree};
 use std::fmt;
 
-/// One subtree mutation, addressed in the document's current *merged*
-/// numbering — the `pre` ranks clients observe in query results.
+/// One subtree mutation, addressed in the document's current numbering —
+/// the `pre` ranks clients observe in query results.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Op {
     /// Insert the parsed `xml` fragment as the `pos`-th content child of
     /// the element at `parent` (`pos` is clamped to the child count;
     /// attributes stay pinned before position 0).
     Insert {
-        /// Merged `pre` rank of the target parent (must be an element).
+        /// `pre` rank of the target parent (must be an element).
         parent: u32,
         /// Content-child position, clamped.
         pos: u32,
@@ -60,14 +42,14 @@ pub enum Op {
     /// Delete the subtree rooted at `pre` (any node except a document
     /// root).
     Delete {
-        /// Merged `pre` rank of the subtree root.
+        /// `pre` rank of the subtree root.
         pre: u32,
     },
     /// Replace the subtree at `pre` with the parsed `xml` fragment,
     /// keeping its position (any node except a document root or an
     /// attribute).
     Replace {
-        /// Merged `pre` rank of the subtree to replace.
+        /// `pre` rank of the subtree to replace.
         pre: u32,
         /// Replacement text: a single well-formed element.
         xml: String,
@@ -75,14 +57,15 @@ pub enum Op {
 }
 
 /// Why a mutation was rejected. Every variant maps to a stable wire code
-/// (PROTOCOL.md); rejected operations leave the overlay untouched.
+/// (PROTOCOL.md); rejected operations leave the document untouched.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum MutateError {
     /// The target document is not loaded (raised by the serve layer).
     BadDoc(String),
     /// The target `pre` rank does not exist or has the wrong node kind.
     BadTarget(String),
-    /// The fragment failed to parse or is not a single element.
+    /// The fragment failed to parse, is not a single element, or would
+    /// nest elements deeper than [`jgi_xml::MAX_DEPTH`].
     BadFragment(String),
 }
 

@@ -1,11 +1,13 @@
-//! Full-reparse oracle for the delta overlay.
+//! Full-reparse oracle for in-place mutation.
 //!
 //! A shadow [`Tree`] receives exactly the same Insert/Delete/Replace
-//! sequence as the [`OverlayDoc`]; after every operation the overlay's
-//! materialized columns must be byte-identical to a from-scratch encoding
-//! of the shadow — sizes, levels, kinds, parents raw, names and values
-//! resolved through the interners (interner *ids* may differ: the overlay
-//! appends to the base's interner, a reparse starts fresh).
+//! sequence as the [`OverlayDoc`]; after every operation the columns
+//! `apply` leaves must be byte-identical to a from-scratch encoding of the
+//! shadow — sizes, levels, kinds, parents raw, names and values resolved
+//! through the interners (interner *ids* may differ: an edit appends to
+//! the document's interner, a reparse starts fresh). The shadow is edited
+//! through the `Tree` API (`graft`/`detach`/`replace_subtree`), which the
+//! code under test does not use.
 //!
 //! One fixed case additionally routes the shadow through XML *text*
 //! (serialize → parse → encode), the literal full-reparse pipeline. The
@@ -84,7 +86,7 @@ fn random_fragment(rng: &mut SmallRng) -> String {
 }
 
 /// Pick one applicable random op against the shadow's current shape, in
-/// merged (preorder) numbering. Returns `None` when the op kind drawn has
+/// preorder numbering. Returns `None` when the op kind drawn has
 /// no legal target (e.g. no element left to insert under).
 fn random_op(rng: &mut SmallRng, shadow: &Tree) -> Option<Op> {
     let order = shadow.preorder();
@@ -157,10 +159,10 @@ fn apply_to_shadow(shadow: &mut Tree, op: &Op) {
     }
 }
 
-/// Assert the overlay's materialized view equals a fresh encoding of the
-/// shadow: numeric columns raw, name/value columns resolved.
-fn assert_oracle(ov: &OverlayDoc, shadow: &Tree, ctx: &str) {
-    let got = ov.materialize();
+/// Assert the document's columns equal a fresh encoding of the shadow:
+/// numeric columns raw, name/value columns resolved.
+fn assert_oracle(doc: &OverlayDoc, shadow: &Tree, ctx: &str) {
+    let got = doc.store();
     let mut expect = DocStore::new();
     expect.add_tree(shadow);
     assert_eq!(got.len(), expect.len(), "{ctx}: row count");
@@ -180,67 +182,33 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
 
     /// Random op sequences against the full-reparse oracle, checked after
-    /// every single operation (not just at the end), with compaction
-    /// exercised mid-sequence.
+    /// every single operation (not just at the end).
     #[test]
-    fn overlay_matches_full_reparse(seed in 0u64..1_000_000, nops in 1usize..30) {
+    fn edits_match_full_reparse(seed in 0u64..1_000_000, nops in 1usize..30) {
         let mut rng = SmallRng::seed_from_u64(seed);
         let budget = rng.gen_range(4..40);
         let base_tree = random_tree(&mut rng, budget);
         let mut store = DocStore::new();
         store.add_tree(&base_tree);
-        let mut ov = OverlayDoc::new(Arc::new(store));
+        let mut doc = OverlayDoc::new(Arc::new(store));
         let mut shadow = base_tree;
         for step in 0..nops {
             let Some(op) = random_op(&mut rng, &shadow) else { continue };
             apply_to_shadow(&mut shadow, &op);
-            let delta = ov.apply(&op).expect("oracle ops are valid");
+            let delta = doc.apply(&op).expect("oracle ops are valid");
             prop_assert_eq!(
-                ov.merged_len() as usize,
+                doc.store().len(),
                 shadow.reachable_len(),
                 "row count after step {} (delta {})", step, delta
             );
-            assert_oracle(&ov, &shadow, &format!("seed {seed} step {step}"));
-            if rng.gen_bool(0.15) {
-                ov.compact();
-                assert_oracle(&ov, &shadow, &format!("seed {seed} step {step} post-compact"));
-            }
+            assert_oracle(&doc, &shadow, &format!("seed {seed} step {step}"));
         }
-    }
-
-    /// Sampled merged-row reads (the scan-time merge) agree with the
-    /// dense materialization at every rank.
-    #[test]
-    fn merged_rows_agree_with_materialize(seed in 0u64..1_000_000) {
-        let mut rng = SmallRng::seed_from_u64(seed);
-        let base_tree = random_tree(&mut rng, 20);
-        let mut store = DocStore::new();
-        store.add_tree(&base_tree);
-        let mut ov = OverlayDoc::new(Arc::new(store));
-        let mut shadow = base_tree;
-        for _ in 0..10 {
-            let Some(op) = random_op(&mut rng, &shadow) else { continue };
-            apply_to_shadow(&mut shadow, &op);
-            ov.apply(&op).expect("oracle ops are valid");
-        }
-        let dense = ov.materialize();
-        for pre in 0..dense.len() as u32 {
-            let row = ov.merged_row(pre).expect("row exists");
-            prop_assert_eq!(row.size, dense.size[pre as usize]);
-            prop_assert_eq!(row.level, dense.level[pre as usize]);
-            prop_assert_eq!(row.kind, dense.kind[pre as usize]);
-            prop_assert_eq!(row.name.as_deref(), dense.name_str(pre));
-            if dense.size[pre as usize] <= 1 {
-                prop_assert_eq!(row.value.as_deref(), dense.value_str(pre));
-            }
-        }
-        prop_assert!(ov.merged_row(dense.len() as u32).is_none());
     }
 }
 
 /// The literal reparse pipeline: serialize the mutated shadow to XML text,
-/// parse it back, encode, and compare with the overlay. Ops are chosen so
-/// no adjacent text nodes arise (reparse merges those).
+/// parse it back, encode, and compare with the edited columns. Ops are
+/// chosen so no adjacent text nodes arise (reparse merges those).
 #[test]
 fn text_roundtrip_oracle() {
     let xml = "<site><people><person id=\"p0\"><name>alice</name></person>\
@@ -249,7 +217,7 @@ fn text_roundtrip_oracle() {
     let base = parse("site.xml", xml).expect("base parses");
     let mut store = DocStore::new();
     store.add_tree(&base);
-    let mut ov = OverlayDoc::new(Arc::new(store));
+    let mut doc = OverlayDoc::new(Arc::new(store));
     let mut shadow = base;
     let ops = [
         Op::Insert { parent: 3, pos: 1, xml: "<age>30</age>".into() },
@@ -259,13 +227,13 @@ fn text_roundtrip_oracle() {
     ];
     for op in &ops {
         apply_to_shadow(&mut shadow, op);
-        ov.apply(op).expect("fixed ops are valid");
+        doc.apply(op).expect("fixed ops are valid");
     }
     let text = tree_to_xml(&shadow);
     let reparsed = parse("site.xml", &text).expect("mutated text parses");
     let mut expect = DocStore::new();
     expect.add_tree(&reparsed);
-    let got = ov.materialize();
+    let got = doc.store();
     assert_eq!(got.size, expect.size, "size vs reparse");
     assert_eq!(got.level, expect.level, "level vs reparse");
     assert_eq!(got.kind, expect.kind, "kind vs reparse");
@@ -276,48 +244,21 @@ fn text_roundtrip_oracle() {
     }
 }
 
-/// Compaction threshold boundary: one row under the threshold keeps the
-/// overlay, reaching it exactly folds the overlay into the base — with
-/// identical merged content either side.
+/// A storm of 100 inserts at one slot (always in front): each lands at
+/// the same row and pushes the earlier ones down.
 #[test]
-fn compaction_threshold_boundary() {
-    let xml = "<r><a>1</a><b>2</b></r>";
-    let base = parse("t.xml", xml).expect("parses");
-    let mut store = DocStore::new();
-    store.add_tree(&base);
-    let mut ov = OverlayDoc::new(Arc::new(store));
-    ov.apply(&Op::Insert { parent: 1, pos: 0, xml: "<p/>".into() }).unwrap();
-    assert_eq!(ov.overlay_rows(), 1);
-    assert!(!ov.maybe_compact(2), "below threshold: no compaction");
-    assert_eq!(ov.overlay_rows(), 1);
-    let before = ov.materialize();
-    ov.apply(&Op::Insert { parent: 1, pos: 0, xml: "<q/>".into() }).unwrap();
-    assert_eq!(ov.overlay_rows(), 2);
-    assert!(ov.maybe_compact(2), "at threshold: compaction runs");
-    assert_eq!(ov.overlay_rows(), 0);
-    let after = ov.materialize();
-    assert_eq!(after.len(), before.len() + 1);
-    // Numbering and content carry over: <q/> then <p/> then <a>.
-    assert_eq!(after.name_str(2), Some("q"));
-    assert_eq!(after.name_str(3), Some("p"));
-    assert_eq!(after.name_str(4), Some("a"));
-}
-
-/// Gap exhaustion at a single slot self-heals through compaction: ~100
-/// same-slot inserts force more bisections than 64-bit gaps allow.
-#[test]
-fn gap_exhaustion_compacts_and_continues() {
+fn same_slot_insert_storm() {
     let base = parse("t.xml", "<r><z/></r>").expect("parses");
     let mut store = DocStore::new();
     store.add_tree(&base);
-    let mut ov = OverlayDoc::new(Arc::new(store));
+    let mut doc = OverlayDoc::new(Arc::new(store));
     let mut shadow = base;
     for i in 0..100 {
-        let op = Op::Insert { parent: 1, pos: 0, xml: "<n/>".into() };
+        let op = Op::Insert { parent: 1, pos: 0, xml: format!("<n i=\"{i}\"/>") };
         apply_to_shadow(&mut shadow, &op);
-        ov.apply(&op).expect("insert at front");
-        assert_eq!(ov.merged_len() as usize, shadow.reachable_len(), "step {i}");
+        doc.apply(&op).expect("insert at front");
+        assert_eq!(doc.store().len(), shadow.reachable_len(), "step {i}");
     }
-    assert_eq!(ov.ops_applied(), 100);
-    assert_oracle(&ov, &shadow, "front-insert storm");
+    assert_eq!(doc.overlay_rows(), 200, "100 inserts of two rows each");
+    assert_oracle(&doc, &shadow, "front-insert storm");
 }

@@ -8,12 +8,14 @@
 //! * [`Snapshot`] / [`Master`] — immutable, `Arc`-shared document state,
 //!   **segmented per document** (each a [`snapshot::DocSnap`]: tabular
 //!   encoding + eagerly-indexed [`jgi_engine::Database`] + navigational
-//!   db, carrying its own version), swapped atomically on load and on
-//!   mutation commit so readers never block writers and vice versa;
+//!   db built on first use, carrying its own version), swapped
+//!   atomically on load and on mutation commit so readers never block
+//!   writers and vice versa;
 //!   unchanged documents share their `DocSnap` `Arc` across generations;
 //! * live mutation — [`Server::commit`] applies a batch of
 //!   [`jgi_mutate::Op`]s addressed in global `pre` ranks all-or-nothing
-//!   through the per-document delta overlays, bumps only the touched
+//!   by editing the touched documents' columns in place (copy-on-write:
+//!   published snapshots are never written), bumps only the touched
 //!   documents' versions, and publishes the next generation;
 //! * [`PlanCache`] — LRU cache of full [`jgi_core::Prepared`] artifact
 //!   sets keyed on `(query, context doc)`; nothing invalidates an entry

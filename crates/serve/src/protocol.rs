@@ -728,4 +728,26 @@ mod tests {
         assert!(bad.contains("\"ok\":false") && bad.contains("\"code\":\"mutate_target\""));
         assert!(run("STATS").contains("\"ok\":true"));
     }
+
+    #[test]
+    fn deep_xml_is_an_error_reply_not_a_stack_overflow() {
+        let server = crate::Server::new(crate::ServeConfig {
+            workers: 1,
+            ..crate::ServeConfig::default()
+        });
+        let run = |line: &str| {
+            handle_command(&server, &parse_command(line).unwrap().unwrap()).render()
+        };
+        // 100 000 levels: the parser's recursion would overflow this
+        // thread's stack (and abort the process) without a depth limit.
+        let deep = format!("{}{}", "<a>".repeat(100_000), "</a>".repeat(100_000));
+        let load = run(&format!("LOAD DOC deep.xml {deep}"));
+        assert!(load.contains("\"code\":\"frontend\""), "{}", &load[..load.len().min(200)]);
+        assert!(run("LOAD DOC t.xml <a/>").contains("\"ok\":true"));
+        for line in [format!("INSERT parent=1 pos=0 {deep}"), format!("REPLACE pre=1 {deep}")] {
+            let reply = run(&line);
+            assert!(reply.contains("\"code\":\"mutate_fragment\""), "{}", &reply[..reply.len().min(200)]);
+        }
+        assert!(run("STATS").contains("\"ok\":true"));
+    }
 }

@@ -771,8 +771,8 @@ fn worker_loop(rx: &Mutex<Receiver<Job>>, state: &State) {
         // single-document) or the combined view, then lift result ranks
         // back into the global numbering.
         let (segment, base_pre) = job.snapshot.resolve(&job.prepared.docs);
-        let result =
-            execute_prepared(&segment.ctx(job.snapshot.budgets), &job.prepared, job.engine);
+        let ctx = segment.ctx(job.engine, job.snapshot.budgets);
+        let result = execute_prepared(&ctx, &job.prepared, job.engine);
         reg.counter("serve.requests", 1);
         reg.observe_us("serve.queue_us", queue_wait);
         let reply = match result {

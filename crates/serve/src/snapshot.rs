@@ -9,8 +9,9 @@
 //!
 //! Since the live-mutation rework the snapshot is **segmented**: each
 //! loaded document owns an independent [`DocSnap`] — its single-document
-//! tabular encoding, eagerly-indexed relational database, and
-//! navigational database — plus a carried `version`. Publishing a
+//! tabular encoding, eagerly-indexed relational database, and a
+//! navigational database built on the first navigational request — plus
+//! a carried `version`. Publishing a
 //! generation reuses the `Arc<DocSnap>` of every document the commit did
 //! *not* touch, so a mutation to one document never rebuilds the others'
 //! indexes (the old design re-shared one monolithic store and rebuilt the
@@ -25,20 +26,23 @@
 //! view with the identical global numbering.
 //!
 //! Mutation rides on `jgi-mutate`: the master keeps one
-//! [`jgi_mutate::OverlayDoc`] per document and
-//! [`Master::commit`] applies a batch of [`Op`]s — possibly spanning
-//! documents — **all-or-nothing**: ops apply to working copies of the
-//! touched overlays and only a fully-valid batch replaces them, bumps the
-//! touched documents' versions, and advances the generation.
+//! [`jgi_mutate::OverlayDoc`] — a copy-on-write store edited in place —
+//! per document and [`Master::commit`] applies a batch of [`Op`]s —
+//! possibly spanning documents — **all-or-nothing**: ops apply to working
+//! copies of the touched documents and only a fully-valid batch replaces
+//! them, bumps the touched documents' versions, and advances the
+//! generation. A published snapshot shares its store with the master
+//! until the next commit, whose first edit copies it, so a pinned
+//! snapshot is never written.
 
 use crate::error::ServeError;
-use jgi_core::{Budgets, ExecCtx};
+use jgi_core::{Budgets, Engine, ExecCtx};
 use jgi_engine::Database;
 use jgi_mutate::{MutateError, Op, OverlayDoc};
 use jgi_nav::NavDb;
 use jgi_sync::Mutex;
 use jgi_xml::{DocStore, Tree};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// One document's fully-indexed state at one version: the single-document
 /// store (root at local `pre` 0), the eagerly-indexed relational database
@@ -53,23 +57,34 @@ pub struct DocSnap {
     pub store: Arc<DocStore>,
     /// Relational database, Table 6 indexes eagerly built at publish time.
     pub db: Arc<Database>,
-    /// Navigational database.
-    pub nav: Arc<NavDb>,
+    /// Navigational database, built from `store` by the first
+    /// navigational request — no join-graph request reads it.
+    nav: OnceLock<NavDb>,
 }
 
 impl DocSnap {
-    fn build(uri: String, version: u64, store: Arc<DocStore>, tree: Option<Tree>) -> DocSnap {
+    fn build(uri: String, version: u64, store: Arc<DocStore>) -> DocSnap {
         let db = Arc::new(Database::with_default_indexes(Arc::clone(&store)));
-        let mut nav = NavDb::new();
-        // Reuse the caller's tree when one is at hand (initial load);
-        // otherwise recover it from the columns (post-mutation republish).
-        nav.add_tree(tree.unwrap_or_else(|| store.extract_tree(0)));
-        DocSnap { uri, version, store, db, nav: Arc::new(nav) }
+        DocSnap { uri, version, store, db, nav: OnceLock::new() }
     }
 
-    /// The execution context for running plans against this document.
-    pub fn ctx(&self, budgets: Budgets) -> ExecCtx<'_> {
-        ExecCtx { store: &self.store, db: Some(&self.db), nav: Some(&self.nav), budgets }
+    /// The navigational database, one tree per document row, built on
+    /// first use.
+    pub fn nav(&self) -> &NavDb {
+        self.nav.get_or_init(|| {
+            let mut nav = NavDb::new();
+            for &root in &self.store.doc_roots {
+                nav.add_tree(self.store.extract_tree(root));
+            }
+            nav
+        })
+    }
+
+    /// The execution context for running plans on `engine` against this
+    /// document. Only the navigational engines get (and build) the DOM.
+    pub fn ctx(&self, engine: Engine, budgets: Budgets) -> ExecCtx<'_> {
+        let nav = matches!(engine, Engine::NavWhole | Engine::NavSegmented).then(|| self.nav());
+        ExecCtx { store: &self.store, db: Some(&self.db), nav, budgets }
     }
 }
 
@@ -156,20 +171,10 @@ impl Snapshot {
             return Arc::clone(c);
         }
         let mut store = DocStore::new();
-        let mut nav = NavDb::new();
         for d in &self.docs {
-            let tree = d.snap.store.extract_tree(0);
-            store.add_tree(&tree);
-            nav.add_tree(tree);
+            store.add_tree(&d.snap.store.extract_tree(0));
         }
-        let store = Arc::new(store);
-        let combined = Arc::new(DocSnap {
-            uri: String::new(),
-            version: self.generation,
-            db: Arc::new(Database::with_default_indexes(Arc::clone(&store))),
-            store,
-            nav: Arc::new(nav),
-        });
+        let combined = Arc::new(DocSnap::build(String::new(), self.generation, Arc::new(store)));
         *slot = Some(Arc::clone(&combined));
         combined
     }
@@ -190,7 +195,7 @@ pub struct CommitOutcome {
 struct DocState {
     uri: String,
     version: u64,
-    overlay: OverlayDoc,
+    doc: OverlayDoc,
     /// Cached publish artifact for the current version; cleared by any
     /// commit that touches this document.
     published: Option<Arc<DocSnap>>,
@@ -201,15 +206,12 @@ struct DocState {
 pub struct Master {
     docs: Vec<DocState>,
     generation: u64,
-    /// Overlay-row threshold past which a commit folds a document's
-    /// overlay into fresh base columns (see `jgi_mutate::OverlayDoc`).
-    compact_threshold: u32,
 }
 
 impl Master {
     /// Empty master at generation 0.
     pub fn new() -> Master {
-        Master { docs: Vec::new(), generation: 0, compact_threshold: 4096 }
+        Master { docs: Vec::new(), generation: 0 }
     }
 
     /// Add (or, for an already-loaded URI, replace) a document tree and
@@ -222,16 +224,15 @@ impl Master {
         self.generation += 1;
         if let Some(d) = self.docs.iter_mut().find(|d| d.uri == uri) {
             d.version += 1;
-            d.overlay = OverlayDoc::new(Arc::clone(&store));
-            d.published =
-                Some(Arc::new(DocSnap::build(uri, d.version, store, Some(tree))));
+            d.doc = OverlayDoc::new(Arc::clone(&store));
+            d.published = Some(Arc::new(DocSnap::build(uri, d.version, store)));
         } else {
             let version = 1;
             self.docs.push(DocState {
                 uri: uri.clone(),
                 version,
-                overlay: OverlayDoc::new(Arc::clone(&store)),
-                published: Some(Arc::new(DocSnap::build(uri, version, store, Some(tree)))),
+                doc: OverlayDoc::new(Arc::clone(&store)),
+                published: Some(Arc::new(DocSnap::build(uri, version, store))),
             });
         }
     }
@@ -242,7 +243,7 @@ impl Master {
     }
 
     /// Map a global `pre` rank to `(document index, local pre)` against
-    /// the given per-document merged lengths.
+    /// the given per-document row counts.
     fn locate_global(lens: &[u32], pre: u32) -> Result<(usize, u32), MutateError> {
         let mut base = 0u32;
         for (i, &len) in lens.iter().enumerate() {
@@ -258,17 +259,17 @@ impl Master {
     /// atomically: either every op validates and applies, or the master is
     /// left untouched. Each op is translated against the state produced by
     /// the ops before it (a batch behaves exactly like a serial sequence).
-    /// On success the touched documents' versions bump, oversized overlays
-    /// compact, and the generation advances by one.
+    /// On success the touched documents' versions bump and the generation
+    /// advances by one.
     pub fn commit(&mut self, ops: &[Op]) -> Result<CommitOutcome, MutateError> {
         if ops.is_empty() {
             return Err(MutateError::BadTarget("empty mutation batch".to_string()));
         }
-        // Working copies, cloned on first touch; merged lengths tracked
-        // per document so later ops see earlier ops' row shifts.
+        // Working copies, cloned on first touch (an `Arc` clone; the first
+        // edit copies the columns); row counts tracked per document so
+        // later ops see earlier ops' row shifts.
         let mut working: Vec<Option<OverlayDoc>> = self.docs.iter().map(|_| None).collect();
-        let mut lens: Vec<u32> =
-            self.docs.iter().map(|d| d.overlay.merged_len()).collect();
+        let mut lens: Vec<u32> = self.docs.iter().map(|d| rows(&d.doc)).collect();
         let mut rows_delta = 0i64;
         for op in ops {
             let target = match op {
@@ -283,19 +284,17 @@ impl Master {
                 Op::Delete { .. } => Op::Delete { pre: local },
                 Op::Replace { xml, .. } => Op::Replace { pre: local, xml: xml.clone() },
             };
-            let ov = working[i].get_or_insert_with(|| self.docs[i].overlay.clone());
-            let delta = ov.apply(&local_op)?;
-            lens[i] = ov.merged_len();
-            rows_delta += delta;
+            let doc = working[i].get_or_insert_with(|| self.docs[i].doc.clone());
+            rows_delta += doc.apply(&local_op)?;
+            lens[i] = rows(doc);
         }
         // Whole batch validated: install.
         self.generation += 1;
         let mut touched = Vec::new();
         for (i, w) in working.into_iter().enumerate() {
-            if let Some(mut ov) = w {
-                ov.maybe_compact(self.compact_threshold);
+            if let Some(doc) = w {
                 let d = &mut self.docs[i];
-                d.overlay = ov;
+                d.doc = doc;
                 d.version += 1;
                 d.published = None;
                 touched.push((d.uri.clone(), d.version));
@@ -306,9 +305,8 @@ impl Master {
 
     /// Publish the current state as an immutable snapshot. Documents
     /// untouched since their last publish reuse their cached
-    /// [`DocSnap`] `Arc` — no store copy, no index rebuild, no nav
-    /// rebuild. Only documents dirtied by a commit (or fresh loads)
-    /// build anew.
+    /// [`DocSnap`] `Arc` — no index rebuild. A document dirtied by a
+    /// commit shares the master's store as-is and builds its indexes anew.
     pub fn publish(&mut self, budgets: Budgets) -> Arc<Snapshot> {
         let mut entries = Vec::with_capacity(self.docs.len());
         let mut base_pre = 0u32;
@@ -316,13 +314,8 @@ impl Master {
             let snap = match &d.published {
                 Some(s) => Arc::clone(s),
                 None => {
-                    let store = d.overlay.current();
-                    let s = Arc::new(DocSnap::build(
-                        d.uri.clone(),
-                        d.version,
-                        store,
-                        None,
-                    ));
+                    let store = Arc::clone(d.doc.store());
+                    let s = Arc::new(DocSnap::build(d.uri.clone(), d.version, store));
                     d.published = Some(Arc::clone(&s));
                     s
                 }
@@ -338,6 +331,11 @@ impl Master {
             combined: Mutex::named("snapshot_combined", None),
         })
     }
+}
+
+/// Row count of one document.
+fn rows(doc: &OverlayDoc) -> u32 {
+    doc.store().len() as u32
 }
 
 impl Default for Master {

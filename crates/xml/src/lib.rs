@@ -30,5 +30,5 @@ pub mod tree;
 pub use encode::{DocStore, NameId, ValId, NO_NAME, NO_VALUE};
 pub use error::{XmlError, XmlResult};
 pub use interner::Interner;
-pub use parser::{parse, ParseOptions};
+pub use parser::{parse, ParseOptions, MAX_DEPTH};
 pub use tree::{NodeId, NodeKind, Tree};

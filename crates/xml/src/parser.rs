@@ -14,6 +14,12 @@ use crate::error::{XmlError, XmlResult};
 use crate::text::{is_xml_whitespace, unescape};
 use crate::tree::{NodeId, Tree};
 
+/// Deepest element nesting a document may have (the document element is
+/// depth 1). The parser recurses once per level, so deeper input is an
+/// error instead of a stack overflow; libxml2's default limit is the same.
+/// Must stay within `u16`, the `level` column's type.
+pub const MAX_DEPTH: usize = 256;
+
 /// Options controlling parse behaviour.
 #[derive(Debug, Clone, Copy)]
 pub struct ParseOptions {
@@ -47,7 +53,7 @@ pub fn parse_with(uri: &str, input: &str, opts: ParseOptions) -> XmlResult<Tree>
     if !p.at(b'<') {
         return Err(p.err("expected document element"));
     }
-    p.parse_element(&mut tree, root)?;
+    p.parse_element(&mut tree, root, 1)?;
     p.skip_misc(&mut tree, root)?;
     if p.pos != p.bytes.len() {
         return Err(p.err("trailing content after document element"));
@@ -167,7 +173,11 @@ impl<'a> Parser<'a> {
         Ok(&self.input[start..self.pos])
     }
 
-    fn parse_element(&mut self, tree: &mut Tree, parent: NodeId) -> XmlResult<()> {
+    /// Parse the element starting here, nested `depth` levels deep.
+    fn parse_element(&mut self, tree: &mut Tree, parent: NodeId, depth: usize) -> XmlResult<()> {
+        if depth > MAX_DEPTH {
+            return Err(self.err(format!("elements nest deeper than {MAX_DEPTH} levels")));
+        }
         self.expect("<")?;
         let name = self.parse_name()?;
         let elem = tree.add_element(parent, name);
@@ -253,7 +263,7 @@ impl<'a> Parser<'a> {
                     text_start = self.pos;
                 } else {
                     self.flush_text(tree, elem, &mut pending_text, text_start)?;
-                    self.parse_element(tree, elem)?;
+                    self.parse_element(tree, elem, depth + 1)?;
                     text_start = self.pos;
                 }
             } else {
@@ -389,6 +399,16 @@ mod tests {
         let kinds: Vec<NodeKind> =
             t.content_children(a).iter().map(|&c| t.node(c).kind).collect();
         assert_eq!(kinds, vec![NodeKind::Text, NodeKind::Elem, NodeKind::Text]);
+    }
+
+    #[test]
+    fn nesting_is_limited_not_recursed_without_bound() {
+        let nest = |n: usize| format!("{}{}", "<a>".repeat(n), "</a>".repeat(n));
+        assert!(parse("u", &nest(MAX_DEPTH)).is_ok());
+        assert!(parse("u", &nest(MAX_DEPTH + 1)).is_err());
+        // Deep enough to overflow a 2 MiB thread stack without the limit.
+        let err = parse("u", &nest(100_000)).unwrap_err();
+        assert!(err.to_string().contains("deeper than"), "{err}");
     }
 
     #[test]

@@ -1,28 +1,31 @@
 //! End-to-end correctness for live document mutation.
 //!
 //! A scripted sequence of `Master::commit` batches — including one batch
-//! that touches both documents — mutates the XMark/DBLP corpus through
-//! the delta overlay. The oracle is a **full reparse**: shadow trees
+//! that touches both documents — edits the XMark/DBLP corpus in place.
+//! The oracle is a **full reparse**: shadow trees
 //! receive the same operations through the `Tree` editing API, are
 //! serialized to XML text, parsed back, and loaded into a fresh
 //! [`Session`]. The published snapshot must then answer Q1–Q8
 //! byte-identically to the oracle in every execution mode — scalar and
 //! vectorized, parallelism degrees 1, 2, and 8 — and across the
-//! independent back-ends.
+//! independent back-ends (the navigational one builds its DOM from the
+//! edited columns on first use).
 //!
 //! A second test pins the incremental-publish contract: committing to one
 //! document must not rebuild the other document's stores or indexes
 //! (asserted by `Arc` pointer identity across publishes). A third pins
-//! bounded memory under commits: nothing the server retains — plan memo,
-//! flight recorder — keeps a retired document version alive.
+//! copy-on-write: a commit never writes the columns of a snapshot already
+//! published. A fourth pins bounded memory under commits: nothing the
+//! server retains — plan memo, flight recorder — keeps a retired document
+//! version alive.
 
 use jgi_core::queries::paper_corpus;
 use jgi_core::{execute_prepared, prepare_on, Budgets, Engine, Parallelism, Session};
 use jgi_mutate::{parse_fragment, Op};
-use jgi_serve::{Master, ServeConfig, Server};
+use jgi_serve::{Master, ServeConfig, Server, Snapshot};
 use jgi_xml::generate::{generate_dblp, generate_xmark, DblpConfig, XmarkConfig};
 use jgi_xml::serialize::tree_to_xml;
-use jgi_xml::{parse, Tree};
+use jgi_xml::{parse, DocStore, Tree};
 use std::sync::Arc;
 
 fn trees() -> (Tree, Tree) {
@@ -151,7 +154,8 @@ fn mutated_corpus_matches_full_reparse_across_modes_and_degrees() {
                     .execute(&oracle_plan, Engine::JoinGraph)
                     .expect("oracle executes")
                     .nodes;
-                let got = execute_prepared(&segment.ctx(budgets), &prepared, Engine::JoinGraph)
+                let ctx = segment.ctx(Engine::JoinGraph, budgets);
+                let got = execute_prepared(&ctx, &prepared, Engine::JoinGraph)
                     .unwrap_or_else(|e| panic!("{name} fails on the snapshot: {e}"))
                     .nodes
                     .map(|v| v.into_iter().map(|p| p + base_pre).collect::<Vec<_>>());
@@ -167,7 +171,7 @@ fn mutated_corpus_matches_full_reparse_across_modes_and_degrees() {
         let expect =
             oracle.execute(&oracle_plan, Engine::JoinGraph).expect("oracle executes").nodes;
         for engine in [Engine::Stacked, Engine::NavSegmented] {
-            let got = execute_prepared(&segment.ctx(Budgets::default()), &prepared, engine)
+            let got = execute_prepared(&segment.ctx(engine, Budgets::default()), &prepared, engine)
                 .unwrap_or_else(|e| panic!("{name} fails on {engine:?}: {e}"))
                 .nodes
                 .map(|v| v.into_iter().map(|p| p + base_pre).collect::<Vec<_>>());
@@ -205,6 +209,55 @@ fn publish_rebuilds_only_touched_documents() {
     let s3 = master.publish(Budgets::default());
     assert!(Arc::ptr_eq(&s2.docs[0].snap, &s3.docs[0].snap));
     assert!(Arc::ptr_eq(&s2.docs[1].snap, &s3.docs[1].snap));
+}
+
+/// A commit never writes a pinned snapshot: the master and the published
+/// snapshot share one store until the next commit, whose first edit must
+/// copy it (`Arc::make_mut`) rather than edit the shared columns.
+#[test]
+fn commits_never_write_a_pinned_snapshot() {
+    let (xmark, dblp) = trees();
+    let mut master = Master::new();
+    master.add_tree(xmark);
+    master.add_tree(dblp);
+    let s1 = master.publish(Budgets::default());
+    let pinned = DocStore::clone(&s1.docs[0].snap.store);
+    let (_, q1, ctx) =
+        paper_corpus().into_iter().find(|(name, _, _)| *name == "Q1").expect("Q1 in corpus");
+    let prepared = prepare_on(&s1.prepare_store(), q1, ctx).expect("Q1 prepares");
+    let q1_on = |snapshot: &Snapshot| {
+        let (segment, base_pre) = snapshot.resolve(&prepared.docs);
+        let ctx = segment.ctx(Engine::JoinGraph, Budgets::default());
+        execute_prepared(&ctx, &prepared, Engine::JoinGraph)
+            .expect("Q1 executes")
+            .nodes
+            .map(|v| v.into_iter().map(|p| p + base_pre).collect::<Vec<_>>())
+    };
+    let before = q1_on(&s1);
+
+    // Insert under <site>, delete what was inserted, then replace <site>'s
+    // original first child: one edit of each kind on auction.xml.
+    master
+        .commit(&[
+            Op::Insert { parent: 1, pos: 0, xml: "<promo><name>new</name></promo>".into() },
+            Op::Delete { pre: 2 },
+            Op::Insert { parent: 1, pos: 0, xml: "<promo/>".into() },
+            Op::Replace { pre: 3, xml: "<regions/>".into() },
+        ])
+        .expect("batch commits");
+    let s2 = master.publish(Budgets::default());
+
+    let store = &s1.docs[0].snap.store;
+    assert_eq!(store.size, pinned.size, "size column of the pinned snapshot");
+    assert_eq!(store.level, pinned.level, "level column of the pinned snapshot");
+    assert_eq!(store.kind, pinned.kind, "kind column of the pinned snapshot");
+    assert_eq!(store.name, pinned.name, "name column of the pinned snapshot");
+    assert_eq!(store.value, pinned.value, "value column of the pinned snapshot");
+    assert_eq!(store.parent, pinned.parent, "parent column of the pinned snapshot");
+    assert_eq!(store.values.len(), pinned.values.len(), "value interner of the pinned snapshot");
+    assert_eq!(q1_on(&s1), before, "the pinned snapshot answers Q1 as before");
+    assert_ne!(s2.docs[0].snap.store.len(), pinned.len(), "the commit did edit auction.xml");
+    assert_ne!(q1_on(&s2), before, "and moved Q1's answer");
 }
 
 /// Memory stays bounded while commits land: a retired document version

@@ -9,9 +9,6 @@
 //! * `ablation` — Q1–Q4 against full / pre-only / no index catalogs,
 //!   isolating what the Table 6 index family buys over the planner alone;
 //! * `lint-plans` — golden plan-lint run over the Q1–Q8 corpus;
-//! * `parallel` — sequential vs N-thread morsel-driven execution on
-//!   Q1–Q8 per XMark scale, with a hard zero-divergence check; emits
-//!   `BENCH_parallel.json` (see EXPERIMENTS.md);
 //! * `backend-oracle` — Q1–Q8 through `jgi-engine` *and* through the
 //!   emitted join-graph SQL on a real backend (SQLite via the CLI shell),
 //!   results compared after pre-rank recovery, zero divergence required;
@@ -19,10 +16,10 @@
 //!   `BENCH_sql.json` (schema in EXPERIMENTS.md, dialect spec in SQL.md).
 //!
 //! Criterion benches: `queries` (per-query micro timings), `btree`,
-//! `isolation` (rewriter throughput), `axis_steps`.
+//! `isolation` (rewriter throughput), `axis_steps`, `kernels`.
 //!
-//! (The serve-layer load harness `loadgen` lives in `jgi-serve`, not here —
-//! it needs the service internals.)
+//! End-to-end and per-layer performance is measured by the repository
+//! benchmark in `benchmark/`, not here.
 
 use jgi_core::Session;
 use jgi_xml::generate::{generate_dblp, generate_xmark, DblpConfig, XmarkConfig};

@@ -392,6 +392,17 @@ pub struct Prepared {
     plan_memo: PlanMemo,
 }
 
+impl Prepared {
+    /// The extracted join graph if the cost-based planner accepts it:
+    /// `None` outside the extractable fragment and above
+    /// [`optimizer::MAX_ALIASES`] aliases. Every join-graph path reads the
+    /// query through this, so an oversized join graph runs on the
+    /// isolated-plan interpreter instead of tripping the planner's bound.
+    pub fn plannable_cq(&self) -> Option<&ConjunctiveQuery> {
+        self.cq.as_ref().filter(|cq| cq.aliases <= optimizer::MAX_ALIASES)
+    }
+}
+
 /// Intra-query parallelism degree for the join-graph executor.
 ///
 /// `Auto` resolves to the machine's available cores at execution time;
@@ -452,12 +463,10 @@ pub struct Budgets {
     /// Worker threads the join-graph executor may use per query.
     pub parallelism: Parallelism,
     /// Whether the join-graph executor may use the vectorized batch
-    /// pipeline. Defaults to on unless the `JGI_SCALAR=1` escape hatch is
-    /// set in the environment.
+    /// pipeline (default: on; `jgi-served --scalar` turns it off).
     pub vectorized: bool,
-    /// Physical join-strategy selection for the join-graph planner.
-    /// Defaults to cost-based (`auto`) unless the `JGI_JOIN` escape hatch
-    /// is set in the environment.
+    /// Physical join-strategy selection for the join-graph planner
+    /// (default: cost-based `auto`; `jgi-served --join` forces one).
     pub join: optimizer::JoinStrategy,
     /// Override for the morsel size used to partition the parallel
     /// frontier. `None` keeps [`physical::DEFAULT_MORSEL_SIZE`]. Validate
@@ -474,8 +483,8 @@ impl Default for Budgets {
             stacked: ExecBudget::default(),
             nav: 500_000_000,
             parallelism: Parallelism::Auto,
-            vectorized: !physical::scalar_forced(),
-            join: optimizer::JoinStrategy::from_env(),
+            vectorized: true,
+            join: optimizer::JoinStrategy::Auto,
             morsel_size: None,
             batch_size: None,
         }
@@ -493,8 +502,6 @@ fn plan_options(budgets: &Budgets) -> optimizer::PlanOptions {
 /// engine defaults.
 fn exec_options(budgets: &Budgets) -> physical::ExecOptions {
     let mut opts = physical::ExecOptions::with_parallelism(budgets.parallelism.threads());
-    // `JGI_SCALAR=1` flows in via `Budgets::default()`; an explicit budget
-    // setting (tests, `--scalar`) wins over the environment.
     opts.vectorized = budgets.vectorized;
     if let Some(m) = budgets.morsel_size {
         opts.morsel_size = m.max(1);
@@ -641,7 +648,7 @@ pub fn execute_prepared(
     };
     let start = Instant::now();
     let nodes: Option<Vec<u32>> = match engine {
-        Engine::JoinGraph => match &prepared.cq {
+        Engine::JoinGraph => match prepared.plannable_cq() {
             Some(cq) => {
                 let Some(db) = ctx.db else {
                     return Err(fail("join-graph back-end needs a database".into()));
@@ -663,9 +670,10 @@ pub fn execute_prepared(
                 report.exec = Some(exec_stats);
                 Some(result)
             }
-            // Plan outside the extractable fragment: execute the *isolated*
-            // plan with the interpreter (still faster than stacked, but
-            // honest about the missing SQL hand-off).
+            // Plan outside the extractable fragment, or a join graph too
+            // wide for the planner: execute the *isolated* plan with the
+            // interpreter (still faster than stacked, but honest about the
+            // missing SQL hand-off).
             None => {
                 report.record_phase("plan", Duration::ZERO);
                 let t0 = Instant::now();
@@ -849,7 +857,7 @@ impl Session {
     ) -> Result<QueryOutcome, SessionError> {
         // Lazily build the relational database only when the join-graph
         // back-end will actually consult it.
-        if engine == Engine::JoinGraph && prepared.cq.is_some() {
+        if engine == Engine::JoinGraph && prepared.plannable_cq().is_some() {
             self.database();
         }
         let ctx = ExecCtx {
@@ -871,8 +879,7 @@ impl Session {
     /// Explain the join-graph physical plan (paper Figs. 10/11 style).
     pub fn explain(&mut self, prepared: &Prepared) -> Result<String, SessionError> {
         let cq = prepared
-            .cq
-            .as_ref()
+            .plannable_cq()
             .ok_or(SessionError::Extract(ExtractError::NoSerializeRoot))?
             .clone();
         let opts = plan_options(&self.budgets);
@@ -887,8 +894,7 @@ impl Session {
     /// output shape can be golden-tested).
     pub fn explain_analyze(&mut self, prepared: &Prepared) -> Result<String, SessionError> {
         let cq = prepared
-            .cq
-            .as_ref()
+            .plannable_cq()
             .ok_or(SessionError::Extract(ExtractError::NoSerializeRoot))?;
         let opts = exec_options(&self.budgets);
         let popts = plan_options(&self.budgets);

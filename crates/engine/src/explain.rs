@@ -46,11 +46,6 @@ pub fn render(db: &Database, plan: &PhysPlan) -> String {
                 let _ = writeln!(out, "{pad}HSJOIN (on {})", keys.join(","));
                 let _ = writeln!(out, "{pad} {}", describe_access(db, access));
             }
-            Step::HashRank { access, .. } => {
-                let flag = if access.early_out { " (early-out ⋉)" } else { "" };
-                let _ = writeln!(out, "{pad}HSJOIN-RANK (on value){flag}");
-                let _ = writeln!(out, "{pad} {}", describe_access(db, access));
-            }
             Step::Leapfrog(a) => {
                 let flag = if a.early_out { " (early-out ⋉)" } else { "" };
                 let _ = writeln!(out, "{pad}LFJOIN{flag}");
@@ -162,16 +157,6 @@ pub fn render_analyze(
             Step::Hash { access, build_key, .. } => {
                 let keys: Vec<&str> = build_key.iter().map(|c| c.sql()).collect();
                 let _ = writeln!(out, "{pad}HSJOIN (on {})", keys.join(","));
-                let _ = writeln!(
-                    out,
-                    "{pad} {}{}",
-                    describe_access(db, access),
-                    annotate(access, &op)
-                );
-            }
-            Step::HashRank { access, .. } => {
-                let flag = if access.early_out { " (early-out ⋉)" } else { "" };
-                let _ = writeln!(out, "{pad}HSJOIN-RANK (on value){flag}");
                 let _ = writeln!(
                     out,
                     "{pad} {}{}",

@@ -51,6 +51,12 @@ pub const LEAP_SEEK_COST: f64 = 2.0;
 /// inline.
 pub const PARALLEL_MIN_COST: f64 = 200.0;
 
+/// Largest alias count the dynamic program accepts. Its subset table holds
+/// 2ⁿ states, so every alias past the bound doubles planning memory and
+/// time; [`plan_with_stats_opts`] asserts it, and callers holding a larger
+/// join graph must take another execution path.
+pub const MAX_ALIASES: usize = 20;
+
 /// Decide the parallelism degree for executing `plan` when the caller
 /// requests `requested` worker threads: plans whose *mode-aware* cost
 /// (see [`batch_aware_cost`]) falls below [`PARALLEL_MIN_COST`] stay
@@ -74,7 +80,7 @@ pub fn parallel_degree(plan: &PhysPlan, requested: usize, vectorized: bool) -> u
 /// Per-candidate-row cost on the vectorized path, as a fraction of the
 /// scalar `ROW_COST`: column-batch kernels amortize predicate interpretation
 /// (and, through sorted batched probes, B-tree descents) over the batch.
-/// Calibrated against BENCH_vector.json rather than derived.
+/// Calibrated on measured scalar-vs-vectorized runs rather than derived.
 pub const VECTOR_ROW_COST: f64 = 0.25;
 
 /// Batch-aware plan cost: the vectorized executor touches the same rows
@@ -96,19 +102,18 @@ pub fn batch_aware_cost(plan: &PhysPlan, vectorized: bool) -> f64 {
 /// Physical join-strategy selection: `auto` lets the DP cost-choose per
 /// join edge; the rest force one family wherever it is applicable (with a
 /// natural NL fallback where it is not). Plumbed from `Budgets::join`,
-/// the `JGI_JOIN` environment escape hatch, and the cross-strategy test
-/// matrices. Every strategy produces bit-identical results — this knob
-/// only moves work around.
+/// `jgi-served --join` and the cross-strategy test matrices. Every
+/// strategy produces bit-identical results — this knob only moves work
+/// around.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum JoinStrategy {
-    /// Cost-choose among NL, hash-family, and leapfrog per join edge.
+    /// Cost-choose among NL, hash, and leapfrog per join edge.
     #[default]
     Auto,
     /// Index nested-loop everywhere — the divergence baseline. Also
     /// disables the generic hash join, so the plan is pure NLJOIN.
     Nl,
-    /// Prefer hash-family steps (rank-id or string-keyed) wherever a
-    /// usable equality edge exists.
+    /// Prefer hash steps wherever a usable equality edge exists.
     Hash,
     /// Prefer leapfrog intersection steps wherever the access has a
     /// variable probe. In scalar mode a leapfrog step executes exactly
@@ -120,12 +125,6 @@ impl JoinStrategy {
     /// All strategies, for forcing matrices in tests and benches.
     pub const ALL: [JoinStrategy; 4] =
         [JoinStrategy::Auto, JoinStrategy::Nl, JoinStrategy::Hash, JoinStrategy::Leapfrog];
-
-    /// Read the `JGI_JOIN=nl|hash|leapfrog|auto` escape hatch (read once
-    /// per options construction, like `JGI_SCALAR`).
-    pub fn from_env() -> JoinStrategy {
-        std::env::var("JGI_JOIN").ok().and_then(|v| v.parse().ok()).unwrap_or_default()
-    }
 }
 
 impl std::str::FromStr for JoinStrategy {
@@ -158,18 +157,15 @@ impl std::fmt::Display for JoinStrategy {
 /// [`batch_aware_cost`] from explain-only figure to real DP input.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PlanOptions {
-    /// Strategy forcing (default: `JGI_JOIN`, else auto).
+    /// Strategy forcing (default: auto).
     pub join: JoinStrategy,
-    /// Cost for the vectorized executor (default: unless `JGI_SCALAR=1`).
+    /// Cost for the vectorized executor (default: on).
     pub vectorized: bool,
 }
 
 impl Default for PlanOptions {
     fn default() -> Self {
-        PlanOptions {
-            join: JoinStrategy::from_env(),
-            vectorized: !crate::physical::scalar_forced(),
-        }
+        PlanOptions { join: JoinStrategy::Auto, vectorized: true }
     }
 }
 
@@ -301,7 +297,7 @@ pub fn plan_with_stats_opts(
     let mut stats = PlanStats::default();
     let n = cq.aliases;
     assert!(n >= 1, "query without relations");
-    assert!(n <= 20, "join graphs beyond 20 aliases are out of scope");
+    assert!(n <= MAX_ALIASES, "join graphs beyond {MAX_ALIASES} aliases are out of scope");
     let row_cost = if opts.vectorized { VECTOR_ROW_COST } else { ROW_COST };
 
     // Pre-split predicates.
@@ -323,7 +319,7 @@ pub fn plan_with_stats_opts(
         }
     }
     let mut memo: HashMap<(usize, u32), StepOptions> = HashMap::new();
-    // Hash-family build sides are *independent* accesses (mask 0, local
+    // Hash build sides are *independent* accesses (mask 0, local
     // predicates only) — identical for every neighbor subset of an alias,
     // so they are cached per alias rather than per memo key.
     let mut builds: Vec<Option<BuildSide>> = vec![None; n];
@@ -377,8 +373,7 @@ pub fn plan_with_stats_opts(
             // Forcing: penalize the strategies the knob rules out, but only
             // where the forced strategy is actually applicable — elsewhere
             // the natural fallback (NL) stays penalty-free.
-            let hash_applicable = o.hash.is_some() || o.rank.is_some();
-            let penalize_non_hash = opts.join == JoinStrategy::Hash && hash_applicable;
+            let penalize_non_hash = opts.join == JoinStrategy::Hash && o.hash.is_some();
             let penalize_non_leap = opts.join == JoinStrategy::Leapfrog && o.has_var;
             let penalty = |on: bool| if on { FORCE_PENALTY } else { 0.0 };
             // A plan always processes at least one outer row; flooring keeps
@@ -430,17 +425,6 @@ pub fn plan_with_stats_opts(
                 };
                 consider(&mut best, next_mask, hash, &mut stats);
             }
-            // Option D: rank-id hash join — interned-id build/probe.
-            if let Some(r) = &o.rank {
-                let rank = Node {
-                    cost: cur.cost + r.build_cost + cur.card * r.probe_cost + penalty(penalize_non_leap),
-                    card: (cur.card * r.per_probe).max(1.0),
-                    prev: mask,
-                    alias: a,
-                    choice: Choice::HashRank,
-                };
-                consider(&mut best, next_mask, rank, &mut stats);
-            }
         }
     }
 
@@ -465,10 +449,6 @@ pub fn plan_with_stats_opts(
                 Choice::Nl => Step::Nl(o.access.clone()),
                 Choice::Leapfrog => Step::Leapfrog(o.access.clone()),
                 Choice::Hash => o.hash.as_ref().expect("hash option chosen").step.clone(),
-                Choice::HashRank => {
-                    let r = o.rank.as_ref().expect("rank option chosen");
-                    Step::HashRank { access: r.access.clone(), probe: r.probe }
-                }
             }
         })
         .collect();
@@ -514,12 +494,11 @@ struct Node {
 enum Choice {
     Nl,
     Hash,
-    HashRank,
     Leapfrog,
 }
 
 /// Memoized planning work for one `(alias, bound-neighbor set)` pair: the
-/// best NL access path plus the constructible hash-family alternatives.
+/// best NL access path plus the constructible hash alternative.
 struct StepOptions {
     /// Cheapest access path (shared by the NL and leapfrog options).
     access: Access,
@@ -531,8 +510,6 @@ struct StepOptions {
     has_var: bool,
     /// Generic string-keyed hash join, if a value-equality edge exists.
     hash: Option<HashOpt>,
-    /// Rank-id hash join, if a bare `Value = Value` edge exists.
-    rank: Option<RankOpt>,
 }
 
 /// Generic hash-join alternative (string-keyed, [`Step::Hash`]).
@@ -542,20 +519,10 @@ struct HashOpt {
     per_probe: f64,
 }
 
-/// Rank-id hash-join alternative ([`Step::HashRank`]): build/probe on
-/// interned value ids, no key materialization.
-struct RankOpt {
-    access: Access,
-    probe: ColRef,
-    build_cost: f64,
-    per_probe: f64,
-    probe_cost: f64,
-}
-
 /// Cached independent build-side access: `(access, est rows, est cost)`.
 type BuildSide = (Access, f64, f64);
 
-/// Fetch (computing at most once per alias) the hash-family build side:
+/// Fetch (computing at most once per alias) the hash build side:
 /// the best access for `alias` with *no* bound partners, local predicates
 /// only.
 fn build_side<'c>(
@@ -591,18 +558,15 @@ fn compute_step_options(
     let (access, per_probe, probe_cost) =
         best_access(db, cq, alias, locals, joins, mask, row_cost, stats);
     let has_var = access_has_var(&access);
-    // Under NL forcing the hash family is not merely penalized — it is not
+    // Under NL forcing the hash join is not merely penalized — it is not
     // even enumerated, so forced-NL planning stays the cheap baseline.
-    let (hash, rank) = if join == JoinStrategy::Nl {
-        (None, None)
+    let hash = if join == JoinStrategy::Nl {
+        None
     } else {
-        (
-            hash_option(db, cq, alias, locals, joins, mask, row_cost, builds, stats)
-                .map(|(step, build_cost, per_probe)| HashOpt { step, build_cost, per_probe }),
-            rank_option(db, cq, alias, locals, joins, mask, row_cost, builds, stats),
-        )
+        hash_option(db, cq, alias, locals, joins, mask, row_cost, builds, stats)
+            .map(|(step, build_cost, per_probe)| HashOpt { step, build_cost, per_probe })
     };
-    StepOptions { access, per_probe, probe_cost, has_var, hash, rank }
+    StepOptions { access, per_probe, probe_cost, has_var, hash }
 }
 
 /// Does this access probe with values of already-bound aliases (as opposed
@@ -803,78 +767,6 @@ fn hash_option(
         build_cost + build_rows * row_cost,
         per_probe,
     ))
-}
-
-/// Rank-id hash-join option for `alias`: a specialization of the generic
-/// hash join for a single bare `Value = Value` equality edge. Both sides
-/// carry interned value ids, and the interner assigns ids such that equal
-/// ids ⇔ equal values — so the build side is a flat `head`/`next` chain
-/// table indexed by id and a probe is one O(1) integer load, with no
-/// hashing and no key materialization. The probed atom is enforced
-/// *exactly* by the id lookup and therefore dropped from the residual.
-#[allow(clippy::too_many_arguments)]
-fn rank_option(
-    db: &Database,
-    cq: &ConjunctiveQuery,
-    alias: usize,
-    locals: &[CqAtom],
-    joins: &[CqAtom],
-    mask: u32,
-    row_cost: f64,
-    builds: &mut [Option<BuildSide>],
-    stats: &mut PlanStats,
-) -> Option<RankOpt> {
-    let mut probe: Option<ColRef> = None;
-    let mut residual: Vec<CqAtom> = Vec::new();
-    for p in joins {
-        let al = p.aliases();
-        if !al.contains(&alias) || !al.iter().all(|&x| x == alias || mask & (1 << x) != 0) {
-            continue;
-        }
-        if probe.is_none() && p.op == CmpOp::Eq {
-            // Orient: both sides bare Value columns, one ours, one bound.
-            let pair = match (&p.lhs, &p.rhs) {
-                (CqScalar::Col(m), CqScalar::Col(o)) if m.alias == alias && o.alias != alias => {
-                    Some((m, o))
-                }
-                (CqScalar::Col(o), CqScalar::Col(m)) if m.alias == alias && o.alias != alias => {
-                    Some((m, o))
-                }
-                _ => None,
-            };
-            if let Some((m, o)) = pair {
-                if m.col == DocCol::Value && o.col == DocCol::Value {
-                    probe = Some(*o);
-                    continue;
-                }
-            }
-        }
-        residual.push(p.clone());
-    }
-    let probe = probe?;
-    stats.hash_options_considered += 1;
-    // Build side: best *independent* access (local predicates only).
-    let (mut access, build_rows, build_cost) =
-        build_side(builds, db, cq, alias, locals, row_cost, stats).clone();
-    access.residual.extend(residual);
-    // Matches per probe ≈ build_rows / ndv, using the per-(name, kind)
-    // distinct-value count when the alias pins both — this is what lets
-    // the DP see that probing e.g. an `@id` build side yields ~1 match
-    // while the global value NDV would wash that out.
-    let (name, kind) = alias_name(cq, alias);
-    let ndv = match (name, kind) {
-        (Some(nm), Some(k)) => db.stats.name_value_distinct(&nm, k),
-        _ => db.stats.value_distinct,
-    }
-    .max(1) as f64;
-    let per_probe = (build_rows / ndv).max(1e-6);
-    Some(RankOpt {
-        access,
-        probe,
-        build_cost: build_cost + build_rows * row_cost,
-        per_probe,
-        probe_cost: row_cost + per_probe * row_cost,
-    })
 }
 
 /// Can this atom drive an index probe for `alias` given `mask`?
@@ -1285,16 +1177,13 @@ fn mark_early_out(cq: &ConjunctiveQuery, plan: &mut PhysPlan) {
                     Probe::BoundPlusBound(x, y) => x.alias == alias || y.alias == alias,
                     Probe::Const(_) => false,
                 }),
-                Step::HashRank { probe, .. } => probe.alias == alias,
             };
             in_residual || in_probe
         });
         if !needed[alias] && !used_later {
             match &mut plan.steps[i] {
                 Step::Nl(a) | Step::Leapfrog(a) => a.early_out = true,
-                Step::Hash { access, .. } | Step::HashRank { access, .. } => {
-                    access.early_out = true
-                }
+                Step::Hash { access, .. } => access.early_out = true,
             }
         }
     }
@@ -1507,8 +1396,8 @@ mod tests {
         let hashed =
             plan_opts(&db, &cq, &PlanOptions { join: JoinStrategy::Hash, vectorized: true });
         assert!(
-            hashed.steps.iter().any(|s| matches!(s, Step::Hash { .. } | Step::HashRank { .. })),
-            "hash forcing must produce a hash-family step"
+            hashed.steps.iter().any(|s| matches!(s, Step::Hash { .. })),
+            "hash forcing must produce a hash step"
         );
         let leap =
             plan_opts(&db, &cq, &PlanOptions { join: JoinStrategy::Leapfrog, vectorized: true });
@@ -1518,7 +1407,7 @@ mod tests {
         );
     }
 
-    /// The Q2-style value-join core must cost-choose a hash-family or
+    /// The Q2-style value-join core must cost-choose a hash or
     /// leapfrog strategy under auto (the point of the promotion of
     /// batch-aware costing into the DP).
     #[test]

@@ -130,18 +130,6 @@ pub enum Step {
         /// Probe key: computed from bound aliases.
         probe_key: Vec<Probe>,
     },
-    /// Rank-id hash join for value-equality edges: the build side is keyed
-    /// on the *interned value id* of the step's alias (dense
-    /// struct-of-arrays chains, see `RankTable`), and each probe is an
-    /// O(1) integer lookup through the bound alias's `value` column — no
-    /// string materialization on either side.
-    HashRank {
-        /// Build-side access (independent of outer bindings).
-        access: Access,
-        /// Probe: the bound alias whose untyped value keys the lookup
-        /// (always a `value` column).
-        probe: ColRef,
-    },
     /// Leapfrog-style intersection join: an NL access whose leading
     /// variable probe targets a value-ordered index. Scalar execution is
     /// identical to [`Step::Nl`]; the vectorized path sorts each probe
@@ -156,7 +144,7 @@ impl Step {
     pub fn access(&self) -> &Access {
         match self {
             Step::Nl(a) | Step::Leapfrog(a) => a,
-            Step::Hash { access, .. } | Step::HashRank { access, .. } => access,
+            Step::Hash { access, .. } => access,
         }
     }
 
@@ -165,7 +153,6 @@ impl Step {
         match self {
             Step::Nl(_) => "nl",
             Step::Hash { .. } => "hash",
-            Step::HashRank { .. } => "hash-rank",
             Step::Leapfrog(_) => "leapfrog",
         }
     }
@@ -312,12 +299,11 @@ pub struct ExecStats {
     /// Probes served without a root descent: leaf-chain hops of sorted
     /// batched cursors plus outer tuples sharing one constant-probe scan.
     pub btree_skips: u64,
-    /// Rows loaded into join build sides ([`Step::Hash`] string-keyed
-    /// tables and [`Step::HashRank`] rank tables). Charged once at build
+    /// Rows loaded into [`Step::Hash`] build tables. Charged once at build
     /// time on the scheduling thread, so it is mode-*independent*.
     pub join_build_rows: u64,
-    /// Batches pushed through a rank-hash or leapfrog probe (0 on the
-    /// scalar path — mode-dependent, like `vector_*`).
+    /// Batches pushed through a leapfrog probe (0 on the scalar path —
+    /// mode-dependent, like `vector_*`).
     pub join_probe_batches: u64,
     /// Galloping seeks performed by leapfrog intersection cursors
     /// (mode-dependent; each seek replaces a root descent the batch
@@ -377,13 +363,6 @@ pub const DEFAULT_MORSEL_SIZE: usize = 16;
 /// batch's live columns stay cache-resident.
 pub const DEFAULT_BATCH_SIZE: usize = 1024;
 
-/// The `JGI_SCALAR=1` escape hatch: flip [`ExecOptions::default`] back to
-/// the tuple-at-a-time executor (results are identical in either mode —
-/// this is a triage/baseline knob, read once per options construction).
-pub fn scalar_forced() -> bool {
-    std::env::var("JGI_SCALAR").map(|v| v == "1").unwrap_or(false)
-}
-
 /// Validate a user-supplied morsel size (the `--morsel-size` flags): a
 /// power of two no smaller than 16, so the vectorized partition-unit
 /// arithmetic and the frontier-expansion target stay well-behaved.
@@ -411,9 +390,7 @@ pub struct ExecOptions {
     /// Frontier tuples per morsel.
     pub morsel_size: usize,
     /// Run the probe-pipeline suffix on column batches with selection
-    /// vectors (DESIGN.md §8). On by default; the `JGI_SCALAR=1`
-    /// environment escape hatch flips the *default* off — options built
-    /// explicitly are respected either way. Results, and every
+    /// vectors (DESIGN.md §8). On by default. Results, and every
     /// mode-independent [`ExecStats`] counter, are bit-identical in both
     /// modes at every parallelism degree.
     pub vectorized: bool,
@@ -426,7 +403,7 @@ impl Default for ExecOptions {
         ExecOptions {
             parallelism: 1,
             morsel_size: DEFAULT_MORSEL_SIZE,
-            vectorized: !scalar_forced(),
+            vectorized: true,
             batch_size: DEFAULT_BATCH_SIZE,
         }
     }
@@ -611,65 +588,29 @@ pub fn execute_rows_opts(
     (out, stats)
 }
 
-/// Dense rank-keyed build side of a [`Step::HashRank`] join.
-///
-/// Struct-of-arrays chained layout over *interned value ids*: `head[id]`
-/// is the first entry for value `id` (or [`NO_ENTRY`]), `next[e]` chains
-/// to the following entry, and `pres[e]` is the build row. Chains are in
-/// build-scan order, so probe-side candidate enumeration matches the
-/// order a `HashMap<Vec<Value>, Vec<u32>>` bucket would produce — the
-/// early-out comparison counts stay identical across strategies.
-#[derive(Debug)]
-pub(crate) struct RankTable {
-    head: Vec<u32>,
-    next: Vec<u32>,
-    pres: Vec<u32>,
-}
+/// Pre-built join build sides, one slot per pipeline step: a string-keyed
+/// table for each [`Step::Hash`]. Built once on the scheduling thread and
+/// shared read-only with every worker.
+pub(crate) type JoinTables = Vec<Option<HashMap<Vec<Value>, Vec<u32>>>>;
 
-/// Chain terminator / empty-bucket marker of [`RankTable`].
-const NO_ENTRY: u32 = u32::MAX;
-
-impl RankTable {
-    /// First entry for the interned value id of `pre`'s value column, or
-    /// [`NO_ENTRY`] for NULL values (`jgi_xml::NO_VALUE` is `u32::MAX`,
-    /// out of range by construction) and never-seen ids.
-    #[inline]
-    fn first(&self, value_id: u32) -> u32 {
-        self.head.get(value_id as usize).copied().unwrap_or(NO_ENTRY)
-    }
-}
-
-/// Pre-built join build sides, one slot per pipeline step: string-keyed
-/// tables for [`Step::Hash`], rank tables for [`Step::HashRank`]. Built
-/// once on the scheduling thread and shared read-only with every worker.
-pub(crate) struct JoinTables {
-    hash: Vec<Option<HashMap<Vec<Value>, Vec<u32>>>>,
-    rank: Vec<Option<RankTable>>,
-}
-
-/// Pre-build the join tables for every hash-family step in the plan.
+/// Pre-build the join tables for every hash step in the plan.
 fn build_join_tables(db: &Database, plan: &PhysPlan, stats: &mut ExecStats) -> JoinTables {
-    let mut tables = JoinTables {
-        hash: (0..plan.steps.len()).map(|_| None).collect(),
-        rank: (0..plan.steps.len()).map(|_| None).collect(),
-    };
+    let mut tables: JoinTables = (0..plan.steps.len()).map(|_| None).collect();
     let empty = vec![u32::MAX; plan.n_aliases];
     for (i, step) in plan.steps.iter().enumerate() {
-        // Local-only atoms can run on the build side; the full residual
-        // set (join atoms included) is re-checked at probe time.
-        let local_fast = |access: &Access| -> Vec<FastAtom> {
-            access
-                .residual
-                .iter()
-                .filter(|p| p.aliases().iter().all(|&x| x == access.alias))
-                .map(|p| crate::fastpred::compile_atom(db, p))
-                .collect()
-        };
         match step {
             Step::Hash { access, build_key, .. } => {
                 let mut table: HashMap<Vec<Value>, Vec<u32>> = HashMap::new();
                 let mut scratch = AccessScratch::default();
-                let fast = local_fast(access);
+                // Local-only atoms can run on the build side; the full
+                // residual set (join atoms included) is re-checked at
+                // probe time.
+                let fast: Vec<FastAtom> = access
+                    .residual
+                    .iter()
+                    .filter(|p| p.aliases().iter().all(|&x| x == access.alias))
+                    .map(|p| crate::fastpred::compile_atom(db, p))
+                    .collect();
                 let mut built = 0u64;
                 let counts = scan_access(db, access, &fast, &empty, &mut scratch, &mut |pre| {
                     let key: Option<Vec<Value>> = build_key
@@ -695,41 +636,7 @@ fn build_join_tables(db: &Database, plan: &PhysPlan, stats: &mut ExecStats) -> J
                 op.index_probes += counts.index_probes;
                 op.comparisons += counts.comparisons;
                 stats.join_build_rows += built;
-                tables.hash[i] = Some(table);
-            }
-            Step::HashRank { access, .. } => {
-                let n_ids = db.symbols.value_rank.len();
-                let mut table = RankTable {
-                    head: vec![NO_ENTRY; n_ids],
-                    next: Vec::new(),
-                    pres: Vec::new(),
-                };
-                // Tail pointers keep chains in forward scan order without
-                // a second pass.
-                let mut tails = vec![NO_ENTRY; n_ids];
-                let mut scratch = AccessScratch::default();
-                let fast = local_fast(access);
-                let counts = scan_access(db, access, &fast, &empty, &mut scratch, &mut |pre| {
-                    let id = db.store.value[pre as usize];
-                    if (id as usize) < n_ids {
-                        let e = table.pres.len() as u32;
-                        table.pres.push(pre);
-                        table.next.push(NO_ENTRY);
-                        if tails[id as usize] == NO_ENTRY {
-                            table.head[id as usize] = e;
-                        } else {
-                            table.next[tails[id as usize] as usize] = e;
-                        }
-                        tails[id as usize] = e;
-                    }
-                    true
-                });
-                let op = &mut stats.per_op[i + 1];
-                op.rows_in += counts.rows_in;
-                op.index_probes += counts.index_probes;
-                op.comparisons += counts.comparisons;
-                stats.join_build_rows += table.pres.len() as u64;
-                tables.rank[i] = Some(table);
+                tables[i] = Some(table);
             }
             Step::Nl(_) | Step::Leapfrog(_) => {}
         }
@@ -797,7 +704,7 @@ fn walk(
             stats.per_op[depth + 1].absorb(counts);
         }
         Step::Hash { access, probe_key, .. } => {
-            let table = tables.hash[depth].as_ref().expect("hash table built");
+            let table = tables[depth].as_ref().expect("hash table built");
             stats.per_op[depth + 1].invocations += 1;
             mine.key.clear();
             for p in probe_key {
@@ -828,35 +735,6 @@ fn walk(
                     }
                     bindings[access.alias] = u32::MAX;
                 }
-            }
-            let op = &mut stats.per_op[depth + 1];
-            op.comparisons += comparisons;
-            op.rows_out += emitted;
-        }
-        Step::HashRank { access, probe } => {
-            let table = tables.rank[depth].as_ref().expect("rank table built");
-            stats.per_op[depth + 1].invocations += 1;
-            let mut comparisons = 0u64;
-            let mut emitted = 0u64;
-            let mut e = table.first(db.store.value[bindings[probe.alias] as usize]);
-            while e != NO_ENTRY {
-                let pre = table.pres[e as usize];
-                bindings[access.alias] = pre;
-                let ok = step_fast[depth].iter().all(|a| {
-                    comparisons += 1;
-                    a.eval(db, bindings)
-                });
-                if ok {
-                    stats.rows_scanned[depth + 1] += 1;
-                    emitted += 1;
-                    walk(db, plan, tables, step_fast, depth + 1, bindings, deeper, rows, stats);
-                    if access.early_out {
-                        bindings[access.alias] = u32::MAX;
-                        break;
-                    }
-                }
-                bindings[access.alias] = u32::MAX;
-                e = table.next[e as usize];
             }
             let op = &mut stats.per_op[depth + 1];
             op.comparisons += comparisons;
@@ -970,7 +848,7 @@ fn expand_level(
                 stats.per_op[depth + 1].absorb(counts);
             }
             Step::Hash { access, probe_key, .. } => {
-                let table = tables.hash[depth].as_ref().expect("hash table built");
+                let table = tables[depth].as_ref().expect("hash table built");
                 stats.per_op[depth + 1].invocations += 1;
                 scratch.key.clear();
                 let mut null_key = false;
@@ -1004,35 +882,6 @@ fn expand_level(
                                 break;
                             }
                         }
-                    }
-                }
-                let op = &mut stats.per_op[depth + 1];
-                op.comparisons += comparisons;
-                op.rows_out += emitted;
-            }
-            Step::HashRank { access, probe } => {
-                let table = tables.rank[depth].as_ref().expect("rank table built");
-                stats.per_op[depth + 1].invocations += 1;
-                let mut comparisons = 0u64;
-                let mut emitted = 0u64;
-                let mut e = table.first(db.store.value[bindings[probe.alias] as usize]);
-                if e != NO_ENTRY {
-                    let mut probe_b = bindings.clone();
-                    while e != NO_ENTRY {
-                        probe_b[access.alias] = table.pres[e as usize];
-                        let ok = step_fast[depth].iter().all(|a| {
-                            comparisons += 1;
-                            a.eval(db, &probe_b)
-                        });
-                        if ok {
-                            stats.rows_scanned[depth + 1] += 1;
-                            emitted += 1;
-                            next.push(probe_b.clone());
-                            if access.early_out {
-                                break;
-                            }
-                        }
-                        e = table.next[e as usize];
                     }
                 }
                 let op = &mut stats.per_op[depth + 1];
@@ -1956,7 +1805,7 @@ fn vec_step(
             flush_batch(cx, fast, op_idx, false, next, sel_buf, fallback, deeper, rows, stats);
         }
         Step::Hash { access, probe_key, .. } if !access.early_out => {
-            let table = cx.tables.hash[depth].as_ref().expect("hash table built");
+            let table = cx.tables[depth].as_ref().expect("hash table built");
             for &i in sel {
                 stats.per_op[op_idx].invocations += 1;
                 key.clear();
@@ -1990,7 +1839,7 @@ fn vec_step(
         Step::Hash { access, probe_key, .. } => {
             // Early-out hash semijoin: the scalar path stops at the first
             // match that passes the residuals — replicate it per tuple.
-            let table = cx.tables.hash[depth].as_ref().expect("hash table built");
+            let table = cx.tables[depth].as_ref().expect("hash table built");
             let mut comparisons = 0u64;
             let mut emitted = 0u64;
             for &i in sel {
@@ -2033,74 +1882,6 @@ fn vec_step(
                         }
                         break;
                     }
-                }
-            }
-            let op = &mut stats.per_op[op_idx];
-            op.comparisons += comparisons;
-            op.rows_out += emitted;
-            flush_batch(cx, fast, op_idx, false, next, sel_buf, fallback, deeper, rows, stats);
-        }
-        Step::HashRank { access, probe } if !access.early_out => {
-            // Rank-hash probe kernel: one integer chase through the dense
-            // rank table per selected tuple, residuals deferred to the
-            // flush kernels — the vectorized mirror of the scalar
-            // `HashRank` walk arm.
-            let table = cx.tables.rank[depth].as_ref().expect("rank table built");
-            stats.join_probe_batches += 1;
-            for &i in sel {
-                stats.per_op[op_idx].invocations += 1;
-                let mut e = table.first(db.store.value[batch.cols[probe.alias][i as usize] as usize]);
-                while e != NO_ENTRY {
-                    next.push_extended(batch, i as usize, outer, access.alias, table.pres[e as usize]);
-                    if next.rows >= cx.batch_size {
-                        flush_batch(
-                            cx, fast, op_idx, true, next, sel_buf, fallback, deeper, rows, stats,
-                        );
-                    }
-                    e = table.next[e as usize];
-                }
-            }
-            flush_batch(cx, fast, op_idx, true, next, sel_buf, fallback, deeper, rows, stats);
-        }
-        Step::HashRank { access, probe } => {
-            // Early-out rank-hash semijoin: stop at the first chain entry
-            // passing the residuals, per tuple — same candidate order and
-            // comparison counts as the scalar arm.
-            let table = cx.tables.rank[depth].as_ref().expect("rank table built");
-            stats.join_probe_batches += 1;
-            let mut comparisons = 0u64;
-            let mut emitted = 0u64;
-            for &i in sel {
-                stats.per_op[op_idx].invocations += 1;
-                let mut e = table.first(db.store.value[batch.cols[probe.alias][i as usize] as usize]);
-                if e == NO_ENTRY {
-                    continue;
-                }
-                bindings.clear();
-                bindings.resize(cx.plan.n_aliases, u32::MAX);
-                for &a in outer {
-                    bindings[a] = batch.cols[a][i as usize];
-                }
-                while e != NO_ENTRY {
-                    let pre = table.pres[e as usize];
-                    bindings[access.alias] = pre;
-                    let ok = fast.iter().all(|a| {
-                        comparisons += 1;
-                        a.eval(db, bindings)
-                    });
-                    if ok {
-                        stats.rows_scanned[op_idx] += 1;
-                        emitted += 1;
-                        next.push_extended(batch, i as usize, outer, access.alias, pre);
-                        if next.rows >= cx.batch_size {
-                            flush_batch(
-                                cx, fast, op_idx, false, next, sel_buf, fallback, deeper, rows,
-                                stats,
-                            );
-                        }
-                        break;
-                    }
-                    e = table.next[e as usize];
                 }
             }
             let op = &mut stats.per_op[op_idx];

@@ -87,10 +87,6 @@ pub struct NameStats {
     pub avg_size: f64,
     /// Average level.
     pub avg_level: f64,
-    /// Distinct untyped values among those nodes (the per-name
-    /// "distinct-rank count" the join cost model divides by; 0 when none
-    /// of the nodes carries a value).
-    pub distinct_values: u64,
 }
 
 /// Statistics for one loaded `doc` relation.
@@ -123,8 +119,6 @@ impl DocStats {
         let total = store.len() as u64;
         let mut kind_counts: HashMap<NodeKind, u64> = HashMap::new();
         let mut name_agg: HashMap<(u32, NodeKind), (u64, f64, f64)> = HashMap::new();
-        // Per-(name, kind) value-id sets, deduplicated after the pass.
-        let mut name_vals: HashMap<(u32, NodeKind), Vec<u32>> = HashMap::new();
         let mut size_sum = 0f64;
         let mut max_level = 0u16;
         let mut values: Vec<Value> = Vec::new();
@@ -144,12 +138,6 @@ impl DocStats {
             }
             if store.value[pre] != NO_VALUE {
                 values.push(Value::Str(store.values.resolve(store.value[pre]).to_string()));
-                if store.name[pre] != NO_NAME {
-                    name_vals
-                        .entry((store.name[pre], kind))
-                        .or_default()
-                        .push(store.value[pre]);
-                }
             }
             if !store.data[pre].is_nan() {
                 datas.push(Value::Dec(store.data[pre]));
@@ -158,22 +146,9 @@ impl DocStats {
         let name_stats = name_agg
             .into_iter()
             .map(|((nid, kind), (count, ssum, lsum))| {
-                let distinct_values = name_vals
-                    .get_mut(&(nid, kind))
-                    .map(|ids| {
-                        ids.sort_unstable();
-                        ids.dedup();
-                        ids.len() as u64
-                    })
-                    .unwrap_or(0);
                 (
                     (store.names.resolve(nid).to_string(), kind),
-                    NameStats {
-                        count,
-                        avg_size: ssum / count as f64,
-                        avg_level: lsum / count as f64,
-                        distinct_values,
-                    },
+                    NameStats { count, avg_size: ssum / count as f64, avg_level: lsum / count as f64 },
                 )
             })
             .collect();
@@ -206,17 +181,6 @@ impl DocStats {
     /// Number of rows with the given name and kind (exact).
     pub fn name_count(&self, name: &str, kind: NodeKind) -> u64 {
         self.name_stats.get(&(name.to_string(), kind)).map(|s| s.count).unwrap_or(0)
-    }
-
-    /// Distinct untyped values among nodes with this name/kind (falls back
-    /// to the global distinct count when the name carries no values — a
-    /// conservative choice that keeps join-match estimates finite).
-    pub fn name_value_distinct(&self, name: &str, kind: NodeKind) -> u64 {
-        self.name_stats
-            .get(&(name.to_string(), kind))
-            .map(|s| s.distinct_values)
-            .filter(|&d| d > 0)
-            .unwrap_or(self.value_distinct)
     }
 
     /// Average subtree size of nodes with this name/kind (falls back to the
@@ -321,25 +285,6 @@ mod tests {
             .count() as u64;
         assert_eq!(s.name_count("price", NodeKind::Elem), manual);
         assert_eq!(s.name_count("nonexistent", NodeKind::Elem), 0);
-    }
-
-    #[test]
-    fn per_name_distinct_values_are_exact() {
-        let t = generate_xmark(XmarkConfig { scale: 0.005, seed: 3 });
-        let mut store = DocStore::new();
-        store.add_tree(&t);
-        let s = DocStats::collect(&store);
-        let id = store.names.get("id").unwrap();
-        let mut vals: Vec<u32> = (0..store.len())
-            .filter(|&p| store.name[p] == id && store.kind[p] == NodeKind::Attr)
-            .map(|p| store.value[p])
-            .filter(|&v| v != jgi_xml::encode::NO_VALUE)
-            .collect();
-        vals.sort_unstable();
-        vals.dedup();
-        assert_eq!(s.name_value_distinct("id", NodeKind::Attr), vals.len() as u64);
-        // Unknown names fall back to the global distinct count.
-        assert_eq!(s.name_value_distinct("nonexistent", NodeKind::Elem), s.value_distinct);
     }
 
     #[test]

@@ -42,11 +42,9 @@ options:
   --morsel-size N       tuples per parallel morsel; must be a power of two
                         and at least 16 (default: engine default)
   --scalar              disable the vectorized batch pipeline (row-at-a-time
-                        execution; JGI_SCALAR=1 in the environment does the
-                        same)
+                        execution)
   --join STRATEGY       physical join strategy for the join-graph planner:
-                        nl, hash, leapfrog, or auto (cost-based; default).
-                        JGI_JOIN in the environment does the same
+                        nl, hash, leapfrog, or auto (cost-based; default)
   --preload SPEC        load a synthetic document before serving; SPEC is
                         xmark:SCALE:SEED or dblp:PUBS:SEED (repeatable)
   -h, --help            print this help and exit

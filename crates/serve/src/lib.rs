@@ -29,12 +29,10 @@
 //!   `EXEC` / `EXPLAIN` / `INSERT` / `DELETE` / `REPLACE` / `STATS` /
 //!   `METRICS` / `TRACE`, one JSON reply
 //!   per line except the `METRICS` Prometheus block — the wire format is
-//!   specified in PROTOCOL.md at the repository root);
-//! * [`load`] — the closed-loop `loadgen` harness replaying the Q1–Q8
-//!   corpus, emitting a `BENCH_serve.json` row from the service's
-//!   `jgi-obs` histograms plus a `BENCH_obs.json` row attributing the
-//!   p99 tail to queue / prepare / execute / serialize and measuring the
-//!   always-on telemetry overhead.
+//!   specified in PROTOCOL.md at the repository root).
+//!
+//! The service is measured from outside by the repository benchmark
+//! (`benchmark/`, workloads `serve_read` and `serve_write_mix`).
 //!
 //! Service telemetry (this is DESIGN.md §9): each [`Server`] owns a
 //! lock-striped always-on [`jgi_obs::Registry`] — request, shed, and
@@ -43,21 +41,16 @@
 //! retains the slowest and every anomalous request (full report, plan
 //! fingerprint, EXPLAIN ANALYZE) for live `TRACE` dumps.
 //!
-//! Binaries: `jgi-served` (stdin or TCP transport) and `loadgen`.
+//! Binary: `jgi-served` (stdin or TCP transport).
 
 pub mod cache;
 pub mod error;
-pub mod load;
 pub mod protocol;
 pub mod server;
 pub mod snapshot;
 
 pub use cache::{CacheKey, CacheStats, PlanCache};
 pub use error::ServeError;
-pub use load::{
-    run_load, run_mutate_bench, run_obs_bench, LoadConfig, LoadSummary, MutateBenchSummary,
-    MutateLeg, ObsBenchSummary,
-};
 pub use protocol::{handle_command, parse_command, Command, Reply};
 pub use server::{ExecReply, ServeConfig, Server};
 pub use snapshot::{CommitOutcome, DocEntry, DocSnap, Master, Snapshot};

@@ -394,8 +394,8 @@ fn run_command(server: &Server, cmd: &Command) -> Result<Reply, ServeError> {
         Command::Explain { context_doc, query } => {
             let (plan, cached) = server.prepare(query, context_doc.as_deref())?;
             let snapshot = server.snapshot();
-            let cq = plan.cq.as_ref().ok_or_else(|| {
-                protocol_err("plan is outside the extractable join-graph fragment")
+            let cq = plan.plannable_cq().ok_or_else(|| {
+                protocol_err("plan is outside the plannable join-graph fragment")
             })?;
             // Explain against the same segment the plan would execute on.
             let (segment, _) = snapshot.resolve(&plan.docs);
@@ -748,6 +748,23 @@ mod tests {
             let reply = run(&line);
             assert!(reply.contains("\"code\":\"mutate_fragment\""), "{}", &reply[..reply.len().min(200)]);
         }
+        assert!(run("STATS").contains("\"ok\":true"));
+    }
+
+    #[test]
+    fn deep_xquery_is_an_error_reply_not_a_stack_overflow() {
+        let server = crate::Server::new(crate::ServeConfig {
+            workers: 1,
+            ..crate::ServeConfig::default()
+        });
+        let run = |line: &str| {
+            handle_command(&server, &parse_command(line).unwrap().unwrap()).render()
+        };
+        // 100 000 levels: the XQuery parser's recursion would overflow
+        // this thread's stack (and abort the process) without a limit.
+        let deep = format!("{}1{}", "(".repeat(100_000), ")".repeat(100_000));
+        let exec = run(&format!("EXEC {deep}"));
+        assert!(exec.contains("\"code\":\"frontend\""), "{}", &exec[..exec.len().min(200)]);
         assert!(run("STATS").contains("\"ok\":true"));
     }
 }

@@ -450,7 +450,7 @@ impl Server {
     }
 
     /// A flattened copy of the service metrics (lifetime histograms) —
-    /// the pre-registry shape, kept for `STATS` and the load harness.
+    /// the pre-registry shape, kept for `STATS` and the repo benchmark.
     pub fn metrics(&self) -> Metrics {
         self.state.registry.snapshot().to_metrics()
     }
@@ -494,7 +494,7 @@ impl Server {
                     // (db, cq), so the recorded actuals line up
                     // operator-for-operator without re-executing.
                     if let (Some(cq), Some(planning), Some(exec)) =
-                        (&p.prepared.cq, &p.report.optimizer, &p.report.exec)
+                        (p.prepared.plannable_cq(), &p.report.optimizer, &p.report.exec)
                     {
                         let explain = p.db.upgrade().map_or(Json::Null, |db| {
                             let plan = jgi_engine::optimizer::plan(&db, cq);
@@ -881,6 +881,31 @@ mod tests {
             .execute(r#"doc("auction.xml")/descendant::bidder"#, None, Engine::Stacked, None)
             .unwrap();
         assert!(ok.nodes.is_some());
+    }
+
+    /// A join graph wider than the planner's alias bound runs on the
+    /// isolated-plan interpreter instead of panicking a worker: more such
+    /// requests than the pool has workers all answer, agree with the
+    /// navigational evaluator, and the pool serves on.
+    #[test]
+    fn oversized_join_graphs_do_not_kill_workers() {
+        let s = server();
+        // doc + open_auction + 19 nested bidder steps: 21 aliases.
+        let q = format!(
+            r#"doc("auction.xml")/descendant::open_auction{}{}"#,
+            "[bidder".repeat(19),
+            "]".repeat(19)
+        );
+        let (prepared, _) = s.prepare(&q, None).unwrap();
+        let aliases = prepared.cq.as_ref().map(|cq| cq.aliases);
+        assert!(aliases > Some(jgi_engine::optimizer::MAX_ALIASES), "{aliases:?} aliases");
+        let expected = s.execute(&q, None, Engine::NavWhole, None).unwrap().nodes;
+        for _ in 0..3 {
+            let reply = s.execute(&q, None, Engine::JoinGraph, None).expect("answers");
+            assert_eq!(reply.nodes, expected);
+        }
+        let q1 = r#"doc("auction.xml")/descendant::open_auction[bidder]"#;
+        assert!(s.execute(q1, None, Engine::JoinGraph, None).is_ok());
     }
 
     #[test]

@@ -28,7 +28,7 @@ pub use ast::{Axis, CompOp, Expr, Literal, NodeTest};
 pub use core::{BoolCore, Core};
 pub use error::{ParseError, ParseResult};
 pub use normalize::{normalize, NormalizeError};
-pub use parser::{parse_query, ParserOptions};
+pub use parser::{parse_query, ParserOptions, MAX_DEPTH};
 
 /// Parse and normalize in one step with default options.
 pub fn compile_to_core(input: &str) -> Result<Core, String> {

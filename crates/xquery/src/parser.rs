@@ -9,6 +9,14 @@ use crate::ast::{Axis, CompOp, Expr, Literal, NodeTest};
 use crate::error::{ParseError, ParseResult};
 use crate::lexer::{tokenize, Token, TokenKind};
 
+/// Deepest expression nesting a query may have (the whole query is level 1;
+/// each parenthesis, predicate, function argument, FLWOR clause or branch
+/// opens another). The parser recurses through about nine frames per level
+/// — roughly 10 kB of stack in a debug build — so the bound keeps a query
+/// well inside a 2 MiB thread stack, and deeper input is an error instead
+/// of a stack overflow.
+pub const MAX_DEPTH: usize = 64;
+
 /// Parser configuration.
 #[derive(Debug, Clone, Default)]
 pub struct ParserOptions {
@@ -20,7 +28,7 @@ pub struct ParserOptions {
 /// Parse a complete query.
 pub fn parse_query(input: &str, opts: &ParserOptions) -> ParseResult<Expr> {
     let tokens = tokenize(input)?;
-    let mut p = Parser { tokens, pos: 0, opts };
+    let mut p = Parser { tokens, pos: 0, depth: 0, opts };
     let e = p.parse_expr()?;
     p.expect_eof()?;
     Ok(e)
@@ -29,6 +37,8 @@ pub fn parse_query(input: &str, opts: &ParserOptions) -> ParseResult<Expr> {
 struct Parser<'a> {
     tokens: Vec<Token>,
     pos: usize,
+    /// Levels of [`Parser::parse_expr`] currently open.
+    depth: usize,
     opts: &'a ParserOptions,
 }
 
@@ -95,8 +105,20 @@ impl<'a> Parser<'a> {
         }
     }
 
-    // expr := flwor | if | and-expr
+    /// Every re-entry into the expression grammar passes through here, so
+    /// this is where nesting is counted and bounded.
     fn parse_expr(&mut self) -> ParseResult<Expr> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(format!("expressions nest deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let e = self.parse_expr_unbounded();
+        self.depth -= 1;
+        e
+    }
+
+    // expr := flwor | if | and-expr
+    fn parse_expr_unbounded(&mut self) -> ParseResult<Expr> {
         if (self.at_keyword("for") || self.at_keyword("let"))
             && matches!(self.peek2(), TokenKind::Dollar)
         {
@@ -668,6 +690,26 @@ mod tests {
         assert!(parse_query("$x/unknown:fn()", &ParserOptions::default()).is_err());
         assert!(parse_query("if ($x) then $y", &ParserOptions::default()).is_err());
         assert!(parse_query("$x extra", &ParserOptions::default()).is_err());
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        // `levels` nested expression levels: the query itself plus one per
+        // parenthesis.
+        let nest = |levels: usize| {
+            let n = levels - 1;
+            format!("{}1{}", "(".repeat(n), ")".repeat(n))
+        };
+        assert_eq!(parse(&nest(MAX_DEPTH)), Expr::Literal(Literal::Number(1.0)));
+        let err = parse_query(&nest(MAX_DEPTH + 1), &ParserOptions::default()).unwrap_err();
+        assert!(err.to_string().contains("nest deeper"), "{err}");
+        // Predicates count the same way.
+        let preds = |levels: usize| {
+            let n = levels - 1;
+            format!("$x{}{}", "[a".repeat(n), "]".repeat(n))
+        };
+        assert!(parse_query(&preds(MAX_DEPTH), &ParserOptions::default()).is_ok());
+        assert!(parse_query(&preds(MAX_DEPTH + 1), &ParserOptions::default()).is_err());
     }
 
     #[test]

@@ -1,128 +1,179 @@
-//! A B+tree with composite keys.
+//! A B+tree over integer-coded composite keys.
 //!
 //! This is the *only* index structure in the system, mirroring the paper's
 //! setup ("we exclusively rely on the vanilla B-tree indexes that are
-//! provided by any RDBMS kernel"). Keys are tuples of [`Value`]s compared
-//! lexicographically; duplicates are allowed; leaves are chained for range
-//! scans. Trees can be bulk-loaded from sorted entries (how the catalog
-//! builds them) and support single inserts (exercised by the property
-//! tests against `std::collections::BTreeMap`).
+//! provided by any RDBMS kernel"). A key is a fixed-width tuple of `u64`
+//! *codes* compared lexicographically as integers — the catalog maps every
+//! column value to a code that sorts exactly as the value does (see
+//! [`crate::catalog::Database::value_code`]), the way an RDBMS stores keys in a
+//! form that compares as raw bytes. Duplicates are allowed.
+//!
+//! Trees are bulk-loaded (how the catalog builds them): the entries are
+//! sorted by `(key, value)` with integer compares and cut into leaves of
+//! `ORDER` (64) entries, chained for range scans, under internal levels built
+//! bottom-up. Because nothing is ever inserted, the leaf level *is* the
+//! sorted entry array — leaf `i` holds entries `i * ORDER ..` — stored flat
+//! with stride `key_width`, and the leaf chain is "the next leaf number".
 
-use jgi_algebra::Value;
 use std::cmp::Ordering;
 
-/// Maximum entries per node (fan-out). 64 keeps the tree shallow while
-/// making splits observable in tests.
+/// Maximum entries per node (fan-out). 64 keeps the tree shallow.
 const ORDER: usize = 64;
-
-/// Composite key.
-pub type Key = Vec<Value>;
 
 /// Compare `probe` (a possibly shorter prefix) against a full key: missing
 /// trailing components compare as "matches anything" — i.e. the prefix is
 /// equal to any extension. Used for prefix range scans.
-pub fn cmp_prefix(probe: &[Value], key: &[Value]) -> Ordering {
-    for (p, k) in probe.iter().zip(key.iter()) {
-        match p.cmp(k) {
-            Ordering::Equal => continue,
-            other => return other,
-        }
-    }
-    Ordering::Equal
+fn cmp_prefix(probe: &[u64], key: &[u64]) -> Ordering {
+    probe.cmp(&key[..probe.len()])
 }
 
-/// Full lexicographic comparison (shorter key sorts first on ties).
-fn cmp_key(a: &[Value], b: &[Value]) -> Ordering {
-    for (x, y) in a.iter().zip(b.iter()) {
-        match x.cmp(y) {
-            Ordering::Equal => continue,
-            other => return other,
+/// First row in `lo..hi` of the flat, stride-`w` array `keys` for which
+/// `pred` is false (the rows must be partitioned by `pred`).
+fn partition_rows(
+    keys: &[u64],
+    w: usize,
+    mut lo: usize,
+    mut hi: usize,
+    pred: impl Fn(&[u64]) -> bool,
+) -> usize {
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        if pred(&keys[mid * w..mid * w + w]) {
+            lo = mid + 1;
+        } else {
+            hi = mid;
         }
     }
-    a.len().cmp(&b.len())
+    lo
 }
 
+/// Does an entry with key `k` satisfy the lower bound (`≥ lo`, or `> lo`
+/// when strict)?
+fn above_lo(lo: &[u64], lo_strict: bool, k: &[u64]) -> bool {
+    let c = cmp_prefix(lo, k);
+    c == Ordering::Less || (c == Ordering::Equal && !lo_strict)
+}
+
+/// Sort flat stride-`w` keys and their values by `(key, value)`.
+///
+/// When the bit fields that hold each component's codes, plus the 32-bit
+/// value, fit in a `u128` — true of every Table 6 index, whose codes are
+/// small ranks — each entry packs into one integer and the sort is a plain
+/// `u128` sort; otherwise entries are sorted through a comparator on their
+/// key rows.
+fn sort_entries(w: usize, keys: Vec<u64>, vals: Vec<u32>) -> (Vec<u64>, Vec<u32>) {
+    let row = |i: usize| &keys[i * w..i * w + w];
+    let mut bits = vec![0u32; w];
+    for i in 0..vals.len() {
+        for (b, &c) in bits.iter_mut().zip(row(i)) {
+            *b = (*b).max(u64::BITS - c.leading_zeros());
+        }
+    }
+    if bits.iter().sum::<u32>() + u32::BITS > u128::BITS {
+        let mut order: Vec<u32> = (0..vals.len() as u32).collect();
+        order.sort_unstable_by(|&a, &b| {
+            let (a, b) = (a as usize, b as usize);
+            row(a).cmp(row(b)).then(vals[a].cmp(&vals[b]))
+        });
+        let mut sorted = Vec::with_capacity(keys.len());
+        for &i in &order {
+            sorted.extend_from_slice(row(i as usize));
+        }
+        return (sorted, order.iter().map(|&i| vals[i as usize]).collect());
+    }
+    // (key fields, value), most significant first.
+    let mut packed: Vec<u128> = (0..vals.len())
+        .map(|i| {
+            let key = row(i).iter().zip(&bits).fold(0u128, |acc, (&c, &b)| (acc << b) | c as u128);
+            (key << u32::BITS) | vals[i] as u128
+        })
+        .collect();
+    drop(keys);
+    packed.sort_unstable();
+    let mut sorted = vec![0u64; packed.len() * w];
+    for (k, &p) in sorted.chunks_exact_mut(w.max(1)).zip(&packed) {
+        let mut key = p >> u32::BITS;
+        for (c, &b) in k.iter_mut().zip(&bits).rev() {
+            *c = (key & ((1u128 << b) - 1)) as u64;
+            key >>= b;
+        }
+    }
+    (sorted, packed.iter().map(|&p| p as u32).collect())
+}
+
+/// An internal node.
 #[derive(Debug, Clone)]
-enum Node {
-    Internal {
-        /// Separator keys: `keys[i]` is the smallest key reachable under
-        /// `children[i + 1]`.
-        keys: Vec<Key>,
-        children: Vec<usize>,
-    },
-    Leaf {
-        keys: Vec<Key>,
-        vals: Vec<u32>,
-        next: Option<usize>,
-    },
+struct Internal {
+    /// Separator keys, flat with stride `key_width`: separator `i` is the
+    /// smallest key reachable under `children[i + 1]`.
+    keys: Vec<u64>,
+    /// Child node ids (see [`BTree::internal`]).
+    children: Vec<usize>,
 }
 
-/// The B+tree.
+impl Internal {
+    /// Child position a lower bound `lo` routes to (the first child whose
+    /// subtree can hold an entry not below `lo`); an empty bound routes to
+    /// the leftmost child.
+    fn route(&self, w: usize, lo: &[u64]) -> usize {
+        if lo.is_empty() {
+            return 0;
+        }
+        partition_rows(&self.keys, w, 0, self.children.len() - 1, |k| {
+            cmp_prefix(lo, k) == Ordering::Greater
+        })
+    }
+}
+
+/// The B+tree. Entry values are `u32`s (`pre` ranks in the catalog).
 #[derive(Debug, Clone)]
 pub struct BTree {
-    nodes: Vec<Node>,
-    root: usize,
-    len: usize,
     /// Number of key components.
     pub key_width: usize,
+    /// Every entry's key in `(key, value)` order, flat with stride
+    /// `key_width` — the leaf level.
+    keys: Vec<u64>,
+    /// Every entry's value, parallel to `keys`.
+    vals: Vec<u32>,
+    /// Node ids `0..n_leaves` are leaves; id `n_leaves + i` is
+    /// `internal[i]`.
+    n_leaves: usize,
+    internal: Vec<Internal>,
+    root: usize,
 }
 
 impl BTree {
     /// Empty tree for keys of the given width.
     pub fn new(key_width: usize) -> Self {
-        BTree {
-            nodes: vec![Node::Leaf { keys: Vec::new(), vals: Vec::new(), next: None }],
-            root: 0,
-            len: 0,
-            key_width,
-        }
+        BTree::bulk_load(key_width, Vec::new(), Vec::new())
     }
 
-    /// Bulk-load from entries; sorts them and builds the leaf level plus
-    /// internal levels bottom-up (the classic index build).
-    pub fn bulk_load(key_width: usize, mut entries: Vec<(Key, u32)>) -> Self {
-        entries.sort_by(|a, b| cmp_key(&a.0, &b.0).then(a.1.cmp(&b.1)));
-        let mut tree = BTree { nodes: Vec::new(), root: 0, len: entries.len(), key_width };
-        if entries.is_empty() {
-            tree.nodes.push(Node::Leaf { keys: Vec::new(), vals: Vec::new(), next: None });
-            return tree;
-        }
-        // Leaf level.
-        let mut level: Vec<(Key, usize)> = Vec::new(); // (first key, node idx)
-        let mut i = 0;
-        let mut prev_leaf: Option<usize> = None;
-        while i < entries.len() {
-            let end = (i + ORDER).min(entries.len());
-            let chunk = &entries[i..end];
-            let idx = tree.nodes.len();
-            tree.nodes.push(Node::Leaf {
-                keys: chunk.iter().map(|(k, _)| k.clone()).collect(),
-                vals: chunk.iter().map(|(_, v)| *v).collect(),
-                next: None,
-            });
-            if let Some(p) = prev_leaf {
-                if let Node::Leaf { next, .. } = &mut tree.nodes[p] {
-                    *next = Some(idx);
-                }
-            }
-            prev_leaf = Some(idx);
-            level.push((chunk[0].0.clone(), idx));
-            i = end;
-        }
-        // Internal levels.
+    /// Bulk-load from entries: `keys` holds one `key_width`-code key per
+    /// value in `vals`, flat. Sorts the entries by `(key, value)` and
+    /// builds the leaf level plus internal levels bottom-up (the classic
+    /// index build).
+    pub fn bulk_load(key_width: usize, keys: Vec<u64>, vals: Vec<u32>) -> Self {
+        let w = key_width;
+        assert_eq!(keys.len(), vals.len() * w, "one key of width {w} per value");
+        let (keys, vals) = sort_entries(w, keys, vals);
+        let n_leaves = vals.len().div_ceil(ORDER).max(1);
+        let mut tree = BTree { key_width, keys, vals, n_leaves, internal: Vec::new(), root: 0 };
+        // Each level is a list of (entry index of the subtree's first key,
+        // node id).
+        let mut level: Vec<(usize, usize)> = (0..n_leaves).map(|l| (l * ORDER, l)).collect();
         while level.len() > 1 {
-            let mut next_level = Vec::new();
-            let mut i = 0;
-            while i < level.len() {
-                let end = (i + ORDER).min(level.len());
-                let chunk = &level[i..end];
-                let idx = tree.nodes.len();
-                tree.nodes.push(Node::Internal {
-                    keys: chunk[1..].iter().map(|(k, _)| k.clone()).collect(),
-                    children: chunk.iter().map(|(_, c)| *c).collect(),
+            let mut next_level = Vec::with_capacity(level.len().div_ceil(ORDER));
+            for chunk in level.chunks(ORDER) {
+                let mut seps = Vec::with_capacity((chunk.len() - 1) * w);
+                for &(first, _) in &chunk[1..] {
+                    seps.extend_from_slice(tree.key(first));
+                }
+                let id = n_leaves + tree.internal.len();
+                tree.internal.push(Internal {
+                    keys: seps,
+                    children: chunk.iter().map(|&(_, c)| c).collect(),
                 });
-                next_level.push((chunk[0].0.clone(), idx));
-                i = end;
+                next_level.push((chunk[0].0, id));
             }
             level = next_level;
         }
@@ -132,87 +183,53 @@ impl BTree {
 
     /// Number of entries.
     pub fn len(&self) -> usize {
-        self.len
+        self.vals.len()
     }
 
     /// True if the tree holds no entries.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.vals.is_empty()
     }
 
     /// Height (levels), for tests/explain.
     pub fn height(&self) -> usize {
         let mut h = 1;
         let mut cur = self.root;
-        loop {
-            match &self.nodes[cur] {
-                Node::Internal { children, .. } => {
-                    cur = children[0];
-                    h += 1;
-                }
-                Node::Leaf { .. } => return h,
-            }
+        while let Some(node) = self.internal(cur) {
+            cur = node.children[0];
+            h += 1;
         }
+        h
     }
 
-    /// Insert one entry.
-    pub fn insert(&mut self, key: Key, val: u32) {
-        assert_eq!(key.len(), self.key_width, "key width mismatch");
-        self.len += 1;
-        if let Some((sep, right)) = self.insert_at(self.root, key, val) {
-            // Root split: grow a level.
-            let old_root = self.root;
-            let idx = self.nodes.len();
-            self.nodes.push(Node::Internal { keys: vec![sep], children: vec![old_root, right] });
-            self.root = idx;
-        }
+    /// Key of entry `i`.
+    fn key(&self, i: usize) -> &[u64] {
+        &self.keys[i * self.key_width..(i + 1) * self.key_width]
     }
 
-    /// Recursive insert; returns `(separator, new right sibling)` on split.
-    fn insert_at(&mut self, node: usize, key: Key, val: u32) -> Option<(Key, usize)> {
-        match &mut self.nodes[node] {
-            Node::Leaf { keys, vals, next } => {
-                let pos = keys.partition_point(|k| cmp_key(k, &key) != Ordering::Greater);
-                keys.insert(pos, key);
-                vals.insert(pos, val);
-                if keys.len() <= ORDER {
-                    return None;
-                }
-                // Split.
-                let mid = keys.len() / 2;
-                let rkeys = keys.split_off(mid);
-                let rvals = vals.split_off(mid);
-                let old_next = *next;
-                let sep = rkeys[0].clone();
-                let ridx = self.nodes.len();
-                if let Node::Leaf { next, .. } = &mut self.nodes[node] {
-                    *next = Some(ridx);
-                }
-                self.nodes.push(Node::Leaf { keys: rkeys, vals: rvals, next: old_next });
-                Some((sep, ridx))
-            }
-            Node::Internal { keys, children } => {
-                let pos = keys.partition_point(|k| cmp_key(k, &key) != Ordering::Greater);
-                let child = children[pos];
-                let (sep, right) = self.insert_at(child, key, val)?;
-                if let Node::Internal { keys, children } = &mut self.nodes[node] {
-                    keys.insert(pos, sep);
-                    children.insert(pos + 1, right);
-                    if keys.len() <= ORDER {
-                        return None;
-                    }
-                    let mid = keys.len() / 2;
-                    let sep_up = keys[mid].clone();
-                    let rkeys = keys.split_off(mid + 1);
-                    keys.pop(); // the separator moves up
-                    let rchildren = children.split_off(mid + 1);
-                    let ridx = self.nodes.len();
-                    self.nodes.push(Node::Internal { keys: rkeys, children: rchildren });
-                    return Some((sep_up, ridx));
-                }
-                unreachable!()
-            }
-        }
+    /// The internal node with id `id`, or `None` for a leaf.
+    fn internal(&self, id: usize) -> Option<&Internal> {
+        id.checked_sub(self.n_leaves).map(|i| &self.internal[i])
+    }
+
+    /// Entry range `[start, end)` of leaf `leaf`.
+    fn leaf_range(&self, leaf: usize) -> (usize, usize) {
+        let start = leaf * ORDER;
+        (start, (start + ORDER).min(self.len()))
+    }
+
+    /// Does the last entry of `leaf` satisfy the lower bound? If so the
+    /// first qualifying entry lies in this leaf or before it.
+    fn leaf_reaches(&self, leaf: usize, lo: &[u64], lo_strict: bool) -> bool {
+        let (start, end) = self.leaf_range(leaf);
+        end > start && above_lo(lo, lo_strict, self.key(end - 1))
+    }
+
+    /// First entry of `leaf` that satisfies the lower bound (the leaf end
+    /// if none does).
+    fn first_in_leaf(&self, leaf: usize, lo: &[u64], lo_strict: bool) -> usize {
+        let (start, end) = self.leaf_range(leaf);
+        partition_rows(&self.keys, self.key_width, start, end, |k| !above_lo(lo, lo_strict, k))
     }
 
     /// Range scan: all entries with `lo ≤ key ≤ hi` under prefix
@@ -220,38 +237,20 @@ impl BTree {
     /// empty `lo`/`hi` leaves that end unbounded.
     pub fn scan<'a>(
         &'a self,
-        lo: &'a [Value],
+        lo: &'a [u64],
         lo_strict: bool,
-        hi: &'a [Value],
+        hi: &'a [u64],
         hi_strict: bool,
     ) -> Scan<'a> {
         // Descend to the first candidate leaf.
         let mut cur = self.root;
-        loop {
-            match &self.nodes[cur] {
-                Node::Internal { keys, children } => {
-                    let pos = if lo.is_empty() {
-                        0
-                    } else {
-                        keys.partition_point(|k| cmp_prefix(lo, k) == Ordering::Greater)
-                    };
-                    cur = children[pos];
-                }
-                Node::Leaf { keys, .. } => {
-                    let pos = if lo.is_empty() {
-                        0
-                    } else if lo_strict {
-                        keys.partition_point(|k| cmp_prefix(lo, k) != Ordering::Less)
-                    } else {
-                        keys.partition_point(|k| cmp_prefix(lo, k) == Ordering::Greater)
-                    };
-                    // The lower bound travels with the cursor: a duplicate
-                    // run may span leaves, so the bound must be re-checked
-                    // after following a `next` pointer.
-                    return Scan { tree: self, leaf: cur, pos, lo, lo_strict, hi, hi_strict };
-                }
-            }
+        while let Some(node) = self.internal(cur) {
+            cur = node.children[node.route(self.key_width, lo)];
         }
+        let pos = if lo.is_empty() { cur * ORDER } else { self.first_in_leaf(cur, lo, lo_strict) };
+        // The lower bound travels with the iterator: a duplicate run may
+        // span leaves, so the bound is re-checked per entry.
+        Scan { tree: self, pos, lo, lo_strict, hi, hi_strict }
     }
 
     /// Start a batched probe pass: a cursor that descends the tree once
@@ -259,7 +258,14 @@ impl BTree {
     /// [`BatchCursor::position`] calls with non-decreasing lower bounds —
     /// the sorted-probe alternative to one root-to-leaf descent per tuple.
     pub fn batch_cursor(&self) -> BatchCursor<'_> {
-        BatchCursor { tree: self, leaf: self.root, pos: 0, started: false, descents: 0, leaf_skips: 0 }
+        BatchCursor {
+            tree: self,
+            leaf: self.root,
+            pos: 0,
+            started: false,
+            descents: 0,
+            leaf_skips: 0,
+        }
     }
 
     /// Start a galloping seek pass: like [`BTree::batch_cursor`] the cursor
@@ -268,7 +274,7 @@ impl BTree {
     /// descent path and re-descends from the lowest ancestor whose subtree
     /// can contain the target — O(log distance) per seek, which is what
     /// the leapfrog-style intersection join needs when successive probe
-    /// ranks are far apart in a large index.
+    /// keys are far apart in a large index.
     pub fn seek_cursor(&self) -> SeekCursor<'_> {
         SeekCursor {
             tree: self,
@@ -283,7 +289,7 @@ impl BTree {
     }
 
     /// All entries with key prefix exactly `prefix`.
-    pub fn scan_prefix<'a>(&'a self, prefix: &'a [Value]) -> Scan<'a> {
+    pub fn scan_prefix<'a>(&'a self, prefix: &'a [u64]) -> Scan<'a> {
         self.scan(prefix, false, prefix, false)
     }
 
@@ -308,6 +314,7 @@ impl BTree {
 pub struct BatchCursor<'a> {
     tree: &'a BTree,
     leaf: usize,
+    /// Entry index the cursor sits on.
     pos: usize,
     started: bool,
     /// Root-to-leaf descents performed (1 after the first `position`).
@@ -322,72 +329,37 @@ impl<'a> BatchCursor<'a> {
     /// the cursor where it is. Successive calls must present
     /// non-decreasing `(lo, lo_strict)` bounds — sorted probe keys with a
     /// per-access constant strictness satisfy this.
-    pub fn position(&mut self, lo: &[Value], lo_strict: bool) {
-        // Does the last key of `keys` qualify (≥ lo, or > lo if strict)?
-        // If so the first qualifying entry is in this leaf or before the
-        // cursor — no further leaf hops needed.
-        let qualifies = |k: &Key| {
-            let c = cmp_prefix(lo, k);
-            c == Ordering::Less || (c == Ordering::Equal && !lo_strict)
-        };
+    pub fn position(&mut self, lo: &[u64], lo_strict: bool) {
+        let tree = self.tree;
         if !self.started {
             self.started = true;
             self.descents += 1;
-            let mut cur = self.tree.root;
-            loop {
-                match &self.tree.nodes[cur] {
-                    Node::Internal { keys, children } => {
-                        let pos = if lo.is_empty() {
-                            0
-                        } else {
-                            keys.partition_point(|k| cmp_prefix(lo, k) == Ordering::Greater)
-                        };
-                        cur = children[pos];
-                    }
-                    Node::Leaf { .. } => {
-                        self.leaf = cur;
-                        self.pos = 0;
-                        break;
-                    }
-                }
+            let mut cur = tree.root;
+            while let Some(node) = tree.internal(cur) {
+                cur = node.children[node.route(tree.key_width, lo)];
             }
+            self.leaf = cur;
+            self.pos = cur * ORDER;
         } else if !lo.is_empty() {
             // Walk the leaf chain until the current leaf can contain the
             // first qualifying entry (or the chain ends).
-            loop {
-                let Node::Leaf { keys, next, .. } = &self.tree.nodes[self.leaf] else {
-                    unreachable!("batch cursors sit on leaves")
-                };
-                if keys.last().is_some_and(&qualifies) {
-                    break;
-                }
-                match next {
-                    Some(n) => {
-                        self.leaf = *n;
-                        self.pos = 0;
-                        self.leaf_skips += 1;
-                    }
-                    None => {
-                        self.pos = keys.len();
-                        return;
-                    }
+            while !tree.leaf_reaches(self.leaf, lo, lo_strict) {
+                if self.leaf + 1 < tree.n_leaves {
+                    self.leaf += 1;
+                    self.pos = self.leaf * ORDER;
+                    self.leaf_skips += 1;
+                } else {
+                    self.pos = tree.leaf_range(self.leaf).1;
+                    return;
                 }
             }
         }
         if lo.is_empty() {
             return;
         }
-        let Node::Leaf { keys, .. } = &self.tree.nodes[self.leaf] else {
-            unreachable!("batch cursors sit on leaves")
-        };
-        let pp = if lo_strict {
-            keys.partition_point(|k| cmp_prefix(lo, k) != Ordering::Less)
-        } else {
-            keys.partition_point(|k| cmp_prefix(lo, k) == Ordering::Greater)
-        };
         // Never move backward: entries before the cursor failed an earlier
         // (≤ current) bound.
-        self.pos = self.pos.max(pp);
+        self.pos = self.pos.max(tree.first_in_leaf(self.leaf, lo, lo_strict));
     }
 
     /// Range-scan forward from the current position without moving the
@@ -397,15 +369,15 @@ impl<'a> BatchCursor<'a> {
     /// cursor (reused key buffers); the iterator lives as long as both.
     pub fn scan_from<'b>(
         &self,
-        lo: &'b [Value],
+        lo: &'b [u64],
         lo_strict: bool,
-        hi: &'b [Value],
+        hi: &'b [u64],
         hi_strict: bool,
     ) -> Scan<'b>
     where
         'a: 'b,
     {
-        Scan { tree: self.tree, leaf: self.leaf, pos: self.pos, lo, lo_strict, hi, hi_strict }
+        Scan { tree: self.tree, pos: self.pos, lo, lo_strict, hi, hi_strict }
     }
 }
 
@@ -418,7 +390,7 @@ impl<'a> BatchCursor<'a> {
 /// path only as far as the lowest ancestor whose subtree may hold the
 /// target and re-descends from there. A seek therefore costs
 /// O(log distance) node visits instead of one key check per intervening
-/// leaf — the difference between a merge and a gallop when probe ranks
+/// leaf — the difference between a merge and a gallop when probe keys
 /// skip over large runs of the index. Positioning is conservative (never
 /// past the first qualifying entry); [`Scan`] re-checks the bound per
 /// entry, so landing early is slower but never wrong.
@@ -427,6 +399,7 @@ pub struct SeekCursor<'a> {
     /// Descent path: `(internal node, child position taken)`, root first.
     path: Vec<(usize, usize)>,
     leaf: usize,
+    /// Entry index the cursor sits on.
     pos: usize,
     started: bool,
     /// Full descents from the root (1 after the first `position`, plus one
@@ -443,153 +416,111 @@ impl<'a> SeekCursor<'a> {
     /// when `lo_strict`), under prefix comparison. Successive calls must
     /// present non-decreasing `(lo, lo_strict)` bounds, exactly as for
     /// [`BatchCursor::position`]; an empty `lo` keeps the cursor in place.
-    pub fn position(&mut self, lo: &[Value], lo_strict: bool) {
+    pub fn position(&mut self, lo: &[u64], lo_strict: bool) {
+        let tree = self.tree;
         self.seeks += 1;
         if !self.started {
             self.started = true;
             self.descents += 1;
-            self.descend_from(self.tree.root, lo);
-        } else if !lo.is_empty() {
-            let qualifies = |k: &Key| {
-                let c = cmp_prefix(lo, k);
-                c == Ordering::Less || (c == Ordering::Equal && !lo_strict)
-            };
-            let Node::Leaf { keys, .. } = &self.tree.nodes[self.leaf] else {
-                unreachable!("seek cursors sit on leaves")
-            };
-            if !keys.last().is_some_and(qualifies) {
-                // The current leaf is exhausted for this bound: climb the
-                // recorded path until an ancestor can route to the target.
-                loop {
-                    let Some((pnode, pc)) = self.path.pop() else {
-                        self.descents += 1;
-                        self.descend_from(self.tree.root, lo);
-                        break;
-                    };
-                    self.node_hops += 1;
-                    let Node::Internal { keys, children } = &self.tree.nodes[pnode] else {
-                        unreachable!("seek paths hold internal nodes")
-                    };
-                    let j =
-                        keys.partition_point(|k| cmp_prefix(lo, k) == Ordering::Greater);
-                    // Routed to the last child: `lo` is at/after that
-                    // subtree's start, but only an ancestor can prove it is
-                    // not beyond this node entirely — keep climbing (the
-                    // root routes regardless).
-                    if j == children.len() - 1 && !self.path.is_empty() {
-                        continue;
-                    }
-                    // Monotone bounds mean the target's child is never left
-                    // of the one we came through.
-                    let child = j.max(pc);
-                    self.path.push((pnode, child));
-                    self.descend_from(children[child], lo);
+            self.descend_from(tree.root, lo);
+        } else if !lo.is_empty() && !tree.leaf_reaches(self.leaf, lo, lo_strict) {
+            // The current leaf is exhausted for this bound: climb the
+            // recorded path until an ancestor can route to the target.
+            loop {
+                let Some((pnode, pc)) = self.path.pop() else {
+                    self.descents += 1;
+                    self.descend_from(tree.root, lo);
                     break;
+                };
+                self.node_hops += 1;
+                let node = tree.internal(pnode).expect("seek paths hold internal nodes");
+                let j = node.route(tree.key_width, lo);
+                // Routed to the last child: `lo` is at/after that
+                // subtree's start, but only an ancestor can prove it is
+                // not beyond this node entirely — keep climbing (the
+                // root routes regardless).
+                if j == node.children.len() - 1 && !self.path.is_empty() {
+                    continue;
                 }
+                // Monotone bounds mean the target's child is never left
+                // of the one we came through.
+                let child = j.max(pc);
+                self.path.push((pnode, child));
+                self.descend_from(node.children[child], lo);
+                break;
             }
         }
         if lo.is_empty() {
             return;
         }
-        let Node::Leaf { keys, .. } = &self.tree.nodes[self.leaf] else {
-            unreachable!("seek cursors sit on leaves")
-        };
-        let pp = if lo_strict {
-            keys.partition_point(|k| cmp_prefix(lo, k) != Ordering::Less)
-        } else {
-            keys.partition_point(|k| cmp_prefix(lo, k) == Ordering::Greater)
-        };
         // Never move backward: entries before the cursor failed an earlier
         // (≤ current) bound.
-        self.pos = self.pos.max(pp);
+        self.pos = self.pos.max(tree.first_in_leaf(self.leaf, lo, lo_strict));
     }
 
     /// Descend from `start`, recording the path, and land on a leaf.
-    fn descend_from(&mut self, start: usize, lo: &[Value]) {
+    fn descend_from(&mut self, start: usize, lo: &[u64]) {
+        let tree = self.tree;
         let mut cur = start;
-        loop {
-            match &self.tree.nodes[cur] {
-                Node::Internal { keys, children } => {
-                    let pos = if lo.is_empty() {
-                        0
-                    } else {
-                        keys.partition_point(|k| cmp_prefix(lo, k) == Ordering::Greater)
-                    };
-                    self.node_hops += 1;
-                    self.path.push((cur, pos));
-                    cur = children[pos];
-                }
-                Node::Leaf { .. } => {
-                    self.leaf = cur;
-                    self.pos = 0;
-                    return;
-                }
-            }
+        while let Some(node) = tree.internal(cur) {
+            let pos = node.route(tree.key_width, lo);
+            self.node_hops += 1;
+            self.path.push((cur, pos));
+            cur = node.children[pos];
         }
+        self.leaf = cur;
+        self.pos = cur * ORDER;
     }
 
     /// Range-scan forward from the current position without moving the
     /// cursor (same contract as [`BatchCursor::scan_from`]).
     pub fn scan_from<'b>(
         &self,
-        lo: &'b [Value],
+        lo: &'b [u64],
         lo_strict: bool,
-        hi: &'b [Value],
+        hi: &'b [u64],
         hi_strict: bool,
     ) -> Scan<'b>
     where
         'a: 'b,
     {
-        Scan { tree: self.tree, leaf: self.leaf, pos: self.pos, lo, lo_strict, hi, hi_strict }
+        Scan { tree: self.tree, pos: self.pos, lo, lo_strict, hi, hi_strict }
     }
 }
 
-/// Leaf-chain iterator produced by [`BTree::scan`].
+/// Leaf-level iterator produced by [`BTree::scan`]: `(key, value)` pairs in
+/// key order.
 pub struct Scan<'a> {
     tree: &'a BTree,
-    leaf: usize,
+    /// Next entry index.
     pos: usize,
-    lo: &'a [Value],
+    lo: &'a [u64],
     lo_strict: bool,
-    hi: &'a [Value],
+    hi: &'a [u64],
     hi_strict: bool,
 }
 
 impl<'a> Iterator for Scan<'a> {
-    type Item = (&'a [Value], u32);
+    type Item = (&'a [u64], u32);
 
     fn next(&mut self) -> Option<Self::Item> {
-        loop {
-            let Node::Leaf { keys, vals, next } = &self.tree.nodes[self.leaf] else {
-                unreachable!("scan cursors sit on leaves")
-            };
-            if self.pos < keys.len() {
-                let k = &keys[self.pos];
-                if !self.lo.is_empty() {
-                    let c = cmp_prefix(self.lo, k);
-                    if c == Ordering::Greater || (self.lo_strict && c == Ordering::Equal) {
-                        self.pos += 1;
-                        continue;
-                    }
-                }
-                if !self.hi.is_empty() {
-                    let c = cmp_prefix(self.hi, k);
-                    if c == Ordering::Less || (self.hi_strict && c == Ordering::Equal) {
-                        return None;
-                    }
-                }
-                let v = vals[self.pos];
+        while self.pos < self.tree.len() {
+            let k = self.tree.key(self.pos);
+            if !self.lo.is_empty() && !above_lo(self.lo, self.lo_strict, k) {
                 self.pos += 1;
-                return Some((k.as_slice(), v));
+                continue;
             }
-            match next {
-                Some(n) => {
-                    self.leaf = *n;
-                    self.pos = 0;
+            if !self.hi.is_empty() {
+                let c = cmp_prefix(self.hi, k);
+                if c == Ordering::Less || (self.hi_strict && c == Ordering::Equal) {
+                    return None;
                 }
-                None => return None,
             }
+            let v = self.tree.vals[self.pos];
+            self.pos += 1;
+            return Some((k, v));
         }
+        None
     }
 }
 
@@ -597,76 +528,68 @@ impl<'a> Iterator for Scan<'a> {
 mod tests {
     use super::*;
 
-    fn ik(i: i64) -> Key {
-        vec![Value::Int(i)]
+    /// A width-1 tree over `(key, value)` pairs.
+    fn tree1(entries: impl IntoIterator<Item = (u64, u32)>) -> BTree {
+        let (keys, vals) = entries.into_iter().unzip();
+        BTree::bulk_load(1, keys, vals)
     }
 
     #[test]
     fn bulk_load_and_scan() {
-        let entries: Vec<(Key, u32)> = (0..1000).map(|i| (ik(i), i as u32)).collect();
-        let t = BTree::bulk_load(1, entries);
+        let t = tree1((0..1000).map(|i| (i, i as u32)));
         assert_eq!(t.len(), 1000);
         assert!(t.height() >= 2);
-        let lo = ik(100);
-        let hi = ik(110);
-        let got: Vec<u32> = t.scan(&lo, false, &hi, false).map(|(_, v)| v).collect();
+        let got: Vec<u32> = t.scan(&[100], false, &[110], false).map(|(_, v)| v).collect();
         assert_eq!(got, (100..=110).collect::<Vec<u32>>());
         // Strict bounds.
-        let got: Vec<u32> = t.scan(&lo, true, &hi, true).map(|(_, v)| v).collect();
+        let got: Vec<u32> = t.scan(&[100], true, &[110], true).map(|(_, v)| v).collect();
         assert_eq!(got, (101..=109).collect::<Vec<u32>>());
     }
 
     #[test]
-    fn inserts_split_and_stay_sorted() {
-        let mut t = BTree::new(1);
-        // Insert in adversarial (descending) order.
-        for i in (0..500).rev() {
-            t.insert(ik(i), i as u32);
-        }
-        assert_eq!(t.len(), 500);
+    fn bulk_load_sorts_its_input() {
+        // Descending input, and equal keys ordered by value.
+        let t = tree1((0..500u64).rev().map(|i| (i / 2, i as u32)));
         let all: Vec<u32> = t.iter().map(|(_, v)| v).collect();
         assert_eq!(all, (0..500).collect::<Vec<u32>>());
         assert!(t.height() >= 2);
     }
 
     #[test]
+    fn wide_codes_sort_through_the_comparator() {
+        // Two near-`u64::MAX` components need 128 bits: too wide to pack.
+        let big = u64::MAX - 10;
+        let t = BTree::bulk_load(2, vec![big, 3, big, 1, 5, big, big, 1], vec![0, 1, 2, 3]);
+        let all: Vec<(Vec<u64>, u32)> = t.iter().map(|(k, v)| (k.to_vec(), v)).collect();
+        let want = [(vec![5, big], 2), (vec![big, 1], 1), (vec![big, 1], 3), (vec![big, 3], 0)];
+        assert_eq!(all, want);
+    }
+
+    #[test]
     fn duplicates_are_kept() {
-        let mut t = BTree::new(1);
-        for i in 0..100 {
-            t.insert(ik(7), i);
-        }
-        let k = ik(7);
-        let hits: Vec<u32> = t.scan_prefix(&k).map(|(_, v)| v).collect();
+        let t = tree1((0..100).map(|i| (7, i)));
+        let hits: Vec<u32> = t.scan_prefix(&[7]).map(|(_, v)| v).collect();
         assert_eq!(hits.len(), 100);
-        let k8 = ik(8);
-        assert!(t.scan_prefix(&k8).next().is_none());
+        assert!(t.scan_prefix(&[8]).next().is_none());
     }
 
     #[test]
     fn composite_keys_and_prefix_scan() {
         // Key = (name, kind, pre): like the paper's `nkp` indexes.
-        let mut entries = Vec::new();
-        for (n, name) in ["bidder", "item", "price"].iter().enumerate() {
-            for pre in 0..50u32 {
-                entries.push((
-                    vec![
-                        Value::Str(name.to_string()),
-                        Value::Int(1),
-                        Value::Int((pre * 3 + n as u32) as i64),
-                    ],
-                    pre * 3 + n as u32,
-                ));
+        let (mut keys, mut vals) = (Vec::new(), Vec::new());
+        for name in 0..3u64 {
+            for pre in 0..50u64 {
+                let p = pre * 3 + name;
+                keys.extend([name, 1, p]);
+                vals.push(p as u32);
             }
         }
-        let t = BTree::bulk_load(3, entries);
+        let t = BTree::bulk_load(3, keys, vals);
         // Prefix scan on name alone.
-        let p = [Value::Str("item".to_string())];
-        let items: Vec<u32> = t.scan_prefix(&p).map(|(_, v)| v).collect();
-        assert_eq!(items.len(), 50);
-        // Prefix equality + range on pre: item elements with pre in [30, 60].
-        let lo = [Value::Str("item".into()), Value::Int(1), Value::Int(30)];
-        let hi = [Value::Str("item".into()), Value::Int(1), Value::Int(60)];
-        let ranged: Vec<u32> = t.scan(&lo, false, &hi, false).map(|(_, v)| v).collect();
+        assert_eq!(t.scan_prefix(&[1]).count(), 50);
+        // Prefix equality + range on pre: name-1 entries with pre in [30, 60].
+        let ranged: Vec<u32> =
+            t.scan(&[1, 1, 30], false, &[1, 1, 60], false).map(|(_, v)| v).collect();
         assert!(ranged.iter().all(|&p| (30..=60).contains(&p)));
         assert!(!ranged.is_empty());
     }
@@ -676,26 +599,22 @@ mod tests {
         let t = BTree::new(2);
         assert!(t.is_empty());
         assert!(t.iter().next().is_none());
-        let t = BTree::bulk_load(1, vec![(ik(5), 5)]);
+        let t = tree1([(5, 5)]);
         let all: Vec<u32> = t.scan(&[], false, &[], false).map(|(_, v)| v).collect();
         assert_eq!(all, vec![5]);
         // Unbounded below, bounded above.
-        let hi = ik(4);
-        let some: Vec<u32> = t.scan(&[], false, &hi, false).map(|(_, v)| v).collect();
-        assert!(some.is_empty());
+        assert!(t.scan(&[], false, &[4], false).next().is_none());
     }
 
     #[test]
     fn batch_cursor_matches_per_probe_scans() {
         // Duplicates and multi-leaf spread; probes sorted (with repeats),
         // including bounds past the last key.
-        let entries: Vec<(Key, u32)> = (0..2000).map(|i| (ik(i % 500), i as u32)).collect();
-        let t = BTree::bulk_load(1, entries);
+        let t = tree1((0..2000).map(|i| (i % 500, i as u32)));
         for strict in [false, true] {
             let mut cur = t.batch_cursor();
-            for lo in [0i64, 3, 3, 120, 121, 300, 499, 600] {
-                let lo_k = ik(lo);
-                let hi_k = ik(lo + 4);
+            for lo in [0u64, 3, 3, 120, 121, 300, 499, 600] {
+                let (lo_k, hi_k) = ([lo], [lo + 4]);
                 cur.position(&lo_k, strict);
                 let batched: Vec<u32> =
                     cur.scan_from(&lo_k, strict, &hi_k, strict).map(|(_, v)| v).collect();
@@ -712,15 +631,12 @@ mod tests {
     fn batch_cursor_overlapping_ranges() {
         // Nested containment-style ranges: a wide range followed by a
         // narrower one starting later but ending earlier.
-        let entries: Vec<(Key, u32)> = (0..300).map(|i| (ik(i), i as u32)).collect();
-        let t = BTree::bulk_load(1, entries);
+        let t = tree1((0..300).map(|i| (i, i as u32)));
         let mut cur = t.batch_cursor();
-        let ranges = [(10i64, 200i64), (20, 50), (21, 30), (180, 260)];
+        let ranges = [(10u64, 200u64), (20, 50), (21, 30), (180, 260)];
         for (lo, hi) in ranges {
-            let lo_k = ik(lo);
-            let hi_k = ik(hi);
-            cur.position(&lo_k, false);
-            let got: Vec<u32> = cur.scan_from(&lo_k, false, &hi_k, false).map(|(_, v)| v).collect();
+            cur.position(&[lo], false);
+            let got: Vec<u32> = cur.scan_from(&[lo], false, &[hi], false).map(|(_, v)| v).collect();
             let expect: Vec<u32> = (lo..=hi.min(299)).map(|i| i as u32).collect();
             assert_eq!(got, expect, "range [{lo}, {hi}]");
         }
@@ -730,9 +646,9 @@ mod tests {
     fn batch_cursor_empty_and_unbounded() {
         let t = BTree::new(1);
         let mut cur = t.batch_cursor();
-        cur.position(&ik(5), false);
-        assert!(cur.scan_from(&ik(5), false, &ik(9), false).next().is_none());
-        let t = BTree::bulk_load(1, (0..10).map(|i| (ik(i), i as u32)).collect());
+        cur.position(&[5], false);
+        assert!(cur.scan_from(&[5], false, &[9], false).next().is_none());
+        let t = tree1((0..10).map(|i| (i, i as u32)));
         let mut cur = t.batch_cursor();
         cur.position(&[], false);
         let all: Vec<u32> = cur.scan_from(&[], false, &[], false).map(|(_, v)| v).collect();
@@ -743,13 +659,11 @@ mod tests {
     fn seek_cursor_matches_per_probe_scans() {
         // Same shape as the batch-cursor test: duplicates, multi-leaf
         // spread, sorted probes with repeats and past-the-end bounds.
-        let entries: Vec<(Key, u32)> = (0..2000).map(|i| (ik(i % 500), i as u32)).collect();
-        let t = BTree::bulk_load(1, entries);
+        let t = tree1((0..2000).map(|i| (i % 500, i as u32)));
         for strict in [false, true] {
             let mut cur = t.seek_cursor();
-            for lo in [0i64, 3, 3, 120, 121, 300, 499, 600] {
-                let lo_k = ik(lo);
-                let hi_k = ik(lo + 4);
+            for lo in [0u64, 3, 3, 120, 121, 300, 499, 600] {
+                let (lo_k, hi_k) = ([lo], [lo + 4]);
                 cur.position(&lo_k, strict);
                 let got: Vec<u32> =
                     cur.scan_from(&lo_k, strict, &hi_k, strict).map(|(_, v)| v).collect();
@@ -764,12 +678,12 @@ mod tests {
     fn seek_cursor_duplicate_heavy() {
         // 40 leaves of the same key followed by sparse singletons: seeking
         // into and then past the duplicate run must stay exact.
-        let mut entries: Vec<(Key, u32)> = (0..3000).map(|i| (ik(7), i)).collect();
-        entries.extend((0..50).map(|i| (ik(100 + i * 10), 10_000 + i as u32)));
-        let t = BTree::bulk_load(1, entries);
+        let t = tree1(
+            (0..3000).map(|i| (7, i)).chain((0..50).map(|i| (100 + i * 10, 10_000 + i as u32))),
+        );
         let mut cur = t.seek_cursor();
-        for lo in [7i64, 7, 90, 100, 330, 495, 496, 700] {
-            let lo_k = ik(lo);
+        for lo in [7u64, 7, 90, 100, 330, 495, 496, 700] {
+            let lo_k = [lo];
             cur.position(&lo_k, false);
             let got: Vec<u32> = cur.scan_from(&lo_k, false, &lo_k, false).map(|(_, v)| v).collect();
             let fresh: Vec<u32> = t.scan(&lo_k, false, &lo_k, false).map(|(_, v)| v).collect();
@@ -781,47 +695,41 @@ mod tests {
     fn seek_cursor_empty_intersections() {
         // Every probe falls in a gap (or past the end): each must come back
         // empty without disturbing later probes.
-        let entries: Vec<(Key, u32)> = (0..500).map(|i| (ik(i * 10), i as u32)).collect();
-        let t = BTree::bulk_load(1, entries);
+        let t = tree1((0..500).map(|i| (i * 10, i as u32)));
         let mut cur = t.seek_cursor();
-        for lo in [5i64, 15, 1001, 2345] {
-            let lo_k = ik(lo);
-            cur.position(&lo_k, false);
+        for lo in [5u64, 15, 1001, 2345] {
+            cur.position(&[lo], false);
             assert!(
-                cur.scan_from(&lo_k, false, &lo_k, false).next().is_none(),
+                cur.scan_from(&[lo], false, &[lo], false).next().is_none(),
                 "gap probe {lo} must be empty"
             );
         }
         // An on-key probe after the misses still lands (bounds stay monotone).
-        let k = ik(4990);
-        cur.position(&k, false);
-        assert_eq!(cur.scan_from(&k, false, &k, false).count(), 1);
-        for lo in [4995i64, 5001, 9999] {
-            let lo_k = ik(lo);
-            cur.position(&lo_k, false);
+        cur.position(&[4990], false);
+        assert_eq!(cur.scan_from(&[4990], false, &[4990], false).count(), 1);
+        for lo in [4995u64, 5001, 9999] {
+            cur.position(&[lo], false);
             assert!(
-                cur.scan_from(&lo_k, false, &lo_k, false).next().is_none(),
+                cur.scan_from(&[lo], false, &[lo], false).next().is_none(),
                 "gap probe {lo} must be empty"
             );
         }
         // Empty tree: all probes empty.
         let t = BTree::new(1);
         let mut cur = t.seek_cursor();
-        cur.position(&ik(5), false);
-        assert!(cur.scan_from(&ik(5), false, &ik(9), false).next().is_none());
+        cur.position(&[5], false);
+        assert!(cur.scan_from(&[5], false, &[9], false).next().is_none());
     }
 
     #[test]
     fn seek_cursor_gallops_past_leaf_runs() {
         // Two sparse probes over a 64k-entry tree: a BatchCursor walks ~1000
         // leaves between them; the seek cursor must stay logarithmic.
-        let entries: Vec<(Key, u32)> = (0..65_536).map(|i| (ik(i), i as u32)).collect();
-        let t = BTree::bulk_load(1, entries);
+        let t = tree1((0..65_536).map(|i| (i, i as u32)));
         let mut cur = t.seek_cursor();
-        for lo in [10i64, 65_000] {
-            let lo_k = ik(lo);
-            cur.position(&lo_k, false);
-            let got: Vec<u32> = cur.scan_from(&lo_k, false, &lo_k, false).map(|(_, v)| v).collect();
+        for lo in [10u64, 65_000] {
+            cur.position(&[lo], false);
+            let got: Vec<u32> = cur.scan_from(&[lo], false, &[lo], false).map(|(_, v)| v).collect();
             assert_eq!(got, vec![lo as u32]);
         }
         assert!(
@@ -836,21 +744,19 @@ mod tests {
     fn seek_cursor_random_monotone_probes() {
         // Deterministic pseudo-random monotone probe sequence cross-checked
         // against fresh scans, with duplicates in both tree and probes.
-        let entries: Vec<(Key, u32)> = (0..4000).map(|i| (ik((i * 7) % 900), i as u32)).collect();
-        let t = BTree::bulk_load(1, entries);
+        let t = tree1((0..4000).map(|i| ((i * 7) % 900, i as u32)));
         let mut state = 0xDEADBEEFu64;
-        let mut probes: Vec<i64> = (0..200)
+        let mut probes: Vec<u64> = (0..200)
             .map(|_| {
                 state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-                (state >> 33) as i64 % 1000
+                (state >> 33) % 1000
             })
             .collect();
         probes.sort_unstable();
         for strict in [false, true] {
             let mut cur = t.seek_cursor();
             for &lo in &probes {
-                let lo_k = ik(lo);
-                let hi_k = ik(lo + 3);
+                let (lo_k, hi_k) = ([lo], [lo + 3]);
                 cur.position(&lo_k, strict);
                 let got: Vec<u32> =
                     cur.scan_from(&lo_k, strict, &hi_k, false).map(|(_, v)| v).collect();
@@ -863,8 +769,8 @@ mod tests {
     #[test]
     fn prefix_cmp_semantics() {
         use Ordering::*;
-        assert_eq!(cmp_prefix(&[Value::Int(3)], &[Value::Int(3), Value::Int(9)]), Equal);
-        assert_eq!(cmp_prefix(&[Value::Int(2)], &[Value::Int(3), Value::Int(9)]), Less);
-        assert_eq!(cmp_prefix(&[], &[Value::Int(3)]), Equal);
+        assert_eq!(cmp_prefix(&[3], &[3, 9]), Equal);
+        assert_eq!(cmp_prefix(&[2], &[3, 9]), Less);
+        assert_eq!(cmp_prefix(&[], &[3]), Equal);
     }
 }

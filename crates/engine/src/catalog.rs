@@ -6,7 +6,8 @@ use jgi_algebra::cq::DocCol;
 use jgi_algebra::Value;
 use jgi_xml::encode::{NO_NAME, NO_PARENT, NO_VALUE};
 use jgi_sync::AtomicU64;
-use jgi_xml::DocStore;
+use jgi_xml::{DocStore, NodeKind};
+use std::cmp::Ordering;
 use std::sync::Arc;
 
 /// A column usable in an index key: a base `doc` column or the computed
@@ -49,15 +50,18 @@ impl IndexCol {
     }
 }
 
-/// Lexicographic rank tables over the store's interned `name`/`value` ids.
+/// Rank tables of the store's ordered domains: the interned `name`/`value`
+/// ids and the distinct `data` decimals.
 ///
 /// The [`jgi_xml::Interner`] hands out ids in *first-occurrence* order, so
 /// id comparison only decides equality. `Symbols` adds, per interner, a
 /// table mapping each id to its rank in sorted string order — after which
 /// every ordered string comparison in the inner loops (`value < "x"`,
 /// `value ≤ value`) becomes a plain integer compare with no string access
-/// at all. Built once at load time, O(n log n) in the number of distinct
-/// strings (dwarfed by the index builds).
+/// at all — and the sorted distinct `data` values, which rank a decimal by
+/// binary search. Together they give every column value its index-key
+/// code ([`Database::value_code`]). Built once at load time, O(n log n) in
+/// the number of distinct values.
 #[derive(Debug, Clone, Default)]
 pub struct Symbols {
     /// `name_rank[id]` = rank of `names.resolve(id)` in sorted order.
@@ -68,6 +72,9 @@ pub struct Symbols {
     name_sorted: Vec<u32>,
     /// Value ids in lexicographic order.
     value_sorted: Vec<u32>,
+    /// Distinct non-NaN `data` values in `f64::total_cmp` order (the order
+    /// `Value::cmp` gives decimals).
+    data_sorted: Vec<f64>,
 }
 
 /// Where a constant string falls in one rank table: its rank if interned,
@@ -95,7 +102,21 @@ impl Symbols {
         };
         let (name_rank, name_sorted) = rank(&store.names);
         let (value_rank, value_sorted) = rank(&store.values);
-        Symbols { name_rank, value_rank, name_sorted, value_sorted }
+        let mut data_sorted: Vec<f64> =
+            store.data.iter().copied().filter(|d| !d.is_nan()).collect();
+        data_sorted.sort_unstable_by(f64::total_cmp);
+        data_sorted.dedup_by(|a, b| a.total_cmp(b) == Ordering::Equal);
+        Symbols { name_rank, value_rank, name_sorted, value_sorted, data_sorted }
+    }
+
+    /// Rank position of a decimal among the distinct `data` values, under
+    /// `f64::total_cmp`.
+    fn data_rank_of(&self, x: f64) -> RankOf {
+        let p = self.data_sorted.partition_point(|d| d.total_cmp(&x) == Ordering::Less);
+        match self.data_sorted.get(p) {
+            Some(d) if d.total_cmp(&x) == Ordering::Equal => RankOf::Present(p as u32),
+            _ => RankOf::Absent(p as u32),
+        }
     }
 
     /// Rank position of a constant among the interned *values*.
@@ -116,6 +137,110 @@ impl Symbols {
         match store.names.get(s) {
             Some(_) => RankOf::Present(p),
             None => RankOf::Absent(p),
+        }
+    }
+}
+
+/// Index-key code of NULL in every column.
+pub(crate) const NULL_CODE: u64 = 0;
+
+/// The integer columns (`pre`, `size`, `level`, `parent`, `pre + size`)
+/// code a value as if every integer in `0..INT_DOMAIN` were stored: the
+/// value is its own rank. Every such integer is exact as an `f64`, which
+/// is how `Value::cmp` compares an `Int` with a `Dec`.
+const INT_DOMAIN: u64 = 1 << 53;
+
+/// Code of the stored value of rank `r` in its column's sorted domain.
+const fn stored(r: u64) -> u64 {
+    2 * r + 2
+}
+
+/// Code of a value that is not stored, with `p` stored values below it:
+/// strictly between two stored codes, so it equals none of them.
+const fn between(p: u64) -> u64 {
+    2 * p + 1
+}
+
+/// Code of a value whose class sorts below every non-NULL value of the
+/// column (a number probing `name`).
+const BELOW: u64 = between(0);
+
+/// Code of a value whose class sorts above every value of the column (a
+/// string probing `data`).
+const ABOVE: u64 = u64::MAX;
+
+impl RankOf {
+    fn code(self) -> u64 {
+        match self {
+            RankOf::Present(r) => stored(r as u64),
+            RankOf::Absent(p) => between(p as u64),
+        }
+    }
+}
+
+/// An integer's code in an integer column.
+fn int_code(v: i64) -> u64 {
+    match u64::try_from(v) {
+        Err(_) => BELOW,
+        Ok(v) if v >= INT_DOMAIN => between(INT_DOMAIN),
+        Ok(v) => stored(v),
+    }
+}
+
+/// A decimal's code in an integer column, ordered as `Value::cmp` orders
+/// `Dec` against `Int` (`f64::total_cmp`, so `-0.0` sorts below `0`).
+fn dec_int_code(x: f64) -> u64 {
+    if x.total_cmp(&0.0) == Ordering::Less {
+        BELOW
+    } else if x.is_nan() || x >= INT_DOMAIN as f64 {
+        between(INT_DOMAIN)
+    } else if x.fract() == 0.0 {
+        stored(x as u64)
+    } else {
+        between(x as u64 + 1)
+    }
+}
+
+/// A column value borrowed from the store or a probe constant — a
+/// [`Value`] that allocates nothing.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Cell<'a> {
+    Null,
+    Kind(NodeKind),
+    Int(i64),
+    Dec(f64),
+    Str(&'a str),
+}
+
+impl<'a> Cell<'a> {
+    /// View a value.
+    pub(crate) fn of(v: &'a Value) -> Cell<'a> {
+        match v {
+            Value::Null => Cell::Null,
+            Value::Kind(k) => Cell::Kind(*k),
+            Value::Int(i) => Cell::Int(*i),
+            Value::Dec(d) => Cell::Dec(*d),
+            Value::Str(s) => Cell::Str(s),
+        }
+    }
+
+    /// The owned value.
+    pub(crate) fn to_value(self) -> Value {
+        match self {
+            Cell::Null => Value::Null,
+            Cell::Kind(k) => Value::Kind(k),
+            Cell::Int(i) => Value::Int(i),
+            Cell::Dec(d) => Value::Dec(d),
+            Cell::Str(s) => Value::Str(s.to_string()),
+        }
+    }
+
+    /// Numeric view of `Int`/`Dec` ([`Value::as_f64`]).
+    pub(crate) fn as_f64(self) -> Option<f64> {
+        match self {
+            Cell::Int(i) => Some(i as f64),
+            Cell::Dec(d) => Some(d),
+            _ => None,
         }
     }
 }
@@ -209,33 +334,107 @@ impl Database {
 
     /// Value of an index column for row `pre`.
     pub fn col_value(&self, pre: u32, col: IndexCol) -> Value {
+        self.cell(pre, col).to_value()
+    }
+
+    /// [`Database::col_value`], borrowed.
+    pub(crate) fn cell(&self, pre: u32, col: IndexCol) -> Cell<'_> {
         let p = pre as usize;
         match col {
-            IndexCol::PreSize => Value::Int(pre as i64 + self.store.size[p] as i64),
-            IndexCol::Col(DocCol::Pre) => Value::Int(pre as i64),
-            IndexCol::Col(DocCol::Size) => Value::Int(self.store.size[p] as i64),
-            IndexCol::Col(DocCol::Level) => Value::Int(self.store.level[p] as i64),
-            IndexCol::Col(DocCol::Kind) => Value::Kind(self.store.kind[p]),
+            IndexCol::PreSize => Cell::Int(pre as i64 + self.store.size[p] as i64),
+            IndexCol::Col(DocCol::Pre) => Cell::Int(pre as i64),
+            IndexCol::Col(DocCol::Size) => Cell::Int(self.store.size[p] as i64),
+            IndexCol::Col(DocCol::Level) => Cell::Int(self.store.level[p] as i64),
+            IndexCol::Col(DocCol::Kind) => Cell::Kind(self.store.kind[p]),
             IndexCol::Col(DocCol::Name) => match self.store.name[p] {
-                NO_NAME => Value::Null,
-                id => Value::Str(self.store.names.resolve(id).to_string()),
+                NO_NAME => Cell::Null,
+                id => Cell::Str(self.store.names.resolve(id)),
             },
             IndexCol::Col(DocCol::Value) => match self.store.value[p] {
-                NO_VALUE => Value::Null,
-                id => Value::Str(self.store.values.resolve(id).to_string()),
+                NO_VALUE => Cell::Null,
+                id => Cell::Str(self.store.values.resolve(id)),
             },
             IndexCol::Col(DocCol::Data) => {
                 let d = self.store.data[p];
                 if d.is_nan() {
-                    Value::Null
+                    Cell::Null
                 } else {
-                    Value::Dec(d)
+                    Cell::Dec(d)
                 }
             }
             IndexCol::Col(DocCol::Parent) => match self.store.parent[p] {
-                NO_PARENT => Value::Null,
-                pp => Value::Int(pp as i64),
+                NO_PARENT => Cell::Null,
+                pp => Cell::Int(pp as i64),
             },
+        }
+    }
+
+    /// [`Database::value_code`] of row `pre`'s value in `col`, read from
+    /// the column vectors without building a `Value`.
+    pub(crate) fn code(&self, pre: u32, col: IndexCol) -> u64 {
+        let p = pre as usize;
+        let s = &self.store;
+        match col {
+            IndexCol::PreSize => stored(pre as u64 + s.size[p] as u64),
+            IndexCol::Col(DocCol::Pre) => stored(pre as u64),
+            IndexCol::Col(DocCol::Size) => stored(s.size[p] as u64),
+            IndexCol::Col(DocCol::Level) => stored(s.level[p] as u64),
+            IndexCol::Col(DocCol::Kind) => stored(s.kind[p] as u64),
+            IndexCol::Col(DocCol::Name) => match s.name[p] {
+                NO_NAME => NULL_CODE,
+                id => stored(self.symbols.name_rank[id as usize] as u64),
+            },
+            IndexCol::Col(DocCol::Value) => match s.value[p] {
+                NO_VALUE => NULL_CODE,
+                id => stored(self.symbols.value_rank[id as usize] as u64),
+            },
+            IndexCol::Col(DocCol::Data) => match s.data[p] {
+                d if d.is_nan() => NULL_CODE,
+                d => self.symbols.data_rank_of(d).code(),
+            },
+            IndexCol::Col(DocCol::Parent) => match s.parent[p] {
+                NO_PARENT => NULL_CODE,
+                pp => stored(pp as u64),
+            },
+        }
+    }
+
+    /// Index-key code of a value — a stored one or a probe constant — in
+    /// `col`: an integer that compares with the code of every stored value
+    /// of `col` exactly as the values compare under `Value::cmp`.
+    ///
+    /// NULL codes as 0; the stored value of rank *r* in the column's
+    /// sorted domain codes as 2*r* + 2. The domains are the [`Symbols`]
+    /// ranks for `name`/`value`, the distinct decimals for `data`, and the
+    /// value itself for the integer columns and `kind`. A value that is not
+    /// stored codes odd (2*p* + 1 with *p* stored values below it), so
+    /// equality with it never matches; a value whose class sorts below the
+    /// column's (`Null < Kind < Int/Dec < Str`) codes as 1, one whose class
+    /// sorts above as `u64::MAX`.
+    pub fn value_code(&self, col: IndexCol, v: &Value) -> u64 {
+        self.cell_code(col, Cell::of(v))
+    }
+
+    /// [`Database::value_code`] of a borrowed value.
+    pub(crate) fn cell_code(&self, col: IndexCol, c: Cell<'_>) -> u64 {
+        let col = match col {
+            IndexCol::PreSize => DocCol::Pre,
+            IndexCol::Col(c) => c,
+        };
+        match (col, c) {
+            (_, Cell::Null) => NULL_CODE,
+            (DocCol::Kind, Cell::Kind(k)) => stored(k as u64),
+            (DocCol::Kind, _) => ABOVE,
+            (DocCol::Name, Cell::Str(s)) => self.symbols.name_rank_of(&self.store, s).code(),
+            (DocCol::Value, Cell::Str(s)) => self.symbols.value_rank_of(&self.store, s).code(),
+            (DocCol::Name | DocCol::Value, _) => BELOW,
+            (_, Cell::Kind(_)) => BELOW,
+            (_, Cell::Str(_)) => ABOVE,
+            (DocCol::Data, num) => {
+                self.symbols.data_rank_of(num.as_f64().expect("a number")).code()
+            }
+            (_, Cell::Int(v)) => int_code(v),
+            (_, Cell::Dec(x)) => dec_int_code(x),
         }
     }
 
@@ -249,10 +448,14 @@ impl Database {
         if let Some(pos) = self.indexes.iter().position(|i| i.name == name) {
             return pos; // idempotent
         }
-        let entries: Vec<(Vec<Value>, u32)> = (0..self.store.len() as u32)
-            .map(|pre| (key.iter().map(|&c| self.col_value(pre, c)).collect(), pre))
-            .collect();
-        let btree = BTree::bulk_load(key.len(), entries);
+        let (n, w) = (self.store.len(), key.len());
+        let mut codes = vec![NULL_CODE; n * w];
+        for (j, &c) in key.iter().enumerate() {
+            for pre in 0..n {
+                codes[pre * w + j] = self.code(pre as u32, c);
+            }
+        }
+        let btree = BTree::bulk_load(w, codes, (0..n as u32).collect());
         self.indexes.push(Index { name, key, include, btree });
         self.id = next_database_id();
         self.indexes.len() - 1
@@ -332,7 +535,10 @@ mod tests {
     fn name_prefixed_index_partitions_by_tag() {
         let db = db();
         let idx = db.index_by_name("nksp").unwrap();
-        let probe = [Value::Str("price".to_string()), Value::Kind(jgi_xml::NodeKind::Elem)];
+        let probe = [
+            db.value_code(IndexCol::Col(DocCol::Name), &Value::Str("price".to_string())),
+            db.value_code(IndexCol::Col(DocCol::Kind), &Value::Kind(NodeKind::Elem)),
+        ];
         let prices: Vec<u32> = idx.btree.scan_prefix(&probe).map(|(_, v)| v).collect();
         let expected = db.stats.name_count("price", jgi_xml::NodeKind::Elem);
         assert_eq!(prices.len() as u64, expected);
@@ -389,11 +595,96 @@ mod tests {
         let db = db();
         let idx = db.index_by_name("vnlkp").unwrap();
         // person0 id attribute value must be findable.
-        let probe = [Value::Str("person0".to_string())];
+        let probe = [db.value_code(IndexCol::Col(DocCol::Value), &Value::Str("person0".into()))];
         let hits: Vec<u32> = idx.btree.scan_prefix(&probe).map(|(_, v)| v).collect();
         assert!(!hits.is_empty());
         for pre in hits {
             assert_eq!(db.store.value_str(pre), Some("person0"));
+        }
+        // An absent value codes odd and matches nothing.
+        let absent = db.value_code(IndexCol::Col(DocCol::Value), &Value::Str("person0~".into()));
+        assert_eq!(absent % 2, 1);
+        assert!(idx.btree.scan_prefix(&[absent]).next().is_none());
+    }
+
+    #[test]
+    fn edge_values_compare_by_code_as_by_value() {
+        let mut t = jgi_xml::Tree::new("e.xml");
+        let r = t.add_element(t.root(), "r");
+        for text in ["0", "2", "500.5", "x"] {
+            t.add_text_element(r, "v", text);
+        }
+        let mut store = DocStore::new();
+        store.add_tree(&t);
+        let db = Database::new(store);
+        let probes = [
+            Value::Kind(NodeKind::Elem),
+            Value::Dec(f64::NEG_INFINITY),
+            Value::Int(-1),
+            Value::Dec(-0.0),
+            Value::Int(0),
+            Value::Dec(0.5),
+            Value::Int(2),
+            Value::Dec(2.5),
+            Value::Dec(500.5),
+            Value::Int(501),
+            Value::Int(i64::MAX),
+            Value::Dec(f64::INFINITY),
+            Value::Dec(f64::NAN),
+            Value::Str("".into()),
+            Value::Str("v".into()),
+            Value::Str("w".into()),
+        ];
+        let cols = [
+            DocCol::Pre,
+            DocCol::Size,
+            DocCol::Kind,
+            DocCol::Name,
+            DocCol::Value,
+            DocCol::Data,
+            DocCol::Parent,
+        ];
+        for col in cols.map(IndexCol::Col).into_iter().chain([IndexCol::PreSize]) {
+            for (a, b) in probes.iter().zip(&probes[1..]) {
+                assert!(db.value_code(col, a) <= db.value_code(col, b), "{col:?}: {a} vs {b}");
+            }
+            for pre in 0..db.store.len() as u32 {
+                let stored = db.col_value(pre, col);
+                for p in &probes {
+                    let by_code = db.value_code(col, p).cmp(&db.code(pre, col));
+                    assert_eq!(by_code, p.cmp(&stored), "{col:?}: {p} vs stored {stored}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn codes_order_entries_as_values_do() {
+        let db = db();
+        for idx in &db.indexes {
+            let tuple = |pre: u32| -> Vec<Value> {
+                idx.key.iter().map(|&c| db.col_value(pre, c)).collect()
+            };
+            let entries: Vec<(Vec<u64>, u32)> =
+                idx.btree.iter().map(|(k, pre)| (k.to_vec(), pre)).collect();
+            assert_eq!(entries.len(), db.store.len());
+            for pair in entries.windows(2) {
+                let ((ka, a), (kb, b)) = (&pair[0], &pair[1]);
+                let (va, vb) = (tuple(*a), tuple(*b));
+                assert_eq!(ka.cmp(kb), va.cmp(&vb), "{}: rows {a} and {b}", idx.name);
+                assert!(
+                    va < vb || (va == vb && a < b),
+                    "{}: rows {a} and {b} out of order",
+                    idx.name
+                );
+            }
+            for (k, pre) in &entries {
+                let codes: Vec<u64> = idx.key.iter().map(|&c| db.code(*pre, c)).collect();
+                assert_eq!(k, &codes, "{}: row {pre}", idx.name);
+                let probed: Vec<u64> =
+                    tuple(*pre).iter().zip(&idx.key).map(|(v, &c)| db.value_code(c, v)).collect();
+                assert_eq!(probed, codes, "{}: a stored value probes as its own code", idx.name);
+            }
         }
     }
 }

@@ -8,7 +8,7 @@
 //! `SORT` with duplicate elimination plus `RETURN` — implements the
 //! `SELECT DISTINCT … ORDER BY` block.
 
-use crate::catalog::{Database, IndexCol};
+use crate::catalog::{Cell, Database, IndexCol, NULL_CODE};
 use crate::fastpred::{compile_atoms, FastAtom};
 use jgi_algebra::cq::{ColRef, CqAtom, CqScalar, DocCol};
 use jgi_algebra::Value;
@@ -39,33 +39,52 @@ impl Probe {
     /// batch pipeline can evaluate probes straight out of column vectors
     /// without materializing a bindings tuple.
     pub fn eval_at(&self, db: &Database, get: impl Fn(usize) -> u32) -> Option<Value> {
-        let col = |cr: &ColRef| -> Option<Value> {
+        self.cell_at(db, get).map(Cell::to_value)
+    }
+
+    /// The probe's index-key code against key column `col`
+    /// ([`Database::value_code`]); `None` when a referenced value is NULL.
+    /// A bound column probing its own index column reads the row's code
+    /// straight from the column vectors; no probe builds a `Value`.
+    pub(crate) fn code_at(
+        &self,
+        db: &Database,
+        col: IndexCol,
+        get: impl Fn(usize) -> u32,
+    ) -> Option<u64> {
+        match self {
+            Probe::Bound(cr) if IndexCol::Col(cr.col) == col => match db.code(get(cr.alias), col) {
+                NULL_CODE => None,
+                c => Some(c),
+            },
+            _ => self.cell_at(db, get).map(|c| db.cell_code(col, c)),
+        }
+    }
+
+    /// [`Probe::eval_at`], borrowed.
+    fn cell_at<'a>(&'a self, db: &'a Database, get: impl Fn(usize) -> u32) -> Option<Cell<'a>> {
+        let col = |cr: &ColRef| -> Option<Cell<'a>> {
             let pre = get(cr.alias);
             debug_assert_ne!(pre, u32::MAX, "probe references an unbound alias");
-            let v = db.col_value(pre, IndexCol::Col(cr.col));
-            if v.is_null() {
-                None
-            } else {
-                Some(v)
+            match db.cell(pre, IndexCol::Col(cr.col)) {
+                Cell::Null => None,
+                c => Some(c),
             }
         };
         match self {
-            Probe::Const(v) => {
-                if v.is_null() {
-                    None
-                } else {
-                    Some(v.clone())
-                }
-            }
+            Probe::Const(v) => match Cell::of(v) {
+                Cell::Null => None,
+                c => Some(c),
+            },
             Probe::Bound(cr) => col(cr),
             Probe::BoundPlusInt(cr, i) => match col(cr)? {
-                Value::Int(x) => Some(Value::Int(x + i)),
-                Value::Dec(x) => Some(Value::Dec(x + *i as f64)),
+                Cell::Int(x) => Some(Cell::Int(x + i)),
+                Cell::Dec(x) => Some(Cell::Dec(x + *i as f64)),
                 _ => None,
             },
             Probe::BoundPlusBound(a, b) => match (col(a)?, col(b)?) {
-                (Value::Int(x), Value::Int(y)) => Some(Value::Int(x + y)),
-                (x, y) => Some(Value::Dec(x.as_f64()? + y.as_f64()?)),
+                (Cell::Int(x), Cell::Int(y)) => Some(Cell::Int(x + y)),
+                (x, y) => Some(Cell::Dec(x.as_f64()? + y.as_f64()?)),
             },
         }
     }
@@ -133,7 +152,7 @@ pub enum Step {
     /// Leapfrog-style intersection join: an NL access whose leading
     /// variable probe targets a value-ordered index. Scalar execution is
     /// identical to [`Step::Nl`]; the vectorized path sorts each probe
-    /// batch by interned value *rank* and serves all probes with one
+    /// batch by coded key and serves all probes with one
     /// galloping [`crate::btree::SeekCursor`] instead of per-probe
     /// descents or linear leaf-chain hops.
     Leapfrog(Access),
@@ -1193,10 +1212,10 @@ fn merge_two(
 }
 
 /// Reusable per-access scan state: the bindings-with-self buffer for
-/// residual checks plus the probe-key buffers. [`AccessScratch::prepare`]
-/// fills the constant key slots once (recording which slots are
-/// per-tuple); variable slots are overwritten on every scan, so the hot
-/// path performs no allocation beyond `Value` payloads.
+/// residual checks plus the coded probe-key buffers.
+/// [`AccessScratch::prepare`] codes the constant key slots once (recording
+/// which slots are per-tuple); variable slots are overwritten with their
+/// codes on every scan, so the hot path allocates nothing.
 #[derive(Debug, Default)]
 struct AccessScratch {
     init: bool,
@@ -1204,10 +1223,10 @@ struct AccessScratch {
     dead: bool,
     /// Bindings copy the residual check mutates (`alias` slot toggles).
     bindings: Vec<u32>,
-    /// Lower key bound, constants pre-filled.
-    lo: Vec<Value>,
-    /// Upper key bound, constants pre-filled.
-    hi: Vec<Value>,
+    /// Lower key bound (codes), constants pre-filled.
+    lo: Vec<u64>,
+    /// Upper key bound (codes), constants pre-filled.
+    hi: Vec<u64>,
     lo_strict: bool,
     hi_strict: bool,
     /// Key-slot positions (lo side) that depend on the outer tuple, in
@@ -1218,53 +1237,49 @@ struct AccessScratch {
 }
 
 impl AccessScratch {
-    fn prepare(&mut self, access: &Access) {
+    fn prepare(&mut self, db: &Database, access: &Access) {
         if self.init {
             return;
         }
         self.init = true;
-        if let Method::IxScan { eq, range, .. } = &access.method {
-            for (s, p) in eq.iter().enumerate() {
-                if let Probe::Const(v) = p {
-                    if v.is_null() {
-                        self.dead = true;
-                    }
-                    self.lo.push(v.clone());
-                    self.hi.push(v.clone());
-                } else {
-                    self.var_lo.push(s);
-                    self.var_hi.push(s);
-                    self.lo.push(Value::Null);
-                    self.hi.push(Value::Null);
-                }
+        let Method::IxScan { index, eq, range } = &access.method else { return };
+        let key = &db.indexes[*index].key;
+        for (s, p) in eq.iter().enumerate() {
+            let c = self.constant(db, key[s], p);
+            if c.is_none() {
+                self.var_lo.push(s);
+                self.var_hi.push(s);
             }
-            if let Some(r) = range {
-                if let Some((p, strict)) = &r.lo {
-                    self.lo_strict = *strict;
-                    if let Probe::Const(v) = p {
-                        if v.is_null() {
-                            self.dead = true;
-                        }
-                        self.lo.push(v.clone());
-                    } else {
-                        self.var_lo.push(eq.len());
-                        self.lo.push(Value::Null);
-                    }
+            self.lo.push(c.unwrap_or(NULL_CODE));
+            self.hi.push(c.unwrap_or(NULL_CODE));
+        }
+        if let Some(r) = range {
+            let s = eq.len();
+            if let Some((p, strict)) = &r.lo {
+                self.lo_strict = *strict;
+                let c = self.constant(db, key[s], p);
+                if c.is_none() {
+                    self.var_lo.push(s);
                 }
-                if let Some((p, strict)) = &r.hi {
-                    self.hi_strict = *strict;
-                    if let Probe::Const(v) = p {
-                        if v.is_null() {
-                            self.dead = true;
-                        }
-                        self.hi.push(v.clone());
-                    } else {
-                        self.var_hi.push(eq.len());
-                        self.hi.push(Value::Null);
-                    }
+                self.lo.push(c.unwrap_or(NULL_CODE));
+            }
+            if let Some((p, strict)) = &r.hi {
+                self.hi_strict = *strict;
+                let c = self.constant(db, key[s], p);
+                if c.is_none() {
+                    self.var_hi.push(s);
                 }
+                self.hi.push(c.unwrap_or(NULL_CODE));
             }
         }
+    }
+
+    /// The code of a constant probe on key column `col` (a NULL constant
+    /// marks the access dead); `None` for a per-tuple probe.
+    fn constant(&mut self, db: &Database, col: IndexCol, p: &Probe) -> Option<u64> {
+        let Probe::Const(v) = p else { return None };
+        self.dead |= v.is_null();
+        Some(db.value_code(col, v))
     }
 }
 
@@ -1282,7 +1297,7 @@ fn scan_access(
     f: &mut dyn FnMut(u32) -> bool,
 ) -> ScanCounts {
     let mut counts = ScanCounts::default();
-    scratch.prepare(access);
+    scratch.prepare(db, access);
     if scratch.dead {
         return counts; // a constant probe is NULL: nothing matches
     }
@@ -1308,40 +1323,42 @@ fn scan_access(
             }
         }
         Method::IxScan { index, eq, range } => {
-            // Fill the per-tuple key slots (constants sit there already).
+            // Code the per-tuple key slots (constants sit there already).
             // A NULL probe matches nothing.
+            let idx = &db.indexes[*index];
+            let code = |s: usize, p: &Probe| p.code_at(db, idx.key[s], |a| bindings[a]);
             for (s, p) in eq.iter().enumerate() {
                 if matches!(p, Probe::Const(_)) {
                     continue;
                 }
-                match p.eval(db, bindings) {
-                    Some(v) => {
-                        hi[s] = v.clone();
-                        lo[s] = v;
+                match code(s, p) {
+                    Some(c) => {
+                        lo[s] = c;
+                        hi[s] = c;
                     }
                     None => return counts,
                 }
             }
             if let Some(r) = range {
+                let s = eq.len();
                 if let Some((p, _)) = &r.lo {
                     if !matches!(p, Probe::Const(_)) {
-                        match p.eval(db, bindings) {
-                            Some(v) => lo[eq.len()] = v,
+                        match code(s, p) {
+                            Some(c) => lo[s] = c,
                             None => return counts,
                         }
                     }
                 }
                 if let Some((p, _)) = &r.hi {
                     if !matches!(p, Probe::Const(_)) {
-                        match p.eval(db, bindings) {
-                            Some(v) => hi[eq.len()] = v,
+                        match code(s, p) {
+                            Some(c) => hi[s] = c,
                             None => return counts,
                         }
                     }
                 }
             }
             counts.index_probes += 1;
-            let idx = &db.indexes[*index];
             for (_, pre) in idx.btree.scan(lo, *lo_strict, hi, *hi_strict) {
                 if check(db, pre, bws, &mut counts) && !f(pre) {
                     return counts;
@@ -1416,19 +1433,15 @@ struct VecLevel {
     access: AccessScratch,
     /// Hash probe-key buffer.
     key: Vec<Value>,
-    /// Var-probe key pool: `w` values per live tuple (lo vars, then hi
+    /// Var-probe key pool: `w` codes per live tuple (lo vars, then hi
     /// vars).
-    keys: Vec<Value>,
+    keys: Vec<u64>,
     /// Selected batch rows whose probe keys are all non-NULL.
     live: Vec<u32>,
     /// Sort permutation over `live` (ascending lo keys).
     order: Vec<u32>,
     /// Candidate rows of a shared constant-probe scan.
     cands: Vec<u32>,
-    /// Leapfrog probe ranks: interned lexicographic rank of each live
-    /// tuple's leading value key (drives the rank sort, avoiding string
-    /// comparisons).
-    ranks: Vec<u32>,
 }
 
 impl VecLevel {
@@ -1546,7 +1559,6 @@ fn vec_step(
         live,
         order,
         cands,
-        ranks,
     } = lvl;
     let outer: &[usize] = &cx.bound_at[depth];
     let op_idx = depth + 1;
@@ -1554,7 +1566,7 @@ fn vec_step(
     match &cx.plan.steps[depth] {
         Step::Nl(access) | Step::Leapfrog(access) if !access.early_out => {
             stats.per_op[op_idx].invocations += sel.len() as u64;
-            scr.prepare(access);
+            scr.prepare(db, access);
             if scr.dead {
                 return; // NULL constant probe: no candidates, no probes
             }
@@ -1608,20 +1620,24 @@ fn vec_step(
                             }
                         }
                     } else {
-                        // Per-tuple probes, batched: evaluate the variable
-                        // key slots for every selected tuple, sort the
-                        // tuples by key, and serve all probes with one
-                        // monotone leaf-level cursor (one descent, forward
+                        // Per-tuple probes, batched: code the variable key
+                        // slots for every selected tuple, sort the tuples
+                        // by key, and serve all probes with one monotone
+                        // leaf-level cursor (one descent, forward
                         // leaf-chain hops between probes). Sorting only
                         // permutes candidate enumeration across outer
                         // tuples, which the SORT tail's total order makes
                         // unobservable.
+                        let key_cols = &db.indexes[*index].key;
                         let nv_lo = scr.var_lo.len();
                         let w = nv_lo + scr.var_hi.len();
                         keys.clear();
                         live.clear();
                         'tuples: for &i in sel {
                             let start = keys.len();
+                            let code = |s: usize, p: &Probe| {
+                                p.code_at(db, key_cols[s], |a| batch.cols[a][i as usize])
+                            };
                             for &s in &scr.var_lo {
                                 let p = if s < eq.len() {
                                     &eq[s]
@@ -1632,8 +1648,8 @@ fn vec_step(
                                         .expect("lo var slot recorded")
                                         .0
                                 };
-                                match p.eval_at(db, |a| batch.cols[a][i as usize]) {
-                                    Some(v) => keys.push(v),
+                                match code(s, p) {
+                                    Some(c) => keys.push(c),
                                     None => {
                                         keys.truncate(start);
                                         continue 'tuples;
@@ -1642,14 +1658,13 @@ fn vec_step(
                             }
                             for &s in &scr.var_hi {
                                 if s < eq.len() {
-                                    // Equality slots share the lo-side value.
+                                    // Equality slots share the lo-side code.
                                     let pos = scr
                                         .var_lo
                                         .iter()
                                         .position(|&x| x == s)
                                         .expect("eq var slot present on the lo side");
-                                    let v = keys[start + pos].clone();
-                                    keys.push(v);
+                                    keys.push(keys[start + pos]);
                                 } else {
                                     let p = &range
                                         .as_ref()
@@ -1658,8 +1673,8 @@ fn vec_step(
                                         .as_ref()
                                         .expect("hi var slot recorded")
                                         .0;
-                                    match p.eval_at(db, |a| batch.cols[a][i as usize]) {
-                                        Some(v) => keys.push(v),
+                                    match code(s, p) {
+                                        Some(c) => keys.push(c),
                                         None => {
                                             keys.truncate(start);
                                             continue 'tuples;
@@ -1670,38 +1685,12 @@ fn vec_step(
                             live.push(i);
                         }
                         let gallop = matches!(&cx.plan.steps[depth], Step::Leapfrog(_));
-                        // A leapfrog step sorts by interned value *rank*
-                        // when the leading variable slot is a bound value
-                        // column: ranks order exactly like the strings
-                        // they intern, so the permutation is the key
-                        // sort's — integer comparisons instead of string
-                        // ones.
-                        ranks.clear();
-                        if gallop
-                            && scr.var_lo.first() == Some(&0)
-                            && matches!(eq.first(), Some(Probe::Bound(cr)) if cr.col == DocCol::Value)
-                        {
-                            let Some(Probe::Bound(cr)) = eq.first() else { unreachable!() };
-                            for &i in live.iter() {
-                                let id = db.store.value[batch.cols[cr.alias][i as usize] as usize];
-                                ranks.push(db.symbols.value_rank[id as usize]);
-                            }
-                        }
                         order.clear();
                         order.extend(0..live.len() as u32);
                         // Comparing the variable slots in slot order is the
                         // full-key lexicographic order: constant slots are
                         // equal across the batch and never discriminate.
-                        // (The rank prefix refines nothing — equal ranks
-                        // mean equal leading keys — so the permutation is
-                        // unchanged when it applies.)
                         order.sort_by(|&x, &y| {
-                            if !ranks.is_empty() {
-                                match ranks[x as usize].cmp(&ranks[y as usize]) {
-                                    std::cmp::Ordering::Equal => {}
-                                    other => return other,
-                                }
-                            }
                             let kx = &keys[x as usize * w..x as usize * w + nv_lo];
                             let ky = &keys[y as usize * w..y as usize * w + nv_lo];
                             kx.cmp(ky)
@@ -1720,10 +1709,10 @@ fn vec_step(
                                 let i = live[j] as usize;
                                 let base = j * w;
                                 for (t, &s) in scr.var_lo.iter().enumerate() {
-                                    scr.lo[s] = keys[base + t].clone();
+                                    scr.lo[s] = keys[base + t];
                                 }
                                 for (t, &s) in scr.var_hi.iter().enumerate() {
-                                    scr.hi[s] = keys[base + nv_lo + t].clone();
+                                    scr.hi[s] = keys[base + nv_lo + t];
                                 }
                                 cursor.position(&scr.lo, scr.lo_strict);
                                 for (_, pre) in
@@ -1749,10 +1738,10 @@ fn vec_step(
                                 let i = live[j] as usize;
                                 let base = j * w;
                                 for (t, &s) in scr.var_lo.iter().enumerate() {
-                                    scr.lo[s] = keys[base + t].clone();
+                                    scr.lo[s] = keys[base + t];
                                 }
                                 for (t, &s) in scr.var_hi.iter().enumerate() {
-                                    scr.hi[s] = keys[base + nv_lo + t].clone();
+                                    scr.hi[s] = keys[base + nv_lo + t];
                                 }
                                 cursor.position(&scr.lo, scr.lo_strict);
                                 for (_, pre) in

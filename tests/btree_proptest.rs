@@ -1,16 +1,20 @@
 //! Property tests: the engine's B+tree against `std::collections::BTreeMap`
 //! as the executable specification.
 
-use jgi_algebra::Value;
 use jgi_engine::btree::BTree;
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 
-/// Total-ordering key wrapper for the reference map.
+/// Total-ordering key of the reference map.
 type RefKey = (i64, i64);
 
-fn to_key(k: RefKey) -> Vec<Value> {
-    vec![Value::Int(k.0), Value::Int(k.1)]
+/// Order-preserving code of a small integer.
+fn code(i: i64) -> u64 {
+    (i + 1000) as u64
+}
+
+fn to_key(k: RefKey) -> [u64; 2] {
+    [code(k.0), code(k.1)]
 }
 
 proptest! {
@@ -25,23 +29,18 @@ proptest! {
     ) {
         let tree = BTree::bulk_load(
             2,
-            entries.iter().map(|(k, v)| (to_key(*k), *v)).collect(),
+            entries.iter().flat_map(|(k, _)| to_key(*k)).collect(),
+            entries.iter().map(|(_, v)| *v).collect(),
         );
         prop_assert_eq!(tree.len(), entries.len());
 
-        // Full iteration is key-sorted.
-        let mut prev: Option<Vec<Value>> = None;
-        for (k, _) in tree.iter() {
-            if let Some(p) = &prev {
-                prop_assert!(p.as_slice() <= k);
-            }
-            prev = Some(k.to_vec());
-        }
+        // Full iteration is sorted by (key, value).
+        let all: Vec<(Vec<u64>, u32)> = tree.iter().map(|(k, v)| (k.to_vec(), v)).collect();
+        prop_assert!(all.windows(2).all(|w| w[0] <= w[1]));
 
         // Prefix scan on the first key component.
         let got: Vec<u32> = {
-            let p = [Value::Int(probe)];
-            let mut v: Vec<u32> = tree.scan_prefix(&p).map(|(_, x)| x).collect();
+            let mut v: Vec<u32> = tree.scan_prefix(&[code(probe)]).map(|(_, x)| x).collect();
             v.sort_unstable();
             v
         };
@@ -52,29 +51,6 @@ proptest! {
             .collect();
         want.sort_unstable();
         prop_assert_eq!(got, want);
-    }
-
-    /// Incremental inserts agree with bulk loading the same entries.
-    #[test]
-    fn inserts_agree_with_bulk_load(
-        entries in proptest::collection::vec(((-20i64..20, -20i64..20), 0u32..100), 0..300),
-    ) {
-        let bulk = BTree::bulk_load(
-            2,
-            entries.iter().map(|(k, v)| (to_key(*k), *v)).collect(),
-        );
-        let mut incr = BTree::new(2);
-        for (k, v) in &entries {
-            incr.insert(to_key(*k), *v);
-        }
-        let a: Vec<(Vec<Value>, u32)> = bulk.iter().map(|(k, v)| (k.to_vec(), v)).collect();
-        let mut b: Vec<(Vec<Value>, u32)> = incr.iter().map(|(k, v)| (k.to_vec(), v)).collect();
-        // Equal-key entries may interleave differently; sort values within.
-        let norm = |v: &mut Vec<(Vec<Value>, u32)>| v.sort();
-        let mut a = a;
-        norm(&mut a);
-        norm(&mut b);
-        prop_assert_eq!(a, b);
     }
 
     /// Range scans match the reference under all bound strictness modes.
@@ -93,14 +69,10 @@ proptest! {
         }
         let tree = BTree::bulk_load(
             1,
-            entries
-                .iter()
-                .enumerate()
-                .map(|(i, (k, v))| (vec![Value::Int(*k)], *v * 1000 + i as u32))
-                .collect(),
+            entries.iter().map(|(k, _)| code(*k)).collect(),
+            entries.iter().enumerate().map(|(i, (_, v))| *v * 1000 + i as u32).collect(),
         );
-        let lo_key = [Value::Int(lo)];
-        let hi_key = [Value::Int(hi)];
+        let (lo_key, hi_key) = ([code(lo)], [code(hi)]);
         let mut got: Vec<u32> =
             tree.scan(&lo_key, lo_strict, &hi_key, hi_strict).map(|(_, v)| v).collect();
         got.sort_unstable();

@@ -1,11 +1,23 @@
 //! Plan DAGs with structural sharing.
 //!
-//! A [`Plan`] is an append-only arena of operator [`Node`]s. Node creation
+//! A [`Plan`] is an append-only arena of operator nodes. Node creation
 //! hash-conses: structurally identical `(op, inputs)` pairs yield the same
 //! [`NodeId`]. This gives the DAG sharing of paper Fig. 4 (one `doc` leaf
 //! serves every node reference) for free, and it makes rewrite rule (19) —
 //! which requires a self-join's two inputs to be *the same* plan — fire
 //! reliably (`#a` is deterministic, so unifying equal subplans is sound).
+//!
+//! A node owns no heap memory. Operators and output schemas are interned
+//! once per plan, and a node is a 16-byte record of an operator id, a
+//! schema id and its (at most two) inputs inline; the memo is keyed by
+//! `(operator id, inputs)`. Two interned operators are equal exactly when
+//! the [`Op`]s are, so this is the same hash-consing as keying by the
+//! operator itself: the same nodes, allocated in the same order, get the
+//! same ids. [`Plan::with_inputs`] — the rewriter's rebuild of an ancestor
+//! over new inputs — reuses the operator id, so it hashes a few integers
+//! and allocates nothing. A schema is computed, and its constraints
+//! asserted, once per `(operator id, input schema ids)`.
+//! [`Plan::node`] hands out a borrowed [`Node`] view.
 //!
 //! Column names are interned per plan; [`Plan::fresh`] generates new unique
 //! names for the compiler's renamed columns (`pre°`, `item1`, …).
@@ -20,15 +32,31 @@ use std::collections::hash_map::{Entry, HashMap};
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct NodeId(pub u32);
 
-/// An operator node.
-#[derive(Debug, Clone)]
-pub struct Node {
+/// A borrowed view of an operator node.
+#[derive(Debug, Clone, Copy)]
+pub struct Node<'a> {
     /// The operator.
-    pub op: Op,
+    pub op: &'a Op,
     /// Plan inputs (length = `op.arity()`).
-    pub inputs: Vec<NodeId>,
+    pub inputs: &'a [NodeId],
     /// Output schema, computed at construction.
-    pub schema: ColSet,
+    pub schema: &'a ColSet,
+}
+
+/// Index into a plan's operator table.
+type OpId = u32;
+/// Index into a plan's schema table.
+type SchemaId = u32;
+
+/// Fill for the input slots a node's arity leaves unused.
+const NO_INPUT: NodeId = NodeId(u32::MAX);
+
+/// The stored form of a node.
+#[derive(Debug, Clone, Copy)]
+struct Rec {
+    op: OpId,
+    schema: SchemaId,
+    inputs: [NodeId; 2],
 }
 
 /// A DAG-shaped logical plan.
@@ -36,8 +64,15 @@ pub struct Node {
 pub struct Plan {
     /// Column-name interner.
     pub cols: Interner,
-    nodes: Vec<Node>,
-    memo: HashMap<(Op, Vec<NodeId>), NodeId>,
+    nodes: Vec<Rec>,
+    memo: HashMap<(OpId, [NodeId; 2]), NodeId>,
+    ops: Vec<Op>,
+    op_ids: HashMap<Op, OpId>,
+    schemas: Vec<ColSet>,
+    schema_ids: HashMap<ColSet, SchemaId>,
+    /// Output schema of an operator over input schemas (unused slots
+    /// `SchemaId::MAX`).
+    schema_memo: HashMap<(OpId, [SchemaId; 2]), SchemaId>,
     fresh: u32,
 }
 
@@ -73,13 +108,15 @@ impl Plan {
     }
 
     /// Borrow a node.
-    pub fn node(&self, id: NodeId) -> &Node {
-        &self.nodes[id.0 as usize]
+    pub fn node(&self, id: NodeId) -> Node<'_> {
+        let rec = &self.nodes[id.0 as usize];
+        let op = &self.ops[rec.op as usize];
+        Node { op, inputs: &rec.inputs[..op.arity()], schema: &self.schemas[rec.schema as usize] }
     }
 
     /// Output schema of a node.
     pub fn schema(&self, id: NodeId) -> &ColSet {
-        &self.nodes[id.0 as usize].schema
+        &self.schemas[self.nodes[id.0 as usize].schema as usize]
     }
 
     /// Number of distinct nodes allocated (shared nodes count once).
@@ -97,28 +134,66 @@ impl Plan {
     /// # Panics
     /// Panics if arity or schema constraints are violated — plans are built
     /// by the compiler/rewriter, where such violations are bugs.
-    pub fn add(&mut self, op: Op, inputs: Vec<NodeId>) -> NodeId {
+    pub fn add(&mut self, op: Op, inputs: &[NodeId]) -> NodeId {
         assert_eq!(op.arity(), inputs.len(), "operator arity mismatch for {}", op.name());
-        // One hash per call: the entry is looked up by the moved key, so a
-        // hit (the common case in the rewriter, which re-derives existing
-        // nodes all the time) clones nothing and a miss clones once, for
-        // the arena's own copy.
-        let Plan { cols, nodes, memo, .. } = self;
-        match memo.entry((op, inputs)) {
+        let op = match self.op_ids.entry(op) {
             Entry::Occupied(hit) => *hit.get(),
             Entry::Vacant(miss) => {
-                let (op, inputs) = miss.key();
-                let schema = Plan::compute_schema(nodes, cols, op, inputs);
+                self.ops.push(miss.key().clone());
+                *miss.insert(self.ops.len() as OpId - 1)
+            }
+        };
+        self.add_interned(op, inputs)
+    }
+
+    /// Re-add node `id`'s operator over different inputs (used by the
+    /// rewriter). The operator is not cloned or hashed: this is the
+    /// allocation-free path every rebuilt ancestor takes.
+    pub fn with_inputs(&mut self, id: NodeId, inputs: &[NodeId]) -> NodeId {
+        let Node { op, inputs: old, .. } = self.node(id);
+        assert_eq!(old.len(), inputs.len(), "operator arity mismatch for {}", op.name());
+        self.add_interned(self.nodes[id.0 as usize].op, inputs)
+    }
+
+    /// Add (or find) the node of interned operator `op` over `inputs`.
+    fn add_interned(&mut self, op: OpId, inputs: &[NodeId]) -> NodeId {
+        let mut slots = [NO_INPUT; 2];
+        slots[..inputs.len()].copy_from_slice(inputs);
+        let Plan { cols, nodes, memo, ops, schemas, schema_ids, schema_memo, .. } = self;
+        match memo.entry((op, slots)) {
+            Entry::Occupied(hit) => *hit.get(),
+            Entry::Vacant(miss) => {
+                let mut in_schemas = [SchemaId::MAX; 2];
+                for (s, i) in in_schemas.iter_mut().zip(inputs) {
+                    *s = nodes[i.0 as usize].schema;
+                }
+                let schema = match schema_memo.entry((op, in_schemas)) {
+                    Entry::Occupied(hit) => *hit.get(),
+                    Entry::Vacant(new_combination) => {
+                        let s = Plan::compute_schema(cols, &ops[op as usize], |k| {
+                            &schemas[in_schemas[k] as usize]
+                        });
+                        let id = *schema_ids.entry(s).or_insert_with_key(|s| {
+                            schemas.push(s.clone());
+                            schemas.len() as SchemaId - 1
+                        });
+                        *new_combination.insert(id)
+                    }
+                };
                 let id = NodeId(nodes.len() as u32);
-                nodes.push(Node { op: op.clone(), inputs: inputs.clone(), schema });
+                nodes.push(Rec { op, schema, inputs: slots });
                 *miss.insert(id)
             }
         }
     }
 
-    /// Output schema of `op` over `inputs`, checking the operator's constraints.
-    fn compute_schema(nodes: &[Node], cols: &mut Interner, op: &Op, inputs: &[NodeId]) -> ColSet {
-        let schema = |k: usize| &nodes[inputs[k].0 as usize].schema;
+    /// Output schema of `op` over the input schemas `schema(k)`, checking
+    /// the operator's constraints.
+    fn compute_schema<'s>(
+        cols: &mut Interner,
+        op: &Op,
+        schema: impl Fn(usize) -> &'s ColSet,
+    ) -> ColSet {
         match op {
             Op::Serialize { item, pos } => {
                 let s = schema(0);
@@ -205,7 +280,7 @@ impl Plan {
 
     /// The `doc` leaf.
     pub fn doc(&mut self) -> NodeId {
-        self.add(Op::Doc, vec![])
+        self.add(Op::Doc, &[])
     }
 
     /// The standard `doc` column handles.
@@ -222,7 +297,7 @@ impl Plan {
 
     /// π — projection with rename pairs `(out, in)`.
     pub fn project(&mut self, input: NodeId, mapping: Vec<(Col, Col)>) -> NodeId {
-        self.add(Op::Project(mapping), vec![input])
+        self.add(Op::Project(mapping), &[input])
     }
 
     /// π — identity projection onto `cols`.
@@ -235,58 +310,52 @@ impl Plan {
         if pred.is_empty() {
             return input;
         }
-        self.add(Op::Select(pred), vec![input])
+        self.add(Op::Select(pred), &[input])
     }
 
     /// ⋈ₚ.
     pub fn join(&mut self, l: NodeId, r: NodeId, pred: crate::pred::Pred) -> NodeId {
-        self.add(Op::Join(pred), vec![l, r])
+        self.add(Op::Join(pred), &[l, r])
     }
 
     /// ×.
     pub fn cross(&mut self, l: NodeId, r: NodeId) -> NodeId {
-        self.add(Op::Cross, vec![l, r])
+        self.add(Op::Cross, &[l, r])
     }
 
     /// δ.
     pub fn distinct(&mut self, input: NodeId) -> NodeId {
-        self.add(Op::Distinct, vec![input])
+        self.add(Op::Distinct, &[input])
     }
 
     /// @a:c.
     pub fn attach(&mut self, input: NodeId, c: Col, v: crate::value::Value) -> NodeId {
-        self.add(Op::Attach(c, v), vec![input])
+        self.add(Op::Attach(c, v), &[input])
     }
 
     /// #a.
     pub fn row_id(&mut self, input: NodeId, c: Col) -> NodeId {
-        self.add(Op::RowId(c), vec![input])
+        self.add(Op::RowId(c), &[input])
     }
 
     /// ϱ.
     pub fn rank(&mut self, input: NodeId, out: Col, by: Vec<Col>) -> NodeId {
-        self.add(Op::Rank { out, by }, vec![input])
+        self.add(Op::Rank { out, by }, &[input])
     }
 
     /// Literal table.
     pub fn lit(&mut self, cols: Vec<Col>, rows: Vec<Vec<crate::value::Value>>) -> NodeId {
-        self.add(Op::Lit { cols, rows }, vec![])
+        self.add(Op::Lit { cols, rows }, &[])
     }
 
     /// ∪.
     pub fn union(&mut self, l: NodeId, r: NodeId) -> NodeId {
-        self.add(Op::Union, vec![l, r])
+        self.add(Op::Union, &[l, r])
     }
 
     /// ⊚ — plan root.
     pub fn serialize(&mut self, input: NodeId, item: Col, pos: Col) -> NodeId {
-        self.add(Op::Serialize { item, pos }, vec![input])
-    }
-
-    /// Re-add a node with different inputs (used by the rewriter).
-    pub fn with_inputs(&mut self, id: NodeId, inputs: Vec<NodeId>) -> NodeId {
-        let op = self.node(id).op.clone();
-        self.add(op, inputs)
+        self.add(Op::Serialize { item, pos }, &[input])
     }
 
     /// Node ids reachable from `root` (including it), in topological order
@@ -310,7 +379,7 @@ impl Plan {
             }
             visited[word] |= bit;
             stack.push((id, true));
-            for &i in &self.node(id).inputs {
+            for &i in self.node(id).inputs {
                 stack.push((i, false));
             }
         }
@@ -327,17 +396,12 @@ impl Plan {
         let mut map: HashMap<NodeId, Vec<NodeId>> = HashMap::new();
         for id in self.topo_order(root) {
             map.entry(id).or_default();
-            for &i in &self.node(id).inputs {
+            for &i in self.node(id).inputs {
                 map.entry(i).or_default().push(id);
             }
         }
         map
     }
-}
-
-/// Free helper: schema of a node (for call sites holding only `&Plan`).
-pub fn schema_cols(plan: &Plan, id: NodeId) -> &ColSet {
-    plan.schema(id)
 }
 
 #[cfg(test)]
@@ -493,5 +557,52 @@ mod tests {
         let inner = p.col("inner");
         let ri = p.row_id(r, inner);
         assert_eq!(p.schema(ri).len(), 3);
+    }
+
+    /// Two one-row literals with the same schema and a δ over the first.
+    fn two_lits_and_a_distinct(p: &mut Plan) -> (NodeId, NodeId, NodeId) {
+        let iter = p.col("iter");
+        let l1 = p.lit(vec![iter], vec![vec![Value::Int(1)]]);
+        let l2 = p.lit(vec![iter], vec![vec![Value::Int(2)]]);
+        let d = p.distinct(l1);
+        (l1, l2, d)
+    }
+
+    #[test]
+    fn with_inputs_over_the_same_inputs_is_the_node_itself() {
+        let mut p = Plan::new();
+        let (l1, _, d) = two_lits_and_a_distinct(&mut p);
+        let len = p.len();
+        assert_eq!(p.with_inputs(d, &[l1]), d);
+        assert_eq!(p.len(), len);
+    }
+
+    #[test]
+    fn with_inputs_adds_a_node_but_no_operator_and_no_schema() {
+        let mut p = Plan::new();
+        let (_, l2, d) = two_lits_and_a_distinct(&mut p);
+        let tables = |p: &Plan| (p.ops.len(), p.schemas.len(), p.schema_memo.len());
+        let before = (p.len(), tables(&p));
+        let d2 = p.with_inputs(d, &[l2]);
+        assert_ne!(d2, d);
+        assert_eq!((p.len(), tables(&p)), (before.0 + 1, before.1));
+        assert_eq!(p.node(d2).inputs, &[l2]);
+        assert_eq!(p.node(d2).op, &Op::Distinct);
+    }
+
+    #[test]
+    fn add_and_with_inputs_agree_on_the_id() {
+        let mut p = Plan::new();
+        let (_, l2, d) = two_lits_and_a_distinct(&mut p);
+        let op = p.node(d).op.clone();
+        let added = p.add(op, &[l2]);
+        assert_eq!(p.with_inputs(d, &[l2]), added);
+        let again = p.add(Op::Distinct, &[l2]);
+        assert_eq!(again, added);
+    }
+
+    #[test]
+    fn a_node_record_owns_no_heap_memory() {
+        assert!(std::mem::size_of::<Rec>() <= 24);
     }
 }

@@ -94,7 +94,7 @@ fn render_node(
         return;
     }
     let shared = parents.get(&id).map(|p| p.len()).unwrap_or(0) > 1;
-    let label = op_label(plan, &plan.node(id).op);
+    let label = op_label(plan, plan.node(id).op);
     if shared {
         *next_ref += 1;
         printed.insert(id, *next_ref);
@@ -102,7 +102,7 @@ fn render_node(
     } else {
         let _ = writeln!(out, "{pad}{label}");
     }
-    for &i in &plan.node(id).inputs {
+    for &i in plan.node(id).inputs {
         render_node(plan, i, indent + 1, parents, printed, next_ref, out);
     }
 }
@@ -113,9 +113,9 @@ pub fn render_dot(plan: &Plan, root: NodeId, title: &str) -> String {
     let _ = writeln!(out, "digraph plan {{");
     let _ = writeln!(out, "  label=\"{title}\"; node [shape=box, fontname=\"monospace\"];");
     for id in plan.topo_order(root) {
-        let label = op_label(plan, &plan.node(id).op).replace('"', "\\\"");
+        let label = op_label(plan, plan.node(id).op).replace('"', "\\\"");
         let _ = writeln!(out, "  n{} [label=\"{}\"];", id.0, label);
-        for &i in &plan.node(id).inputs {
+        for &i in plan.node(id).inputs {
             let _ = writeln!(out, "  n{} -> n{};", id.0, i.0);
         }
     }

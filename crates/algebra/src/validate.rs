@@ -28,7 +28,7 @@ pub fn validate(plan: &Plan, root: NodeId) -> Result<(), String> {
         // input must have been allocated before its consumer. An input id
         // >= the node id would mean a back-edge (impossible to build
         // through `Plan::add`, but cheap to certify here).
-        for &i in &node.inputs {
+        for &i in node.inputs {
             if i.0 >= id.0 {
                 return Err(format!(
                     "node {}: input {} violates topological (acyclic) ordering",
@@ -169,7 +169,7 @@ mod tests {
         let iter = p.col("iter");
         let l = p.lit(vec![iter], vec![vec![Value::Int(1)]]);
         let pos = p.col("pos");
-        let r = p.add(Op::Rank { out: pos, by: vec![] }, vec![l]);
+        let r = p.add(Op::Rank { out: pos, by: vec![] }, &[l]);
         let err = validate(&p, r).unwrap_err();
         assert!(err.contains("empty criteria"), "{err}");
     }
@@ -179,7 +179,7 @@ mod tests {
         let mut p = Plan::new();
         let iter = p.col("iter");
         let l = p.lit(vec![iter], vec![]);
-        let pr = p.add(Op::Project(vec![]), vec![l]);
+        let pr = p.add(Op::Project(vec![]), &[l]);
         assert!(validate(&p, pr).is_err());
     }
 }

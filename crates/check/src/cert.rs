@@ -196,7 +196,7 @@ fn naive_set(plan: &Plan, root: NodeId, topo: &[NodeId]) -> HashMap<NodeId, bool
     // consumer edges: input -> (consumer id)
     let mut consumers: HashMap<NodeId, Vec<NodeId>> = HashMap::new();
     for &id in topo {
-        for &e in &plan.node(id).inputs {
+        for &e in plan.node(id).inputs {
             consumers.entry(e).or_default().push(id);
         }
     }

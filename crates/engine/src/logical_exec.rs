@@ -92,7 +92,7 @@ pub fn execute_serialized(
     budget: ExecBudget,
 ) -> Result<Vec<u32>, ExecError> {
     let node = plan.node(root);
-    let Op::Serialize { item, pos } = node.op else {
+    let &Op::Serialize { item, pos } = node.op else {
         return Err(ExecError::BadPlan("root is not a serialize operator".into()));
     };
     let mut cx = Cx { plan, store, budget, spent: 0, memo: HashMap::new() };

@@ -58,7 +58,7 @@ enum Sym {
 /// Extract the conjunctive query from the isolated plan under `root`.
 pub fn extract_cq(plan: &Plan, root: NodeId) -> Result<ConjunctiveQuery, ExtractError> {
     let node = plan.node(root);
-    let Op::Serialize { item, pos } = node.op else {
+    let &Op::Serialize { item, pos } = node.op else {
         return Err(ExtractError::NoSerializeRoot);
     };
 

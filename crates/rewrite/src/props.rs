@@ -216,7 +216,7 @@ impl Props {
                 let eq = derive_eq(plan, self, id);
                 let e = self.entry_mut(id);
                 (e.consts, e.keys, e.eq) = (consts, keys, eq);
-                for &i in &plan.node(id).inputs {
+                for &i in plan.node(id).inputs {
                     self.entry_mut(i).parents.push(id);
                     dirty.push(i);
                 }
@@ -241,7 +241,7 @@ impl Props {
             .into_iter()
             .collect();
         while let Some(d) = dead.pop() {
-            for &i in &plan.node(d).inputs {
+            for &i in plan.node(d).inputs {
                 let parents = &mut self.entry_mut(i).parents;
                 let k = parents.iter().position(|&p| p == d).expect("consumer edge is recorded");
                 parents.swap_remove(k);
@@ -474,11 +474,11 @@ fn derive_const_key(plan: &Plan, props: &Props, id: NodeId) -> (Vec<(Col, Value)
 fn infer_up(
     plan: &Plan,
     props: &Props,
-    node: &jgi_algebra::Node,
+    node: jgi_algebra::Node,
 ) -> (Vec<(Col, Value)>, Vec<ColSet>) {
     let input_consts = |k: usize| props.consts(node.inputs[k]);
     let input_keys = |k: usize| props.keys(node.inputs[k]);
-    match &node.op {
+    match node.op {
         Op::Serialize { .. } | Op::Select(_) | Op::Distinct => {
             let mut keys = input_keys(0).to_vec();
             if matches!(node.op, Op::Distinct) {

@@ -97,19 +97,11 @@ fn house_rules(plan: &mut Plan, props: &Props, id: NodeId) -> Option<Rewrite> {
     // Schema-shrinking rules are disabled below a ∪, which requires its
     // two inputs' schemas to stay exactly equal.
     let schema_locked = props.below_union(id);
-    // Cheap pre-filters on borrowed data before the operator clone below.
-    match &plan.node(id).op {
-        Op::Attach(c, _) => {
-            let removable = !schema_locked && !props.icols(id).contains(*c);
-            if !removable {
-                return None;
-            }
-        }
-        Op::Doc | Op::Lit { .. } | Op::Serialize { .. } | Op::Union => return None,
-        _ => {}
-    }
-    let node = plan.node(id).clone();
-    match &node.op {
+    // The operator stays borrowed from the arena; every arm copies what it
+    // needs out of it before building nodes, so an attempt that is turned
+    // down clones nothing.
+    let node = plan.node(id);
+    match node.op {
         // (1)  q × [singleton constant table] → @…(q)
         // Generalized: the literal side may be wrapped in attaches and
         // projections (the compiler's `@pos:1(loop)` pattern).
@@ -131,8 +123,7 @@ fn house_rules(plan: &mut Plan, props: &Props, id: NodeId) -> Option<Rewrite> {
         Op::Project(outer) => {
             let input = node.inputs[0];
             // (2)  π(π(q)) → π(q), composing the renamings.
-            if let Op::Project(inner) = &plan.node(input).op {
-                let inner = inner.clone();
+            if let Op::Project(inner) = plan.node(input).op {
                 let grandchild = plan.node(input).inputs[0];
                 let composed: Vec<(Col, Col)> = outer
                     .iter()
@@ -162,9 +153,8 @@ fn house_rules(plan: &mut Plan, props: &Props, id: NodeId) -> Option<Rewrite> {
             }
             // (2b) identity projection → input (engineering: keeps chains
             // short; the paper subsumes this under "ignoring renaming").
-            let in_schema = plan.schema(input).clone();
             if outer.iter().all(|(o, s)| o == s)
-                && ColSet::from_iter(outer.iter().map(|(o, _)| *o)) == in_schema
+                && ColSet::from_iter(outer.iter().map(|(o, _)| *o)) == *plan.schema(input)
             {
                 return Some(Rewrite { old: id, new: input, rule: "(2b)" });
             }
@@ -249,15 +239,14 @@ fn house_rules(plan: &mut Plan, props: &Props, id: NodeId) -> Option<Rewrite> {
             // This exposes π∘π compositions (rule (2)) across row-id
             // operators and lets rule (19) see through them. (Engineering
             // rule; the paper's name-free treatment doesn't need it.)
-            if let Op::Project(m) = &plan.node(node.inputs[0]).op {
-                let m = m.clone();
+            if let Op::Project(m) = plan.node(node.inputs[0]).op {
                 let q = plan.node(node.inputs[0]).inputs[0];
                 // Guard: the projection must keep rows 1:1 — true for any
                 // π (projection is per-row) — and must not capture `c`.
                 if !m.iter().any(|(out, _)| out == c) {
-                    let rid = plan.row_id(q, *c);
-                    let mut mm = m;
-                    mm.push((*c, *c));
+                    let (c, mut mm) = (*c, m.clone());
+                    let rid = plan.row_id(q, c);
+                    mm.push((c, c));
                     let new = plan.project(rid, mm);
                     return Some(Rewrite { old: id, new, rule: "(2c)" });
                 }
@@ -298,79 +287,48 @@ fn house_rules(plan: &mut Plan, props: &Props, id: NodeId) -> Option<Rewrite> {
 /// rules (19) and (2) see through the loop bookkeeping. Values are equal
 /// row-by-row, so the rewrite is an identity on the table level.
 fn canonicalize_columns(plan: &mut Plan, props: &Props, id: NodeId) -> Option<Rewrite> {
-    // Cheap pre-check with borrows only: most nodes are already canonical,
-    // and cloning their operator (predicate vectors with heap strings) per
-    // scan pass dominated isolation time before this guard.
-    {
-        let node = plan.node(id);
-        let canon = |c: Col| -> Col {
-            for &i in &node.inputs {
-                if plan.schema(i).contains(c) {
-                    return props.canon(i, c);
-                }
-            }
-            c
-        };
-        let clean = match &node.op {
-            Op::Project(m) => m.iter().all(|(_, src)| canon(*src) == *src),
-            Op::Select(p) | Op::Join(p) => p
-                .iter()
-                .all(|a| a.cols().iter().all(|c| canon(c) == c)),
-            Op::Rank { by, .. } => by.iter().all(|&b| canon(b) == b),
-            Op::Serialize { item, pos } => canon(*item) == *item && canon(*pos) == *pos,
-            _ => true,
-        };
-        if clean {
-            return None;
-        }
-    }
-    let node = plan.node(id).clone();
-    let canon_in = |plan: &Plan, c: Col| -> Col {
-        for &i in &node.inputs {
+    let node = plan.node(id);
+    let canon = |c: Col| -> Col {
+        for &i in node.inputs {
             if plan.schema(i).contains(c) {
                 return props.canon(i, c);
             }
         }
         c
     };
-    let new = match &node.op {
+    // Cheap pre-check with borrows only: most nodes are already canonical,
+    // and building their new parameters per scan pass would dominate
+    // isolation time. Past it, some parameter is known to change.
+    let clean = match node.op {
+        Op::Project(m) => m.iter().all(|(_, src)| canon(*src) == *src),
+        Op::Select(p) | Op::Join(p) => p
+            .iter()
+            .all(|a| a.cols().iter().all(|c| canon(c) == c)),
+        Op::Rank { by, .. } => by.iter().all(|&b| canon(b) == b),
+        Op::Serialize { item, pos } => canon(*item) == *item && canon(*pos) == *pos,
+        _ => true,
+    };
+    if clean {
+        return None;
+    }
+    let new = match node.op {
         Op::Project(m) => {
-            let nm: Vec<(Col, Col)> =
-                m.iter().map(|(out, src)| (*out, canon_in(plan, *src))).collect();
-            if nm == *m {
-                return None;
-            }
+            let nm: Vec<(Col, Col)> = m.iter().map(|(out, src)| (*out, canon(*src))).collect();
             plan.project(node.inputs[0], nm)
         }
         Op::Select(p) => {
-            let np: Pred = p.iter().map(|a| a.map_cols(&mut |c| canon_in(plan, c))).collect();
-            if np == *p {
-                return None;
-            }
+            let np: Pred = p.iter().map(|a| a.map_cols(&mut |c| canon(c))).collect();
             plan.select(node.inputs[0], np)
         }
         Op::Join(p) => {
-            let np: Pred = p.iter().map(|a| a.map_cols(&mut |c| canon_in(plan, c))).collect();
-            if np == *p {
-                return None;
-            }
+            let np: Pred = p.iter().map(|a| a.map_cols(&mut |c| canon(c))).collect();
             plan.join(node.inputs[0], node.inputs[1], np)
         }
         Op::Rank { out, by } => {
-            let nb: Vec<Col> = by.iter().map(|&b| canon_in(plan, b)).collect();
-            if nb == *by {
-                return None;
-            }
+            let nb: Vec<Col> = by.iter().map(|&b| canon(b)).collect();
             plan.rank(node.inputs[0], *out, nb)
         }
-        Op::Serialize { item, pos } => {
-            let ni = canon_in(plan, *item);
-            let np = canon_in(plan, *pos);
-            if ni == *item && np == *pos {
-                return None;
-            }
-            plan.serialize(node.inputs[0], ni, np)
-        }
+        Op::Serialize { item, pos } => plan.serialize(node.inputs[0], canon(*item), canon(*pos)),
         _ => return None,
     };
     if new == id {
@@ -409,13 +367,13 @@ fn singleton_consts(plan: &Plan, id: NodeId) -> Option<Vec<(Col, Value)>> {
 // ===========================================================================
 
 fn rank_rules(plan: &mut Plan, props: &Props, id: NodeId) -> Option<Rewrite> {
-    let node = plan.node(id).clone();
+    let node = plan.node(id);
     // Pull-ups must not change the schema seen by a ∪ (which requires both
     // inputs to agree exactly), so any rule that would alter `id`'s schema
     // is blocked under a Union parent.
     let union_parent = props.union_parent(id);
 
-    match &node.op {
+    match node.op {
         Op::Rank { out, by } => {
             // (9)  single-criterion rank ⇒ order-isomorphic column copy.
             if by.len() == 1 && !union_parent {
@@ -429,12 +387,11 @@ fn rank_rules(plan: &mut Plan, props: &Props, id: NodeId) -> Option<Rewrite> {
             }
             // (13)  splice adjacent rank criteria.
             let input = node.inputs[0];
-            if let Op::Rank { out: b_i, by: inner_by } = &plan.node(input).op {
+            if let Op::Rank { out: b_i, by: inner_by } = plan.node(input).op {
                 if by.contains(b_i) {
-                    let (b_i, inner_by) = (*b_i, inner_by.clone());
                     let mut new_by = Vec::new();
                     for &b in by {
-                        if b == b_i {
+                        if b == *b_i {
                             new_by.extend(inner_by.iter().copied());
                         } else {
                             new_by.push(b);
@@ -450,19 +407,20 @@ fn rank_rules(plan: &mut Plan, props: &Props, id: NodeId) -> Option<Rewrite> {
         // (10)  (ϱ(q)) → ϱ((q)) for  ∈ {σ, δ, @, #}.
         Op::Select(_) | Op::Distinct | Op::Attach(_, _) | Op::RowId(_) => {
             let input = node.inputs[0];
-            let Op::Rank { out, by } = plan.node(input).op.clone() else {
+            let Op::Rank { out, by } = plan.node(input).op else {
                 return None;
             };
-            if let Op::Select(p) = &node.op {
-                if jgi_algebra::pred::pred_cols(p).contains(out) {
+            if let Op::Select(p) = node.op {
+                if jgi_algebra::pred::pred_cols(p).contains(*out) {
                     return None; // a ∈ cols(p) blocks the pull-up
                 }
             }
             if union_parent {
                 return None;
             }
+            let (out, by) = (*out, by.clone());
             let q = plan.node(input).inputs[0];
-            let moved = plan.add(node.op.clone(), vec![q]);
+            let moved = plan.with_inputs(id, &[q]);
             let new = plan.rank(moved, out, by);
             Some(Rewrite { old: id, new, rule: "(10)" })
         }
@@ -471,18 +429,18 @@ fn rank_rules(plan: &mut Plan, props: &Props, id: NodeId) -> Option<Rewrite> {
         // names when the projection would drop them.
         Op::Project(m) => {
             let input = node.inputs[0];
-            let Op::Rank { out, by } = plan.node(input).op.clone() else {
+            let Op::Rank { out, by } = plan.node(input).op else {
                 return None;
             };
             if union_parent || props.below_union(id) {
                 return None;
             }
             let a_outs: Vec<(Col, Col)> =
-                m.iter().filter(|(_, src)| *src == out).cloned().collect();
+                m.iter().filter(|(_, src)| src == out).cloned().collect();
             if a_outs.len() != 1 {
                 return None; // rank output must be projected exactly once
             }
-            let a_out = a_outs[0].0;
+            let (a_out, out, by) = (a_outs[0].0, *out, by.clone());
             let q = plan.node(input).inputs[0];
             let mut new_map: Vec<(Col, Col)> =
                 m.iter().filter(|(_, src)| *src != out).cloned().collect();
@@ -510,18 +468,18 @@ fn rank_rules(plan: &mut Plan, props: &Props, id: NodeId) -> Option<Rewrite> {
             }
             for k in 0..2 {
                 let side = node.inputs[k];
-                let Op::Rank { out, by } = plan.node(side).op.clone() else {
+                let Op::Rank { out, by } = plan.node(side).op else {
                     continue;
                 };
-                if let Op::Join(p) = &node.op {
-                    if jgi_algebra::pred::pred_cols(p).contains(out) {
+                if let Op::Join(p) = node.op {
+                    if jgi_algebra::pred::pred_cols(p).contains(*out) {
                         continue;
                     }
                 }
-                let q = plan.node(side).inputs[0];
-                let mut inputs = node.inputs.clone();
-                inputs[k] = q;
-                let moved = plan.add(node.op.clone(), inputs);
+                let (out, by) = (*out, by.clone());
+                let mut inputs = [node.inputs[0], node.inputs[1]];
+                inputs[k] = plan.node(side).inputs[0];
+                let moved = plan.with_inputs(id, &inputs);
                 let new = plan.rank(moved, out, by);
                 return Some(Rewrite { old: id, new, rule: "(12)" });
             }
@@ -675,10 +633,9 @@ fn push_join_down(
     other: NodeId,
     side_is_left: bool,
 ) -> Option<(Rewrite, NodeId)> {
-    let node = plan.node(id).clone();
-    let Op::Join(pred) = node.op else { return None };
+    let Op::Join(pred) = plan.node(id).op else { return None };
     let oc = other_col(&pred[0], col);
-    let side_node = plan.node(side).clone();
+    let side_node = plan.node(side);
     let out_schema = plan.schema(id).clone();
 
     // Build `q ⋈ other'` with `other` renamed apart from `avoid`, and
@@ -707,13 +664,15 @@ fn push_join_down(
         plan.project(top, mapping)
     };
 
-    match &side_node.op {
+    // σ, @ and ⋈/× move as they are: `with_inputs(side, …)` rebuilds them
+    // over the pushed join without touching their parameters.
+    match side_node.op {
         // (17) with  = σ.
-        Op::Select(sp) => {
+        Op::Select(_) => {
             let q = side_node.inputs[0];
             let avoid = plan.schema(q).clone();
             let (inner, ren) = build(plan, q, col, &avoid);
-            let sel = plan.select(inner, sp.clone());
+            let sel = plan.with_inputs(side, &[inner]);
             let new = restore(plan, sel, &ren);
             if new == id {
                 return None;
@@ -722,7 +681,7 @@ fn push_join_down(
         }
         // (17) with  = @ (the attached column cannot be the join column:
         // `col ∈ cols(q1)` requires it to come from below).
-        Op::Attach(c, v) => {
+        Op::Attach(c, _) => {
             if *c == col {
                 return None;
             }
@@ -730,7 +689,7 @@ fn push_join_down(
             let mut avoid = plan.schema(q).clone();
             avoid.insert(*c);
             let (inner, ren) = build(plan, q, col, &avoid);
-            let att = plan.attach(inner, *c, v.clone());
+            let att = plan.with_inputs(side, &[inner]);
             let new = restore(plan, att, &ren);
             if new == id {
                 return None;
@@ -746,8 +705,8 @@ fn push_join_down(
             for (out, _) in m {
                 avoid.insert(*out);
             }
-            let (inner, ren) = build(plan, q, src, &avoid);
             let mut mm = m.clone();
+            let (inner, ren) = build(plan, q, src, &avoid);
             for c in plan.schema(other).clone().iter() {
                 mm.push((*ren.get(&c).unwrap_or(&c), *ren.get(&c).unwrap_or(&c)));
             }
@@ -760,17 +719,17 @@ fn push_join_down(
         }
         // (18)  (q1 ⊗ q2) ⋈ q3 → push into whichever factor holds `col`.
         Op::Join(_) | Op::Cross => {
+            let mut inputs = [side_node.inputs[0], side_node.inputs[1]];
             for k in 0..2 {
-                let qk = side_node.inputs[k];
+                let qk = inputs[k];
                 if !plan.schema(qk).contains(col) {
                     continue;
                 }
                 // Avoid every column visible anywhere in the rebuilt side.
                 let avoid = plan.schema(side).clone();
                 let (pushed, ren) = build(plan, qk, col, &avoid);
-                let mut inputs = side_node.inputs.clone();
                 inputs[k] = pushed;
-                let moved = plan.add(side_node.op.clone(), inputs);
+                let moved = plan.with_inputs(side, &inputs);
                 let new = restore(plan, moved, &ren);
                 if new == id {
                     return None;
@@ -920,20 +879,22 @@ pub fn substitute(plan: &mut Plan, props: &Props, old: NodeId, new: NodeId) -> (
         if map.last().is_some_and(|(done, _)| *done == id) {
             continue; // reached over more than one consumer edge
         }
-        let mapped: Vec<NodeId> = plan
-            .node(id)
-            .inputs
-            .iter()
-            .map(|i| map.iter().rev().find(|(from, _)| from == i).map_or(*i, |(_, to)| *to))
-            .collect();
-        let nid = match plan.node(id).op.clone() {
-            Op::Project(mut m) => {
-                let avail = plan.schema(mapped[0]);
-                m.retain(|(_, src)| avail.contains(*src));
+        let node = plan.node(id);
+        let mut mapped = [NodeId(0); 2];
+        for (slot, i) in mapped.iter_mut().zip(node.inputs) {
+            *slot = map.iter().rev().find(|(from, _)| from == i).map_or(*i, |(_, to)| *to);
+        }
+        let mapped = &mapped[..node.inputs.len()];
+        let avail = plan.schema(mapped[0]);
+        let nid = match node.op {
+            Op::Project(m) if m.iter().any(|(_, src)| !avail.contains(*src)) => {
+                let m: Vec<(Col, Col)> =
+                    m.iter().filter(|(_, src)| avail.contains(*src)).copied().collect();
                 assert!(!m.is_empty(), "projection lost all sources during substitution");
                 plan.project(mapped[0], m)
             }
-            op => plan.add(op, mapped),
+            // Every other ancestor keeps its operator: no clone, no hash of it.
+            _ => plan.with_inputs(id, mapped),
         };
         map.push((id, nid));
         pending.extend(props.parents(id).iter().map(|&p| by_pos(p)));

@@ -60,6 +60,20 @@ fn q2_steps_cost_what_they_touch() {
     assert!(rebuilt_per_step < stats.nodes_after as f64 / 2.0, "{rebuilt_per_step:.1}");
 }
 
+/// The arena's allocation order, pinned beyond what the golden files see:
+/// every node Q2's isolation creates, and every ancestor it rebuilds, in
+/// exactly the numbers the operator-keyed memo produced. Interning
+/// operators and schemas must not move either count — `name@id` columns
+/// and with them the SQL text are spelled from these ids.
+#[test]
+fn q2_arena_length_and_rebuilds_are_pinned() {
+    let core = compile_to_core(Q2).unwrap();
+    let c = compile(&core).unwrap();
+    let mut plan = c.plan;
+    let (_, stats) = isolate(&mut plan, c.root);
+    assert_eq!((plan.len(), stats.nodes_rebuilt), (226_761, 253_263));
+}
+
 /// Differential check on a small synthetic XMark instance: the isolated Q2
 /// computes the same node sequence as the stacked plan.
 #[test]

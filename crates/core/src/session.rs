@@ -184,11 +184,10 @@ impl QueryReport {
         if let Some(e) = &self.exec {
             let _ = writeln!(
                 out,
-                "  exec: {} raw rows, {} sorted, {} deduped; {} worker(s); per-op rows_out {:?}",
+                "  exec: {} raw rows, {} sorted, {} deduped; per-op rows_out {:?}",
                 e.raw_rows,
                 e.sort_rows,
                 e.dedup_removed,
-                e.parallel_workers,
                 e.per_op.iter().map(|o| o.rows_out).collect::<Vec<_>>()
             );
         }
@@ -263,9 +262,6 @@ impl QueryReport {
                     ("sort_rows", Json::UInt(e.sort_rows)),
                     ("dedup_removed", Json::UInt(e.dedup_removed)),
                     ("sort_spills", Json::UInt(e.sort_spills)),
-                    ("parallel_workers", Json::UInt(e.parallel_workers)),
-                    ("parallel_morsels", Json::UInt(e.parallel_morsels)),
-                    ("parallel_depth", Json::UInt(e.parallel_depth)),
                     (
                         "per_op",
                         Json::Arr(
@@ -403,53 +399,13 @@ impl Prepared {
     }
 }
 
-/// Intra-query parallelism degree for the join-graph executor.
-///
-/// `Auto` resolves to the machine's available cores at execution time;
-/// `Fixed(1)` is the classic sequential path. Whatever the degree, the
-/// optimizer still refuses to fan out plans estimated too cheap
-/// (`jgi_engine::optimizer::parallel_degree`), and results are
-/// bit-identical at every setting.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+/// A thread count for the join-graph executor. Inert: every query runs
+/// on the calling thread whatever the count. Kept only because the frozen
+/// benchmark harness still names it (through [`Budgets::parallelism`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Parallelism {
-    /// Use every core `std::thread::available_parallelism` reports.
-    #[default]
-    Auto,
-    /// Exactly this many worker threads (clamped to ≥ 1).
+    /// A thread count the executor does not read.
     Fixed(usize),
-}
-
-impl Parallelism {
-    /// Resolve to a concrete thread count.
-    pub fn threads(self) -> usize {
-        match self {
-            Parallelism::Auto => {
-                std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
-            }
-            Parallelism::Fixed(n) => n.max(1),
-        }
-    }
-}
-
-impl std::str::FromStr for Parallelism {
-    type Err = String;
-    fn from_str(s: &str) -> Result<Parallelism, String> {
-        if s.eq_ignore_ascii_case("auto") {
-            return Ok(Parallelism::Auto);
-        }
-        s.parse::<usize>()
-            .map(Parallelism::Fixed)
-            .map_err(|_| format!("bad parallelism {s:?} (want \"auto\" or a thread count)"))
-    }
-}
-
-impl fmt::Display for Parallelism {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Parallelism::Auto => write!(f, "auto"),
-            Parallelism::Fixed(n) => write!(f, "{n}"),
-        }
-    }
 }
 
 /// Execution budgets — the per-query state of an execution, separate from
@@ -460,7 +416,7 @@ pub struct Budgets {
     pub stacked: ExecBudget,
     /// Budget for the navigational evaluator (node visits).
     pub nav: u64,
-    /// Worker threads the join-graph executor may use per query.
+    /// Inert: nothing reads it (see [`Parallelism`]).
     pub parallelism: Parallelism,
     /// Whether the join-graph executor may use the vectorized batch
     /// pipeline (default: on; `jgi-served --scalar` turns it off).
@@ -468,13 +424,6 @@ pub struct Budgets {
     /// Physical join-strategy selection for the join-graph planner
     /// (default: cost-based `auto`; `jgi-served --join` forces one).
     pub join: optimizer::JoinStrategy,
-    /// Override for the morsel size used to partition the parallel
-    /// frontier. `None` keeps [`physical::DEFAULT_MORSEL_SIZE`]. Validate
-    /// user-supplied values with [`physical::validate_morsel_size`].
-    pub morsel_size: Option<usize>,
-    /// Override for the vectorized batch size. `None` keeps
-    /// [`physical::DEFAULT_BATCH_SIZE`].
-    pub batch_size: Option<usize>,
 }
 
 impl Default for Budgets {
@@ -482,11 +431,9 @@ impl Default for Budgets {
         Budgets {
             stacked: ExecBudget::default(),
             nav: 500_000_000,
-            parallelism: Parallelism::Auto,
+            parallelism: Parallelism::Fixed(1),
             vectorized: true,
             join: optimizer::JoinStrategy::Auto,
-            morsel_size: None,
-            batch_size: None,
         }
     }
 }
@@ -497,19 +444,10 @@ fn plan_options(budgets: &Budgets) -> optimizer::PlanOptions {
     optimizer::PlanOptions { join: budgets.join, vectorized: budgets.vectorized }
 }
 
-/// Translate budgets into executor options: degree from the parallelism
-/// policy, vectorization and morsel-size overrides applied on top of the
-/// engine defaults.
+/// Translate budgets into executor options: the executor mode on top of
+/// the engine defaults.
 fn exec_options(budgets: &Budgets) -> physical::ExecOptions {
-    let mut opts = physical::ExecOptions::with_parallelism(budgets.parallelism.threads());
-    opts.vectorized = budgets.vectorized;
-    if let Some(m) = budgets.morsel_size {
-        opts.morsel_size = m.max(1);
-    }
-    if let Some(b) = budgets.batch_size {
-        opts.batch_size = b.max(1);
-    }
-    opts
+    physical::ExecOptions { vectorized: budgets.vectorized, ..physical::ExecOptions::default() }
 }
 
 /// The *shared, immutable* state one execution reads: the tabular

@@ -100,16 +100,6 @@ pub fn render_analyze(
         if plan_cached { "cached" } else { "planned" },
         planning.states_considered
     );
-    // Only annotate when the morsel scheduler actually fanned out, so
-    // sequential EXPLAIN ANALYZE output (and its golden tests) is
-    // unchanged.
-    if stats.parallel_workers > 1 {
-        let _ = writeln!(
-            out,
-            " PARALLEL (workers {}, morsels {}, partition depth {})",
-            stats.parallel_workers, stats.parallel_morsels, stats.parallel_depth
-        );
-    }
     // Annotated whenever the batch pipeline ran (vector_batch_size is 0 on
     // the scalar path): batch geometry plus the physical-vs-logical probe
     // gap the batched B-tree cursors opened up.

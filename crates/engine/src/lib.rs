@@ -14,10 +14,9 @@
 //! * [`optimizer`] — System-R-style left-deep dynamic-programming join
 //!   ordering with B-tree access-path selection;
 //! * [`physical`] — the physical operators of paper Table 7 (`IXSCAN`,
-//!   `TBSCAN`, `NLJOIN`, `HSJOIN`, `SORT`, `RETURN`) and their executor,
-//!   including the morsel-driven parallel path (binding-frontier
-//!   partitioning, worker-local statistics, order-preserving parallel
-//!   merge — see DESIGN.md §7);
+//!   `TBSCAN`, `NLJOIN`, `HSJOIN`, `SORT`, `RETURN`) and their executor:
+//!   one thread per query, a vectorized batch pipeline with the
+//!   tuple-at-a-time walk as its reference (see DESIGN.md §7–§8);
 //! * [`explain`] — DB2-visual-explain-style plan rendering with the XPath
 //!   *continuation* annotations of paper Figs. 10/11;
 //! * [`advisor`] — a db2advis-like index advisor (paper Table 6);

@@ -39,43 +39,11 @@ const FORCE_PENALTY: f64 = 1e12;
 /// against `PROBE_COST`, like the rest of the unit system.
 pub const LEAP_SEEK_COST: f64 = 2.0;
 
-/// Minimum estimated plan cost (in the `ROW_COST`/`PROBE_COST` unit)
-/// before the executor is allowed to fan out across worker threads. Below
-/// this, the fixed costs of thread spawn, morsel scheduling, and run
-/// merging dominate any parallel win — point lookups and small scans stay
-/// on the sequential path no matter what degree the caller requests. The
-/// bar is deliberately low: the DP's independence assumptions make it
-/// underestimate correlated probe chains (XMark Q2's twelve-step pipeline
-/// costs out under 300 while dominating actual wall time), and the
-/// executor's own frontier/morsel cap already keeps genuinely tiny plans
-/// inline.
-pub const PARALLEL_MIN_COST: f64 = 200.0;
-
 /// Largest alias count the dynamic program accepts. Its subset table holds
 /// 2ⁿ states, so every alias past the bound doubles planning memory and
 /// time; [`plan_with_stats_opts`] asserts it, and callers holding a larger
 /// join graph must take another execution path.
 pub const MAX_ALIASES: usize = 20;
-
-/// Decide the parallelism degree for executing `plan` when the caller
-/// requests `requested` worker threads: plans whose *mode-aware* cost
-/// (see [`batch_aware_cost`]) falls below [`PARALLEL_MIN_COST`] stay
-/// sequential — a plan whose rows are cheap to batch does not deserve
-/// thread fan-out just because its scalar estimate looks expensive. On
-/// the vectorized path both the cost and the bar are expressed in
-/// [`VECTOR_ROW_COST`] units, so the gate asks the same question in both
-/// modes: "is this ≥ 200 scalar-row-equivalents of work?". The executor
-/// further caps the degree by the number of frontier morsels actually
-/// produced, so a high return value here is a permission, not an
-/// obligation.
-pub fn parallel_degree(plan: &PhysPlan, requested: usize, vectorized: bool) -> usize {
-    let floor = if vectorized { PARALLEL_MIN_COST * VECTOR_ROW_COST } else { PARALLEL_MIN_COST };
-    if requested <= 1 || batch_aware_cost(plan, vectorized) < floor {
-        1
-    } else {
-        requested
-    }
-}
 
 /// Per-candidate-row cost on the vectorized path, as a fraction of the
 /// scalar `ROW_COST`: column-batch kernels amortize predicate interpretation
@@ -89,8 +57,8 @@ pub const VECTOR_ROW_COST: f64 = 0.25;
 /// `vectorized: true`) already bake the discount into `est_cost` (their
 /// [`PhysPlan::batch_costed`] flag is set) and are returned unchanged;
 /// plans costed at scalar rates are discounted here. The figure feeds the
-/// DP itself (through [`PlanOptions::vectorized`]), [`parallel_degree`]'s
-/// fan-out gate, EXPLAIN, and service admission heuristics.
+/// DP itself (through [`PlanOptions::vectorized`]) and the join-strategy
+/// lint's cost comparison ([`lint_join_strategies`]).
 pub fn batch_aware_cost(plan: &PhysPlan, vectorized: bool) -> f64 {
     if vectorized && !plan.batch_costed {
         plan.est_cost * VECTOR_ROW_COST
@@ -167,21 +135,6 @@ impl Default for PlanOptions {
     fn default() -> Self {
         PlanOptions { join: JoinStrategy::Auto, vectorized: true }
     }
-}
-
-/// Partition unit for vectorized morsels. The scalar default
-/// ([`crate::physical::DEFAULT_MORSEL_SIZE`] = 16) is tuned for per-tuple
-/// work-stealing granularity; batch kernels want morsels near the batch
-/// size. Grow the unit to the largest power of two that still leaves
-/// every worker at least two morsels of the materialized frontier,
-/// clamped to `[floor, max(ceil, floor)]` — `floor` is the configured
-/// scalar morsel size (so fan-out never degrades below the scalar
-/// geometry's minimum), `ceil` the batch size.
-pub fn vector_morsel_size(frontier: usize, workers: usize, floor: usize, ceil: usize) -> usize {
-    let per = frontier / (2 * workers.max(1));
-    let unit = if per <= 1 { 1 } else { 1usize << (usize::BITS - 1 - per.leading_zeros()) };
-    let floor = floor.max(1);
-    unit.max(floor).min(ceil.max(floor))
 }
 
 /// Counters describing one run of the dynamic program (for EXPLAIN output

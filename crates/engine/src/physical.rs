@@ -265,13 +265,11 @@ pub struct OpActuals {
 
 /// Execution statistics (EXPLAIN ANALYZE, the obs recording, and tests).
 ///
-/// All row/probe/comparison counters are *identical at any parallelism
-/// degree*: morsel partitioning splits the driver rows between workers but
-/// never changes the per-row work (early-out semijoins prune within a
-/// single outer row, so the split cannot move work across the cut). Only
-/// [`parallel_workers`](ExecStats::parallel_workers) and
-/// [`parallel_morsels`](ExecStats::parallel_morsels) depend on the degree.
-#[derive(Debug, Clone, Default)]
+/// The row/probe/comparison counters are *mode-independent*: the scalar
+/// and the vectorized executor charge them identically for a given plan.
+/// The `vector_*`, `btree_*` and leapfrog `join_*` counters describe the
+/// batch pipeline's physical work and are mode-dependent.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ExecStats {
     /// Rows produced by each access (driver first). Kept alongside
     /// `per_op[i].rows_out` (same numbers) for API stability.
@@ -288,19 +286,7 @@ pub struct ExecStats {
     /// in-memory, so this stays 0; the field keeps the report shape stable
     /// for back-ends that do spill.
     pub sort_spills: u64,
-    /// Worker threads the executor actually used (1 = sequential path,
-    /// either requested or because the optimizer refused to fan out).
-    pub parallel_workers: u64,
-    /// Frontier morsels dispatched to the workers (0 on the sequential
-    /// path).
-    pub parallel_morsels: u64,
-    /// Pipeline depth at which the binding frontier was partitioned: 0 =
-    /// the driver scan itself, k = the prefix through step k ran
-    /// sequentially and steps k.. fanned out.
-    pub parallel_depth: u64,
     /// Column batches pushed through the pipeline (0 on the scalar path).
-    /// Like `parallel_*`, the `vector_*`/`btree_*` counters are
-    /// mode-dependent; every other counter is mode-*independent*.
     pub vector_batches: u64,
     /// Predicate-kernel invocations: one per residual atom per flushed
     /// batch.
@@ -319,7 +305,7 @@ pub struct ExecStats {
     /// batched cursors plus outer tuples sharing one constant-probe scan.
     pub btree_skips: u64,
     /// Rows loaded into [`Step::Hash`] build tables. Charged once at build
-    /// time on the scheduling thread, so it is mode-*independent*.
+    /// time, before the pipeline runs, so it is mode-*independent*.
     pub join_build_rows: u64,
     /// Batches pushed through a leapfrog probe (0 on the scalar path —
     /// mode-dependent, like `vector_*`).
@@ -339,79 +325,22 @@ impl ExecStats {
             ..Default::default()
         }
     }
-
-    /// Fold one worker's counters into the query-level totals. Workers
-    /// never touch the operators at or above the partition depth (those
-    /// stay zero in worker locals — the scheduler owns the driver scan
-    /// and the expanded prefix), so the element-wise addition is exact,
-    /// not approximate.
-    fn absorb_worker(&mut self, w: &ExecStats) {
-        for (a, b) in self.rows_scanned.iter_mut().zip(&w.rows_scanned) {
-            *a += b;
-        }
-        for (a, b) in self.per_op.iter_mut().zip(&w.per_op) {
-            a.invocations += b.invocations;
-            a.rows_in += b.rows_in;
-            a.rows_out += b.rows_out;
-            a.index_probes += b.index_probes;
-            a.comparisons += b.comparisons;
-        }
-        self.raw_rows += w.raw_rows;
-        self.sort_rows += w.sort_rows;
-        self.vector_batches += w.vector_batches;
-        self.vector_kernels += w.vector_kernels;
-        self.vector_fallbacks += w.vector_fallbacks;
-        self.btree_descents += w.btree_descents;
-        self.btree_skips += w.btree_skips;
-        self.join_build_rows += w.join_build_rows;
-        self.join_probe_batches += w.join_probe_batches;
-        self.join_seeks += w.join_seeks;
-    }
 }
-
-/// Default frontier rows per morsel. Each frontier row drives a whole
-/// probe-pipeline subtree, so morsels are small (heavy per-row work,
-/// skew-prone); the shared cursor costs one `fetch_add` per morsel.
-/// The vectorized path widens the *partition unit* (not this knob) up to
-/// the batch size once the frontier is large enough — see
-/// [`crate::optimizer::vector_morsel_size`].
-pub const DEFAULT_MORSEL_SIZE: usize = 16;
 
 /// Default rows per column batch on the vectorized path: large enough to
 /// amortize per-batch bookkeeping across the kernels, small enough that a
 /// batch's live columns stay cache-resident.
 pub const DEFAULT_BATCH_SIZE: usize = 1024;
 
-/// Validate a user-supplied morsel size (the `--morsel-size` flags): a
-/// power of two no smaller than 16, so the vectorized partition-unit
-/// arithmetic and the frontier-expansion target stay well-behaved.
-pub fn validate_morsel_size(n: usize) -> Result<usize, String> {
-    if n >= 16 && n.is_power_of_two() {
-        Ok(n)
-    } else {
-        Err(format!("morsel size must be a power of two >= 16, got {n}"))
-    }
-}
-
-/// Executor tuning knobs: the parallelism degree and morsel geometry.
-///
-/// The default (`parallelism: 1`) is the sequential executor — every
-/// pre-existing entry point goes through it unchanged. A degree above 1
-/// lets the executor partition the binding frontier into
-/// [`morsel_size`](ExecOptions::morsel_size)-tuple morsels and run the
-/// probe-pipeline suffix on worker threads; the optimizer still
-/// suppresses fan-out for plans estimated too cheap (see
-/// [`crate::optimizer::parallel_degree`]).
+/// Executor options. Every query runs on the calling thread; the options
+/// pick the executor (batch pipeline or tuple-at-a-time) and the batch
+/// geometry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExecOptions {
-    /// Maximum worker threads the executor may use (1 = sequential).
-    pub parallelism: usize,
-    /// Frontier tuples per morsel.
-    pub morsel_size: usize,
     /// Run the probe-pipeline suffix on column batches with selection
     /// vectors (DESIGN.md §8). On by default. Results, and every
     /// mode-independent [`ExecStats`] counter, are bit-identical in both
-    /// modes at every parallelism degree.
+    /// modes.
     pub vectorized: bool,
     /// Rows per column batch on the vectorized path.
     pub batch_size: usize,
@@ -419,19 +348,16 @@ pub struct ExecOptions {
 
 impl Default for ExecOptions {
     fn default() -> Self {
-        ExecOptions {
-            parallelism: 1,
-            morsel_size: DEFAULT_MORSEL_SIZE,
-            vectorized: true,
-            batch_size: DEFAULT_BATCH_SIZE,
-        }
+        ExecOptions { vectorized: true, batch_size: DEFAULT_BATCH_SIZE }
     }
 }
 
 impl ExecOptions {
-    /// Options with the given degree and default morsel size.
-    pub fn with_parallelism(parallelism: usize) -> Self {
-        ExecOptions { parallelism: parallelism.max(1), ..ExecOptions::default() }
+    /// The default options, whatever `_threads` says. Inert: the executor
+    /// runs every query on one thread. Kept only because the frozen
+    /// benchmark harness still constructs options through it.
+    pub fn with_parallelism(_threads: usize) -> Self {
+        ExecOptions::default()
     }
 }
 
@@ -473,8 +399,7 @@ pub fn execute_with_stats(db: &Database, plan: &PhysPlan) -> (Vec<u32>, ExecStat
     execute_with_stats_opts(db, plan, &ExecOptions::default())
 }
 
-/// [`execute_with_stats`] with explicit executor options (the morsel-driven
-/// parallel path when `opts.parallelism > 1`).
+/// [`execute_with_stats`] with explicit executor options.
 pub fn execute_with_stats_opts(
     db: &Database,
     plan: &PhysPlan,
@@ -485,29 +410,15 @@ pub fn execute_with_stats_opts(
     (out, stats)
 }
 
-/// Row-returning executor at the default (sequential) options.
+/// Row-returning executor at the default options.
 pub fn execute_rows_with_stats(db: &Database, plan: &PhysPlan) -> (Vec<Vec<u32>>, ExecStats) {
     execute_rows_opts(db, plan, &ExecOptions::default())
 }
 
 /// Row-returning executor — the single code path under every `execute*`
 /// entry point; statistics are always collected (plain counter increments).
-///
-/// With `opts.parallelism > 1` (and an optimizer cost estimate above
-/// [`crate::optimizer::PARALLEL_MIN_COST`]) the executor materializes a
-/// binding frontier — the driver scan, expanded sequentially through
-/// leading pipeline steps until at least two morsels' worth of tuples
-/// exist — and partitions it into [`ExecOptions::morsel_size`]-tuple
-/// morsels which worker threads pull from a shared cursor; each worker
-/// runs the remaining probe-pipeline suffix against the shared read-only
-/// [`Database`], sorts its partial result with the final ORDER BY
-/// comparator, and the partial runs are merged pairwise (in parallel)
-/// with duplicate elimination during the merge. Because the sequential
-/// SORT tail orders rows by the ORDER BY keys *with the whole row as a
-/// tiebreak*, the output is a deterministic function of the produced row
-/// multiset — so the parallel path is bit-identical to the sequential
-/// one, and all row/probe counters in [`ExecStats`] match exactly at any
-/// degree.
+/// `opts.vectorized` picks the batch pipeline or the tuple-at-a-time
+/// reference; both run on the calling thread and end in the same SORT tail.
 pub fn execute_rows_opts(
     db: &Database,
     plan: &PhysPlan,
@@ -518,42 +429,18 @@ pub fn execute_rows_opts(
     let driver_fast = compile_atoms(db, &plan.driver.residual);
     let step_fast: Vec<Vec<FastAtom>> =
         plan.steps.iter().map(|s| compile_atoms(db, &s.access().residual)).collect();
-    // Pre-build join build sides (sequential: build cost is charged once
-    // and is usually dwarfed by the probe pipeline; the tables are shared
-    // read-only with every morsel worker). Build-side residuals that
-    // mention outer aliases cannot run yet; they are re-checked at probe
-    // time.
+    // Pre-build join build sides. Build-side residuals that mention outer
+    // aliases cannot run yet; they are re-checked at probe time.
     let tables = build_join_tables(db, plan, &mut stats);
 
-    let workers = crate::optimizer::parallel_degree(plan, opts.parallelism, opts.vectorized);
-    let rows = if workers <= 1 {
-        if opts.vectorized {
-            execute_vectorized(db, plan, &driver_fast, &step_fast, &tables, opts, &mut stats)
-        } else {
-            execute_sequential(db, plan, &driver_fast, &step_fast, &tables, &mut stats)
-        }
-    } else {
-        execute_parallel(db, plan, opts, workers, &driver_fast, &step_fast, &tables, &mut stats)
-    };
-    if opts.vectorized {
+    let rows = if opts.vectorized {
         stats.vector_batch_size = opts.batch_size.max(1) as u64;
-    }
-
-    let out = rows
-        .iter()
-        .map(|r| {
-            r.iter()
-                .map(|v| match v {
-                    Value::Int(i) => *i as u32,
-                    other => panic!("select column holds non-node value {other}"),
-                })
-                .collect()
-        })
-        .collect();
+        execute_vectorized(db, plan, &driver_fast, &step_fast, &tables, opts, &mut stats)
+    } else {
+        execute_sequential(db, plan, &driver_fast, &step_fast, &tables, &mut stats)
+    };
     if jgi_obs::is_active() {
-        // One dump per execution, off the per-row path. (The obs recorder
-        // is thread-local, so workers never record; the merged stats are
-        // emitted here, on the scheduling thread.)
+        // One dump per execution, off the per-row path.
         jgi_obs::counter("exec.raw_rows", stats.raw_rows);
         jgi_obs::counter("exec.sort_rows", stats.sort_rows);
         jgi_obs::counter("exec.dedup_removed", stats.dedup_removed);
@@ -562,13 +449,6 @@ pub fn execute_rows_opts(
             jgi_obs::counter("exec.rows_out", op.rows_out);
             jgi_obs::counter("exec.index_probes", op.index_probes);
             jgi_obs::counter("exec.comparisons", op.comparisons);
-        }
-        jgi_obs::counter("exec.parallel.requested", opts.parallelism as u64);
-        jgi_obs::counter("exec.parallel.workers", stats.parallel_workers);
-        jgi_obs::counter("exec.parallel.morsels", stats.parallel_morsels);
-        jgi_obs::counter("exec.parallel.depth", stats.parallel_depth);
-        if opts.parallelism > 1 && stats.parallel_workers <= 1 {
-            jgi_obs::counter("exec.parallel.suppressed", 1);
         }
         jgi_obs::counter("exec.vector.batch_size", stats.vector_batch_size);
         jgi_obs::counter("exec.vector.batches", stats.vector_batches);
@@ -604,12 +484,11 @@ pub fn execute_rows_opts(
         reg.counter("exec.join.probe_batches", stats.join_probe_batches);
         reg.counter("exec.join.seeks", stats.join_seeks);
     }
-    (out, stats)
+    (rows, stats)
 }
 
-/// Pre-built join build sides, one slot per pipeline step: a string-keyed
-/// table for each [`Step::Hash`]. Built once on the scheduling thread and
-/// shared read-only with every worker.
+/// Pre-built join build sides, one slot per pipeline step: a value-keyed
+/// table for each [`Step::Hash`], built once before the pipeline runs.
 pub(crate) type JoinTables = Vec<Option<HashMap<Vec<Value>, Vec<u32>>>>;
 
 /// Pre-build the join tables for every hash step in the plan.
@@ -678,10 +557,8 @@ struct StepScratch {
 }
 
 /// Recursive probe pipeline over the steps: extend the binding tuple one
-/// alias at a time, emit a SELECT row at full depth. Shared by the
-/// sequential path and every parallel worker (each worker passes its own
-/// `bindings`/`scratch`/`rows`/`stats`, so the hot loop never
-/// synchronizes). `scratch` holds one [`StepScratch`] per remaining step.
+/// alias at a time, emit a SELECT row at full depth. `scratch` holds one
+/// [`StepScratch`] per remaining step.
 #[allow(clippy::too_many_arguments)]
 fn walk(
     db: &Database,
@@ -691,17 +568,12 @@ fn walk(
     depth: usize,
     bindings: &mut Vec<u32>,
     scratch: &mut [StepScratch],
-    rows: &mut Vec<Vec<Value>>,
+    rows: &mut Vec<Vec<u32>>,
     stats: &mut ExecStats,
 ) {
     if depth == plan.steps.len() {
-        let row: Vec<Value> = plan
-            .select
-            .iter()
-            .map(|cr| db.col_value(bindings[cr.alias], IndexCol::Col(cr.col)))
-            .collect();
         stats.raw_rows += 1;
-        rows.push(row);
+        rows.push(select_row(db, plan, |a| bindings[a]));
         return;
     }
     let (mine, deeper) = scratch.split_first_mut().expect("scratch level per step");
@@ -762,6 +634,19 @@ fn walk(
     }
 }
 
+/// The SELECT row of one binding tuple (`get`: alias → `pre`). Every
+/// SELECT column is a node column (`pre`, `size`, `level`, `parent`), so
+/// each cell is read as the `u32` it holds without building a `Value`.
+fn select_row(db: &Database, plan: &PhysPlan, get: impl Fn(usize) -> u32) -> Vec<u32> {
+    plan.select
+        .iter()
+        .map(|cr| match db.cell(get(cr.alias), IndexCol::Col(cr.col)) {
+            Cell::Int(i) => i as u32,
+            other => panic!("select column holds non-node value {}", other.to_value()),
+        })
+        .collect()
+}
+
 /// Positions of the ORDER BY columns inside the SELECT list.
 fn order_indices(plan: &PhysPlan) -> Vec<usize> {
     plan.order_by
@@ -772,9 +657,10 @@ fn order_indices(plan: &PhysPlan) -> Vec<usize> {
 
 /// The SORT tail's comparator: ORDER BY keys first, then the whole row as
 /// a tiebreak. The tiebreak makes the order *total*, which is what lets
-/// the parallel path reproduce sequential output exactly — the final
+/// the batch pipeline (whose sorted probe batches permute candidate
+/// enumeration) reproduce the tuple-at-a-time output exactly — the final
 /// sequence is a function of the row multiset alone, not of arrival order.
-fn cmp_rows(a: &[Value], b: &[Value], order_idx: &[usize]) -> std::cmp::Ordering {
+fn cmp_rows(a: &[u32], b: &[u32], order_idx: &[usize]) -> std::cmp::Ordering {
     for &i in order_idx {
         match a[i].cmp(&b[i]) {
             std::cmp::Ordering::Equal => continue,
@@ -793,14 +679,13 @@ fn execute_sequential(
     step_fast: &[Vec<FastAtom>],
     tables: &JoinTables,
     stats: &mut ExecStats,
-) -> Vec<Vec<Value>> {
-    stats.parallel_workers = 1;
+) -> Vec<Vec<u32>> {
     let mut bindings = vec![u32::MAX; plan.n_aliases];
     let empty = bindings.clone();
     let mut driver_scratch = AccessScratch::default();
     let mut scratch: Vec<StepScratch> =
         plan.steps.iter().map(|_| StepScratch::default()).collect();
-    let mut rows: Vec<Vec<Value>> = Vec::new();
+    let mut rows: Vec<Vec<u32>> = Vec::new();
     let driver = &plan.driver;
     let counts = scan_access(db, driver, driver_fast, &empty, &mut driver_scratch, &mut |pre| {
         stats.rows_scanned[0] += 1;
@@ -816,15 +701,14 @@ fn execute_sequential(
     sort_tail(rows, &order_idx, plan.distinct, stats)
 }
 
-/// The SORT tail shared by every single-threaded finish: DISTINCT (plain
-/// sort + dedup) followed by the ORDER BY sort under the total-order
-/// comparator.
+/// The SORT tail shared by both executors: DISTINCT (plain sort + dedup)
+/// followed by the ORDER BY sort under the total-order comparator.
 fn sort_tail(
-    mut rows: Vec<Vec<Value>>,
+    mut rows: Vec<Vec<u32>>,
     order_idx: &[usize],
     distinct: bool,
     stats: &mut ExecStats,
-) -> Vec<Vec<Value>> {
+) -> Vec<Vec<u32>> {
     stats.sort_rows = rows.len() as u64;
     if distinct {
         rows.sort();
@@ -833,382 +717,6 @@ fn sort_tail(
     }
     rows.sort_by(|a, b| cmp_rows(a, b, order_idx));
     rows
-}
-
-/// Expand the binding frontier through one pipeline step on the
-/// scheduling thread. This is `walk` at a single depth, breadth-first:
-/// the same scans, the same residual checks, the same early-out cutoffs,
-/// charging the same counters — but materializing the extended binding
-/// tuples instead of recursing.
-#[allow(clippy::too_many_arguments)]
-fn expand_level(
-    db: &Database,
-    plan: &PhysPlan,
-    tables: &JoinTables,
-    step_fast: &[Vec<FastAtom>],
-    depth: usize,
-    frontier: Vec<Vec<u32>>,
-    scratch: &mut StepScratch,
-    stats: &mut ExecStats,
-) -> Vec<Vec<u32>> {
-    let mut next: Vec<Vec<u32>> = Vec::with_capacity(frontier.len());
-    for bindings in &frontier {
-        match &plan.steps[depth] {
-            Step::Nl(access) | Step::Leapfrog(access) => {
-                let scr = &mut scratch.access;
-                let counts = scan_access(db, access, &step_fast[depth], bindings, scr, &mut |pre| {
-                    stats.rows_scanned[depth + 1] += 1;
-                    stats.per_op[depth + 1].rows_out += 1;
-                    let mut b = bindings.clone();
-                    b[access.alias] = pre;
-                    next.push(b);
-                    !access.early_out
-                });
-                stats.per_op[depth + 1].absorb(counts);
-            }
-            Step::Hash { access, probe_key, .. } => {
-                let table = tables[depth].as_ref().expect("hash table built");
-                stats.per_op[depth + 1].invocations += 1;
-                scratch.key.clear();
-                let mut null_key = false;
-                for p in probe_key {
-                    match p.eval(db, bindings) {
-                        Some(v) => scratch.key.push(v),
-                        None => {
-                            null_key = true;
-                            break;
-                        }
-                    }
-                }
-                if null_key {
-                    continue;
-                }
-                let mut comparisons = 0u64;
-                let mut emitted = 0u64;
-                if let Some(matches) = table.get(scratch.key.as_slice()) {
-                    let mut probe = bindings.clone();
-                    for &pre in matches {
-                        probe[access.alias] = pre;
-                        let ok = step_fast[depth].iter().all(|a| {
-                            comparisons += 1;
-                            a.eval(db, &probe)
-                        });
-                        if ok {
-                            stats.rows_scanned[depth + 1] += 1;
-                            emitted += 1;
-                            next.push(probe.clone());
-                            if access.early_out {
-                                break;
-                            }
-                        }
-                    }
-                }
-                let op = &mut stats.per_op[depth + 1];
-                op.comparisons += comparisons;
-                op.rows_out += emitted;
-            }
-        }
-    }
-    next
-}
-
-/// Morsel-driven parallel pipeline.
-///
-/// The scheduling thread materializes a *binding frontier*: the driver's
-/// matching rows, expanded sequentially through as many leading pipeline
-/// steps as it takes for the frontier to be worth partitioning. (XQuery
-/// join graphs routinely drive from the most selective access — often a
-/// document-root or constant-value scan producing a handful of rows — so
-/// partitioning the driver alone would leave most plans with a single
-/// morsel.) Worker threads then pull [`ExecOptions::morsel_size`]-tuple
-/// morsels of the frontier from a shared atomic cursor and run the
-/// remaining pipeline suffix; each worker sorts its partial result with
-/// the final comparator, and the sorted runs are merged pairwise with
-/// DISTINCT elimination during the merge.
-#[allow(clippy::too_many_arguments)]
-fn execute_parallel(
-    db: &Database,
-    plan: &PhysPlan,
-    opts: &ExecOptions,
-    workers: usize,
-    driver_fast: &[FastAtom],
-    step_fast: &[Vec<FastAtom>],
-    tables: &JoinTables,
-    stats: &mut ExecStats,
-) -> Vec<Vec<Value>> {
-    // Materialize the driver into binding tuples. The scan performs
-    // exactly the work the sequential driver would (same probes, same
-    // residual checks), so the driver operator's counters are unchanged.
-    let empty = vec![u32::MAX; plan.n_aliases];
-    let mut frontier: Vec<Vec<u32>> = Vec::new();
-    let mut driver_scratch = AccessScratch::default();
-    let counts = scan_access(db, &plan.driver, driver_fast, &empty, &mut driver_scratch, &mut |pre| {
-        let mut b = empty.clone();
-        b[plan.driver.alias] = pre;
-        frontier.push(b);
-        true
-    });
-    stats.rows_scanned[0] = frontier.len() as u64;
-    stats.per_op[0].rows_out = frontier.len() as u64;
-    stats.per_op[0].absorb(counts);
-
-    let morsel = opts.morsel_size.max(1);
-    // Expand leading steps sequentially until at least two morsels' worth
-    // of tuples exist — the minimum at which fan-out is possible at all.
-    // Expansion performs exactly the scans `walk` would at that depth
-    // (breadth-first instead of depth-first), so every per-operator
-    // counter stays identical to the sequential run.
-    let mut sched_scratch: Vec<StepScratch> =
-        plan.steps.iter().map(|_| StepScratch::default()).collect();
-    let mut depth = 0usize;
-    while depth < plan.steps.len() && frontier.len() < 2 * morsel {
-        frontier = expand_level(
-            db,
-            plan,
-            tables,
-            step_fast,
-            depth,
-            frontier,
-            &mut sched_scratch[depth],
-            stats,
-        );
-        depth += 1;
-    }
-    stats.parallel_depth = depth as u64;
-    let order_idx = order_indices(plan);
-    let cx = VecCtx {
-        db,
-        plan,
-        tables,
-        step_fast,
-        bound_at: bound_aliases(plan),
-        batch_size: opts.batch_size.max(1),
-    };
-
-    if depth == plan.steps.len() {
-        // The pipeline was exhausted before the frontier got wide enough:
-        // the query is too small to fan out, and the frontier tuples ARE
-        // the result bindings. Emit and sort inline.
-        stats.parallel_workers = 1;
-        let mut rows: Vec<Vec<Value>> = Vec::with_capacity(frontier.len());
-        for bindings in &frontier {
-            let row: Vec<Value> = plan
-                .select
-                .iter()
-                .map(|cr| db.col_value(bindings[cr.alias], IndexCol::Col(cr.col)))
-                .collect();
-            stats.raw_rows += 1;
-            rows.push(row);
-        }
-        return sort_tail(rows, &order_idx, plan.distinct, stats);
-    }
-
-    // Vectorized runs widen the partition unit: batch kernels want wide
-    // morsels, and the frontier is already materialized, so the unit can
-    // grow toward the batch size while still leaving every worker at
-    // least two morsels to pull.
-    let part = if opts.vectorized {
-        crate::optimizer::vector_morsel_size(frontier.len(), workers, morsel, opts.batch_size.max(1))
-    } else {
-        morsel
-    };
-    let n_morsels = frontier.len().div_ceil(part);
-    // No point spinning up more workers than there are morsels.
-    let workers = workers.min(n_morsels).max(1);
-    stats.parallel_workers = workers as u64;
-    stats.parallel_morsels = n_morsels as u64;
-    let n_ops = plan.steps.len() + 1;
-
-    if workers == 1 {
-        // Degenerate fan-out (the whole frontier fits in one morsel): run
-        // the pipeline suffix inline on the scheduling thread.
-        let mut rows: Vec<Vec<Value>> = Vec::new();
-        if opts.vectorized {
-            let mut levels: Vec<VecLevel> =
-                (depth..plan.steps.len()).map(|_| VecLevel::shaped(plan.n_aliases)).collect();
-            let mut entry = Batch::shaped(plan.n_aliases);
-            let mut entry_sel: Vec<u32> = Vec::new();
-            run_morsel_vec(&cx, depth, &frontier, &mut entry, &mut entry_sel, &mut levels, &mut rows, stats);
-        } else {
-            let mut bindings = vec![u32::MAX; plan.n_aliases];
-            for tuple in &frontier {
-                bindings.clone_from(tuple);
-                walk(
-                    db,
-                    plan,
-                    tables,
-                    step_fast,
-                    depth,
-                    &mut bindings,
-                    &mut sched_scratch[depth..],
-                    &mut rows,
-                    stats,
-                );
-            }
-        }
-        return sort_tail(rows, &order_idx, plan.distinct, stats);
-    }
-
-    let vectorized = opts.vectorized;
-    let cursor = jgi_sync::AtomicUsize::named("morsel_cursor", 0);
-    let worker_out: Vec<(Vec<Vec<Value>>, ExecStats)> = std::thread::scope(|s| {
-        let frontier = &frontier;
-        let order_idx = &order_idx;
-        let cursor = &cursor;
-        let cx = &cx;
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                s.spawn(move || {
-                    let mut local = ExecStats::shaped(n_ops);
-                    let mut rows: Vec<Vec<Value>> = Vec::new();
-                    if vectorized {
-                        let mut levels: Vec<VecLevel> = (depth..plan.steps.len())
-                            .map(|_| VecLevel::shaped(plan.n_aliases))
-                            .collect();
-                        let mut entry = Batch::shaped(plan.n_aliases);
-                        let mut entry_sel: Vec<u32> = Vec::new();
-                        loop {
-                            // relaxed: work-distribution cursor — each morsel
-                            // index is claimed by exactly one RMW winner, and
-                            // the scope join publishes the results.
-                            let m = cursor.fetch_add_relaxed(1);
-                            if m >= n_morsels {
-                                break;
-                            }
-                            let lo = m * part;
-                            let hi = (lo + part).min(frontier.len());
-                            run_morsel_vec(
-                                cx,
-                                depth,
-                                &frontier[lo..hi],
-                                &mut entry,
-                                &mut entry_sel,
-                                &mut levels,
-                                &mut rows,
-                                &mut local,
-                            );
-                        }
-                    } else {
-                        let mut bindings = vec![u32::MAX; plan.n_aliases];
-                        let mut scratch: Vec<StepScratch> =
-                            (depth..plan.steps.len()).map(|_| StepScratch::default()).collect();
-                        loop {
-                            // relaxed: same claim-by-RMW cursor as the
-                            // vectorized arm above.
-                            let m = cursor.fetch_add_relaxed(1);
-                            if m >= n_morsels {
-                                break;
-                            }
-                            let lo = m * part;
-                            let hi = (lo + part).min(frontier.len());
-                            for tuple in &frontier[lo..hi] {
-                                bindings.clone_from(tuple);
-                                walk(
-                                    db,
-                                    plan,
-                                    tables,
-                                    step_fast,
-                                    depth,
-                                    &mut bindings,
-                                    &mut scratch,
-                                    &mut rows,
-                                    &mut local,
-                                );
-                            }
-                        }
-                    }
-                    // Sort the partial run with the *final* comparator so
-                    // the merge is a pure order-preserving interleave, and
-                    // drop worker-local duplicates right away (the total
-                    // order puts equal rows adjacent).
-                    local.sort_rows = rows.len() as u64;
-                    rows.sort_by(|a, b| cmp_rows(a, b, order_idx));
-                    if plan.distinct {
-                        rows.dedup();
-                    }
-                    (rows, local)
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().expect("executor worker panicked")).collect()
-    });
-
-    let mut runs: Vec<Vec<Vec<Value>>> = Vec::with_capacity(workers);
-    for (rows, local) in worker_out {
-        stats.absorb_worker(&local);
-        if !rows.is_empty() {
-            runs.push(rows);
-        }
-    }
-    let merged = merge_runs(runs, &order_idx, plan.distinct);
-    if plan.distinct {
-        stats.dedup_removed = stats.sort_rows - merged.len() as u64;
-    }
-    merged
-}
-
-/// A worker's sorted partial result: rows in [`cmp_rows`] order.
-type Run = Vec<Vec<Value>>;
-
-/// Merge sorted runs pairwise, a parallel round per level, until one run
-/// remains. Cross-run duplicates are eliminated during the merge (the
-/// per-worker sorts already removed within-run duplicates).
-fn merge_runs(mut runs: Vec<Run>, order_idx: &[usize], distinct: bool) -> Run {
-    loop {
-        match runs.len() {
-            0 => return Vec::new(),
-            1 => return runs.pop().expect("one run"),
-            _ => {}
-        }
-        let mut next: Vec<Run> = Vec::with_capacity(runs.len().div_ceil(2));
-        let mut pairs: Vec<(Run, Run)> = Vec::new();
-        let mut iter = runs.drain(..);
-        while let Some(a) = iter.next() {
-            match iter.next() {
-                Some(b) => pairs.push((a, b)),
-                None => next.push(a), // odd run passes through to the next round
-            }
-        }
-        drop(iter);
-        std::thread::scope(|s| {
-            let handles: Vec<_> = pairs
-                .into_iter()
-                .map(|(a, b)| s.spawn(move || merge_two(a, b, order_idx, distinct)))
-                .collect();
-            for h in handles {
-                next.push(h.join().expect("merge worker panicked"));
-            }
-        });
-        runs = next;
-    }
-}
-
-/// Standard two-way merge under [`cmp_rows`]; equal rows collapse to one
-/// when `distinct` (they are adjacent in the merged order, so comparing
-/// against the last emitted row suffices).
-fn merge_two(
-    a: Vec<Vec<Value>>,
-    b: Vec<Vec<Value>>,
-    order_idx: &[usize],
-    distinct: bool,
-) -> Vec<Vec<Value>> {
-    let mut out: Vec<Vec<Value>> = Vec::with_capacity(a.len() + b.len());
-    let mut ai = a.into_iter().peekable();
-    let mut bi = b.into_iter().peekable();
-    loop {
-        let take_a = match (ai.peek(), bi.peek()) {
-            (Some(x), Some(y)) => cmp_rows(x, y, order_idx) != std::cmp::Ordering::Greater,
-            (Some(_), None) => true,
-            (None, Some(_)) => false,
-            (None, None) => break,
-        };
-        let row = if take_a { ai.next().expect("peeked") } else { bi.next().expect("peeked") };
-        if distinct && out.last() == Some(&row) {
-            continue;
-        }
-        out.push(row);
-    }
-    out
 }
 
 /// Reusable per-access scan state: the bindings-with-self buffer for
@@ -1450,8 +958,7 @@ impl VecLevel {
     }
 }
 
-/// Read-only inputs shared by every batch-pipeline function (and by every
-/// worker thread — all fields are `Sync`).
+/// Read-only inputs shared by every batch-pipeline function.
 struct VecCtx<'a> {
     db: &'a Database,
     plan: &'a PhysPlan,
@@ -1490,7 +997,7 @@ fn flush_batch(
     sel: &mut Vec<u32>,
     fallback: &mut Vec<u32>,
     deeper: &mut [VecLevel],
-    rows: &mut Vec<Vec<Value>>,
+    rows: &mut Vec<Vec<u32>>,
     stats: &mut ExecStats,
 ) {
     if next.rows == 0 {
@@ -1527,7 +1034,7 @@ fn vec_step(
     batch: &Batch,
     sel: &[u32],
     levels: &mut [VecLevel],
-    rows: &mut Vec<Vec<Value>>,
+    rows: &mut Vec<Vec<u32>>,
     stats: &mut ExecStats,
 ) {
     if sel.is_empty() {
@@ -1536,14 +1043,8 @@ fn vec_step(
     let db = cx.db;
     if depth == cx.plan.steps.len() {
         for &i in sel {
-            let row: Vec<Value> = cx
-                .plan
-                .select
-                .iter()
-                .map(|cr| db.col_value(batch.cols[cr.alias][i as usize], IndexCol::Col(cr.col)))
-                .collect();
             stats.raw_rows += 1;
-            rows.push(row);
+            rows.push(select_row(db, cx.plan, |a| batch.cols[a][i as usize]));
         }
         return;
     }
@@ -1881,37 +1382,7 @@ fn vec_step(
     }
 }
 
-/// Feed one frontier morsel through the batch pipeline: load the tuples
-/// into a column batch and run the remaining steps vectorized.
-#[allow(clippy::too_many_arguments)]
-fn run_morsel_vec(
-    cx: &VecCtx,
-    depth: usize,
-    tuples: &[Vec<u32>],
-    entry: &mut Batch,
-    sel: &mut Vec<u32>,
-    levels: &mut [VecLevel],
-    rows: &mut Vec<Vec<Value>>,
-    stats: &mut ExecStats,
-) {
-    if tuples.is_empty() {
-        return;
-    }
-    entry.clear();
-    for t in tuples {
-        for &a in &cx.bound_at[depth] {
-            entry.cols[a].push(t[a]);
-        }
-    }
-    entry.rows = tuples.len();
-    stats.vector_batches += 1;
-    sel.clear();
-    sel.extend(0..tuples.len() as u32);
-    vec_step(cx, depth, entry, sel, levels, rows, stats);
-    entry.clear();
-}
-
-/// Vectorized sequential execution: the driver gathers candidates into a
+/// Vectorized execution: the driver gathers candidates into a
 /// column batch, residual kernels filter it through a selection vector,
 /// and each step extends surviving batches down the pipeline.
 /// Counter-equivalent to [`execute_sequential`] by construction — see the
@@ -1924,8 +1395,7 @@ fn execute_vectorized(
     tables: &JoinTables,
     opts: &ExecOptions,
     stats: &mut ExecStats,
-) -> Vec<Vec<Value>> {
-    stats.parallel_workers = 1;
+) -> Vec<Vec<u32>> {
     let cx = VecCtx {
         db,
         plan,
@@ -1937,7 +1407,7 @@ fn execute_vectorized(
     let mut levels: Vec<VecLevel> =
         plan.steps.iter().map(|_| VecLevel::shaped(plan.n_aliases)).collect();
     let mut driver_lvl = VecLevel::shaped(plan.n_aliases);
-    let mut rows: Vec<Vec<Value>> = Vec::new();
+    let mut rows: Vec<Vec<u32>> = Vec::new();
     let empty = vec![u32::MAX; plan.n_aliases];
     let driver = &plan.driver;
     let VecLevel { next, sel, fallback, access: scr, .. } = &mut driver_lvl;
@@ -2150,161 +1620,6 @@ mod tests {
         assert!(!r1.is_empty());
     }
 
-    /// Morsel-driven execution must be bit-identical to sequential and
-    /// report the same work counters at every degree.
-    #[test]
-    fn parallel_matches_sequential() {
-        let db = db();
-        let nksp = db.indexes.iter().position(|i| i.name == "nksp").unwrap();
-        let oa = ColRef { alias: 0, col: DocCol::Pre };
-        let mut plan = PhysPlan {
-            n_aliases: 2,
-            driver: Access {
-                alias: 0,
-                method: Method::IxScan {
-                    index: nksp,
-                    eq: vec![
-                        Probe::Const(Value::Str("open_auction".into())),
-                        Probe::Const(Value::Kind(NodeKind::Elem)),
-                    ],
-                    range: None,
-                },
-                residual: vec![],
-                all_atoms: vec![],
-                early_out: false,
-                est_rows: 0.0,
-            },
-            steps: vec![Step::Nl(Access {
-                alias: 1,
-                method: Method::IxScan {
-                    index: nksp,
-                    eq: vec![
-                        Probe::Const(Value::Str("bidder".into())),
-                        Probe::Const(Value::Kind(NodeKind::Elem)),
-                    ],
-                    range: None,
-                },
-                residual: vec![
-                    CqAtom {
-                        lhs: CqScalar::Col(oa),
-                        op: CmpOp::Lt,
-                        rhs: CqScalar::Col(ColRef { alias: 1, col: DocCol::Pre }),
-                    },
-                    CqAtom {
-                        lhs: CqScalar::Col(ColRef { alias: 1, col: DocCol::Pre }),
-                        op: CmpOp::Le,
-                        rhs: CqScalar::ColPlusCol(oa, ColRef { alias: 0, col: DocCol::Size }),
-                    },
-                ],
-                all_atoms: vec![],
-                early_out: false,
-                est_rows: 0.0,
-            })],
-            select: vec![
-                ColRef { alias: 0, col: DocCol::Pre },
-                ColRef { alias: 1, col: DocCol::Pre },
-            ],
-            distinct: true,
-            order_by: vec![ColRef { alias: 1, col: DocCol::Pre }],
-            item_output: 1,
-            // Large enough that optimizer::parallel_degree lets it fan out.
-            est_cost: 1e9,
-            est_rows: 0.0,
-            batch_costed: false,
-        };
-        let (seq_rows, seq_stats) = execute_rows_opts(&db, &plan, &ExecOptions::default());
-        for degree in [2usize, 3, 8] {
-            // A morsel size small enough that several morsels exist.
-            let opts =
-                ExecOptions { parallelism: degree, morsel_size: 4, ..ExecOptions::default() };
-            let (par_rows, par_stats) = execute_rows_opts(&db, &plan, &opts);
-            assert_eq!(seq_rows, par_rows, "divergence at degree {degree}");
-            assert_eq!(seq_stats.raw_rows, par_stats.raw_rows);
-            assert_eq!(seq_stats.sort_rows, par_stats.sort_rows);
-            assert_eq!(seq_stats.dedup_removed, par_stats.dedup_removed);
-            assert_eq!(seq_stats.rows_scanned, par_stats.rows_scanned);
-            assert_eq!(seq_stats.per_op, par_stats.per_op);
-            assert!(par_stats.parallel_workers > 1, "expected fan-out at degree {degree}");
-            assert!(par_stats.parallel_morsels > 1);
-        }
-        // The cost gate keeps cheap plans sequential even when asked.
-        plan.est_cost = 0.0;
-        let (gated_rows, gated_stats) =
-            execute_rows_opts(&db, &plan, &ExecOptions::with_parallelism(8));
-        assert_eq!(seq_rows, gated_rows);
-        assert_eq!(gated_stats.parallel_workers, 1);
-        assert_eq!(gated_stats.parallel_morsels, 0);
-    }
-
-    /// Early-out semijoins prune within one driver row, so the saved work
-    /// must be identical under partitioning too.
-    #[test]
-    fn parallel_early_out_stats_match() {
-        let db = db();
-        let nksp = db.indexes.iter().position(|i| i.name == "nksp").unwrap();
-        let oa_pre = ColRef { alias: 0, col: DocCol::Pre };
-        let plan = PhysPlan {
-            n_aliases: 2,
-            driver: Access {
-                alias: 0,
-                method: Method::IxScan {
-                    index: nksp,
-                    eq: vec![
-                        Probe::Const(Value::Str("open_auction".into())),
-                        Probe::Const(Value::Kind(NodeKind::Elem)),
-                    ],
-                    range: None,
-                },
-                residual: vec![],
-                all_atoms: vec![],
-                early_out: false,
-                est_rows: 0.0,
-            },
-            steps: vec![Step::Nl(Access {
-                alias: 1,
-                method: Method::IxScan {
-                    index: nksp,
-                    eq: vec![
-                        Probe::Const(Value::Str("bidder".into())),
-                        Probe::Const(Value::Kind(NodeKind::Elem)),
-                    ],
-                    range: None,
-                },
-                residual: vec![
-                    CqAtom {
-                        lhs: CqScalar::Col(oa_pre),
-                        op: CmpOp::Lt,
-                        rhs: CqScalar::Col(ColRef { alias: 1, col: DocCol::Pre }),
-                    },
-                    CqAtom {
-                        lhs: CqScalar::Col(ColRef { alias: 1, col: DocCol::Pre }),
-                        op: CmpOp::Le,
-                        rhs: CqScalar::ColPlusCol(oa_pre, ColRef { alias: 0, col: DocCol::Size }),
-                    },
-                ],
-                all_atoms: vec![],
-                early_out: true,
-                est_rows: 0.0,
-            })],
-            select: vec![oa_pre],
-            distinct: true,
-            order_by: vec![oa_pre],
-            item_output: 0,
-            est_cost: 1e9,
-            est_rows: 0.0,
-            batch_costed: false,
-        };
-        let (seq, s1) = execute_rows_opts(&db, &plan, &ExecOptions::default());
-        let (par, s2) = execute_rows_opts(
-            &db,
-            &plan,
-            &ExecOptions { parallelism: 8, morsel_size: 3, ..ExecOptions::default() },
-        );
-        assert_eq!(seq, par);
-        assert_eq!(s1.per_op, s2.per_op, "early-out savings must not depend on partitioning");
-        assert_eq!(s1.raw_rows, s2.raw_rows);
-    }
-
     /// Driver over open_auction plus a bidder step; `step` picks the
     /// probe style so both vectorized gather paths get covered.
     fn oa_bidder_plan(db: &Database, range_probe: bool, early_out: bool) -> PhysPlan {
@@ -2402,8 +1717,7 @@ mod tests {
             let scalar = ExecOptions { vectorized: false, ..ExecOptions::default() };
             let (s_rows, s_stats) = execute_rows_opts(&db, &plan, &scalar);
             for batch in [1usize, 2, 7, 1024] {
-                let opts =
-                    ExecOptions { vectorized: true, batch_size: batch, ..ExecOptions::default() };
+                let opts = ExecOptions { vectorized: true, batch_size: batch };
                 let (v_rows, v_stats) = execute_rows_opts(&db, &plan, &opts);
                 let what = format!("range={range_probe} early={early_out} batch={batch}");
                 assert_eq!(s_rows, v_rows, "{what}: rows diverge");
@@ -2437,15 +1751,6 @@ mod tests {
         let const_plan = oa_bidder_plan(&db, false, false);
         let (_, c) = execute_rows_opts(&db, &const_plan, &opts);
         assert!(c.btree_skips > 0, "shared constant scan counts skipped probes");
-    }
-
-    #[test]
-    fn morsel_size_validation() {
-        assert!(validate_morsel_size(16).is_ok());
-        assert!(validate_morsel_size(1024).is_ok());
-        assert!(validate_morsel_size(0).is_err());
-        assert!(validate_morsel_size(8).is_err());
-        assert!(validate_morsel_size(48).is_err());
     }
 
     #[test]

@@ -2,8 +2,7 @@
 //!
 //! ```text
 //! jgi-served [--listen ADDR] [--workers N] [--queue N] [--cache N]
-//!            [--parallelism N|auto] [--morsel-size N] [--scalar]
-//!            [--join nl|hash|leapfrog|auto]
+//!            [--scalar] [--join nl|hash|leapfrog|auto]
 //!            [--preload xmark:SCALE:SEED] [--preload dblp:PUBS:SEED]
 //! ```
 //!
@@ -16,9 +15,8 @@
 //! The wire protocol is specified in `PROTOCOL.md` at the repository
 //! root.
 
-use jgi_serve::protocol::{handle_command, parse_command, Command, Reply};
+use jgi_serve::protocol::{check_load, handle_command, parse_command, Command, Reply};
 use jgi_serve::{ServeConfig, Server};
-use jgi_xml::generate::{generate_dblp, generate_xmark, DblpConfig, XmarkConfig};
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpListener;
 use std::sync::Arc;
@@ -35,18 +33,13 @@ options:
   --queue N             bounded admission-queue depth; a full queue sheds
                         requests with an `overloaded` error (default: 64)
   --cache N             prepared-plan cache capacity, in plans (default: 256)
-  --parallelism N|auto  per-query morsel-driven parallelism for the
-                        join-graph executor; `auto` = available cores
-                        (default: 1 - a loaded service parallelizes across
-                        requests, per-query fan-out is opt-in)
-  --morsel-size N       tuples per parallel morsel; must be a power of two
-                        and at least 16 (default: engine default)
   --scalar              disable the vectorized batch pipeline (row-at-a-time
                         execution)
   --join STRATEGY       physical join strategy for the join-graph planner:
                         nl, hash, leapfrog, or auto (cost-based; default)
   --preload SPEC        load a synthetic document before serving; SPEC is
-                        xmark:SCALE:SEED or dblp:PUBS:SEED (repeatable)
+                        xmark:SCALE:SEED (0 < SCALE <= 1) or dblp:PUBS:SEED
+                        (PUBS <= 100000); repeatable
   -h, --help            print this help and exit
 
 Commands (one per line): LOAD, PREPARE, EXEC, EXPLAIN, INSERT, DELETE,
@@ -59,7 +52,7 @@ apply atomically; see PROTOCOL.md.";
 fn usage() -> ! {
     eprintln!(
         "usage: jgi-served [--listen ADDR] [--workers N] [--queue N] [--cache N] \
-         [--parallelism N|auto] [--morsel-size N] [--scalar] \
+         [--scalar] \
          [--join nl|hash|leapfrog|auto] \
          [--preload xmark:SCALE:SEED|dblp:PUBS:SEED]... \
          (--help for details)"
@@ -83,20 +76,6 @@ fn main() {
             "--queue" => config.queue_depth = val("--queue").parse().unwrap_or_else(|_| usage()),
             "--cache" => {
                 config.cache_capacity = val("--cache").parse().unwrap_or_else(|_| usage())
-            }
-            "--parallelism" => {
-                config.budgets.parallelism =
-                    val("--parallelism").parse().unwrap_or_else(|_| usage())
-            }
-            "--morsel-size" => {
-                let n: usize = val("--morsel-size").parse().unwrap_or_else(|_| usage());
-                match jgi_engine::physical::validate_morsel_size(n) {
-                    Ok(m) => config.budgets.morsel_size = Some(m),
-                    Err(e) => {
-                        eprintln!("--morsel-size: {e}");
-                        usage()
-                    }
-                }
             }
             "--scalar" => config.budgets.vectorized = false,
             "--join" => {
@@ -151,24 +130,27 @@ fn main() {
 }
 
 fn preload(server: &Server, spec: &str) {
-    let parts: Vec<&str> = spec.split(':').collect();
-    let generation = match parts.as_slice() {
-        ["xmark", scale, seed] => {
-            let scale: f64 = scale.parse().unwrap_or_else(|_| usage());
-            let seed: u64 = seed.parse().unwrap_or_else(|_| usage());
-            server.add_tree(generate_xmark(XmarkConfig { scale, seed }))
-        }
-        ["dblp", pubs, seed] => {
-            let publications: usize = pubs.parse().unwrap_or_else(|_| usage());
-            let seed: u64 = seed.parse().unwrap_or_else(|_| usage());
-            server.add_tree(generate_dblp(DblpConfig { publications, seed }))
-        }
+    let seed = |s: &str| -> u64 { s.parse().unwrap_or_else(|_| usage()) };
+    let cmd = match spec.split(':').collect::<Vec<_>>().as_slice() {
+        ["xmark", scale, s] => Command::LoadXmark {
+            scale: scale.parse().unwrap_or_else(|_| usage()),
+            seed: seed(s),
+        },
+        ["dblp", pubs, s] => Command::LoadDblp {
+            publications: pubs.parse().unwrap_or_else(|_| usage()),
+            seed: seed(s),
+        },
         _ => {
             eprintln!("bad --preload spec {spec} (want xmark:SCALE:SEED or dblp:PUBS:SEED)");
             usage()
         }
     };
-    eprintln!("preloaded {spec} (generation {generation})");
+    if let Err(e) = check_load(&cmd) {
+        eprintln!("bad --preload spec {spec}: {e}");
+        usage()
+    }
+    let reply = handle_command(server, &cmd);
+    eprint!("preloaded {spec}: {}", reply.render());
 }
 
 /// One protocol session: read lines, write one reply per command — a

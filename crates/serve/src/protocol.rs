@@ -121,6 +121,34 @@ fn protocol_err(m: impl Into<String>) -> ServeError {
     ServeError::Protocol(m.into())
 }
 
+/// Largest `LOAD XMARK` scale (≈ 1.83 M nodes).
+pub const MAX_XMARK_SCALE: f64 = 1.0;
+
+/// Largest `LOAD DBLP` publication count (≈ 1.8 M nodes).
+pub const MAX_DBLP_PUBS: usize = 100_000;
+
+/// Hold a synthetic load to the fixed size bounds of PROTOCOL.md
+/// *Limits*: an XMark scale must be finite and in `(0, 1]`, a DBLP
+/// publication count at most [`MAX_DBLP_PUBS`]. The generators allocate in
+/// proportion to the size, so an unchecked size on one wire line could
+/// exhaust the process. Shared by `LOAD` and `jgi-served --preload`.
+pub fn check_load(cmd: &Command) -> Result<(), ServeError> {
+    match *cmd {
+        // Written so that NaN fails the test too.
+        Command::LoadXmark { scale, .. } if !(scale > 0.0 && scale <= MAX_XMARK_SCALE) => {
+            Err(protocol_err(format!(
+                "LOAD XMARK scale must be in (0, {MAX_XMARK_SCALE}], got {scale}"
+            )))
+        }
+        Command::LoadDblp { publications, .. } if publications > MAX_DBLP_PUBS => {
+            Err(protocol_err(format!(
+                "LOAD DBLP pubs must be at most {MAX_DBLP_PUBS}, got {publications}"
+            )))
+        }
+        _ => Ok(()),
+    }
+}
+
 /// Leading `key=value` options split off a query tail.
 struct Options {
     engine: Option<Engine>,
@@ -184,7 +212,7 @@ pub fn parse_command(line: &str) -> Result<Option<Command>, ServeError> {
             let (kind, args) = rest
                 .split_once(char::is_whitespace)
                 .ok_or_else(|| protocol_err("LOAD needs a source (XMARK|DBLP|DOC)"))?;
-            match kind.to_ascii_uppercase().as_str() {
+            let load = match kind.to_ascii_uppercase().as_str() {
                 "XMARK" => {
                     let mut it = args.split_whitespace();
                     let scale = it
@@ -216,7 +244,9 @@ pub fn parse_command(line: &str) -> Result<Option<Command>, ServeError> {
                     Command::LoadDoc { uri: uri.to_string(), xml: xml.trim().to_string() }
                 }
                 other => return Err(protocol_err(format!("unknown LOAD source `{other}`"))),
-            }
+            };
+            check_load(&load)?;
+            load
         }
         "PREPARE" => {
             let o = parse_options(rest)?;
@@ -609,6 +639,26 @@ mod tests {
                 "{bad:?} should be a protocol error"
             );
         }
+    }
+
+    #[test]
+    fn synthetic_loads_are_bounded() {
+        for bad in [
+            "LOAD XMARK inf 1",
+            "LOAD XMARK NaN 1",
+            "LOAD XMARK -1 1",
+            "LOAD XMARK 0 1",
+            "LOAD XMARK 1e9 1",
+            "LOAD DBLP 100001 1",
+            "LOAD DBLP 18446744073709551615 1",
+        ] {
+            assert!(
+                matches!(parse_command(bad), Err(ServeError::Protocol(_))),
+                "{bad:?} should be a protocol error"
+            );
+        }
+        assert!(parse_command("LOAD XMARK 1 1").unwrap().is_some());
+        assert!(parse_command("LOAD DBLP 100000 1").unwrap().is_some());
     }
 
     #[test]

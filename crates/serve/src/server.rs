@@ -54,10 +54,9 @@ pub struct ServeConfig {
     pub cache_capacity: usize,
     /// Deadline applied to requests that don't carry their own.
     pub default_deadline: Option<Duration>,
-    /// Execution budgets baked into every published snapshot. The default
-    /// pins `budgets.parallelism` to `Fixed(1)`: a loaded service already
-    /// saturates the cores with concurrent requests, so per-query morsel
-    /// fan-out is an explicit opt-in (`jgi-served --parallelism`).
+    /// Execution budgets baked into every published snapshot. Each
+    /// request runs on one worker thread; the service's parallelism is
+    /// across requests (`workers`).
     pub budgets: Budgets,
     /// Always-on service telemetry (registry + flight recorder). On by
     /// default; the overhead benchmark flips it off for its baseline leg.
@@ -73,10 +72,7 @@ impl Default for ServeConfig {
             queue_depth: 64,
             cache_capacity: 256,
             default_deadline: None,
-            budgets: Budgets {
-                parallelism: jgi_core::Parallelism::Fixed(1),
-                ..Budgets::default()
-            },
+            budgets: Budgets::default(),
             telemetry: true,
             flight_capacity: 64,
         }

@@ -5,8 +5,7 @@
 //! result — only how fast it arrives. Three layers of evidence:
 //!
 //! * the Q1–Q8 paper corpus × {nl, hash, leapfrog, auto} × {scalar,
-//!   vectorized} × parallelism degrees 1, 2, 8, all byte-identical to the
-//!   nested-loop scalar baseline,
+//!   vectorized}, all byte-identical to the nested-loop scalar baseline,
 //! * a vacuity guard: under `auto` the vectorized corpus actually plans
 //!   and executes non-NL join steps, Q2's value-join core among them,
 //! * property tests over random documents × random workhorse queries
@@ -15,7 +14,7 @@
 
 use jgi_compiler::compile;
 use jgi_core::queries::paper_corpus;
-use jgi_core::{Engine, Parallelism, Session};
+use jgi_core::{Engine, Session};
 use jgi_engine::optimizer::{self, JoinStrategy, PlanOptions};
 use jgi_engine::physical::{execute_rows_opts, ExecOptions, ExecStats, Step};
 use jgi_engine::Database;
@@ -32,8 +31,8 @@ fn corpus_session(scale: f64, pubs: usize) -> Session {
     s
 }
 
-/// Counters that may not depend on the parallelism degree for a fixed
-/// plan. (Across *strategies* the plans differ, so only results compare.)
+/// Counters that may not depend on the executor mode for a fixed plan.
+/// (Across *strategies* the plans differ, so only results compare.)
 fn assert_invariant_stats(name: &str, mode: &str, base: &ExecStats, run: &ExecStats) {
     assert_eq!(base.raw_rows, run.raw_rows, "{name}: raw_rows changed ({mode})");
     assert_eq!(base.sort_rows, run.sort_rows, "{name}: sort_rows changed ({mode})");
@@ -45,10 +44,8 @@ fn assert_invariant_stats(name: &str, mode: &str, base: &ExecStats, run: &ExecSt
     assert_eq!(base.per_op, run.per_op, "{name}: per-operator actuals changed ({mode})");
 }
 
-/// Q1–Q8: every strategy forcing, in both executor modes, at degrees
-/// 1, 2 and 8, produces the byte-identical node sequence the nested-loop
-/// scalar baseline produces — and for a fixed (strategy, mode) cell the
-/// degree never changes the row-count statistics.
+/// Q1–Q8: every strategy forcing, in both executor modes, produces the
+/// byte-identical node sequence the nested-loop scalar baseline produces.
 #[test]
 fn corpus_identical_across_strategies_modes_and_degrees() {
     let mut session = corpus_session(0.005, 1000);
@@ -56,27 +53,15 @@ fn corpus_identical_across_strategies_modes_and_degrees() {
         let prepared = session.prepare(query, ctx).expect("corpus compiles");
         session.budgets.join = JoinStrategy::Nl;
         session.budgets.vectorized = false;
-        session.budgets.parallelism = Parallelism::Fixed(1);
         let base = session.execute(&prepared, Engine::JoinGraph).expect("corpus executes");
         for join in JoinStrategy::ALL {
             for vectorized in [false, true] {
                 session.budgets.join = join;
                 session.budgets.vectorized = vectorized;
-                session.budgets.parallelism = Parallelism::Fixed(1);
                 let cell =
                     session.execute(&prepared, Engine::JoinGraph).expect("corpus executes");
                 let mode = format!("join={join}, vectorized={vectorized}");
                 assert_eq!(cell.nodes, base.nodes, "{name}: result diverged ({mode})");
-                let cell_exec = cell.report.exec.clone().expect("exec stats");
-                for degree in [2usize, 8] {
-                    session.budgets.parallelism = Parallelism::Fixed(degree);
-                    let out =
-                        session.execute(&prepared, Engine::JoinGraph).expect("corpus executes");
-                    let mode = format!("{mode}, degree={degree}");
-                    assert_eq!(out.nodes, base.nodes, "{name}: result diverged ({mode})");
-                    let exec = out.report.exec.as_ref().expect("exec stats");
-                    assert_invariant_stats(name, &mode, &cell_exec, exec);
-                }
             }
         }
     }
@@ -91,7 +76,6 @@ fn corpus_strategy_selection_is_not_vacuous() {
     let mut session = corpus_session(0.005, 1000);
     session.budgets.join = JoinStrategy::Auto;
     session.budgets.vectorized = true;
-    session.budgets.parallelism = Parallelism::Fixed(1);
     let mut non_nl_plans = 0usize;
     let mut exercised = 0usize;
     for &(name, query, ctx) in &paper_corpus() {

@@ -6,9 +6,8 @@
 //! receive the same operations through the `Tree` editing API, are
 //! serialized to XML text, parsed back, and loaded into a fresh
 //! [`Session`]. The published snapshot must then answer Q1–Q8
-//! byte-identically to the oracle in every execution mode — scalar and
-//! vectorized, parallelism degrees 1, 2, and 8 — and across the
-//! independent back-ends (the navigational one builds its DOM from the
+//! byte-identically to the oracle in both execution modes — scalar and
+//! vectorized — and across the independent back-ends (the navigational one builds its DOM from the
 //! edited columns on first use).
 //!
 //! A second test pins the incremental-publish contract: committing to one
@@ -20,7 +19,7 @@
 //! version alive.
 
 use jgi_core::queries::paper_corpus;
-use jgi_core::{execute_prepared, prepare_on, Budgets, Engine, Parallelism, Session};
+use jgi_core::{execute_prepared, prepare_on, Budgets, Engine, Session};
 use jgi_mutate::{parse_fragment, Op};
 use jgi_serve::{Master, ServeConfig, Server, Snapshot};
 use jgi_xml::generate::{generate_dblp, generate_xmark, DblpConfig, XmarkConfig};
@@ -143,28 +142,19 @@ fn mutated_corpus_matches_full_reparse_across_modes_and_degrees() {
         let oracle_plan = oracle.prepare(query, ctx).expect("corpus compiles on oracle");
         let (segment, base_pre) = snapshot.resolve(&prepared.docs);
         for vectorized in [false, true] {
-            for degree in [1usize, 2, 8] {
-                let budgets = Budgets {
-                    vectorized,
-                    parallelism: Parallelism::Fixed(degree),
-                    ..Budgets::default()
-                };
-                oracle.budgets = budgets;
-                let expect = oracle
-                    .execute(&oracle_plan, Engine::JoinGraph)
-                    .expect("oracle executes")
-                    .nodes;
-                let ctx = segment.ctx(Engine::JoinGraph, budgets);
-                let got = execute_prepared(&ctx, &prepared, Engine::JoinGraph)
-                    .unwrap_or_else(|e| panic!("{name} fails on the snapshot: {e}"))
-                    .nodes
-                    .map(|v| v.into_iter().map(|p| p + base_pre).collect::<Vec<_>>());
-                assert_eq!(
-                    got, expect,
-                    "{name} diverged from the full-reparse oracle \
-                     (vectorized={vectorized}, degree={degree})"
-                );
-            }
+            let budgets = Budgets { vectorized, ..Budgets::default() };
+            oracle.budgets = budgets;
+            let expect =
+                oracle.execute(&oracle_plan, Engine::JoinGraph).expect("oracle executes").nodes;
+            let ctx = segment.ctx(Engine::JoinGraph, budgets);
+            let got = execute_prepared(&ctx, &prepared, Engine::JoinGraph)
+                .unwrap_or_else(|e| panic!("{name} fails on the snapshot: {e}"))
+                .nodes
+                .map(|v| v.into_iter().map(|p| p + base_pre).collect::<Vec<_>>());
+            assert_eq!(
+                got, expect,
+                "{name} diverged from the full-reparse oracle (vectorized={vectorized})"
+            );
         }
         // The independent back-ends agree on the mutated documents too.
         oracle.budgets = Budgets::default();

@@ -2,14 +2,14 @@
 //!
 //! Vectorization must be invisible in results: with the batch pipeline
 //! on, the join-graph engine has to produce the byte-identical node
-//! sequence (order and duplicates included) at every parallelism degree.
-//! For a *fixed* plan, only the mode-dependent counters — `vector_*`,
-//! `btree_descents`/`btree_skips`, `parallel_*` — may differ between a
-//! scalar and a vectorized run; end-to-end the planner is mode-aware
-//! (DESIGN.md §13) and may pick a different plan shape per mode. Three
-//! layers of evidence:
+//! sequence (order and duplicates included). For a *fixed* plan, only the
+//! mode-dependent counters — `vector_*`, `btree_descents`/`btree_skips` —
+//! may differ between a scalar and a vectorized run; end-to-end the
+//! planner is mode-aware (DESIGN.md §13) and may pick a different plan
+//! shape per mode. Three layers of evidence:
 //!
-//! * the Q1–Q8 paper corpus × {scalar, vectorized} × degrees 1, 2, 8,
+//! * the Q1–Q8 paper corpus × {scalar, vectorized}, plus the contract that
+//!   the inert `Budgets::parallelism` changes nothing observable,
 //! * a vacuity guard: the vectorized corpus runs actually batch (and the
 //!   scalar runs actually don't),
 //! * property tests over random documents × random workhorse queries,
@@ -18,7 +18,7 @@
 
 use jgi_compiler::compile;
 use jgi_core::queries::paper_corpus;
-use jgi_core::{Engine, Parallelism, Session};
+use jgi_core::{Budgets, Engine, Parallelism, Session};
 use jgi_engine::physical::{execute_rows_opts, ExecOptions, ExecStats};
 use jgi_engine::{optimizer, Database};
 use jgi_rewrite::{extract_cq, isolate};
@@ -35,8 +35,8 @@ fn corpus_session(scale: f64, pubs: usize) -> Session {
 }
 
 /// Every counter that must not depend on the execution mode. The
-/// mode-dependent ones (`vector_*`, `btree_*`, `parallel_*`) are checked
-/// separately where a specific shape is expected.
+/// mode-dependent ones (`vector_*`, `btree_*`) are checked separately
+/// where a specific shape is expected.
 fn assert_invariant_stats(name: &str, mode: &str, base: &ExecStats, run: &ExecStats) {
     assert_eq!(base.raw_rows, run.raw_rows, "{name}: raw_rows changed ({mode})");
     assert_eq!(base.sort_rows, run.sort_rows, "{name}: sort_rows changed ({mode})");
@@ -49,19 +49,20 @@ fn assert_invariant_stats(name: &str, mode: &str, base: &ExecStats, run: &ExecSt
 }
 
 /// Q1–Q8 on the join-graph engine: identical nodes across {scalar,
-/// vectorized} × degrees 1, 2, 8, and identical row-count statistics at
-/// every degree *within* a mode. The planner is mode-aware (the
-/// vectorized row cost and join-strategy selection, DESIGN.md §13, can
-/// legitimately pick a different plan shape per mode), so cross-mode
-/// statistics equivalence on a *fixed* plan is covered by the property
-/// tests below instead.
+/// vectorized}. The planner is mode-aware (the vectorized row cost and
+/// join-strategy selection, DESIGN.md §13, can legitimately pick a
+/// different plan shape per mode), so cross-mode statistics equivalence
+/// on a *fixed* plan is covered by the property tests below instead.
+///
+/// Within a mode, `Budgets::parallelism` is inert: `Fixed(8)` and the
+/// default give identical nodes, identical `ExecStats` and an identical
+/// EXPLAIN ANALYZE text.
 #[test]
 fn corpus_identical_across_modes_and_degrees() {
     let mut session = corpus_session(0.005, 1000);
     for &(name, query, ctx) in &paper_corpus() {
         let prepared = session.prepare(query, ctx).expect("corpus compiles");
-        session.budgets.vectorized = false;
-        session.budgets.parallelism = Parallelism::Fixed(1);
+        session.budgets = Budgets { vectorized: false, ..Budgets::default() };
         let base = session.execute(&prepared, Engine::JoinGraph).expect("corpus executes");
         {
             let base_exec = base.report.exec.as_ref().expect("join-graph reports exec stats");
@@ -71,22 +72,22 @@ fn corpus_identical_across_modes_and_degrees() {
             );
         }
         for vectorized in [false, true] {
-            session.budgets.vectorized = vectorized;
-            session.budgets.parallelism = Parallelism::Fixed(1);
-            let mode_base =
-                session.execute(&prepared, Engine::JoinGraph).expect("corpus executes");
-            let mode = format!("vectorized={vectorized}, degree=1");
-            assert_eq!(mode_base.nodes, base.nodes, "{name}: result diverged ({mode})");
-            let mode_exec = mode_base.report.exec.clone().expect("exec stats");
-            for degree in [2usize, 8] {
-                session.budgets.parallelism = Parallelism::Fixed(degree);
-                let out =
-                    session.execute(&prepared, Engine::JoinGraph).expect("corpus executes");
-                let mode = format!("vectorized={vectorized}, degree={degree}");
-                assert_eq!(out.nodes, base.nodes, "{name}: result diverged ({mode})");
-                let exec = out.report.exec.as_ref().expect("join-graph reports exec stats");
-                assert_invariant_stats(name, &mode, &mode_exec, exec);
-            }
+            session.budgets = Budgets { vectorized, ..Budgets::default() };
+            let out = session.execute(&prepared, Engine::JoinGraph).expect("corpus executes");
+            let analyze = session.explain_analyze(&prepared).ok();
+            let mode = format!("vectorized={vectorized}");
+            assert_eq!(out.nodes, base.nodes, "{name}: result diverged ({mode})");
+
+            session.budgets.parallelism = Parallelism::Fixed(8);
+            let wide = session.execute(&prepared, Engine::JoinGraph).expect("corpus executes");
+            let mode = format!("{mode}, parallelism=Fixed(8)");
+            assert_eq!(wide.nodes, out.nodes, "{name}: result diverged ({mode})");
+            assert_eq!(wide.report.exec, out.report.exec, "{name}: exec stats diverged ({mode})");
+            assert_eq!(
+                session.explain_analyze(&prepared).ok(),
+                analyze,
+                "{name}: EXPLAIN ANALYZE diverged ({mode})"
+            );
         }
     }
 }
@@ -98,7 +99,6 @@ fn corpus_identical_across_modes_and_degrees() {
 fn corpus_vectorization_is_not_vacuous() {
     let mut session = corpus_session(0.005, 1000);
     session.budgets.vectorized = true;
-    session.budgets.parallelism = Parallelism::Fixed(1);
     let mut batched = 0usize;
     let mut descended = 0usize;
     for &(name, query, ctx) in &paper_corpus() {
@@ -122,14 +122,13 @@ fn corpus_vectorization_is_not_vacuous() {
     assert!(descended > 0, "no corpus query exercised the batched B-tree cursor");
 }
 
-/// The independent back-ends agree with the vectorized join-graph engine
-/// at degree 8: stacked plan interpretation and both navigational modes
-/// never see batches or threads, so they pin down the expected answer.
+/// The independent back-ends agree with the vectorized join-graph engine:
+/// stacked plan interpretation and both navigational modes never see
+/// batches, so they pin down the expected answer.
 #[test]
 fn corpus_agrees_across_engines_vectorized() {
     let mut session = corpus_session(0.002, 300);
     session.budgets.vectorized = true;
-    session.budgets.parallelism = Parallelism::Fixed(8);
     for &(name, query, ctx) in &paper_corpus() {
         let prepared = session.prepare(query, ctx).expect("corpus compiles");
         let jg = session.execute(&prepared, Engine::JoinGraph).expect("corpus executes");
@@ -216,8 +215,7 @@ fn gen_query() -> impl Strategy<Value = String> {
 
 /// Compile a random query down to a conjunctive query, plan it, and check
 /// the vectorized executor against the scalar one row-for-row and
-/// counter-for-counter at batch sizes 1, 2, and 1024 — sequentially and
-/// with the cost gate forced open so the parallel batch path runs too.
+/// counter-for-counter at batch sizes 1, 2, and 1024.
 fn check_vectorized_on(tree: &Tree, query: &str) {
     let Ok(core) = compile_to_core(query) else { return };
     let compiled = compile(&core).expect("compilation succeeds");
@@ -228,25 +226,15 @@ fn check_vectorized_on(tree: &Tree, query: &str) {
     let Ok(cq) = extract_cq(&plan, iso_root) else { return };
     let db = Database::with_default_indexes(store);
 
-    let mut phys = optimizer::plan(&db, &cq);
-    // Force the cost gate open so the parallel combinations below fan out
-    // even on toy plans.
-    phys.est_cost = 1e9;
+    let phys = optimizer::plan(&db, &cq);
     let scalar = ExecOptions { vectorized: false, ..ExecOptions::default() };
     let (base_rows, base_stats) = execute_rows_opts(&db, &phys, &scalar);
     for batch_size in [1usize, 2, 1024] {
-        for (degree, morsel_size) in [(1usize, 4usize), (4, 2)] {
-            let opts = ExecOptions {
-                parallelism: degree,
-                morsel_size,
-                vectorized: true,
-                batch_size,
-            };
-            let (rows, stats) = execute_rows_opts(&db, &phys, &opts);
-            let mode = format!("batch={batch_size}, degree={degree}");
-            assert_eq!(base_rows, rows, "rows diverged on {query} ({mode})");
-            assert_invariant_stats(query, &mode, &base_stats, &stats);
-        }
+        let opts = ExecOptions { vectorized: true, batch_size };
+        let (rows, stats) = execute_rows_opts(&db, &phys, &opts);
+        let mode = format!("batch={batch_size}");
+        assert_eq!(base_rows, rows, "rows diverged on {query} ({mode})");
+        assert_invariant_stats(query, &mode, &base_stats, &stats);
     }
 }
 

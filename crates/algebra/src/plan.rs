@@ -19,6 +19,10 @@
 //! asserted, once per `(operator id, input schema ids)`.
 //! [`Plan::node`] hands out a borrowed [`Node`] view.
 //!
+//! The interning maps serve only construction. [`Plan::freeze`] drops them
+//! once a plan is done (a prepared query keeps its plan for as long as it
+//! is cached); a later builder call rebuilds them from the tables first.
+//!
 //! Column names are interned per plan; [`Plan::fresh`] generates new unique
 //! names for the compiler's renamed columns (`pre°`, `item1`, …).
 
@@ -129,6 +133,41 @@ impl Plan {
         self.nodes.is_empty()
     }
 
+    /// Drop the interning maps and the tables' spare capacity: what a
+    /// finished plan keeps only to build more nodes. Reading is unaffected;
+    /// the next [`Plan::add`] or [`Plan::with_inputs`] rebuilds the maps, so
+    /// it finds every existing node as before.
+    pub fn freeze(&mut self) {
+        self.memo = HashMap::new();
+        self.op_ids = HashMap::new();
+        self.schema_ids = HashMap::new();
+        self.schema_memo = HashMap::new();
+        self.nodes.shrink_to_fit();
+        self.ops.shrink_to_fit();
+        self.schemas.shrink_to_fit();
+    }
+
+    /// Rebuild the maps [`Plan::freeze`] dropped. Every node enters the
+    /// memo when it is created, so the memo is short of the node table
+    /// exactly when the plan is frozen.
+    fn thaw(&mut self) {
+        if self.memo.len() == self.nodes.len() {
+            return;
+        }
+        self.op_ids = self.ops.iter().enumerate().map(|(i, op)| (op.clone(), i as OpId)).collect();
+        self.schema_ids =
+            self.schemas.iter().enumerate().map(|(i, s)| (s.clone(), i as SchemaId)).collect();
+        for (i, rec) in self.nodes.iter().enumerate() {
+            self.memo.insert((rec.op, rec.inputs), NodeId(i as u32));
+            let mut in_schemas = [SchemaId::MAX; 2];
+            let arity = self.ops[rec.op as usize].arity();
+            for (s, input) in in_schemas.iter_mut().zip(&rec.inputs[..arity]) {
+                *s = self.nodes[input.0 as usize].schema;
+            }
+            self.schema_memo.insert((rec.op, in_schemas), rec.schema);
+        }
+    }
+
     /// Core constructor: add (or find) a node.
     ///
     /// # Panics
@@ -136,6 +175,7 @@ impl Plan {
     /// by the compiler/rewriter, where such violations are bugs.
     pub fn add(&mut self, op: Op, inputs: &[NodeId]) -> NodeId {
         assert_eq!(op.arity(), inputs.len(), "operator arity mismatch for {}", op.name());
+        self.thaw();
         let op = match self.op_ids.entry(op) {
             Entry::Occupied(hit) => *hit.get(),
             Entry::Vacant(miss) => {
@@ -152,6 +192,7 @@ impl Plan {
     pub fn with_inputs(&mut self, id: NodeId, inputs: &[NodeId]) -> NodeId {
         let Node { op, inputs: old, .. } = self.node(id);
         assert_eq!(old.len(), inputs.len(), "operator arity mismatch for {}", op.name());
+        self.thaw();
         self.add_interned(self.nodes[id.0 as usize].op, inputs)
     }
 
@@ -421,6 +462,28 @@ mod tests {
         let a2 = p.attach(d2, iter, Value::Int(1));
         assert_eq!(a1, a2);
         assert_eq!(p.len(), 2);
+    }
+
+    #[test]
+    fn frozen_plan_keeps_hash_consing() {
+        let mut p = Plan::new();
+        let d = p.doc();
+        let iter = p.col("iter");
+        let pos = p.col("pos");
+        let a = p.attach(d, iter, Value::Int(1));
+        let b = p.attach(a, pos, Value::Int(2));
+        p.freeze();
+        assert_eq!(p.node(b).inputs, &[a]);
+        // Re-adding an existing (op, inputs) finds the existing node.
+        assert_eq!(p.attach(d, iter, Value::Int(1)), a);
+        assert_eq!(p.with_inputs(b, &[a]), b);
+        assert_eq!(p.len(), 3);
+        // A new node after freezing is new, and hash-conses from then on.
+        p.freeze();
+        let c = p.attach(d, pos, Value::Int(3));
+        assert_eq!(p.len(), 4);
+        assert_eq!(p.attach(d, pos, Value::Int(3)), c);
+        assert!(p.schema(c).contains(pos) && !p.schema(c).contains(iter));
     }
 
     #[test]

@@ -10,7 +10,9 @@
 //! join-strategy regressions: a value-join core executing as NLJOIN when
 //! the planner estimates a hash or leapfrog strategy materially cheaper
 //! is a finding (it means strategy selection is misconfigured or the cost
-//! model regressed).
+//! model regressed). So is an access that binds the parent of a bound alias
+//! without an equality probe on `pre` (a reversed child step left as a
+//! one-sided containment scan).
 //!
 //! Exit status: 0 when every isolated plan is clean, 1 otherwise — CI runs
 //! this as a golden check. Usage: `lint-plans [xmark_scale] [dblp_pubs]`.
@@ -70,6 +72,13 @@ fn main() -> ExitCode {
                 isolated_dirty += 1;
                 for f in &findings {
                     eprintln!("  {name} join-strategy: {f}");
+                }
+            }
+            let findings = optimizer::lint_parent_probes(db, cq, &plan);
+            if !findings.is_empty() {
+                isolated_dirty += 1;
+                for f in &findings {
+                    eprintln!("  {name} parent-probe: {f}");
                 }
             }
         }

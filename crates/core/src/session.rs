@@ -549,6 +549,7 @@ pub fn prepare_on(
     }
     report.rewrite = stats.clone();
     let docs = core.doc_uris();
+    plan.freeze();
     Ok(Prepared {
         text: query.to_string(),
         core,

@@ -13,6 +13,11 @@
 //! through a `…p`-suffixed index (descendant direction) and from the `d2`
 //! side through the computed `s = pre + size` key column (ancestor
 //! direction); which direction runs is purely a matter of estimated cost.
+//!
+//! One declared encoding invariant enters planning: `parent` is exact, so
+//! a child step's range form implies the key equality `pre = parent°`
+//! ([`parent_keys`]). The planner adds that equality to the join atoms, and
+//! a child step resolved upward becomes one `pre` probe.
 
 use crate::catalog::{Database, IndexCol};
 use crate::physical::{Access, Method, PhysPlan, Probe, RangeProbe, Step};
@@ -257,7 +262,9 @@ pub fn plan_with_stats_opts(
     let locals: Vec<Vec<CqAtom>> = (0..n)
         .map(|a| cq.predicates.iter().filter(|p| p.is_local() && p.aliases() == vec![a]).cloned().collect())
         .collect();
-    let joins: Vec<CqAtom> = cq.predicates.iter().filter(|p| !p.is_local()).cloned().collect();
+    let mut joins: Vec<CqAtom> = cq.predicates.iter().filter(|p| !p.is_local()).cloned().collect();
+    let keys = parent_keys(&joins);
+    joins.extend(keys.iter().cloned());
 
     // Join-graph neighbor mask per alias — the memo key projection.
     let mut rel_mask: Vec<u32> = vec![0; n];
@@ -287,7 +294,8 @@ pub fn plan_with_stats_opts(
     for (a, alias_locals) in locals.iter().enumerate() {
         let o = memo.entry((a, 0u32)).or_insert_with(|| {
             compute_step_options(
-                db, cq, a, alias_locals, &joins, 0, row_cost, opts.join, &mut builds, &mut stats,
+                db, cq, a, alias_locals, &joins, &keys, 0, row_cost, opts.join, &mut builds,
+                &mut stats,
             )
         });
         let node = Node {
@@ -318,8 +326,8 @@ pub fn plan_with_stats_opts(
             let key = (a, mask & rel_mask[a]);
             let o = memo.entry(key).or_insert_with(|| {
                 compute_step_options(
-                    db, cq, a, &locals[a], &joins, key.1, row_cost, opts.join, &mut builds,
-                    &mut stats,
+                    db, cq, a, &locals[a], &joins, &keys, key.1, row_cost, opts.join,
+                    &mut builds, &mut stats,
                 )
             });
             let next_mask = mask | (1 << a);
@@ -427,6 +435,84 @@ pub fn plan_with_stats_opts(
     (phys, stats)
 }
 
+/// The key equalities the encoding adds to child steps: `a.pre = b.parent`
+/// for every alias pair `(a, b)` whose atoms hold Fig. 3's child-axis form
+/// `a.pre < b.pre ∧ b.pre ≤ a.pre + a.size ∧ a.level + 1 = b.level`.
+///
+/// The two are equivalent because the encoding keeps `parent` exact: it is
+/// the node one level up whose subtree holds the row, and the encoder and
+/// every edit maintain it (`jgi-mutate` checks it against a full reparse).
+/// The SQL keeps the range form; the equality only lets a reversed child
+/// step — `a` bound from a bound `b`, `⟨parent of b⟩` — probe `pre` once
+/// instead of scanning every same-name node before `b.pre`. The derived
+/// atoms live in the planner: they never reach `cq.predicates`.
+pub fn parent_keys(atoms: &[CqAtom]) -> Vec<CqAtom> {
+    child_pairs(atoms)
+        .into_iter()
+        .map(|(a, b)| CqAtom {
+            lhs: CqScalar::Col(ColRef { alias: a, col: DocCol::Pre }),
+            op: CmpOp::Eq,
+            rhs: CqScalar::Col(ColRef { alias: b, col: DocCol::Parent }),
+        })
+        .collect()
+}
+
+/// The alias pairs `(parent, child)` whose atoms hold Fig. 3's child-axis
+/// form (see [`parent_keys`]), each once.
+fn child_pairs(atoms: &[CqAtom]) -> Vec<(usize, usize)> {
+    let col = |s: &CqScalar, want: DocCol| match s {
+        CqScalar::Col(c) if c.col == want => Some(c.alias),
+        _ => None,
+    };
+    let level = |s: &CqScalar| match s {
+        CqScalar::Col(c) if c.col == DocCol::Level => Some((c.alias, 0)),
+        CqScalar::ColPlusInt(c, i) if c.col == DocCol::Level => Some((c.alias, *i)),
+        _ => None,
+    };
+    // Pairs `(a, b)` holding each of the three conjuncts.
+    let mut before = Vec::new(); // a.pre < b.pre
+    let mut within = Vec::new(); // b.pre ≤ a.pre + a.size
+    let mut one_down = Vec::new(); // b.level = a.level + 1
+    for p in atoms {
+        let (lhs, op, rhs) = match p.op {
+            CmpOp::Gt | CmpOp::Ge => (&p.rhs, p.op.flipped(), &p.lhs),
+            op => (&p.lhs, op, &p.rhs),
+        };
+        match (op, rhs) {
+            (CmpOp::Lt, _) => {
+                if let (Some(a), Some(b)) = (col(lhs, DocCol::Pre), col(rhs, DocCol::Pre)) {
+                    before.push((a, b));
+                }
+            }
+            (CmpOp::Le, CqScalar::ColPlusCol(u, v))
+                if u.alias == v.alias && u.col == DocCol::Pre && v.col == DocCol::Size =>
+            {
+                if let Some(b) = col(lhs, DocCol::Pre) {
+                    within.push((u.alias, b));
+                }
+            }
+            (CmpOp::Eq, _) => {
+                // x.level + i = y.level + j
+                if let (Some((x, i)), Some((y, j))) = (level(lhs), level(rhs)) {
+                    match i - j {
+                        1 => one_down.push((x, y)),
+                        -1 => one_down.push((y, x)),
+                        _ => {}
+                    }
+                }
+            }
+            _ => {}
+        }
+    }
+    let mut pairs: Vec<(usize, usize)> = Vec::new();
+    for &ab in &before {
+        if ab.0 != ab.1 && within.contains(&ab) && one_down.contains(&ab) && !pairs.contains(&ab) {
+            pairs.push(ab);
+        }
+    }
+    pairs
+}
+
 /// DP state: cost/cardinality plus a parent pointer into the subset table.
 /// Deliberately `Copy` — extension must not clone partial plans.
 #[derive(Clone, Copy)]
@@ -488,13 +574,14 @@ fn build_side<'c>(
     stats: &mut PlanStats,
 ) -> &'c BuildSide {
     if cache[alias].is_none() {
-        cache[alias] = Some(best_access(db, cq, alias, locals, &[], 0, row_cost, stats));
+        cache[alias] = Some(best_access(db, cq, alias, locals, &[], &[], 0, row_cost, stats));
     }
     cache[alias].as_ref().expect("just filled")
 }
 
 /// Compute the full option set for extending a plan with `alias` when the
 /// bound set (projected to `alias`'s join-graph neighbors) is `mask`.
+/// `keys` are the [`parent_keys`] among `joins`.
 #[allow(clippy::too_many_arguments)]
 fn compute_step_options(
     db: &Database,
@@ -502,6 +589,7 @@ fn compute_step_options(
     alias: usize,
     locals: &[CqAtom],
     joins: &[CqAtom],
+    keys: &[CqAtom],
     mask: u32,
     row_cost: f64,
     join: JoinStrategy,
@@ -509,7 +597,7 @@ fn compute_step_options(
     stats: &mut PlanStats,
 ) -> StepOptions {
     let (access, per_probe, probe_cost) =
-        best_access(db, cq, alias, locals, joins, mask, row_cost, stats);
+        best_access(db, cq, alias, locals, joins, keys, mask, row_cost, stats);
     let has_var = access_has_var(&access);
     // Under NL forcing the hash join is not merely penalized — it is not
     // even enumerated, so forced-NL planning stays the cheap baseline.
@@ -554,7 +642,9 @@ fn consider(best: &mut [Option<Node>], mask: u32, node: Node, stats: &mut PlanSt
 /// Pick the best access path for `alias` given the bound alias set `mask`.
 /// Returns `(access, est matches per probe, est cost per probe)`. Row
 /// touches are charged at `row_cost` — the scalar or vectorized per-row
-/// rate, depending on the executor the plan targets.
+/// rate, depending on the executor the plan targets. The `keys` among
+/// `joins` may drive a probe, but the estimate and the residuals use the
+/// atoms they are derived from, which the access enforces anyway.
 #[allow(clippy::too_many_arguments)]
 fn best_access(
     db: &Database,
@@ -562,6 +652,7 @@ fn best_access(
     alias: usize,
     locals: &[CqAtom],
     joins: &[CqAtom],
+    keys: &[CqAtom],
     mask: u32,
     row_cost: f64,
     stats: &mut PlanStats,
@@ -582,16 +673,18 @@ fn best_access(
         .filter_map(|(i, p)| sargable(alias, p, mask).map(|(c, op, pr)| (c, op, pr, i)))
         .collect();
 
+    let stated: Vec<CqAtom> = applicable.iter().filter(|p| !keys.contains(p)).cloned().collect();
+
     // Total selectivity of all applicable predicates (residuals re-check
     // probes harmlessly, so the estimate uses them all).
-    let sel = combined_selectivity(db, cq, alias, &applicable, mask);
+    let sel = combined_selectivity(db, cq, alias, &stated, mask);
     let est_result = (n_rows * sel).max(1e-3);
 
     // Candidate: table scan.
     let mut best_access = Access {
         alias,
         method: Method::TbScan,
-        residual: applicable.clone(),
+        residual: stated,
         all_atoms: applicable.clone(),
         early_out: false,
         est_rows: est_result,
@@ -605,7 +698,7 @@ fn best_access(
         let mut range: Option<RangeProbe> = None;
         let mut used_sel = 1.0f64;
         let mut used_atoms: Vec<usize> = Vec::new();
-        for (pos, &kc) in idx.key.iter().enumerate() {
+        for &kc in &idx.key {
             // Exact-match probe available?
             if let Some((_, _, probe, ai)) =
                 sargs.iter().find(|(c, op, _, _)| *c == kc && *op == CmpOp::Eq)
@@ -625,7 +718,8 @@ fn best_access(
                 .find(|(c, op, _, _)| *c == kc && matches!(op, CmpOp::Lt | CmpOp::Le))
                 .map(|(_, op, p, ai)| ((p.clone(), *op == CmpOp::Lt), *ai));
             if lo.is_some() || hi.is_some() {
-                used_sel *= range_selectivity(db, cq, alias, kc, &applicable, mask, pos);
+                let closed = lo.is_some() && hi.is_some();
+                used_sel *= range_selectivity(db, cq, alias, kc, &applicable, mask, closed);
                 used_atoms.extend(lo.iter().map(|(_, ai)| *ai));
                 used_atoms.extend(hi.iter().map(|(_, ai)| *ai));
                 range = Some(RangeProbe {
@@ -643,12 +737,16 @@ fn best_access(
         let residual: Vec<CqAtom> = applicable
             .iter()
             .enumerate()
-            .filter(|(k, _)| !used_atoms.contains(k))
+            .filter(|&(k, p)| !used_atoms.contains(&k) && !keys.contains(p))
             .map(|(_, p)| p.clone())
             .collect();
         let scanned = (n_rows * used_sel).max(1.0);
         let cost = PROBE_COST + scanned * row_cost;
-        if cost < best_cost {
+        // Of two scans at the same cost (both at the one-row floor, say),
+        // keep the one that leaves fewer atoms to check per row.
+        if cost < best_cost
+            || (cost == best_cost && residual.len() < best_access.residual.len())
+        {
             best_cost = cost;
             best_access = Access {
                 alias,
@@ -1043,7 +1141,8 @@ fn col_eq_selectivity(
 }
 
 /// Selectivity of a range on an index key column; containment ranges use
-/// the structural model, value/data ranges use the histograms.
+/// the structural model, value/data ranges use the histograms. `closed`
+/// says whether the range has both bounds.
 fn range_selectivity(
     db: &Database,
     cq: &ConjunctiveQuery,
@@ -1051,10 +1150,14 @@ fn range_selectivity(
     col: IndexCol,
     atoms: &[CqAtom],
     mask: u32,
-    _prefix_len: usize,
+    closed: bool,
 ) -> f64 {
     let n = db.stats.total.max(1) as f64;
     match col {
+        // One bound of a containment range (`pre < b.pre`, `pre + size ≥
+        // b.pre`) leaves the scan open to one end of the document, however
+        // small the partner's subtree.
+        IndexCol::Col(DocCol::Pre) | IndexCol::PreSize if !closed => 0.5,
         IndexCol::Col(DocCol::Pre) | IndexCol::PreSize => {
             // Containment range driven by a bound partner: the partner's
             // average subtree size over N.
@@ -1200,6 +1303,41 @@ pub fn lint_join_strategies(
             ))
         })
         .collect()
+}
+
+/// Plan lint: flag an access that binds the parent of an already-bound
+/// alias (EXPLAIN's `⟨parent of dN⟩`) without an equality probe on `pre` —
+/// the one-sided containment scan over every same-name node before the
+/// child that [`parent_keys`] exists to replace. Returns human-readable
+/// findings, empty when clean; wired into the `lint-plans` bin.
+pub fn lint_parent_probes(db: &Database, cq: &ConjunctiveQuery, plan: &PhysPlan) -> Vec<String> {
+    let pairs = child_pairs(&cq.predicates);
+    let mut bound = vec![plan.driver.alias];
+    let mut findings = Vec::new();
+    for step in &plan.steps {
+        let a = step.access();
+        let probes_pre = match step {
+            Step::Nl(acc) | Step::Leapfrog(acc) => match &acc.method {
+                Method::IxScan { index, eq, .. } => {
+                    db.indexes[*index].key[..eq.len()].contains(&IndexCol::Col(DocCol::Pre))
+                }
+                Method::TbScan => false,
+            },
+            Step::Hash { build_key, .. } => build_key.contains(&DocCol::Pre),
+        };
+        if !probes_pre {
+            for &(_, child) in pairs.iter().filter(|&&(p, c)| p == a.alias && bound.contains(&c)) {
+                findings.push(format!(
+                    "alias {}: binds the parent of bound alias {child} without an equality \
+                     probe on pre: {}",
+                    a.alias,
+                    crate::explain::describe_access(db, a)
+                ));
+            }
+        }
+        bound.push(a.alias);
+    }
+    findings
 }
 
 #[cfg(test)]
@@ -1426,6 +1564,115 @@ mod tests {
                 assert!(connected, "step {i} of {q} is a cross product");
             }
         }
+    }
+
+    fn col(alias: usize, col: DocCol) -> CqScalar {
+        CqScalar::Col(ColRef { alias, col })
+    }
+
+    fn atom(lhs: CqScalar, op: CmpOp, rhs: CqScalar) -> CqAtom {
+        CqAtom { lhs, op, rhs }
+    }
+
+    /// Fig. 3's `a.pre < b.pre ≤ a.pre + a.size` between aliases 0 and 1.
+    fn containment() -> Vec<CqAtom> {
+        let end = CqScalar::ColPlusCol(
+            ColRef { alias: 0, col: DocCol::Pre },
+            ColRef { alias: 0, col: DocCol::Size },
+        );
+        vec![
+            atom(col(0, DocCol::Pre), CmpOp::Lt, col(1, DocCol::Pre)),
+            atom(col(1, DocCol::Pre), CmpOp::Le, end),
+        ]
+    }
+
+    fn level_link(offset: i64) -> CqAtom {
+        let level = ColRef { alias: 0, col: DocCol::Level };
+        atom(CqScalar::ColPlusInt(level, offset), CmpOp::Eq, col(1, DocCol::Level))
+    }
+
+    /// The child-axis form yields exactly `a.pre = b.parent`, in either
+    /// orientation of its atoms, once however often they repeat.
+    #[test]
+    fn child_form_derives_one_parent_key() {
+        let key = atom(col(0, DocCol::Pre), CmpOp::Eq, col(1, DocCol::Parent));
+        let mut child = containment();
+        child.push(level_link(1));
+        assert_eq!(parent_keys(&child), vec![key.clone()]);
+
+        let flipped: Vec<CqAtom> = child
+            .iter()
+            .map(|p| atom(p.rhs.clone(), p.op.flipped(), p.lhs.clone()))
+            .collect();
+        assert_eq!(parent_keys(&flipped), vec![key.clone()]);
+
+        let mut twice = child.clone();
+        twice.extend(child);
+        assert_eq!(parent_keys(&twice), vec![key]);
+    }
+
+    /// Descendant (no level atom), `level + 2` and sibling forms are not
+    /// the child axis and derive nothing.
+    #[test]
+    fn other_axes_derive_no_parent_key() {
+        assert!(parent_keys(&containment()).is_empty(), "descendant");
+        let mut grandchild = containment();
+        grandchild.push(level_link(2));
+        assert!(parent_keys(&grandchild).is_empty(), "level + 2");
+        let sibling = vec![
+            atom(col(0, DocCol::Parent), CmpOp::Eq, col(1, DocCol::Parent)),
+            atom(col(0, DocCol::Pre), CmpOp::Lt, col(1, DocCol::Pre)),
+            atom(
+                col(0, DocCol::Kind),
+                CmpOp::Ne,
+                CqScalar::Const(Value::Kind(NodeKind::Attr)),
+            ),
+        ];
+        assert!(parent_keys(&sibling).is_empty(), "sibling");
+    }
+
+    /// Planning a path of child steps uses the derived keys without adding
+    /// them to the query: its predicates never mention `parent`.
+    #[test]
+    fn parent_keys_stay_in_the_planner() {
+        let db = db(0.005);
+        let cq = cq_of(r#"doc("auction.xml")/site/open_auctions/open_auction/bidder"#);
+        assert_eq!(parent_keys(&cq.predicates).len(), 4);
+        let before = cq.predicates.clone();
+        let _ = plan(&db, &cq);
+        assert_eq!(cq.predicates, before);
+        let parent = |s: &CqScalar| matches!(s, CqScalar::Col(c) if c.col == DocCol::Parent);
+        assert!(!cq.predicates.iter().any(|p| parent(&p.lhs) || parent(&p.rhs)));
+    }
+
+    /// The parent-probe lint fires on a reversed child step that scans a
+    /// containment range, and is quiet on the planner's own plan.
+    #[test]
+    fn lint_flags_parent_access_without_pre_probe() {
+        let db = db(0.005);
+        let cq = cq_of(r#"doc("auction.xml")//open_auction[bidder/increase > 20]"#);
+        let auto = plan(&db, &cq);
+        assert!(lint_parent_probes(&db, &cq, &auto).is_empty(), "{auto:?}");
+        // Rebind every parent access to a bare `nksp` scan, which binds no
+        // `pre`.
+        let nksp = db.indexes.iter().position(|i| i.name == "nksp").unwrap();
+        let mut scans = auto.clone();
+        let mut bound = vec![scans.driver.alias];
+        let pairs = child_pairs(&cq.predicates);
+        let mut rebound = 0;
+        for step in &mut scans.steps {
+            let a = match step {
+                Step::Nl(a) | Step::Leapfrog(a) => a,
+                Step::Hash { access, .. } => access,
+            };
+            if pairs.iter().any(|&(p, c)| p == a.alias && bound.contains(&c)) {
+                a.method = Method::IxScan { index: nksp, eq: Vec::new(), range: None };
+                rebound += 1;
+            }
+            bound.push(a.alias);
+        }
+        assert!(rebound > 0, "no reversed child step in {auto:?}");
+        assert_eq!(lint_parent_probes(&db, &cq, &scans).len(), rebound);
     }
 
     /// Cost estimates are monotone in instance size (sanity of the model).

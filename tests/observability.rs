@@ -128,7 +128,7 @@ RETURN (est_rows N, act_rows N)
  JOIN (strategy hash+leapfrog, build_rows N, probe_batches N, seeks N)
   LFJOIN (early-out ⋉)
    IXSCAN nksp [N eq-col(s) + range] (dN = ::auction.xml; resume ⟨ancestor of dN⟩) (est_rows N, act_rows N, probes N, comparisons N)
-   HSJOIN (on level)
+   HSJOIN (on level,parent)
     IXSCAN nksp [N eq-col(s)] (dN = ::bidder) (est_rows N, act_rows N, probes N, comparisons N)
     IXSCAN nksp [N eq-col(s)] (dN = ::open_auction) (est_rows N, act_rows N, probes N, comparisons N)
 (estimated cost N)

@@ -37,6 +37,6 @@ pub mod value;
 pub use col::{Col, ColSet};
 pub use cq::ConjunctiveQuery;
 pub use op::Op;
-pub use plan::{Node, NodeId, Plan};
+pub use plan::{IdMap, Node, NodeId, OpId, Plan, SchemaId};
 pub use pred::{axis_pred, test_pred, Atom, CmpOp, Pred, Scalar};
 pub use value::Value;

@@ -31,6 +31,7 @@ use crate::op::Op;
 use crate::pred::{pred_cols, DocCols};
 use jgi_xml::Interner;
 use std::collections::hash_map::{Entry, HashMap};
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Index of a node in its [`Plan`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -47,10 +48,45 @@ pub struct Node<'a> {
     pub schema: &'a ColSet,
 }
 
-/// Index into a plan's operator table.
-type OpId = u32;
-/// Index into a plan's schema table.
-type SchemaId = u32;
+/// Index into a plan's operator table: two nodes have the same operator
+/// exactly when they have the same `OpId`.
+pub type OpId = u32;
+/// Index into a plan's schema table: two nodes have the same output schema
+/// exactly when they have the same `SchemaId`.
+pub type SchemaId = u32;
+
+/// Hasher for keys made of a few `u32` ids: one multiply per word. The
+/// product's high bits depend on every input bit and its low bits on few,
+/// while `HashMap` picks buckets from the low bits, so `finish` folds the
+/// high half down.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(4) {
+            let mut word = [0; 4];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.write_u32(u32::from_le_bytes(word));
+        }
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.0 = (self.0.rotate_left(5) ^ u64::from(n)).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+
+    fn write_usize(&mut self, n: usize) {
+        self.write_u32(n as u32);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0 ^ (self.0 >> 32)
+    }
+}
+
+/// A map keyed by tuples of `u32` ids (node, operator, schema or property
+/// ids), hashed by [`IdHasher`].
+pub type IdMap<K, V> = HashMap<K, V, BuildHasherDefault<IdHasher>>;
 
 /// Fill for the input slots a node's arity leaves unused.
 const NO_INPUT: NodeId = NodeId(u32::MAX);
@@ -69,14 +105,14 @@ pub struct Plan {
     /// Column-name interner.
     pub cols: Interner,
     nodes: Vec<Rec>,
-    memo: HashMap<(OpId, [NodeId; 2]), NodeId>,
+    memo: IdMap<(OpId, [NodeId; 2]), NodeId>,
     ops: Vec<Op>,
     op_ids: HashMap<Op, OpId>,
     schemas: Vec<ColSet>,
     schema_ids: HashMap<ColSet, SchemaId>,
     /// Output schema of an operator over input schemas (unused slots
     /// `SchemaId::MAX`).
-    schema_memo: HashMap<(OpId, [SchemaId; 2]), SchemaId>,
+    schema_memo: IdMap<(OpId, [SchemaId; 2]), SchemaId>,
     fresh: u32,
 }
 
@@ -123,6 +159,16 @@ impl Plan {
         &self.schemas[self.nodes[id.0 as usize].schema as usize]
     }
 
+    /// The interned operator of a node.
+    pub fn op_id(&self, id: NodeId) -> OpId {
+        self.nodes[id.0 as usize].op
+    }
+
+    /// The interned output schema of a node.
+    pub fn schema_id(&self, id: NodeId) -> SchemaId {
+        self.nodes[id.0 as usize].schema
+    }
+
     /// Number of distinct nodes allocated (shared nodes count once).
     pub fn len(&self) -> usize {
         self.nodes.len()
@@ -138,10 +184,10 @@ impl Plan {
     /// the next [`Plan::add`] or [`Plan::with_inputs`] rebuilds the maps, so
     /// it finds every existing node as before.
     pub fn freeze(&mut self) {
-        self.memo = HashMap::new();
+        self.memo = IdMap::default();
         self.op_ids = HashMap::new();
         self.schema_ids = HashMap::new();
-        self.schema_memo = HashMap::new();
+        self.schema_memo = IdMap::default();
         self.nodes.shrink_to_fit();
         self.ops.shrink_to_fit();
         self.schemas.shrink_to_fit();
@@ -662,6 +708,18 @@ mod tests {
         assert_eq!(p.with_inputs(d, &[l2]), added);
         let again = p.add(Op::Distinct, &[l2]);
         assert_eq!(again, added);
+    }
+
+    #[test]
+    fn id_hasher_spreads_neighbouring_keys_over_the_low_bits() {
+        use std::hash::{BuildHasher, BuildHasherDefault};
+        let build = BuildHasherDefault::<IdHasher>::default();
+        // 4 096 memo keys that differ in one input's high bits only; a
+        // 4 096-bucket table reads the low 12 bits of each hash.
+        let buckets: std::collections::HashSet<u64> = (0..4096u32)
+            .map(|k| build.hash_one((7u32, [NodeId(k << 16), NO_INPUT])) & 0xfff)
+            .collect();
+        assert!(buckets.len() > 2_500, "{} of 4096 buckets used", buckets.len());
     }
 
     #[test]

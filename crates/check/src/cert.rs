@@ -500,7 +500,7 @@ mod tests {
         let root = p.serialize(att, item, pos);
         let mut props = infer(&p, root);
         // Plant an unsound claim: {item} is NOT a key (7 repeats).
-        props.get_mut(lit).unwrap().keys.push(ColSet::single(item));
+        props.plant(lit, |c| c.up.keys.push(ColSet::single(item)));
         let violations = certify(&p, root, &props);
         assert!(
             violations.iter().any(|v| v.kind == "key" && v.node == lit),

@@ -165,9 +165,10 @@ mod tests {
         let mut props = infer(&p, root);
         let kind = jgi_algebra::Col(p.cols.get("kind").unwrap());
         // `kind` is certainly not unique across the doc table, nor constant.
-        let claims = props.get_mut(d).unwrap();
-        claims.keys.push(ColSet::single(kind));
-        claims.consts.push((kind, Value::Int(99)));
+        props.plant(d, |claims| {
+            claims.up.keys.push(ColSet::single(kind));
+            claims.up.consts.push((kind, Value::Int(99)));
+        });
         let violations = falsify(&p, root, &props, &tiny_store(), &OracleConfig::default());
         assert!(violations.iter().any(|v| v.kind == "key" && v.node == d), "{violations:?}");
         assert!(violations.iter().any(|v| v.kind == "const" && v.node == d), "{violations:?}");
@@ -188,7 +189,7 @@ mod tests {
         let root = p.serialize(r, item, pos);
         let mut props = infer(&p, root);
         assert!(!props.set(lit), "inference knows duplicates matter here");
-        props.get_mut(lit).unwrap().ctx.set = true;
+        props.plant(lit, |c| c.ctx.set = true);
         let violations = falsify(&p, root, &props, &tiny_store(), &OracleConfig::default());
         assert!(violations.iter().any(|v| v.kind == "set" && v.node == lit), "{violations:?}");
     }

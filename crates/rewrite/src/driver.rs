@@ -151,6 +151,9 @@ pub struct IsolateStats {
     /// Per-node property derivations, the initial whole-DAG pass included:
     /// one per node entering the DAG, one per top-down recomputation.
     pub props_derived: usize,
+    /// Transfer-function evaluations behind those derivations: the memo
+    /// misses (see [`crate::props`]).
+    pub props_computed: usize,
     /// Ancestors rebuilt by substitution, rejected attempts included.
     pub nodes_rebuilt: usize,
     /// Whether the fuel limit was hit (plan still valid, possibly not
@@ -200,7 +203,8 @@ pub fn isolate_checked(
 /// [`RewriteObserver`] auditing every rule fire. Independently of the
 /// observer, when `JGI_CHECK=1` the whole plan is re-validated after every
 /// fire (release builds included) and the carried-over property table is
-/// compared with a from-scratch [`infer`] of the new DAG.
+/// compared with a from-scratch inference that consults no memo
+/// ([`Props::cross_check`]).
 pub fn isolate_with_observer(
     plan: &mut Plan,
     root: NodeId,
@@ -247,14 +251,14 @@ impl Run<'_> {
         if self.checked {
             // The promoted debug_assert!: full-plan validation after every
             // fire, active in release builds, failing with a structured
-            // error that names the rule — and the carried-over properties
-            // against the reference inference.
+            // error that names the rule — and the carried-over, memoised
+            // properties against direct evaluation of the transfer functions.
             jgi_algebra::validate::validate(self.plan, new_root)
                 .map_err(|msg| fail(format!("fire produced an invalid plan: {msg}")))?;
-            if let Some((node, what)) = self.props.first_mismatch(&infer(self.plan, new_root)) {
+            if let Some((node, what)) = self.props.cross_check(self.plan) {
                 return Err(IsolateError {
                     node,
-                    ..fail(format!("carried-over `{what}` differs from a fresh inference"))
+                    ..fail(format!("carried-over `{what}` differs from direct evaluation"))
                 });
             }
         } else {
@@ -373,6 +377,7 @@ pub(crate) fn isolate_with_fuel(
     let root = props.root();
     stats.nodes_after = props.order().len();
     stats.props_derived = props.derived();
+    stats.props_computed = props.computed();
     let fail =
         |message: String| IsolateError { rule: "(final)", step: stats.steps, node: root, message };
     if checked {
@@ -381,6 +386,7 @@ pub(crate) fn isolate_with_fuel(
     }
     observer.finish(plan, root).map_err(fail)?;
     jgi_obs::counter("rewrite.props_derived", stats.props_derived as u64);
+    jgi_obs::counter("rewrite.props_computed", stats.props_computed as u64);
     jgi_obs::counter("rewrite.nodes_rebuilt", stats.nodes_rebuilt as u64);
     if jgi_obs::is_active() {
         jgi_obs::gauge("rewrite.nodes_before", stats.nodes_before as i64);

@@ -16,15 +16,25 @@
 //! gained or lost a consumer, stopping wherever a value did not change.
 //! [`infer`] is the same code advancing an empty table: the transfer
 //! functions below are the only statement of Tables 2–5.
+//!
+//! A table interns its property values: a node holds one id for its
+//! bottom-up values and one for its [`Context`], and each transfer function
+//! is evaluated once per distinct argument — `(operator, input schemas,
+//! input bottom-up ids)` bottom-up; top-down, `(node schema, consumer
+//! operator, consumer context id)` per consumer edge and `(context id,
+//! context id)` per lattice join of two edges. Everything else is integer
+//! lookups, and "did the value change" is an id comparison.
 
 use jgi_algebra::pred::pred_cols;
-use jgi_algebra::{Col, ColSet, NodeId, Op, Plan, Value};
+use jgi_algebra::{Col, ColSet, IdMap, NodeId, Op, OpId, Plan, SchemaId, Value};
+use std::collections::hash_map::DefaultHasher;
 use std::collections::BinaryHeap;
+use std::hash::{Hash, Hasher};
 
 const NO_SLOT: u32 = u32::MAX;
 
 /// The top-down properties of one node: what its consumers make of it.
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Hash)]
 pub struct Context {
     /// Table 2: columns strictly required to evaluate the node's upstream
     /// plan.
@@ -39,14 +49,12 @@ pub struct Context {
     pub union_parent: bool,
 }
 
-/// The inferred properties of one node.
-#[derive(Debug, Clone, Default)]
-pub struct NodeProps {
-    /// Tables 2 and 5, below-∪ (top-down).
-    pub ctx: Context,
-    /// Table 3: constant columns with their values (bottom-up).
+/// The bottom-up properties of one node: functions of its sub-DAG.
+#[derive(Debug, Clone, Default, PartialEq, Eq, Hash)]
+pub struct BottomUp {
+    /// Table 3: constant columns with their values.
     pub consts: Vec<(Col, Value)>,
-    /// Table 4: candidate keys (bottom-up).
+    /// Table 4: candidate keys.
     pub keys: Vec<ColSet>,
     /// Column equivalence (engineering extension, see crate docs): the
     /// columns that are *not* the canonical representative of their
@@ -55,6 +63,32 @@ pub struct NodeProps {
     /// canonicalize references so that the order-isomorphic copies made by
     /// rule (9) stay visible to rule (19).
     pub eq: Vec<(Col, Col)>,
+}
+
+/// Everything a table claims about one node, as [`Props::plant`] hands it
+/// out for editing.
+#[derive(Debug, Clone)]
+pub struct Claims {
+    /// Tables 2 and 5, below-∪.
+    pub ctx: Context,
+    /// Tables 3 and 4, column equivalence.
+    pub up: BottomUp,
+}
+
+// Id 0 of either pool is the default value: what a node outside the DAG
+// reads, and the context the root is seeded with.
+const CTX_ROOT: u32 = 0;
+/// The context id of a node nobody consumes below the root: the identity
+/// of the join over consumer edges.
+const CTX_TOP: u32 = 1;
+
+/// One node's entry: interned property ids and the DAG bookkeeping.
+#[derive(Debug, Clone, Default)]
+struct NodeProps {
+    /// Interned [`BottomUp`] value.
+    up: u32,
+    /// Interned [`Context`] value.
+    ctx: u32,
     /// Consumers in the current DAG, one entry per input edge.
     parents: Vec<NodeId>,
     /// Position in [`Props::order`].
@@ -66,6 +100,114 @@ pub struct NodeProps {
     fresh: bool,
     /// Visit mark of the last `order` walk.
     stamp: u32,
+}
+
+/// Values interned once, each stored once: `by_hash` maps a hash to the
+/// newest id with that hash, and `older` chains the ids sharing it. Values
+/// equal under `Eq` are one value (so a constant `1` and `1.0` are one
+/// claim, as they are one operator in the plan's own memo).
+#[derive(Debug, Clone)]
+struct Pool<T> {
+    values: Vec<T>,
+    by_hash: IdMap<u64, u32>,
+    older: Vec<u32>,
+}
+
+impl<T: Hash + Eq> Pool<T> {
+    fn new(first: impl IntoIterator<Item = T>) -> Self {
+        let mut pool = Pool { values: Vec::new(), by_hash: IdMap::default(), older: Vec::new() };
+        for value in first {
+            pool.intern(value);
+        }
+        pool
+    }
+
+    fn get(&self, id: u32) -> &T {
+        &self.values[id as usize]
+    }
+
+    fn intern(&mut self, value: T) -> u32 {
+        let mut h = DefaultHasher::new();
+        value.hash(&mut h);
+        let h = h.finish();
+        let newest = self.by_hash.get(&h).copied().unwrap_or(NO_SLOT);
+        let mut id = newest;
+        while id != NO_SLOT {
+            if self.values[id as usize] == value {
+                return id;
+            }
+            id = self.older[id as usize];
+        }
+        let id = self.values.len() as u32;
+        self.values.push(value);
+        self.older.push(newest);
+        self.by_hash.insert(h, id);
+        id
+    }
+}
+
+/// The id of `key`'s value: the memo's, or `compute`d from the pool and
+/// interned — a transfer-function evaluation, counted in `computed`.
+fn memoised<K: Hash + Eq, T: Hash + Eq>(
+    memo: &mut IdMap<K, u32>,
+    pool: &mut Pool<T>,
+    computed: &mut usize,
+    lookup: bool,
+    key: K,
+    compute: impl FnOnce(&Pool<T>) -> T,
+) -> u32 {
+    if lookup {
+        if let Some(&hit) = memo.get(&key) {
+            return hit;
+        }
+    }
+    *computed += 1;
+    let id = pool.intern(compute(pool));
+    memo.insert(key, id);
+    id
+}
+
+/// A table's interned values and the memos of its transfer functions.
+#[derive(Debug, Clone)]
+struct Memo {
+    ups: Pool<BottomUp>,
+    ctxs: Pool<Context>,
+    /// Tables 3/4 and column equivalence:
+    /// `(operator, input schemas, input bottom-up ids)` → bottom-up id.
+    up: IdMap<(OpId, [SchemaId; 2], [u32; 2]), u32>,
+    /// One consumer edge of Tables 2/5 and below-∪:
+    /// `(node schema, consumer operator, consumer context id)` → context id.
+    edge: IdMap<(SchemaId, OpId, u32), u32>,
+    /// The join of two context ids, the smaller first.
+    join: IdMap<(u32, u32), u32>,
+    /// Consult the memos; `false` evaluates every transfer function (the
+    /// reference of [`Props::cross_check`]).
+    lookup: bool,
+    /// Transfer-function evaluations: memo misses.
+    computed: usize,
+}
+
+impl Default for Memo {
+    fn default() -> Self {
+        Memo {
+            ups: Pool::new([BottomUp::default()]),
+            ctxs: Pool::new([Context::default(), Context { set: true, ..Context::default() }]),
+            up: IdMap::default(),
+            edge: IdMap::default(),
+            join: IdMap::default(),
+            lookup: true,
+            computed: 0,
+        }
+    }
+}
+
+/// The work lists of [`Props::advance`], empty between calls and kept for
+/// their capacity.
+#[derive(Debug, Clone, Default)]
+struct Scratch {
+    dirty: BinaryHeap<NodeId>,
+    stack: Vec<(NodeId, bool)>,
+    dead: Vec<NodeId>,
 }
 
 /// Inferred properties for every node reachable from one root.
@@ -80,6 +222,8 @@ pub struct Props {
     order: Vec<NodeId>,
     epoch: u32,
     derived: usize,
+    memo: Memo,
+    scratch: Scratch,
     /// What accessors hand out for a node outside the DAG.
     unseen: NodeProps,
 }
@@ -104,16 +248,21 @@ impl Props {
         self.derived
     }
 
-    /// All properties of a node (`None` outside the DAG).
-    pub fn get(&self, id: NodeId) -> Option<&NodeProps> {
-        let s = *self.slot.get(id.0 as usize)?;
-        (s != NO_SLOT).then(|| &self.nodes[s as usize])
+    /// Transfer-function evaluations performed so far: the memo misses
+    /// among the bottom-up values, consumer edges and context joins the
+    /// derivations asked for.
+    pub fn computed(&self) -> usize {
+        self.memo.computed
     }
 
-    /// Mutable properties of a node — for checkers planting false claims.
-    pub fn get_mut(&mut self, id: NodeId) -> Option<&mut NodeProps> {
+    /// Is the node in the DAG the table describes?
+    pub fn contains(&self, id: NodeId) -> bool {
+        self.get(id).is_some()
+    }
+
+    fn get(&self, id: NodeId) -> Option<&NodeProps> {
         let s = *self.slot.get(id.0 as usize)?;
-        (s != NO_SLOT).then(|| &mut self.nodes[s as usize])
+        (s != NO_SLOT).then(|| &self.nodes[s as usize])
     }
 
     fn entry(&self, id: NodeId) -> &NodeProps {
@@ -121,22 +270,38 @@ impl Props {
     }
 
     fn entry_mut(&mut self, id: NodeId) -> &mut NodeProps {
-        self.get_mut(id).expect("node is in the property table")
+        let s = self.slot.get(id.0 as usize).copied().unwrap_or(NO_SLOT);
+        assert_ne!(s, NO_SLOT, "node is in the property table");
+        &mut self.nodes[s as usize]
+    }
+
+    fn up(&self, id: NodeId) -> &BottomUp {
+        self.memo.ups.get(self.entry(id).up)
+    }
+
+    fn ctx(&self, id: NodeId) -> &Context {
+        self.memo.ctxs.get(self.entry(id).ctx)
+    }
+
+    /// Replace the claims of one node in the DAG by `edit` applied to a
+    /// copy of them — for checkers planting false claims. The node alone
+    /// changes; nodes that shared its interned values keep theirs.
+    pub fn plant(&mut self, id: NodeId, edit: impl FnOnce(&mut Claims)) {
+        let mut claims = Claims { ctx: self.ctx(id).clone(), up: self.up(id).clone() };
+        edit(&mut claims);
+        let (up, ctx) = (self.memo.ups.intern(claims.up), self.memo.ctxs.intern(claims.ctx));
+        let e = self.entry_mut(id);
+        (e.up, e.ctx) = (up, ctx);
     }
 
     /// `icols` of a node (empty if unseen).
     pub fn icols(&self, id: NodeId) -> &ColSet {
-        &self.entry(id).ctx.icols
+        &self.ctx(id).icols
     }
 
     /// Constant columns of a node.
     pub fn consts(&self, id: NodeId) -> &[(Col, Value)] {
-        &self.entry(id).consts
-    }
-
-    /// The set of constant column names of a node.
-    pub fn const_cols(&self, id: NodeId) -> ColSet {
-        ColSet::from_iter(self.consts(id).iter().map(|(c, _)| *c))
+        &self.up(id).consts
     }
 
     /// Constant value of column `c` at node `id`, if any.
@@ -146,7 +311,7 @@ impl Props {
 
     /// Candidate keys of a node.
     pub fn keys(&self, id: NodeId) -> &[ColSet] {
-        &self.entry(id).keys
+        &self.up(id).keys
     }
 
     /// Is `{c}` a key of node `id`?
@@ -156,17 +321,17 @@ impl Props {
 
     /// `set` property of a node.
     pub fn set(&self, id: NodeId) -> bool {
-        self.entry(id).ctx.set
+        self.ctx(id).set
     }
 
     /// Does the node have a ∪ ancestor?
     pub fn below_union(&self, id: NodeId) -> bool {
-        self.entry(id).ctx.below_union
+        self.ctx(id).below_union
     }
 
     /// Is some consumer of the node a ∪?
     pub fn union_parent(&self, id: NodeId) -> bool {
-        self.entry(id).ctx.union_parent
+        self.ctx(id).union_parent
     }
 
     /// Consumers of a node in the current DAG, one entry per input edge.
@@ -181,7 +346,7 @@ impl Props {
 
     /// Canonical representative of `c`'s equal-columns class at node `id`.
     pub fn canon(&self, id: NodeId, c: Col) -> Col {
-        canon_in(&self.entry(id).eq, c)
+        canon_in(&self.up(id).eq, c)
     }
 
     /// Is the node known to have no rewrite in the phase with bit `phase`?
@@ -205,17 +370,15 @@ impl Props {
         }
         // Node ids are topological (inputs precede consumers), so popping
         // the largest id first visits consumers before their inputs.
-        let mut dirty: BinaryHeap<NodeId> = BinaryHeap::new();
+        let Scratch { mut dirty, mut stack, mut dead } = std::mem::take(&mut self.scratch);
 
         // Enter: post-order over the nodes not yet in the table. A node in
         // the table has its whole sub-DAG there, so the walk stops at it.
-        let mut stack = vec![(root, false)];
+        stack.push((root, false));
         while let Some((id, expanded)) = stack.pop() {
             if expanded {
-                let (consts, keys) = derive_const_key(plan, self, id);
-                let eq = derive_eq(plan, self, id);
-                let e = self.entry_mut(id);
-                (e.consts, e.keys, e.eq) = (consts, keys, eq);
+                let up = self.bottom_up(plan, id);
+                self.entry_mut(id).up = up;
                 for &i in plan.node(id).inputs {
                     self.entry_mut(i).parents.push(id);
                     dirty.push(i);
@@ -227,7 +390,11 @@ impl Props {
                     self.nodes.push(NodeProps::default());
                     self.nodes.len() as u32 - 1
                 });
-                self.nodes[s as usize] = NodeProps { fresh: true, ..NodeProps::default() };
+                // A reused slot keeps its consumer list's buffer.
+                let e = &mut self.nodes[s as usize];
+                let mut parents = std::mem::take(&mut e.parents);
+                parents.clear();
+                *e = NodeProps { fresh: true, parents, ..NodeProps::default() };
                 self.slot[id.0 as usize] = s;
                 stack.push((id, true));
                 stack.extend(plan.node(id).inputs.iter().map(|&i| (i, false)));
@@ -236,10 +403,7 @@ impl Props {
 
         // Leave: the old root is unreachable unless an entering node
         // consumes it; a node that loses its last consumer follows.
-        let mut dead: Vec<NodeId> = old_root
-            .filter(|&old| old != root && self.entry(old).parents.is_empty())
-            .into_iter()
-            .collect();
+        dead.extend(old_root.filter(|&old| old != root && self.entry(old).parents.is_empty()));
         while let Some(d) = dead.pop() {
             for &i in plan.node(d).inputs {
                 let parents = &mut self.entry_mut(i).parents;
@@ -293,52 +457,50 @@ impl Props {
                 stack.extend(plan.node(id).inputs.iter().map(|&i| (i, false)));
             }
         }
+        self.scratch = Scratch { dirty, stack, dead };
     }
 
-    /// Tables 2 and 5 plus below-∪ for one node: what its consumers, whose
-    /// own top-down properties are final, ask of it. The root seeds the
-    /// lattices (nothing required, no duplicate elimination upstream).
-    fn context(&self, plan: &Plan, id: NodeId) -> Context {
-        let mut ctx = Context { set: self.root != Some(id), ..Context::default() };
-        let mut need: Vec<Col> = Vec::new();
-        let schema = plan.schema(id);
-        for &p in &self.entry(id).parents {
-            let (node, mine) = (plan.node(p), self.entry(p));
-            let is_union = matches!(node.op, Op::Union);
-            ctx.union_parent |= is_union;
-            ctx.below_union |= is_union || mine.ctx.below_union;
-            // Table 5. Row ids observe multiplicity, so duplicates may never
-            // be removed below a #; a bag union preserves them on both sides.
-            ctx.set &= match node.op {
-                Op::Serialize { .. } | Op::RowId(_) => false,
-                Op::Distinct => true,
-                _ => mine.ctx.set,
-            };
-            // Table 2.
-            let icols = mine.ctx.icols.iter();
-            match &node.op {
-                Op::Serialize { item, pos } => need.extend(icols.chain([*item, *pos])),
-                Op::Project(mapping) => need.extend(
-                    mapping
-                        .iter()
-                        .filter(|(out, _)| mine.ctx.icols.contains(*out))
-                        .map(|(_, src)| *src),
-                ),
-                Op::Select(p) => need.extend(icols.chain(pred_cols(p).iter())),
-                Op::Join(p) => {
-                    need.extend(icols.chain(pred_cols(p).iter()).filter(|c| schema.contains(*c)))
-                }
-                Op::Cross => need.extend(icols.filter(|c| schema.contains(*c))),
-                Op::Distinct | Op::Union => need.extend(icols),
-                Op::Attach(c, _) | Op::RowId(c) => need.extend(icols.filter(|x| x != c)),
-                Op::Rank { out, by } => {
-                    need.extend(icols.filter(|x| x != out).chain(by.iter().copied()))
-                }
-                Op::Doc | Op::Lit { .. } => {}
-            }
+    /// Tables 3/4 and column equivalence for an entering node whose inputs
+    /// are in the table. The memo key is complete: the transfer functions
+    /// read the operator, the input schemas (which fix the node's own) and
+    /// the inputs' bottom-up values — besides the arena's fixed `pre`.
+    fn bottom_up(&mut self, plan: &Plan, id: NodeId) -> u32 {
+        let (mut schemas, mut ups) = ([SchemaId::MAX; 2], [NO_SLOT; 2]);
+        for (k, &i) in plan.node(id).inputs.iter().enumerate() {
+            (schemas[k], ups[k]) = (plan.schema_id(i), self.entry(i).up);
         }
-        ctx.icols = ColSet::from_iter(need);
-        ctx
+        let Memo { ups: pool, up, computed, lookup, .. } = &mut self.memo;
+        memoised(up, pool, computed, *lookup, (plan.op_id(id), schemas, ups), |pool| {
+            transfer_up(plan, id, &|k| pool.get(ups[k]))
+        })
+    }
+
+    /// Tables 2 and 5 plus below-∪ for one node: the join, over its
+    /// consumer edges, of what each consumer — whose own top-down
+    /// properties are final — asks of it. The root seeds the lattices
+    /// (nothing required, no duplicate elimination upstream).
+    fn context(&mut self, plan: &Plan, id: NodeId) -> u32 {
+        let schema = plan.schema_id(id);
+        let mut acc = (self.root == Some(id)).then_some(CTX_ROOT);
+        for k in 0..self.entry(id).parents.len() {
+            let p = self.entry(id).parents[k];
+            let mine = self.entry(p).ctx;
+            let Memo { ctxs, edge, join, computed, lookup, .. } = &mut self.memo;
+            let key = (schema, plan.op_id(p), mine);
+            let e = memoised(edge, ctxs, computed, *lookup, key, |ctxs| {
+                edge_context(plan.node(p).op, ctxs.get(mine), plan.schema(id))
+            });
+            acc = Some(match acc {
+                None => e,
+                Some(a) => {
+                    let key = (a.min(e), a.max(e));
+                    memoised(join, ctxs, computed, *lookup, key, |ctxs| {
+                        join_contexts(ctxs.get(a), ctxs.get(e))
+                    })
+                }
+            });
+        }
+        acc.unwrap_or(CTX_TOP)
     }
 
     /// First node (in scan order) on which this table and `reference`
@@ -354,19 +516,37 @@ impl Props {
             v
         };
         self.order.iter().find_map(|&id| {
-            let (a, b) = (self.entry(id), reference.entry(id));
+            let (a, b) = (self.ctx(id), reference.ctx(id));
+            let (x, y) = (self.up(id), reference.up(id));
             let differs = [
-                ("icols", a.ctx.icols != b.ctx.icols),
-                ("const", a.consts != b.consts),
-                ("key", a.keys != b.keys),
-                ("set", a.ctx.set != b.ctx.set),
-                ("eq", a.eq != b.eq),
-                ("below-union", a.ctx != b.ctx),
-                ("consumers", sorted(&a.parents) != sorted(&b.parents)),
+                ("icols", a.icols != b.icols),
+                ("const", x.consts != y.consts),
+                ("key", x.keys != y.keys),
+                ("set", a.set != b.set),
+                ("eq", x.eq != y.eq),
+                ("below-union", a.below_union != b.below_union),
+                ("union-parent", a.union_parent != b.union_parent),
+                ("consumers", sorted(self.parents(id)) != sorted(reference.parents(id))),
             ];
             differs.into_iter().find(|(_, d)| *d).map(|(what, _)| (id, what))
         })
     }
+
+    /// [`Props::first_mismatch`] against a table of the same root whose
+    /// every value comes from evaluating the transfer functions, no memo
+    /// consulted: what checked mode runs after each fire, so that a memo
+    /// entry that differs from direct evaluation is caught where it is used.
+    pub fn cross_check(&self, plan: &Plan) -> Option<(NodeId, &'static str)> {
+        self.first_mismatch(&infer_direct(plan, self.root()))
+    }
+}
+
+/// [`infer`] with every value evaluated, no memo consulted.
+fn infer_direct(plan: &Plan, root: NodeId) -> Props {
+    let mut props = Props::default();
+    props.memo.lookup = false;
+    props.advance(plan, root);
+    props
 }
 
 /// Infer all properties for the DAG under `root`: a table carried over
@@ -375,6 +555,56 @@ pub fn infer(plan: &Plan, root: NodeId) -> Props {
     let mut props = Props::default();
     props.advance(plan, root);
     props
+}
+
+/// What one consumer edge asks of a node with schema `schema` (Tables 2
+/// and 5, below-∪), from the consumer's operator and its own context.
+fn edge_context(op: &Op, mine: &Context, schema: &ColSet) -> Context {
+    let is_union = matches!(op, Op::Union);
+    // Table 5. Row ids observe multiplicity, so duplicates may never be
+    // removed below a #; a bag union preserves them on both sides.
+    let set = match op {
+        Op::Serialize { .. } | Op::RowId(_) => false,
+        Op::Distinct => true,
+        _ => mine.set,
+    };
+    // Table 2.
+    let icols = mine.icols.iter();
+    let icols = match op {
+        Op::Serialize { item, pos } => ColSet::from_iter(icols.chain([*item, *pos])),
+        Op::Project(mapping) => ColSet::from_iter(
+            mapping.iter().filter(|(out, _)| mine.icols.contains(*out)).map(|(_, src)| *src),
+        ),
+        Op::Select(p) => ColSet::from_iter(icols.chain(pred_cols(p).iter())),
+        Op::Join(p) => {
+            ColSet::from_iter(icols.chain(pred_cols(p).iter()).filter(|c| schema.contains(*c)))
+        }
+        Op::Cross => ColSet::from_iter(icols.filter(|c| schema.contains(*c))),
+        Op::Distinct | Op::Union => mine.icols.clone(),
+        Op::Attach(c, _) | Op::RowId(c) => ColSet::from_iter(icols.filter(|x| x != c)),
+        Op::Rank { out, by } => {
+            ColSet::from_iter(icols.filter(|x| x != out).chain(by.iter().copied()))
+        }
+        Op::Doc | Op::Lit { .. } => ColSet::new(),
+    };
+    Context { icols, set, below_union: is_union || mine.below_union, union_parent: is_union }
+}
+
+/// The lattice join of two consumers' demands: `icols` ∪, `set` ∧,
+/// below-∪ and ∪-consumer ∨.
+fn join_contexts(a: &Context, b: &Context) -> Context {
+    Context {
+        icols: a.icols.union(&b.icols),
+        set: a.set && b.set,
+        below_union: a.below_union || b.below_union,
+        union_parent: a.union_parent || b.union_parent,
+    }
+}
+
+/// Tables 3/4 and column equivalence of one node from its inputs'.
+fn transfer_up<'a>(plan: &Plan, id: NodeId, input: &dyn Fn(usize) -> &'a BottomUp) -> BottomUp {
+    let (consts, keys) = derive_const_key(plan, id, input);
+    BottomUp { consts, keys, eq: derive_eq(plan, id, input) }
 }
 
 fn canon_in(eq: &[(Col, Col)], c: Col) -> Col {
@@ -396,9 +626,13 @@ fn class_rep<K: PartialEq>(first: &mut Vec<(K, Col)>, key: K, member: Col) -> Co
 /// The equal-columns classes of one node from those of its inputs
 /// (bottom-up): every column that is not its class's representative, with
 /// the representative.
-fn derive_eq(plan: &Plan, props: &Props, id: NodeId) -> Vec<(Col, Col)> {
+fn derive_eq<'a>(
+    plan: &Plan,
+    id: NodeId,
+    input: &dyn Fn(usize) -> &'a BottomUp,
+) -> Vec<(Col, Col)> {
     let node = plan.node(id);
-    let input_eq = |k: usize| props.entry(node.inputs[k]).eq.as_slice();
+    let input_eq = |k: usize| input(k).eq.as_slice();
     let mut eq: Vec<(Col, Col)> = match &node.op {
         Op::Project(m) => {
             // Outputs whose sources are equal in the input are equal; the
@@ -453,8 +687,12 @@ fn derive_eq(plan: &Plan, props: &Props, id: NodeId) -> Vec<(Col, Col)> {
 }
 
 /// Tables 3 and 4 for one node from its inputs (bottom-up).
-fn derive_const_key(plan: &Plan, props: &Props, id: NodeId) -> (Vec<(Col, Value)>, Vec<ColSet>) {
-    let (consts, mut keys) = infer_up(plan, props, plan.node(id));
+fn derive_const_key<'a>(
+    plan: &Plan,
+    id: NodeId,
+    input: &dyn Fn(usize) -> &'a BottomUp,
+) -> (Vec<(Col, Value)>, Vec<ColSet>) {
+    let (consts, mut keys) = infer_up(plan, input, plan.node(id));
     // Constant columns discriminate nothing: a key stays a key when its
     // constant members are dropped (engineering refinement of Table 4).
     let const_set = ColSet::from_iter(consts.iter().map(|(c, _)| *c));
@@ -471,13 +709,13 @@ fn derive_const_key(plan: &Plan, props: &Props, id: NodeId) -> (Vec<(Col, Value)
 }
 
 /// Table 3/4 transfer function of one operator.
-fn infer_up(
+fn infer_up<'a>(
     plan: &Plan,
-    props: &Props,
+    input: &dyn Fn(usize) -> &'a BottomUp,
     node: jgi_algebra::Node,
 ) -> (Vec<(Col, Value)>, Vec<ColSet>) {
-    let input_consts = |k: usize| props.consts(node.inputs[k]);
-    let input_keys = |k: usize| props.keys(node.inputs[k]);
+    let input_consts = |k: usize| input(k).consts.as_slice();
+    let input_keys = |k: usize| input(k).keys.as_slice();
     match node.op {
         Op::Serialize { .. } | Op::Select(_) | Op::Distinct => {
             let mut keys = input_keys(0).to_vec();
@@ -789,7 +1027,7 @@ mod tests {
         assert_eq!(rebuilt, 5);
         props.advance(&p, new_root);
         assert_eq!(props.first_mismatch(&infer(&p, new_root)), None);
-        assert!(props.get(att).is_none(), "the table holds the current DAG only");
+        assert!(!props.contains(att), "the table holds the current DAG only");
         // Rebuilt nodes below the rebuilt ∪ know where they are.
         let rebuilt_distinct = props.parents(new)[0];
         assert!(matches!(p.node(rebuilt_distinct).op, Op::Distinct));
@@ -802,19 +1040,87 @@ mod tests {
         // Going back revives the old nodes and drops the new ones.
         props.advance(&p, root);
         assert_eq!(props.first_mismatch(&infer(&p, root)), None);
-        assert!(props.get(new).is_none());
+        assert!(!props.contains(new));
     }
 
     #[test]
     fn first_mismatch_names_node_and_property() {
         let (p, root, att) = union_plan();
         let reference = infer(&p, root);
+        assert!(!reference.icols(att).is_empty());
+        type Edit = fn(&mut Claims);
+        let plants: [(&str, Edit); 5] = [
+            ("icols", |c| c.ctx.icols = ColSet::new()),
+            ("set", |c| c.ctx.set = !c.ctx.set),
+            ("below-union", |c| c.ctx.below_union = false),
+            ("union-parent", |c| c.ctx.union_parent = true),
+            ("const", |c| c.up.consts.clear()),
+        ];
+        for (what, edit) in plants {
+            let mut props = infer(&p, root);
+            props.plant(att, edit);
+            assert_eq!(props.first_mismatch(&reference), Some((att, what)));
+        }
+    }
+
+    /// Two one-column literals whose claims coincide (no constant, the
+    /// column a key), under a ∪.
+    fn twin_literals() -> (Plan, NodeId, [NodeId; 2]) {
+        let mut p = Plan::new();
+        let [item, pos] = ["item", "pos"].map(|n| p.col(n));
+        let lits = [[1, 2], [3, 4]]
+            .map(|[a, b]| p.lit(vec![item], vec![vec![Value::Int(a)], vec![Value::Int(b)]]));
+        let u = p.union(lits[0], lits[1]);
+        let att = p.attach(u, pos, Value::Int(1));
+        let root = p.serialize(att, item, pos);
+        (p, root, lits)
+    }
+
+    #[test]
+    fn planting_changes_one_node_of_a_shared_value() {
+        let (p, root, [a, b]) = twin_literals();
         let mut props = infer(&p, root);
-        props.get_mut(att).unwrap().ctx.below_union = false;
-        assert_eq!(props.first_mismatch(&reference), Some((att, "below-union")));
-        let mut props = infer(&p, root);
-        props.get_mut(att).unwrap().consts.clear();
-        assert_eq!(props.first_mismatch(&reference), Some((att, "const")));
+        assert_eq!(props.entry(a).up, props.entry(b).up, "the twins share one interned value");
+        let (keys, consts) = (props.keys(b).to_vec(), props.consts(b).to_vec());
+        let item = p.cols.get("item").map(Col).unwrap();
+        props.plant(a, |c| {
+            c.up.consts.push((item, Value::Int(7)));
+            c.up.keys.clear();
+            c.ctx.set = true;
+        });
+        assert_eq!(props.const_of(a, item), Some(&Value::Int(7)));
+        assert!(props.keys(a).is_empty() && props.set(a));
+        assert_eq!((props.keys(b), props.consts(b), props.set(b)), (&keys[..], &consts[..], false));
+    }
+
+    #[test]
+    fn cross_check_names_a_wrong_memo_entry() {
+        let (mut p, _, [a, b]) = twin_literals();
+        let [item, pos] = ["item", "pos"].map(|n| p.col(n));
+        let over_a = p.attach(a, pos, Value::Int(1));
+        let root_a = p.serialize(over_a, item, pos);
+        let mut props = infer(&p, root_a);
+        assert_eq!(props.cross_check(&p), None);
+        // Plant: the attach's memo entry forgets its constant.
+        let key = (p.op_id(over_a), [p.schema_id(a), SchemaId::MAX], [props.entry(a).up, NO_SLOT]);
+        let wrong = props.entry(a).up;
+        *props.memo.up.get_mut(&key).expect("the attach was memoised") = wrong;
+        // The same attach over the twin hits the entry.
+        let over_b = p.attach(b, pos, Value::Int(1));
+        let root_b = p.serialize(over_b, item, pos);
+        props.advance(&p, root_b);
+        assert_eq!(props.const_of(over_b, pos), None, "the planted entry was used");
+        assert_eq!(props.cross_check(&p), Some((over_b, "const")));
+    }
+
+    #[test]
+    fn each_distinct_argument_is_evaluated_once() {
+        let (p, root, _) = twin_literals();
+        let (props, direct) = (infer(&p, root), infer_direct(&p, root));
+        assert_eq!(props.derived(), direct.derived());
+        // The ∪'s edges into the twins have one argument (same schema, same
+        // consumer, same consumer context): the second is a memo hit.
+        assert_eq!((props.computed(), direct.computed()), (8, 9));
     }
 
     #[test]

@@ -191,10 +191,9 @@ fn house_rules(plan: &mut Plan, props: &Props, id: NodeId) -> Option<Rewrite> {
                 return Some(Rewrite { old: id, new: node.inputs[0], rule: "(5)" });
             }
             // (8)  constant ranking criteria are irrelevant.
-            let consts = props.const_cols(node.inputs[0]);
-            if by.iter().any(|b| consts.contains(*b)) {
-                let new_by: Vec<Col> =
-                    by.iter().copied().filter(|b| !consts.contains(*b)).collect();
+            let is_const = |b: Col| props.const_of(node.inputs[0], b).is_some();
+            if by.iter().any(|&b| is_const(b)) {
+                let new_by: Vec<Col> = by.iter().copied().filter(|&b| !is_const(b)).collect();
                 let new = if new_by.is_empty() {
                     // Rank over nothing: every row ties at rank 1.
                     plan.attach(node.inputs[0], *out, Value::Int(1))
@@ -261,12 +260,11 @@ fn house_rules(plan: &mut Plan, props: &Props, id: NodeId) -> Option<Rewrite> {
             }
             // (15)  project away constant columns nobody needs before δ.
             let input = node.inputs[0];
-            let consts = props.const_cols(input);
-            let drop = consts.minus(props.icols(id));
-            if !schema_locked && !drop.is_empty() {
-                let keep = plan.schema(input).minus(&drop);
+            let drops = |c: Col| props.const_of(input, c).is_some() && !props.icols(id).contains(c);
+            if !schema_locked && props.consts(input).iter().any(|&(c, _)| drops(c)) {
+                let keep: Vec<Col> = plan.schema(input).iter().filter(|&c| !drops(c)).collect();
                 if !keep.is_empty() {
-                    let proj = plan.project_same(input, keep.as_slice());
+                    let proj = plan.project_same(input, &keep);
                     if proj != input {
                         let new = plan.distinct(proj);
                         return Some(Rewrite { old: id, new, rule: "(15)" });
@@ -281,7 +279,7 @@ fn house_rules(plan: &mut Plan, props: &Props, id: NodeId) -> Option<Rewrite> {
 
 /// Rule (eq) — engineering: rewrite every column reference in an operator's
 /// parameters to the canonical representative of its equal-in-every-row
-/// class (inferred in [`Props::eq`]). This keeps the order-isomorphic
+/// class (inferred by [`Props::canon`]). This keeps the order-isomorphic
 /// *copies* introduced by rule (9) transparent: a projection source
 /// `sort:pos` where `pos` duplicates `item` becomes `sort:item`, which lets
 /// rules (19) and (2) see through the loop bookkeeping. Values are equal

@@ -60,6 +60,24 @@ fn q2_steps_cost_what_they_touch() {
     assert!(rebuilt_per_step < stats.nodes_after as f64 / 2.0, "{rebuilt_per_step:.1}");
 }
 
+/// Each distinct argument of a transfer function is evaluated once per
+/// run: nearly every one of Q2's derivations is a memo hit. The number of
+/// derivations itself is what the carried table asks for, memo or not.
+#[test]
+fn q2_derivations_are_mostly_memo_hits() {
+    let core = compile_to_core(Q2).unwrap();
+    let c = compile(&core).unwrap();
+    let mut plan = c.plan;
+    let (_, stats) = isolate(&mut plan, c.root);
+    assert_eq!(stats.props_derived, 314_111);
+    assert!(
+        stats.props_computed * 10 <= stats.props_derived,
+        "{} evaluations for {} derivations",
+        stats.props_computed,
+        stats.props_derived
+    );
+}
+
 /// The arena's allocation order, pinned beyond what the golden files see:
 /// every node Q2's isolation creates, and every ancestor it rebuilds, in
 /// exactly the numbers the operator-keyed memo produced. Interning

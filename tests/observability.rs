@@ -61,11 +61,16 @@ fn q2_rule_fires_match_isolate_stats() {
         prepared.report.metrics.counter_value("rewrite.steps"),
         stats.steps as u64
     );
-    // What the steps cost: property derivations and rebuilt ancestors.
-    assert!(stats.props_derived > 0 && stats.nodes_rebuilt > 0);
+    // What the steps cost: property derivations, the transfer-function
+    // evaluations behind them, and rebuilt ancestors.
+    assert!(stats.props_derived > 0 && stats.props_computed > 0 && stats.nodes_rebuilt > 0);
     assert_eq!(
         prepared.report.metrics.counter_value("rewrite.props_derived"),
         stats.props_derived as u64
+    );
+    assert_eq!(
+        prepared.report.metrics.counter_value("rewrite.props_computed"),
+        stats.props_computed as u64
     );
     assert_eq!(
         prepared.report.metrics.counter_value("rewrite.nodes_rebuilt"),

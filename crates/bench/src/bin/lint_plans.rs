@@ -8,11 +8,11 @@
 //!
 //! Queries that reach the join-graph back-end are additionally linted for
 //! join-strategy regressions: a value-join core executing as NLJOIN when
-//! the planner estimates a hash or leapfrog strategy materially cheaper
-//! is a finding (it means strategy selection is misconfigured or the cost
-//! model regressed). So is an access that binds the parent of a bound alias
-//! without an equality probe on `pre` (a reversed child step left as a
-//! one-sided containment scan).
+//! the planner estimates a hash join materially cheaper is a finding (it
+//! means strategy selection is misconfigured or the cost model regressed).
+//! So is an access that binds the parent of a bound alias without an
+//! equality probe on `pre` (a reversed child step left as a one-sided
+//! containment scan).
 //!
 //! Exit status: 0 when every isolated plan is clean, 1 otherwise — CI runs
 //! this as a golden check. Usage: `lint-plans [xmark_scale] [dblp_pubs]`.

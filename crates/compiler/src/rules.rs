@@ -3,7 +3,7 @@
 use jgi_algebra::pred::{axis_pred, test_pred, CtxCols, StepAxis, StepTest};
 use jgi_algebra::{Atom, Col, NodeId, Plan, Value};
 use jgi_xquery::{Axis, BoolCore, CompOp, Core, Literal, NodeTest};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::fmt;
 
 /// Compilation error (unbound variables are the only static failure).
@@ -46,8 +46,10 @@ pub fn compile(core: &Core) -> Result<Compiled, CompileError> {
     Ok(Compiled { plan: c.plan, root, item: c.item, pos: c.pos, iter: c.iter })
 }
 
-/// Variable environment Γ.
-type Env = HashMap<String, NodeId>;
+/// Variable environment Γ. Ordered: (For) and (If) rebind every visible
+/// variable, allocating plan nodes as they go, so iteration order decides
+/// the node ids — and with them the stacked SQL's CTE names.
+type Env = BTreeMap<String, NodeId>;
 
 struct Compiler {
     plan: Plan,

@@ -253,28 +253,12 @@ impl BTree {
         Scan { tree: self, pos, lo, lo_strict, hi, hi_strict }
     }
 
-    /// Start a batched probe pass: a cursor that descends the tree once
-    /// and is then advanced monotonically along the leaf chain by
-    /// [`BatchCursor::position`] calls with non-decreasing lower bounds —
-    /// the sorted-probe alternative to one root-to-leaf descent per tuple.
-    pub fn batch_cursor(&self) -> BatchCursor<'_> {
-        BatchCursor {
-            tree: self,
-            leaf: self.root,
-            pos: 0,
-            started: false,
-            descents: 0,
-            leaf_skips: 0,
-        }
-    }
-
-    /// Start a galloping seek pass: like [`BTree::batch_cursor`] the cursor
-    /// is advanced with non-decreasing lower bounds, but instead of walking
-    /// the leaf chain one leaf at a time it retains its root-to-leaf
-    /// descent path and re-descends from the lowest ancestor whose subtree
-    /// can contain the target — O(log distance) per seek, which is what
-    /// the leapfrog-style intersection join needs when successive probe
-    /// keys are far apart in a large index.
+    /// Start a galloping seek pass: a cursor advanced with non-decreasing
+    /// lower bounds that retains its root-to-leaf descent path and
+    /// re-descends from the lowest ancestor whose subtree can contain the
+    /// target — O(log distance) per seek, however far apart successive
+    /// probe keys lie in the index. This is how the batch pipeline serves
+    /// every sorted variable-probe batch.
     pub fn seek_cursor(&self) -> SeekCursor<'_> {
         SeekCursor {
             tree: self,
@@ -299,101 +283,19 @@ impl BTree {
     }
 }
 
-/// Monotone positioning cursor for batched, sort-ordered probes
-/// ([`BTree::batch_cursor`]).
-///
-/// The first [`position`](BatchCursor::position) call descends from the
-/// root like [`BTree::scan`]; every later call only walks *forward* along
-/// the leaf chain (checking one key per skipped leaf) and repositions
-/// within the final leaf by binary search. This is correct because the
-/// caller presents lower bounds in non-decreasing order, so the first
-/// qualifying entry can never lie before the cursor.
-/// [`descents`](BatchCursor::descents) and
-/// [`leaf_skips`](BatchCursor::leaf_skips) expose the work saved relative
-/// to per-tuple descents.
-pub struct BatchCursor<'a> {
-    tree: &'a BTree,
-    leaf: usize,
-    /// Entry index the cursor sits on.
-    pos: usize,
-    started: bool,
-    /// Root-to-leaf descents performed (1 after the first `position`).
-    pub descents: u64,
-    /// Leaves skipped via the chain instead of a fresh descent.
-    pub leaf_skips: u64,
-}
-
-impl<'a> BatchCursor<'a> {
-    /// Move the cursor to the first entry not below `lo` (strictly above
-    /// it when `lo_strict`), under prefix comparison; an empty `lo` keeps
-    /// the cursor where it is. Successive calls must present
-    /// non-decreasing `(lo, lo_strict)` bounds — sorted probe keys with a
-    /// per-access constant strictness satisfy this.
-    pub fn position(&mut self, lo: &[u64], lo_strict: bool) {
-        let tree = self.tree;
-        if !self.started {
-            self.started = true;
-            self.descents += 1;
-            let mut cur = tree.root;
-            while let Some(node) = tree.internal(cur) {
-                cur = node.children[node.route(tree.key_width, lo)];
-            }
-            self.leaf = cur;
-            self.pos = cur * ORDER;
-        } else if !lo.is_empty() {
-            // Walk the leaf chain until the current leaf can contain the
-            // first qualifying entry (or the chain ends).
-            while !tree.leaf_reaches(self.leaf, lo, lo_strict) {
-                if self.leaf + 1 < tree.n_leaves {
-                    self.leaf += 1;
-                    self.pos = self.leaf * ORDER;
-                    self.leaf_skips += 1;
-                } else {
-                    self.pos = tree.leaf_range(self.leaf).1;
-                    return;
-                }
-            }
-        }
-        if lo.is_empty() {
-            return;
-        }
-        // Never move backward: entries before the cursor failed an earlier
-        // (≤ current) bound.
-        self.pos = self.pos.max(tree.first_in_leaf(self.leaf, lo, lo_strict));
-    }
-
-    /// Range-scan forward from the current position without moving the
-    /// cursor — each probe of a batch gets an independent iterator, so
-    /// overlapping ranges (nested containment intervals) still enumerate
-    /// every qualifying entry. The bounds may be shorter-lived than the
-    /// cursor (reused key buffers); the iterator lives as long as both.
-    pub fn scan_from<'b>(
-        &self,
-        lo: &'b [u64],
-        lo_strict: bool,
-        hi: &'b [u64],
-        hi_strict: bool,
-    ) -> Scan<'b>
-    where
-        'a: 'b,
-    {
-        Scan { tree: self.tree, pos: self.pos, lo, lo_strict, hi, hi_strict }
-    }
-}
-
 /// Galloping positioning cursor for sorted, possibly *sparse* probe
 /// sequences ([`BTree::seek_cursor`]).
 ///
-/// Like [`BatchCursor`] the caller presents non-decreasing lower bounds,
-/// but the cursor keeps the root-to-leaf descent path alive: when the
-/// current leaf cannot contain the next target it climbs the recorded
-/// path only as far as the lowest ancestor whose subtree may hold the
-/// target and re-descends from there. A seek therefore costs
-/// O(log distance) node visits instead of one key check per intervening
-/// leaf — the difference between a merge and a gallop when probe keys
-/// skip over large runs of the index. Positioning is conservative (never
-/// past the first qualifying entry); [`Scan`] re-checks the bound per
-/// entry, so landing early is slower but never wrong.
+/// The caller presents non-decreasing lower bounds, and the cursor keeps
+/// the root-to-leaf descent path alive: when the current leaf cannot
+/// contain the next target it climbs the recorded path only as far as the
+/// lowest ancestor whose subtree may hold the target and re-descends from
+/// there. A seek therefore costs O(log distance) node visits instead of
+/// one key check per intervening leaf — the difference between a merge
+/// and a gallop when probe keys skip over large runs of the index.
+/// Positioning is conservative (never past the first qualifying entry);
+/// [`Scan`] re-checks the bound per entry, so landing early is slower but
+/// never wrong.
 pub struct SeekCursor<'a> {
     tree: &'a BTree,
     /// Descent path: `(internal node, child position taken)`, root first.
@@ -414,8 +316,9 @@ pub struct SeekCursor<'a> {
 impl<'a> SeekCursor<'a> {
     /// Move the cursor to the first entry not below `lo` (strictly above it
     /// when `lo_strict`), under prefix comparison. Successive calls must
-    /// present non-decreasing `(lo, lo_strict)` bounds, exactly as for
-    /// [`BatchCursor::position`]; an empty `lo` keeps the cursor in place.
+    /// present non-decreasing `(lo, lo_strict)` bounds — sorted probe keys
+    /// with a per-access constant strictness satisfy this; an empty `lo`
+    /// keeps the cursor in place.
     pub fn position(&mut self, lo: &[u64], lo_strict: bool) {
         let tree = self.tree;
         self.seeks += 1;
@@ -473,7 +376,10 @@ impl<'a> SeekCursor<'a> {
     }
 
     /// Range-scan forward from the current position without moving the
-    /// cursor (same contract as [`BatchCursor::scan_from`]).
+    /// cursor — each probe of a batch gets an independent iterator, so
+    /// overlapping ranges (nested containment intervals) still enumerate
+    /// every qualifying entry. The bounds may be shorter-lived than the
+    /// cursor (reused key buffers); the iterator lives as long as both.
     pub fn scan_from<'b>(
         &self,
         lo: &'b [u64],
@@ -607,58 +513,9 @@ mod tests {
     }
 
     #[test]
-    fn batch_cursor_matches_per_probe_scans() {
-        // Duplicates and multi-leaf spread; probes sorted (with repeats),
-        // including bounds past the last key.
-        let t = tree1((0..2000).map(|i| (i % 500, i as u32)));
-        for strict in [false, true] {
-            let mut cur = t.batch_cursor();
-            for lo in [0u64, 3, 3, 120, 121, 300, 499, 600] {
-                let (lo_k, hi_k) = ([lo], [lo + 4]);
-                cur.position(&lo_k, strict);
-                let batched: Vec<u32> =
-                    cur.scan_from(&lo_k, strict, &hi_k, strict).map(|(_, v)| v).collect();
-                let fresh: Vec<u32> =
-                    t.scan(&lo_k, strict, &hi_k, strict).map(|(_, v)| v).collect();
-                assert_eq!(batched, fresh, "lo {lo} strict {strict}");
-            }
-            assert_eq!(cur.descents, 1, "one descent per batch pass");
-            assert!(cur.leaf_skips > 0, "sorted probes should ride the leaf chain");
-        }
-    }
-
-    #[test]
-    fn batch_cursor_overlapping_ranges() {
-        // Nested containment-style ranges: a wide range followed by a
-        // narrower one starting later but ending earlier.
-        let t = tree1((0..300).map(|i| (i, i as u32)));
-        let mut cur = t.batch_cursor();
-        let ranges = [(10u64, 200u64), (20, 50), (21, 30), (180, 260)];
-        for (lo, hi) in ranges {
-            cur.position(&[lo], false);
-            let got: Vec<u32> = cur.scan_from(&[lo], false, &[hi], false).map(|(_, v)| v).collect();
-            let expect: Vec<u32> = (lo..=hi.min(299)).map(|i| i as u32).collect();
-            assert_eq!(got, expect, "range [{lo}, {hi}]");
-        }
-    }
-
-    #[test]
-    fn batch_cursor_empty_and_unbounded() {
-        let t = BTree::new(1);
-        let mut cur = t.batch_cursor();
-        cur.position(&[5], false);
-        assert!(cur.scan_from(&[5], false, &[9], false).next().is_none());
-        let t = tree1((0..10).map(|i| (i, i as u32)));
-        let mut cur = t.batch_cursor();
-        cur.position(&[], false);
-        let all: Vec<u32> = cur.scan_from(&[], false, &[], false).map(|(_, v)| v).collect();
-        assert_eq!(all, (0..10).collect::<Vec<u32>>());
-    }
-
-    #[test]
     fn seek_cursor_matches_per_probe_scans() {
-        // Same shape as the batch-cursor test: duplicates, multi-leaf
-        // spread, sorted probes with repeats and past-the-end bounds.
+        // Duplicates, multi-leaf spread, sorted probes with repeats and
+        // past-the-end bounds.
         let t = tree1((0..2000).map(|i| (i % 500, i as u32)));
         for strict in [false, true] {
             let mut cur = t.seek_cursor();
@@ -672,6 +529,34 @@ mod tests {
                 assert_eq!(got, fresh, "lo {lo} strict {strict}");
             }
         }
+    }
+
+    #[test]
+    fn seek_cursor_overlapping_ranges() {
+        // Nested containment-style ranges: a wide range followed by a
+        // narrower one starting later but ending earlier.
+        let t = tree1((0..300).map(|i| (i, i as u32)));
+        let mut cur = t.seek_cursor();
+        let ranges = [(10u64, 200u64), (20, 50), (21, 30), (180, 260)];
+        for (lo, hi) in ranges {
+            cur.position(&[lo], false);
+            let got: Vec<u32> = cur.scan_from(&[lo], false, &[hi], false).map(|(_, v)| v).collect();
+            let expect: Vec<u32> = (lo..=hi.min(299)).map(|i| i as u32).collect();
+            assert_eq!(got, expect, "range [{lo}, {hi}]");
+        }
+    }
+
+    #[test]
+    fn seek_cursor_empty_and_unbounded() {
+        let t = BTree::new(1);
+        let mut cur = t.seek_cursor();
+        cur.position(&[5], false);
+        assert!(cur.scan_from(&[5], false, &[9], false).next().is_none());
+        let t = tree1((0..10).map(|i| (i, i as u32)));
+        let mut cur = t.seek_cursor();
+        cur.position(&[], false);
+        let all: Vec<u32> = cur.scan_from(&[], false, &[], false).map(|(_, v)| v).collect();
+        assert_eq!(all, (0..10).collect::<Vec<u32>>());
     }
 
     #[test]
@@ -723,8 +608,8 @@ mod tests {
 
     #[test]
     fn seek_cursor_gallops_past_leaf_runs() {
-        // Two sparse probes over a 64k-entry tree: a BatchCursor walks ~1000
-        // leaves between them; the seek cursor must stay logarithmic.
+        // Two sparse probes over a 64k-entry tree, ~1000 leaves apart: the
+        // seek cursor must stay logarithmic, not walk the leaf chain.
         let t = tree1((0..65_536).map(|i| (i, i as u32)));
         let mut cur = t.seek_cursor();
         for lo in [10u64, 65_000] {

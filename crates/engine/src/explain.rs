@@ -46,11 +46,6 @@ pub fn render(db: &Database, plan: &PhysPlan) -> String {
                 let _ = writeln!(out, "{pad}HSJOIN (on {})", keys.join(","));
                 let _ = writeln!(out, "{pad} {}", describe_access(db, access));
             }
-            Step::Leapfrog(a) => {
-                let flag = if a.early_out { " (early-out ⋉)" } else { "" };
-                let _ = writeln!(out, "{pad}LFJOIN{flag}");
-                let _ = writeln!(out, "{pad} {}", describe_access(db, a));
-            }
         }
     }
     let pad = " ".repeat(depth + 1);
@@ -115,15 +110,15 @@ pub fn render_analyze(
             stats.btree_skips
         );
     }
-    // Annotated only when the plan actually carries a non-NL join strategy,
-    // so pure-NLJOIN output (and its golden tests) is unchanged.
-    let mut strategies: Vec<&str> = Vec::new();
-    for s in plan.steps.iter().filter(|s| !matches!(s, Step::Nl(_))) {
-        if !strategies.contains(&s.strategy()) {
-            strategies.push(s.strategy());
+    // Annotated whenever join work ran: a hash table was built, or sorted
+    // probe batches were served by galloping seeks.
+    if stats.join_build_rows + stats.join_probe_batches + stats.join_seeks > 0 {
+        let mut strategies: Vec<&str> = Vec::new();
+        for s in &plan.steps {
+            if !strategies.contains(&s.strategy()) {
+                strategies.push(s.strategy());
+            }
         }
-    }
-    if !strategies.is_empty() {
         let _ = writeln!(
             out,
             " JOIN (strategy {}, build_rows {}, probe_batches {}, seeks {})",
@@ -153,11 +148,6 @@ pub fn render_analyze(
                     describe_access(db, access),
                     annotate(access, &op)
                 );
-            }
-            Step::Leapfrog(a) => {
-                let flag = if a.early_out { " (early-out ⋉)" } else { "" };
-                let _ = writeln!(out, "{pad}LFJOIN{flag}");
-                let _ = writeln!(out, "{pad} {}{}", describe_access(db, a), annotate(a, &op));
             }
         }
     }

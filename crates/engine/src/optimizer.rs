@@ -38,11 +38,12 @@ const PROBE_COST: f64 = 12.0;
 /// any honest estimate, finite so the DP still completes (and falls back
 /// naturally where the forced strategy cannot run).
 const FORCE_PENALTY: f64 = 1e12;
-/// Per-probe cost of a galloping leapfrog seek on the vectorized path:
-/// the sorted probe batch shares one cursor, so a probe costs a few node
-/// hops (O(log gap)) instead of a full root descent. Calibrated coarsely
-/// against `PROBE_COST`, like the rest of the unit system.
-pub const LEAP_SEEK_COST: f64 = 2.0;
+/// Per-probe cost of a galloping seek: the vectorized executor sorts each
+/// batch of variable probes and serves it with one shared cursor, so a
+/// probe costs a few node hops (O(log gap)) instead of a full root
+/// descent. Calibrated coarsely against `PROBE_COST`, like the rest of the
+/// unit system.
+pub const GALLOP_SEEK_COST: f64 = 2.0;
 
 /// Largest alias count the dynamic program accepts. Its subset table holds
 /// 2ⁿ states, so every alias past the bound doubles planning memory and
@@ -56,31 +57,16 @@ pub const MAX_ALIASES: usize = 20;
 /// Calibrated on measured scalar-vs-vectorized runs rather than derived.
 pub const VECTOR_ROW_COST: f64 = 0.25;
 
-/// Batch-aware plan cost: the vectorized executor touches the same rows
-/// and performs the same logical probes, just at the cheaper per-row
-/// rate. Plans produced by the options-aware DP ([`plan_opts`] with
-/// `vectorized: true`) already bake the discount into `est_cost` (their
-/// [`PhysPlan::batch_costed`] flag is set) and are returned unchanged;
-/// plans costed at scalar rates are discounted here. The figure feeds the
-/// DP itself (through [`PlanOptions::vectorized`]) and the join-strategy
-/// lint's cost comparison ([`lint_join_strategies`]).
-pub fn batch_aware_cost(plan: &PhysPlan, vectorized: bool) -> f64 {
-    if vectorized && !plan.batch_costed {
-        plan.est_cost * VECTOR_ROW_COST
-    } else {
-        plan.est_cost
-    }
-}
-
-/// Physical join-strategy selection: `auto` lets the DP cost-choose per
-/// join edge; the rest force one family wherever it is applicable (with a
-/// natural NL fallback where it is not). Plumbed from `Budgets::join`,
+/// Physical join-strategy selection: `auto` lets the DP cost-choose
+/// between index nested loop and hash join per join edge; the rest force
+/// one family wherever it is applicable (with a natural NL fallback where
+/// it is not). Plumbed from `Budgets::join`,
 /// `jgi-served --join` and the cross-strategy test matrices. Every
 /// strategy produces bit-identical results — this knob only moves work
 /// around.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum JoinStrategy {
-    /// Cost-choose among NL, hash, and leapfrog per join edge.
+    /// Cost-choose between NL and hash per join edge.
     #[default]
     Auto,
     /// Index nested-loop everywhere — the divergence baseline. Also
@@ -88,16 +74,11 @@ pub enum JoinStrategy {
     Nl,
     /// Prefer hash steps wherever a usable equality edge exists.
     Hash,
-    /// Prefer leapfrog intersection steps wherever the access has a
-    /// variable probe. In scalar mode a leapfrog step executes exactly
-    /// like NL — the strategy only changes vectorized batching.
-    Leapfrog,
 }
 
 impl JoinStrategy {
     /// All strategies, for forcing matrices in tests and benches.
-    pub const ALL: [JoinStrategy; 4] =
-        [JoinStrategy::Auto, JoinStrategy::Nl, JoinStrategy::Hash, JoinStrategy::Leapfrog];
+    pub const ALL: [JoinStrategy; 3] = [JoinStrategy::Auto, JoinStrategy::Nl, JoinStrategy::Hash];
 }
 
 impl std::str::FromStr for JoinStrategy {
@@ -107,8 +88,7 @@ impl std::str::FromStr for JoinStrategy {
             "auto" => Ok(JoinStrategy::Auto),
             "nl" => Ok(JoinStrategy::Nl),
             "hash" => Ok(JoinStrategy::Hash),
-            "leapfrog" => Ok(JoinStrategy::Leapfrog),
-            other => Err(format!("unknown join strategy {other:?} (want nl|hash|leapfrog|auto)")),
+            other => Err(format!("unknown join strategy {other:?} (want nl|hash|auto)")),
         }
     }
 }
@@ -119,15 +99,14 @@ impl std::fmt::Display for JoinStrategy {
             JoinStrategy::Auto => "auto",
             JoinStrategy::Nl => "nl",
             JoinStrategy::Hash => "hash",
-            JoinStrategy::Leapfrog => "leapfrog",
         })
     }
 }
 
 /// Planner options: join-strategy forcing plus the executor mode the plan
 /// will run under. `vectorized: true` costs candidate rows at
-/// [`VECTOR_ROW_COST`] and unlocks the leapfrog option — the promotion of
-/// [`batch_aware_cost`] from explain-only figure to real DP input.
+/// [`VECTOR_ROW_COST`] and variable probes at [`GALLOP_SEEK_COST`], the
+/// rates the batch pipeline runs them at.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PlanOptions {
     /// Strategy forcing (default: auto).
@@ -334,51 +313,34 @@ pub fn plan_with_stats_opts(
             // Forcing: penalize the strategies the knob rules out, but only
             // where the forced strategy is actually applicable — elsewhere
             // the natural fallback (NL) stays penalty-free.
-            let penalize_non_hash = opts.join == JoinStrategy::Hash && o.hash.is_some();
-            let penalize_non_leap = opts.join == JoinStrategy::Leapfrog && o.has_var;
-            let penalty = |on: bool| if on { FORCE_PENALTY } else { 0.0 };
+            let penalty = if opts.join == JoinStrategy::Hash && o.hash.is_some() {
+                FORCE_PENALTY
+            } else {
+                0.0
+            };
+            // Option A: index nested-loop. The batch pipeline sorts each
+            // batch of variable probes and serves it with one galloping
+            // cursor, so there a probe costs a seek, not a root descent.
+            let per_probe_cost = if opts.vectorized && o.has_var {
+                GALLOP_SEEK_COST + (o.probe_cost - PROBE_COST).max(0.0)
+            } else {
+                o.probe_cost
+            };
             // A plan always processes at least one outer row; flooring keeps
             // later steps from looking free and preserves candidate-index
             // differentiation for the advisor.
-            let nl_card = (cur.card * o.per_probe).max(1.0);
-            // Option A: index nested-loop.
             let nl = Node {
-                cost: cur.cost
-                    + cur.card * o.probe_cost
-                    + penalty(penalize_non_hash || penalize_non_leap),
-                card: nl_card,
+                cost: cur.cost + cur.card * per_probe_cost + penalty,
+                card: (cur.card * o.per_probe).max(1.0),
                 prev: mask,
                 alias: a,
                 choice: Choice::Nl,
             };
             consider(&mut best, next_mask, nl, &mut stats);
-            // Option B: leapfrog intersection — same access path as NL, but
-            // the vectorized executor serves the whole sorted probe batch
-            // with one galloping cursor instead of per-probe root descents.
-            // Scalar auto skips it (it would only tie with NL); a scalar
-            // *forced* leapfrog still plans, executing via the NL delegate.
-            if o.has_var
-                && opts.join != JoinStrategy::Nl
-                && (opts.vectorized || opts.join == JoinStrategy::Leapfrog)
-            {
-                let per_probe_cost = if opts.vectorized {
-                    LEAP_SEEK_COST + (o.probe_cost - PROBE_COST).max(0.0)
-                } else {
-                    o.probe_cost
-                };
-                let leap = Node {
-                    cost: cur.cost + cur.card * per_probe_cost + penalty(penalize_non_hash),
-                    card: nl_card,
-                    prev: mask,
-                    alias: a,
-                    choice: Choice::Leapfrog,
-                };
-                consider(&mut best, next_mask, leap, &mut stats);
-            }
-            // Option C: generic hash join on a value-equality edge.
+            // Option B: generic hash join on a value-equality edge.
             if let Some(h) = &o.hash {
                 let hash = Node {
-                    cost: cur.cost + h.build_cost + cur.card * row_cost + penalty(penalize_non_leap),
+                    cost: cur.cost + h.build_cost + cur.card * row_cost,
                     card: (cur.card * h.per_probe).max(1.0),
                     prev: mask,
                     alias: a,
@@ -408,7 +370,6 @@ pub fn plan_with_stats_opts(
             let o = &memo[&(nd.alias, nd.prev & rel_mask[nd.alias])];
             match nd.choice {
                 Choice::Nl => Step::Nl(o.access.clone()),
-                Choice::Leapfrog => Step::Leapfrog(o.access.clone()),
                 Choice::Hash => o.hash.as_ref().expect("hash option chosen").step.clone(),
             }
         })
@@ -423,7 +384,6 @@ pub fn plan_with_stats_opts(
         item_output: cq.item_output,
         est_cost: final_node.cost,
         est_rows: final_node.card,
-        batch_costed: opts.vectorized,
     };
     mark_early_out(cq, &mut phys);
     if jgi_obs::is_active() {
@@ -533,19 +493,19 @@ struct Node {
 enum Choice {
     Nl,
     Hash,
-    Leapfrog,
 }
 
 /// Memoized planning work for one `(alias, bound-neighbor set)` pair: the
 /// best NL access path plus the constructible hash alternative.
 struct StepOptions {
-    /// Cheapest access path (shared by the NL and leapfrog options).
+    /// Cheapest access path (the NL option).
     access: Access,
     /// Estimated matches per outer row through `access`.
     per_probe: f64,
     /// Estimated cost per outer row through `access`.
     probe_cost: f64,
-    /// Does `access` probe with bound-alias values (leapfrog applies)?
+    /// Does `access` probe with bound-alias values (a galloping seek
+    /// serves it on the vectorized path)?
     has_var: bool,
     /// Generic string-keyed hash join, if a value-equality edge exists.
     hash: Option<HashOpt>,
@@ -611,8 +571,8 @@ fn compute_step_options(
 }
 
 /// Does this access probe with values of already-bound aliases (as opposed
-/// to constants only)? Variable probes are what the vectorized leapfrog
-/// path sorts and serves with a galloping cursor.
+/// to constants only)? Variable probes are what the vectorized path sorts
+/// and serves with a galloping cursor.
 fn access_has_var(a: &Access) -> bool {
     let var = |p: &Probe| !matches!(p, Probe::Const(_));
     match &a.method {
@@ -1205,7 +1165,7 @@ fn mark_early_out(cq: &ConjunctiveQuery, plan: &mut PhysPlan) {
             let a = s.access();
             let in_residual = a.residual.iter().any(|p| p.aliases().contains(&alias));
             let in_probe = match s {
-                Step::Nl(acc) | Step::Leapfrog(acc) => match &acc.method {
+                Step::Nl(acc) => match &acc.method {
                     Method::IxScan { eq, range, .. } => {
                         let probe_uses = |p: &Probe| match p {
                             Probe::Bound(c) | Probe::BoundPlusInt(c, _) => c.alias == alias,
@@ -1238,7 +1198,7 @@ fn mark_early_out(cq: &ConjunctiveQuery, plan: &mut PhysPlan) {
         });
         if !needed[alias] && !used_later {
             match &mut plan.steps[i] {
-                Step::Nl(a) | Step::Leapfrog(a) => a.early_out = true,
+                Step::Nl(a) => a.early_out = true,
                 Step::Hash { access, .. } => access.early_out = true,
             }
         }
@@ -1246,9 +1206,11 @@ fn mark_early_out(cq: &ConjunctiveQuery, plan: &mut PhysPlan) {
 }
 
 /// Plan lint: flag a value-join core that executes as NLJOIN when the
-/// options-aware DP estimates a hash or leapfrog alternative materially
-/// cheaper (beyond a 5% noise margin). Returns human-readable findings,
-/// empty when clean; wired into the `lint-plans` bin.
+/// options-aware DP estimates a hash alternative materially cheaper
+/// (beyond a 5% noise margin). `plan` must have been costed under the same
+/// `vectorized` flag, so both estimates are in one unit. Returns
+/// human-readable findings, empty when clean; wired into the `lint-plans`
+/// bin.
 pub fn lint_join_strategies(
     db: &Database,
     cq: &ConjunctiveQuery,
@@ -1281,8 +1243,7 @@ pub fn lint_join_strategies(
         return Vec::new();
     }
     let auto = plan_opts(db, cq, &PlanOptions { join: JoinStrategy::Auto, vectorized });
-    let cur_cost = batch_aware_cost(plan, vectorized);
-    let auto_cost = batch_aware_cost(&auto, vectorized);
+    let (cur_cost, auto_cost) = (plan.est_cost, auto.est_cost);
     if auto_cost * 1.05 >= cur_cost {
         return Vec::new();
     }
@@ -1317,7 +1278,7 @@ pub fn lint_parent_probes(db: &Database, cq: &ConjunctiveQuery, plan: &PhysPlan)
     for step in &plan.steps {
         let a = step.access();
         let probes_pre = match step {
-            Step::Nl(acc) | Step::Leapfrog(acc) => match &acc.method {
+            Step::Nl(acc) => match &acc.method {
                 Method::IxScan { index, eq, .. } => {
                     db.indexes[*index].key[..eq.len()].contains(&IndexCol::Col(DocCol::Pre))
                 }
@@ -1464,7 +1425,7 @@ mod tests {
     }
 
     /// Every forcing knob yields byte-identical results, and the forced
-    /// plans actually contain the forced step kinds.
+    /// plans do the join work of the forced kind.
     #[test]
     fn forced_strategies_agree() {
         let db = db(0.005);
@@ -1490,17 +1451,21 @@ mod tests {
             hashed.steps.iter().any(|s| matches!(s, Step::Hash { .. })),
             "hash forcing must produce a hash step"
         );
-        let leap =
-            plan_opts(&db, &cq, &PlanOptions { join: JoinStrategy::Leapfrog, vectorized: true });
-        assert!(
-            leap.steps.iter().any(|s| matches!(s, Step::Leapfrog(_))),
-            "leapfrog forcing must produce a leapfrog step"
-        );
+        let (_, st) = crate::physical::execute_with_stats(&db, &hashed);
+        assert!(st.join_build_rows > 0, "hash forcing built no table");
+        // A forced-NL plan on the batch pipeline serves its variable probes
+        // by galloping, one seek per probe.
+        let nl = plan_opts(&db, &cq, &PlanOptions { join: JoinStrategy::Nl, vectorized: true });
+        let (_, st) = crate::physical::execute_with_stats(&db, &nl);
+        assert_eq!(st.join_build_rows, 0, "NL forcing built a hash table");
+        assert!(st.join_probe_batches > 0, "no sorted probe batch ran");
+        let probes: u64 = st.per_op[1..].iter().map(|o| o.index_probes).sum();
+        assert!(st.join_seeks > 0 && st.join_seeks <= probes, "{} seeks", st.join_seeks);
     }
 
-    /// The Q2-style value-join core must cost-choose a hash or
-    /// leapfrog strategy under auto (the point of the promotion of
-    /// batch-aware costing into the DP).
+    /// The Q2-style value-join core must not run as per-probe root
+    /// descents under auto: the vectorized plan either builds a hash table
+    /// or serves its sorted probe batches by galloping.
     #[test]
     fn auto_picks_non_nl_for_value_join() {
         let db = db(0.005);
@@ -1509,15 +1474,16 @@ mod tests {
                where $i/@item = $x/@id return $x"#,
         );
         let p = plan_opts(&db, &cq, &PlanOptions { join: JoinStrategy::Auto, vectorized: true });
+        let (_, st) = crate::physical::execute_with_stats(&db, &p);
         assert!(
-            p.steps.iter().any(|s| !matches!(s, Step::Nl(_))),
-            "auto kept a pure-NL plan for a value join: {p:?}"
+            st.join_build_rows > 0 || st.join_seeks > 0,
+            "auto ran the value join as per-probe descents: {p:?}"
         );
-        assert!(p.batch_costed, "vectorized planning must mark batch_costed");
     }
 
-    /// The strategy lint fires on a forced-NL value join exactly when auto
-    /// would do better, and stays quiet on the auto plan itself.
+    /// The strategy lint fires on a plan that runs a value-join core as
+    /// NLJOIN where auto hashes it at materially lower cost, and stays
+    /// quiet on the auto plans themselves.
     #[test]
     fn lint_flags_forced_nl_value_join() {
         let db = db(0.005);
@@ -1525,17 +1491,28 @@ mod tests {
             r#"for $i in doc("auction.xml")//itemref, $x in doc("auction.xml")//item
                where $i/@item = $x/@id return $x"#,
         );
-        let nl = plan_opts(&db, &cq, &PlanOptions { join: JoinStrategy::Nl, vectorized: true });
-        let auto = plan_opts(&db, &cq, &PlanOptions { join: JoinStrategy::Auto, vectorized: true });
-        if auto.steps.iter().any(|s| !matches!(s, Step::Nl(_))) {
+        for vectorized in [false, true] {
+            let auto = plan_opts(&db, &cq, &PlanOptions { join: JoinStrategy::Auto, vectorized });
             assert!(
-                !lint_join_strategies(&db, &cq, &nl, true).is_empty(),
-                "lint must flag the forced-NL plan"
+                lint_join_strategies(&db, &cq, &auto, vectorized).is_empty(),
+                "lint must not flag the auto plan (vectorized={vectorized})"
             );
         }
+        // Scalar auto hashes the `@item` side; the same chain with its hash
+        // steps run as NLJOIN, at the forced-NL plan's cost, must lint.
+        let auto = plan_opts(&db, &cq, &PlanOptions { join: JoinStrategy::Auto, vectorized: false });
+        assert!(auto.steps.iter().any(|s| matches!(s, Step::Hash { .. })), "{auto:?}");
+        let nl = plan_opts(&db, &cq, &PlanOptions { join: JoinStrategy::Nl, vectorized: false });
+        let mut unhashed = auto.clone();
+        for s in &mut unhashed.steps {
+            if let Step::Hash { access, .. } = s {
+                *s = Step::Nl(access.clone());
+            }
+        }
+        unhashed.est_cost = nl.est_cost;
         assert!(
-            lint_join_strategies(&db, &cq, &auto, true).is_empty(),
-            "lint must not flag the auto plan"
+            !lint_join_strategies(&db, &cq, &unhashed, false).is_empty(),
+            "lint must flag the value-join core run as NLJOIN"
         );
     }
 
@@ -1662,7 +1639,7 @@ mod tests {
         let mut rebound = 0;
         for step in &mut scans.steps {
             let a = match step {
-                Step::Nl(a) | Step::Leapfrog(a) => a,
+                Step::Nl(a) => a,
                 Step::Hash { access, .. } => access,
             };
             if pairs.iter().any(|&(p, c)| p == a.alias && bound.contains(&c)) {

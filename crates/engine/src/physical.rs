@@ -149,20 +149,13 @@ pub enum Step {
         /// Probe key: computed from bound aliases.
         probe_key: Vec<Probe>,
     },
-    /// Leapfrog-style intersection join: an NL access whose leading
-    /// variable probe targets a value-ordered index. Scalar execution is
-    /// identical to [`Step::Nl`]; the vectorized path sorts each probe
-    /// batch by coded key and serves all probes with one
-    /// galloping [`crate::btree::SeekCursor`] instead of per-probe
-    /// descents or linear leaf-chain hops.
-    Leapfrog(Access),
 }
 
 impl Step {
     /// The access inside the step.
     pub fn access(&self) -> &Access {
         match self {
-            Step::Nl(a) | Step::Leapfrog(a) => a,
+            Step::Nl(a) => a,
             Step::Hash { access, .. } => access,
         }
     }
@@ -172,7 +165,6 @@ impl Step {
         match self {
             Step::Nl(_) => "nl",
             Step::Hash { .. } => "hash",
-            Step::Leapfrog(_) => "leapfrog",
         }
     }
 }
@@ -198,11 +190,6 @@ pub struct PhysPlan {
     pub est_cost: f64,
     /// Optimizer's cardinality estimate.
     pub est_rows: f64,
-    /// Whether `est_cost` was already computed with the vectorized
-    /// per-row discount baked in (plans from the options-aware DP). When
-    /// set, [`crate::optimizer::batch_aware_cost`] must not discount
-    /// again.
-    pub batch_costed: bool,
 }
 
 /// Evaluate a scalar over the bindings; `None` for NULL.
@@ -267,8 +254,9 @@ pub struct OpActuals {
 ///
 /// The row/probe/comparison counters are *mode-independent*: the scalar
 /// and the vectorized executor charge them identically for a given plan.
-/// The `vector_*`, `btree_*` and leapfrog `join_*` counters describe the
-/// batch pipeline's physical work and are mode-dependent.
+/// The `vector_*`, `btree_*`, `join_probe_batches` and `join_seeks`
+/// counters describe the batch pipeline's physical work and are
+/// mode-dependent.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ExecStats {
     /// Rows produced by each access (driver first). Kept alongside
@@ -296,23 +284,23 @@ pub struct ExecStats {
     pub vector_fallbacks: u64,
     /// Configured rows-per-batch capacity (0 = the scalar executor ran).
     pub vector_batch_size: u64,
-    /// Physical B-tree root descents performed by batched cursors and
+    /// Physical B-tree root descents performed by galloping cursors and
     /// shared constant-probe scans. `per_op[..].index_probes` stays
     /// *logical* (one per outer tuple, identical in every mode); the gap
     /// between probes and descents is the work batching saved.
     pub btree_descents: u64,
-    /// Probes served without a root descent: leaf-chain hops of sorted
-    /// batched cursors plus outer tuples sharing one constant-probe scan.
+    /// Work done instead of root descents: internal-node hops of galloping
+    /// cursors plus outer tuples sharing one constant-probe scan.
     pub btree_skips: u64,
     /// Rows loaded into [`Step::Hash`] build tables. Charged once at build
     /// time, before the pipeline runs, so it is mode-*independent*.
     pub join_build_rows: u64,
-    /// Batches pushed through a leapfrog probe (0 on the scalar path —
+    /// Sorted variable-probe batches served by one galloping
+    /// [`crate::btree::SeekCursor`] each (0 on the scalar path —
     /// mode-dependent, like `vector_*`).
     pub join_probe_batches: u64,
-    /// Galloping seeks performed by leapfrog intersection cursors
-    /// (mode-dependent; each seek replaces a root descent the batch
-    /// cursor would spend a linear leaf-chain walk to avoid).
+    /// Seeks performed by those cursors, one per probe (mode-dependent;
+    /// each replaces a root descent of the scalar path).
     pub join_seeks: u64,
 }
 
@@ -536,7 +524,7 @@ fn build_join_tables(db: &Database, plan: &PhysPlan, stats: &mut ExecStats) -> J
                 stats.join_build_rows += built;
                 tables[i] = Some(table);
             }
-            Step::Nl(_) | Step::Leapfrog(_) => {}
+            Step::Nl(_) => {}
         }
     }
     tables
@@ -578,9 +566,7 @@ fn walk(
     }
     let (mine, deeper) = scratch.split_first_mut().expect("scratch level per step");
     match &plan.steps[depth] {
-        // A leapfrog step is an NL access whose batching differs only on
-        // the vectorized path — tuple-at-a-time they are the same scan.
-        Step::Nl(access) | Step::Leapfrog(access) => {
+        Step::Nl(access) => {
             let StepScratch { access: scr, snapshot, .. } = mine;
             snapshot.clear();
             snapshot.extend_from_slice(bindings);
@@ -1065,7 +1051,7 @@ fn vec_step(
     let op_idx = depth + 1;
     let fast: &[FastAtom] = &cx.step_fast[depth];
     match &cx.plan.steps[depth] {
-        Step::Nl(access) | Step::Leapfrog(access) if !access.early_out => {
+        Step::Nl(access) if !access.early_out => {
             stats.per_op[op_idx].invocations += sel.len() as u64;
             scr.prepare(db, access);
             if scr.dead {
@@ -1123,12 +1109,11 @@ fn vec_step(
                     } else {
                         // Per-tuple probes, batched: code the variable key
                         // slots for every selected tuple, sort the tuples
-                        // by key, and serve all probes with one monotone
-                        // leaf-level cursor (one descent, forward
-                        // leaf-chain hops between probes). Sorting only
-                        // permutes candidate enumeration across outer
-                        // tuples, which the SORT tail's total order makes
-                        // unobservable.
+                        // by key, and serve all probes with one galloping
+                        // SeekCursor (one descent, then O(log gap) node
+                        // hops per probe). Sorting only permutes candidate
+                        // enumeration across outer tuples, which the SORT
+                        // tail's total order makes unobservable.
                         let key_cols = &db.indexes[*index].key;
                         let nv_lo = scr.var_lo.len();
                         let w = nv_lo + scr.var_hi.len();
@@ -1185,7 +1170,6 @@ fn vec_step(
                             }
                             live.push(i);
                         }
-                        let gallop = matches!(&cx.plan.steps[depth], Step::Leapfrog(_));
                         order.clear();
                         order.extend(0..live.len() as u32);
                         // Comparing the variable slots in slot order is the
@@ -1196,71 +1180,36 @@ fn vec_step(
                             let ky = &keys[y as usize * w..y as usize * w + nv_lo];
                             kx.cmp(ky)
                         });
+                        stats.join_probe_batches += 1;
                         let mut rows_in = 0u64;
-                        if gallop {
-                            // Galloping multi-way intersection: one
-                            // SeekCursor serves the whole sorted probe
-                            // batch, skipping non-matching key ranges in
-                            // O(log gap) node hops instead of walking the
-                            // leaf chain linearly between probes.
-                            stats.join_probe_batches += 1;
-                            let mut cursor = tree.seek_cursor();
-                            for &o in order.iter() {
-                                let j = o as usize;
-                                let i = live[j] as usize;
-                                let base = j * w;
-                                for (t, &s) in scr.var_lo.iter().enumerate() {
-                                    scr.lo[s] = keys[base + t];
-                                }
-                                for (t, &s) in scr.var_hi.iter().enumerate() {
-                                    scr.hi[s] = keys[base + nv_lo + t];
-                                }
-                                cursor.position(&scr.lo, scr.lo_strict);
-                                for (_, pre) in
-                                    cursor.scan_from(&scr.lo, scr.lo_strict, &scr.hi, scr.hi_strict)
-                                {
-                                    rows_in += 1;
-                                    next.push_extended(batch, i, outer, access.alias, pre);
-                                    if next.rows >= cx.batch_size {
-                                        flush_batch(
-                                            cx, fast, op_idx, true, next, sel_buf, fallback,
-                                            deeper, rows, stats,
-                                        );
-                                    }
+                        let mut cursor = tree.seek_cursor();
+                        for &o in order.iter() {
+                            let j = o as usize;
+                            let i = live[j] as usize;
+                            let base = j * w;
+                            for (t, &s) in scr.var_lo.iter().enumerate() {
+                                scr.lo[s] = keys[base + t];
+                            }
+                            for (t, &s) in scr.var_hi.iter().enumerate() {
+                                scr.hi[s] = keys[base + nv_lo + t];
+                            }
+                            cursor.position(&scr.lo, scr.lo_strict);
+                            for (_, pre) in
+                                cursor.scan_from(&scr.lo, scr.lo_strict, &scr.hi, scr.hi_strict)
+                            {
+                                rows_in += 1;
+                                next.push_extended(batch, i, outer, access.alias, pre);
+                                if next.rows >= cx.batch_size {
+                                    flush_batch(
+                                        cx, fast, op_idx, true, next, sel_buf, fallback, deeper,
+                                        rows, stats,
+                                    );
                                 }
                             }
-                            stats.btree_descents += cursor.descents;
-                            stats.btree_skips += cursor.node_hops;
-                            stats.join_seeks += cursor.seeks;
-                        } else {
-                            let mut cursor = tree.batch_cursor();
-                            for &o in order.iter() {
-                                let j = o as usize;
-                                let i = live[j] as usize;
-                                let base = j * w;
-                                for (t, &s) in scr.var_lo.iter().enumerate() {
-                                    scr.lo[s] = keys[base + t];
-                                }
-                                for (t, &s) in scr.var_hi.iter().enumerate() {
-                                    scr.hi[s] = keys[base + nv_lo + t];
-                                }
-                                cursor.position(&scr.lo, scr.lo_strict);
-                                for (_, pre) in
-                                    cursor.scan_from(&scr.lo, scr.lo_strict, &scr.hi, scr.hi_strict)
-                                {
-                                    rows_in += 1;
-                                    next.push_extended(batch, i, outer, access.alias, pre);
-                                    if next.rows >= cx.batch_size {
-                                        flush_batch(
-                                            cx, fast, op_idx, true, next, sel_buf, fallback,
-                                            deeper, rows, stats,
-                                        );
-                                    }
-                                }
-                            }
-                            stats.btree_descents += cursor.descents;
-                            stats.btree_skips += cursor.leaf_skips;
                         }
+                        stats.btree_descents += cursor.descents;
+                        stats.btree_skips += cursor.node_hops;
+                        stats.join_seeks += cursor.seeks;
                         stats.per_op[op_idx].rows_in += rows_in;
                         stats.per_op[op_idx].index_probes += live.len() as u64;
                     }
@@ -1268,7 +1217,7 @@ fn vec_step(
             }
             flush_batch(cx, fast, op_idx, true, next, sel_buf, fallback, deeper, rows, stats);
         }
-        Step::Nl(access) | Step::Leapfrog(access) => {
+        Step::Nl(access) => {
             // Early-out semijoin: candidate enumeration stops at the first
             // residual match, so batching the probes would change the
             // work. Run the scan tuple-at-a-time (identical counters);
@@ -1471,7 +1420,6 @@ mod tests {
             item_output: 0,
             est_cost: 0.0,
             est_rows: 0.0,
-            batch_costed: false,
         };
         let result = execute(&db, &plan);
         let expected = db.stats.name_count("bidder", NodeKind::Elem);
@@ -1541,7 +1489,6 @@ mod tests {
             item_output: 1,
             est_cost: 0.0,
             est_rows: 0.0,
-            batch_costed: false,
         };
         let result = execute(&db, &plan);
         // Every bidder lies inside exactly one open_auction.
@@ -1604,7 +1551,6 @@ mod tests {
             item_output: 0,
             est_cost: 0.0,
             est_rows: 0.0,
-            batch_costed: false,
         };
         let with_early = mk(true);
         let without = mk(false);
@@ -1692,7 +1638,6 @@ mod tests {
             item_output: 1,
             est_cost: 0.0,
             est_rows: 0.0,
-            batch_costed: false,
         }
     }
 
@@ -1730,9 +1675,9 @@ mod tests {
         }
     }
 
-    /// Variable-probe steps must probe through the shared sorted cursor:
-    /// fewer physical descents than logical probes, with the gap showing
-    /// up as leaf-chain skips.
+    /// Variable-probe steps must probe through one galloping cursor per
+    /// sorted batch: one seek per logical probe, fewer physical descents
+    /// than probes.
     #[test]
     fn vectorized_batches_var_probes() {
         let db = db();
@@ -1746,7 +1691,9 @@ mod tests {
             "batching should save descents: {} vs {probes}",
             v.btree_descents
         );
-        assert!(v.btree_skips > 0, "sorted probes should ride the leaf chain");
+        assert!(v.join_probe_batches > 0, "no probe batch went through a seek cursor");
+        assert_eq!(v.join_seeks, probes, "one seek per logical probe");
+        assert!(v.btree_skips > 0, "seeks should gallop through internal nodes");
         // Constant-probe steps share one scan per batch.
         let const_plan = oa_bidder_plan(&db, false, false);
         let (_, c) = execute_rows_opts(&db, &const_plan, &opts);

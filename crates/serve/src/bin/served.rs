@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! jgi-served [--listen ADDR] [--workers N] [--queue N] [--cache N]
-//!            [--scalar] [--join nl|hash|leapfrog|auto]
+//!            [--scalar] [--join nl|hash|auto]
 //!            [--preload xmark:SCALE:SEED] [--preload dblp:PUBS:SEED]
 //! ```
 //!
@@ -36,7 +36,7 @@ options:
   --scalar              disable the vectorized batch pipeline (row-at-a-time
                         execution)
   --join STRATEGY       physical join strategy for the join-graph planner:
-                        nl, hash, leapfrog, or auto (cost-based; default)
+                        nl, hash, or auto (cost-based; default)
   --preload SPEC        load a synthetic document before serving; SPEC is
                         xmark:SCALE:SEED (0 < SCALE <= 1) or dblp:PUBS:SEED
                         (PUBS <= 100000); repeatable
@@ -53,7 +53,7 @@ fn usage() -> ! {
     eprintln!(
         "usage: jgi-served [--listen ADDR] [--workers N] [--queue N] [--cache N] \
          [--scalar] \
-         [--join nl|hash|leapfrog|auto] \
+         [--join nl|hash|auto] \
          [--preload xmark:SCALE:SEED|dblp:PUBS:SEED]... \
          (--help for details)"
     );

@@ -1,13 +1,14 @@
 //! Cross-strategy equivalence suite for physical join selection.
 //!
-//! The join strategy is a pure execution detail: forcing `nl`, `hash` or
-//! `leapfrog` via `Budgets::join` (or picking `auto`) must never change a
-//! result — only how fast it arrives. Three layers of evidence:
+//! The join strategy is a pure execution detail: forcing `nl` or `hash`
+//! via `Budgets::join` (or picking `auto`) must never change a result —
+//! only how fast it arrives. Three layers of evidence:
 //!
-//! * the Q1–Q8 paper corpus × {nl, hash, leapfrog, auto} × {scalar,
-//!   vectorized}, all byte-identical to the nested-loop scalar baseline,
-//! * a vacuity guard: under `auto` the vectorized corpus actually plans
-//!   and executes non-NL join steps, Q2's value-join core among them,
+//! * the Q1–Q8 paper corpus × {nl, hash, auto} × {scalar, vectorized},
+//!   all byte-identical to the nested-loop scalar baseline,
+//! * a vacuity guard: under `auto` the corpus actually builds hash tables
+//!   and, on the batch pipeline, gallops through sorted probe batches,
+//!   Q2's value-join core among them,
 //! * property tests over random documents × random workhorse queries
 //!   (including generated value joins), planning each strategy forcing
 //!   explicitly and driving `execute_rows_opts` in both executor modes.
@@ -16,7 +17,7 @@ use jgi_compiler::compile;
 use jgi_core::queries::paper_corpus;
 use jgi_core::{Engine, Session};
 use jgi_engine::optimizer::{self, JoinStrategy, PlanOptions};
-use jgi_engine::physical::{execute_rows_opts, ExecOptions, ExecStats, Step};
+use jgi_engine::physical::{execute_rows_opts, ExecOptions, ExecStats};
 use jgi_engine::Database;
 use jgi_rewrite::{extract_cq, isolate};
 use jgi_xml::generate::{generate_dblp, generate_xmark, DblpConfig, XmarkConfig};
@@ -67,45 +68,43 @@ fn corpus_identical_across_strategies_modes_and_degrees() {
     }
 }
 
-/// Under `auto` the vectorized corpus must actually choose non-NL join
-/// steps somewhere — on Q2's value joins at least — and the executor must
-/// actually run them; otherwise the equivalence suite above proves nothing
-/// about hash or leapfrog.
+/// Under `auto` the corpus must actually run both kinds of join work: on
+/// the batch pipeline Q2's value joins gallop through sorted probe
+/// batches, and in some executor mode some corpus query builds a hash
+/// table. Otherwise the equivalence suite above proves nothing about
+/// either path.
 #[test]
 fn corpus_strategy_selection_is_not_vacuous() {
     let mut session = corpus_session(0.005, 1000);
     session.budgets.join = JoinStrategy::Auto;
-    session.budgets.vectorized = true;
-    let mut non_nl_plans = 0usize;
-    let mut exercised = 0usize;
-    for &(name, query, ctx) in &paper_corpus() {
-        let prepared = session.prepare(query, ctx).expect("corpus compiles");
-        let out = session.execute(&prepared, Engine::JoinGraph).expect("corpus executes");
-        if let Some(cq) = &prepared.cq {
-            let popts = PlanOptions { join: JoinStrategy::Auto, vectorized: true };
-            let plan = optimizer::plan_opts(session.database(), cq, &popts);
-            let non_nl = plan.steps.iter().any(|s| !matches!(s, Step::Nl(_)));
-            if non_nl {
-                non_nl_plans += 1;
-            }
-            assert!(non_nl || name != "Q2", "Q2 must cost-select a non-NL strategy: {plan:?}");
-        }
-        let exec = out.report.exec.as_ref().expect("exec stats");
-        if exec.join_seeks > 0 || exec.join_build_rows > 0 || exec.join_probe_batches > 0 {
-            exercised += 1;
-            assert!(
+    let mut built = 0usize;
+    for vectorized in [true, false] {
+        session.budgets.vectorized = vectorized;
+        for &(name, query, ctx) in &paper_corpus() {
+            let prepared = session.prepare(query, ctx).expect("corpus compiles");
+            let out = session.execute(&prepared, Engine::JoinGraph).expect("corpus executes");
+            let exec = out.report.exec.as_ref().expect("exec stats");
+            assert_eq!(
                 exec.join_probe_batches > 0,
-                "{name}: join counters fired without a probed batch"
+                exec.join_seeks > 0,
+                "{name}: seeks and probe batches must fire together"
             );
+            if vectorized {
+                assert!(exec.join_seeks > 0 || name != "Q2", "Q2 must gallop its value joins");
+            } else {
+                assert_eq!(exec.join_seeks, 0, "{name}: the scalar executor galloped");
+            }
+            if exec.join_build_rows > 0 {
+                built += 1;
+            }
         }
     }
-    assert!(non_nl_plans > 0, "auto never chose a non-NL strategy on the corpus");
-    assert!(exercised > 0, "no corpus query drove the non-NL join executor paths");
+    assert!(built > 0, "no corpus query built a hash table under auto");
 }
 
 // ---------------------------------------------------------------------------
 // Random documents × random queries (differential-suite generators, plus a
-// value-join form so the hash/leapfrog machinery is actually reachable)
+// value-join form so the hash and galloping machinery is actually reachable)
 // ---------------------------------------------------------------------------
 
 const TAGS: &[&str] = &["a", "b", "c"];
@@ -188,8 +187,8 @@ fn gen_query() -> impl Strategy<Value = String> {
             None => format!("{p}[{cond}]"),
         },
     );
-    // A two-variable value join on attributes — the shape the hash and
-    // leapfrog strategies exist for.
+    // A two-variable value join on attributes — the shape the hash join
+    // and galloping probe batches exist for.
     let with_join = (gen_path(), gen_path(), 0..ATTRS.len(), 0..ATTRS.len()).prop_map(
         |(p1, p2, a1, a2)| {
             format!(

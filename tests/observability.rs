@@ -130,8 +130,8 @@ RETURN (est_rows N, act_rows N)
  SORT (DISTINCT, ORDER BY dN.pre) (rows_in N, dedup_removed N, spills N)
  PLAN (cached, states=N)
  VECTORIZED (batch=N, batches=N, kernels=N, fallbacks=N, descents=N, skips=N)
- JOIN (strategy hash+leapfrog, build_rows N, probe_batches N, seeks N)
-  LFJOIN (early-out ⋉)
+ JOIN (strategy hash+nl, build_rows N, probe_batches N, seeks N)
+  NLJOIN (early-out ⋉)
    IXSCAN nksp [N eq-col(s) + range] (dN = ::auction.xml; resume ⟨ancestor of dN⟩) (est_rows N, act_rows N, probes N, comparisons N)
    HSJOIN (on level,parent)
     IXSCAN nksp [N eq-col(s)] (dN = ::bidder) (est_rows N, act_rows N, probes N, comparisons N)

@@ -1,5 +1,5 @@
 //! Session-level corner cases: multiple documents, rank-tie semantics,
-//! segmented range predicates, and the stacked SQL artifact for Q2.
+//! segmented range predicates, and the stacked SQL artifact.
 
 use jgi_core::{Engine, Session};
 use jgi_xml::generate::{generate_dblp, generate_xmark, DblpConfig, XmarkConfig};
@@ -114,6 +114,34 @@ fn q2_stacked_sql_shape() {
     // While the join-graph SQL is a single compact block.
     let jg = p.sql.as_ref().unwrap();
     assert_eq!(jg.matches("SELECT").count(), 1);
+}
+
+/// Compiling a query is deterministic: every corpus query prints one
+/// stacked SQL text (its CTE names are the plan's node ids, so they must
+/// not follow hash-map iteration order). Two prepares, then eighteen more
+/// compiles of the prepared Core — the stage the text comes from — all
+/// agree with the first prepare.
+#[test]
+fn stacked_sql_is_deterministic() {
+    let mut s = Session::new();
+    s.add_tree(generate_xmark(XmarkConfig { scale: 0.001, seed: 1 }));
+    s.add_tree(generate_dblp(DblpConfig { publications: 50, seed: 1 }));
+    for (name, query, ctx) in jgi_core::queries::paper_corpus() {
+        let p = s.prepare(query, ctx).unwrap();
+        let again = s.prepare(query, ctx).unwrap().stacked_sql;
+        assert!(
+            again == p.stacked_sql,
+            "{name}: stacked SQL changed between prepares"
+        );
+        for _ in 2..20 {
+            let c = jgi_compiler::compile(&p.core).unwrap();
+            let text = jgi_sql::stacked_sql(&c.plan, c.root);
+            assert!(
+                text == p.stacked_sql,
+                "{name}: stacked SQL changed between compiles"
+            );
+        }
+    }
 }
 
 /// Empty documents and queries over absent names behave.

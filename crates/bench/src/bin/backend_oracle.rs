@@ -185,7 +185,6 @@ fn main() {
                     Ok(FixtureOutcome::Blessed) => "blessed",
                     Err(e) => {
                         eprintln!("{e}");
-                        jgi_obs::counter("sql.backend.fixture_mismatch", 1);
                         fixture_failures += 1;
                         "mismatch"
                     }
@@ -250,7 +249,6 @@ fn main() {
                 let verdict = divergence(&engine_nodes, &recovered);
                 if let Some(d) = &verdict {
                     eprintln!("{name}: DIVERGENCE: {d}\n  sql: {sql}");
-                    jgi_obs::counter("sql.backend.divergence", 1);
                     total_divergence += 1;
                 }
                 eprintln!(

@@ -16,8 +16,7 @@
 //!    result exactly (order and duplicates included).
 //!
 //! A violation aborts isolation with an error naming the rule and node.
-//! Per-rule fire/audit counters are reported through `jgi-obs` under
-//! `check.audit.*`.
+//! Per-rule fire/audit tallies are kept in the [`AuditReport`].
 
 use crate::cert::certify;
 use crate::oracle::{falsify, OracleConfig};
@@ -172,8 +171,6 @@ impl RewriteObserver for AuditObserver<'_> {
         self.report.fires += 1;
         let tally = self.report.per_rule.entry(info.rule).or_default();
         tally.fires += 1;
-        jgi_obs::counter(audit_label(info.rule), 1);
-        jgi_obs::counter("check.audit.fires", 1);
 
         // The first fire sees the pristine root: snapshot the reference
         // result before any further rewriting.
@@ -239,7 +236,6 @@ impl RewriteObserver for AuditObserver<'_> {
                 if let Some(t) = self.report.per_rule.get_mut(info.rule) {
                     t.equiv_checked += 1;
                 }
-                jgi_obs::counter("check.audit.equiv", 1);
             }
         }
         Ok(())
@@ -278,40 +274,7 @@ pub fn checked_isolate(
     if !violations.is_empty() {
         return Err(CheckError::Cert(violations));
     }
-    jgi_obs::counter("check.certified_plans", 1);
     Ok((new_root, stats, observer.report))
-}
-
-/// Static obs label for a rule's audit counter (labels must be `'static`
-/// for the allocation-free metrics registry; the rule set is closed, so a
-/// match suffices).
-fn audit_label(rule: &'static str) -> &'static str {
-    match rule {
-        "(1)" => "check.audit.rule(1)",
-        "(2)" => "check.audit.rule(2)",
-        "(2b)" => "check.audit.rule(2b)",
-        "(2c)" => "check.audit.rule(2c)",
-        "(3)" => "check.audit.rule(3)",
-        "(4)" => "check.audit.rule(4)",
-        "(5)" => "check.audit.rule(5)",
-        "(6)" => "check.audit.rule(6)",
-        "(6c)" => "check.audit.rule(6c)",
-        "(7)" => "check.audit.rule(7)",
-        "(8)" => "check.audit.rule(8)",
-        "(9)" => "check.audit.rule(9)",
-        "(10)" => "check.audit.rule(10)",
-        "(11)" => "check.audit.rule(11)",
-        "(12)" => "check.audit.rule(12)",
-        "(13)" => "check.audit.rule(13)",
-        "(14)" => "check.audit.rule(14)",
-        "(15)" => "check.audit.rule(15)",
-        "(16)" => "check.audit.rule(16)",
-        "(17)" => "check.audit.rule(17)",
-        "(18)" => "check.audit.rule(18)",
-        "(19)" => "check.audit.rule(19)",
-        "(eq)" => "check.audit.rule(eq)",
-        _ => "check.audit.rule(other)",
-    }
 }
 
 #[cfg(test)]

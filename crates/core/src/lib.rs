@@ -25,7 +25,7 @@ pub mod session;
 pub mod xmltable;
 
 pub use session::{
-    execute_prepared, prepare_on, Budgets, Engine, ExecCtx, Parallelism, Prepared, QueryOutcome,
-    QueryReport, Session, SessionError, PHASES,
+    execute_prepared, prepare_on, rewrite_counters, Budgets, Engine, ExecCtx, Parallelism,
+    Prepared, QueryOutcome, QueryReport, Session, SessionError, PHASES,
 };
 pub use xmltable::xmltable;

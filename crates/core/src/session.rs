@@ -3,7 +3,7 @@
 use jgi_algebra::{ConjunctiveQuery, NodeId, Plan};
 use jgi_engine::logical_exec::{execute_serialized, ExecBudget, ExecError};
 use jgi_engine::optimizer::{PlanMemo, PlanStats};
-use jgi_engine::physical::ExecStats;
+use jgi_engine::physical::{ExecStats, OpActuals};
 use jgi_engine::{optimizer, physical, Database};
 use jgi_nav::{NavDb, NavError, NavMode, NavOptions, NavStats};
 use jgi_obs::Json;
@@ -124,15 +124,12 @@ pub struct QueryReport {
     pub phases: Vec<(&'static str, Duration)>,
     /// Rewrite-driver statistics (per-rule fire counts, fuel).
     pub rewrite: IsolateStats,
-    /// Metrics gathered by the obs recording across prepare + execute
-    /// (per-rule counters, optimizer/executor/nav counters).
-    pub metrics: jgi_obs::Metrics,
     /// DP search effort (join-graph back-end only). On a plan-memo hit
     /// these are the counters of the run that built the memoised plan.
     pub optimizer: Option<PlanStats>,
     /// The physical plan came from the [`Prepared`]'s memo: this execution
-    /// did no planning, its `plan` phase is the lookup, and `metrics`
-    /// carries no `opt.*` counters.
+    /// did no planning, its `plan` phase is the lookup, and
+    /// [`QueryReport::exec_counters`] yields no `opt.*` counters.
     pub plan_cached: bool,
     /// Per-operator actuals (join-graph back-end only).
     pub exec: Option<ExecStats>,
@@ -152,6 +149,46 @@ impl QueryReport {
 
     fn record_phase(&mut self, name: &'static str, d: Duration) {
         self.phases.push((name, d));
+    }
+
+    /// This execution's counters under the names the serve registry and
+    /// the report's `metrics` use: `opt.*` only when this execution
+    /// planned (not on a plan-memo hit), `exec.*`/`btree.*` from the
+    /// executor's actuals (per-operator counts summed), `nav.steps` from
+    /// the navigational evaluator. The compile's counters are
+    /// [`rewrite_counters`].
+    pub fn exec_counters(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
+        let opt = self.optimizer.as_ref().filter(|_| !self.plan_cached).map(|o| {
+            [
+                ("opt.states_considered", o.states_considered as u64),
+                ("opt.states_pruned", o.states_pruned as u64),
+                ("opt.access_paths_considered", o.access_paths_considered as u64),
+                ("opt.hash_options_considered", o.hash_options_considered as u64),
+            ]
+        });
+        let exec = self.exec.as_ref().map(|e| {
+            let sum = |f: fn(&OpActuals) -> u64| e.per_op.iter().map(f).sum::<u64>();
+            [
+                ("exec.raw_rows", e.raw_rows),
+                ("exec.sort_rows", e.sort_rows),
+                ("exec.dedup_removed", e.dedup_removed),
+                ("exec.rows_in", sum(|o| o.rows_in)),
+                ("exec.rows_out", sum(|o| o.rows_out)),
+                ("exec.index_probes", sum(|o| o.index_probes)),
+                ("exec.comparisons", sum(|o| o.comparisons)),
+                ("exec.vector.batch_size", e.vector_batch_size),
+                ("exec.vector.batches", e.vector_batches),
+                ("exec.vector.kernels", e.vector_kernels),
+                ("exec.vector.fallbacks", e.vector_fallbacks),
+                ("btree.descents", e.btree_descents),
+                ("btree.skip", e.btree_skips),
+                ("exec.join.build_rows", e.join_build_rows),
+                ("exec.join.probe_batches", e.join_probe_batches),
+                ("exec.join.seeks", e.join_seeks),
+            ]
+        });
+        let nav = self.nav.map(|n| ("nav.steps", n.steps));
+        opt.into_iter().flatten().chain(exec.into_iter().flatten()).chain(nav)
     }
 
     /// Human-readable multi-line rendering.
@@ -261,7 +298,6 @@ impl QueryReport {
                     ("raw_rows", Json::UInt(e.raw_rows)),
                     ("sort_rows", Json::UInt(e.sort_rows)),
                     ("dedup_removed", Json::UInt(e.dedup_removed)),
-                    ("sort_spills", Json::UInt(e.sort_spills)),
                     (
                         "per_op",
                         Json::Arr(
@@ -292,36 +328,40 @@ impl QueryReport {
                 ]),
             ));
         }
-        pairs.push(("metrics".into(), self.metrics.to_json()));
+        let mut metrics = jgi_obs::Metrics::default();
+        for (name, v) in rewrite_counters(&self.rewrite).chain(self.exec_counters()) {
+            metrics.counter(name, v);
+        }
+        pairs.push(("metrics".into(), metrics.to_json()));
         Json::Obj(pairs)
     }
 
-    /// Emit to stderr per the `JGI_OBS` env switch (`text` | `json` | off).
-    ///
-    /// The whole report is rendered into one buffer and written with a
-    /// single `write_all` under the stderr lock, so reports from
-    /// concurrent workers (the serve pool) interleave at record
-    /// granularity — never torn mid-line.
+    /// Emit to stderr per the `JGI_OBS` env switch (`text` | `json` | off),
+    /// one record per call (see [`jgi_obs::emit_to`]).
     pub fn emit(&self, label: &str) {
-        use std::io::Write as _;
-        let buf = match jgi_obs::ObsMode::from_env() {
-            jgi_obs::ObsMode::Off => return,
-            jgi_obs::ObsMode::Text => {
-                format!("[jgi-obs] {label}\n{}", self.render_text())
-            }
-            jgi_obs::ObsMode::Json => {
-                let mut pairs = vec![("report".to_string(), Json::str(label))];
-                if let Json::Obj(rest) = self.to_json() {
-                    pairs.extend(rest);
-                }
-                format!("{}\n", Json::Obj(pairs).render())
-            }
-        };
-        let stderr = std::io::stderr();
-        let mut out = stderr.lock();
-        let _ = out.write_all(buf.as_bytes());
-        let _ = out.flush();
+        let mode = jgi_obs::ObsMode::from_env();
+        if mode != jgi_obs::ObsMode::Off {
+            self.emit_to(mode, &mut std::io::stderr().lock(), label);
+        }
     }
+
+    fn emit_to(&self, mode: jgi_obs::ObsMode, out: &mut dyn std::io::Write, label: &str) {
+        jgi_obs::emit_to(mode, out, label, || self.render_text(), || self.to_json());
+    }
+}
+
+/// An isolation run's counters under the names the serve registry and the
+/// report's `metrics` use: one per rule label that fired (`(12)`, …) and
+/// `rewrite.{steps,props_derived,props_computed,nodes_rebuilt}`. They
+/// belong to the compile, not to any one execution of it.
+pub fn rewrite_counters(stats: &IsolateStats) -> impl Iterator<Item = (&'static str, u64)> + '_ {
+    let fires = stats.applied.iter().map(|(&rule, &n)| (rule, n as u64));
+    fires.chain([
+        ("rewrite.steps", stats.steps as u64),
+        ("rewrite.props_derived", stats.props_derived as u64),
+        ("rewrite.props_computed", stats.props_computed as u64),
+        ("rewrite.nodes_rebuilt", stats.nodes_rebuilt as u64),
+    ])
 }
 
 /// Outcome of one execution: the node sequence, or a *dnf* marker, plus
@@ -484,39 +524,23 @@ pub fn prepare_on(
 ) -> Result<Prepared, SessionError> {
     let opts = ParserOptions { context_doc: context_doc.map(|s| s.to_string()) };
     let mut report = QueryReport::default();
-    // The caller's thread owns the obs recording for the duration of the
-    // prepare; instrumented layers below (the rewrite driver here) deposit
-    // their counters into it.
-    jgi_obs::begin();
-
-    let finish_on_err = |e: String| {
-        jgi_obs::end();
-        SessionError::Frontend(e)
-    };
 
     let t0 = Instant::now();
-    let span = jgi_obs::span("parse");
-    let ast = parse_query(query, &opts).map_err(|e| finish_on_err(e.to_string()))?;
-    drop(span);
+    let ast = parse_query(query, &opts).map_err(|e| SessionError::Frontend(e.to_string()))?;
     report.record_phase("parse", t0.elapsed());
 
     let t0 = Instant::now();
-    let span = jgi_obs::span("normalize");
-    let core = normalize(&ast).map_err(|e| finish_on_err(e.to_string()))?;
-    drop(span);
+    let core = normalize(&ast).map_err(|e| SessionError::Frontend(e.to_string()))?;
     report.record_phase("normalize", t0.elapsed());
 
     let t0 = Instant::now();
-    let span = jgi_obs::span("compile");
-    let compiled = jgi_compiler::compile(&core).map_err(|e| finish_on_err(e.to_string()))?;
-    drop(span);
+    let compiled = jgi_compiler::compile(&core).map_err(|e| SessionError::Frontend(e.to_string()))?;
     report.record_phase("compile", t0.elapsed());
 
     let mut plan = compiled.plan;
     let stacked_root = compiled.root;
 
     let t0 = Instant::now();
-    let span = jgi_obs::span("isolate");
     // Under JGI_CHECK=1 the prepare runs the full jgi-check pipeline:
     // property certification of the stacked plan, per-fire rule auditing
     // against the caller's own documents, then certification plus dynamic
@@ -525,28 +549,19 @@ pub fn prepare_on(
     let (isolated_root, stats) = if jgi_rewrite::driver::check_enabled() {
         match jgi_check::checked_isolate(&mut plan, stacked_root, store) {
             Ok((root, stats, _audit)) => (root, stats),
-            Err(e) => {
-                jgi_obs::end();
-                return Err(SessionError::Check(e.to_string()));
-            }
+            Err(e) => return Err(SessionError::Check(e.to_string())),
         }
     } else {
         isolate(&mut plan, stacked_root)
     };
-    drop(span);
     report.record_phase("isolate", t0.elapsed());
 
     let t0 = Instant::now();
-    let span = jgi_obs::span("emit-sql");
     let cq = extract_cq(&plan, isolated_root).ok();
     let sql = cq.as_ref().map(jgi_sql::join_graph_sql);
     let stacked_sql = jgi_sql::stacked_sql(&plan, stacked_root);
-    drop(span);
     report.record_phase("emit-sql", t0.elapsed());
 
-    if let Some(rec) = jgi_obs::end() {
-        report.metrics = rec.metrics;
-    }
     report.rewrite = stats.clone();
     let docs = core.doc_uris();
     plan.freeze();
@@ -579,32 +594,22 @@ pub fn execute_prepared(
 ) -> Result<QueryOutcome, SessionError> {
     let mut report = prepared.report.clone();
     report.engine = Some(engine.label());
-    jgi_obs::begin();
-    // Obs recording must be closed on *every* path out of this function.
-    let fail = |m: String| {
-        jgi_obs::end();
-        SessionError::Exec(m)
-    };
     let start = Instant::now();
     let nodes: Option<Vec<u32>> = match engine {
         Engine::JoinGraph => match prepared.plannable_cq() {
             Some(cq) => {
                 let Some(db) = ctx.db else {
-                    return Err(fail("join-graph back-end needs a database".into()));
+                    return Err(SessionError::Exec("join-graph back-end needs a database".into()));
                 };
                 let t0 = Instant::now();
-                let span = jgi_obs::span("plan");
                 let (plan, plan_stats, plan_cached) =
                     prepared.plan_memo.plan(db, cq, &plan_options(&ctx.budgets));
-                drop(span);
                 report.record_phase("plan", t0.elapsed());
                 report.optimizer = Some(plan_stats);
                 report.plan_cached = plan_cached;
                 let t0 = Instant::now();
-                let span = jgi_obs::span("execute");
                 let opts = exec_options(&ctx.budgets);
                 let (result, exec_stats) = physical::execute_with_stats_opts(db, &plan, &opts);
-                drop(span);
                 report.record_phase("execute", t0.elapsed());
                 report.exec = Some(exec_stats);
                 Some(result)
@@ -616,7 +621,6 @@ pub fn execute_prepared(
             None => {
                 report.record_phase("plan", Duration::ZERO);
                 let t0 = Instant::now();
-                let span = jgi_obs::span("execute");
                 let r = match execute_serialized(
                     &prepared.plan,
                     prepared.isolated_root,
@@ -625,9 +629,8 @@ pub fn execute_prepared(
                 ) {
                     Ok(v) => Some(v),
                     Err(ExecError::BudgetExceeded) => None,
-                    Err(e) => return Err(fail(format!("isolated plan: {e}"))),
+                    Err(e) => return Err(SessionError::Exec(format!("isolated plan: {e}"))),
                 };
-                drop(span);
                 report.record_phase("execute", t0.elapsed());
                 r
             }
@@ -635,7 +638,6 @@ pub fn execute_prepared(
         Engine::Stacked => {
             report.record_phase("plan", Duration::ZERO);
             let t0 = Instant::now();
-            let span = jgi_obs::span("execute");
             let r = match execute_serialized(
                 &prepared.plan,
                 prepared.stacked_root,
@@ -644,37 +646,31 @@ pub fn execute_prepared(
             ) {
                 Ok(v) => Some(v),
                 Err(ExecError::BudgetExceeded) => None,
-                Err(e) => return Err(fail(format!("stacked plan: {e}"))),
+                Err(e) => return Err(SessionError::Exec(format!("stacked plan: {e}"))),
             };
-            drop(span);
             report.record_phase("execute", t0.elapsed());
             r
         }
         Engine::NavWhole | Engine::NavSegmented => {
             let Some(nav) = ctx.nav else {
-                return Err(fail("navigational back-end needs a nav database".into()));
+                return Err(SessionError::Exec("navigational back-end needs a nav database".into()));
             };
             let mode =
                 if engine == Engine::NavWhole { NavMode::Whole } else { NavMode::Segmented };
             report.record_phase("plan", Duration::ZERO);
             let t0 = Instant::now();
-            let span = jgi_obs::span("execute");
             let (result, nav_stats) = nav
                 .eval_with_stats(&prepared.core, NavOptions { mode, budget: ctx.budgets.nav });
-            drop(span);
             report.record_phase("execute", t0.elapsed());
             report.nav = Some(nav_stats);
             match result {
                 Ok(refs) => Some(nav.to_pre(&refs, &ctx.store.doc_roots)),
                 Err(NavError::Budget) => None,
-                Err(e) => return Err(fail(format!("navigational evaluation: {e}"))),
+                Err(e) => return Err(SessionError::Exec(format!("navigational evaluation: {e}"))),
             }
         }
     };
     let wall = start.elapsed();
-    if let Some(rec) = jgi_obs::end() {
-        report.metrics.merge(&rec.metrics);
-    }
     report.rows = nodes.as_ref().map(|n| n.len());
     report.emit(&prepared.text);
     Ok(QueryOutcome { nodes, wall, report })
@@ -997,12 +993,13 @@ mod tests {
         assert!(second.report.plan_cached, "the second does not");
         assert_eq!(first.nodes, second.nodes);
         assert_eq!(first.report.optimizer, second.report.optimizer, "memoised search effort");
-        assert!(first.report.metrics.counter_value("opt.states_considered") > 0);
-        assert_eq!(
-            second.report.metrics.counter_value("opt.states_considered"),
-            0,
-            "a memo hit re-emits no optimizer counters"
-        );
+        let opt = |o: &QueryOutcome| {
+            o.report.exec_counters().filter(|(k, _)| k.starts_with("opt.")).collect::<Vec<_>>()
+        };
+        let states = first.report.optimizer.as_ref().expect("planned").states_considered as u64;
+        assert!(states > 0);
+        assert!(opt(&first).contains(&("opt.states_considered", states)), "{:?}", opt(&first));
+        assert_eq!(opt(&second), [], "a memo hit re-emits no optimizer counters");
     }
 
     #[test]
@@ -1083,5 +1080,73 @@ mod tests {
             .unwrap();
         let out = s.execute(&p, Engine::Stacked).unwrap();
         assert!(!out.finished());
+    }
+
+    /// A writer that forwards every individual `write` call as a separate
+    /// chunk, modelling the worst-case interleaving a shared stream could
+    /// exhibit between two `write` calls from different threads.
+    #[derive(Clone)]
+    struct ChunkSink(std::sync::mpsc::Sender<Vec<u8>>);
+
+    impl std::io::Write for ChunkSink {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            let _ = self.0.send(buf.to_vec());
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// Concurrent JSON emitters never tear lines: every `write` call
+    /// carries exactly one complete, parseable report. With several writes
+    /// per report, chunks from different threads could interleave on a
+    /// shared stderr. `off` writes nothing.
+    #[test]
+    fn concurrent_json_emission_never_tears_lines() {
+        let mut s = xmark_session();
+        let p = s.prepare(r#"doc("auction.xml")/descendant::open_auction[bidder]"#, None).unwrap();
+        let report = s.execute(&p, Engine::JoinGraph).unwrap().report;
+        let (tx, rx) = std::sync::mpsc::channel();
+        report.emit_to(jgi_obs::ObsMode::Off, &mut ChunkSink(tx.clone()), "off");
+        std::thread::scope(|scope| {
+            for t in 0..8 {
+                let (mut sink, report) = (ChunkSink(tx.clone()), &report);
+                scope.spawn(move || {
+                    for i in 0..50 {
+                        report.emit_to(jgi_obs::ObsMode::Json, &mut sink, &format!("t{t}q{i}"));
+                    }
+                });
+            }
+        });
+        drop(tx);
+        let chunks: Vec<Vec<u8>> = rx.iter().collect();
+        assert_eq!(chunks.len(), 400, "one write call per JSON report, none when off");
+        for chunk in &chunks {
+            let s = std::str::from_utf8(chunk).expect("utf8");
+            let line = s.strip_suffix('\n').unwrap_or_else(|| panic!("no trailing newline: {s:?}"));
+            assert!(!line.contains('\n'), "report spans lines: {line:?}");
+            assert!(
+                line.starts_with("{\"report\":\"t") && line.ends_with('}'),
+                "torn or malformed JSON line: {line:?}"
+            );
+            assert!(line.contains("\"metrics\":{\"counters\":{"), "{line}");
+            // Balanced braces outside strings ⇒ structurally complete.
+            let (mut depth, mut in_str, mut esc) = (0i64, false, false);
+            for c in line.chars() {
+                match (in_str, esc, c) {
+                    (true, true, _) => esc = false,
+                    (true, false, '\\') => esc = true,
+                    (true, false, '"') => in_str = false,
+                    (true, false, _) => {}
+                    (false, _, '"') => in_str = true,
+                    (false, _, '{') => depth += 1,
+                    (false, _, '}') => depth -= 1,
+                    _ => {}
+                }
+            }
+            assert_eq!(depth, 0, "unbalanced braces: {line:?}");
+            assert!(!in_str, "unterminated string: {line:?}");
+        }
     }
 }

@@ -82,12 +82,11 @@ pub fn render_analyze(
         plan.order_by.iter().map(|c| format!("d{}.{}", c.alias + 1, c.col.sql())).collect();
     let _ = writeln!(
         out,
-        " SORT ({}ORDER BY {}) (rows_in {}, dedup_removed {}, spills {})",
+        " SORT ({}ORDER BY {}) (rows_in {}, dedup_removed {})",
         if plan.distinct { "DISTINCT, " } else { "" },
         order.join(", "),
         stats.sort_rows,
-        stats.dedup_removed,
-        stats.sort_spills
+        stats.dedup_removed
     );
     let _ = writeln!(
         out,

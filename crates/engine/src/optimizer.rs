@@ -122,7 +122,7 @@ impl Default for PlanOptions {
 }
 
 /// Counters describing one run of the dynamic program (for EXPLAIN output
-/// and the obs recording; costs nothing to maintain relative to planning).
+/// and the query report; costs nothing to maintain relative to planning).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PlanStats {
     /// DP states offered to the memo (seeds + extensions).
@@ -386,12 +386,6 @@ pub fn plan_with_stats_opts(
         est_rows: final_node.card,
     };
     mark_early_out(cq, &mut phys);
-    if jgi_obs::is_active() {
-        jgi_obs::counter("opt.states_considered", stats.states_considered as u64);
-        jgi_obs::counter("opt.states_pruned", stats.states_pruned as u64);
-        jgi_obs::counter("opt.access_paths_considered", stats.access_paths_considered as u64);
-        jgi_obs::counter("opt.hash_options_considered", stats.hash_options_considered as u64);
-    }
     (phys, stats)
 }
 

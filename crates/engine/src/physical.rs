@@ -250,7 +250,7 @@ pub struct OpActuals {
     pub comparisons: u64,
 }
 
-/// Execution statistics (EXPLAIN ANALYZE, the obs recording, and tests).
+/// Execution statistics (EXPLAIN ANALYZE, the query report, and tests).
 ///
 /// The row/probe/comparison counters are *mode-independent*: the scalar
 /// and the vectorized executor charge them identically for a given plan.
@@ -270,10 +270,6 @@ pub struct ExecStats {
     pub sort_rows: u64,
     /// Rows removed by DISTINCT.
     pub dedup_removed: u64,
-    /// Sort runs spilled to secondary storage. The executor's SORT is
-    /// in-memory, so this stays 0; the field keeps the report shape stable
-    /// for back-ends that do spill.
-    pub sort_spills: u64,
     /// Column batches pushed through the pipeline (0 on the scalar path).
     pub vector_batches: u64,
     /// Predicate-kernel invocations: one per residual atom per flushed
@@ -427,51 +423,6 @@ pub fn execute_rows_opts(
     } else {
         execute_sequential(db, plan, &driver_fast, &step_fast, &tables, &mut stats)
     };
-    if jgi_obs::is_active() {
-        // One dump per execution, off the per-row path.
-        jgi_obs::counter("exec.raw_rows", stats.raw_rows);
-        jgi_obs::counter("exec.sort_rows", stats.sort_rows);
-        jgi_obs::counter("exec.dedup_removed", stats.dedup_removed);
-        for op in &stats.per_op {
-            jgi_obs::counter("exec.rows_in", op.rows_in);
-            jgi_obs::counter("exec.rows_out", op.rows_out);
-            jgi_obs::counter("exec.index_probes", op.index_probes);
-            jgi_obs::counter("exec.comparisons", op.comparisons);
-        }
-        jgi_obs::counter("exec.vector.batch_size", stats.vector_batch_size);
-        jgi_obs::counter("exec.vector.batches", stats.vector_batches);
-        jgi_obs::counter("exec.vector.kernels", stats.vector_kernels);
-        jgi_obs::counter("exec.vector.fallbacks", stats.vector_fallbacks);
-        jgi_obs::counter("btree.descents", stats.btree_descents);
-        jgi_obs::counter("btree.skip", stats.btree_skips);
-        jgi_obs::counter("exec.join.build_rows", stats.join_build_rows);
-        jgi_obs::counter("exec.join.probe_batches", stats.join_probe_batches);
-        jgi_obs::counter("exec.join.seeks", stats.join_seeks);
-    }
-    // Always-on process totals: deposit the same per-execution summary into
-    // the global registry, recording or not. One counter batch per query,
-    // so the per-row hot path stays untouched; disabled registry = one
-    // relaxed load per call.
-    let reg = jgi_obs::Registry::global();
-    if reg.is_enabled() {
-        reg.counter("exec.queries", 1);
-        reg.counter("exec.raw_rows", stats.raw_rows);
-        reg.counter("exec.sort_rows", stats.sort_rows);
-        reg.counter("exec.dedup_removed", stats.dedup_removed);
-        let (mut probes, mut comparisons) = (0u64, 0u64);
-        for op in &stats.per_op {
-            probes += op.index_probes;
-            comparisons += op.comparisons;
-        }
-        reg.counter("exec.index_probes", probes);
-        reg.counter("exec.comparisons", comparisons);
-        reg.counter("exec.vector.batches", stats.vector_batches);
-        reg.counter("btree.descents", stats.btree_descents);
-        reg.counter("btree.skip", stats.btree_skips);
-        reg.counter("exec.join.build_rows", stats.join_build_rows);
-        reg.counter("exec.join.probe_batches", stats.join_probe_batches);
-        reg.counter("exec.join.seeks", stats.join_seeks);
-    }
     (rows, stats)
 }
 

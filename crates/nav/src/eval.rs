@@ -141,11 +141,6 @@ impl NavDb {
             budget: opts.budget,
             exhausted: matches!(result, Err(NavError::Budget)),
         };
-        if jgi_obs::is_active() {
-            jgi_obs::counter("nav.steps", stats.steps);
-            jgi_obs::gauge("nav.budget", stats.budget.min(i64::MAX as u64) as i64);
-            jgi_obs::gauge("nav.budget_exhausted", stats.exhausted as i64);
-        }
         (result, stats)
     }
 }

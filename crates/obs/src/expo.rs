@@ -14,9 +14,7 @@
 //!   requires for `rate()` to work.
 //!
 //! Metric names are sanitized (`serve.cache.hit` → `serve_cache_hit`) and
-//! prefixed by the caller (`jgi_` for the service registry, `jgi_process_`
-//! for the global engine registry), which keeps the two namespaces from
-//! colliding in one scrape.
+//! prefixed by the caller (`jgi_` for a server's registry).
 
 use std::fmt::Write as _;
 

@@ -1,32 +1,25 @@
 //! # jgi-obs — observability for the join-graph-isolation pipeline
 //!
-//! The measurement substrate behind the paper's evaluation (§5): every
-//! number in the Table 9 harness, the `EXPLAIN ANALYZE` actuals, and the
-//! serve-layer reports flows through the recorders in this crate.
+//! The service-side half of the paper's evidence (§5). Per-query
+//! telemetry is not kept here: each layer returns its own structured
+//! statistics (`IsolateStats`, `PlanStats`, `ExecStats`, `NavStats`),
+//! `jgi_core::QueryReport` carries them, and that report maps them to the
+//! counter names this crate stores and renders. What lives here, all
+//! std-only (no external dependencies):
 //!
-//! Two complementary shapes, all std-only (no external dependencies):
-//!
-//! **Per-query** — the thread-local recording between [`begin`] and
-//! [`end`]:
-//! * **Spans** — hierarchical wall-clock regions opened with [`span`] and
-//!   closed by RAII.
-//! * **Metrics** — named counters, gauges, and power-of-two bucketed
-//!   [`Histogram`]s ([`counter`], [`gauge`], [`hist`]).
-//! * **Events** — structured label+fields records ([`event`]) rendered as
-//!   human-readable text or line-oriented JSON (hand-rolled, no serde).
-//!
-//! **Always-on** — service-wide telemetry that needs no active recording:
+//! * [`Metrics`] — named counters, gauges, and power-of-two bucketed
+//!   [`Histogram`]s, and their hand-rolled [`Json`] rendering (no serde);
 //! * the lock-striped concurrent [`Registry`] with sliding-window
-//!   [`WindowHistogram`]s ([`registry`], [`window`]);
+//!   [`WindowHistogram`]s ([`registry`], [`window`]) — one per server,
+//!   fed each request's counters through [`Registry::merge_counters`];
 //! * Prometheus text exposition and a format validator ([`expo`]);
 //! * the [`FlightRecorder`] retaining full diagnostics for the slowest /
-//!   shed / errored requests ([`flight`]).
+//!   shed / errored requests ([`flight`]);
+//! * [`emit_to`], the single stderr emitter for rendered reports.
 //!
-//! The design keeps the executor hot path allocation-free: instrumented
-//! loops use plain local `u64` counters and report totals once at operator
-//! close; the thread-local entry points here are no-ops (a single TLS load)
-//! whenever no recording is active, and disabled-registry calls are one
-//! relaxed atomic load.
+//! The executor hot path stays allocation-free: instrumented loops use
+//! plain local `u64` counters that the layer returns once per call, and a
+//! disabled registry costs one relaxed atomic load per call.
 //!
 //! Output routing is controlled by the `JGI_OBS` environment variable:
 //! `off` (default) records nothing externally, `text` prints a readable
@@ -37,17 +30,12 @@ pub mod expo;
 pub mod flight;
 mod json;
 mod metrics;
-mod recorder;
 pub mod registry;
 pub mod window;
 
 pub use flight::{next_trace_id, FlightOutcome, FlightRecord, FlightRecorder};
 pub use json::Json;
 pub use metrics::{Histogram, Metrics};
-pub use recorder::{
-    begin, counter, end, event, gauge, hist, is_active, span, Event, Recording, SpanGuard,
-    SpanRecord,
-};
 pub use registry::{Registry, RegistrySnapshot};
 pub use window::WindowHistogram;
 
@@ -97,52 +85,37 @@ impl ObsMode {
     }
 }
 
-/// Render a finished [`Recording`] for `mode` as one complete string:
-/// exactly what [`emit`] writes, including the trailing newline. `None`
-/// when the mode is [`ObsMode::Off`].
-pub fn render_for_mode(mode: ObsMode, label: &str, rec: &Recording) -> Option<String> {
-    match mode {
-        ObsMode::Off => None,
-        ObsMode::Text => Some(format!("[jgi-obs] {label}\n{}", rec.render_text())),
+/// Write one report to `out` according to `mode`: `text` renders the body
+/// for [`ObsMode::Text`], `json` for [`ObsMode::Json`], and only the one
+/// `mode` asks for is called. The whole report is rendered into one buffer
+/// and written with a single `write_all`, so concurrent emitters (the serve
+/// worker pool) interleave at record granularity — no torn lines. Errors
+/// are swallowed: telemetry must never fail the query.
+pub fn emit_to(
+    mode: ObsMode,
+    out: &mut dyn std::io::Write,
+    label: &str,
+    text: impl FnOnce() -> String,
+    json: impl FnOnce() -> Json,
+) {
+    let buf = match mode {
+        ObsMode::Off => return,
+        ObsMode::Text => format!("[jgi-obs] {label}\n{}", text()),
         ObsMode::Json => {
             let mut obj = vec![("report".to_string(), Json::str(label))];
-            if let Json::Obj(pairs) = rec.to_json() {
+            if let Json::Obj(pairs) = json() {
                 obj.extend(pairs);
             }
-            Some(format!("{}\n", Json::Obj(obj).render()))
+            format!("{}\n", Json::Obj(obj).render())
         }
-    }
-}
-
-/// Emit a finished [`Recording`] to `out` according to `mode`. The whole
-/// report is rendered into one buffer and written with a single
-/// `write_all`, so concurrent emitters (the serve worker pool) interleave
-/// at record granularity — no torn lines. Errors are swallowed: telemetry
-/// must never fail the query.
-pub fn emit_to(mode: ObsMode, out: &mut dyn std::io::Write, label: &str, rec: &Recording) {
-    if let Some(buf) = render_for_mode(mode, label, rec) {
-        let _ = out.write_all(buf.as_bytes());
-        let _ = out.flush();
-    }
-}
-
-/// Emit a finished [`Recording`] to stderr according to [`ObsMode::from_env`].
-/// `label` names the report (e.g. the query) in both renderings.
-pub fn emit(label: &str, rec: &Recording) {
-    let mode = ObsMode::from_env();
-    if mode == ObsMode::Off {
-        return;
-    }
-    let stderr = std::io::stderr();
-    emit_to(mode, &mut stderr.lock(), label, rec);
+    };
+    let _ = out.write_all(buf.as_bytes());
+    let _ = out.flush();
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use jgi_sync::Mutex;
-    use std::io::Write;
-    use std::sync::Arc;
 
     #[test]
     fn mode_parses_env_values() {
@@ -167,85 +140,6 @@ mod tests {
         }
         for bad in ["jsonl", "TEXT", "on", "1", "Json"] {
             assert_eq!(ObsMode::parse(bad), Err(bad.to_string()), "{bad:?}");
-        }
-    }
-
-    #[test]
-    fn emit_off_is_silent_and_safe() {
-        begin();
-        let _s = span("phase");
-        drop(_s);
-        let rec = end().unwrap();
-        // Just exercises the off path; nothing to assert beyond no panic.
-        emit("test", &rec);
-    }
-
-    /// A writer that records every individual `write` call as a separate
-    /// chunk, modelling the worst-case interleaving a shared stream could
-    /// exhibit between two `write` calls from different threads.
-    #[derive(Clone, Default)]
-    struct ChunkSink(Arc<Mutex<Vec<Vec<u8>>>>);
-
-    impl Write for ChunkSink {
-        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-            self.0.lock().push(buf.to_vec());
-            Ok(buf.len())
-        }
-        fn flush(&mut self) -> std::io::Result<()> {
-            Ok(())
-        }
-    }
-
-    /// Satellite: concurrent JSON emitters must never tear lines. Every
-    /// `write` call must carry exactly one complete, parseable JSON record
-    /// — if emission used multiple writes per record, chunks from
-    /// different threads could interleave on a shared stderr.
-    #[test]
-    fn concurrent_json_emission_never_tears_lines() {
-        let sink = ChunkSink::default();
-        std::thread::scope(|s| {
-            for t in 0..8 {
-                let mut sink = sink.clone();
-                s.spawn(move || {
-                    for i in 0..50 {
-                        begin();
-                        {
-                            let _g = span("phase");
-                            counter("work.items", t * 100 + i);
-                        }
-                        let rec = end().unwrap();
-                        emit_to(ObsMode::Json, &mut sink, &format!("t{t}q{i}"), &rec);
-                    }
-                });
-            }
-        });
-        let chunks = sink.0.lock();
-        assert_eq!(chunks.len(), 400, "one write call per record");
-        for chunk in chunks.iter() {
-            let s = std::str::from_utf8(chunk).expect("utf8");
-            assert!(s.ends_with('\n'), "record not newline-terminated: {s:?}");
-            let line = &s[..s.len() - 1];
-            assert!(!line.contains('\n'), "record spans lines: {line:?}");
-            assert!(
-                line.starts_with("{\"report\":\"") && line.ends_with('}'),
-                "torn or malformed JSON line: {line:?}"
-            );
-            // Balanced braces outside strings ⇒ structurally complete.
-            let (mut depth, mut in_str, mut esc) = (0i64, false, false);
-            for c in line.chars() {
-                match (in_str, esc, c) {
-                    (true, true, _) => esc = false,
-                    (true, false, '\\') => esc = true,
-                    (true, false, '"') => in_str = false,
-                    (true, false, _) => {}
-                    (false, _, '"') => in_str = true,
-                    (false, _, '{') => depth += 1,
-                    (false, _, '}') => depth -= 1,
-                    _ => {}
-                }
-            }
-            assert_eq!(depth, 0, "unbalanced braces: {line:?}");
-            assert!(!in_str, "unterminated string: {line:?}");
         }
     }
 }

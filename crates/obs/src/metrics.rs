@@ -156,7 +156,8 @@ impl Histogram {
     }
 }
 
-/// Named counters, gauges, and histograms for one recording.
+/// Named counters, gauges, and histograms: a flattened registry snapshot
+/// (`STATS`, the repo benchmark) or one report's counters.
 #[derive(Debug, Default, Clone)]
 pub struct Metrics {
     counters: BTreeMap<&'static str, u64>,
@@ -173,11 +174,6 @@ impl Metrics {
     /// Set the named gauge to `value` (last write wins).
     pub fn gauge(&mut self, name: &'static str, value: i64) {
         self.gauges.insert(name, value);
-    }
-
-    /// Record `value` into the named histogram.
-    pub fn hist(&mut self, name: &'static str, value: u64) {
-        self.histograms.entry(name).or_default().record(value);
     }
 
     /// Replace the named histogram with a pre-aggregated one (used when
@@ -206,16 +202,6 @@ impl Metrics {
         self.counters.iter().map(|(&k, &v)| (k, v))
     }
 
-    /// Counters whose names start with `prefix`, name-ordered. Subsystems
-    /// namespace their counters (`rewrite.*`, `check.audit.*`), so this is
-    /// the natural way to pull one layer's tallies out of a recording.
-    pub fn counters_matching<'a>(
-        &'a self,
-        prefix: &'a str,
-    ) -> impl Iterator<Item = (&'static str, u64)> + 'a {
-        self.counters().filter(move |(name, _)| name.starts_with(prefix))
-    }
-
     /// All gauges, name-ordered.
     pub fn gauges(&self) -> impl Iterator<Item = (&'static str, i64)> + '_ {
         self.gauges.iter().map(|(&k, &v)| (k, v))
@@ -229,20 +215,6 @@ impl Metrics {
     /// True when nothing has been recorded.
     pub fn is_empty(&self) -> bool {
         self.counters.is_empty() && self.gauges.is_empty() && self.histograms.is_empty()
-    }
-
-    /// Fold another metrics set into this one (counters add, gauges take the
-    /// other side, histograms merge bucket-wise via re-recording summaries).
-    pub fn merge(&mut self, other: &Metrics) {
-        for (name, v) in other.counters() {
-            self.counter(name, v);
-        }
-        for (name, v) in other.gauges() {
-            self.gauge(name, v);
-        }
-        for (name, h) in other.histograms() {
-            self.histograms.entry(name).or_default().merge(h);
-        }
     }
 
     /// Render as a JSON object with `counters`/`gauges`/`histograms` keys.
@@ -271,17 +243,6 @@ impl Metrics {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn counters_matching_selects_one_namespace() {
-        let mut m = Metrics::default();
-        m.counter("check.audit.fires", 3);
-        m.counter("check.audit.rule(14)", 2);
-        m.counter("rewrite.steps", 7);
-        let audit: Vec<_> = m.counters_matching("check.audit.").collect();
-        assert_eq!(audit, vec![("check.audit.fires", 3), ("check.audit.rule(14)", 2)]);
-        assert_eq!(m.counters_matching("nav.").count(), 0);
-    }
 
     #[test]
     fn bucket_index_boundaries() {
@@ -353,24 +314,24 @@ mod tests {
         assert_eq!(m.counter_value("rows"), 7);
         assert_eq!(m.counter_value("absent"), 0);
         assert_eq!(m.gauge_value("fuel"), Some(7));
-        m.hist("lat", 5);
+        let mut lat = Histogram::default();
+        lat.record(5);
+        m.set_histogram("lat", lat);
         assert_eq!(m.histogram("lat").unwrap().count(), 1);
     }
 
     #[test]
-    fn merge_adds_counters_and_buckets() {
-        let mut a = Metrics::default();
-        let mut b = Metrics::default();
-        a.counter("x", 1);
-        b.counter("x", 2);
-        a.hist("h", 4);
-        b.hist("h", 4);
-        b.hist("h", 9);
+    fn histogram_merge_adds_buckets() {
+        let mut a = Histogram::default();
+        let mut b = Histogram::default();
+        a.record(4);
+        b.record(4);
+        b.record(9);
         a.merge(&b);
-        assert_eq!(a.counter_value("x"), 3);
-        let h = a.histogram("h").unwrap();
-        assert_eq!(h.count(), 3);
-        assert_eq!(h.min(), Some(4));
-        assert_eq!(h.max(), Some(9));
+        assert_eq!(a.count(), 3);
+        assert_eq!(a.sum(), 17);
+        assert_eq!(a.min(), Some(4));
+        assert_eq!(a.max(), Some(9));
+        assert_eq!(a.occupied_buckets(), vec![(4, 7, 2), (8, 15, 1)]);
     }
 }

@@ -1,9 +1,9 @@
 //! The always-on, lock-striped concurrent metrics registry.
 //!
-//! The thread-local [`crate::Recording`] answers "what did *this query*
-//! do"; a long-running service also needs "what is the *process* doing
-//! right now", accumulated across every worker thread without a recording
-//! being active. This registry is that second shape:
+//! A query's own report answers "what did *this query* do"; a
+//! long-running service also needs "what is the *service* doing right
+//! now", accumulated across every worker thread. This registry is that
+//! second shape:
 //!
 //! * **Lock-striped.** Writers are spread over `shards` independently
 //!   locked maps; each thread is pinned to one shard (round-robin at
@@ -21,12 +21,11 @@
 //!   windows share the registry's single start instant, so slices align
 //!   across shards and merge exactly.
 //!
-//! [`Registry::global`] is the process-wide instance the engine deposits
-//! operator totals into; the serving layer builds its own registry per
-//! `jgi_serve::Server` so tests and multiple services stay isolated.
+//! There is no process-wide instance: the serving layer builds one
+//! registry per `jgi_serve::Server`, so tests and multiple services stay
+//! isolated.
 
 use std::collections::BTreeMap;
-use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
 use jgi_sync::{AtomicBool, AtomicU64, AtomicUsize, Mutex};
@@ -100,13 +99,6 @@ impl Registry {
             gauge_seq: AtomicU64::named("gauge_seq", 0),
             shards: (0..shards.max(1)).map(|_| Mutex::new(ShardData::default())).collect(),
         }
-    }
-
-    /// The process-wide registry (the one `jgi-engine` deposits operator
-    /// totals into).
-    pub fn global() -> &'static Registry {
-        static GLOBAL: OnceLock<Registry> = OnceLock::new();
-        GLOBAL.get_or_init(Registry::new)
     }
 
     /// Disable (or re-enable) every entry point. Disabled, each call is a
@@ -195,28 +187,16 @@ impl Registry {
         self.observe(name, d.as_micros() as u64);
     }
 
-    /// Fold a finished per-query [`Metrics`] set into the registry:
-    /// counters add, gauges last-write-win, histograms land in the current
-    /// window slice. This is how each request's delta reaches the
-    /// always-on totals — registry totals equal the sum of per-request
-    /// deltas, by construction.
-    pub fn merge_metrics(&self, m: &Metrics) {
+    /// Add a batch of counter deltas under one shard lock. This is how each
+    /// request's counters reach the always-on totals — registry totals
+    /// equal the sum of the batches folded in, by construction.
+    pub fn merge_counters(&self, deltas: impl IntoIterator<Item = (&'static str, u64)>) {
         if !self.is_enabled() {
             return;
         }
-        let epoch = self.epoch();
-        let slices = self.slices;
-        // relaxed: same sequence-stamp argument as `gauge` above.
-        let seq = self.gauge_seq.fetch_add_relaxed(1) + 1;
         let mut s = self.shard().lock();
-        for (name, v) in m.counters() {
+        for (name, v) in deltas {
             *s.counters.entry(name).or_insert(0) += v;
-        }
-        for (name, v) in m.gauges() {
-            s.gauges.insert(name, (seq, v));
-        }
-        for (name, h) in m.histograms() {
-            s.windows.entry(name).or_insert_with(|| WindowHistogram::new(slices)).absorb(epoch, h);
         }
     }
 
@@ -327,11 +307,7 @@ mod tests {
         r.counter("c", 1);
         r.gauge("g", 2);
         r.observe("h", 3);
-        r.merge_metrics(&{
-            let mut m = Metrics::default();
-            m.counter("c", 5);
-            m
-        });
+        r.merge_counters([("c", 5)]);
         let snap = r.snapshot();
         assert!(snap.counters.is_empty());
         assert!(snap.gauges.is_empty());
@@ -356,18 +332,17 @@ mod tests {
     }
 
     #[test]
-    fn merge_metrics_equals_sum_of_deltas() {
+    fn merge_counters_equals_sum_of_deltas() {
         let r = Registry::with_config(2, 4, Duration::from_secs(60));
         let mut total = 0u64;
         for i in 1..=10u64 {
-            let mut m = Metrics::default();
-            m.counter("exec.rows", i);
-            m.hist("wall", i);
-            r.merge_metrics(&m);
+            r.merge_counters([("exec.rows", i), ("exec.batches", 1)]);
+            r.observe("wall", i);
             total += i;
         }
         let snap = r.snapshot();
         assert_eq!(snap.counter_value("exec.rows"), total);
+        assert_eq!(snap.counter_value("exec.batches"), 10);
         assert_eq!(snap.window("wall").unwrap().lifetime.count(), 10);
         let m = snap.to_metrics();
         assert_eq!(m.counter_value("exec.rows"), total);

@@ -70,18 +70,6 @@ impl WindowHistogram {
         self.lifetime.record(v);
     }
 
-    /// Fold a pre-aggregated histogram into the slice for `epoch` (used
-    /// when merging a finished per-query recording into the registry).
-    /// Same stale-epoch rule as [`Self::observe`].
-    pub fn absorb(&mut self, epoch: u64, h: &Histogram) {
-        let n = self.slices.len() as u64;
-        let slot = (epoch % n) as usize;
-        if self.rotate_for(slot, epoch) {
-            self.slices[slot].1.merge(h);
-        }
-        self.lifetime.merge(h);
-    }
-
     /// The merged distribution of every slice still inside the window
     /// ending at `now_epoch` (i.e. epochs in `(now_epoch - slices,
     /// now_epoch]`).
@@ -179,22 +167,5 @@ mod tests {
         assert_eq!(w.window(2).count(), 1, "newer slice count survives");
         assert_eq!(w.window(2).min(), Some(30));
         assert_eq!(w.lifetime().count(), 2, "stale observation kept for lifetime");
-        // Same rule for absorb.
-        let mut h = Histogram::default();
-        h.record(5);
-        w.absorb(0, &h);
-        assert_eq!(w.window(2).count(), 1);
-        assert_eq!(w.lifetime().count(), 3);
-    }
-
-    #[test]
-    fn absorb_folds_a_summary_into_one_slice() {
-        let mut h = Histogram::default();
-        h.record(4);
-        h.record(9);
-        let mut w = WindowHistogram::new(2);
-        w.absorb(3, &h);
-        assert_eq!(w.window(3).count(), 2);
-        assert_eq!(w.window(3).max(), Some(9));
     }
 }

@@ -237,11 +237,6 @@ impl Run<'_> {
         self.props.advance(self.plan, new_root);
         *self.stats.applied.entry(rw.rule).or_default() += 1;
         self.stats.steps += 1;
-        // Per-rule fire counts for the active obs recording (rule labels
-        // are 'static, so this is allocation-free and a no-op when no
-        // recording is active).
-        jgi_obs::counter(rw.rule, 1);
-        jgi_obs::counter("rewrite.steps", 1);
         let fail = |message: String| IsolateError {
             rule: rw.rule,
             step: self.stats.steps,
@@ -303,7 +298,6 @@ pub(crate) fn isolate_with_fuel(
     let mut stuck: HashSet<NodeId> = HashSet::new();
 
     'outer: loop {
-        jgi_obs::counter("rewrite.passes", 1);
         if run.stats.steps >= fuel {
             run.stats.fuel_exhausted = true;
             break;
@@ -385,15 +379,6 @@ pub(crate) fn isolate_with_fuel(
             .map_err(|msg| fail(format!("final plan is invalid: {msg}")))?;
     }
     observer.finish(plan, root).map_err(fail)?;
-    jgi_obs::counter("rewrite.props_derived", stats.props_derived as u64);
-    jgi_obs::counter("rewrite.props_computed", stats.props_computed as u64);
-    jgi_obs::counter("rewrite.nodes_rebuilt", stats.nodes_rebuilt as u64);
-    if jgi_obs::is_active() {
-        jgi_obs::gauge("rewrite.nodes_before", stats.nodes_before as i64);
-        jgi_obs::gauge("rewrite.nodes_after", stats.nodes_after as i64);
-        jgi_obs::gauge("rewrite.fuel_remaining", fuel.saturating_sub(stats.steps) as i64);
-        jgi_obs::gauge("rewrite.fuel_exhausted", stats.fuel_exhausted as i64);
-    }
     Ok((root, stats))
 }
 

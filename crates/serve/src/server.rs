@@ -14,21 +14,25 @@
 //!
 //! * every request threads its trace id through admission → cache lookup
 //!   → prepare → execute → reply, and the [`ExecReply`] carries the full
-//!   per-query [`QueryReport`] (per-phase spans, engine counters) back to
-//!   the caller;
+//!   per-query [`QueryReport`] (per-phase timings, the layers' own stats)
+//!   back to the caller;
 //! * service-wide accounting — request / shed / deadline counters, cache
 //!   hit/miss/eviction counters, queue-wait and latency sliding-window
-//!   histograms — lives in a per-server lock-striped [`Registry`], and
-//!   each finished request's counter deltas are folded in, so registry
-//!   totals always equal the sum of per-request deltas. The slowest and
-//!   every anomalous (shed / deadline / errored / dnf) request is
-//!   retained in a [`FlightRecorder`] with its plan fingerprint, full
-//!   report, and EXPLAIN ANALYZE, dumpable live over `TRACE`.
+//!   histograms — lives in a per-server lock-striped [`Registry`]. Each
+//!   finished request folds in its [`QueryReport::exec_counters`] and each
+//!   compile its [`rewrite_counters`], so registry totals always equal the
+//!   sum of per-request counters plus one set of rewrite counters per
+//!   compile. The slowest and every anomalous (shed / deadline / errored
+//!   / dnf) request is retained in a [`FlightRecorder`] with its plan
+//!   fingerprint, full report, and EXPLAIN ANALYZE, dumpable live over
+//!   `TRACE`.
 
 use crate::cache::{CacheKey, CacheStats, PlanCache};
 use crate::error::ServeError;
 use crate::snapshot::{CommitOutcome, Master, Snapshot};
-use jgi_core::{execute_prepared, prepare_on, Budgets, Engine, Prepared, QueryReport};
+use jgi_core::{
+    execute_prepared, prepare_on, rewrite_counters, Budgets, Engine, Prepared, QueryReport,
+};
 use jgi_engine::Database;
 use jgi_mutate::Op;
 use jgi_obs::expo::render_prometheus;
@@ -304,6 +308,7 @@ impl Server {
         // (after an eviction) start a fresh flight.
         self.state.flights.lock().remove(&key);
         let reg = &self.state.registry;
+        reg.merge_counters(rewrite_counters(&plan.stats));
         reg.counter("serve.cache.miss", 1);
         reg.counter("serve.cache.eviction", evicted);
         reg.observe_us("serve.prepare_us", t0.elapsed());
@@ -457,13 +462,9 @@ impl Server {
     }
 
     /// The `METRICS` reply: this server's registry rendered as Prometheus
-    /// text exposition (prefix `jgi_`), followed by the process-wide
-    /// engine registry (prefix `jgi_process_` — operator totals from
-    /// every session in the process, not just this server).
+    /// text exposition (prefix `jgi_`).
     pub fn metrics_prometheus(&self) -> String {
-        let mut out = render_prometheus(&self.state.registry.snapshot(), "jgi_");
-        out.push_str(&render_prometheus(&Registry::global().snapshot(), "jgi_process_"));
-        out
+        render_prometheus(&self.state.registry.snapshot(), "jgi_")
     }
 
     /// The `TRACE n` payload: the n most interesting retained requests,
@@ -775,10 +776,9 @@ fn worker_loop(rx: &Mutex<Receiver<Job>>, state: &State) {
             Ok(outcome) => {
                 reg.observe_us("serve.latency_us", outcome.wall);
                 reg.observe_us("serve.total_us", queue_wait + outcome.wall);
-                // Fold this request's metric deltas (rewrite counters from
-                // the prepare, operator counters from the run) into the
-                // always-on totals.
-                reg.merge_metrics(&outcome.report.metrics);
+                // Fold this execution's counters into the always-on totals;
+                // the compile's rewrite counters were folded on the miss.
+                reg.merge_counters(outcome.report.exec_counters());
                 if outcome.report.optimizer.is_some() {
                     let hit = outcome.report.plan_cached;
                     reg.counter(if hit { "serve.plan_memo.hit" } else { "serve.plan_memo.miss" }, 1);
@@ -1062,7 +1062,6 @@ mod tests {
             "# TYPE jgi_serve_total_us summary",
             "jgi_serve_total_us{quantile=\"0.99\"}",
             "jgi_serve_total_us_count 2",
-            "jgi_process_exec_queries_total",
         ] {
             assert!(text.contains(needle), "missing {needle:?} in:\n{text}");
         }

@@ -129,18 +129,13 @@ impl Backend for SqliteBackend {
     fn load_doc(&mut self, rows: &[DocRow]) -> Result<(), BackendError> {
         let script = format!(".bail on\n{}", load_script(rows, self.dialect()));
         self.run_script(&script)?;
-        jgi_obs::counter("sql.backend.load", 1);
-        jgi_obs::counter("sql.backend.load_rows", rows.len() as u64);
         Ok(())
     }
 
     fn execute(&mut self, sql: &str) -> Result<Rows, BackendError> {
         let script = format!(".bail on\n.mode quote\n.headers on\n{sql};\n");
         let stdout = self.run_script(&script)?;
-        let rows = parse_quote_mode(&stdout)?;
-        jgi_obs::counter("sql.backend.execute", 1);
-        jgi_obs::counter("sql.backend.result_rows", rows.rows.len() as u64);
-        Ok(rows)
+        parse_quote_mode(&stdout)
     }
 }
 

@@ -1,9 +1,11 @@
 //! End-to-end checks for the observability layer: the per-phase
-//! [`QueryReport`], per-rule rewrite counters, and EXPLAIN ANALYZE.
+//! [`QueryReport`], the counters it maps the layers' stats to, the serve
+//! registry those counters are folded into, and EXPLAIN ANALYZE.
 
 use jgi_core::queries::{paper_corpus, Q1, Q2};
-use jgi_core::{Engine, Session, PHASES};
+use jgi_core::{rewrite_counters, Engine, Session, PHASES};
 use jgi_xml::generate::{generate_dblp, generate_xmark, DblpConfig, XmarkConfig};
+use std::collections::BTreeMap;
 use std::time::Duration;
 
 fn xmark_session() -> Session {
@@ -42,40 +44,27 @@ fn q1_report_covers_all_phases() {
     assert_eq!(exec.sort_rows - exec.dedup_removed, result.len() as u64);
 }
 
-/// The per-rule fire counters captured during `prepare` agree exactly with
-/// the rewrite driver's own `IsolateStats` bookkeeping on Q2.
+/// The rewrite counters mapped from Q2's compile agree exactly with the
+/// rewrite driver's own `IsolateStats` bookkeeping: one per rule that
+/// fired, and the four `rewrite.*` totals.
 #[test]
 fn q2_rule_fires_match_isolate_stats() {
     let s = xmark_session();
     let prepared = s.prepare(Q2, None).unwrap();
     let stats = &prepared.stats;
     assert!(!stats.applied.is_empty(), "Q2 must trigger rewrites");
+    let counters: BTreeMap<&str, u64> = rewrite_counters(stats).collect();
+    assert_eq!(counters.len(), stats.applied.len() + 4, "{counters:?}");
     for (rule, n) in &stats.applied {
-        assert_eq!(
-            prepared.report.metrics.counter_value(rule),
-            *n as u64,
-            "fire count for rule {rule} diverges"
-        );
+        assert_eq!(counters[rule], *n as u64, "fire count for rule {rule} diverges");
     }
-    assert_eq!(
-        prepared.report.metrics.counter_value("rewrite.steps"),
-        stats.steps as u64
-    );
+    assert_eq!(counters["rewrite.steps"], stats.steps as u64);
     // What the steps cost: property derivations, the transfer-function
     // evaluations behind them, and rebuilt ancestors.
     assert!(stats.props_derived > 0 && stats.props_computed > 0 && stats.nodes_rebuilt > 0);
-    assert_eq!(
-        prepared.report.metrics.counter_value("rewrite.props_derived"),
-        stats.props_derived as u64
-    );
-    assert_eq!(
-        prepared.report.metrics.counter_value("rewrite.props_computed"),
-        stats.props_computed as u64
-    );
-    assert_eq!(
-        prepared.report.metrics.counter_value("rewrite.nodes_rebuilt"),
-        stats.nodes_rebuilt as u64
-    );
+    assert_eq!(counters["rewrite.props_derived"], stats.props_derived as u64);
+    assert_eq!(counters["rewrite.props_computed"], stats.props_computed as u64);
+    assert_eq!(counters["rewrite.nodes_rebuilt"], stats.nodes_rebuilt as u64);
     assert_eq!(prepared.report.rewrite.applied, stats.applied);
 }
 
@@ -127,7 +116,7 @@ fn explain_analyze_q1_shape() {
 
     let expected = "\
 RETURN (est_rows N, act_rows N)
- SORT (DISTINCT, ORDER BY dN.pre) (rows_in N, dedup_removed N, spills N)
+ SORT (DISTINCT, ORDER BY dN.pre) (rows_in N, dedup_removed N)
  PLAN (cached, states=N)
  VECTORIZED (batch=N, batches=N, kernels=N, fallbacks=N, descents=N, skips=N)
  JOIN (strategy hash+nl, build_rows N, probe_batches N, seeks N)
@@ -142,15 +131,14 @@ RETURN (est_rows N, act_rows N)
 }
 
 /// Serve-style telemetry under contention: 8 client threads hammer one
-/// [`jgi_serve::Server`], and (a) every request's `QueryReport` metric
-/// deltas are identical to every other run of the same query — thread-
-/// local `Recording`s never bleed across concurrent requests — while
-/// (b) the always-on registry's counter totals equal the sum of the
-/// per-request deltas exactly, for every counter the reports carry.
+/// [`jgi_serve::Server`], and (a) every request's execution counters are
+/// identical to every other run of the same query — concurrent requests
+/// never bleed into each other's report — with `opt.*` present iff the run
+/// planned, while (b) the always-on registry's counter totals equal the
+/// sum of the per-request counters plus one compile's rewrite counters per
+/// query, exactly, for every counter either carries.
 #[test]
 fn concurrent_requests_isolate_recordings_and_sum_into_registry() {
-    use std::collections::BTreeMap;
-
     let server = jgi_serve::Server::new(jgi_serve::ServeConfig {
         workers: 4,
         ..Default::default()
@@ -189,7 +177,7 @@ fn concurrent_requests_isolate_recordings_and_sum_into_registry() {
     assert_eq!(ids.len(), replies.len(), "trace ids must be unique");
 
     // (a) Isolation: every concurrent run of a query reports the same
-    // rows and byte-identical counter deltas as every other run of it —
+    // rows and identical execution counters as every other run of it —
     // except the optimizer's `opt.*`, which only the runs that planned
     // carry: a memo hit plans nothing. At least one run per query planned,
     // and no more than could have raced on the empty memo (one per worker).
@@ -198,46 +186,75 @@ fn concurrent_requests_isolate_recordings_and_sum_into_registry() {
     let mut planned = vec![0usize; queries.len()];
     for (qi, reply) in &replies {
         let (opt, counters): (Vec<_>, Vec<_>) =
-            reply.report.metrics.counters().partition(|(k, _)| k.starts_with("opt."));
-        assert!(!counters.is_empty(), "report must carry counter deltas");
+            reply.report.exec_counters().partition(|(k, _)| k.starts_with("opt."));
+        assert!(!counters.is_empty(), "report must carry execution counters");
         assert_eq!(opt.is_empty(), reply.report.plan_cached, "opt.* iff this run planned");
         planned[*qi] += usize::from(!reply.report.plan_cached);
         let entry = reference
             .entry(*qi)
             .or_insert_with(|| (reply.report.rows, counters.clone()));
         assert_eq!(entry.0, reply.report.rows, "row count diverged across threads");
-        assert_eq!(
-            entry.1, counters,
-            "per-request counter deltas diverged across concurrent runs"
-        );
+        assert_eq!(entry.1, counters, "execution counters diverged across concurrent runs");
     }
     assert_eq!(reference.len(), queries.len());
     assert!(planned.iter().all(|&n| (1..=4).contains(&n)), "planned runs per query: {planned:?}");
 
-    // (b) Registry totals are exactly the sum of per-request deltas.
+    // (b) Registry totals are exactly the sum of per-request execution
+    // counters plus each query's single compile.
     let mut expected: BTreeMap<&'static str, u64> = BTreeMap::new();
     for (_, reply) in &replies {
-        for (k, v) in reply.report.metrics.counters() {
+        for (k, v) in reply.report.exec_counters() {
             *expected.entry(k).or_insert(0) += v;
         }
     }
     let totals = server.metrics();
+    assert_eq!(totals.counter_value("serve.cache.miss"), queries.len() as u64, "one compile each");
+    for q in queries {
+        let (prepared, cached) = server.prepare(q, None).expect("cached");
+        assert!(cached);
+        for (k, v) in rewrite_counters(&prepared.stats) {
+            *expected.entry(k).or_insert(0) += v;
+        }
+    }
     for (k, v) in expected {
         assert_eq!(
             totals.counter_value(k),
             v,
-            "registry total for {k} must equal the sum of per-request deltas"
+            "registry total for {k} must equal the per-request and per-compile sum"
         );
     }
-    assert_eq!(
-        totals.counter_value("serve.requests"),
-        replies.len() as u64
-    );
+    assert_eq!(totals.counter_value("serve.requests"), replies.len() as u64);
 }
 
-/// A vectorized corpus run surfaces the batch-pipeline work in the obs
-/// metrics: batches actually flow (`exec.vector.batches`) and the sorted
-/// batched B-tree probes actually skip descents (`btree.skip`).
+/// A warm execution adds only its own execution counters to the serve
+/// registry: the rewrite counters belong to the compile and are folded in
+/// once, however often the cached plan runs.
+#[test]
+fn rewrite_counters_fold_once_per_compile() {
+    let server = jgi_serve::Server::new(jgi_serve::ServeConfig {
+        workers: 2,
+        ..Default::default()
+    });
+    server.add_tree(generate_xmark(XmarkConfig { scale: 0.002, seed: 5 }));
+    for _ in 0..3 {
+        server.execute(Q1, None, Engine::JoinGraph, None).expect("Q1 executes");
+    }
+    let (prepared, cached) = server.prepare(Q1, None).expect("Q1 compiles");
+    assert!(cached, "all three executions shared one compile");
+    let stats = &prepared.stats;
+    assert!(stats.steps > 0, "Q1 must trigger rewrites");
+    let m = server.metrics();
+    assert_eq!(m.counter_value("serve.requests"), 3);
+    assert_eq!(m.counter_value("rewrite.steps"), stats.steps as u64);
+    for (rule, n) in &stats.applied {
+        assert_eq!(m.counter_value(rule), *n as u64, "rule {rule} counted once per compile");
+    }
+}
+
+/// A vectorized corpus run surfaces the batch-pipeline work in the
+/// report: batches actually flow (`exec.vector.batches`) and the sorted
+/// batched B-tree probes actually skip descents (`btree.skip`), and the
+/// report's counters carry exactly the executor's `ExecStats`.
 #[test]
 fn vectorized_counters_surface_in_obs() {
     let mut s = Session::new();
@@ -249,8 +266,12 @@ fn vectorized_counters_surface_in_obs() {
     for &(_, query, ctx) in &paper_corpus() {
         let prepared = s.prepare(query, ctx).expect("corpus compiles");
         let outcome = s.execute(&prepared, Engine::JoinGraph).expect("corpus executes");
-        batches += outcome.report.metrics.counter_value("exec.vector.batches");
-        skips += outcome.report.metrics.counter_value("btree.skip");
+        let Some(exec) = &outcome.report.exec else { continue };
+        batches += exec.vector_batches;
+        skips += exec.btree_skips;
+        let counters: BTreeMap<&str, u64> = outcome.report.exec_counters().collect();
+        assert_eq!(counters["exec.vector.batches"], exec.vector_batches);
+        assert_eq!(counters["btree.skip"], exec.btree_skips);
     }
     assert!(batches > 0, "no exec.vector.batches recorded across the corpus");
     assert!(skips > 0, "no btree.skip recorded across the corpus");

@@ -19,6 +19,10 @@
 //! asserted, once per `(operator id, input schema ids)`.
 //! [`Plan::node`] hands out a borrowed [`Node`] view.
 //!
+//! No builder call makes a π directly over a π: [`Plan::project`] and
+//! [`Plan::with_inputs`] compose the two renamings (Fig. 5 rule (2)), and
+//! `validate` rejects the shape a raw [`Plan::add`] can still build.
+//!
 //! The interning maps serve only construction. [`Plan::freeze`] drops them
 //! once a plan is done (a prepared query keeps its plan for as long as it
 //! is cached); a later builder call rebuilds them from the tables first.
@@ -234,10 +238,16 @@ impl Plan {
 
     /// Re-add node `id`'s operator over different inputs (used by the
     /// rewriter). The operator is not cloned or hashed: this is the
-    /// allocation-free path every rebuilt ancestor takes.
+    /// allocation-free path every rebuilt ancestor takes — except a π
+    /// rebuilt over a π, which [`Plan::project`] composes.
     pub fn with_inputs(&mut self, id: NodeId, inputs: &[NodeId]) -> NodeId {
         let Node { op, inputs: old, .. } = self.node(id);
         assert_eq!(old.len(), inputs.len(), "operator arity mismatch for {}", op.name());
+        if let Op::Project(m) = op {
+            if matches!(self.node(inputs[0]).op, Op::Project(_)) {
+                return self.project(inputs[0], m.clone());
+            }
+        }
         self.thaw();
         self.add_interned(self.nodes[id.0 as usize].op, inputs)
     }
@@ -382,8 +392,23 @@ impl Plan {
         }
     }
 
-    /// π — projection with rename pairs `(out, in)`.
+    /// π — projection with rename pairs `(out, in)`. Over a π it composes
+    /// the two renamings into one π over the inner input (Fig. 5 rule (2)
+    /// as a constructor property): no builder call makes a π over a π.
     pub fn project(&mut self, input: NodeId, mapping: Vec<(Col, Col)>) -> NodeId {
+        if let Op::Project(inner) = self.node(input).op {
+            let composed: Option<Vec<(Col, Col)>> = mapping
+                .iter()
+                .map(|&(out, mid)| {
+                    inner.iter().find(|(o, _)| *o == mid).map(|&(_, src)| (out, src))
+                })
+                .collect();
+            // A source the inner π lacks falls through to the schema check.
+            if let Some(composed) = composed {
+                let grandchild = self.node(input).inputs[0];
+                return self.add(Op::Project(composed), &[grandchild]);
+            }
+        }
         self.add(Op::Project(mapping), &[input])
     }
 
@@ -553,6 +578,25 @@ mod tests {
         assert!(p.schema(proj).contains(item));
         assert!(!p.schema(proj).contains(pre));
         assert_eq!(p.schema(proj).len(), 1);
+    }
+
+    /// Fig. 5 rule (2), π(π(q)) → π(q), holds by construction.
+    #[test]
+    fn project_over_project_composes() {
+        let mut p = Plan::new();
+        let [a, b, c, d] = ["a", "b", "c", "d"].map(|n| p.col(n));
+        let q = p.lit(vec![a, b], vec![vec![Value::Int(1), Value::Int(2)]]);
+        let n = p.project(q, vec![(c, a), (d, b)]);
+        let m = p.project(n, vec![(a, d), (b, c), (c, c)]);
+        // m∘n, spelled out: a←d←b, b←c←a, c←c←a.
+        assert_eq!(m, p.project(q, vec![(a, b), (b, a), (c, a)]));
+        assert_eq!(p.node(m).inputs, &[q]);
+        // Rebuilding a π over a π composes too.
+        let other = p.lit(vec![c, d], vec![]);
+        let over = p.project(other, vec![(a, c)]);
+        let rebuilt = p.with_inputs(over, &[n]);
+        assert_eq!(rebuilt, p.project(q, vec![(a, a)]));
+        assert_eq!(p.node(rebuilt).inputs, &[q]);
     }
 
     #[test]

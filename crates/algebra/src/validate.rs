@@ -59,6 +59,11 @@ pub fn validate(plan: &Plan, root: NodeId) -> Result<(), String> {
                 }
             }
             Op::Project(mapping) => {
+                // `Plan::project` composes π∘π; only a raw `Plan::add`
+                // builds one, and no rewriter path may.
+                if matches!(plan.node(node.inputs[0]).op, Op::Project(_)) {
+                    return Err(format!("node {}: projection directly over a projection", id.0));
+                }
                 let s = input(0);
                 for (_, src) in mapping {
                     if !s.contains(*src) {
@@ -172,6 +177,19 @@ mod tests {
         let r = p.add(Op::Rank { out: pos, by: vec![] }, &[l]);
         let err = validate(&p, r).unwrap_err();
         assert!(err.contains("empty criteria"), "{err}");
+    }
+
+    #[test]
+    fn catches_projection_over_projection() {
+        let mut p = Plan::new();
+        let iter = p.col("iter");
+        let l = p.lit(vec![iter], vec![]);
+        let inner = p.project_same(l, &[iter]);
+        let outer = p.add(Op::Project(vec![(iter, iter)]), &[inner]);
+        let err = validate(&p, outer).unwrap_err();
+        assert!(err.contains("over a projection"), "{err}");
+        // The constructor composes the same pair: into the inner π itself.
+        assert_eq!(p.project_same(inner, &[iter]), inner);
     }
 
     #[test]

@@ -49,7 +49,7 @@ pub const LINTS: &[LintDef] = &[
     },
     LintDef {
         code: "redundant-projection",
-        summary: "identity projection or π directly over π (rules (1)/(2) residue)",
+        summary: "identity projection (rule (2b) residue)",
         run: lint_redundant_projection,
     },
     LintDef {
@@ -116,21 +116,13 @@ fn lint_redundant_projection(plan: &Plan, root: NodeId, _props: &Props, out: &mu
         let node = plan.node(id);
         let Op::Project(m) = &node.op else { continue };
         let input = node.inputs[0];
-        if matches!(plan.node(input).op, Op::Project(_)) {
-            out.push(LintDiag {
-                code: "redundant-projection",
-                node: id,
-                op: "project",
-                message: "π directly over π — rule (1) merges these".into(),
-            });
-        }
         let identity = m.iter().all(|(o, s)| o == s) && m.len() == plan.schema(input).len();
         if identity {
             out.push(LintDiag {
                 code: "redundant-projection",
                 node: id,
                 op: "project",
-                message: "identity projection — rule (2) removes it".into(),
+                message: "identity projection — rule (2b) removes it".into(),
             });
         }
     }
@@ -276,15 +268,16 @@ mod tests {
         let item = p.col("item");
         let pos = p.col("pos");
         let junk = p.col("junk");
-        let att = p.attach(d, junk, Value::Int(7));
-        let proj = p.project(att, vec![(item, pre), (pos, pre)]);
-        let schema: Vec<_> = p.schema(proj).iter().collect();
-        let ident = p.project_same(proj, &schema);
+        let proj = p.project(d, vec![(item, pre), (pos, pre)]);
+        let att = p.attach(proj, junk, Value::Int(7));
+        let schema: Vec<_> = p.schema(att).iter().collect();
+        let ident = p.project_same(att, &schema);
         let root = p.serialize(ident, item, pos);
         let diags = lint(&p, root);
         let codes = lint_codes(&diags);
         assert!(codes.contains(&"dead-column"), "{diags:?}");
-        assert!(codes.contains(&"redundant-projection"), "{diags:?}");
+        let ident_diag = diags.iter().find(|d| d.code == "redundant-projection");
+        assert_eq!(ident_diag.map(|d| d.node), Some(ident), "{diags:?}");
     }
 
     #[test]

@@ -1,11 +1,15 @@
 //! The goal-directed rewrite driver (paper §3.2).
 //!
 //! Applies the Fig. 5 rules with the paper's goal order: house-cleaning
-//! whenever necessary, subgoal ϱ before the δ/⋈ subgoals. Each step is a
-//! single rewrite followed by substitution into the ancestors of the
-//! replaced node and by advancing one [`Props`] table to the new root —
-//! both at a cost proportional to what the fire touched, not to the DAG
-//! (see [`crate::props`] for why carrying the table over is sound).
+//! whenever necessary, subgoal ϱ before the δ/⋈ subgoals. Each step (a
+//! *fire*) replaces one node, followed by substitution into the ancestors
+//! of the replaced node and by advancing one [`Props`] table to the new
+//! root — both at a cost proportional to what the fire touched, not to the
+//! DAG (see [`crate::props`] for why carrying the table over is sound). A
+//! house-cleaning or ϱ fire is a single rewrite. A join fire is one §3.2
+//! goal, "push this equi-join down until rule (19) removes it": the
+//! replacement of the join is built through every (17)/(18) level and the
+//! final (19), and substituted into the plan once.
 //!
 //! Termination. House-cleaning shrinks the plan, ϱ rules only move ranks
 //! rootward and join push-down descends, but adjacent equi-joins can trade
@@ -15,9 +19,9 @@
 //! `visited`, every root seen so far — a rewrite whose substitution lands
 //! on one is not applied; `banned`, the `(old, new)` pairs turned down that
 //! way, so that the scan proposes the next candidate — cleared when a phase
-//! rule or a join elimination changes the state, not by a push of the join
-//! descent; `stuck`, the equi-joins whose descent ended without
-//! elimination — retried only after an elimination, since a changed
+//! rule or a join elimination changes the state, not by a descent that only
+//! pushes; `stuck`, the positions of equi-joins whose descent ended without
+//! an applied elimination — retried only after one, since a changed
 //! neighbourhood rebuilds them under new ids anyway. A fuel constant bounds
 //! pathological inputs defensively; all rewrites preserve semantics, so
 //! running out of it still yields a *correct* (merely less isolated) plan.
@@ -31,7 +35,7 @@ use jgi_algebra::{NodeId, Plan};
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 
-/// Steps after which isolation gives up (the benchmark's longest run: 4 269).
+/// Steps after which isolation gives up (the benchmark's longest run: 1 400).
 const FUEL: usize = 20_000;
 
 /// Is checked-mode rewriting enabled (`JGI_CHECK=1`)?
@@ -77,7 +81,8 @@ pub struct FireInfo<'a> {
     /// The plan arena *after* the fire (old nodes stay valid — rewrites are
     /// non-destructive, so the pre-fire sub-DAG is still readable).
     pub plan: &'a Plan,
-    /// Label of the rule that fired.
+    /// Label of the rule that fired; for a join descent, the rule of its
+    /// last level.
     pub rule: &'static str,
     /// 1-based rewrite step count.
     pub step: usize,
@@ -140,9 +145,11 @@ impl<W: std::io::Write> RewriteObserver for TraceObserver<W> {
 /// Statistics of one isolation run.
 #[derive(Debug, Clone, Default)]
 pub struct IsolateStats {
-    /// Number of rewrite steps applied, per rule label.
+    /// Rule applications per rule label: one per level, so a join descent
+    /// that passes three operators and is then eliminated counts three
+    /// (17)/(18) and one (19) in a single step.
     pub applied: HashMap<&'static str, usize>,
-    /// Total rewrite steps.
+    /// Fires: substitutions into the plan, one per rewrite step.
     pub steps: usize,
     /// Reachable node count before isolation.
     pub nodes_before: usize,
@@ -224,10 +231,24 @@ struct Run<'a> {
     observer: &'a mut dyn RewriteObserver,
 }
 
+/// One equi-join's way down: the replacement built for the join it started
+/// from, and the levels it passed.
+struct Descent {
+    /// The replacement: the join pushed to its last position, or eliminated.
+    to: NodeId,
+    /// The positions of the join, the starting one first.
+    path: Vec<NodeId>,
+    /// The rule of each level, in descent order.
+    levels: Vec<&'static str>,
+    /// Did rule (19) end the descent?
+    eliminated: bool,
+}
+
 impl Run<'_> {
     /// Substitute `rw` into the plan and make the result the current state,
-    /// unless that state was seen before (`Ok(false)`).
-    fn apply(&mut self, rw: Rewrite) -> Result<bool, IsolateError> {
+    /// unless that state was seen before (`Ok(false)`). The fire counts one
+    /// step and one application of each rule in `levels`.
+    fn apply(&mut self, rw: Rewrite, levels: &[&'static str]) -> Result<bool, IsolateError> {
         let root_before = self.props.root();
         let (new_root, rebuilt) = substitute(self.plan, &self.props, rw.old, rw.new);
         self.stats.nodes_rebuilt += rebuilt;
@@ -235,7 +256,9 @@ impl Run<'_> {
             return Ok(false);
         }
         self.props.advance(self.plan, new_root);
-        *self.stats.applied.entry(rw.rule).or_default() += 1;
+        for &rule in levels {
+            *self.stats.applied.entry(rule).or_default() += 1;
+        }
         self.stats.steps += 1;
         let fail = |message: String| IsolateError {
             rule: rw.rule,
@@ -276,6 +299,60 @@ impl Run<'_> {
         self.observer.after_fire(&info).map_err(fail)?;
         Ok(true)
     }
+
+    /// Drive the equi-join `j0` downward until rule (19) eliminates it or
+    /// no push applies; the direction is chosen on the first push and then
+    /// kept. Only the replacement of `j0` is rebuilt at each level: every
+    /// position the join passes, and every node between it and `j0`'s
+    /// replacement, was built by this descent, so each push or elimination
+    /// is substituted inside the nodes allocated since the descent began
+    /// (no older node contains a newer one). The DAG and the property
+    /// table are left as they were: the caller applies the result.
+    fn descend(&mut self, j0: NodeId) -> Descent {
+        let start = self.plan.len();
+        let below_union = self.props.below_union(j0);
+        let mut d = Descent { to: j0, path: vec![j0], levels: Vec::new(), eliminated: false };
+        let mut j = j0;
+        let mut dir: Option<bool> = None;
+        loop {
+            if let Some(rw) = try_eliminate_join(self.plan, &self.props, j) {
+                d.to = replace_within(self.plan, d.to, j, rw.new, start);
+                d.levels.push(rw.rule);
+                d.eliminated = true;
+                return d;
+            }
+            if below_union {
+                return d;
+            }
+            let Some((rw, moved, used_dir)) = try_push_join(self.plan, j, dir) else {
+                return d;
+            };
+            d.to = replace_within(self.plan, d.to, j, rw.new, start);
+            d.levels.push(rw.rule);
+            j = moved;
+            dir = Some(used_dir);
+            d.path.push(j);
+        }
+    }
+}
+
+/// Replace `old` by `new` inside `top`, rebuilding only the nodes of `top`
+/// allocated at or after `start`. Node ids are topological, so nothing
+/// older than `old` contains it.
+fn replace_within(plan: &mut Plan, top: NodeId, old: NodeId, new: NodeId, start: usize) -> NodeId {
+    if top == old {
+        return new;
+    }
+    if (top.0 as usize) < start || top < old {
+        return top;
+    }
+    let mut inputs = [NodeId(0); 2];
+    let inputs = &mut inputs[..plan.node(top).inputs.len()];
+    inputs.copy_from_slice(plan.node(top).inputs);
+    for i in inputs.iter_mut() {
+        *i = replace_within(plan, *i, old, new, start);
+    }
+    plan.with_inputs(top, inputs)
 }
 
 /// [`isolate_with_observer`] with an explicit step budget.
@@ -305,7 +382,7 @@ pub(crate) fn isolate_with_fuel(
         // House-cleaning and the ϱ subgoal to fixpoint.
         for phase in [Phase::House, Phase::RankGoal, Phase::JoinGoal] {
             while let Some(rw) = find_rewrite(run.plan, &mut run.props, phase, &run.banned) {
-                if run.apply(rw)? {
+                if run.apply(rw, &[rw.rule])? {
                     run.banned.clear();
                     continue 'outer;
                 }
@@ -314,7 +391,7 @@ pub(crate) fn isolate_with_fuel(
         }
 
         // Join descent: deepest pushable equi-join not known to be stuck.
-        // Each equi-join is driven to its destination in one sweep, so
+        // Each equi-join is driven to its destination in one fire, so
         // adjacent equi-joins never tumble.
         let candidates: Vec<NodeId> = run
             .props
@@ -323,43 +400,25 @@ pub(crate) fn isolate_with_fuel(
             .copied()
             .filter(|&id| is_pushable_equijoin(run.plan, id) && !stuck.contains(&id))
             .collect();
-        for mut j in candidates {
-            // Drive this join downward until eliminated or stuck; the
-            // descent direction is chosen on the first push and then kept.
+        for j in candidates {
+            let descent = run.descend(j);
+            // One fire for the whole descent, labelled by its last level.
+            let fired = match descent.levels.last() {
+                Some(&rule) => {
+                    run.apply(Rewrite { old: j, new: descent.to, rule }, &descent.levels)?
+                }
+                None => false,
+            };
             // If the descent ends without elimination, every position along
             // the way is marked stuck — including the starting one, which
             // house-cleaning may resurrect by hash-consing.
-            let mut dir: Option<bool> = None;
-            let mut path = vec![j];
-            let mut eliminated = false;
-            loop {
-                if run.stats.steps >= fuel {
-                    run.stats.fuel_exhausted = true;
-                    break 'outer;
-                }
-                if let Some(rw) = try_eliminate_join(run.plan, &run.props, j) {
-                    if run.apply(rw)? {
-                        run.banned.clear();
-                        stuck.clear(); // elimination may unstick others
-                        eliminated = true;
-                    }
-                    break;
-                }
-                let Some((rw, moved, used_dir)) = try_push_join(run.plan, &run.props, j, dir)
-                else {
-                    break;
-                };
-                if !run.apply(rw)? {
-                    break;
-                }
-                j = moved;
-                dir = Some(used_dir);
-                path.push(j);
+            if fired && descent.eliminated {
+                run.banned.clear();
+                stuck.clear(); // elimination may unstick others
+            } else {
+                stuck.extend(&descent.path);
             }
-            if !eliminated {
-                stuck.extend(&path);
-            }
-            if eliminated || path.len() > 1 {
+            if fired {
                 // Re-run the cheap phases before the next join.
                 continue 'outer;
             }
@@ -576,8 +635,8 @@ mod tests {
         assert!(stats.applied.contains_key("(17)"), "{}", stats.summary());
         assert_eq!(joins_over_select(&plan, new_root), 0);
 
-        // Below the ∪ no position of the join may be pushed: below-∪ is read
-        // from the property table of the *current* root at every step.
+        // Below the ∪ the join may not be pushed: below-∪ is read once, for
+        // the join the descent starts from, and a push keeps it below the ∪.
         let (mut plan, root) = value_join(true);
         let before = execute_serialized(&plan, root, &store, ExecBudget::default()).unwrap();
         let (new_root, stats) = isolate(&mut plan, root);

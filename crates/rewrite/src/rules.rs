@@ -120,24 +120,10 @@ fn house_rules(plan: &mut Plan, props: &Props, id: NodeId) -> Option<Rewrite> {
             None
         }
 
+        // (2)  π(π(q)) → π(q) is no rule here: `Plan::project` composes
+        // the renamings whenever it builds a π over a π.
         Op::Project(outer) => {
             let input = node.inputs[0];
-            // (2)  π(π(q)) → π(q), composing the renamings.
-            if let Op::Project(inner) = plan.node(input).op {
-                let grandchild = plan.node(input).inputs[0];
-                let composed: Vec<(Col, Col)> = outer
-                    .iter()
-                    .map(|(out, mid)| {
-                        let (_, src) = inner
-                            .iter()
-                            .find(|(o, _)| o == mid)
-                            .expect("validated plan: projection source exists");
-                        (*out, *src)
-                    })
-                    .collect();
-                let new = plan.project(grandchild, composed);
-                return Some(Rewrite { old: id, new, rule: "(2)" });
-            }
             // (7)  π with outputs nobody needs → π onto icols.
             let icols = props.icols(id);
             if !schema_locked && !icols.is_empty() {
@@ -214,7 +200,7 @@ fn house_rules(plan: &mut Plan, props: &Props, id: NodeId) -> Option<Rewrite> {
             // (6c)  #a(q) → π_{…,a:k}(q) when q has a single-column key k:
             // the row ids are "arbitrary unique" values, and a key column
             // provides such values for free — after which the loop-identity
-            // joins collapse via rules (2)/(19). (Engineering rule; in the
+            // joins collapse via rule (19). (Engineering rule; in the
             // paper this situation resolves through rule (19) reaching the
             // literally shared # instance.)
             if !schema_locked {
@@ -234,9 +220,9 @@ fn house_rules(plan: &mut Plan, props: &Props, id: NodeId) -> Option<Rewrite> {
                 }
             }
             // (2c)  #a(π(q)) → π'(#a(q)) — row ids are arbitrary unique
-            // values, so a pure renaming below the # can float above it.
-            // This exposes π∘π compositions (rule (2)) across row-id
-            // operators and lets rule (19) see through them. (Engineering
+            // values, so a pure renaming below the # can float above it,
+            // where it composes with a π above the # (rule (2)) and lets
+            // rule (19) see through row-id operators. (Engineering
             // rule; the paper's name-free treatment doesn't need it.)
             if let Op::Project(m) = plan.node(node.inputs[0]).op {
                 let q = plan.node(node.inputs[0]).inputs[0];
@@ -282,7 +268,7 @@ fn house_rules(plan: &mut Plan, props: &Props, id: NodeId) -> Option<Rewrite> {
 /// class (inferred by [`Props::canon`]). This keeps the order-isomorphic
 /// *copies* introduced by rule (9) transparent: a projection source
 /// `sort:pos` where `pos` duplicates `item` becomes `sort:item`, which lets
-/// rules (19) and (2) see through the loop bookkeeping. Values are equal
+/// rule (19) see through the loop bookkeeping. Values are equal
 /// row-by-row, so the rewrite is an identity on the table level.
 fn canonicalize_columns(plan: &mut Plan, props: &Props, id: NodeId) -> Option<Rewrite> {
     let node = plan.node(id);
@@ -516,7 +502,10 @@ fn rule_16(plan: &mut Plan, props: &Props, id: NodeId) -> Option<Rewrite> {
     Some(Rewrite { old: id, new, rule: "(16)" })
 }
 
-/// Try to *eliminate* the equi-join `id` via rule (19).
+/// Try to *eliminate* the equi-join `id` via rule (19). The join itself
+/// need not be in `props`' DAG: the rule reads bottom-up properties of
+/// the nodes under its inputs' projections, and a join that a descent
+/// pushed has inputs that are in the DAG or projections over such nodes.
 pub fn try_eliminate_join(plan: &mut Plan, props: &Props, id: NodeId) -> Option<Rewrite> {
     let (l, r, a, b) = as_pushable(plan, id)?;
     rule_19(plan, props, id, l, r, a, b)
@@ -524,17 +513,15 @@ pub fn try_eliminate_join(plan: &mut Plan, props: &Props, id: NodeId) -> Option<
 
 /// Try to push the equi-join `id` one operator deeper (rules (17)/(18)).
 /// Returns the rewrite plus the id of the join's new position, so the
-/// driver's descent loop can follow it.
+/// driver's descent loop can follow it. A join below a ∪ stays put: the
+/// driver reads below-∪ once, for the join a descent starts from, since a
+/// push only rebuilds the pushed join's ancestors.
 pub fn try_push_join(
     plan: &mut Plan,
-    props: &Props,
     id: NodeId,
     dir: Option<bool>,
 ) -> Option<(Rewrite, NodeId, bool)> {
     let (l, r, a, b) = as_pushable(plan, id)?;
-    if props.below_union(id) {
-        return None;
-    }
     // The paper's footnote 5: take operator argument plan sizes into
     // account. A descent picks its direction once — the *larger* input,
     // the deep body side where the join's partner occurrence lives — and
@@ -773,6 +760,7 @@ fn rule_19(
     for (outer, fac, oc, fc) in [(l, r, a, b), (r, l, b, a)] {
         let (base_o, map_o) = unwrap_proj(plan, outer);
         let (x, map_f) = unwrap_proj(plan, fac);
+        debug_assert!(props.contains(base_o) && props.contains(x), "rule (19) reads known nodes");
         let Some(src_f) = map_f.iter().find(|(out, _)| *out == fc).map(|(_, s)| *s) else {
             continue;
         };
@@ -961,27 +949,6 @@ mod tests {
         assert!(!ops.contains(&"attach"), "{ops:?}");
         assert!(!ops.contains(&"rowid"), "{ops:?}");
         assert!(!ops.contains(&"rank"), "{ops:?}");
-    }
-
-    #[test]
-    fn rule2_composes_projections() {
-        let mut p = Plan::new();
-        let a = p.col("a");
-        let b = p.col("b");
-        let c = p.col("c");
-        let lit = p.lit(vec![a], vec![vec![Value::Int(1)]]);
-        let p1 = p.project(lit, vec![(b, a)]);
-        let p2 = p.project(p1, vec![(c, b)]);
-        let pos = p.col("pos");
-        let att = p.attach(p2, pos, Value::Int(1));
-        let root = p.serialize(att, c, pos);
-        let new_root = apply_house(&mut p, root);
-        let projs = p
-            .topo_order(new_root)
-            .iter()
-            .filter(|&&id| matches!(p.node(id).op, Op::Project(_)))
-            .count();
-        assert!(projs <= 1, "projections should compose");
     }
 
     #[test]

@@ -101,7 +101,7 @@ fn fire_sequences_and_sql_match_golden() {
         );
         total_steps += stats.steps;
     }
-    // The benchmark's `rewrite.steps` per-layer count, 1 052 per op over
-    // the 11 texts.
-    assert_eq!(total_steps, 11_573);
+    // The benchmark's `rewrite.steps` per-layer count, 351 per op over
+    // the 11 texts (1 052 while a join descent took one fire per level).
+    assert_eq!(total_steps, 3_863);
 }

@@ -154,9 +154,15 @@ fn check_random_fires(query: &str, choices: &[(usize, usize)]) {
                     .copied()
                     .filter(|&id| is_pushable_equijoin(&plan, id))
                     .collect();
+                // A push is one level of the driver's descent, which stays
+                // put below a ∪.
                 joins.get(skip % joins.len().max(1)).and_then(|&j| {
-                    try_eliminate_join(&mut plan, &props, j)
-                        .or_else(|| try_push_join(&mut plan, &props, j, None).map(|(rw, ..)| rw))
+                    try_eliminate_join(&mut plan, &props, j).or_else(|| {
+                        if props.below_union(j) {
+                            return None;
+                        }
+                        try_push_join(&mut plan, j, None).map(|(rw, ..)| rw)
+                    })
                 })
             }
         };

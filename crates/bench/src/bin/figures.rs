@@ -42,7 +42,7 @@ fn plan_figure(query: &str, isolated: bool, dot: bool, title: &str) {
         println!("{}", render_text(&p.plan, root));
     }
     if isolated {
-        println!("(isolation: {})", p.stats.summary());
+        println!("(isolation: {})", p.report.rewrite.summary());
     }
 }
 

@@ -406,15 +406,11 @@ pub struct Prepared {
     pub stacked_root: NodeId,
     /// Root after join graph isolation.
     pub isolated_root: NodeId,
-    /// Rewrite statistics.
-    pub stats: IsolateStats,
     /// The extracted join graph (None when the plan shape falls outside the
     /// extractable fragment — execution then falls back to `Stacked`).
     pub cq: Option<ConjunctiveQuery>,
     /// The join-graph SQL block (paper Figs. 8/9), if extractable.
     pub sql: Option<String>,
-    /// The stacked CTE SQL.
-    pub stacked_sql: String,
     /// Report holding the prepare-side phase timings (parse through
     /// emit-SQL); [`Session::execute`] extends a copy with plan/execute.
     pub report: QueryReport,
@@ -559,10 +555,9 @@ pub fn prepare_on(
     let t0 = Instant::now();
     let cq = extract_cq(&plan, isolated_root).ok();
     let sql = cq.as_ref().map(jgi_sql::join_graph_sql);
-    let stacked_sql = jgi_sql::stacked_sql(&plan, stacked_root);
     report.record_phase("emit-sql", t0.elapsed());
 
-    report.rewrite = stats.clone();
+    report.rewrite = stats;
     let docs = core.doc_uris();
     plan.freeze();
     Ok(Prepared {
@@ -571,10 +566,8 @@ pub fn prepare_on(
         plan,
         stacked_root,
         isolated_root,
-        stats,
         cq,
         sql,
-        stacked_sql,
         report,
         docs,
         plan_memo: PlanMemo::new(),

@@ -2,8 +2,8 @@
 //!
 //! The paper's pitch is that isolating the join graph lets a battle-tested
 //! engine guarantee the hot path; our reproduction re-implements that hot
-//! path as hand-rolled concurrency (lock-striped registry, atomic queue
-//! accounting, copy-on-write snapshot publication). This crate is the
+//! path as hand-rolled concurrency (atomic queue accounting, copy-on-write
+//! snapshot publication, a bounded flight recorder). This crate is the
 //! machinery that *proves* those protocols instead of stress-hoping: a
 //! loom/CHESS-style stateless model checker, std-only.
 //!
@@ -34,8 +34,8 @@
 //!   budget matches.
 //!
 //! Invariant models for the live system — admission-queue accounting,
-//!   registry merge totals, snapshot/cache generation consistency, flight
-//!   ring admission, window epoch rotation — live in [`models`], with the
+//!   snapshot/cache generation consistency, flight ring admission, window
+//!   epoch rotation — live in [`models`], with the
 //!   *refuted* historical variants (the pre-PR 6 `queue_len` underflow
 //!   ordering, the stale-epoch window reset) kept as executable regression
 //!   proofs. The `model-suite` binary runs the catalog and is wired into

@@ -10,7 +10,6 @@
 //! | model                      | mirrors                                   |
 //! |----------------------------|-------------------------------------------|
 //! | [`queue`]                  | `jgi-serve` admission-queue accounting     |
-//! | [`registry`]               | `jgi-obs` lock-striped registry merge      |
 //! | [`snapshot_cache`]         | the pre-mutation generation-keyed cache    |
 //! | [`publish`]                | `jgi-serve` transactional mutation publish |
 //! | [`plan_memo`]              | `jgi-serve` publish vs. physical-plan memo |
@@ -21,7 +20,6 @@ pub mod flight;
 pub mod plan_memo;
 pub mod publish;
 pub mod queue;
-pub mod registry;
 pub mod snapshot_cache;
 pub mod window;
 
@@ -53,12 +51,6 @@ pub fn catalog() -> Vec<ModelSpec> {
             about: "admission queue_len: increment-before-enqueue with rollback (shipped order)",
             expect: Expectation::Certify,
             run: |cfg| queue::check(queue::QueueOrder::IncrementBeforeEnqueue, cfg),
-        },
-        ModelSpec {
-            name: "registry-merge-totals",
-            about: "lock-striped registry: shard totals conserve deltas, snapshots monotone",
-            expect: Expectation::Certify,
-            run: registry::check,
         },
         ModelSpec {
             name: "snapshot-cache-consistency",

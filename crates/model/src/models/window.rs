@@ -1,7 +1,7 @@
 //! Window-histogram epoch rotation (`jgi-obs` `WindowHistogram`).
 //!
-//! The real histogram computes the current epoch *before* taking the
-//! shard lock, so an observer can reach the ring holding a stale epoch
+//! The real registry computes the current epoch *before* taking its
+//! lock, so an observer can reach the ring holding a stale epoch
 //! after the clock (and other observers) moved on. Ring slots are reused
 //! by `epoch % slots`, lazily rotated on first touch. The rule under
 //! test is what rotation does on an epoch mismatch:

@@ -209,7 +209,7 @@ mod tests {
 
     #[test]
     fn renders_and_validates_a_real_snapshot() {
-        let r = Registry::with_config(2, 4, Duration::from_secs(60));
+        let r = Registry::with_config(4, Duration::from_secs(60));
         r.counter("serve.cache.hit", 41);
         r.counter("serve.admission.shed", 2);
         r.gauge("serve.queue.depth", 7);
@@ -270,7 +270,7 @@ withts 4 1700000000
 
     #[test]
     fn empty_window_falls_back_to_lifetime_quantiles() {
-        let r = Registry::with_config(1, 2, Duration::from_millis(1));
+        let r = Registry::with_config(2, Duration::from_millis(1));
         r.observe("lat", 500);
         // Sleep past the window so the sliding view empties.
         std::thread::sleep(Duration::from_millis(10));

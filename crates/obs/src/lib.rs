@@ -9,17 +9,16 @@
 //!
 //! * [`Metrics`] — named counters, gauges, and power-of-two bucketed
 //!   [`Histogram`]s, and their hand-rolled [`Json`] rendering (no serde);
-//! * the lock-striped concurrent [`Registry`] with sliding-window
-//!   [`WindowHistogram`]s ([`registry`], [`window`]) — one per server,
-//!   fed each request's counters through [`Registry::merge_counters`];
+//! * the concurrent [`Registry`], one lock over counters, gauges and
+//!   sliding-window [`WindowHistogram`]s ([`registry`], [`window`]) — one
+//!   per server, fed each request's counters in one [`Registry::batch`];
 //! * Prometheus text exposition and a format validator ([`expo`]);
 //! * the [`FlightRecorder`] retaining full diagnostics for the slowest /
 //!   shed / errored requests ([`flight`]);
 //! * [`emit_to`], the single stderr emitter for rendered reports.
 //!
 //! The executor hot path stays allocation-free: instrumented loops use
-//! plain local `u64` counters that the layer returns once per call, and a
-//! disabled registry costs one relaxed atomic load per call.
+//! plain local `u64` counters that the layer returns once per call.
 //!
 //! Output routing is controlled by the `JGI_OBS` environment variable:
 //! `off` (default) records nothing externally, `text` prints a readable

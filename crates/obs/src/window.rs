@@ -42,8 +42,8 @@ impl WindowHistogram {
 
     /// Rotate `slot` forward for `epoch` if needed; returns false when the
     /// caller's epoch is *older* than what the slot holds — a stale writer
-    /// (the registry computes the epoch before taking the shard lock) must
-    /// never rotate a slot backwards and wipe a newer slice's counts. The
+    /// (one that read the clock before a slice boundary and wrote after)
+    /// must never rotate a slot backwards and wipe a newer slice's counts. The
     /// jgi-model `window-epoch-rotation` model refutes the old
     /// reset-on-any-mismatch rule and certifies this one.
     fn rotate_for(&mut self, slot: usize, epoch: u64) -> bool {
@@ -88,24 +88,6 @@ impl WindowHistogram {
     pub fn lifetime(&self) -> &Histogram {
         &self.lifetime
     }
-
-    /// Fold another window into this one, slice by slice (same slice
-    /// count assumed; epochs align because registries share one clock).
-    pub fn merge(&mut self, other: &WindowHistogram) {
-        self.lifetime.merge(&other.lifetime);
-        let n = self.slices.len() as u64;
-        for (epoch, h) in &other.slices {
-            if *epoch == u64::MAX {
-                continue;
-            }
-            let slot = (*epoch % n) as usize;
-            if self.slices[slot].0 == *epoch {
-                self.slices[slot].1.merge(h);
-            } else if self.slices[slot].0 == u64::MAX || self.slices[slot].0 < *epoch {
-                self.slices[slot] = (*epoch, h.clone());
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -141,24 +123,9 @@ mod tests {
     }
 
     #[test]
-    fn merge_aligns_slices_by_epoch() {
-        let mut a = WindowHistogram::new(4);
-        let mut b = WindowHistogram::new(4);
-        a.observe(5, 1);
-        b.observe(5, 3);
-        b.observe(6, 7);
-        a.merge(&b);
-        let win = a.window(6);
-        assert_eq!(win.count(), 3);
-        assert_eq!(win.max(), Some(7));
-        assert_eq!(a.lifetime().count(), 3);
-    }
-
-    #[test]
     fn stale_writer_cannot_rotate_a_slot_backwards() {
-        // A writer that computed its epoch before a slice boundary (the
-        // registry reads the clock outside the shard lock) arrives after
-        // a newer epoch already claimed the slot. It must not wipe the
+        // A writer that computed its epoch before a slice boundary
+        // arrives after a newer epoch already claimed the slot. It must not wipe the
         // newer counts; its observation survives in the lifetime view.
         let mut w = WindowHistogram::new(2);
         w.observe(2, 30); // slot 0, epoch 2

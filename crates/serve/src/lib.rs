@@ -34,8 +34,8 @@
 //! The service is measured from outside by the repository benchmark
 //! (`benchmark/`, workloads `serve_read` and `serve_write_mix`).
 //!
-//! Service telemetry (this is DESIGN.md §9): each [`Server`] owns a
-//! lock-striped always-on [`jgi_obs::Registry`] — request, shed, and
+//! Service telemetry (this is DESIGN.md §9): each [`Server`] owns an
+//! always-on [`jgi_obs::Registry`] behind one lock — request, shed, and
 //! deadline counters, sliding-window latency histograms — exposed as
 //! Prometheus text over `METRICS`, while a [`jgi_obs::FlightRecorder`]
 //! retains the slowest and every anomalous request (full report, plan

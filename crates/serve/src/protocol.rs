@@ -386,7 +386,7 @@ fn run_command(server: &Server, cmd: &Command) -> Result<Reply, ServeError> {
                 ("ok", Json::Bool(true)),
                 ("cached", Json::Bool(cached)),
                 ("extractable", Json::Bool(plan.cq.is_some())),
-                ("rewrite_steps", Json::UInt(plan.stats.steps as u64)),
+                ("rewrite_steps", Json::UInt(plan.report.rewrite.steps as u64)),
                 ("generation", Json::UInt(server.snapshot().generation)),
             ])
         }
@@ -712,12 +712,12 @@ mod tests {
             "\"queue_len\":",
             "\"generations\":[",
             "\"flight\":{",
-            "\"telemetry\":true",
             "\"docs\":[",
             "\"invalidated_docs\":",
         ] {
             assert!(stats.contains(needle), "missing {needle} in {stats}");
         }
+        assert!(!stats.contains("\"telemetry\""), "telemetry has no switch: {stats}");
     }
 
     #[test]

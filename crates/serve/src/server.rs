@@ -18,9 +18,9 @@
 //!   back to the caller;
 //! * service-wide accounting — request / shed / deadline counters, cache
 //!   hit/miss/eviction counters, queue-wait and latency sliding-window
-//!   histograms — lives in a per-server lock-striped [`Registry`]. Each
-//!   finished request folds in its [`QueryReport::exec_counters`] and each
-//!   compile its [`rewrite_counters`], so registry totals always equal the
+//!   histograms — lives in a per-server [`Registry`]. Each finished
+//!   request folds in its [`QueryReport::exec_counters`] and each compile
+//!   its [`rewrite_counters`], so registry totals always equal the
 //!   sum of per-request counters plus one set of rewrite counters per
 //!   compile. The slowest and every anomalous (shed / deadline / errored
 //!   / dnf) request is retained in a [`FlightRecorder`] with its plan
@@ -56,18 +56,14 @@ pub struct ServeConfig {
     pub queue_depth: usize,
     /// Prepared-plan cache capacity (plans, not bytes).
     pub cache_capacity: usize,
-    /// Deadline applied to requests that don't carry their own.
-    pub default_deadline: Option<Duration>,
     /// Execution budgets baked into every published snapshot. Each
     /// request runs on one worker thread; the service's parallelism is
     /// across requests (`workers`).
     pub budgets: Budgets,
-    /// Always-on service telemetry (registry + flight recorder). On by
-    /// default; the overhead benchmark flips it off for its baseline leg.
-    pub telemetry: bool,
-    /// Flight-recorder capacity (records, split 3:1 slow:anomaly).
-    pub flight_capacity: usize,
 }
+
+/// Flight-recorder capacity (records, split 3:1 slow:anomaly).
+const FLIGHT_CAPACITY: usize = 64;
 
 impl Default for ServeConfig {
     fn default() -> ServeConfig {
@@ -75,10 +71,7 @@ impl Default for ServeConfig {
             workers: std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4),
             queue_depth: 64,
             cache_capacity: 256,
-            default_deadline: None,
             budgets: Budgets::default(),
-            telemetry: true,
-            flight_capacity: 64,
         }
     }
 }
@@ -151,7 +144,6 @@ impl Server {
         let mut master = Master::new();
         let snapshot = master.publish(config.budgets);
         let registry = Registry::new();
-        registry.set_enabled(config.telemetry);
         // Pre-register the core series so a scrape of an idle server
         // already exposes them at zero (absent-vs-zero is a real
         // distinction to Prometheus alerting).
@@ -177,7 +169,7 @@ impl Server {
             cache: Mutex::named("plan_cache", PlanCache::new(config.cache_capacity)),
             flights: Mutex::named("plan_flights", HashMap::new()),
             registry,
-            flight: Mutex::named("flight", FlightRecorder::new(config.flight_capacity)),
+            flight: Mutex::named("flight", FlightRecorder::new(FLIGHT_CAPACITY)),
             queue_len: AtomicUsize::named("queue_len", 0),
             config: config.clone(),
         });
@@ -307,8 +299,8 @@ impl Server {
         // The insert is visible: retire the flight entry so later misses
         // (after an eviction) start a fresh flight.
         self.state.flights.lock().remove(&key);
-        let reg = &self.state.registry;
-        reg.merge_counters(rewrite_counters(&plan.stats));
+        let mut reg = self.state.registry.batch();
+        reg.merge_counters(rewrite_counters(&plan.report.rewrite));
         reg.counter("serve.cache.miss", 1);
         reg.counter("serve.cache.eviction", evicted);
         reg.observe_us("serve.prepare_us", t0.elapsed());
@@ -316,9 +308,10 @@ impl Server {
     }
 
     /// Serve one query end-to-end: trace id mint, cache-resolved prepare,
-    /// admission, worker execution, reply. `deadline` overrides the
-    /// config default. Every terminal state — success, dnf, shed,
-    /// deadline refusal, error — is offered to the flight recorder.
+    /// admission, worker execution, reply. `deadline` counts from
+    /// admission; `None` waits as long as it takes. Every terminal state —
+    /// success, dnf, shed, deadline refusal, error — is offered to the
+    /// flight recorder.
     pub fn execute(
         &self,
         query: &str,
@@ -330,7 +323,6 @@ impl Server {
         let t_start = Instant::now();
         let snapshot = self.snapshot();
         let generation = snapshot.generation;
-        let effective_deadline = deadline.or(self.state.config.default_deadline);
 
         let prep0 = Instant::now();
         let (prepared, cached) = match self.prepare_on_snapshot(&snapshot, query, context_doc) {
@@ -358,7 +350,7 @@ impl Server {
                 reply.cached_plan = cached;
                 reply.trace_id = trace_id;
                 reply.prepare = prepare;
-                let slack = effective_deadline.map(|d| {
+                let slack = deadline.map(|d| {
                     d.as_micros() as i64 - (prepare + reply.queue_wait + reply.wall).as_micros() as i64
                 });
                 self.offer_result(&snapshot, &prepared, &reply, fingerprint, slack);
@@ -373,8 +365,7 @@ impl Server {
                     }
                 };
                 let total = t_start.elapsed();
-                let slack = effective_deadline
-                    .map(|d| d.as_micros() as i64 - total.as_micros() as i64);
+                let slack = deadline.map(|d| d.as_micros() as i64 - total.as_micros() as i64);
                 self.offer_anomaly(
                     trace_id,
                     query,
@@ -390,19 +381,17 @@ impl Server {
         }
     }
 
-    /// Submit an already-prepared plan against a pinned snapshot. The
-    /// lower-level seam under [`Server::execute`]: no trace id, no flight
-    /// recording — callers that want those go through `execute`.
-    pub fn execute_prepared(
+    /// Submit an already-prepared plan against a pinned snapshot and wait
+    /// for the worker's reply; [`Server::execute`] adds the trace id and
+    /// the flight recording around it.
+    fn execute_prepared(
         &self,
         snapshot: Arc<Snapshot>,
         prepared: Arc<Prepared>,
         engine: Engine,
         deadline: Option<Duration>,
     ) -> Result<ExecReply, ServeError> {
-        let deadline = deadline
-            .or(self.state.config.default_deadline)
-            .map(|d| Instant::now() + d);
+        let deadline = deadline.map(|d| Instant::now() + d);
         let (reply_tx, reply_rx) = mpsc::sync_channel(1);
         let job = Job {
             prepared,
@@ -558,7 +547,6 @@ impl Server {
                 // relaxed: point-in-time stats read of a metrics counter.
                 Json::UInt(self.state.queue_len.load_relaxed() as u64),
             ),
-            ("telemetry".into(), Json::Bool(self.state.config.telemetry)),
             (
                 "cache".into(),
                 Json::obj([
@@ -589,7 +577,7 @@ impl Server {
             (
                 "flight".into(),
                 Json::obj([
-                    ("capacity", Json::UInt(self.state.config.flight_capacity as u64)),
+                    ("capacity", Json::UInt(FLIGHT_CAPACITY as u64)),
                     ("retained", Json::UInt(flight_len as u64)),
                     ("offered", Json::UInt(flight_offered)),
                     ("admitted", Json::UInt(flight_admitted)),
@@ -612,9 +600,6 @@ impl Server {
         fingerprint: String,
         deadline_slack_us: Option<i64>,
     ) {
-        if !self.state.config.telemetry {
-            return;
-        }
         let total_us = (reply.prepare + reply.queue_wait + reply.wall).as_micros() as u64;
         let outcome = match &reply.nodes {
             Some(n) => FlightOutcome::Ok { rows: n.len() as u64 },
@@ -672,9 +657,6 @@ impl Server {
         phases: Vec<(&'static str, u64)>,
         fingerprint_slack: Option<(String, Option<i64>)>,
     ) {
-        if !self.state.config.telemetry {
-            return;
-        }
         let (plan_fingerprint, deadline_slack_us) = match fingerprint_slack {
             Some((f, s)) => (f, s),
             None => (String::new(), None),
@@ -716,14 +698,13 @@ impl std::fmt::Debug for FlightPayload {
     }
 }
 
-/// Hash the emitted SQL (join-graph and stacked) plus the snapshot
-/// generation: requests with equal fingerprints ran the same plan shape
-/// against the same document set.
+/// Hash the join-graph SQL (the query text when the plan has none) plus
+/// the snapshot generation: requests with equal fingerprints ran the same
+/// plan shape against the same document set.
 fn plan_fingerprint(prepared: &Prepared, generation: u64) -> String {
     use std::hash::{Hash, Hasher};
     let mut h = std::collections::hash_map::DefaultHasher::new();
-    prepared.sql.hash(&mut h);
-    prepared.stacked_sql.hash(&mut h);
+    prepared.sql.as_deref().unwrap_or(&prepared.text).hash(&mut h);
     generation.hash(&mut h);
     format!("{:016x}", h.finish())
 }
@@ -752,17 +733,16 @@ fn worker_loop(rx: &Mutex<Receiver<Job>>, state: &State) {
         // relaxed: paired with the producer's increment-before-enqueue;
         // see `execute_prepared` (audit: DESIGN.md §10).
         let len = state.queue_len.fetch_sub_relaxed(1).saturating_sub(1);
-        let reg = &state.registry;
-        reg.gauge("serve.queue.depth", len as i64);
         let queue_wait = job.enqueued.elapsed();
-        if let Some(d) = job.deadline {
-            if Instant::now() > d {
-                reg.counter("serve.requests", 1);
-                reg.counter("serve.deadline.missed", 1);
-                reg.observe_us("serve.queue_us", queue_wait);
-                let _ = job.reply.send(Err(ServeError::DeadlineExceeded));
-                continue;
-            }
+        if job.deadline.is_some_and(|d| Instant::now() > d) {
+            let mut reg = state.registry.batch();
+            reg.gauge("serve.queue.depth", len as i64);
+            reg.counter("serve.requests", 1);
+            reg.counter("serve.deadline.missed", 1);
+            reg.observe_us("serve.queue_us", queue_wait);
+            drop(reg);
+            let _ = job.reply.send(Err(ServeError::DeadlineExceeded));
+            continue;
         }
         // Route the plan to its document's segment (the whole corpus is
         // single-document) or the combined view, then lift result ranks
@@ -770,19 +750,23 @@ fn worker_loop(rx: &Mutex<Receiver<Job>>, state: &State) {
         let (segment, base_pre) = job.snapshot.resolve(&job.prepared.docs);
         let ctx = segment.ctx(job.engine, job.snapshot.budgets);
         let result = execute_prepared(&ctx, &job.prepared, job.engine);
+        // One lock acquisition records the whole request.
+        let mut reg = state.registry.batch();
+        reg.gauge("serve.queue.depth", len as i64);
         reg.counter("serve.requests", 1);
         reg.observe_us("serve.queue_us", queue_wait);
         let reply = match result {
             Ok(outcome) => {
                 reg.observe_us("serve.latency_us", outcome.wall);
                 reg.observe_us("serve.total_us", queue_wait + outcome.wall);
-                // Fold this execution's counters into the always-on totals;
+                // Fold this execution's counters into the service totals;
                 // the compile's rewrite counters were folded on the miss.
                 reg.merge_counters(outcome.report.exec_counters());
                 if outcome.report.optimizer.is_some() {
                     let hit = outcome.report.plan_cached;
                     reg.counter(if hit { "serve.plan_memo.hit" } else { "serve.plan_memo.miss" }, 1);
                 }
+                drop(reg);
                 Ok(ExecReply {
                     deadline_exceeded: job.deadline.is_some_and(|d| Instant::now() > d),
                     nodes: outcome
@@ -800,6 +784,7 @@ fn worker_loop(rx: &Mutex<Receiver<Job>>, state: &State) {
             }
             Err(e) => {
                 reg.counter("serve.errors", 1);
+                drop(reg);
                 Err(ServeError::Session(e))
             }
         };
@@ -1025,20 +1010,6 @@ mod tests {
         let (retained, offered, admitted) = s.flight_stats();
         assert_eq!(retained as u64, admitted);
         assert_eq!(offered, 3);
-    }
-
-    #[test]
-    fn telemetry_off_disables_registry_and_flight() {
-        let s = Server::new(ServeConfig {
-            workers: 1,
-            telemetry: false,
-            ..ServeConfig::default()
-        });
-        s.add_tree(generate_xmark(XmarkConfig { scale: 0.002, seed: 5 }));
-        let q = r#"doc("auction.xml")/descendant::bidder"#;
-        s.execute(q, None, Engine::JoinGraph, None).unwrap();
-        assert!(s.metrics().is_empty(), "disabled registry stays empty");
-        assert_eq!(s.trace_dump(8).len(), 0, "flight recorder stays empty");
     }
 
     #[test]

@@ -32,7 +32,7 @@ fn main() {
     println!("{}", prepared.core.pretty());
 
     println!("== join graph isolation ==");
-    println!("{}\n", prepared.stats.summary());
+    println!("{}\n", prepared.report.rewrite.summary());
 
     println!("== emitted SQL (paper Fig. 8) ==");
     println!("{}\n", prepared.sql.as_ref().expect("Q1 is extractable"));

@@ -39,9 +39,10 @@ fn main() {
     );
 
     println!("== for contrast: the stacked CTE SQL (first 30 lines) ==");
-    for line in prepared.stacked_sql.lines().take(30) {
+    let stacked_sql = jgi_sql::stacked_sql(&prepared.plan, prepared.stacked_root);
+    for line in stacked_sql.lines().take(30) {
         println!("{line}");
     }
-    let total = prepared.stacked_sql.lines().count();
+    let total = stacked_sql.lines().count();
     println!("… ({total} lines total — the tall stacked shape of paper Fig. 4)");
 }

@@ -23,7 +23,7 @@ fn main() {
         println!("== {name} ==");
         println!(
             "isolation: {} (join graph: {})",
-            prepared.stats.summary(),
+            prepared.report.rewrite.summary(),
             prepared
                 .cq
                 .as_ref()

@@ -67,9 +67,9 @@ fn fig4_to_fig7_plan_shapes() {
     let s = fig2_session();
     let p = s.prepare(r#"doc("auction.xml")/descendant::open_auction[bidder]"#, None).unwrap();
     assert!(
-        p.stats.nodes_before >= 35 && p.stats.nodes_after <= 20,
+        p.report.rewrite.nodes_before >= 35 && p.report.rewrite.nodes_after <= 20,
         "expected a Fig.4-sized plan shrinking to Fig.7 size: {}",
-        p.stats.summary()
+        p.report.rewrite.summary()
     );
     let cq = p.cq.as_ref().unwrap();
     assert_eq!(cq.aliases, 3);
@@ -133,7 +133,7 @@ fn q2_tail_semantics() {
 fn no_sqlxml_anywhere() {
     let s = fig2_session();
     let p = s.prepare(r#"doc("auction.xml")/descendant::open_auction[bidder]"#, None).unwrap();
-    for text in [p.sql.as_ref().unwrap(), &p.stacked_sql] {
+    for text in [p.sql.as_ref().unwrap(), &jgi_sql::stacked_sql(&p.plan, p.stacked_root)] {
         let lower = text.to_lowercase();
         for forbidden in ["xmltable", "xmlquery", "xmlexists", "xpath"] {
             assert!(!lower.contains(forbidden), "SQL/XML construct leaked: {forbidden}");

@@ -63,11 +63,10 @@ fn main() -> ExitCode {
 
         // Join-strategy lint over the physical plan the session would run.
         if let Some(cq) = &prepared.cq {
-            let popts =
-                PlanOptions { join: session.budgets.join, vectorized: session.budgets.vectorized };
+            let popts = PlanOptions { join: session.budgets.join, ..PlanOptions::default() };
             let db = session.database();
             let plan = optimizer::plan_opts(db, cq, &popts);
-            let findings = optimizer::lint_join_strategies(db, cq, &plan, popts.vectorized);
+            let findings = optimizer::lint_join_strategies(db, cq, &plan);
             if !findings.is_empty() {
                 isolated_dirty += 1;
                 for f in &findings {

@@ -15,9 +15,6 @@
 //!   also checks/blesses the per-dialect golden SQL fixtures; emits
 //!   `BENCH_sql.json` (schema in EXPERIMENTS.md, dialect spec in SQL.md).
 //!
-//! Criterion benches: `queries` (per-query micro timings), `btree`,
-//! `isolation` (rewriter throughput), `axis_steps`, `kernels`.
-//!
 //! End-to-end and per-layer performance is measured by the repository
 //! benchmark in `benchmark/`, not here.
 

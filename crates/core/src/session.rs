@@ -454,8 +454,9 @@ pub struct Budgets {
     pub nav: u64,
     /// Inert: nothing reads it (see [`Parallelism`]).
     pub parallelism: Parallelism,
-    /// Whether the join-graph executor may use the vectorized batch
-    /// pipeline (default: on; `jgi-served --scalar` turns it off).
+    /// Inert: the join-graph executor has one mode, the batch pipeline,
+    /// whatever this says. Kept only because the frozen benchmark harness
+    /// still names it.
     pub vectorized: bool,
     /// Physical join-strategy selection for the join-graph planner
     /// (default: cost-based `auto`; `jgi-served --join` forces one).
@@ -474,16 +475,9 @@ impl Default for Budgets {
     }
 }
 
-/// Translate budgets into planner options: the plan must be costed for the
-/// executor mode it will actually run under, and honor strategy forcing.
+/// Translate budgets into planner options: honor strategy forcing.
 fn plan_options(budgets: &Budgets) -> optimizer::PlanOptions {
-    optimizer::PlanOptions { join: budgets.join, vectorized: budgets.vectorized }
-}
-
-/// Translate budgets into executor options: the executor mode on top of
-/// the engine defaults.
-fn exec_options(budgets: &Budgets) -> physical::ExecOptions {
-    physical::ExecOptions { vectorized: budgets.vectorized, ..physical::ExecOptions::default() }
+    optimizer::PlanOptions { join: budgets.join, ..optimizer::PlanOptions::default() }
 }
 
 /// The *shared, immutable* state one execution reads: the tabular
@@ -601,8 +595,7 @@ pub fn execute_prepared(
                 report.optimizer = Some(plan_stats);
                 report.plan_cached = plan_cached;
                 let t0 = Instant::now();
-                let opts = exec_options(&ctx.budgets);
-                let (result, exec_stats) = physical::execute_with_stats_opts(db, &plan, &opts);
+                let (result, exec_stats) = physical::execute_with_stats(db, &plan);
                 report.record_phase("execute", t0.elapsed());
                 report.exec = Some(exec_stats);
                 Some(result)
@@ -824,11 +817,10 @@ impl Session {
         let cq = prepared
             .plannable_cq()
             .ok_or(SessionError::Extract(ExtractError::NoSerializeRoot))?;
-        let opts = exec_options(&self.budgets);
         let popts = plan_options(&self.budgets);
         let db = self.database();
         let (plan, plan_stats, cached) = prepared.plan_memo.plan(db, cq, &popts);
-        let (_, stats) = physical::execute_with_stats_opts(db, &plan, &opts);
+        let (_, stats) = physical::execute_with_stats(db, &plan);
         Ok(jgi_engine::explain::render_analyze(db, &plan, &plan_stats, cached, &stats))
     }
 
@@ -1023,23 +1015,15 @@ mod tests {
     fn plan_options_are_part_of_the_memo_key() {
         let (doc, _) = before_and_after_replace();
         let p = prepare_on(&doc.db.store, EXPENSIVE, None).unwrap();
-        let base = Budgets {
-            join: optimizer::JoinStrategy::Auto,
-            vectorized: true,
-            ..Budgets::default()
-        };
+        let base = Budgets { join: optimizer::JoinStrategy::Auto, ..Budgets::default() };
         let expected = doc.run(&p, Engine::JoinGraph, base).nodes;
         assert!(doc.run(&p, Engine::JoinGraph, base).report.plan_cached);
-        for changed in [
-            Budgets { join: optimizer::JoinStrategy::Nl, ..base },
-            Budgets { vectorized: false, ..base },
-        ] {
-            let out = doc.run(&p, Engine::JoinGraph, changed);
-            assert!(!out.report.plan_cached, "a planner option changed: re-plan");
-            assert_eq!(out.nodes, expected);
-            assert!(doc.run(&p, Engine::JoinGraph, changed).report.plan_cached);
-            assert!(!doc.run(&p, Engine::JoinGraph, base).report.plan_cached, "and back");
-        }
+        let changed = Budgets { join: optimizer::JoinStrategy::Nl, ..base };
+        let out = doc.run(&p, Engine::JoinGraph, changed);
+        assert!(!out.report.plan_cached, "a planner option changed: re-plan");
+        assert_eq!(out.nodes, expected);
+        assert!(doc.run(&p, Engine::JoinGraph, changed).report.plan_cached);
+        assert!(!doc.run(&p, Engine::JoinGraph, base).report.plan_cached, "and back");
         // Budgets the planner does not read leave the plan alone.
         let more_threads = Budgets { parallelism: Parallelism::Fixed(2), ..base };
         assert!(doc.run(&p, Engine::JoinGraph, more_threads).report.plan_cached);

@@ -50,9 +50,6 @@ pub fn advise(db: &Database, workload: &[ConjunctiveQuery]) -> Vec<Recommendatio
             let cost: f64 = workload.iter().map(|q| optimizer::plan(&hypo, q).est_cost).sum();
             hypo.indexes.pop();
             let gain = current_cost - cost;
-            if std::env::var_os("JGI_TRACE_ADVISOR").is_some() {
-                eprintln!("cand {} gain {:.1} (cost {:.1} vs {:.1})", cand.name, gain, cost, current_cost);
-            }
             if gain > 1e-6 && best.map(|(_, g)| gain > g).unwrap_or(true) {
                 best = Some((i, gain));
             }

@@ -94,21 +94,18 @@ pub fn render_analyze(
         if plan_cached { "cached" } else { "planned" },
         planning.states_considered
     );
-    // Annotated whenever the batch pipeline ran (vector_batch_size is 0 on
-    // the scalar path): batch geometry plus the physical-vs-logical probe
-    // gap the batched B-tree cursors opened up.
-    if stats.vector_batch_size > 0 {
-        let _ = writeln!(
-            out,
-            " VECTORIZED (batch={}, batches={}, kernels={}, fallbacks={}, descents={}, skips={})",
-            stats.vector_batch_size,
-            stats.vector_batches,
-            stats.vector_kernels,
-            stats.vector_fallbacks,
-            stats.btree_descents,
-            stats.btree_skips
-        );
-    }
+    // Batch geometry plus the physical-vs-logical probe gap the batched
+    // B-tree cursors opened up.
+    let _ = writeln!(
+        out,
+        " VECTORIZED (batch={}, batches={}, kernels={}, fallbacks={}, descents={}, skips={})",
+        stats.vector_batch_size,
+        stats.vector_batches,
+        stats.vector_kernels,
+        stats.vector_fallbacks,
+        stats.btree_descents,
+        stats.btree_skips
+    );
     // Annotated whenever join work ran: a hash table was built, or sorted
     // probe batches were served by galloping seeks.
     if stats.join_build_rows + stats.join_probe_batches + stats.join_seeks > 0 {

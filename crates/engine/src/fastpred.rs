@@ -48,7 +48,7 @@ impl IntExpr {
     }
 
     /// Evaluate with an arbitrary alias → `pre` accessor — the same code
-    /// serves the tuple-at-a-time path (slice indexing) and the batch
+    /// serves per-row residual checks (slice indexing) and the batch
     /// kernels (column indexing).
     #[inline]
     pub fn eval_at(self, db: &Database, get: impl Fn(usize) -> u32) -> Option<i64> {

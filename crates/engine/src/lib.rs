@@ -15,8 +15,8 @@
 //!   ordering with B-tree access-path selection;
 //! * [`physical`] — the physical operators of paper Table 7 (`IXSCAN`,
 //!   `TBSCAN`, `NLJOIN`, `HSJOIN`, `SORT`, `RETURN`) and their executor:
-//!   one thread per query, a vectorized batch pipeline with the
-//!   tuple-at-a-time walk as its reference (see DESIGN.md §7–§8);
+//!   one thread per query, one columnar batch pipeline (see DESIGN.md
+//!   §7–§8);
 //! * [`explain`] — DB2-visual-explain-style plan rendering with the XPath
 //!   *continuation* annotations of paper Figs. 10/11;
 //! * [`advisor`] — a db2advis-like index advisor (paper Table 6);

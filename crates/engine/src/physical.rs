@@ -29,15 +29,10 @@ pub enum Probe {
 }
 
 impl Probe {
-    /// Evaluate against the current bindings. `None` when a referenced
-    /// value is NULL (the probe then matches nothing).
-    pub fn eval(&self, db: &Database, bindings: &[u32]) -> Option<Value> {
-        self.eval_at(db, |a| bindings[a])
-    }
-
-    /// [`Probe::eval`] with an arbitrary alias → `pre` accessor, so the
-    /// batch pipeline can evaluate probes straight out of column vectors
-    /// without materializing a bindings tuple.
+    /// Evaluate through an alias → `pre` accessor, so the batch pipeline
+    /// can evaluate probes straight out of column vectors without
+    /// materializing a bindings tuple. `None` when a referenced value is
+    /// NULL (the probe then matches nothing).
     pub fn eval_at(&self, db: &Database, get: impl Fn(usize) -> u32) -> Option<Value> {
         self.cell_at(db, get).map(Cell::to_value)
     }
@@ -252,11 +247,10 @@ pub struct OpActuals {
 
 /// Execution statistics (EXPLAIN ANALYZE, the query report, and tests).
 ///
-/// The row/probe/comparison counters are *mode-independent*: the scalar
-/// and the vectorized executor charge them identically for a given plan.
-/// The `vector_*`, `btree_*`, `join_probe_batches` and `join_seeks`
-/// counters describe the batch pipeline's physical work and are
-/// mode-dependent.
+/// The row/probe/comparison counters are *batch-size-independent*: every
+/// batch size charges them identically for a given plan. The `vector_*`,
+/// `btree_*`, `join_probe_batches` and `join_seeks` counters describe the
+/// batch pipeline's physical work and depend on the batch size.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ExecStats {
     /// Rows produced by each access (driver first). Kept alongside
@@ -270,7 +264,7 @@ pub struct ExecStats {
     pub sort_rows: u64,
     /// Rows removed by DISTINCT.
     pub dedup_removed: u64,
-    /// Column batches pushed through the pipeline (0 on the scalar path).
+    /// Column batches pushed through the pipeline.
     pub vector_batches: u64,
     /// Predicate-kernel invocations: one per residual atom per flushed
     /// batch.
@@ -278,25 +272,25 @@ pub struct ExecStats {
     /// Rows evaluated through the scalar fallback kernel (atoms without a
     /// specialized batch form).
     pub vector_fallbacks: u64,
-    /// Configured rows-per-batch capacity (0 = the scalar executor ran).
+    /// Configured rows-per-batch capacity.
     pub vector_batch_size: u64,
     /// Physical B-tree root descents performed by galloping cursors and
     /// shared constant-probe scans. `per_op[..].index_probes` stays
-    /// *logical* (one per outer tuple, identical in every mode); the gap
-    /// between probes and descents is the work batching saved.
+    /// *logical* (one per outer tuple, identical at every batch size); the
+    /// gap between probes and descents is the work batching saved.
     pub btree_descents: u64,
     /// Work done instead of root descents: internal-node hops of galloping
     /// cursors plus outer tuples sharing one constant-probe scan.
     pub btree_skips: u64,
     /// Rows loaded into [`Step::Hash`] build tables. Charged once at build
-    /// time, before the pipeline runs, so it is mode-*independent*.
+    /// time, before the pipeline runs, so it is batch-size-*independent*.
     pub join_build_rows: u64,
     /// Sorted variable-probe batches served by one galloping
-    /// [`crate::btree::SeekCursor`] each (0 on the scalar path —
-    /// mode-dependent, like `vector_*`).
+    /// [`crate::btree::SeekCursor`] each (batch-size-dependent, like
+    /// `vector_*`).
     pub join_probe_batches: u64,
-    /// Seeks performed by those cursors, one per probe (mode-dependent;
-    /// each replaces a root descent of the scalar path).
+    /// Seeks performed by those cursors, one per logical probe; each
+    /// replaces a root descent from the top of the tree.
     pub join_seeks: u64,
 }
 
@@ -311,22 +305,20 @@ impl ExecStats {
     }
 }
 
-/// Default rows per column batch on the vectorized path: large enough to
-/// amortize per-batch bookkeeping across the kernels, small enough that a
-/// batch's live columns stay cache-resident.
+/// Default rows per column batch: large enough to amortize per-batch
+/// bookkeeping across the kernels, small enough that a batch's live
+/// columns stay cache-resident.
 pub const DEFAULT_BATCH_SIZE: usize = 1024;
 
-/// Executor options. Every query runs on the calling thread; the options
-/// pick the executor (batch pipeline or tuple-at-a-time) and the batch
-/// geometry.
+/// Executor options. Every query runs on the calling thread, through the
+/// batch pipeline (DESIGN.md §8); the options set the batch geometry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExecOptions {
-    /// Run the probe-pipeline suffix on column batches with selection
-    /// vectors (DESIGN.md §8). On by default. Results, and every
-    /// mode-independent [`ExecStats`] counter, are bit-identical in both
-    /// modes.
+    /// Inert: the executor has one mode, the batch pipeline, whatever this
+    /// says. Kept only because the frozen benchmark harness still names it.
     pub vectorized: bool,
-    /// Rows per column batch on the vectorized path.
+    /// Rows per column batch. Results, and every batch-size-independent
+    /// [`ExecStats`] counter, are bit-identical at every batch size.
     pub batch_size: usize,
 }
 
@@ -401,8 +393,7 @@ pub fn execute_rows_with_stats(db: &Database, plan: &PhysPlan) -> (Vec<Vec<u32>>
 
 /// Row-returning executor — the single code path under every `execute*`
 /// entry point; statistics are always collected (plain counter increments).
-/// `opts.vectorized` picks the batch pipeline or the tuple-at-a-time
-/// reference; both run on the calling thread and end in the same SORT tail.
+/// The batch pipeline runs on the calling thread and ends in the SORT tail.
 pub fn execute_rows_opts(
     db: &Database,
     plan: &PhysPlan,
@@ -417,12 +408,8 @@ pub fn execute_rows_opts(
     // aliases cannot run yet; they are re-checked at probe time.
     let tables = build_join_tables(db, plan, &mut stats);
 
-    let rows = if opts.vectorized {
-        stats.vector_batch_size = opts.batch_size.max(1) as u64;
-        execute_vectorized(db, plan, &driver_fast, &step_fast, &tables, opts, &mut stats)
-    } else {
-        execute_sequential(db, plan, &driver_fast, &step_fast, &tables, &mut stats)
-    };
+    stats.vector_batch_size = opts.batch_size.max(1) as u64;
+    let rows = run_pipeline(db, plan, &driver_fast, &step_fast, &tables, opts, &mut stats);
     (rows, stats)
 }
 
@@ -481,96 +468,6 @@ fn build_join_tables(db: &Database, plan: &PhysPlan, stats: &mut ExecStats) -> J
     tables
 }
 
-/// Per-step reusable buffers for the tuple-at-a-time path, so the hot
-/// loop allocates nothing per invocation (the honest baseline the
-/// vectorized path is benchmarked against).
-#[derive(Debug, Default)]
-struct StepScratch {
-    /// Probe-key and residual-check buffers of the step's access.
-    access: AccessScratch,
-    /// Bindings snapshot the scan borrows while the walk callback mutates
-    /// the live bindings tuple.
-    snapshot: Vec<u32>,
-    /// Hash probe-key buffer.
-    key: Vec<Value>,
-}
-
-/// Recursive probe pipeline over the steps: extend the binding tuple one
-/// alias at a time, emit a SELECT row at full depth. `scratch` holds one
-/// [`StepScratch`] per remaining step.
-#[allow(clippy::too_many_arguments)]
-fn walk(
-    db: &Database,
-    plan: &PhysPlan,
-    tables: &JoinTables,
-    step_fast: &[Vec<FastAtom>],
-    depth: usize,
-    bindings: &mut Vec<u32>,
-    scratch: &mut [StepScratch],
-    rows: &mut Vec<Vec<u32>>,
-    stats: &mut ExecStats,
-) {
-    if depth == plan.steps.len() {
-        stats.raw_rows += 1;
-        rows.push(select_row(db, plan, |a| bindings[a]));
-        return;
-    }
-    let (mine, deeper) = scratch.split_first_mut().expect("scratch level per step");
-    match &plan.steps[depth] {
-        Step::Nl(access) => {
-            let StepScratch { access: scr, snapshot, .. } = mine;
-            snapshot.clear();
-            snapshot.extend_from_slice(bindings);
-            let counts = scan_access(db, access, &step_fast[depth], snapshot, scr, &mut |pre| {
-                stats.rows_scanned[depth + 1] += 1;
-                stats.per_op[depth + 1].rows_out += 1;
-                bindings[access.alias] = pre;
-                walk(db, plan, tables, step_fast, depth + 1, bindings, deeper, rows, stats);
-                bindings[access.alias] = u32::MAX;
-                !access.early_out
-            });
-            stats.per_op[depth + 1].absorb(counts);
-        }
-        Step::Hash { access, probe_key, .. } => {
-            let table = tables[depth].as_ref().expect("hash table built");
-            stats.per_op[depth + 1].invocations += 1;
-            mine.key.clear();
-            for p in probe_key {
-                match p.eval(db, bindings) {
-                    Some(v) => mine.key.push(v),
-                    None => return,
-                }
-            }
-            let mut comparisons = 0u64;
-            let mut emitted = 0u64;
-            if let Some(matches) = table.get(mine.key.as_slice()) {
-                for &pre in matches {
-                    // Local atoms ran on the build side; the full
-                    // residual set (incl. join atoms) runs here.
-                    bindings[access.alias] = pre;
-                    let ok = step_fast[depth].iter().all(|a| {
-                        comparisons += 1;
-                        a.eval(db, bindings)
-                    });
-                    if ok {
-                        stats.rows_scanned[depth + 1] += 1;
-                        emitted += 1;
-                        walk(db, plan, tables, step_fast, depth + 1, bindings, deeper, rows, stats);
-                        if access.early_out {
-                            bindings[access.alias] = u32::MAX;
-                            break;
-                        }
-                    }
-                    bindings[access.alias] = u32::MAX;
-                }
-            }
-            let op = &mut stats.per_op[depth + 1];
-            op.comparisons += comparisons;
-            op.rows_out += emitted;
-        }
-    }
-}
-
 /// The SELECT row of one binding tuple (`get`: alias → `pre`). Every
 /// SELECT column is a node column (`pre`, `size`, `level`, `parent`), so
 /// each cell is read as the `u32` it holds without building a `Value`.
@@ -593,10 +490,10 @@ fn order_indices(plan: &PhysPlan) -> Vec<usize> {
 }
 
 /// The SORT tail's comparator: ORDER BY keys first, then the whole row as
-/// a tiebreak. The tiebreak makes the order *total*, which is what lets
-/// the batch pipeline (whose sorted probe batches permute candidate
-/// enumeration) reproduce the tuple-at-a-time output exactly — the final
-/// sequence is a function of the row multiset alone, not of arrival order.
+/// a tiebreak. The tiebreak makes the order *total*, which is what makes
+/// the batch pipeline's output independent of the order its sorted probe
+/// batches enumerate candidates in — the final sequence is a function of
+/// the row multiset alone, not of arrival order.
 fn cmp_rows(a: &[u32], b: &[u32], order_idx: &[usize]) -> std::cmp::Ordering {
     for &i in order_idx {
         match a[i].cmp(&b[i]) {
@@ -607,38 +504,7 @@ fn cmp_rows(a: &[u32], b: &[u32], order_idx: &[usize]) -> std::cmp::Ordering {
     a.cmp(b)
 }
 
-/// The classic single-threaded pipeline: drive the outer scan, recurse
-/// through the steps, then SORT (DISTINCT + ORDER BY).
-fn execute_sequential(
-    db: &Database,
-    plan: &PhysPlan,
-    driver_fast: &[FastAtom],
-    step_fast: &[Vec<FastAtom>],
-    tables: &JoinTables,
-    stats: &mut ExecStats,
-) -> Vec<Vec<u32>> {
-    let mut bindings = vec![u32::MAX; plan.n_aliases];
-    let empty = bindings.clone();
-    let mut driver_scratch = AccessScratch::default();
-    let mut scratch: Vec<StepScratch> =
-        plan.steps.iter().map(|_| StepScratch::default()).collect();
-    let mut rows: Vec<Vec<u32>> = Vec::new();
-    let driver = &plan.driver;
-    let counts = scan_access(db, driver, driver_fast, &empty, &mut driver_scratch, &mut |pre| {
-        stats.rows_scanned[0] += 1;
-        stats.per_op[0].rows_out += 1;
-        bindings[driver.alias] = pre;
-        walk(db, plan, tables, step_fast, 0, &mut bindings, &mut scratch, &mut rows, stats);
-        bindings[driver.alias] = u32::MAX;
-        true
-    });
-    stats.per_op[0].absorb(counts);
-
-    let order_idx = order_indices(plan);
-    sort_tail(rows, &order_idx, plan.distinct, stats)
-}
-
-/// The SORT tail shared by both executors: DISTINCT (plain sort + dedup)
+/// The SORT tail: DISTINCT (plain sort + dedup)
 /// followed by the ORDER BY sort under the total-order comparator.
 fn sort_tail(
     mut rows: Vec<Vec<u32>>,
@@ -819,14 +685,15 @@ fn scan_access(
 //
 // The probe-pipeline suffix operates on *binding batches*: one `Vec<u32>`
 // pre-rank column per bound alias, filtered by per-atom predicate kernels
-// over a reusable selection vector. The design invariant is strict
-// counter equivalence with the tuple-at-a-time path: a scalar row
-// evaluates residual atoms left-to-right and stops at the first failure;
-// a batch runs atom k only over the rows that survived atoms 0..k — the
-// same comparison multiset, just transposed. Candidate enumeration is
-// likewise identical per outer tuple (`index_probes` stays logical);
-// only the *physical* B-tree work changes, tracked by the
-// mode-dependent `btree_descents`/`btree_skips` counters.
+// over a reusable selection vector. The design invariant is that the
+// logical counters do not depend on the batch size: they are charged as
+// if each row evaluated its residual atoms left-to-right and stopped at
+// the first failure, and a batch runs atom k only over the rows that
+// survived atoms 0..k — the same comparison multiset, just transposed.
+// Candidate enumeration is likewise identical per outer tuple
+// (`index_probes` stays logical); only the *physical* B-tree work
+// depends on the batch size, tracked by the `btree_descents`/
+// `btree_skips` counters.
 // ---------------------------------------------------------------------------
 
 /// Struct-of-arrays binding batch: one `pre` column per alias. Only the
@@ -862,14 +729,14 @@ impl Batch {
 }
 
 /// Per-step scratch for the batch pipeline. Every buffer lives across
-/// batches, so steady-state vectorized execution does not allocate.
+/// batches, so steady-state execution does not allocate.
 #[derive(Debug, Default)]
 struct VecLevel {
     /// Rows gathered for the next depth.
     next: Batch,
     /// Selection vector over `next` (indices of surviving rows).
     sel: Vec<u32>,
-    /// Bindings tuple for scalar detours (early-out scans, hash residual
+    /// Bindings tuple for per-row detours (early-out scans, hash residual
     /// short-circuits).
     bindings: Vec<u32>,
     /// Scratch bindings for the generic-atom fallback kernel.
@@ -1035,9 +902,8 @@ fn vec_step(
                     let tree = &db.indexes[*index].btree;
                     if !has_var {
                         // Constant probe: one shared scan serves the whole
-                        // batch. Logically still one probe per outer tuple
-                        // (counters match the scalar path); physically a
-                        // single descent.
+                        // batch. Logically still one probe per outer
+                        // tuple; physically a single descent.
                         cands.clear();
                         for (_, pre) in tree.scan(&scr.lo, scr.lo_strict, &scr.hi, scr.hi_strict) {
                             cands.push(pre);
@@ -1171,8 +1037,8 @@ fn vec_step(
         Step::Nl(access) => {
             // Early-out semijoin: candidate enumeration stops at the first
             // residual match, so batching the probes would change the
-            // work. Run the scan tuple-at-a-time (identical counters);
-            // survivors still flow downstream in batches.
+            // work. Run the scan one outer tuple at a time; survivors
+            // still flow downstream in batches.
             for &i in sel {
                 bindings.clear();
                 bindings.resize(cx.plan.n_aliases, u32::MAX);
@@ -1227,8 +1093,8 @@ fn vec_step(
             flush_batch(cx, fast, op_idx, true, next, sel_buf, fallback, deeper, rows, stats);
         }
         Step::Hash { access, probe_key, .. } => {
-            // Early-out hash semijoin: the scalar path stops at the first
-            // match that passes the residuals — replicate it per tuple.
+            // Early-out hash semijoin: stop at each outer tuple's first
+            // match that passes the residuals.
             let table = cx.tables[depth].as_ref().expect("hash table built");
             let mut comparisons = 0u64;
             let mut emitted = 0u64;
@@ -1284,10 +1150,10 @@ fn vec_step(
 
 /// Vectorized execution: the driver gathers candidates into a
 /// column batch, residual kernels filter it through a selection vector,
-/// and each step extends surviving batches down the pipeline.
-/// Counter-equivalent to [`execute_sequential`] by construction — see the
+/// and each step extends surviving batches down the pipeline. The logical
+/// counters are the same at every batch size by construction — see the
 /// module comment above [`Batch`].
-fn execute_vectorized(
+fn run_pipeline(
     db: &Database,
     plan: &PhysPlan,
     driver_fast: &[FastAtom],
@@ -1313,7 +1179,7 @@ fn execute_vectorized(
     let VecLevel { next, sel, fallback, access: scr, .. } = &mut driver_lvl;
     // The driver scan runs with no residuals — candidates gather into the
     // level-0 batch and the driver's own atoms run as kernels at flush
-    // time, so its `rows_in`/`comparisons` totals match the scalar path.
+    // time, charging `rows_in`/`comparisons` per row.
     let counts = scan_access(db, driver, &[], &empty, scr, &mut |pre| {
         next.cols[driver.alias].push(pre);
         next.rows += 1;
@@ -1518,7 +1384,7 @@ mod tests {
     }
 
     /// Driver over open_auction plus a bidder step; `step` picks the
-    /// probe style so both vectorized gather paths get covered.
+    /// probe style so both batch gather paths get covered.
     fn oa_bidder_plan(db: &Database, range_probe: bool, early_out: bool) -> PhysPlan {
         let nksp = db.indexes.iter().position(|i| i.name == "nksp").unwrap();
         let oa = ColRef { alias: 0, col: DocCol::Pre };
@@ -1600,28 +1466,28 @@ mod tests {
         assert_eq!(a.dedup_removed, b.dedup_removed, "{what}: dedup_removed");
     }
 
-    /// The batch pipeline must be bit-identical to the scalar executor —
-    /// rows and every mode-independent counter — at any batch size,
-    /// including batch sizes that force mid-gather flushes.
+    /// The batch pipeline must be bit-identical across batch sizes — rows
+    /// and every batch-size-independent counter — with batch 1 (one row
+    /// per batch) as the baseline and sizes that force mid-gather flushes.
     #[test]
-    fn vectorized_matches_scalar() {
+    fn batch_sizes_agree() {
         let db = db();
         for (range_probe, early_out) in
             [(false, false), (false, true), (true, false), (true, true)]
         {
             let plan = oa_bidder_plan(&db, range_probe, early_out);
-            let scalar = ExecOptions { vectorized: false, ..ExecOptions::default() };
-            let (s_rows, s_stats) = execute_rows_opts(&db, &plan, &scalar);
-            for batch in [1usize, 2, 7, 1024] {
-                let opts = ExecOptions { vectorized: true, batch_size: batch };
+            let one = ExecOptions { batch_size: 1, ..ExecOptions::default() };
+            let (b_rows, b_stats) = execute_rows_opts(&db, &plan, &one);
+            let what = format!("range={range_probe} early={early_out}");
+            assert!(b_stats.vector_batches > 0, "{what}: no batches recorded");
+            for batch in [2usize, 7, 1024] {
+                let opts = ExecOptions { batch_size: batch, ..ExecOptions::default() };
                 let (v_rows, v_stats) = execute_rows_opts(&db, &plan, &opts);
                 let what = format!("range={range_probe} early={early_out} batch={batch}");
-                assert_eq!(s_rows, v_rows, "{what}: rows diverge");
-                assert_invariant_stats_eq(&s_stats, &v_stats, &what);
+                assert_eq!(b_rows, v_rows, "{what}: rows diverge");
+                assert_invariant_stats_eq(&b_stats, &v_stats, &what);
                 assert!(v_stats.vector_batches > 0, "{what}: no batches recorded");
                 assert_eq!(v_stats.vector_batch_size, batch as u64);
-                assert_eq!(s_stats.vector_batches, 0);
-                assert_eq!(s_stats.vector_batch_size, 0);
             }
         }
     }
@@ -1630,10 +1496,10 @@ mod tests {
     /// sorted batch: one seek per logical probe, fewer physical descents
     /// than probes.
     #[test]
-    fn vectorized_batches_var_probes() {
+    fn var_probes_gallop_in_batches() {
         let db = db();
         let plan = oa_bidder_plan(&db, true, false);
-        let opts = ExecOptions { vectorized: true, ..ExecOptions::default() };
+        let opts = ExecOptions::default();
         let (_, v) = execute_rows_opts(&db, &plan, &opts);
         let probes = v.per_op[1].index_probes;
         assert!(probes > 1, "expected many probes, got {probes}");
@@ -1654,16 +1520,16 @@ mod tests {
     #[test]
     fn probe_evaluation() {
         let db = db();
-        let bindings = vec![1u32];
+        let bindings = |_: usize| 1u32;
         let cr = ColRef { alias: 0, col: DocCol::Pre };
-        assert_eq!(Probe::Bound(cr).eval(&db, &bindings), Some(Value::Int(1)));
-        assert_eq!(Probe::BoundPlusInt(cr, 5).eval(&db, &bindings), Some(Value::Int(6)));
+        assert_eq!(Probe::Bound(cr).eval_at(&db, bindings), Some(Value::Int(1)));
+        assert_eq!(Probe::BoundPlusInt(cr, 5).eval_at(&db, bindings), Some(Value::Int(6)));
         let size = ColRef { alias: 0, col: DocCol::Size };
-        let s = Probe::BoundPlusBound(cr, size).eval(&db, &bindings).unwrap();
+        let s = Probe::BoundPlusBound(cr, size).eval_at(&db, bindings).unwrap();
         assert_eq!(s, Value::Int(1 + db.store.size[1] as i64));
         // NULL propagates to None.
         let val = ColRef { alias: 0, col: DocCol::Value };
         // Node 1 is <site> (size > 1) so value is NULL.
-        assert_eq!(Probe::Bound(val).eval(&db, &bindings), None);
+        assert_eq!(Probe::Bound(val).eval_at(&db, bindings), None);
     }
 }

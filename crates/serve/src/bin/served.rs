@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! jgi-served [--listen ADDR] [--workers N] [--queue N] [--cache N]
-//!            [--scalar] [--join nl|hash|auto]
+//!            [--join nl|hash|auto]
 //!            [--preload xmark:SCALE:SEED] [--preload dblp:PUBS:SEED]
 //! ```
 //!
@@ -29,12 +29,11 @@ usage: jgi-served [OPTIONS]
 options:
   --listen ADDR         accept TCP connections on ADDR (host:port); without
                         this flag the protocol runs on stdin/stdout
-  --workers N           executor worker threads (default: available cores)
+  --workers N           executor worker threads, at least 1 (default:
+                        available cores)
   --queue N             bounded admission-queue depth; a full queue sheds
                         requests with an `overloaded` error (default: 64)
   --cache N             prepared-plan cache capacity, in plans (default: 256)
-  --scalar              disable the vectorized batch pipeline (row-at-a-time
-                        execution)
   --join STRATEGY       physical join strategy for the join-graph planner:
                         nl, hash, or auto (cost-based; default)
   --preload SPEC        load a synthetic document before serving; SPEC is
@@ -52,7 +51,6 @@ apply atomically; see PROTOCOL.md.";
 fn usage() -> ! {
     eprintln!(
         "usage: jgi-served [--listen ADDR] [--workers N] [--queue N] [--cache N] \
-         [--scalar] \
          [--join nl|hash|auto] \
          [--preload xmark:SCALE:SEED|dblp:PUBS:SEED]... \
          (--help for details)"
@@ -72,12 +70,16 @@ fn main() {
         });
         match a.as_str() {
             "--listen" => listen = Some(val("--listen")),
-            "--workers" => config.workers = val("--workers").parse().unwrap_or_else(|_| usage()),
+            "--workers" => {
+                config.workers = match val("--workers").parse() {
+                    Ok(n) if n > 0 => n,
+                    _ => usage(),
+                }
+            }
             "--queue" => config.queue_depth = val("--queue").parse().unwrap_or_else(|_| usage()),
             "--cache" => {
                 config.cache_capacity = val("--cache").parse().unwrap_or_else(|_| usage())
             }
-            "--scalar" => config.budgets.vectorized = false,
             "--join" => {
                 config.budgets.join = val("--join").parse().unwrap_or_else(|e| {
                     eprintln!("--join: {e}");

@@ -540,7 +540,7 @@ impl Server {
                         .collect(),
                 ),
             ),
-            ("workers".into(), Json::UInt(self.state.config.workers as u64)),
+            ("workers".into(), Json::UInt(self.workers.len() as u64)),
             ("queue_depth".into(), Json::UInt(self.state.config.queue_depth as u64)),
             (
                 "queue_len".into(),
@@ -1010,6 +1010,16 @@ mod tests {
         let (retained, offered, admitted) = s.flight_stats();
         assert_eq!(retained as u64, admitted);
         assert_eq!(offered, 3);
+    }
+
+    /// `STATS` reports the worker threads that run, not the configured
+    /// count: a pool configured with 0 workers still starts one.
+    #[test]
+    fn stats_report_the_running_worker_count() {
+        let s = Server::new(ServeConfig { workers: 0, ..ServeConfig::default() });
+        let Json::Obj(fields) = s.stats_json() else { panic!("STATS is an object") };
+        let workers = fields.iter().find(|(k, _)| k == "workers").map(|(_, v)| v.render());
+        assert_eq!(workers.as_deref(), Some("1"));
     }
 
     #[test]

@@ -298,8 +298,8 @@ pub fn load_script(rows: &[DocRow], d: Dialect) -> String {
 ///    `SELECT DISTINCT`; re-applying is idempotent and shields against
 ///    backends configured without it);
 /// 2. sort by the `ORDER BY` key positions, tie-broken by the whole row —
-///    the same total order that makes the engine's scalar and vectorized
-///    executors agree row for row;
+///    the same total order that makes the engine's output independent of
+///    the batch size and of its probe order;
 /// 3. project the `item` output column as `pre` ranks.
 ///
 /// All select columns of an extractable join graph hold node references

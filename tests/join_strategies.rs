@@ -4,17 +4,17 @@
 //! via `Budgets::join` (or picking `auto`) must never change a result —
 //! only how fast it arrives. Three layers of evidence:
 //!
-//! * the Q1–Q8 paper corpus × {nl, hash, auto} × {scalar, vectorized},
-//!   all byte-identical to the nested-loop scalar baseline,
-//! * a vacuity guard: under `auto` the corpus actually builds hash tables
-//!   and, on the batch pipeline, gallops through sorted probe batches,
-//!   Q2's value-join core among them,
+//! * the Q1–Q8 paper corpus × {nl, hash, auto}, all byte-identical to the
+//!   nested-loop baseline,
+//! * a vacuity guard: under `auto` Q1, Q4 and Q7 build hash tables on an
+//!   auction-only document, and Q2's value-join core gallops through
+//!   sorted probe batches,
 //! * property tests over random documents × random workhorse queries
 //!   (including generated value joins), planning each strategy forcing
-//!   explicitly and driving `execute_rows_opts` in both executor modes.
+//!   explicitly and driving `execute_rows_opts` at two batch sizes.
 
 use jgi_compiler::compile;
-use jgi_core::queries::paper_corpus;
+use jgi_core::queries::{context_doc, paper_corpus, Q1, Q4, Q7};
 use jgi_core::{Engine, Session};
 use jgi_engine::optimizer::{self, JoinStrategy, PlanOptions};
 use jgi_engine::physical::{execute_rows_opts, ExecOptions, ExecStats};
@@ -32,7 +32,7 @@ fn corpus_session(scale: f64, pubs: usize) -> Session {
     s
 }
 
-/// Counters that may not depend on the executor mode for a fixed plan.
+/// Counters that may not depend on the batch size for a fixed plan.
 /// (Across *strategies* the plans differ, so only results compare.)
 fn assert_invariant_stats(name: &str, mode: &str, base: &ExecStats, run: &ExecStats) {
     assert_eq!(base.raw_rows, run.raw_rows, "{name}: raw_rows changed ({mode})");
@@ -45,61 +45,50 @@ fn assert_invariant_stats(name: &str, mode: &str, base: &ExecStats, run: &ExecSt
     assert_eq!(base.per_op, run.per_op, "{name}: per-operator actuals changed ({mode})");
 }
 
-/// Q1–Q8: every strategy forcing, in both executor modes, produces the
-/// byte-identical node sequence the nested-loop scalar baseline produces.
+/// Q1–Q8: every strategy forcing produces the byte-identical node
+/// sequence the nested-loop baseline produces.
 #[test]
 fn corpus_identical_across_strategies_modes_and_degrees() {
     let mut session = corpus_session(0.005, 1000);
     for &(name, query, ctx) in &paper_corpus() {
         let prepared = session.prepare(query, ctx).expect("corpus compiles");
         session.budgets.join = JoinStrategy::Nl;
-        session.budgets.vectorized = false;
         let base = session.execute(&prepared, Engine::JoinGraph).expect("corpus executes");
         for join in JoinStrategy::ALL {
-            for vectorized in [false, true] {
-                session.budgets.join = join;
-                session.budgets.vectorized = vectorized;
-                let cell =
-                    session.execute(&prepared, Engine::JoinGraph).expect("corpus executes");
-                let mode = format!("join={join}, vectorized={vectorized}");
-                assert_eq!(cell.nodes, base.nodes, "{name}: result diverged ({mode})");
-            }
+            session.budgets.join = join;
+            let cell = session.execute(&prepared, Engine::JoinGraph).expect("corpus executes");
+            assert_eq!(cell.nodes, base.nodes, "{name}: result diverged (join={join})");
         }
     }
 }
 
-/// Under `auto` the corpus must actually run both kinds of join work: on
-/// the batch pipeline Q2's value joins gallop through sorted probe
-/// batches, and in some executor mode some corpus query builds a hash
-/// table. Otherwise the equivalence suite above proves nothing about
-/// either path.
+/// Under `auto` the corpus must actually run both kinds of join work: Q2's
+/// value joins gallop through sorted probe batches, and on an auction-only
+/// document Q1, Q4 and Q7 each build a hash table. Otherwise the
+/// equivalence suite above proves nothing about either path.
 #[test]
 fn corpus_strategy_selection_is_not_vacuous() {
     let mut session = corpus_session(0.005, 1000);
     session.budgets.join = JoinStrategy::Auto;
-    let mut built = 0usize;
-    for vectorized in [true, false] {
-        session.budgets.vectorized = vectorized;
-        for &(name, query, ctx) in &paper_corpus() {
-            let prepared = session.prepare(query, ctx).expect("corpus compiles");
-            let out = session.execute(&prepared, Engine::JoinGraph).expect("corpus executes");
-            let exec = out.report.exec.as_ref().expect("exec stats");
-            assert_eq!(
-                exec.join_probe_batches > 0,
-                exec.join_seeks > 0,
-                "{name}: seeks and probe batches must fire together"
-            );
-            if vectorized {
-                assert!(exec.join_seeks > 0 || name != "Q2", "Q2 must gallop its value joins");
-            } else {
-                assert_eq!(exec.join_seeks, 0, "{name}: the scalar executor galloped");
-            }
-            if exec.join_build_rows > 0 {
-                built += 1;
-            }
-        }
+    for &(name, query, ctx) in &paper_corpus() {
+        let prepared = session.prepare(query, ctx).expect("corpus compiles");
+        let out = session.execute(&prepared, Engine::JoinGraph).expect("corpus executes");
+        let exec = out.report.exec.as_ref().expect("exec stats");
+        assert_eq!(
+            exec.join_probe_batches > 0,
+            exec.join_seeks > 0,
+            "{name}: seeks and probe batches must fire together"
+        );
+        assert!(exec.join_seeks > 0 || name != "Q2", "Q2 must gallop its value joins");
     }
-    assert!(built > 0, "no corpus query built a hash table under auto");
+    let mut auction = Session::new();
+    auction.add_tree(generate_xmark(XmarkConfig { scale: 0.005, seed: 42 }));
+    for (name, query) in [("Q1", Q1), ("Q4", Q4), ("Q7", Q7)] {
+        let prepared = auction.prepare(query, context_doc(name)).expect("corpus compiles");
+        let out = auction.execute(&prepared, Engine::JoinGraph).expect("corpus executes");
+        let exec = out.report.exec.as_ref().expect("exec stats");
+        assert!(exec.join_build_rows > 0, "{name} built no hash table under auto");
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -201,9 +190,9 @@ fn gen_query() -> impl Strategy<Value = String> {
 }
 
 /// Compile a random query to a conjunctive query, plan it under every
-/// strategy forcing in both executor modes, and check each plan against
-/// the nested-loop scalar baseline row-for-row. For a fixed plan, the
-/// executor mode must also leave the row-count statistics untouched.
+/// strategy forcing, and check each plan against the nested-loop baseline
+/// row-for-row. For a fixed plan, batch size 1 must also leave the results
+/// and the row-count statistics untouched.
 fn check_strategies_on(tree: &Tree, query: &str) {
     let Ok(core) = compile_to_core(query) else { return };
     let compiled = compile(&core).expect("compilation succeeds");
@@ -214,27 +203,22 @@ fn check_strategies_on(tree: &Tree, query: &str) {
     let Ok(cq) = extract_cq(&plan, iso_root) else { return };
     let db = Database::with_default_indexes(store);
 
-    let nl_plan = optimizer::plan_opts(&db, &cq, &PlanOptions {
-        join: JoinStrategy::Nl,
-        vectorized: false,
-    });
-    let scalar = ExecOptions { vectorized: false, ..ExecOptions::default() };
-    let (base_rows, _) = execute_rows_opts(&db, &nl_plan, &scalar);
+    let plan_of =
+        |join| optimizer::plan_opts(&db, &cq, &PlanOptions { join, ..PlanOptions::default() });
+    let nl_plan = plan_of(JoinStrategy::Nl);
+    let (base_rows, _) = execute_rows_opts(&db, &nl_plan, &ExecOptions::default());
 
+    let one = ExecOptions { batch_size: 1, ..ExecOptions::default() };
     for join in JoinStrategy::ALL {
-        for vectorized in [false, true] {
-            let phys = optimizer::plan_opts(&db, &cq, &PlanOptions { join, vectorized });
-            let mode = format!("join={join}, vectorized={vectorized}");
-            let opts = ExecOptions { vectorized, ..ExecOptions::default() };
-            let (rows, stats) = execute_rows_opts(&db, &phys, &opts);
-            assert_eq!(base_rows, rows, "rows diverged on {query} ({mode})");
-            // Same plan, other executor mode: results and row-count
-            // statistics must both hold still.
-            let flipped = ExecOptions { vectorized: !vectorized, ..ExecOptions::default() };
-            let (rows2, stats2) = execute_rows_opts(&db, &phys, &flipped);
-            assert_eq!(base_rows, rows2, "rows diverged on {query} ({mode}, mode flipped)");
-            assert_invariant_stats(query, &mode, &stats, &stats2);
-        }
+        let phys = plan_of(join);
+        let mode = format!("join={join}");
+        let (rows, stats) = execute_rows_opts(&db, &phys, &ExecOptions::default());
+        assert_eq!(base_rows, rows, "rows diverged on {query} ({mode})");
+        // Same plan at batch size 1: results and row-count statistics
+        // must both hold still.
+        let (rows1, stats1) = execute_rows_opts(&db, &phys, &one);
+        assert_eq!(base_rows, rows1, "rows diverged on {query} ({mode}, batch 1)");
+        assert_invariant_stats(query, &mode, &stats1, &stats);
     }
 }
 
@@ -245,7 +229,7 @@ proptest! {
     })]
 
     /// Random workhorse queries over random documents: no join-strategy
-    /// forcing, in either executor mode, can change a result.
+    /// forcing, at either batch size, can change a result.
     #[test]
     fn strategies_agree_on_random_queries(tree in gen_tree(), query in gen_query()) {
         check_strategies_on(&tree, &query);

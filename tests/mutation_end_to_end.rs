@@ -6,8 +6,8 @@
 //! receive the same operations through the `Tree` editing API, are
 //! serialized to XML text, parsed back, and loaded into a fresh
 //! [`Session`]. The published snapshot must then answer Q1–Q8
-//! byte-identically to the oracle in both execution modes — scalar and
-//! vectorized — and across the independent back-ends (the navigational one builds its DOM from the
+//! byte-identically to the oracle on the join-graph engine and across the
+//! independent back-ends (the navigational one builds its DOM from the
 //! edited columns on first use).
 //!
 //! A second test pins the incremental-publish contract: committing to one
@@ -141,25 +141,15 @@ fn mutated_corpus_matches_full_reparse_across_modes_and_degrees() {
             .unwrap_or_else(|e| panic!("{name} fails to prepare on the snapshot: {e}"));
         let oracle_plan = oracle.prepare(query, ctx).expect("corpus compiles on oracle");
         let (segment, base_pre) = snapshot.resolve(&prepared.docs);
-        for vectorized in [false, true] {
-            let budgets = Budgets { vectorized, ..Budgets::default() };
-            oracle.budgets = budgets;
-            let expect =
-                oracle.execute(&oracle_plan, Engine::JoinGraph).expect("oracle executes").nodes;
-            let ctx = segment.ctx(Engine::JoinGraph, budgets);
-            let got = execute_prepared(&ctx, &prepared, Engine::JoinGraph)
-                .unwrap_or_else(|e| panic!("{name} fails on the snapshot: {e}"))
-                .nodes
-                .map(|v| v.into_iter().map(|p| p + base_pre).collect::<Vec<_>>());
-            assert_eq!(
-                got, expect,
-                "{name} diverged from the full-reparse oracle (vectorized={vectorized})"
-            );
-        }
-        // The independent back-ends agree on the mutated documents too.
-        oracle.budgets = Budgets::default();
         let expect =
             oracle.execute(&oracle_plan, Engine::JoinGraph).expect("oracle executes").nodes;
+        let ctx = segment.ctx(Engine::JoinGraph, Budgets::default());
+        let got = execute_prepared(&ctx, &prepared, Engine::JoinGraph)
+            .unwrap_or_else(|e| panic!("{name} fails on the snapshot: {e}"))
+            .nodes
+            .map(|v| v.into_iter().map(|p| p + base_pre).collect::<Vec<_>>());
+        assert_eq!(got, expect, "{name} diverged from the full-reparse oracle");
+        // The independent back-ends agree on the mutated documents too.
         for engine in [Engine::Stacked, Engine::NavSegmented] {
             let got = execute_prepared(&segment.ctx(engine, Budgets::default()), &prepared, engine)
                 .unwrap_or_else(|e| panic!("{name} fails on {engine:?}: {e}"))

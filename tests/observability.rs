@@ -250,7 +250,7 @@ fn rewrite_counters_fold_once_per_compile() {
     }
 }
 
-/// A vectorized corpus run surfaces the batch-pipeline work in the
+/// A corpus run surfaces the batch-pipeline work in the
 /// report: batches actually flow (`exec.vector.batches`) and the sorted
 /// batched B-tree probes actually skip descents (`btree.skip`), and the
 /// report's counters carry exactly the executor's `ExecStats`.
@@ -259,7 +259,6 @@ fn vectorized_counters_surface_in_obs() {
     let mut s = Session::new();
     s.add_tree(generate_xmark(XmarkConfig { scale: 0.005, seed: 42 }));
     s.add_tree(generate_dblp(DblpConfig { publications: 1000, seed: 42 }));
-    s.budgets.vectorized = true;
     let mut batches = 0u64;
     let mut skips = 0u64;
     for &(_, query, ctx) in &paper_corpus() {

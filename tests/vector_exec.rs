@@ -1,20 +1,18 @@
-//! Scalar-equivalence suite for the vectorized batch executor.
+//! Batch-size equivalence suite for the vectorized batch executor.
 //!
-//! Vectorization must be invisible in results: with the batch pipeline
-//! on, the join-graph engine has to produce the byte-identical node
-//! sequence (order and duplicates included). For a *fixed* plan, only the
-//! mode-dependent counters — `vector_*`, `btree_descents`/`btree_skips` —
-//! may differ between a scalar and a vectorized run; end-to-end the
-//! planner is mode-aware (DESIGN.md §13) and may pick a different plan
-//! shape per mode. Three layers of evidence:
+//! The batch size must be invisible in results: at any batch size the
+//! join-graph engine has to produce the byte-identical node sequence
+//! (order and duplicates included). For a *fixed* plan, only the
+//! batch-size-dependent counters — `vector_*`, `btree_descents`/
+//! `btree_skips`, `join_*` — may differ. Batch size 1 (one row per batch)
+//! is the baseline. Three layers of evidence:
 //!
-//! * the Q1–Q8 paper corpus × {scalar, vectorized}, plus the contract that
-//!   the inert `Budgets::parallelism` changes nothing observable,
-//! * a vacuity guard: the vectorized corpus runs actually batch (and the
-//!   scalar runs actually don't),
+//! * the Q1–Q8 paper corpus, plus the contract that the inert
+//!   `Budgets::parallelism` changes nothing observable,
+//! * a vacuity guard: the corpus runs actually batch,
 //! * property tests over random documents × random workhorse queries,
-//!   driving `execute_rows_opts` directly with batch sizes 1, 2, and
-//!   1024 so flush boundaries land everywhere.
+//!   driving `execute_rows_opts` directly with batch sizes 2 and 1024
+//!   against batch 1, so flush boundaries land everywhere.
 
 use jgi_compiler::compile;
 use jgi_core::queries::paper_corpus;
@@ -34,8 +32,8 @@ fn corpus_session(scale: f64, pubs: usize) -> Session {
     s
 }
 
-/// Every counter that must not depend on the execution mode. The
-/// mode-dependent ones (`vector_*`, `btree_*`) are checked separately
+/// Every counter that must not depend on the batch size. The
+/// batch-size-dependent ones (`vector_*`, `btree_*`) are checked separately
 /// where a specific shape is expected.
 fn assert_invariant_stats(name: &str, mode: &str, base: &ExecStats, run: &ExecStats) {
     assert_eq!(base.raw_rows, run.raw_rows, "{name}: raw_rows changed ({mode})");
@@ -48,64 +46,45 @@ fn assert_invariant_stats(name: &str, mode: &str, base: &ExecStats, run: &ExecSt
     assert_eq!(base.per_op, run.per_op, "{name}: per-operator actuals changed ({mode})");
 }
 
-/// Q1–Q8 on the join-graph engine: identical nodes across {scalar,
-/// vectorized}. The planner is mode-aware (the vectorized row cost and
-/// join-strategy selection, DESIGN.md §13, can legitimately pick a
-/// different plan shape per mode), so cross-mode statistics equivalence
-/// on a *fixed* plan is covered by the property tests below instead.
-///
-/// Within a mode, `Budgets::parallelism` is inert: `Fixed(8)` and the
-/// default give identical nodes, identical `ExecStats` and an identical
-/// EXPLAIN ANALYZE text.
+/// Q1–Q8 on the join-graph engine: `Budgets::parallelism` is inert —
+/// `Fixed(8)` and the default give identical nodes, identical `ExecStats`
+/// and an identical EXPLAIN ANALYZE text. Batch-size equivalence on a
+/// *fixed* plan is covered by the property tests below.
 #[test]
 fn corpus_identical_across_modes_and_degrees() {
     let mut session = corpus_session(0.005, 1000);
     for &(name, query, ctx) in &paper_corpus() {
         let prepared = session.prepare(query, ctx).expect("corpus compiles");
-        session.budgets = Budgets { vectorized: false, ..Budgets::default() };
-        let base = session.execute(&prepared, Engine::JoinGraph).expect("corpus executes");
-        {
-            let base_exec = base.report.exec.as_ref().expect("join-graph reports exec stats");
-            assert_eq!(
-                base_exec.vector_batch_size, 0,
-                "{name}: scalar run reported a batch size"
-            );
-        }
-        for vectorized in [false, true] {
-            session.budgets = Budgets { vectorized, ..Budgets::default() };
-            let out = session.execute(&prepared, Engine::JoinGraph).expect("corpus executes");
-            let analyze = session.explain_analyze(&prepared).ok();
-            let mode = format!("vectorized={vectorized}");
-            assert_eq!(out.nodes, base.nodes, "{name}: result diverged ({mode})");
+        session.budgets = Budgets::default();
+        let out = session.execute(&prepared, Engine::JoinGraph).expect("corpus executes");
+        let analyze = session.explain_analyze(&prepared).ok();
 
-            session.budgets.parallelism = Parallelism::Fixed(8);
-            let wide = session.execute(&prepared, Engine::JoinGraph).expect("corpus executes");
-            let mode = format!("{mode}, parallelism=Fixed(8)");
-            assert_eq!(wide.nodes, out.nodes, "{name}: result diverged ({mode})");
-            assert_eq!(wide.report.exec, out.report.exec, "{name}: exec stats diverged ({mode})");
-            assert_eq!(
-                session.explain_analyze(&prepared).ok(),
-                analyze,
-                "{name}: EXPLAIN ANALYZE diverged ({mode})"
-            );
-        }
+        session.budgets.parallelism = Parallelism::Fixed(8);
+        let wide = session.execute(&prepared, Engine::JoinGraph).expect("corpus executes");
+        let mode = "parallelism=Fixed(8)";
+        assert_eq!(wide.nodes, out.nodes, "{name}: result diverged ({mode})");
+        assert_eq!(wide.report.exec, out.report.exec, "{name}: exec stats diverged ({mode})");
+        assert_eq!(
+            session.explain_analyze(&prepared).ok(),
+            analyze,
+            "{name}: EXPLAIN ANALYZE diverged ({mode})"
+        );
     }
 }
 
-/// The vectorized corpus runs must actually batch, and at least one query
-/// must take the sorted-probe B-tree path — otherwise the equivalence
-/// suite above is vacuous.
+/// The corpus runs must actually batch, and at least one query must take
+/// the sorted-probe B-tree path — otherwise the equivalence suite is
+/// vacuous.
 #[test]
 fn corpus_vectorization_is_not_vacuous() {
     let mut session = corpus_session(0.005, 1000);
-    session.budgets.vectorized = true;
     let mut batched = 0usize;
     let mut descended = 0usize;
     for &(name, query, ctx) in &paper_corpus() {
         let prepared = session.prepare(query, ctx).expect("corpus compiles");
         let out = session.execute(&prepared, Engine::JoinGraph).expect("corpus executes");
         let exec = out.report.exec.as_ref().expect("join-graph reports exec stats");
-        assert!(exec.vector_batch_size > 0, "{name}: vectorized run reported no batch size");
+        assert!(exec.vector_batch_size > 0, "{name}: run reported no batch size");
         if exec.vector_batches > 0 {
             batched += 1;
         }
@@ -128,7 +107,6 @@ fn corpus_vectorization_is_not_vacuous() {
 #[test]
 fn corpus_agrees_across_engines_vectorized() {
     let mut session = corpus_session(0.002, 300);
-    session.budgets.vectorized = true;
     for &(name, query, ctx) in &paper_corpus() {
         let prepared = session.prepare(query, ctx).expect("corpus compiles");
         let jg = session.execute(&prepared, Engine::JoinGraph).expect("corpus executes");
@@ -214,9 +192,9 @@ fn gen_query() -> impl Strategy<Value = String> {
 }
 
 /// Compile a random query down to a conjunctive query, plan it, and check
-/// the vectorized executor against the scalar one row-for-row and
-/// counter-for-counter at batch sizes 1, 2, and 1024.
-fn check_vectorized_on(tree: &Tree, query: &str) {
+/// batch sizes 2 and 1024 against batch size 1 row-for-row and
+/// counter-for-counter.
+fn check_batch_sizes_on(tree: &Tree, query: &str) {
     let Ok(core) = compile_to_core(query) else { return };
     let compiled = compile(&core).expect("compilation succeeds");
     let mut store = DocStore::new();
@@ -227,11 +205,10 @@ fn check_vectorized_on(tree: &Tree, query: &str) {
     let db = Database::with_default_indexes(store);
 
     let phys = optimizer::plan(&db, &cq);
-    let scalar = ExecOptions { vectorized: false, ..ExecOptions::default() };
-    let (base_rows, base_stats) = execute_rows_opts(&db, &phys, &scalar);
-    for batch_size in [1usize, 2, 1024] {
-        let opts = ExecOptions { vectorized: true, batch_size };
-        let (rows, stats) = execute_rows_opts(&db, &phys, &opts);
+    let batch = |batch_size| ExecOptions { batch_size, ..ExecOptions::default() };
+    let (base_rows, base_stats) = execute_rows_opts(&db, &phys, &batch(1));
+    for batch_size in [2usize, 1024] {
+        let (rows, stats) = execute_rows_opts(&db, &phys, &batch(batch_size));
         let mode = format!("batch={batch_size}");
         assert_eq!(base_rows, rows, "rows diverged on {query} ({mode})");
         assert_invariant_stats(query, &mode, &base_stats, &stats);
@@ -244,10 +221,10 @@ proptest! {
         .. ProptestConfig::default()
     })]
 
-    /// Random workhorse queries over random documents: the vectorized
-    /// executor is indistinguishable from the scalar one.
+    /// Random workhorse queries over random documents: no batch size is
+    /// distinguishable from one row per batch.
     #[test]
-    fn vectorized_matches_scalar_on_random_queries(tree in gen_tree(), query in gen_query()) {
-        check_vectorized_on(&tree, &query);
+    fn batch_sizes_agree_on_random_queries(tree in gen_tree(), query in gen_query()) {
+        check_batch_sizes_on(&tree, &query);
     }
 }

@@ -109,7 +109,7 @@ impl fmt::Display for ColRef {
 
 /// Scalar term of a conjunctive-query predicate: `d3.pre`,
 /// `d3.pre + d3.size`, `d2.level + 1`, or a constant.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum CqScalar {
     /// Plain column.
     Col(ColRef),
@@ -150,7 +150,7 @@ impl fmt::Display for CqScalar {
 }
 
 /// One predicate atom `lhs op rhs`.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct CqAtom {
     /// Left term.
     pub lhs: CqScalar,

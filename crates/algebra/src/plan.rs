@@ -197,6 +197,22 @@ impl Plan {
         self.schemas.shrink_to_fit();
     }
 
+    /// Drop every node allocated at or after `len`, a length the arena had
+    /// before: their ids are handed out again. Nothing may refer to them —
+    /// the caller discards what it built past `len`, as the rewriter's
+    /// checked replay of a batched fire does. Interned operators and
+    /// schemas stay.
+    pub fn truncate(&mut self, len: usize) {
+        if len >= self.nodes.len() {
+            return;
+        }
+        self.thaw();
+        let Plan { nodes, memo, .. } = self;
+        for rec in nodes.drain(len..) {
+            memo.remove(&(rec.op, rec.inputs));
+        }
+    }
+
     /// Rebuild the maps [`Plan::freeze`] dropped. Every node enters the
     /// memo when it is created, so the memo is short of the node table
     /// exactly when the plan is frozen.
@@ -396,6 +412,13 @@ impl Plan {
     /// the two renamings into one π over the inner input (Fig. 5 rule (2)
     /// as a constructor property): no builder call makes a π over a π.
     pub fn project(&mut self, input: NodeId, mapping: Vec<(Col, Col)>) -> NodeId {
+        let (mapping, input) = self.compose(input, mapping);
+        self.add(Op::Project(mapping), &[input])
+    }
+
+    /// The mapping and input of π `mapping` over `input` once a π below
+    /// is composed into it (see [`Plan::project`]).
+    fn compose(&self, input: NodeId, mapping: Vec<(Col, Col)>) -> (Vec<(Col, Col)>, NodeId) {
         if let Op::Project(inner) = self.node(input).op {
             let composed: Option<Vec<(Col, Col)>> = mapping
                 .iter()
@@ -405,11 +428,29 @@ impl Plan {
                 .collect();
             // A source the inner π lacks falls through to the schema check.
             if let Some(composed) = composed {
-                let grandchild = self.node(input).inputs[0];
-                return self.add(Op::Project(composed), &[grandchild]);
+                return (composed, self.node(input).inputs[0]);
             }
         }
-        self.add(Op::Project(mapping), &[input])
+        (mapping, input)
+    }
+
+    /// The node [`Plan::project`] would return, if the arena holds it
+    /// already; a frozen plan finds nothing.
+    pub fn find_project(&self, input: NodeId, mapping: Vec<(Col, Col)>) -> Option<NodeId> {
+        let (mapping, input) = self.compose(input, mapping);
+        let op = *self.op_ids.get(&Op::Project(mapping))?;
+        self.memo.get(&(op, [input, NO_INPUT])).copied()
+    }
+
+    /// The node [`Plan::with_inputs`] would return, if the arena holds it
+    /// already; a frozen plan finds nothing.
+    pub fn find_with_inputs(&self, id: NodeId, inputs: &[NodeId]) -> Option<NodeId> {
+        if let Op::Project(m) = self.node(id).op {
+            return self.find_project(inputs[0], m.clone());
+        }
+        let mut slots = [NO_INPUT; 2];
+        slots[..inputs.len()].copy_from_slice(inputs);
+        self.memo.get(&(self.nodes[id.0 as usize].op, slots)).copied()
     }
 
     /// π — identity projection onto `cols`.

@@ -12,7 +12,7 @@
 //!    on a small embedded document corpus and tries to refute claimed
 //!    `const`/`key`/`set` facts with actual rows.
 //! 2. [`audit`] — a [`jgi_rewrite::driver::RewriteObserver`] that audits
-//!    every rule fire: schema preservation, constant-fact monotonicity,
+//!    every rewrite: schema preservation, constant-fact monotonicity,
 //!    and (sampled) end-to-end result equivalence via the executor.
 //!    Violations abort isolation with an error naming the rule and node.
 //! 3. [`mod@lint`] — a registry of plan lints (dead column producers,

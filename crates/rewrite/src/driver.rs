@@ -2,14 +2,24 @@
 //!
 //! Applies the Fig. 5 rules with the paper's goal order: house-cleaning
 //! whenever necessary, subgoal ϱ before the δ/⋈ subgoals. Each step (a
-//! *fire*) replaces one node, followed by substitution into the ancestors
-//! of the replaced node and by advancing one [`Props`] table to the new
-//! root — both at a cost proportional to what the fire touched, not to the
-//! DAG (see [`crate::props`] for why carrying the table over is sound). A
-//! house-cleaning or ϱ fire is a single rewrite. A join fire is one §3.2
-//! goal, "push this equi-join down until rule (19) removes it": the
-//! replacement of the join is built through every (17)/(18) level and the
-//! final (19), and substituted into the plan once.
+//! *fire*) rewrites the plan, rebuilds the ancestors of what it replaced
+//! and advances one [`Props`] table to the new root — both at a cost
+//! proportional to what the fire touched, not to the DAG (see
+//! [`crate::props`] for why carrying the table over is sound). A ϱ fire is
+//! a single rewrite. A house-cleaning fire is one sweep: every house rule
+//! the table licenses, (eq) first and the narrowing it enables after it
+//! ([`house_batch`]). A join fire is one §3.2 goal, "push this equi-join
+//! down until rule (19) removes it": the replacement of the join is built
+//! through every (17)/(18) level and the final (19). Either is substituted
+//! into the plan once.
+//!
+//! Checked mode (`JGI_CHECK=1`) and a [`RewriteObserver`] see every rewrite
+//! of a fire: the driver replays a house-cleaning batch one substitution at
+//! a time, observes and checks each, and requires the replay to reach the
+//! batch's root — a `NodeId` comparison under hash-consing. What only the
+//! replay built is then dropped from the arena again, so that checking
+//! does not change which ids, and with them which `name@id` columns, the
+//! run allocates.
 //!
 //! Termination. House-cleaning shrinks the plan, ϱ rules only move ranks
 //! rootward and join push-down descends, but adjacent equi-joins can trade
@@ -28,20 +38,21 @@
 
 use crate::props::{infer, Props};
 use crate::rules::{
-    find_rewrite, is_pushable_equijoin, substitute, try_eliminate_join, try_push_join, Phase,
-    Rewrite,
+    find_rewrite, house_batch, is_pushable_equijoin, substitute, try_eliminate_join,
+    try_push_join, Phase, Rewrite,
 };
 use jgi_algebra::{NodeId, Plan};
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 
-/// Steps after which isolation gives up (the benchmark's longest run: 1 400).
+/// Steps after which isolation gives up (the benchmark's longest run: 782).
 const FUEL: usize = 20_000;
 
 /// Is checked-mode rewriting enabled (`JGI_CHECK=1`)?
 ///
 /// Checked mode promotes the driver's pass-level `debug_assert!` whole-plan
-/// validation to a real check that also runs in release builds, and makes
+/// validation to a real check that also runs in release builds, replays
+/// every house-cleaning batch one rewrite at a time, and makes
 /// [`isolate_checked`] / [`isolate_with_observer`] return a structured
 /// [`IsolateError`] naming the offending rule and node instead of
 /// panicking. Read per call (not cached) so tests can toggle it.
@@ -76,27 +87,31 @@ impl fmt::Display for IsolateError {
 
 impl std::error::Error for IsolateError {}
 
-/// A single rule fire, as seen by a [`RewriteObserver`].
+/// One rewrite of a fire, as seen by a [`RewriteObserver`]: a join descent
+/// is one rewrite, a house-cleaning batch is replayed as one per rule
+/// application.
 pub struct FireInfo<'a> {
-    /// The plan arena *after* the fire (old nodes stay valid — rewrites are
-    /// non-destructive, so the pre-fire sub-DAG is still readable).
+    /// The plan arena *after* the rewrite (old nodes stay valid for the
+    /// observation — rewrites are non-destructive, so the pre-rewrite
+    /// sub-DAG is still readable; only the nodes that exist solely inside
+    /// a batch's replay are dropped once the fire is over).
     pub plan: &'a Plan,
     /// Label of the rule that fired; for a join descent, the rule of its
     /// last level.
     pub rule: &'static str,
-    /// 1-based rewrite step count.
+    /// 1-based step (fire) count; the rewrites of one batch share it.
     pub step: usize,
     /// Node the rule replaced.
     pub old: NodeId,
     /// Replacement node.
     pub new: NodeId,
-    /// Plan root before the fire.
+    /// Plan root before the rewrite.
     pub root_before: NodeId,
     /// Plan root after ancestor substitution.
     pub root_after: NodeId,
 }
 
-/// Hook into the rewrite driver: called after every rule fire and once at
+/// Hook into the rewrite driver: called after every rewrite and once at
 /// the end of the run. Returning `Err` aborts isolation with an
 /// [`IsolateError`] naming the rule and node — this is how the `jgi-check`
 /// audit pass pinpoints a bad rewrite.
@@ -109,21 +124,13 @@ pub trait RewriteObserver {
     }
 }
 
-/// Observer that does nothing (the unchecked fast path).
-struct NoopObserver;
-
-impl RewriteObserver for NoopObserver {
-    fn after_fire(&mut self, _info: &FireInfo<'_>) -> Result<(), String> {
-        Ok(())
-    }
-}
-
-/// Observer that writes one line per fire (step, rule, DAG size, replaced
-/// and replacement node) and both sub-plans of the step named in `detail`.
+/// Observer that writes one line per rewrite (step, rule, DAG size,
+/// replaced and replacement node) and both sub-plans of the rewrites of
+/// the step named in `detail`.
 pub struct TraceObserver<W: std::io::Write> {
     /// Where the trace goes.
     pub out: W,
-    /// The step whose `old` and `new` sub-plans are rendered.
+    /// The step whose rewrites' `old` and `new` sub-plans are rendered.
     pub detail: Option<usize>,
 }
 
@@ -147,16 +154,20 @@ impl<W: std::io::Write> RewriteObserver for TraceObserver<W> {
 pub struct IsolateStats {
     /// Rule applications per rule label: one per level, so a join descent
     /// that passes three operators and is then eliminated counts three
-    /// (17)/(18) and one (19) in a single step.
+    /// (17)/(18) and one (19) in a single step, and one per rewrite of a
+    /// house-cleaning batch.
     pub applied: HashMap<&'static str, usize>,
-    /// Fires: substitutions into the plan, one per rewrite step.
+    /// Fires: substitutions into the plan, one per step — a ϱ rewrite, a
+    /// join descent, or a house-cleaning sweep however many rewrites it
+    /// batches.
     pub steps: usize,
     /// Reachable node count before isolation.
     pub nodes_before: usize,
     /// Reachable node count after isolation.
     pub nodes_after: usize,
     /// Per-node property derivations, the initial whole-DAG pass included:
-    /// one per node entering the DAG, one per top-down recomputation.
+    /// one per node entering the DAG, one per top-down recomputation, and
+    /// one per node a house-cleaning sweep derives before it enters.
     pub props_derived: usize,
     /// Transfer-function evaluations behind those derivations: the memo
     /// misses (see [`crate::props`]).
@@ -203,13 +214,14 @@ pub fn isolate_checked(
     plan: &mut Plan,
     root: NodeId,
 ) -> Result<(NodeId, IsolateStats), IsolateError> {
-    isolate_with_observer(plan, root, &mut NoopObserver)
+    isolate_with_fuel(plan, root, None, FUEL)
 }
 
 /// The general driver entry point: run isolation with a caller-supplied
-/// [`RewriteObserver`] auditing every rule fire. Independently of the
-/// observer, when `JGI_CHECK=1` the whole plan is re-validated after every
-/// fire (release builds included) and the carried-over property table is
+/// [`RewriteObserver`] auditing every rewrite, house-cleaning batches
+/// replayed one rewrite at a time. Independently of the observer, when
+/// `JGI_CHECK=1` the whole plan is re-validated after every rewrite
+/// (release builds included) and the carried-over property table is
 /// compared with a from-scratch inference that consults no memo
 /// ([`Props::cross_check`]).
 pub fn isolate_with_observer(
@@ -217,7 +229,7 @@ pub fn isolate_with_observer(
     root: NodeId,
     observer: &mut dyn RewriteObserver,
 ) -> Result<(NodeId, IsolateStats), IsolateError> {
-    isolate_with_fuel(plan, root, observer, FUEL)
+    isolate_with_fuel(plan, root, Some(observer), FUEL)
 }
 
 /// One run: the plan, the table following its root, the module docs' sets.
@@ -228,7 +240,7 @@ struct Run<'a> {
     banned: HashSet<(NodeId, NodeId)>,
     stats: IsolateStats,
     checked: bool,
-    observer: &'a mut dyn RewriteObserver,
+    observer: Option<&'a mut (dyn RewriteObserver + 'a)>,
 }
 
 /// One equi-join's way down: the replacement built for the join it started
@@ -245,59 +257,130 @@ struct Descent {
 }
 
 impl Run<'_> {
-    /// Substitute `rw` into the plan and make the result the current state,
-    /// unless that state was seen before (`Ok(false)`). The fire counts one
-    /// step and one application of each rule in `levels`.
-    fn apply(&mut self, rw: Rewrite, levels: &[&'static str]) -> Result<bool, IsolateError> {
-        let root_before = self.props.root();
-        let (new_root, rebuilt) = substitute(self.plan, &self.props, rw.old, rw.new);
-        self.stats.nodes_rebuilt += rebuilt;
-        if new_root == root_before || !self.visited.insert(new_root) {
+    /// Make `root`, reached by `rewrites` from the current state, the
+    /// current state, unless it was seen before (`Ok(false)`). The fire
+    /// counts one step and one application of each rule in `levels`.
+    fn apply(
+        &mut self,
+        rewrites: &[Rewrite],
+        root: NodeId,
+        levels: &[&'static str],
+    ) -> Result<bool, IsolateError> {
+        if root == self.props.root() || !self.visited.insert(root) {
             return Ok(false);
         }
-        self.props.advance(self.plan, new_root);
         for &rule in levels {
             *self.stats.applied.entry(rule).or_default() += 1;
         }
         self.stats.steps += 1;
-        let fail = |message: String| IsolateError {
-            rule: rw.rule,
-            step: self.stats.steps,
-            node: rw.new,
-            message,
-        };
+        // A fire of one rewrite is its own replay.
+        let single = rewrites.len() == 1;
+        if (self.checked || self.observer.is_some()) && !single {
+            self.replay(rewrites, root)?;
+        }
+        let root_before = self.props.root();
+        self.props.advance(self.plan, root);
+        let rule = rewrites[rewrites.len() - 1].rule;
         if self.checked {
-            // The promoted debug_assert!: full-plan validation after every
-            // fire, active in release builds, failing with a structured
-            // error that names the rule — and the carried-over, memoised
+            // The promoted debug_assert!, and the carried-over, memoised
             // properties against direct evaluation of the transfer functions.
-            jgi_algebra::validate::validate(self.plan, new_root)
-                .map_err(|msg| fail(format!("fire produced an invalid plan: {msg}")))?;
+            let fail = |node: NodeId, message: String| IsolateError {
+                rule,
+                step: self.stats.steps,
+                node,
+                message,
+            };
+            jgi_algebra::validate::validate(self.plan, root)
+                .map_err(|msg| fail(root, format!("fire produced an invalid plan: {msg}")))?;
             if let Some((node, what)) = self.props.cross_check(self.plan) {
-                return Err(IsolateError {
-                    node,
-                    ..fail(format!("carried-over `{what}` differs from direct evaluation"))
-                });
+                return Err(fail(node, format!("carried-over `{what}` differs from direct evaluation")));
             }
         } else {
             debug_assert_eq!(
-                jgi_algebra::validate::validate(self.plan, new_root),
+                jgi_algebra::validate::validate(self.plan, root),
                 Ok(()),
-                "rule {} produced an invalid plan",
-                rw.rule
+                "rule {rule} produced an invalid plan"
             );
         }
-        let info = FireInfo {
-            plan: self.plan,
-            rule: rw.rule,
-            step: self.stats.steps,
-            old: rw.old,
-            new: rw.new,
-            root_before,
-            root_after: new_root,
-        };
-        self.observer.after_fire(&info).map_err(fail)?;
+        if let Some(observer) = self.observer.as_deref_mut().filter(|_| single) {
+            let rw = rewrites[0];
+            let info = FireInfo {
+                plan: self.plan,
+                rule,
+                step: self.stats.steps,
+                old: rw.old,
+                new: rw.new,
+                root_before,
+                root_after: root,
+            };
+            observer.after_fire(&info).map_err(|message| IsolateError {
+                rule,
+                step: self.stats.steps,
+                node: rw.new,
+                message,
+            })?;
+        }
         Ok(true)
+    }
+
+    /// Substitute `rewrites` one at a time into a copy of the table,
+    /// validating (in checked mode) and observing each, and require the
+    /// last to reach `root`. Nodes that only the replay built are dropped
+    /// from the arena afterwards, and the run's own table never sees the
+    /// replay: checking leaves the run's arena and statistics as they are
+    /// unchecked. The run's table is cross-checked after the fire.
+    fn replay(&mut self, rewrites: &[Rewrite], root: NodeId) -> Result<(), IsolateError> {
+        let built = self.plan.len();
+        let mut table = self.props.clone();
+        for rw in rewrites {
+            let fail = |message: String| IsolateError {
+                rule: rw.rule,
+                step: self.stats.steps,
+                node: rw.new,
+                message,
+            };
+            if !table.contains(rw.old) {
+                return Err(fail(format!("replaced node {} is not in the plan", rw.old.0)));
+            }
+            let root_before = table.root();
+            let (new_root, _) = substitute(self.plan, &table, rw.old, rw.new);
+            table.advance(self.plan, new_root);
+            if self.checked {
+                // Every rewrite of a batch is validated on its own, so
+                // that an invalid plan names its rule.
+                jgi_algebra::validate::validate(self.plan, new_root)
+                    .map_err(|msg| fail(format!("rewrite produced an invalid plan: {msg}")))?;
+            }
+            if let Some(observer) = self.observer.as_deref_mut() {
+                let info = FireInfo {
+                    plan: self.plan,
+                    rule: rw.rule,
+                    step: self.stats.steps,
+                    old: rw.old,
+                    new: rw.new,
+                    root_before,
+                    root_after: new_root,
+                };
+                observer.after_fire(&info).map_err(fail)?;
+            }
+        }
+        let reached = table.root();
+        if reached != root {
+            let last = rewrites[rewrites.len() - 1];
+            return Err(IsolateError {
+                rule: last.rule,
+                step: self.stats.steps,
+                node: reached,
+                message: format!(
+                    "replaying the fire's {} rewrites reached node {}, not the batched root {}",
+                    rewrites.len(),
+                    reached.0,
+                    root.0
+                ),
+            });
+        }
+        self.plan.truncate(built);
+        Ok(())
     }
 
     /// Drive the equi-join `j0` downward until rule (19) eliminates it or
@@ -356,10 +439,10 @@ fn replace_within(plan: &mut Plan, top: NodeId, old: NodeId, new: NodeId, start:
 }
 
 /// [`isolate_with_observer`] with an explicit step budget.
-pub(crate) fn isolate_with_fuel(
-    plan: &mut Plan,
+pub(crate) fn isolate_with_fuel<'a>(
+    plan: &'a mut Plan,
     root: NodeId,
-    observer: &mut dyn RewriteObserver,
+    observer: Option<&'a mut (dyn RewriteObserver + 'a)>,
     fuel: usize,
 ) -> Result<(NodeId, IsolateStats), IsolateError> {
     let props = infer(plan, root);
@@ -379,10 +462,37 @@ pub(crate) fn isolate_with_fuel(
             run.stats.fuel_exhausted = true;
             break;
         }
-        // House-cleaning and the ϱ subgoal to fixpoint.
-        for phase in [Phase::House, Phase::RankGoal, Phase::JoinGoal] {
+        // House-cleaning to fixpoint, one sweep per fire. A sweep that
+        // would reuse a replacement where it is not valid is cut short
+        // before that rewrite.
+        let mut limit = usize::MAX;
+        loop {
+            let batch = match house_batch(run.plan, &mut run.props, &run.banned, limit) {
+                Ok(Some(batch)) => batch,
+                Ok(None) => break,
+                Err(conflict) => {
+                    limit = conflict.max(1);
+                    continue;
+                }
+            };
+            run.stats.nodes_rebuilt += batch.rebuilt;
+            let rules: Vec<&'static str> = batch.rewrites.iter().map(|rw| rw.rule).collect();
+            if run.apply(&batch.rewrites, batch.root, &rules)? {
+                for (id, ctx) in batch.settle {
+                    run.props.settle_under(id, Phase::House as u8, ctx);
+                }
+                run.banned.clear();
+                continue 'outer;
+            }
+            let first = batch.rewrites[0];
+            run.banned.insert((first.old, first.new));
+        }
+        // The ϱ subgoal, one rewrite per fire.
+        for phase in [Phase::RankGoal, Phase::JoinGoal] {
             while let Some(rw) = find_rewrite(run.plan, &mut run.props, phase, &run.banned) {
-                if run.apply(rw, &[rw.rule])? {
+                let (new_root, rebuilt) = substitute(run.plan, &run.props, rw.old, rw.new);
+                run.stats.nodes_rebuilt += rebuilt;
+                if run.apply(&[rw], new_root, &[rw.rule])? {
                     run.banned.clear();
                     continue 'outer;
                 }
@@ -405,7 +515,10 @@ pub(crate) fn isolate_with_fuel(
             // One fire for the whole descent, labelled by its last level.
             let fired = match descent.levels.last() {
                 Some(&rule) => {
-                    run.apply(Rewrite { old: j, new: descent.to, rule }, &descent.levels)?
+                    let rw = Rewrite { old: j, new: descent.to, rule };
+                    let (new_root, rebuilt) = substitute(run.plan, &run.props, j, descent.to);
+                    run.stats.nodes_rebuilt += rebuilt;
+                    run.apply(&[rw], new_root, &descent.levels)?
                 }
                 None => false,
             };
@@ -437,7 +550,9 @@ pub(crate) fn isolate_with_fuel(
         jgi_algebra::validate::validate(plan, root)
             .map_err(|msg| fail(format!("final plan is invalid: {msg}")))?;
     }
-    observer.finish(plan, root).map_err(fail)?;
+    if let Some(observer) = observer {
+        observer.finish(plan, root).map_err(fail)?;
+    }
     Ok((root, stats))
 }
 
@@ -566,6 +681,52 @@ mod tests {
         );
     }
 
+    /// Every query text of this module.
+    const TEXTS: [&str; 10] = [
+        r#"doc("auction.xml")/descendant::bidder/child::*/child::text()"#,
+        r#"doc("auction.xml")/descendant::open_auction[bidder]"#,
+        r#"doc("auction.xml")/descendant::increase[. > 4]"#,
+        r#"doc("auction.xml")/descendant::increase[. > 5]"#,
+        r#"doc("auction.xml")/descendant::time[. = "18:43"]"#,
+        r#"for $b in doc("auction.xml")/descendant::bidder
+           for $c in $b/child::*
+           return $c/child::text()"#,
+        r#"doc("auction.xml")/descendant::increase/ancestor::node()"#,
+        r#"doc("auction.xml")/descendant::time/following-sibling::node()"#,
+        r#"for $c in doc("auction.xml")/descendant::bidder/child::*
+           return $c/parent::node()"#,
+        r#"doc("auction.xml")//bidder[increase > 20]/preceding-sibling::bidder/increase"#,
+    ];
+
+    /// Counts the rewrites it sees.
+    struct Count(usize);
+
+    impl RewriteObserver for Count {
+        fn after_fire(&mut self, _info: &FireInfo<'_>) -> Result<(), String> {
+            self.0 += 1;
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn replaying_batches_reaches_the_batched_roots() {
+        for q in TEXTS {
+            let c = compile(&compile_to_core(q).unwrap()).unwrap();
+            let (mut plain, mut observed) = (c.plan.clone(), c.plan);
+            let (root, stats) = isolate(&mut plain, c.root);
+            // An observer makes the driver replay every batch one rewrite at
+            // a time and fail unless the replay reaches the batched root.
+            let mut count = Count(0);
+            let (replayed, replayed_stats) =
+                isolate_with_observer(&mut observed, c.root, &mut count)
+                    .unwrap_or_else(|e| panic!("{q}: {e}"));
+            assert!(count.0 > stats.steps, "{q}: some fire batches several rewrites");
+            // The replay leaves the arena, and with it every id, as it was.
+            assert_eq!((replayed, observed.len()), (root, plain.len()), "{q}");
+            assert_eq!(replayed_stats.steps, stats.steps, "{q}");
+        }
+    }
+
     #[test]
     fn fuel_bounds_the_run_and_leaves_a_correct_plan() {
         let store = fig2_store();
@@ -574,7 +735,7 @@ mod tests {
         let c = compile(&core).unwrap();
         let mut plan = c.plan;
         let before = execute_serialized(&plan, c.root, &store, ExecBudget::default()).unwrap();
-        let (root, stats) = isolate_with_fuel(&mut plan, c.root, &mut NoopObserver, 5).unwrap();
+        let (root, stats) = isolate_with_fuel(&mut plan, c.root, None, 5).unwrap();
         assert!(stats.fuel_exhausted);
         assert_eq!(stats.steps, 5);
         let after = execute_serialized(&plan, root, &store, ExecBudget::default()).unwrap();
@@ -582,7 +743,7 @@ mod tests {
     }
 
     #[test]
-    fn trace_observer_writes_one_line_per_fire() {
+    fn trace_observer_writes_one_line_per_rewrite() {
         let core = compile_to_core(r#"doc("auction.xml")/descendant::open_auction[bidder]"#)
             .unwrap();
         let c = compile(&core).unwrap();
@@ -590,8 +751,16 @@ mod tests {
         let mut trace = TraceObserver { out: Vec::new(), detail: Some(2) };
         let (_, stats) = isolate_with_observer(&mut plan, c.root, &mut trace).unwrap();
         let text = String::from_utf8(trace.out).unwrap();
-        assert_eq!(text.lines().filter(|l| l.starts_with("step ")).count(), stats.steps);
-        assert_eq!(text.matches("--- OLD ---").count(), 1);
+        let steps: Vec<usize> = text
+            .lines()
+            .filter_map(|l| l.strip_prefix("step ")?.split_whitespace().next()?.parse().ok())
+            .collect();
+        // Every fire is traced, a house-cleaning batch with one line per
+        // rewrite, and the detailed step renders each of its rewrites.
+        assert_eq!(steps.iter().collect::<HashSet<_>>().len(), stats.steps);
+        assert!(steps.len() > stats.steps, "some fire batches several rewrites");
+        let detailed = steps.iter().filter(|&&s| s == 2).count();
+        assert_eq!(text.matches("--- OLD ---").count(), detailed);
     }
 
     /// `value`-equality self-join of the doc table over a selection — the

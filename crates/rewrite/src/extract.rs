@@ -14,7 +14,7 @@
 use jgi_algebra::cq::{ColRef, CqAtom, CqScalar, DocCol, OutputCol};
 use jgi_algebra::pred::{Atom, CmpOp, Scalar};
 use jgi_algebra::{Col, ConjunctiveQuery, NodeId, Op, Plan, Value};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 
 /// Why a plan could not be read as a join graph (the caller then falls back
@@ -293,8 +293,8 @@ fn output_aliases(cq: &ConjunctiveQuery) -> Vec<usize> {
 }
 
 /// Substitute aliases in a scalar.
-fn subst_scalar(s: &CqScalar, theta: &[usize]) -> CqScalar {
-    let m = |c: &ColRef| ColRef { alias: theta[c.alias], col: c.col };
+fn subst_scalar(s: &CqScalar, theta: impl Fn(usize) -> usize) -> CqScalar {
+    let m = |c: &ColRef| ColRef { alias: theta(c.alias), col: c.col };
     match s {
         CqScalar::Col(c) => CqScalar::Col(m(c)),
         CqScalar::ColPlusInt(c, i) => CqScalar::ColPlusInt(m(c), *i),
@@ -304,7 +304,57 @@ fn subst_scalar(s: &CqScalar, theta: &[usize]) -> CqScalar {
 }
 
 fn subst_atom(a: &CqAtom, theta: &[usize]) -> CqAtom {
+    let theta = |x: usize| theta[x];
     CqAtom { lhs: subst_scalar(&a.lhs, theta), op: a.op, rhs: subst_scalar(&a.rhs, theta) }
+}
+
+/// The one alias a local atom references (`None` for a join atom or a
+/// constant-only one), without collecting the aliases.
+fn local_alias(a: &CqAtom) -> Option<usize> {
+    let mut only = None;
+    for s in [&a.lhs, &a.rhs] {
+        let cols = match s {
+            CqScalar::Col(c) | CqScalar::ColPlusInt(c, _) => [Some(c), None],
+            CqScalar::ColPlusCol(x, y) => [Some(x), Some(y)],
+            CqScalar::Const(_) => [None, None],
+        };
+        for c in cols.into_iter().flatten() {
+            match only {
+                None => only = Some(c.alias),
+                Some(x) if x != c.alias => return None,
+                Some(_) => {}
+            }
+        }
+    }
+    only
+}
+
+/// Each alias's local-predicate signature: the multiset of its local atoms
+/// with the alias erased, as an id that is equal for two aliases exactly
+/// when their multisets are. Built in one pass over the predicates.
+fn signatures(cq: &ConjunctiveQuery) -> Vec<usize> {
+    let mut atom_ids: HashMap<CqAtom, usize> = HashMap::new();
+    let mut local: Vec<Vec<usize>> = vec![Vec::new(); cq.aliases];
+    for p in &cq.predicates {
+        if let Some(a) = local_alias(p) {
+            let erased = CqAtom {
+                lhs: subst_scalar(&p.lhs, |_| 0),
+                op: p.op,
+                rhs: subst_scalar(&p.rhs, |_| 0),
+            };
+            let next = atom_ids.len();
+            local[a].push(*atom_ids.entry(erased).or_insert(next));
+        }
+    }
+    let mut sig_ids: HashMap<Vec<usize>, usize> = HashMap::new();
+    local
+        .into_iter()
+        .map(|mut atoms| {
+            atoms.sort_unstable();
+            let next = sig_ids.len();
+            *sig_ids.entry(atoms).or_insert(next)
+        })
+        .collect()
 }
 
 /// Try to find a non-trivial fold θ. Strategy: seed θ with `b ↦ a` for some
@@ -314,19 +364,8 @@ fn subst_atom(a: &CqAtom, theta: &[usize]) -> CqAtom {
 fn find_fold(cq: &ConjunctiveQuery) -> Option<Vec<usize>> {
     let outputs = output_aliases(cq);
     let n = cq.aliases;
-    let sig = |a: usize| -> Vec<String> {
-        let mut v: Vec<String> = cq.local_preds(a).iter().map(|p| {
-            // Local signature with the alias erased.
-            let mut id = vec![usize::MAX; n];
-            id[a] = 0; // canonical placeholder; others unused in local atoms
-            let mut theta: Vec<usize> = (0..n).collect();
-            theta[a] = 0;
-            subst_atom(p, &theta).to_string()
-        }).collect();
-        v.sort();
-        v
-    };
-    let sigs: Vec<Vec<String>> = (0..n).map(sig).collect();
+    let sigs = signatures(cq);
+    let present: HashSet<&CqAtom> = cq.predicates.iter().collect();
     for b in (0..n).rev() {
         if outputs.contains(&b) {
             continue;
@@ -335,7 +374,7 @@ fn find_fold(cq: &ConjunctiveQuery) -> Option<Vec<usize>> {
             if a == b || sigs[a] != sigs[b] {
                 continue;
             }
-            if let Some(theta) = try_fold(cq, b, a, &outputs, &sigs) {
+            if let Some(theta) = try_fold(cq, &present, b, a, &outputs, &sigs) {
                 return Some(theta);
             }
         }
@@ -345,10 +384,11 @@ fn find_fold(cq: &ConjunctiveQuery) -> Option<Vec<usize>> {
 
 fn try_fold(
     cq: &ConjunctiveQuery,
+    present: &HashSet<&CqAtom>,
     b: usize,
     a: usize,
     outputs: &[usize],
-    sigs: &[Vec<String>],
+    sigs: &[usize],
 ) -> Option<Vec<usize>> {
     let n = cq.aliases;
     let mut theta: Vec<usize> = (0..n).collect();
@@ -364,7 +404,7 @@ fn try_fold(
         let mut all_ok = true;
         for atom in &cq.predicates {
             let img = subst_atom(atom, &theta);
-            if cq.predicates.contains(&img) {
+            if present.contains(&img) {
                 continue;
             }
             if img.op == CmpOp::Eq && img.lhs == img.rhs {
@@ -389,7 +429,7 @@ fn try_fold(
                 }
                 let mut t2 = theta.clone();
                 t2[c] = d;
-                if cq.predicates.contains(&subst_atom(atom, &t2)) {
+                if present.contains(&subst_atom(atom, &t2)) {
                     if target.is_some() {
                         return None; // ambiguous
                     }
@@ -427,17 +467,13 @@ fn apply_fold(cq: &mut ConjunctiveQuery, theta: &[usize]) {
         }
     }
     let full: Vec<usize> = (0..n).map(|a| renum[theta[a]]).collect();
-    let mut preds = Vec::new();
-    for p in &cq.predicates {
-        let img = subst_atom(p, &full);
-        if img.op == CmpOp::Eq && img.lhs == img.rhs {
-            continue;
-        }
-        if !preds.contains(&img) {
-            preds.push(img);
-        }
-    }
-    cq.predicates = preds;
+    let mut seen = HashSet::new();
+    cq.predicates = cq
+        .predicates
+        .iter()
+        .map(|p| subst_atom(p, &full))
+        .filter(|img| !(img.op == CmpOp::Eq && img.lhs == img.rhs) && seen.insert(img.clone()))
+        .collect();
     for o in &mut cq.select {
         o.col.alias = full[o.col.alias];
     }
@@ -573,7 +609,7 @@ fn merge_equal_aliases(cq: &mut ConjunctiveQuery) {
         }
         rep[a]
     }
-    for p in &cq.predicates.clone() {
+    for p in &cq.predicates {
         if p.op == CmpOp::Eq {
             if let (CqScalar::Col(x), CqScalar::Col(y)) = (&p.lhs, &p.rhs) {
                 if x.col == DocCol::Pre && y.col == DocCol::Pre {
@@ -598,7 +634,8 @@ fn merge_equal_aliases(cq: &mut ConjunctiveQuery) {
         col: cr.col,
     };
     let mut preds: Vec<CqAtom> = Vec::new();
-    for p in cq.predicates.clone() {
+    let mut seen: HashSet<CqAtom> = HashSet::new();
+    for p in std::mem::take(&mut cq.predicates) {
         let map_s = |s: CqScalar, rep: &mut Vec<usize>, remap: &mut dyn FnMut(ColRef, &mut Vec<usize>) -> ColRef| match s {
             CqScalar::Col(c) => CqScalar::Col(remap(c, rep)),
             CqScalar::ColPlusInt(c, i) => CqScalar::ColPlusInt(remap(c, rep), i),
@@ -614,7 +651,7 @@ fn merge_equal_aliases(cq: &mut ConjunctiveQuery) {
         if a.op == CmpOp::Eq && a.lhs == a.rhs {
             continue;
         }
-        if !preds.contains(&a) {
+        if seen.insert(a.clone()) {
             preds.push(a);
         }
     }

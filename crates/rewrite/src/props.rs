@@ -172,11 +172,12 @@ fn memoised<K: Hash + Eq, T: Hash + Eq>(
 struct Memo {
     ups: Pool<BottomUp>,
     ctxs: Pool<Context>,
-    /// Tables 3/4 and column equivalence:
-    /// `(operator, input schemas, input bottom-up ids)` → bottom-up id.
+    /// Tables 3/4 and column equivalence: `(operator, input schemas where
+    /// the operator reads them, input bottom-up ids)` → bottom-up id.
     up: IdMap<(OpId, [SchemaId; 2], [u32; 2]), u32>,
-    /// One consumer edge of Tables 2/5 and below-∪:
-    /// `(node schema, consumer operator, consumer context id)` → context id.
+    /// One consumer edge of Tables 2/5 and below-∪: `(node schema if the
+    /// consumer reads it, consumer operator, consumer context id)` →
+    /// context id.
     edge: IdMap<(SchemaId, OpId, u32), u32>,
     /// The join of two context ids, the smaller first.
     join: IdMap<(u32, u32), u32>,
@@ -461,13 +462,26 @@ impl Props {
     }
 
     /// Tables 3/4 and column equivalence for an entering node whose inputs
-    /// are in the table. The memo key is complete: the transfer functions
-    /// read the operator, the input schemas (which fix the node's own) and
-    /// the inputs' bottom-up values — besides the arena's fixed `pre`.
+    /// are in the table.
     fn bottom_up(&mut self, plan: &Plan, id: NodeId) -> u32 {
-        let (mut schemas, mut ups) = ([SchemaId::MAX; 2], [NO_SLOT; 2]);
+        let mut ups = [NO_SLOT; 2];
         for (k, &i) in plan.node(id).inputs.iter().enumerate() {
-            (schemas[k], ups[k]) = (plan.schema_id(i), self.entry(i).up);
+            ups[k] = self.entry(i).up;
+        }
+        self.derive_up(plan, id, ups)
+    }
+
+    /// The interned bottom-up value of node `id` whose inputs have the
+    /// values `ups` — a node of the table or not. The memo key is
+    /// complete: the transfer functions read the operator, the input
+    /// schemas (which fix the node's own) and the inputs' bottom-up values
+    /// — besides the arena's fixed `pre`.
+    pub(crate) fn derive_up(&mut self, plan: &Plan, id: NodeId, ups: [u32; 2]) -> u32 {
+        // Of the input schemas, only the first one's is read: by δ (its
+        // key), ⋈ (the orientation of its predicate) and ∪ (its classes).
+        let mut schemas = [SchemaId::MAX; 2];
+        if matches!(plan.node(id).op, Op::Distinct | Op::Join(_) | Op::Union) {
+            schemas[0] = plan.schema_id(plan.node(id).inputs[0]);
         }
         let Memo { ups: pool, up, computed, lookup, .. } = &mut self.memo;
         memoised(up, pool, computed, *lookup, (plan.op_id(id), schemas, ups), |pool| {
@@ -475,32 +489,85 @@ impl Props {
         })
     }
 
+    /// The interned bottom-up value of a node of the table.
+    pub(crate) fn up_id(&self, id: NodeId) -> Option<u32> {
+        self.get(id).map(|e| e.up)
+    }
+
+    /// The interned bottom-up value `up`.
+    pub(crate) fn up_value(&self, up: u32) -> &BottomUp {
+        self.memo.ups.get(up)
+    }
+
+    /// Mark the node settled for the phase with bit `phase` if it is in
+    /// the DAG with the interned context `ctx`: a rule evaluation made
+    /// before it entered, under that context, stands.
+    pub(crate) fn settle_under(&mut self, id: NodeId, phase: u8, ctx: u32) {
+        if self.get(id).is_some_and(|e| e.ctx == ctx) {
+            self.settle(id, phase);
+        }
+    }
+
+    /// Canonical representative of `c`'s class in the bottom-up value `up`.
+    pub(crate) fn canon_up(&self, up: u32, c: Col) -> Col {
+        canon_in(&self.memo.ups.get(up).eq, c)
+    }
+
     /// Tables 2 and 5 plus below-∪ for one node: the join, over its
     /// consumer edges, of what each consumer — whose own top-down
     /// properties are final — asks of it. The root seeds the lattices
     /// (nothing required, no duplicate elimination upstream).
     fn context(&mut self, plan: &Plan, id: NodeId) -> u32 {
-        let schema = plan.schema_id(id);
         let mut acc = (self.root == Some(id)).then_some(CTX_ROOT);
         for k in 0..self.entry(id).parents.len() {
             let p = self.entry(id).parents[k];
-            let mine = self.entry(p).ctx;
-            let Memo { ctxs, edge, join, computed, lookup, .. } = &mut self.memo;
-            let key = (schema, plan.op_id(p), mine);
-            let e = memoised(edge, ctxs, computed, *lookup, key, |ctxs| {
-                edge_context(plan.node(p).op, ctxs.get(mine), plan.schema(id))
-            });
-            acc = Some(match acc {
-                None => e,
-                Some(a) => {
-                    let key = (a.min(e), a.max(e));
-                    memoised(join, ctxs, computed, *lookup, key, |ctxs| {
-                        join_contexts(ctxs.get(a), ctxs.get(e))
-                    })
-                }
-            });
+            acc = Some(self.join_edge(plan, id, acc, p, self.entry(p).ctx));
         }
         acc.unwrap_or(CTX_TOP)
+    }
+
+    /// `acc` joined with what a consumer with node `consumer`'s operator and
+    /// the context `mine` asks of node `id`.
+    pub(crate) fn join_edge(
+        &mut self,
+        plan: &Plan,
+        id: NodeId,
+        acc: Option<u32>,
+        consumer: NodeId,
+        mine: u32,
+    ) -> u32 {
+        let Memo { ctxs, edge, join, computed, lookup, .. } = &mut self.memo;
+        // Only a ⋈ or × consumer reads the input's schema (Table 2).
+        let reads_schema = matches!(plan.node(consumer).op, Op::Join(_) | Op::Cross);
+        let schema = if reads_schema { plan.schema_id(id) } else { SchemaId::MAX };
+        let e = memoised(edge, ctxs, computed, *lookup, (schema, plan.op_id(consumer), mine), |ctxs| {
+            edge_context(plan.node(consumer).op, ctxs.get(mine), plan.schema(id))
+        });
+        match acc {
+            None => e,
+            Some(a) => {
+                let key = (a.min(e), a.max(e));
+                memoised(join, ctxs, computed, *lookup, key, |ctxs| {
+                    join_contexts(ctxs.get(a), ctxs.get(e))
+                })
+            }
+        }
+    }
+
+    /// The interned context of a node of the table.
+    pub(crate) fn ctx_id(&self, id: NodeId) -> u32 {
+        self.entry(id).ctx
+    }
+
+    /// The `icols` of an interned context.
+    pub(crate) fn ctx_icols(&self, ctx: u32) -> &ColSet {
+        &self.memo.ctxs.get(ctx).icols
+    }
+
+    /// Count a derivation made outside [`Props::advance`]: a house-cleaning
+    /// sweep derives nodes it builds before they enter the table.
+    pub(crate) fn count_derivation(&mut self) {
+        self.derived += 1;
     }
 
     /// First node (in scan order) on which this table and `reference`
@@ -1102,7 +1169,8 @@ mod tests {
         let mut props = infer(&p, root_a);
         assert_eq!(props.cross_check(&p), None);
         // Plant: the attach's memo entry forgets its constant.
-        let key = (p.op_id(over_a), [p.schema_id(a), SchemaId::MAX], [props.entry(a).up, NO_SLOT]);
+        // An attach reads no input schema, so its key leaves them out.
+        let key = (p.op_id(over_a), [SchemaId::MAX; 2], [props.entry(a).up, NO_SLOT]);
         let wrong = props.entry(a).up;
         *props.memo.up.get_mut(&key).expect("the attach was memoised") = wrong;
         // The same attach over the twin hits the entry.

@@ -5,16 +5,16 @@
 //! node. The driver substitutes and advances the property table. A rule
 //! that does not apply allocates nothing, and whether it applies is a
 //! function of the node's immutable sub-DAG and its top-down properties —
-//! which is what lets [`find_rewrite`] skip nodes it has already turned
-//! down for as long as those properties stand. Rule numbers follow Fig. 5;
+//! which is what lets [`find_rewrite`] and [`house_batch`] skip nodes they
+//! have already turned down for as long as those properties stand. Rule numbers follow Fig. 5;
 //! the few engineering deviations (guards that keep schemas disjoint under
 //! hash-consing, the generalized singleton-literal detection of rule (1),
 //! the projection-based formulation of rule (19)) are noted inline and in
 //! DESIGN.md.
 
-use crate::props::Props;
+use crate::props::{BottomUp, Props};
 use jgi_algebra::pred::{Atom, Pred};
-use jgi_algebra::{Col, ColSet, NodeId, Op, Plan, Value};
+use jgi_algebra::{Col, ColSet, IdMap, NodeId, Op, Plan, Value};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, HashSet};
 
@@ -42,25 +42,30 @@ pub enum Phase {
     JoinGoal = 4,
 }
 
-/// Find the first applicable rewrite of the given phase in the DAG that
-/// `props` describes, skipping candidates in `banned` — the driver bans
+/// Find the first applicable rewrite of the given goal phase in the DAG
+/// that `props` describes, skipping candidates in `banned` — the driver bans
 /// rewrites that would revisit an already-seen plan state (the paper's
 /// footnote 5: adjacent equi-joins can otherwise trade places forever under
 /// rule (18); "our implementation avoids such repetition by taking operator
 /// argument plan sizes into account" — we use state identity, which
-/// hash-consing makes exact).
+/// hash-consing makes exact). House-cleaning is not found one rewrite at a
+/// time: [`house_batch`] applies a whole sweep of it.
 ///
-/// House/rank rules scan bottom-up; rule (16) scans top-down so the new
-/// tail δ lands as high as possible (Fig. 6 staging). A node found without
-/// a rewrite is settled for the phase and not tested again until its
+/// Rank rules scan bottom-up; rule (16) scans top-down so the new tail δ
+/// lands as high as possible (Fig. 6 staging). A node found without a
+/// rewrite is settled for the phase and not tested again until its
 /// top-down properties change; a node with a banned rewrite is re-tested
 /// on every scan, exactly as a scan without the shortcut would.
+///
+/// # Panics
+/// Panics on [`Phase::House`].
 pub fn find_rewrite(
     plan: &mut Plan,
     props: &mut Props,
     phase: Phase,
     banned: &HashSet<(NodeId, NodeId)>,
 ) -> Option<Rewrite> {
+    assert_ne!(phase, Phase::House, "house-cleaning runs as a batch");
     let n = props.order().len();
     for k in 0..n {
         // Rule (16): topmost eligible node. (Join push-down/removal is
@@ -72,9 +77,8 @@ pub fn find_rewrite(
             continue;
         }
         let found = match phase {
-            Phase::House => house_rules(plan, props, id),
             Phase::RankGoal => rank_rules(plan, props, id),
-            Phase::JoinGoal => rule_16(plan, props, id),
+            _ => rule_16(plan, props, id),
         };
         debug_assert!(!settled || found.is_none(), "settled node {} has a rewrite", id.0);
         match found {
@@ -86,17 +90,565 @@ pub fn find_rewrite(
     None
 }
 
+/// One house-cleaning fire: the rewrites it applies, in the order that
+/// replays them one substitution at a time, and the root they lead to.
+#[derive(Debug, Clone)]
+pub struct HouseBatch {
+    /// The rewrites, in the order the sweep made them. A rewrite's `old`
+    /// is the node as the earlier ones left it.
+    pub rewrites: Vec<Rewrite>,
+    /// The plan root with every rewrite substituted.
+    pub root: NodeId,
+    /// Ancestors rebuilt on the way (one per node whose inputs changed).
+    pub rebuilt: usize,
+    /// Nodes the sweep found without a house rewrite before they entered
+    /// the table, or under a context the table did not hold for them, each
+    /// with that interned context: settled once the batch is applied,
+    /// where they have it ([`Props::settle_under`]).
+    pub settle: Vec<(NodeId, u32)>,
+}
+
+/// Every house-cleaning rewrite (rules (1)–(8), (14), (15) and (eq)) that
+/// the table `props` licenses, applied in one sweep of the DAG it
+/// describes — at most `limit` of them, none in `banned`.
+///
+/// The sweep visits the nodes in the table's scan order, as a sequence of
+/// single fires would find them, and applies at each the first house rule
+/// that applies there — at a node rebuilt over changed inputs too, whose
+/// consumers, and so its top-down properties, are the old node's and whose
+/// bottom-up values it derives. After a rewrite the new node gets the
+/// other rules. When the rewrite is an (eq), the nodes below it are first
+/// narrowed by (4)–(7) and (15) against the `icols` that the canonicalised
+/// consumer induces — never against the table's: the (eq) can require a
+/// column that was not required before. What the sweep does not reach
+/// waits for the next fire.
+///
+/// A fire whose result was seen before is not applied, and a sequence of
+/// single fires sees every state in between. So the sweep stops before a
+/// rewrite that could lead back to a seen state — one that rebuilds a
+/// consumer into a node the arena held before the sweep — and a batch
+/// whose first rewrite could is that rewrite alone, which the driver
+/// checks against the states it has seen.
+///
+/// The batch is the sequence of single rewrites that reaches its root:
+/// substituting them one at a time, in order, into the plan that `props`
+/// describes ends at the same node. A rewrite is therefore only made at a
+/// node that no other position of the DAG holds when the sequence reaches
+/// it. When a node that the sweep replaced turns out to stand at a second
+/// position as well, where only a table-level identity ((eq)) is valid
+/// for it too, the sweep fails with the index of that rewrite; a sweep
+/// limited to fewer rewrites does not reach it.
+///
+/// Returns `Ok(None)` when no house rule applies.
+pub fn house_batch(
+    plan: &mut Plan,
+    props: &mut Props,
+    banned: &HashSet<(NodeId, NodeId)>,
+    limit: usize,
+) -> Result<Option<HouseBatch>, usize> {
+    let mut sweep = Sweep::new(props, limit, plan.len());
+    let settled = sweep.run(plan, banned)?;
+    let Sweep { img, rewrites, rebuilt, settle, .. } = sweep;
+    for id in settled {
+        props.settle(id, Phase::House as u8);
+    }
+    let root = img[img.len() - 1];
+    Ok((!rewrites.is_empty()).then_some(HouseBatch { rewrites, root, rebuilt, settle }))
+}
+
+/// The state of one [`house_batch`] sweep. Positions are indices into the
+/// table's scan order; every position holds one node, the old one until
+/// the sweep rebuilds or rewrites it.
+struct Sweep<'a> {
+    props: &'a mut Props,
+    /// The table's scan order.
+    order: Vec<NodeId>,
+    limit: usize,
+    /// The node each position holds now.
+    img: Vec<NodeId>,
+    /// How many rewrites a replay has applied when the position's node
+    /// came to stand there (0: it always stood there).
+    since: Vec<usize>,
+    /// Has an input's position changed since the position was rebuilt?
+    stale: Vec<bool>,
+    /// Is the position's old node known to have no (eq) — settled, or
+    /// judged without a rewrite by this sweep?
+    judged: Vec<bool>,
+    /// Nodes judged without a rewrite under a context the table does not
+    /// hold for them yet, with that context (see [`HouseBatch::settle`]).
+    settle: Vec<(NodeId, u32)>,
+    /// Does the position's node still read the nodes of its old node's
+    /// inputs, slot by slot, so that it can be rebuilt over new ones?
+    kept: Vec<bool>,
+    /// Interned bottom-up values of nodes the sweep built.
+    ups: IdMap<NodeId, u32>,
+    /// Contexts (Tables 2 and 5) that a canonicalised consumer induced
+    /// (`None`: the table's).
+    ctx: Vec<Option<u32>>,
+    rewrites: Vec<Rewrite>,
+    /// Nodes the sweep replaced, with the index of the rewrite.
+    replaced: IdMap<NodeId, usize>,
+    /// Positions and rewrite structures holding a node, less its own
+    /// position in the old DAG.
+    holders: IdMap<NodeId, i32>,
+    rebuilt: usize,
+    /// The arena's length when the sweep began.
+    start: usize,
+}
+
+impl<'a> Sweep<'a> {
+    fn new(props: &'a mut Props, limit: usize, start: usize) -> Self {
+        let order = props.order().to_vec();
+        let n = order.len();
+        Sweep {
+            props,
+            img: order.clone(),
+            order,
+            limit,
+            start,
+            since: vec![0; n],
+            stale: vec![false; n],
+            judged: vec![false; n],
+            settle: Vec::new(),
+            kept: vec![true; n],
+            ups: IdMap::default(),
+            ctx: vec![None; n],
+            rewrites: Vec::new(),
+            replaced: IdMap::default(),
+            holders: IdMap::default(),
+            rebuilt: 0,
+        }
+    }
+
+    fn pos(&self, id: NodeId) -> usize {
+        self.props.pos(id) as usize
+    }
+
+    fn holders(&self, id: NodeId) -> i32 {
+        i32::from(self.props.contains(id)) + self.holders.get(&id).copied().unwrap_or(0)
+    }
+
+    /// Let position `k` hold `id`, since the replay applied `since` rewrites.
+    fn hold(&mut self, k: usize, id: NodeId, since: usize) {
+        if self.img[k] != id {
+            *self.holders.entry(self.img[k]).or_default() -= 1;
+            *self.holders.entry(id).or_default() += 1;
+            for &p in self.props.parents(self.order[k]) {
+                self.stale[self.props.pos(p) as usize] = true;
+            }
+        }
+        (self.img[k], self.since[k]) = (id, since);
+    }
+
+    /// Rebuild position `k`'s node over what its inputs' positions hold
+    /// now. A position that held a node a rewrite replaced gets the
+    /// replacement, as the replay's substitution gives it; `Err` is the
+    /// index of a replacement that is not valid for it.
+    fn rebuild(&mut self, plan: &mut Plan, k: usize) -> Result<(), usize> {
+        if !std::mem::take(&mut self.stale[k]) {
+            return Ok(());
+        }
+        let id = self.order[k];
+        let mut inputs = [NodeId(0); 2];
+        let inputs = &mut inputs[..plan.node(id).inputs.len()];
+        let mut since = self.since[k];
+        for (slot, &i) in inputs.iter_mut().zip(plan.node(id).inputs) {
+            let p = self.pos(i);
+            *slot = self.img[p];
+            since = since.max(self.since[p]);
+        }
+        let cur = self.img[k];
+        if plan.node(cur).inputs == inputs {
+            return Ok(());
+        }
+        self.rebuilt += 1;
+        let node = rebuild(plan, cur, inputs);
+        // A π rebuilt over a π composes with it and reads other nodes.
+        self.kept[k] &= plan.node(node).inputs == inputs;
+        match self.replaced.get(&node) {
+            // The position held the node when the replay replaced it.
+            Some(&m) if since <= m => {
+                if self.rewrites[m].rule != "(eq)" {
+                    return Err(m);
+                }
+                self.hold(k, self.rewrites[m].new, m + 1);
+            }
+            _ => self.hold(k, node, since),
+        }
+        Ok(())
+    }
+
+    /// Could substituting `new` at position `k` lead back to a state seen
+    /// before the sweep? Only if `new` is the root and predates the sweep,
+    /// or rebuilding some consumer over it finds a node that does.
+    fn may_revisit(&self, plan: &Plan, k: usize, new: NodeId) -> bool {
+        let old = self.order[k];
+        let parents = self.props.parents(old);
+        if parents.is_empty() {
+            return (new.0 as usize) < self.start;
+        }
+        parents.iter().any(|&p| {
+            let pp = self.pos(p);
+            if !self.kept[pp] {
+                return true;
+            }
+            let mut inputs = [NodeId(0); 2];
+            let inputs = &mut inputs[..plan.node(p).inputs.len()];
+            for (slot, &i) in inputs.iter_mut().zip(plan.node(p).inputs) {
+                *slot = if i == old { new } else { self.img[self.pos(i)] };
+            }
+            let cur = self.img[pp];
+            let avail = plan.schema(inputs[0]);
+            let found = match plan.node(cur).op {
+                Op::Project(m) if m.iter().any(|(_, src)| !avail.contains(*src)) => {
+                    let m = m.iter().filter(|(_, src)| avail.contains(*src)).copied().collect();
+                    plan.find_project(inputs[0], m)
+                }
+                _ => plan.find_with_inputs(cur, inputs),
+            };
+            found.is_some_and(|f| (f.0 as usize) < self.start)
+        })
+    }
+
+    /// Record `rw` at position `k`, unless it could revisit a seen state
+    /// after other rewrites of the sweep (see [`house_batch`]): the
+    /// replacement and the nodes built for it down to the node's inputs
+    /// are held from now on.
+    fn record(&mut self, plan: &Plan, k: usize, rw: Rewrite) {
+        if self.may_revisit(plan, k, rw.new) {
+            if !self.rewrites.is_empty() {
+                self.limit = self.rewrites.len();
+                return;
+            }
+            self.limit = 1;
+        }
+        let old = plan.node(rw.old);
+        let stop: Vec<NodeId> = old
+            .inputs
+            .iter()
+            .flat_map(|&i| std::iter::once(i).chain(plan.node(i).inputs.iter().copied()))
+            .collect();
+        let mut stack = plan.node(rw.new).inputs.to_vec();
+        while let Some(x) = stack.pop() {
+            if !stop.contains(&x) {
+                *self.holders.entry(x).or_default() += 1;
+                stack.extend(plan.node(x).inputs);
+            }
+        }
+        self.replaced.insert(rw.old, self.rewrites.len());
+        self.rewrites.push(rw);
+        self.kept[k] &= plan.node(rw.new).inputs == old.inputs;
+        self.hold(k, rw.new, self.rewrites.len());
+    }
+
+    /// May the sweep rewrite the node position `k` holds?
+    fn may_rewrite(&self, k: usize) -> bool {
+        let id = self.img[k];
+        self.rewrites.is_empty()
+            || self.rewrites.len() < self.limit
+                && self.holders(id) == 1
+                && !self.replaced.contains_key(&id)
+    }
+
+    /// Do the inputs of `cur`, rebuilt from node `id` of the DAG, have the
+    /// schemas and bottom-up values of `id`'s?
+    fn same_inputs(&mut self, plan: &Plan, id: NodeId, cur: NodeId) -> bool {
+        (0..plan.node(id).inputs.len()).all(|k| {
+            let (old, now) = (plan.node(id).inputs[k], plan.node(cur).inputs[k]);
+            old == now
+                || plan.schema_id(old) == plan.schema_id(now)
+                    && self.props.up_id(old) == Some(self.up(plan, now))
+        })
+    }
+
+    /// The table's bottom-up values of node `id` of the DAG and its first
+    /// input.
+    fn table_facts(&self, plan: &Plan, id: NodeId) -> Facts {
+        let up = |i: NodeId| self.props.up_id(i).expect("a node of the table");
+        Facts { own: up(id), input: plan.node(id).inputs.first().map_or(u32::MAX, |&i| up(i)) }
+    }
+
+    /// Does position `k` hold its old node?
+    fn unchanged(&self, k: usize) -> bool {
+        self.img[k] == self.order[k]
+    }
+
+    /// The interned bottom-up value of `id`, a node of the table or one
+    /// the sweep built over such nodes.
+    fn up(&mut self, plan: &Plan, id: NodeId) -> u32 {
+        if let Some(up) = self.props.up_id(id).or_else(|| self.ups.get(&id).copied()) {
+            return up;
+        }
+        let mut ups = [u32::MAX; 2];
+        for (k, &i) in plan.node(id).inputs.iter().enumerate() {
+            ups[k] = self.up(plan, i);
+        }
+        self.props.count_derivation();
+        let up = self.props.derive_up(plan, id, ups);
+        self.ups.insert(id, up);
+        up
+    }
+
+    /// The sweep in scan order. Returns the nodes found without a rewrite,
+    /// which the caller settles.
+    /// The sweep in scan order. Returns the old nodes found without a
+    /// rewrite, which the caller settles.
+    fn run(
+        &mut self,
+        plan: &mut Plan,
+        banned: &HashSet<(NodeId, NodeId)>,
+    ) -> Result<Vec<NodeId>, usize> {
+        let mut settled = Vec::new();
+        for k in 0..self.img.len() {
+            self.rebuild(plan, k)?;
+            // A node rebuilt over changed inputs has the old node's
+            // consumers and with them its top-down properties; what it and
+            // its inputs are bottom-up is derived.
+            let (id, cur) = (self.order[k], self.img[k]);
+            // Debug builds re-test settled nodes too, to assert the shortcut.
+            let was_settled = cur == id && self.props.is_settled(id, Phase::House as u8);
+            self.judged[k] = was_settled;
+            if was_settled && !cfg!(debug_assertions) {
+                continue;
+            }
+            if !self.kept[k] || !self.may_rewrite(k) {
+                continue;
+            }
+            // The bottom-up values of the node and its first input: the
+            // table's for a node of the DAG, derived for a rebuilt one. Of
+            // the rules, only (3) reads the node's own, and (8), (6c) and
+            // (15) its input's.
+            let op = plan.node(cur).op;
+            let reads_own = matches!(op, Op::Join(_));
+            let reads_input = matches!(op, Op::Rank { .. } | Op::RowId(_) | Op::Distinct);
+            let facts = if cur == id {
+                let up = |i: NodeId, reads: bool| {
+                    if reads { self.props.up_id(i).expect("a node of the table") } else { u32::MAX }
+                };
+                Facts {
+                    own: up(id, reads_own),
+                    input: plan.node(id).inputs.first().map_or(u32::MAX, |&i| up(i, reads_input)),
+                }
+            } else {
+                let input = plan.node(cur).inputs.first().copied();
+                Facts {
+                    own: if reads_own { self.up(plan, cur) } else { u32::MAX },
+                    input: input.map_or(u32::MAX, |i| self.up(plan, i)),
+                }
+            };
+            // A rebuilt node whose operator reads inputs with its old
+            // node's input values and schemas has its old node's values
+            // too (they are the memo key). If its old node had no house
+            // rewrite under the same top-down properties, it has no (eq)
+            // either, and can only have gained a rule that reads structure:
+            // (1), (2b), (2c).
+            let same_facts = cur != id
+                && self.props.is_settled(id, Phase::House as u8)
+                && plan.op_id(cur) == plan.op_id(id)
+                && self.same_inputs(plan, id, cur);
+            // Only these operators reference columns (eq) could rename.
+            let refers = matches!(
+                plan.node(cur).op,
+                Op::Project(_) | Op::Select(_) | Op::Join(_) | Op::Rank { .. } | Op::Serialize { .. }
+            ) && !same_facts;
+            let mut ups = [u32::MAX; 2];
+            let mut inputs = [NodeId(0); 2];
+            let inputs = &mut inputs[..plan.node(cur).inputs.len()];
+            inputs.copy_from_slice(plan.node(cur).inputs);
+            for (up, &i) in ups.iter_mut().zip(inputs.iter()).filter(|_| refers) {
+                *up = self.up(plan, i);
+            }
+            let canonical = if refers { canonicalize_columns(plan, self.props, cur, ups) } else { None };
+            let structural = matches!(plan.node(cur).op, Op::Cross | Op::Project(_) | Op::RowId(_));
+            let found = match canonical {
+                Some(new) => Some(Rewrite { old: cur, new, rule: "(eq)" }),
+                None if same_facts && !structural => None,
+                None => house_rules(plan, self.props, cur, id, facts, self.props.icols(id)),
+            };
+            debug_assert!(!was_settled || found.is_none(), "settled node {} has a rewrite", id.0);
+            match found {
+                Some(rw) if !banned.contains(&(rw.old, rw.new)) => {
+                    let made = self.rewrites.len();
+                    self.record(plan, k, rw);
+                    if self.rewrites.len() > made {
+                        if rw.rule == "(eq)" {
+                            self.narrow_below(plan, k, banned)?;
+                        }
+                        self.rewrite_again(plan, k, banned);
+                    }
+                }
+                Some(_) => {}
+                None if cur == id => {
+                    self.judged[k] = true;
+                    settled.push(id);
+                }
+                None => self.settle.push((cur, self.props.ctx_id(id))),
+            }
+        }
+        Ok(settled)
+    }
+
+    /// After an (eq) at position `c`: the `icols` it induces below it, the
+    /// narrowing rewrites they license at nodes the sweep has not changed,
+    /// and the rebuild of what lies between those nodes and `c`.
+    fn narrow_below(
+        &mut self,
+        plan: &mut Plan,
+        c: usize,
+        banned: &HashSet<(NodeId, NodeId)>,
+    ) -> Result<(), usize> {
+        let changed = self.induce_contexts(plan, c);
+        let Some(&lowest) = changed.first() else { return Ok(()) };
+        for q in changed {
+            if !self.unchanged(q) || !self.may_rewrite(q) || !self.kept_up_to(q, c) {
+                continue;
+            }
+            let id = self.order[q];
+            let needed = self.ctx[q].expect("a changed context is induced");
+            let needed = self.props.ctx_icols(needed).clone();
+            let facts = self.table_facts(plan, id);
+            match house_rules(plan, self.props, id, id, facts, &needed) {
+                Some(rw) if !banned.contains(&(rw.old, rw.new)) => self.record(plan, q, rw),
+                Some(_) => {}
+                None if self.judged[q] => {
+                    let ctx = self.ctx[q].expect("a changed context is induced");
+                    self.settle.push((id, ctx));
+                }
+                None => {}
+            }
+        }
+        for k in lowest + 1..=c {
+            if self.kept[k] {
+                self.rebuild(plan, k)?;
+            }
+        }
+        Ok(())
+    }
+
+    /// After a rewrite at position `c` (and the narrowing below an (eq)):
+    /// the house rules at the new node, for as long as it reads the nodes
+    /// of the old node's inputs. Its consumers are the old node's. An (eq)
+    /// found here waits for the next fire, which derives what it induces.
+    fn rewrite_again(&mut self, plan: &mut Plan, c: usize, banned: &HashSet<(NodeId, NodeId)>) {
+        let at = self.order[c];
+        while self.may_rewrite(c) && self.kept[c] {
+            let cur = self.img[c];
+            let mut ups = [u32::MAX; 2];
+            let mut inputs = [NodeId(0); 2];
+            let inputs = &mut inputs[..plan.node(cur).inputs.len()];
+            inputs.copy_from_slice(plan.node(cur).inputs);
+            for (up, &i) in ups.iter_mut().zip(inputs.iter()) {
+                *up = self.up(plan, i);
+            }
+            if canonicalize_columns(plan, self.props, cur, ups).is_some() {
+                return;
+            }
+            let facts = Facts { own: self.up(plan, cur), input: ups[0] };
+            match house_rules(plan, self.props, cur, at, facts, self.props.icols(at)) {
+                Some(rw) if !banned.contains(&(rw.old, rw.new)) => {
+                    let made = self.rewrites.len();
+                    self.record(plan, c, rw);
+                    if self.rewrites.len() == made {
+                        return;
+                    }
+                }
+                Some(_) => return,
+                None => {
+                    self.settle.push((cur, self.props.ctx_id(at)));
+                    return;
+                }
+            }
+        }
+    }
+
+    /// Tables 2 and 5 top-down from position `c`, whose operator changed:
+    /// the positions below it whose context differs from what it was,
+    /// ascending. A consumer edge is read off the node a position holds
+    /// now when that node still consumes the input's, and off the old
+    /// node otherwise — whose demand is never smaller.
+    fn induce_contexts(&mut self, plan: &Plan, c: usize) -> Vec<usize> {
+        let mut pending: BinaryHeap<usize> =
+            plan.node(self.order[c]).inputs.iter().map(|&i| self.pos(i)).collect();
+        let mut changed = Vec::new();
+        while let Some(q) = pending.pop() {
+            while pending.peek() == Some(&q) {
+                pending.pop();
+            }
+            let id = self.order[q];
+            let mut acc = None;
+            for k in 0..self.props.parents(id).len() {
+                let p = self.props.parents(id)[k];
+                let pp = self.pos(p);
+                let now = self.img[pp];
+                let consumer = if plan.node(now).inputs.contains(&self.img[q]) { now } else { p };
+                let mine = self.ctx[pp].unwrap_or_else(|| self.props.ctx_id(p));
+                acc = Some(self.props.join_edge(plan, id, acc, consumer, mine));
+            }
+            self.props.count_derivation();
+            let ctx = acc.expect("a position below `c` has a consumer");
+            if ctx != self.ctx[q].unwrap_or_else(|| self.props.ctx_id(id)) {
+                self.ctx[q] = Some(ctx);
+                changed.push(q);
+                pending.extend(plan.node(id).inputs.iter().map(|&i| self.pos(i)));
+            }
+        }
+        changed.sort_unstable();
+        changed
+    }
+
+    /// Do all ancestors of position `q` below position `c` keep their
+    /// operators, so that rebuilding them over a narrowed `q` is what
+    /// substitution would do?
+    fn kept_up_to(&self, q: usize, c: usize) -> bool {
+        let mut stack = vec![q];
+        let mut seen = HashSet::new();
+        while let Some(x) = stack.pop() {
+            for &p in self.props.parents(self.order[x]) {
+                let pp = self.pos(p);
+                if pp < c && seen.insert(pp) {
+                    if !self.kept[pp] {
+                        return false;
+                    }
+                    stack.push(pp);
+                }
+            }
+        }
+        true
+    }
+}
+
 // ===========================================================================
 // House-cleaning: rules (1)-(8), (14), (15)
 // ===========================================================================
 
-fn house_rules(plan: &mut Plan, props: &Props, id: NodeId) -> Option<Rewrite> {
-    if let Some(rw) = canonicalize_columns(plan, props, id) {
-        return Some(rw);
-    }
+/// The interned bottom-up values (Tables 3/4, column classes) of a node a
+/// house rule inspects and of its first input (`u32::MAX` for a leaf).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Facts {
+    own: u32,
+    input: u32,
+}
+
+/// The constant value of `c` in a bottom-up value.
+fn const_in(up: &BottomUp, c: Col) -> Option<&Value> {
+    up.consts.iter().find(|(x, _)| *x == c).map(|(_, v)| v)
+}
+
+/// The house rules other than (eq) at node `id`, which its consumers need
+/// `icols` of: its top-down properties are those of node `at` of the table
+/// (`id` itself, or the node `id` stands in for), its bottom-up values and
+/// its first input's are `facts`.
+fn house_rules(
+    plan: &mut Plan,
+    props: &Props,
+    id: NodeId,
+    at: NodeId,
+    facts: Facts,
+    icols: &ColSet,
+) -> Option<Rewrite> {
     // Schema-shrinking rules are disabled below a ∪, which requires its
     // two inputs' schemas to stay exactly equal.
-    let schema_locked = props.below_union(id);
+    let schema_locked = props.below_union(at);
     // The operator stays borrowed from the arena; every arm copies what it
     // needs out of it before building nodes, so an attempt that is turned
     // down clones nothing.
@@ -125,7 +677,6 @@ fn house_rules(plan: &mut Plan, props: &Props, id: NodeId) -> Option<Rewrite> {
         Op::Project(outer) => {
             let input = node.inputs[0];
             // (7)  π with outputs nobody needs → π onto icols.
-            let icols = props.icols(id);
             if !schema_locked && !icols.is_empty() {
                 let keep: Vec<(Col, Col)> = outer
                     .iter()
@@ -152,7 +703,8 @@ fn house_rules(plan: &mut Plan, props: &Props, id: NodeId) -> Option<Rewrite> {
         Op::Join(p) => {
             if p.len() == 1 {
                 if let Some((a, b)) = p[0].as_col_eq() {
-                    if let (Some(va), Some(vb)) = (props.const_of(id, a), props.const_of(id, b)) {
+                    let own = props.up_value(facts.own);
+                    if let (Some(va), Some(vb)) = (const_in(own, a), const_in(own, b)) {
                         if va == vb {
                             let new = plan.cross(node.inputs[0], node.inputs[1]);
                             return Some(Rewrite { old: id, new, rule: "(3)" });
@@ -165,7 +717,7 @@ fn house_rules(plan: &mut Plan, props: &Props, id: NodeId) -> Option<Rewrite> {
 
         // (4)  @a:c(q) → q when a is not needed upstream.
         Op::Attach(c, _) => {
-            if !schema_locked && !props.icols(id).contains(*c) {
+            if !schema_locked && !icols.contains(*c) {
                 return Some(Rewrite { old: id, new: node.inputs[0], rule: "(4)" });
             }
             None
@@ -173,11 +725,11 @@ fn house_rules(plan: &mut Plan, props: &Props, id: NodeId) -> Option<Rewrite> {
 
         Op::Rank { out, by } => {
             // (5)  unused rank → input.
-            if !schema_locked && !props.icols(id).contains(*out) {
+            if !schema_locked && !icols.contains(*out) {
                 return Some(Rewrite { old: id, new: node.inputs[0], rule: "(5)" });
             }
             // (8)  constant ranking criteria are irrelevant.
-            let is_const = |b: Col| props.const_of(node.inputs[0], b).is_some();
+            let is_const = |b: Col| const_in(props.up_value(facts.input), b).is_some();
             if by.iter().any(|&b| is_const(b)) {
                 let new_by: Vec<Col> = by.iter().copied().filter(|&b| !is_const(b)).collect();
                 let new = if new_by.is_empty() {
@@ -194,7 +746,7 @@ fn house_rules(plan: &mut Plan, props: &Props, id: NodeId) -> Option<Rewrite> {
         // (6)  #a(q) → q when a is not needed upstream. Blocked when a δ
         // consumes the row ids directly (multiplicities would change).
         Op::RowId(c) => {
-            if !schema_locked && !props.icols(id).contains(*c) {
+            if !schema_locked && !icols.contains(*c) {
                 return Some(Rewrite { old: id, new: node.inputs[0], rule: "(6)" });
             }
             // (6c)  #a(q) → π_{…,a:k}(q) when q has a single-column key k:
@@ -205,7 +757,8 @@ fn house_rules(plan: &mut Plan, props: &Props, id: NodeId) -> Option<Rewrite> {
             // literally shared # instance.)
             if !schema_locked {
                 if let Some(k) = props
-                    .keys(node.inputs[0])
+                    .up_value(facts.input)
+                    .keys
                     .iter()
                     .filter(|k| k.len() == 1)
                     .map(|k| k.as_slice()[0])
@@ -241,13 +794,14 @@ fn house_rules(plan: &mut Plan, props: &Props, id: NodeId) -> Option<Rewrite> {
 
         Op::Distinct => {
             // (14)  δ(q) → q when duplicates are eliminated upstream anyway.
-            if props.set(id) {
+            if props.set(at) {
                 return Some(Rewrite { old: id, new: node.inputs[0], rule: "(14)" });
             }
             // (15)  project away constant columns nobody needs before δ.
             let input = node.inputs[0];
-            let drops = |c: Col| props.const_of(input, c).is_some() && !props.icols(id).contains(c);
-            if !schema_locked && props.consts(input).iter().any(|&(c, _)| drops(c)) {
+            let input_facts = props.up_value(facts.input);
+            let drops = |c: Col| const_in(input_facts, c).is_some() && !icols.contains(c);
+            if !schema_locked && input_facts.consts.iter().any(|&(c, _)| drops(c)) {
                 let keep: Vec<Col> = plan.schema(input).iter().filter(|&c| !drops(c)).collect();
                 if !keep.is_empty() {
                     let proj = plan.project_same(input, &keep);
@@ -270,12 +824,15 @@ fn house_rules(plan: &mut Plan, props: &Props, id: NodeId) -> Option<Rewrite> {
 /// `sort:pos` where `pos` duplicates `item` becomes `sort:item`, which lets
 /// rule (19) see through the loop bookkeeping. Values are equal
 /// row-by-row, so the rewrite is an identity on the table level.
-fn canonicalize_columns(plan: &mut Plan, props: &Props, id: NodeId) -> Option<Rewrite> {
+///
+/// `ups` are the interned bottom-up values of `id`'s inputs, which need
+/// not be in the table.
+fn canonicalize_columns(plan: &mut Plan, props: &Props, id: NodeId, ups: [u32; 2]) -> Option<NodeId> {
     let node = plan.node(id);
     let canon = |c: Col| -> Col {
-        for &i in node.inputs {
+        for (k, &i) in node.inputs.iter().enumerate() {
             if plan.schema(i).contains(c) {
-                return props.canon(i, c);
+                return props.canon_up(ups[k], c);
             }
         }
         c
@@ -315,10 +872,7 @@ fn canonicalize_columns(plan: &mut Plan, props: &Props, id: NodeId) -> Option<Re
         Op::Serialize { item, pos } => plan.serialize(node.inputs[0], canon(*item), canon(*pos)),
         _ => return None,
     };
-    if new == id {
-        return None;
-    }
-    Some(Rewrite { old: id, new, rule: "(eq)" })
+    (new != id).then_some(new)
 }
 
 /// Detect a plan that statically produces exactly one, all-constant row
@@ -870,23 +1424,28 @@ pub fn substitute(plan: &mut Plan, props: &Props, old: NodeId, new: NodeId) -> (
         for (slot, i) in mapped.iter_mut().zip(node.inputs) {
             *slot = map.iter().rev().find(|(from, _)| from == i).map_or(*i, |(_, to)| *to);
         }
-        let mapped = &mapped[..node.inputs.len()];
-        let avail = plan.schema(mapped[0]);
-        let nid = match node.op {
-            Op::Project(m) if m.iter().any(|(_, src)| !avail.contains(*src)) => {
-                let m: Vec<(Col, Col)> =
-                    m.iter().filter(|(_, src)| avail.contains(*src)).copied().collect();
-                assert!(!m.is_empty(), "projection lost all sources during substitution");
-                plan.project(mapped[0], m)
-            }
-            // Every other ancestor keeps its operator: no clone, no hash of it.
-            _ => plan.with_inputs(id, mapped),
-        };
+        let nid = rebuild(plan, id, &mapped[..node.inputs.len()]);
         map.push((id, nid));
         pending.extend(props.parents(id).iter().map(|&p| by_pos(p)));
     }
     // The root is rebuilt last (or is `old` itself).
     (map[map.len() - 1].1, map.len() - 1)
+}
+
+/// Node `id`'s operator over `inputs`, repairing a projection whose sources
+/// the new input lacks (see [`substitute`]).
+fn rebuild(plan: &mut Plan, id: NodeId, inputs: &[NodeId]) -> NodeId {
+    let avail = plan.schema(inputs[0]);
+    match plan.node(id).op {
+        Op::Project(m) if m.iter().any(|(_, src)| !avail.contains(*src)) => {
+            let m: Vec<(Col, Col)> =
+                m.iter().filter(|(_, src)| avail.contains(*src)).copied().collect();
+            assert!(!m.is_empty(), "projection lost all sources during substitution");
+            plan.project(inputs[0], m)
+        }
+        // Every other ancestor keeps its operator: no clone, no hash of it.
+        _ => plan.with_inputs(id, inputs),
+    }
 }
 
 #[cfg(test)]
@@ -897,12 +1456,10 @@ mod tests {
     fn apply_house(plan: &mut Plan, root: NodeId) -> NodeId {
         let mut props = infer(plan, root);
         for _ in 0..200 {
-            match find_rewrite(plan, &mut props, Phase::House, &HashSet::new()) {
-                Some(rw) => {
-                    let (root, _) = substitute(plan, &props, rw.old, rw.new);
-                    props.advance(plan, root);
-                }
-                None => break,
+            match house_batch(plan, &mut props, &HashSet::new(), usize::MAX) {
+                Ok(Some(batch)) => props.advance(plan, batch.root),
+                Ok(None) => break,
+                Err(k) => panic!("rewrite {k} of the sweep is reused where it is not valid"),
             }
         }
         props.root()

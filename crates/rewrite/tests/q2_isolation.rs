@@ -69,7 +69,7 @@ fn q2_derivations_are_mostly_memo_hits() {
     let c = compile(&core).unwrap();
     let mut plan = c.plan;
     let (_, stats) = isolate(&mut plan, c.root);
-    assert_eq!(stats.props_derived, 109_038);
+    assert_eq!(stats.props_derived, 73_241);
     assert!(
         stats.props_computed * 10 <= stats.props_derived,
         "{} evaluations for {} derivations",
@@ -89,7 +89,7 @@ fn q2_arena_length_and_rebuilds_are_pinned() {
     let c = compile(&core).unwrap();
     let mut plan = c.plan;
     let (_, stats) = isolate(&mut plan, c.root);
-    assert_eq!((plan.len(), stats.nodes_rebuilt), (101_365, 89_976));
+    assert_eq!((plan.len(), stats.nodes_rebuilt), (61_421, 51_089));
 }
 
 /// Differential check on a small synthetic XMark instance: the isolated Q2

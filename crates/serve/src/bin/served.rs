@@ -31,8 +31,9 @@ options:
                         this flag the protocol runs on stdin/stdout
   --workers N           executor worker threads, at least 1 (default:
                         available cores)
-  --queue N             bounded admission-queue depth; a full queue sheds
-                        requests with an `overloaded` error (default: 64)
+  --queue N             bounded admission-queue depth, at least 1; a full
+                        queue sheds requests with an `overloaded` error
+                        (default: 64)
   --cache N             prepared-plan cache capacity, in plans (default: 256)
   --join STRATEGY       physical join strategy for the join-graph planner:
                         nl, hash, or auto (cost-based; default)
@@ -76,7 +77,12 @@ fn main() {
                     _ => usage(),
                 }
             }
-            "--queue" => config.queue_depth = val("--queue").parse().unwrap_or_else(|_| usage()),
+            "--queue" => {
+                config.queue_depth = match val("--queue").parse() {
+                    Ok(n) if n > 0 => n,
+                    _ => usage(),
+                }
+            }
             "--cache" => {
                 config.cache_capacity = val("--cache").parse().unwrap_or_else(|_| usage())
             }

@@ -53,6 +53,8 @@ pub struct ServeConfig {
     /// Worker (executor) OS threads.
     pub workers: usize,
     /// Bounded admission queue depth; a full queue sheds new requests.
+    /// At least 1: a depth of 0 is served as 1, since a zero-capacity
+    /// channel would shed whenever the worker is not parked in `recv`.
     pub queue_depth: usize,
     /// Prepared-plan cache capacity (plans, not bytes).
     pub cache_capacity: usize,
@@ -171,9 +173,9 @@ impl Server {
             registry,
             flight: Mutex::named("flight", FlightRecorder::new(FLIGHT_CAPACITY)),
             queue_len: AtomicUsize::named("queue_len", 0),
-            config: config.clone(),
+            config: ServeConfig { queue_depth: config.queue_depth.max(1), ..config.clone() },
         });
-        let (tx, rx) = mpsc::sync_channel::<Job>(config.queue_depth);
+        let (tx, rx) = mpsc::sync_channel::<Job>(state.config.queue_depth);
         let rx = Arc::new(Mutex::named("worker_rx", rx));
         let workers = (0..config.workers.max(1))
             .map(|i| {
@@ -1020,6 +1022,19 @@ mod tests {
         let Json::Obj(fields) = s.stats_json() else { panic!("STATS is an object") };
         let workers = fields.iter().find(|(k, _)| k == "workers").map(|(_, v)| v.render());
         assert_eq!(workers.as_deref(), Some("1"));
+    }
+
+    #[test]
+    fn a_zero_queue_depth_admits_sequential_requests() {
+        let s = Server::new(ServeConfig { queue_depth: 0, workers: 1, ..ServeConfig::default() });
+        s.add_tree(generate_xmark(XmarkConfig { scale: 0.002, seed: 5 }));
+        let q = r#"doc("auction.xml")/descendant::open_auction[bidder]"#;
+        for _ in 0..2 {
+            s.execute(q, None, Engine::JoinGraph, None).expect("an idle server admits the request");
+        }
+        let Json::Obj(fields) = s.stats_json() else { panic!("STATS is an object") };
+        let depth = fields.iter().find(|(k, _)| k == "queue_depth").map(|(_, v)| v.render());
+        assert_eq!(depth.as_deref(), Some("1"), "STATS reports the depth in force");
     }
 
     #[test]

@@ -64,7 +64,7 @@ fn fire_sequences_and_sql_match_golden() {
         );
         total_steps += stats.steps;
     }
-    // The benchmark's `rewrite.steps` per-layer count, 196 per op over
+    // The benchmark's `rewrite.steps` per-layer count, 194.5 per op over
     // the 11 texts (351 while house-cleaning took one fire per rewrite,
     // 1 052 while a join descent took one fire per level).
     assert_eq!(total_steps, 2_139);

@@ -150,7 +150,7 @@ fn check_random_fires(query: &str, choices: &[(usize, usize)]) {
                     found = house_batch(&mut plan, &mut props, &passed_over, usize::MAX);
                 }
                 match found {
-                    Ok(batch) => batch.map(|b| (b.root, b.rewrites[b.rewrites.len() - 1].rule)),
+                    Ok(batch) => batch.map(|b| (b.root, b.moved, b.rewrites[b.rewrites.len() - 1].rule)),
                     Err(k) => panic!("{query}: rewrite {k} of a sweep at fire {step} is reused"),
                 }
             }
@@ -162,7 +162,10 @@ fn check_random_fires(query: &str, choices: &[(usize, usize)]) {
                     passed_over.insert((rw.old, rw.new));
                     found = find_rewrite(&mut plan, &mut props, phase, &passed_over);
                 }
-                found.map(|rw| (substitute(&mut plan, &props, rw.old, rw.new).0, rw.rule))
+                found.map(|rw| {
+                    let (root, rebuilt) = substitute(&mut plan, &props, rw.old, rw.new);
+                    (root, rebuilt, rw.rule)
+                })
             }
             None => {
                 let joins: Vec<_> = props
@@ -181,13 +184,17 @@ fn check_random_fires(query: &str, choices: &[(usize, usize)]) {
                         try_push_join(&mut plan, j, None).map(|(rw, ..)| rw)
                     })
                 });
-                rw.map(|rw| (substitute(&mut plan, &props, rw.old, rw.new).0, rw.rule))
+                rw.map(|rw| {
+                    let (root, rebuilt) = substitute(&mut plan, &props, rw.old, rw.new);
+                    (root, rebuilt, rw.rule)
+                })
             }
         };
-        let Some((new_root, rule)) = fire else { continue };
+        // The table renames what the fire rebuilt, as the driver's does.
+        let Some((new_root, rebuilt, rule)) = fire else { continue };
         jgi_algebra::validate::validate(&plan, new_root)
             .unwrap_or_else(|e| panic!("{query}: rule {rule} at fire {step}: {e}"));
-        props.advance(&plan, new_root);
+        props.advance(&plan, new_root, &rebuilt);
         let mismatch = props.first_mismatch(&infer(&plan, new_root));
         assert_eq!(mismatch, None, "{query}: after rule {rule} at fire {step}");
     }

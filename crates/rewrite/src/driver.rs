@@ -14,7 +14,10 @@
 //! enables after it ([`house_batch`]). A join fire is one §3.2 goal,
 //! "push this equi-join down until rule (19) removes it": each level's
 //! replacement is built once, and the levels are linked when the descent
-//! ends. Either is substituted into the plan once.
+//! ends. Either is substituted into the plan once. The ϱ and (16) scans
+//! test every node on every fire; only the house-cleaning sweep skips a
+//! node it turned down under the same top-down properties, a verdict the
+//! table keeps across fires.
 //!
 //! Checked mode (`JGI_CHECK=1`) and a [`RewriteObserver`] see every rewrite
 //! of a fire: the driver replays a house-cleaning batch one substitution at
@@ -56,9 +59,9 @@ const FUEL: usize = 20_000;
 /// Checked mode promotes the driver's pass-level `debug_assert!` whole-plan
 /// validation to a real check that also runs in release builds, replays
 /// every house-cleaning batch one rewrite at a time, and makes
-/// [`isolate_checked`] / [`isolate_with_observer`] return a structured
-/// [`IsolateError`] naming the offending rule and node instead of
-/// panicking. Read per call (not cached) so tests can toggle it.
+/// [`isolate_with_observer`] return a structured [`IsolateError`] naming
+/// the offending rule and node ([`isolate`] panics with it). Read per call
+/// (not cached) so tests can toggle it.
 pub fn check_enabled() -> bool {
     matches!(std::env::var("JGI_CHECK").as_deref(), Ok("1") | Ok("true"))
 }
@@ -127,31 +130,6 @@ pub trait RewriteObserver {
     }
 }
 
-/// Observer that writes one line per rewrite (step, rule, DAG size,
-/// replaced and replacement node) and both sub-plans of the rewrites of
-/// the step named in `detail`.
-pub struct TraceObserver<W: std::io::Write> {
-    /// Where the trace goes.
-    pub out: W,
-    /// The step whose rewrites' `old` and `new` sub-plans are rendered.
-    pub detail: Option<usize>,
-}
-
-impl<W: std::io::Write> RewriteObserver for TraceObserver<W> {
-    fn after_fire(&mut self, info: &FireInfo<'_>) -> Result<(), String> {
-        let FireInfo { plan, rule, step, old, new, root_after, .. } = *info;
-        let nodes = plan.reachable_count(root_after);
-        let mut text =
-            format!("step {step:5} {rule:5} nodes={nodes} old={} new={}\n", old.0, new.0);
-        if self.detail == Some(step) {
-            let render = jgi_algebra::pretty::render_text;
-            text +=
-                &format!("--- OLD ---\n{}--- NEW ---\n{}", render(plan, old), render(plan, new));
-        }
-        self.out.write_all(text.as_bytes()).map_err(|e| format!("trace sink failed: {e}"))
-    }
-}
-
 /// Statistics of one isolation run.
 #[derive(Debug, Clone, Default)]
 pub struct IsolateStats {
@@ -210,18 +188,10 @@ impl IsolateStats {
 /// place; the original nodes stay valid (rewrites are non-destructive).
 ///
 /// Panics if checked mode (`JGI_CHECK=1`) detects a violation — callers
-/// that want the structured error use [`isolate_checked`] instead.
+/// that want the structured error use [`isolate_with_observer`] instead.
 pub fn isolate(plan: &mut Plan, root: NodeId) -> (NodeId, IsolateStats) {
-    isolate_checked(plan, root).unwrap_or_else(|e| panic!("checked isolation failed: {e}"))
-}
-
-/// [`isolate`], but checked-mode violations surface as an [`IsolateError`]
-/// instead of a panic. With `JGI_CHECK` unset this never fails.
-pub fn isolate_checked(
-    plan: &mut Plan,
-    root: NodeId,
-) -> Result<(NodeId, IsolateStats), IsolateError> {
     isolate_with_fuel(plan, root, None, FUEL)
+        .unwrap_or_else(|e| panic!("checked isolation failed: {e}"))
 }
 
 /// The general driver entry point: run isolation with a caller-supplied
@@ -499,9 +469,6 @@ pub(crate) fn isolate_with_fuel<'a>(
             run.stats.nodes_rebuilt += batch.rebuilt;
             let rules: Vec<&'static str> = batch.rewrites.iter().map(|rw| rw.rule).collect();
             if run.apply(&batch.rewrites, batch.root, &batch.moved, &rules)? {
-                for (id, ctx) in batch.settle {
-                    run.props.settle_under(id, Phase::House as u8, ctx);
-                }
                 run.banned.clear();
                 continue 'outer;
             }
@@ -510,7 +477,7 @@ pub(crate) fn isolate_with_fuel<'a>(
         }
         // The ϱ subgoal, one rewrite per fire.
         for phase in [Phase::RankGoal, Phase::JoinGoal] {
-            while let Some(rw) = find_rewrite(run.plan, &mut run.props, phase, &run.banned) {
+            while let Some(rw) = find_rewrite(run.plan, &run.props, phase, &run.banned) {
                 let (new_root, rebuilt) = substitute(run.plan, &run.props, rw.old, rw.new);
                 run.stats.nodes_rebuilt += rebuilt.len();
                 if run.apply(&[rw], new_root, &rebuilt, &[rw.rule])? {
@@ -821,27 +788,6 @@ mod tests {
         assert_eq!(stats.steps, 5);
         let after = execute_serialized(&plan, root, &store, ExecBudget::default()).unwrap();
         assert_eq!(before, after);
-    }
-
-    #[test]
-    fn trace_observer_writes_one_line_per_rewrite() {
-        let core = compile_to_core(r#"doc("auction.xml")/descendant::open_auction[bidder]"#)
-            .unwrap();
-        let c = compile(&core).unwrap();
-        let mut plan = c.plan;
-        let mut trace = TraceObserver { out: Vec::new(), detail: Some(2) };
-        let (_, stats) = isolate_with_observer(&mut plan, c.root, &mut trace).unwrap();
-        let text = String::from_utf8(trace.out).unwrap();
-        let steps: Vec<usize> = text
-            .lines()
-            .filter_map(|l| l.strip_prefix("step ")?.split_whitespace().next()?.parse().ok())
-            .collect();
-        // Every fire is traced, a house-cleaning batch with one line per
-        // rewrite, and the detailed step renders each of its rewrites.
-        assert_eq!(steps.iter().collect::<HashSet<_>>().len(), stats.steps);
-        assert!(steps.len() > stats.steps, "some fire batches several rewrites");
-        let detailed = steps.iter().filter(|&&s| s == 2).count();
-        assert_eq!(text.matches("--- OLD ---").count(), detailed);
     }
 
     /// `value`-equality self-join of the doc table over a selection — the

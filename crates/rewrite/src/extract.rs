@@ -448,7 +448,8 @@ fn try_fold(
     None
 }
 
-/// Apply a fold: substitute, drop unused aliases, renumber, dedupe.
+/// Apply a fold: substitute, drop unused aliases, renumber, and drop the
+/// tautologies and duplicates it leaves in WHERE, SELECT and ORDER BY.
 fn apply_fold(cq: &mut ConjunctiveQuery, theta: &[usize]) {
     let n = cq.aliases;
     let image: Vec<bool> = {
@@ -474,12 +475,25 @@ fn apply_fold(cq: &mut ConjunctiveQuery, theta: &[usize]) {
         .map(|p| subst_atom(p, &full))
         .filter(|img| !(img.op == CmpOp::Eq && img.lhs == img.rhs) && seen.insert(img.clone()))
         .collect();
-    for o in &mut cq.select {
-        o.col.alias = full[o.col.alias];
+    let remap = |c: ColRef| ColRef { alias: full[c.alias], col: c.col };
+    let item = remap(cq.select[cq.item_output].col);
+    let mut select: Vec<OutputCol> = Vec::new();
+    for o in std::mem::take(&mut cq.select) {
+        let col = remap(o.col);
+        if !select.iter().any(|s| s.col == col) {
+            select.push(OutputCol { col, name: o.name });
+        }
     }
-    for c in &mut cq.order_by {
-        c.alias = full[c.alias];
+    cq.item_output =
+        select.iter().position(|s| s.col == item).expect("the item column survives a fold");
+    cq.select = select;
+    let mut order: Vec<ColRef> = Vec::new();
+    for c in std::mem::take(&mut cq.order_by).into_iter().map(remap) {
+        if !order.contains(&c) {
+            order.push(c);
+        }
     }
+    cq.order_by = order;
     cq.aliases = next;
 }
 
@@ -622,60 +636,10 @@ fn merge_equal_aliases(cq: &mut ConjunctiveQuery) {
             }
         }
     }
-    // Renumber surviving representatives contiguously, in alias order.
-    let mut renum: HashMap<usize, usize> = HashMap::new();
-    for a in 0..cq.aliases {
-        let r = find(&mut rep, a);
-        let next = renum.len();
-        renum.entry(r).or_insert(next);
-    }
-    let mut remap = |cr: ColRef, rep: &mut Vec<usize>| ColRef {
-        alias: renum[&find(rep, cr.alias)],
-        col: cr.col,
-    };
-    let mut preds: Vec<CqAtom> = Vec::new();
-    let mut seen: HashSet<CqAtom> = HashSet::new();
-    for p in std::mem::take(&mut cq.predicates) {
-        let map_s = |s: CqScalar, rep: &mut Vec<usize>, remap: &mut dyn FnMut(ColRef, &mut Vec<usize>) -> ColRef| match s {
-            CqScalar::Col(c) => CqScalar::Col(remap(c, rep)),
-            CqScalar::ColPlusInt(c, i) => CqScalar::ColPlusInt(remap(c, rep), i),
-            CqScalar::ColPlusCol(a, b) => CqScalar::ColPlusCol(remap(a, rep), remap(b, rep)),
-            CqScalar::Const(v) => CqScalar::Const(v),
-        };
-        let a = CqAtom {
-            lhs: map_s(p.lhs, &mut rep, &mut remap),
-            op: p.op,
-            rhs: map_s(p.rhs, &mut rep, &mut remap),
-        };
-        // Drop tautologies (x = x) and duplicates.
-        if a.op == CmpOp::Eq && a.lhs == a.rhs {
-            continue;
-        }
-        if seen.insert(a.clone()) {
-            preds.push(a);
-        }
-    }
-    cq.predicates = preds;
-    let item_col = remap(cq.select[cq.item_output].col, &mut rep);
-    let mut select: Vec<OutputCol> = Vec::new();
-    for o in cq.select.clone() {
-        let col = remap(o.col, &mut rep);
-        if !select.iter().any(|s| s.col == col) {
-            select.push(OutputCol { col, name: o.name });
-        }
-    }
-    cq.item_output =
-        select.iter().position(|s| s.col == item_col).expect("item column survives the merge");
-    cq.select = select;
-    let mut order: Vec<ColRef> = Vec::new();
-    for cr in cq.order_by.clone() {
-        let c = remap(cr, &mut rep);
-        if !order.contains(&c) {
-            order.push(c);
-        }
-    }
-    cq.order_by = order;
-    cq.aliases = renum.len();
+    // Every alias onto its class's least member: the fold keeps one
+    // occurrence per class, in alias order.
+    let theta: Vec<usize> = (0..cq.aliases).map(|a| find(&mut rep, a)).collect();
+    apply_fold(cq, &theta);
 }
 
 #[cfg(test)]
@@ -764,6 +728,51 @@ mod tests {
         // ORDER BY: loop nesting order, then the name element itself
         // (Fig. 9: ORDER BY d2.pre, d4.pre, d5.pre, d12.pre).
         assert_eq!(cq.order_by.len(), 4, "{:?}", cq.order_by);
+    }
+
+    /// A `pre = pre` atom merges two aliases that SELECT and ORDER BY both
+    /// name: one output column stays, the item points at it, and ORDER BY
+    /// names it once.
+    #[test]
+    fn merging_equal_aliases_dedupes_outputs() {
+        let col = |alias, col| ColRef { alias, col };
+        let out = |alias, c, name: &str| OutputCol { col: col(alias, c), name: Some(name.into()) };
+        let mut cq = ConjunctiveQuery {
+            aliases: 3,
+            predicates: vec![
+                CqAtom {
+                    lhs: CqScalar::Col(col(0, DocCol::Pre)),
+                    op: CmpOp::Eq,
+                    rhs: CqScalar::Col(col(1, DocCol::Pre)),
+                },
+                CqAtom {
+                    lhs: CqScalar::Col(col(2, DocCol::Size)),
+                    op: CmpOp::Gt,
+                    rhs: CqScalar::Col(col(1, DocCol::Pre)),
+                },
+            ],
+            select: vec![
+                out(0, DocCol::Pre, "a"),
+                out(1, DocCol::Pre, "b"),
+                out(2, DocCol::Value, "v"),
+            ],
+            distinct: true,
+            order_by: vec![col(1, DocCol::Pre), col(0, DocCol::Pre), col(2, DocCol::Pre)],
+            item_output: 1,
+        };
+        merge_equal_aliases(&mut cq);
+        assert_eq!(cq.aliases, 2, "{cq:?}");
+        assert_eq!(cq.select, vec![out(0, DocCol::Pre, "a"), out(1, DocCol::Value, "v")]);
+        assert_eq!(cq.item_output, 0);
+        assert_eq!(cq.order_by, vec![col(0, DocCol::Pre), col(1, DocCol::Pre)]);
+        assert_eq!(
+            cq.predicates,
+            vec![CqAtom {
+                lhs: CqScalar::Col(col(1, DocCol::Size)),
+                op: CmpOp::Gt,
+                rhs: CqScalar::Col(col(0, DocCol::Pre)),
+            }]
+        );
     }
 
     #[test]

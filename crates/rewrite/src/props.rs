@@ -38,9 +38,6 @@ use std::hash::{Hash, Hasher};
 const NO_SLOT: u32 = u32::MAX;
 const NO_NODE: NodeId = NodeId(u32::MAX);
 
-/// The settled bit of the house-cleaning phase (`rules::Phase::House`).
-pub(crate) const HOUSE: u8 = 1;
-
 /// Does `new`, built from `old` under the same operator, have `old`'s
 /// bottom-up memo key — inputs of the same schemas and bottom-up values?
 /// `same_up(w, i)` compares the values of `old`'s input `w` and `new`'s
@@ -127,9 +124,9 @@ struct NodeProps {
     parents: Vec<NodeId>,
     /// Position in [`Props::order`].
     pos: u32,
-    /// Rule phases (one bit each) known to have no rewrite for this node
-    /// under its current top-down properties.
-    settled: u8,
+    /// House-cleaning found no rewrite for this node under its current
+    /// top-down properties.
+    settled: bool,
     /// Entered the DAG in the current `advance`; top-down values pending.
     fresh: bool,
     /// Visit mark of the last `order` walk.
@@ -392,15 +389,15 @@ impl Props {
         canon_in(&self.up(id).eq, c)
     }
 
-    /// Is the node known to have no rewrite in the phase with bit `phase`?
-    pub(crate) fn is_settled(&self, id: NodeId, phase: u8) -> bool {
-        self.entry(id).settled & phase != 0
+    /// Is the node known to have no house-cleaning rewrite?
+    pub(crate) fn is_settled(&self, id: NodeId) -> bool {
+        self.entry(id).settled
     }
 
-    /// Record that the phase with bit `phase` has no rewrite for the node;
-    /// forgotten as soon as its top-down properties change.
-    pub(crate) fn settle(&mut self, id: NodeId, phase: u8) {
-        self.entry_mut(id).settled |= phase;
+    /// Record that house-cleaning has no rewrite for the node; forgotten as
+    /// soon as its top-down properties change.
+    pub(crate) fn settle(&mut self, id: NodeId) {
+        self.entry_mut(id).settled = true;
     }
 
     /// Move the table to the DAG under `root` (a node of the same arena the
@@ -480,10 +477,10 @@ impl Props {
         // Bottom-up, inputs first, and the consumer edges: an entering node
         // adds its own, a renamed one renames or moves its old node's. A
         // renamed node whose memo key is its old node's keeps the value —
-        // the memo's answer, found without hashing the key — and the
+        // the memo's answer, found without hashing the key — and its
         // house-cleaning verdict unless that reads the structure below its
-        // inputs (a changed context resets it below); every other verdict
-        // of a renamed node is forgotten. An entering node counts one
+        // inputs (a changed context resets it below); any other renamed
+        // node forgets the verdict. An entering node counts one
         // derivation for both of its values, a renamed one for its
         // bottom-up value; the top-down pass counts its context only if it
         // recomputes it.
@@ -504,8 +501,7 @@ impl Props {
             }
             self.derived += 1;
             if old.is_some() {
-                let keep = kept && keeps_house_verdict(plan.node(id).op);
-                self.entry_mut(id).settled &= if keep { HOUSE } else { 0 };
+                self.entry_mut(id).settled &= kept && keeps_house_verdict(plan.node(id).op);
             }
             match old {
                 Some(old) => self.relink(plan, old, id, &mut dirty, &mut dead),
@@ -551,7 +547,7 @@ impl Props {
             let was_fresh = std::mem::take(&mut e.fresh);
             if was_fresh || ctx != e.ctx {
                 e.ctx = ctx;
-                e.settled = 0;
+                e.settled = false;
                 if !was_fresh {
                     // (An entering node marked its inputs already.)
                     dirty.extend(plan.node(id).inputs.iter().copied());
@@ -677,15 +673,6 @@ impl Props {
     /// The interned bottom-up value `up`.
     pub(crate) fn up_value(&self, up: u32) -> &BottomUp {
         self.memo.ups.get(up)
-    }
-
-    /// Mark the node settled for the phase with bit `phase` if it is in
-    /// the DAG with the interned context `ctx`: a rule evaluation made
-    /// before it entered, under that context, stands.
-    pub(crate) fn settle_under(&mut self, id: NodeId, phase: u8, ctx: u32) {
-        if self.get(id).is_some_and(|e| e.ctx == ctx) {
-            self.settle(id, phase);
-        }
     }
 
     /// Canonical representative of `c`'s class in the bottom-up value `up`.

@@ -5,14 +5,14 @@
 //! node. The driver substitutes and advances the property table. A rule
 //! that does not apply allocates nothing, and whether it applies is a
 //! function of the node's immutable sub-DAG and its top-down properties —
-//! which is what lets [`find_rewrite`] and [`house_batch`] skip nodes they
-//! have already turned down for as long as those properties stand. Rule numbers follow Fig. 5;
+//! which is what lets [`house_batch`] skip a node it has turned down for as
+//! long as those properties stand. Rule numbers follow Fig. 5;
 //! the few engineering deviations (guards that keep schemas disjoint under
 //! hash-consing, the generalized singleton-literal detection of rule (1),
 //! the projection-based formulation of rule (19)) are noted inline and in
 //! DESIGN.md.
 
-use crate::props::{keeps_house_verdict, same_up_key, BottomUp, Props, HOUSE};
+use crate::props::{keeps_house_verdict, same_up_key, BottomUp, Props};
 use jgi_algebra::pred::{Atom, Pred};
 use jgi_algebra::{Col, ColSet, IdMap, NodeId, Op, Plan, Value};
 use std::cmp::Reverse;
@@ -29,17 +29,16 @@ pub struct Rewrite {
     pub rule: &'static str,
 }
 
-/// Rewrite goal phases (paper §3.2). The discriminants are the bits of the
-/// per-node "settled" mask kept with the properties.
+/// The goal phases (paper §3.2) that [`find_rewrite`] scans for.
+/// House-cleaning, rules (1)–(8), (14) and (15), runs as one sweep per
+/// fire ([`house_batch`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Phase {
-    /// House-cleaning rules (1)–(8), (14), (15).
-    House = HOUSE as isize,
     /// Subgoal ϱ: establish a single rank in the plan tail — rules (9)–(13).
-    RankGoal = 2,
+    RankGoal,
     /// Subgoals δ and ⋈: distinct relocation, join push-down and removal —
     /// rules (16)–(19) plus (6).
-    JoinGoal = 4,
+    JoinGoal,
 }
 
 /// Find the first applicable rewrite of the given goal phase in the DAG
@@ -52,42 +51,23 @@ pub enum Phase {
 /// time: [`house_batch`] applies a whole sweep of it.
 ///
 /// Rank rules scan bottom-up; rule (16) scans top-down so the new tail δ
-/// lands as high as possible (Fig. 6 staging). A node found without a
-/// rewrite is settled for the phase and not tested again until its
-/// top-down properties change; a node with a banned rewrite is re-tested
-/// on every scan, exactly as a scan without the shortcut would.
-///
-/// # Panics
-/// Panics on [`Phase::House`].
+/// lands as high as possible (Fig. 6 staging).
 pub fn find_rewrite(
     plan: &mut Plan,
-    props: &mut Props,
+    props: &Props,
     phase: Phase,
     banned: &HashSet<(NodeId, NodeId)>,
 ) -> Option<Rewrite> {
-    assert_ne!(phase, Phase::House, "house-cleaning runs as a batch");
     let n = props.order().len();
-    for k in 0..n {
+    (0..n).find_map(|k| {
         // Rule (16): topmost eligible node. (Join push-down/removal is
         // orchestrated by the driver's descent loop, not here.)
-        let id = props.order()[if phase == Phase::JoinGoal { n - 1 - k } else { k }];
-        // Debug builds re-test settled nodes too, to assert the shortcut.
-        let settled = props.is_settled(id, phase as u8);
-        if settled && !cfg!(debug_assertions) {
-            continue;
-        }
         let found = match phase {
-            Phase::RankGoal => rank_rules(plan, props, id),
-            _ => rule_16(plan, props, id),
+            Phase::RankGoal => rank_rules(plan, props, props.order()[k]),
+            Phase::JoinGoal => rule_16(plan, props, props.order()[n - 1 - k]),
         };
-        debug_assert!(!settled || found.is_none(), "settled node {} has a rewrite", id.0);
-        match found {
-            Some(rw) if !banned.contains(&(rw.old, rw.new)) => return Some(rw),
-            Some(_) => {}
-            None => props.settle(id, phase as u8),
-        }
-    }
-    None
+        found.filter(|rw| !banned.contains(&(rw.old, rw.new)))
+    })
 }
 
 /// One house-cleaning fire: the rewrites it applies, in the order that
@@ -105,11 +85,6 @@ pub struct HouseBatch {
     /// that stands in its place, in scan order — what [`Props::advance`]
     /// renames.
     pub moved: Vec<(NodeId, NodeId)>,
-    /// Nodes the sweep found without a house rewrite before they entered
-    /// the table, or under a context the table did not hold for them, each
-    /// with that interned context: settled once the batch is applied,
-    /// where they have it (`Props::settle_under`).
-    pub settle: Vec<(NodeId, u32)>,
 }
 
 /// Every house-cleaning rewrite (rules (1)–(8), (14), (15) and (eq)) that
@@ -143,6 +118,10 @@ pub struct HouseBatch {
 /// for it too, the sweep fails with the index of that rewrite; a sweep
 /// limited to fewer rewrites does not reach it.
 ///
+/// A node of the DAG the sweep finds without a house rewrite is settled
+/// in `props` and not tested again until its top-down properties change
+/// (debug builds re-test it, to assert the shortcut).
+///
 /// Returns `Ok(None)` when no house rule applies.
 pub fn house_batch(
     plan: &mut Plan,
@@ -151,15 +130,12 @@ pub fn house_batch(
     limit: usize,
 ) -> Result<Option<HouseBatch>, usize> {
     let mut sweep = Sweep::new(props, limit, plan.len());
-    let settled = sweep.run(plan, banned)?;
-    let Sweep { order, img, rewrites, rebuilt, settle, .. } = sweep;
-    for id in settled {
-        props.settle(id, Phase::House as u8);
-    }
+    sweep.run(plan, banned)?;
+    let Sweep { order, img, rewrites, rebuilt, .. } = sweep;
     let root = img[img.len() - 1];
     let moved = order.iter().zip(&img).filter(|(old, new)| old != new).map(|(&o, &n)| (o, n));
     let moved = moved.collect();
-    Ok((!rewrites.is_empty()).then_some(HouseBatch { rewrites, root, rebuilt, settle, moved }))
+    Ok((!rewrites.is_empty()).then_some(HouseBatch { rewrites, root, rebuilt, moved }))
 }
 
 /// The state of one [`house_batch`] sweep. Positions are indices into the
@@ -177,12 +153,6 @@ struct Sweep<'a> {
     since: Vec<usize>,
     /// Has an input's position changed since the position was rebuilt?
     stale: Vec<bool>,
-    /// Is the position's old node known to have no (eq) — settled, or
-    /// judged without a rewrite by this sweep?
-    judged: Vec<bool>,
-    /// Nodes judged without a rewrite under a context the table does not
-    /// hold for them yet, with that context (see [`HouseBatch::settle`]).
-    settle: Vec<(NodeId, u32)>,
     /// Does the position's node still read the nodes of its old node's
     /// inputs, slot by slot, so that it can be rebuilt over new ones?
     kept: Vec<bool>,
@@ -214,8 +184,6 @@ impl<'a> Sweep<'a> {
             start,
             since: vec![0; n],
             stale: vec![false; n],
-            judged: vec![false; n],
-            settle: Vec::new(),
             kept: vec![true; n],
             ups: IdMap::default(),
             ctx: vec![None; n],
@@ -384,14 +352,8 @@ impl<'a> Sweep<'a> {
         up
     }
 
-    /// The sweep in scan order. Returns the old nodes found without a
-    /// rewrite, which the caller settles.
-    fn run(
-        &mut self,
-        plan: &mut Plan,
-        banned: &HashSet<(NodeId, NodeId)>,
-    ) -> Result<Vec<NodeId>, usize> {
-        let mut settled = Vec::new();
+    /// The sweep in scan order.
+    fn run(&mut self, plan: &mut Plan, banned: &HashSet<(NodeId, NodeId)>) -> Result<(), usize> {
         for k in 0..self.img.len() {
             self.rebuild(plan, k)?;
             // A node rebuilt over changed inputs has the old node's
@@ -399,8 +361,7 @@ impl<'a> Sweep<'a> {
             // its inputs are bottom-up is derived.
             let (id, cur) = (self.order[k], self.img[k]);
             // Debug builds re-test settled nodes too, to assert the shortcut.
-            let was_settled = cur == id && self.props.is_settled(id, Phase::House as u8);
-            self.judged[k] = was_settled;
+            let was_settled = cur == id && self.props.is_settled(id);
             if was_settled && !cfg!(debug_assertions) {
                 continue;
             }
@@ -436,7 +397,7 @@ impl<'a> Sweep<'a> {
             // either, and can only have gained a rule that reads structure:
             // (1) or (2c).
             let same_facts = cur != id
-                && self.props.is_settled(id, Phase::House as u8)
+                && self.props.is_settled(id)
                 && same_up_key(plan, id, cur, |old, now| {
                     self.props.up_id(old) == Some(self.up(plan, now))
                 });
@@ -470,15 +431,11 @@ impl<'a> Sweep<'a> {
                         self.rewrite_again(plan, k, banned);
                     }
                 }
-                Some(_) => {}
-                None if cur == id => {
-                    self.judged[k] = true;
-                    settled.push(id);
-                }
-                None => self.settle.push((cur, self.props.ctx_id(id))),
+                None if cur == id => self.props.settle(id),
+                _ => {}
             }
         }
-        Ok(settled)
+        Ok(())
     }
 
     /// After an (eq) at position `c`: the `icols` it induces below it, the
@@ -500,14 +457,9 @@ impl<'a> Sweep<'a> {
             let needed = self.ctx[q].expect("a changed context is induced");
             let needed = self.props.ctx_icols(needed).clone();
             let facts = self.table_facts(plan, id);
-            match house_rules(plan, self.props, id, id, facts, &needed) {
-                Some(rw) if !banned.contains(&(rw.old, rw.new)) => self.record(plan, q, rw),
-                Some(_) => {}
-                None if self.judged[q] => {
-                    let ctx = self.ctx[q].expect("a changed context is induced");
-                    self.settle.push((id, ctx));
-                }
-                None => {}
+            let found = house_rules(plan, self.props, id, id, facts, &needed);
+            if let Some(rw) = found.filter(|rw| !banned.contains(&(rw.old, rw.new))) {
+                self.record(plan, q, rw);
             }
         }
         for k in lowest + 1..=c {
@@ -537,19 +489,12 @@ impl<'a> Sweep<'a> {
                 return;
             }
             let facts = Facts { own: self.up(plan, cur), input: ups[0] };
-            match house_rules(plan, self.props, cur, at, facts, self.props.icols(at)) {
-                Some(rw) if !banned.contains(&(rw.old, rw.new)) => {
-                    let made = self.rewrites.len();
-                    self.record(plan, c, rw);
-                    if self.rewrites.len() == made {
-                        return;
-                    }
-                }
-                Some(_) => return,
-                None => {
-                    self.settle.push((cur, self.props.ctx_id(at)));
-                    return;
-                }
+            let found = house_rules(plan, self.props, cur, at, facts, self.props.icols(at));
+            let Some(rw) = found.filter(|rw| !banned.contains(&(rw.old, rw.new))) else { return };
+            let made = self.rewrites.len();
+            self.record(plan, c, rw);
+            if self.rewrites.len() == made {
+                return;
             }
         }
     }

@@ -138,10 +138,10 @@ fn check_random_fires(query: &str, choices: &[(usize, usize)]) {
     let mut plan = compiled.plan;
     let mut props = infer(&plan, compiled.root);
     for (step, &(family, skip)) in choices.iter().enumerate() {
-        let fire = match [Phase::House, Phase::RankGoal, Phase::JoinGoal].get(family) {
+        let fire = match family {
             // A house-cleaning fire is a whole batch; passing over a batch
             // bans its first rewrite.
-            Some(&Phase::House) => {
+            0 => {
                 let mut passed_over = std::collections::HashSet::new();
                 let mut found = house_batch(&mut plan, &mut props, &passed_over, usize::MAX);
                 for _ in 0..skip {
@@ -154,20 +154,21 @@ fn check_random_fires(query: &str, choices: &[(usize, usize)]) {
                     Err(k) => panic!("{query}: rewrite {k} of a sweep at fire {step} is reused"),
                 }
             }
-            Some(&phase) => {
+            1 | 2 => {
+                let phase = [Phase::RankGoal, Phase::JoinGoal][family - 1];
                 let mut passed_over = std::collections::HashSet::new();
-                let mut found = find_rewrite(&mut plan, &mut props, phase, &passed_over);
+                let mut found = find_rewrite(&mut plan, &props, phase, &passed_over);
                 for _ in 0..skip {
                     let Some(rw) = found else { break };
                     passed_over.insert((rw.old, rw.new));
-                    found = find_rewrite(&mut plan, &mut props, phase, &passed_over);
+                    found = find_rewrite(&mut plan, &props, phase, &passed_over);
                 }
                 found.map(|rw| {
                     let (root, rebuilt) = substitute(&mut plan, &props, rw.old, rw.new);
                     (root, rebuilt, rw.rule)
                 })
             }
-            None => {
+            _ => {
                 let joins: Vec<_> = props
                     .order()
                     .iter()

@@ -412,13 +412,6 @@ impl Plan {
     /// the two renamings into one π over the inner input (Fig. 5 rule (2)
     /// as a constructor property): no builder call makes a π over a π.
     pub fn project(&mut self, input: NodeId, mapping: Vec<(Col, Col)>) -> NodeId {
-        let (mapping, input) = self.compose(input, mapping);
-        self.add(Op::Project(mapping), &[input])
-    }
-
-    /// The mapping and input of π `mapping` over `input` once a π below
-    /// is composed into it (see [`Plan::project`]).
-    fn compose(&self, input: NodeId, mapping: Vec<(Col, Col)>) -> (Vec<(Col, Col)>, NodeId) {
         if let Op::Project(inner) = self.node(input).op {
             let composed: Option<Vec<(Col, Col)>> = mapping
                 .iter()
@@ -428,29 +421,11 @@ impl Plan {
                 .collect();
             // A source the inner π lacks falls through to the schema check.
             if let Some(composed) = composed {
-                return (composed, self.node(input).inputs[0]);
+                let grandchild = self.node(input).inputs[0];
+                return self.add(Op::Project(composed), &[grandchild]);
             }
         }
-        (mapping, input)
-    }
-
-    /// The node [`Plan::project`] would return, if the arena holds it
-    /// already; a frozen plan finds nothing.
-    pub fn find_project(&self, input: NodeId, mapping: Vec<(Col, Col)>) -> Option<NodeId> {
-        let (mapping, input) = self.compose(input, mapping);
-        let op = *self.op_ids.get(&Op::Project(mapping))?;
-        self.memo.get(&(op, [input, NO_INPUT])).copied()
-    }
-
-    /// The node [`Plan::with_inputs`] would return, if the arena holds it
-    /// already; a frozen plan finds nothing.
-    pub fn find_with_inputs(&self, id: NodeId, inputs: &[NodeId]) -> Option<NodeId> {
-        if let Op::Project(m) = self.node(id).op {
-            return self.find_project(inputs[0], m.clone());
-        }
-        let mut slots = [NO_INPUT; 2];
-        slots[..inputs.len()].copy_from_slice(inputs);
-        self.memo.get(&(self.nodes[id.0 as usize].op, slots)).copied()
+        self.add(Op::Project(mapping), &[input])
     }
 
     /// π — identity projection onto `cols`.
@@ -539,9 +514,21 @@ impl Plan {
         order
     }
 
-    /// Count of nodes reachable from `root`.
+    /// Count of nodes reachable from `root`: the first visits of the walk
+    /// [`Plan::topo_order`] makes, without its post-order.
     pub fn reachable_count(&self, root: NodeId) -> usize {
-        self.topo_order(root).len()
+        let mut visited = vec![0u64; root.0 as usize / 64 + 1];
+        let mut count = 0;
+        let mut stack = vec![root];
+        while let Some(id) = stack.pop() {
+            let (word, bit) = (id.0 as usize / 64, 1u64 << (id.0 % 64));
+            if visited[word] & bit == 0 {
+                visited[word] |= bit;
+                count += 1;
+                stack.extend_from_slice(self.node(id).inputs);
+            }
+        }
+        count
     }
 
     /// Parent (consumer) lists for all nodes reachable from `root`.
@@ -708,6 +695,19 @@ mod tests {
         let dp = &parents[&d];
         assert!(dp.contains(&s1) && dp.contains(&s2));
         assert!(parents[&root].is_empty());
+    }
+
+    #[test]
+    fn reachable_count_counts_a_shared_node_once() {
+        let mut p = Plan::new();
+        let d = p.doc();
+        let s1 = p.distinct(d);
+        let pre = p.col("pre");
+        let item = p.col("item");
+        let s2 = p.project(d, vec![(item, pre)]);
+        let root = p.cross(s1, s2);
+        assert_eq!(p.reachable_count(root), 4);
+        assert_eq!(p.reachable_count(s2), 2);
     }
 
     #[test]

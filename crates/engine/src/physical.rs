@@ -504,8 +504,9 @@ fn cmp_rows(a: &[u32], b: &[u32], order_idx: &[usize]) -> std::cmp::Ordering {
     a.cmp(b)
 }
 
-/// The SORT tail: DISTINCT (plain sort + dedup)
-/// followed by the ORDER BY sort under the total-order comparator.
+/// The SORT tail: one sort under the ORDER BY comparator, then DISTINCT.
+/// The comparator breaks ties by the whole row, so only identical rows
+/// compare equal and the sort leaves duplicates adjacent.
 fn sort_tail(
     mut rows: Vec<Vec<u32>>,
     order_idx: &[usize],
@@ -513,12 +514,11 @@ fn sort_tail(
     stats: &mut ExecStats,
 ) -> Vec<Vec<u32>> {
     stats.sort_rows = rows.len() as u64;
+    rows.sort_unstable_by(|a, b| cmp_rows(a, b, order_idx));
     if distinct {
-        rows.sort();
         rows.dedup();
         stats.dedup_removed = stats.sort_rows - rows.len() as u64;
     }
-    rows.sort_by(|a, b| cmp_rows(a, b, order_idx));
     rows
 }
 
@@ -1206,6 +1206,15 @@ mod tests {
         let mut store = DocStore::new();
         store.add_tree(&t);
         Database::with_default_indexes(store)
+    }
+
+    #[test]
+    fn sort_tail_orders_then_dedups_in_one_sort() {
+        let rows = vec![vec![2, 1], vec![1, 2], vec![2, 1], vec![1, 1]];
+        let mut stats = ExecStats::default();
+        let sorted = sort_tail(rows, &[1], true, &mut stats);
+        assert_eq!(sorted, vec![vec![1, 1], vec![2, 1], vec![1, 2]]);
+        assert_eq!((stats.sort_rows, stats.dedup_removed), (4, 1));
     }
 
     /// Hand-built plan: all `bidder` elements via the nksp index, in order.

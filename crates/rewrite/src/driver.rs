@@ -32,15 +32,18 @@
 //! places forever under rule (18) (the paper's footnote 5). Hash-consing
 //! makes plan states comparable by root id, so the driver keeps three
 //! sets; each of them decides which rewrite fires next, so all three stay:
-//! `visited`, every root seen so far — a rewrite whose substitution lands
-//! on one is not applied; `banned`, the `(old, new)` pairs turned down that
-//! way, so that the scan proposes the next candidate — cleared when a phase
-//! rule or a join elimination changes the state, not by a descent that only
-//! pushes; `stuck`, the positions of equi-joins whose descent ended without
-//! an applied elimination — retried only after one, since a changed
-//! neighbourhood rebuilds them under new ids anyway. A fuel constant bounds
-//! pathological inputs defensively; all rewrites preserve semantics, so
-//! running out of it still yields a *correct* (merely less isolated) plan.
+//! `visited`, every root seen so far — a fire whose root is one is not
+//! applied, and this is the only revisit check: a house-cleaning sweep
+//! applies every rewrite the table allows and is checked once, by its
+//! batch root; `banned`, the `(old, new)` pairs turned down that way (of a
+//! sweep, its first rewrite), so that the scan or the next sweep proposes
+//! something else — cleared when a phase rule or a join elimination
+//! changes the state, not by a descent that only pushes; `stuck`, the
+//! positions of equi-joins whose descent ended without an applied
+//! elimination — retried only after one, since a changed neighbourhood
+//! rebuilds them under new ids anyway. A fuel constant bounds pathological
+//! inputs defensively; all rewrites preserve semantics, so running out of
+//! it still yields a *correct* (merely less isolated) plan.
 
 use crate::props::{infer, Props};
 use crate::rules::{
@@ -51,7 +54,7 @@ use jgi_algebra::{NodeId, Plan};
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 
-/// Steps after which isolation gives up (the benchmark's longest run: 782).
+/// Steps after which isolation gives up (the benchmark's longest run: 680).
 const FUEL: usize = 20_000;
 
 /// Is checked-mode rewriting enabled (`JGI_CHECK=1`)?
@@ -455,7 +458,8 @@ pub(crate) fn isolate_with_fuel<'a>(
         }
         // House-cleaning to fixpoint, one sweep per fire. A sweep that
         // would reuse a replacement where it is not valid is cut short
-        // before that rewrite.
+        // before that rewrite; a sweep whose root was seen before bans its
+        // first rewrite and sweeps again.
         let mut limit = usize::MAX;
         loop {
             let batch = match house_batch(run.plan, &mut run.props, &run.banned, limit) {

@@ -102,12 +102,9 @@ pub struct HouseBatch {
 /// column that was not required before. What the sweep does not reach
 /// waits for the next fire.
 ///
-/// A fire whose result was seen before is not applied, and a sequence of
-/// single fires sees every state in between. So the sweep stops before a
-/// rewrite that could lead back to a seen state — one that rebuilds a
-/// consumer into a node the arena held before the sweep — and a batch
-/// whose first rewrite could is that rewrite alone, which the driver
-/// checks against the states it has seen.
+/// The sweep does not ask whether its result was seen before: the driver
+/// checks the batch's root against the states it has seen and, on a
+/// revisit, bans the batch's first rewrite.
 ///
 /// The batch is the sequence of single rewrites that reaches its root:
 /// substituting them one at a time, in order, into the plan that `props`
@@ -129,7 +126,7 @@ pub fn house_batch(
     banned: &HashSet<(NodeId, NodeId)>,
     limit: usize,
 ) -> Result<Option<HouseBatch>, usize> {
-    let mut sweep = Sweep::new(props, limit, plan.len());
+    let mut sweep = Sweep::new(props, limit);
     sweep.run(plan, banned)?;
     let Sweep { order, img, rewrites, rebuilt, .. } = sweep;
     let root = img[img.len() - 1];
@@ -168,12 +165,10 @@ struct Sweep<'a> {
     /// position in the old DAG.
     holders: IdMap<NodeId, i32>,
     rebuilt: usize,
-    /// The arena's length when the sweep began.
-    start: usize,
 }
 
 impl<'a> Sweep<'a> {
-    fn new(props: &'a mut Props, limit: usize, start: usize) -> Self {
+    fn new(props: &'a mut Props, limit: usize) -> Self {
         let order = props.order().to_vec();
         let n = order.len();
         Sweep {
@@ -181,7 +176,6 @@ impl<'a> Sweep<'a> {
             img: order.clone(),
             order,
             limit,
-            start,
             since: vec![0; n],
             stale: vec![false; n],
             kept: vec![true; n],
@@ -252,50 +246,9 @@ impl<'a> Sweep<'a> {
         Ok(())
     }
 
-    /// Could substituting `new` at position `k` lead back to a state seen
-    /// before the sweep? Only if `new` is the root and predates the sweep,
-    /// or rebuilding some consumer over it finds a node that does.
-    fn may_revisit(&self, plan: &Plan, k: usize, new: NodeId) -> bool {
-        let old = self.order[k];
-        let parents = self.props.parents(old);
-        if parents.is_empty() {
-            return (new.0 as usize) < self.start;
-        }
-        parents.iter().any(|&p| {
-            let pp = self.pos(p);
-            if !self.kept[pp] {
-                return true;
-            }
-            let mut inputs = [NodeId(0); 2];
-            let inputs = &mut inputs[..plan.node(p).inputs.len()];
-            for (slot, &i) in inputs.iter_mut().zip(plan.node(p).inputs) {
-                *slot = if i == old { new } else { self.img[self.pos(i)] };
-            }
-            let cur = self.img[pp];
-            let avail = plan.schema(inputs[0]);
-            let found = match plan.node(cur).op {
-                Op::Project(m) if m.iter().any(|(_, src)| !avail.contains(*src)) => {
-                    let m = m.iter().filter(|(_, src)| avail.contains(*src)).copied().collect();
-                    plan.find_project(inputs[0], m)
-                }
-                _ => plan.find_with_inputs(cur, inputs),
-            };
-            found.is_some_and(|f| (f.0 as usize) < self.start)
-        })
-    }
-
-    /// Record `rw` at position `k`, unless it could revisit a seen state
-    /// after other rewrites of the sweep (see [`house_batch`]): the
-    /// replacement and the nodes built for it down to the node's inputs
-    /// are held from now on.
+    /// Record `rw` at position `k`: the replacement and the nodes built
+    /// for it down to the node's inputs are held from now on.
     fn record(&mut self, plan: &Plan, k: usize, rw: Rewrite) {
-        if self.may_revisit(plan, k, rw.new) {
-            if !self.rewrites.is_empty() {
-                self.limit = self.rewrites.len();
-                return;
-            }
-            self.limit = 1;
-        }
         let old = plan.node(rw.old);
         let stop: Vec<NodeId> = old
             .inputs
@@ -422,14 +375,11 @@ impl<'a> Sweep<'a> {
             debug_assert!(!was_settled || found.is_none(), "settled node {} has a rewrite", id.0);
             match found {
                 Some(rw) if !banned.contains(&(rw.old, rw.new)) => {
-                    let made = self.rewrites.len();
                     self.record(plan, k, rw);
-                    if self.rewrites.len() > made {
-                        if rw.rule == "(eq)" {
-                            self.narrow_below(plan, k, banned)?;
-                        }
-                        self.rewrite_again(plan, k, banned);
+                    if rw.rule == "(eq)" {
+                        self.narrow_below(plan, k, banned)?;
                     }
+                    self.rewrite_again(plan, k, banned);
                 }
                 None if cur == id => self.props.settle(id),
                 _ => {}
@@ -491,11 +441,7 @@ impl<'a> Sweep<'a> {
             let facts = Facts { own: self.up(plan, cur), input: ups[0] };
             let found = house_rules(plan, self.props, cur, at, facts, self.props.icols(at));
             let Some(rw) = found.filter(|rw| !banned.contains(&(rw.old, rw.new))) else { return };
-            let made = self.rewrites.len();
             self.record(plan, c, rw);
-            if self.rewrites.len() == made {
-                return;
-            }
         }
     }
 

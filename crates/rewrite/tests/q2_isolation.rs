@@ -72,7 +72,7 @@ fn q2_derivations_are_mostly_memo_hits() {
     let c = compile(&core).unwrap();
     let mut plan = c.plan;
     let (_, stats) = isolate(&mut plan, c.root);
-    assert_eq!(stats.props_derived, 64_245);
+    assert_eq!(stats.props_derived, 65_339);
     assert!(
         stats.props_computed * 10 <= stats.props_derived,
         "{} evaluations for {} derivations",
@@ -92,7 +92,7 @@ fn q2_arena_length_and_rebuilds_are_pinned() {
     let c = compile(&core).unwrap();
     let mut plan = c.plan;
     let (_, stats) = isolate(&mut plan, c.root);
-    assert_eq!((plan.len(), stats.nodes_rebuilt), (48_685, 51_089));
+    assert_eq!((plan.len(), stats.nodes_rebuilt), (44_790, 45_863));
 }
 
 /// Differential check on a small synthetic XMark instance: the isolated Q2

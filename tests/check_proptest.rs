@@ -122,6 +122,7 @@ fn check_query(tree: &Tree, query: &str) {
     let mut plan = compiled.plan;
     let (iso_root, stats, report) = jgi_check::checked_isolate(&mut plan, compiled.root, &store)
         .unwrap_or_else(|e| panic!("checker violation on {query}: {e}"));
+    assert!(!stats.fuel_exhausted, "{query} ran out of fuel: {}", stats.summary());
     assert_eq!(report.unaudited(&stats), vec![], "audit saw every rewrite of {query}");
 
     // The isolated plan must also come out structurally valid.

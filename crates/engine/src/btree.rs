@@ -1,4 +1,4 @@
-//! A B+tree over integer-coded composite keys.
+//! A B+tree over integer-coded composite keys, each packed into one `u128`.
 //!
 //! This is the *only* index structure in the system, mirroring the paper's
 //! setup ("we exclusively rely on the vanilla B-tree indexes that are
@@ -8,131 +8,123 @@
 //! [`crate::catalog::Database::value_code`]), the way an RDBMS stores keys in a
 //! form that compares as raw bytes. Duplicates are allowed.
 //!
+//! The tree stores each key as one `u128`. Component `j` gets a bit field
+//! of `bits(max stored code + 1)` bits, most significant component first,
+//! so integer order on the packed word is lexicographic order on the codes.
+//! Every field's largest value (all its bits set) therefore lies above
+//! every code stored in it. A probe still arrives as a `&[u64]` code
+//! prefix and is packed once per probe, each component clamped to its
+//! field's largest value: a clamped code compares with every stored code
+//! exactly as the original does, so the packed bound selects the same
+//! entries. A non-strict lower bound packs with zeroed trailing fields, a
+//! strict one with them all ones, plus one; an upper bound likewise becomes
+//! the exclusive packed limit. Descents route by the non-strict lower
+//! bound, as they did on code slices, so every descent, skip and seek is
+//! the same. A key wider than 128 bits is refused when the tree is built;
+//! every Table 6 key fits for any store under 2³² rows (`nkdlp`, the
+//! widest, needs at most 34 + 4 + 34 + 18 + 34 = 124 bits).
+//!
 //! Trees are bulk-loaded (how the catalog builds them): the entries are
 //! sorted by `(key, value)` with integer compares and cut into leaves of
 //! `ORDER` (64) entries, chained for range scans, under internal levels built
 //! bottom-up. Because nothing is ever inserted, the leaf level *is* the
-//! sorted entry array — leaf `i` holds entries `i * ORDER ..` — stored flat
-//! with stride `key_width`, and the leaf chain is "the next leaf number".
+//! sorted entry array — leaf `i` holds entries `i * ORDER ..` — and the leaf
+//! chain is "the next leaf number".
 
 use std::cmp::Ordering;
+use std::mem::size_of;
 
 /// Maximum entries per node (fan-out). 64 keeps the tree shallow.
 const ORDER: usize = 64;
 
-/// Compare `probe` (a possibly shorter prefix) against a full key: missing
-/// trailing components compare as "matches anything" — i.e. the prefix is
-/// equal to any extension. Used for prefix range scans.
-fn cmp_prefix(probe: &[u64], key: &[u64]) -> Ordering {
-    probe.cmp(&key[..probe.len()])
+/// Where one key component lives in the packed key.
+#[derive(Debug, Clone, Copy, Default)]
+struct Field {
+    /// Position of the field's lowest bit.
+    shift: u32,
+    /// Width in bits.
+    bits: u32,
+    /// The field's largest value, saturated to `u64::MAX`: above every
+    /// stored code of the component (or, saturated, above every other code
+    /// too), so clamping a probe code to it is exact.
+    max: u64,
 }
 
-/// First row in `lo..hi` of the flat, stride-`w` array `keys` for which
-/// `pred` is false (the rows must be partitioned by `pred`).
-fn partition_rows(
-    keys: &[u64],
-    w: usize,
-    mut lo: usize,
-    mut hi: usize,
-    pred: impl Fn(&[u64]) -> bool,
-) -> usize {
-    while lo < hi {
-        let mid = lo + (hi - lo) / 2;
-        if pred(&keys[mid * w..mid * w + w]) {
-            lo = mid + 1;
-        } else {
-            hi = mid;
-        }
+impl Field {
+    /// The component's code in packed key `key`.
+    fn code(self, key: u128) -> u64 {
+        ((key >> self.shift) & ((1u128 << self.bits) - 1)) as u64
     }
-    lo
 }
 
-/// Does an entry with key `k` satisfy the lower bound (`≥ lo`, or `> lo`
-/// when strict)?
-fn above_lo(lo: &[u64], lo_strict: bool, k: &[u64]) -> bool {
-    let c = cmp_prefix(lo, k);
-    c == Ordering::Less || (c == Ordering::Equal && !lo_strict)
+/// A probe as it arrives: code prefixes and their strictness (an empty
+/// prefix leaves that end unbounded).
+#[derive(Debug, Clone, Copy)]
+struct Bounds<'a> {
+    lo: &'a [u64],
+    lo_strict: bool,
+    hi: &'a [u64],
+    hi_strict: bool,
 }
 
-/// Sort flat stride-`w` keys and their values by `(key, value)`.
+/// A probe packed once into its tree's layout: the entries with
+/// `lo ≤ key < hi` qualify; descents route by `route`, the non-strict
+/// lower bound.
+#[derive(Debug, Clone, Copy)]
+struct Packed {
+    route: u128,
+    lo: u128,
+    hi: u128,
+}
+
+/// Sort packed keys and their values by `(key, value)`.
 ///
-/// When the bit fields that hold each component's codes, plus the 32-bit
-/// value, fit in a `u128` — true of every Table 6 index, whose codes are
-/// small ranks — each entry packs into one integer and the sort is a plain
-/// `u128` sort; otherwise entries are sorted through a comparator on their
-/// key rows.
-fn sort_entries(w: usize, keys: Vec<u64>, vals: Vec<u32>) -> (Vec<u64>, Vec<u32>) {
-    let row = |i: usize| &keys[i * w..i * w + w];
-    let mut bits = vec![0u32; w];
-    for i in 0..vals.len() {
-        for (b, &c) in bits.iter_mut().zip(row(i)) {
-            *b = (*b).max(u64::BITS - c.leading_zeros());
-        }
+/// A key that leaves 32 bits free — every Table 6 key at benchmark scale,
+/// which needs about 53 — sorts as one `u128` `(key << 32) | value`. A key
+/// of 97–128 bits sorts as `(key, value)` pairs: Table 6 keys reach
+/// 124 bits on stores near 2³² rows.
+fn sort_entries(bits: u32, mut keys: Vec<u128>, mut vals: Vec<u32>) -> (Vec<u128>, Vec<u32>) {
+    if bits + u32::BITS > u128::BITS {
+        let mut pairs: Vec<(u128, u32)> = keys.into_iter().zip(vals).collect();
+        pairs.sort_unstable();
+        return pairs.into_iter().unzip();
     }
-    if bits.iter().sum::<u32>() + u32::BITS > u128::BITS {
-        let mut order: Vec<u32> = (0..vals.len() as u32).collect();
-        order.sort_unstable_by(|&a, &b| {
-            let (a, b) = (a as usize, b as usize);
-            row(a).cmp(row(b)).then(vals[a].cmp(&vals[b]))
-        });
-        let mut sorted = Vec::with_capacity(keys.len());
-        for &i in &order {
-            sorted.extend_from_slice(row(i as usize));
-        }
-        return (sorted, order.iter().map(|&i| vals[i as usize]).collect());
+    for (k, &v) in keys.iter_mut().zip(&vals) {
+        *k = (*k << u32::BITS) | v as u128;
     }
-    // (key fields, value), most significant first.
-    let mut packed: Vec<u128> = (0..vals.len())
-        .map(|i| {
-            let key = row(i).iter().zip(&bits).fold(0u128, |acc, (&c, &b)| (acc << b) | c as u128);
-            (key << u32::BITS) | vals[i] as u128
-        })
-        .collect();
-    drop(keys);
-    packed.sort_unstable();
-    let mut sorted = vec![0u64; packed.len() * w];
-    for (k, &p) in sorted.chunks_exact_mut(w.max(1)).zip(&packed) {
-        let mut key = p >> u32::BITS;
-        for (c, &b) in k.iter_mut().zip(&bits).rev() {
-            *c = (key & ((1u128 << b) - 1)) as u64;
-            key >>= b;
-        }
+    keys.sort_unstable();
+    for (v, k) in vals.iter_mut().zip(&mut keys) {
+        *v = *k as u32;
+        *k >>= u32::BITS;
     }
-    (sorted, packed.iter().map(|&p| p as u32).collect())
+    (keys, vals)
 }
 
 /// An internal node.
 #[derive(Debug, Clone)]
 struct Internal {
-    /// Separator keys, flat with stride `key_width`: separator `i` is the
-    /// smallest key reachable under `children[i + 1]`.
-    keys: Vec<u64>,
+    /// Separator keys: separator `i` is the smallest key reachable under
+    /// `children[i + 1]`.
+    keys: Vec<u128>,
     /// Child node ids (see [`BTree::internal`]).
     children: Vec<usize>,
 }
 
 impl Internal {
-    /// Child position a lower bound `lo` routes to (the first child whose
-    /// subtree can hold an entry not below `lo`); an empty bound routes to
-    /// the leftmost child.
-    fn route(&self, w: usize, lo: &[u64]) -> usize {
-        if lo.is_empty() {
-            return 0;
-        }
-        partition_rows(&self.keys, w, 0, self.children.len() - 1, |k| {
-            cmp_prefix(lo, k) == Ordering::Greater
-        })
+    /// Child position a packed lower bound routes to: the first child whose
+    /// subtree can hold an entry not below it.
+    fn route(&self, lo: u128) -> usize {
+        self.keys.partition_point(|&k| k < lo)
     }
 }
 
 /// The B+tree. Entry values are `u32`s (`pre` ranks in the catalog).
 #[derive(Debug, Clone)]
 pub struct BTree {
-    /// Number of key components.
-    pub key_width: usize,
-    /// Every entry's key in `(key, value)` order, flat with stride
-    /// `key_width` — the leaf level.
-    keys: Vec<u64>,
+    /// One bit field per key component, most significant first.
+    fields: Vec<Field>,
+    /// Every entry's packed key in `(key, value)` order — the leaf level.
+    keys: Vec<u128>,
     /// Every entry's value, parallel to `keys`.
     vals: Vec<u32>,
     /// Node ids `0..n_leaves` are leaves; id `n_leaves + i` is
@@ -143,34 +135,67 @@ pub struct BTree {
 }
 
 impl BTree {
-    /// Empty tree for keys of the given width.
+    /// Empty tree for keys of the given width (at most 128 components).
     pub fn new(key_width: usize) -> Self {
-        BTree::bulk_load(key_width, Vec::new(), Vec::new())
+        BTree::build(key_width, Vec::new(), |_, _| {})
+            .expect("an empty tree gives each component one bit")
     }
 
-    /// Bulk-load from entries: `keys` holds one `key_width`-code key per
-    /// value in `vals`, flat. Sorts the entries by `(key, value)` and
-    /// builds the leaf level plus internal levels bottom-up (the classic
-    /// index build).
-    pub fn bulk_load(key_width: usize, keys: Vec<u64>, vals: Vec<u32>) -> Self {
+    /// Bulk-load from entries: `codes` holds one `key_width`-code key per
+    /// value in `vals`, flat. Fails if the keys need more than 128 bits.
+    pub fn bulk_load(key_width: usize, codes: Vec<u64>, vals: Vec<u32>) -> Result<Self, String> {
         let w = key_width;
-        assert_eq!(keys.len(), vals.len() * w, "one key of width {w} per value");
-        let (keys, vals) = sort_entries(w, keys, vals);
-        let n_leaves = vals.len().div_ceil(ORDER).max(1);
-        let mut tree = BTree { key_width, keys, vals, n_leaves, internal: Vec::new(), root: 0 };
+        assert_eq!(codes.len(), vals.len() * w, "one key of width {w} per value");
+        BTree::build(w, vals, |j, col| {
+            for (i, c) in col.iter_mut().enumerate() {
+                *c = codes[i * w + j];
+            }
+        })
+    }
+
+    /// Build the tree over one entry per value in `vals` (the classic index
+    /// build): `column(j, codes)` fills `codes[i]` with component `j` of
+    /// entry `i`'s key. Components are asked for least significant first,
+    /// each once, and packed as they come. The entries are then sorted by
+    /// `(key, value)` and the internal levels built bottom-up. Fails if the
+    /// keys need more than 128 bits.
+    pub fn build(
+        key_width: usize,
+        vals: Vec<u32>,
+        mut column: impl FnMut(usize, &mut [u64]),
+    ) -> Result<Self, String> {
+        let n = vals.len();
+        let mut keys = vec![0u128; n];
+        let mut codes = vec![0u64; n];
+        let mut fields = vec![Field::default(); key_width];
+        let mut shift = 0;
+        for j in (0..key_width).rev() {
+            column(j, &mut codes);
+            let top = codes.iter().max().map_or(1, |&c| c as u128 + 1);
+            let bits = u128::BITS - top.leading_zeros();
+            if shift + bits > u128::BITS {
+                return Err(format!("a key of {key_width} components needs more than 128 bits"));
+            }
+            for (k, &c) in keys.iter_mut().zip(&codes) {
+                *k |= (c as u128) << shift;
+            }
+            let max = u64::try_from((1u128 << bits) - 1).unwrap_or(u64::MAX);
+            fields[j] = Field { shift, bits, max };
+            shift += bits;
+        }
+        drop(codes);
+        let (keys, vals) = sort_entries(shift, keys, vals);
+        let n_leaves = n.div_ceil(ORDER).max(1);
+        let mut tree = BTree { fields, keys, vals, n_leaves, internal: Vec::new(), root: 0 };
         // Each level is a list of (entry index of the subtree's first key,
         // node id).
         let mut level: Vec<(usize, usize)> = (0..n_leaves).map(|l| (l * ORDER, l)).collect();
         while level.len() > 1 {
             let mut next_level = Vec::with_capacity(level.len().div_ceil(ORDER));
             for chunk in level.chunks(ORDER) {
-                let mut seps = Vec::with_capacity((chunk.len() - 1) * w);
-                for &(first, _) in &chunk[1..] {
-                    seps.extend_from_slice(tree.key(first));
-                }
                 let id = n_leaves + tree.internal.len();
                 tree.internal.push(Internal {
-                    keys: seps,
+                    keys: chunk[1..].iter().map(|&(first, _)| tree.keys[first]).collect(),
                     children: chunk.iter().map(|&(_, c)| c).collect(),
                 });
                 next_level.push((chunk[0].0, id));
@@ -178,7 +203,7 @@ impl BTree {
             level = next_level;
         }
         tree.root = level[0].1;
-        tree
+        Ok(tree)
     }
 
     /// Number of entries.
@@ -202,9 +227,91 @@ impl BTree {
         h
     }
 
-    /// Key of entry `i`.
-    fn key(&self, i: usize) -> &[u64] {
-        &self.keys[i * self.key_width..(i + 1) * self.key_width]
+    /// Heap bytes the tree holds: packed keys, values and internal nodes.
+    pub fn heap_bytes(&self) -> usize {
+        let internal: usize = self
+            .internal
+            .iter()
+            .map(|n| {
+                n.keys.capacity() * size_of::<u128>() + n.children.capacity() * size_of::<usize>()
+            })
+            .sum();
+        self.fields.capacity() * size_of::<Field>()
+            + self.keys.capacity() * size_of::<u128>()
+            + self.vals.capacity() * size_of::<u32>()
+            + self.internal.capacity() * size_of::<Internal>()
+            + internal
+    }
+
+    /// The component codes of a packed key, as [`Scan`] yields it.
+    pub fn decode(&self, key: u128) -> Vec<u64> {
+        self.fields.iter().map(|f| f.code(key)).collect()
+    }
+
+    /// `prefix` packed into the leading fields, each code clamped to its
+    /// field's largest value; the trailing fields are zero.
+    fn pack(&self, prefix: &[u64]) -> u128 {
+        debug_assert!(prefix.len() <= self.fields.len(), "a probe is a key prefix");
+        prefix
+            .iter()
+            .zip(&self.fields)
+            .fold(0, |acc, (&c, f)| acc | (c.min(f.max) as u128) << f.shift)
+    }
+
+    /// All bits of the fields after the first `m` (`m ≥ 1`).
+    fn tail(&self, m: usize) -> u128 {
+        (1u128 << self.fields[m - 1].shift) - 1
+    }
+
+    /// Pack a probe's bounds: each prefix once.
+    fn pack_bounds(&self, b: &Bounds<'_>) -> Packed {
+        let route = self.pack(b.lo);
+        let lo = if b.lo_strict && !b.lo.is_empty() {
+            (route | self.tail(b.lo.len())).saturating_add(1)
+        } else {
+            route
+        };
+        // No stored key is all ones: every field holds less than its
+        // largest value. `u128::MAX` as the exclusive limit admits them all.
+        let hi = match (b.hi.len(), self.pack(b.hi)) {
+            (0, _) => u128::MAX,
+            (_, p) if b.hi_strict => p,
+            (m, p) => (p | self.tail(m)).saturating_add(1),
+        };
+        Packed { route, lo, hi }
+    }
+
+    /// Compare `probe` (a possibly shorter prefix) with packed key `key`
+    /// component by component, as the bounds were compared before packing:
+    /// missing trailing components match anything. Checked builds compare
+    /// every packed decision with this.
+    fn cmp_prefix(&self, probe: &[u64], key: u128) -> Ordering {
+        probe
+            .iter()
+            .zip(&self.fields)
+            .map(|(&c, f)| c.cmp(&f.code(key)))
+            .find(|o| o.is_ne())
+            .unwrap_or(Ordering::Equal)
+    }
+
+    /// Does `key` pass the lower bound of `b`, compared code by code?
+    fn admits_lo(&self, b: &Bounds<'_>, key: u128) -> bool {
+        b.lo.is_empty()
+            || match self.cmp_prefix(b.lo, key) {
+                Ordering::Less => true,
+                Ordering::Equal => !b.lo_strict,
+                Ordering::Greater => false,
+            }
+    }
+
+    /// Does `key` pass the upper bound of `b`, compared code by code?
+    fn admits_hi(&self, b: &Bounds<'_>, key: u128) -> bool {
+        b.hi.is_empty()
+            || match self.cmp_prefix(b.hi, key) {
+                Ordering::Greater => true,
+                Ordering::Equal => !b.hi_strict,
+                Ordering::Less => false,
+            }
     }
 
     /// The internal node with id `id`, or `None` for a leaf.
@@ -218,18 +325,27 @@ impl BTree {
         (start, (start + ORDER).min(self.len()))
     }
 
-    /// Does the last entry of `leaf` satisfy the lower bound? If so the
-    /// first qualifying entry lies in this leaf or before it.
-    fn leaf_reaches(&self, leaf: usize, lo: &[u64], lo_strict: bool) -> bool {
+    /// Does the last entry of `leaf` reach the packed lower bound? If so
+    /// the first qualifying entry lies in this leaf or before it.
+    fn leaf_reaches(&self, leaf: usize, lo: u128) -> bool {
         let (start, end) = self.leaf_range(leaf);
-        end > start && above_lo(lo, lo_strict, self.key(end - 1))
+        end > start && self.keys[end - 1] >= lo
     }
 
-    /// First entry of `leaf` that satisfies the lower bound (the leaf end
-    /// if none does).
-    fn first_in_leaf(&self, leaf: usize, lo: &[u64], lo_strict: bool) -> usize {
+    /// First entry of `leaf` that reaches the packed lower bound (the leaf
+    /// end if none does).
+    fn first_in_leaf(&self, leaf: usize, b: &Bounds<'_>, p: &Packed) -> usize {
         let (start, end) = self.leaf_range(leaf);
-        partition_rows(&self.keys, self.key_width, start, end, |k| !above_lo(lo, lo_strict, k))
+        let at = start + self.keys[start..end].partition_point(|&k| k < p.lo);
+        debug_assert!(
+            at == end || self.admits_lo(b, self.keys[at]),
+            "packed lower bound admits less"
+        );
+        debug_assert!(
+            at == start || !self.admits_lo(b, self.keys[at - 1]),
+            "packed lower bound admits more"
+        );
+        at
     }
 
     /// Range scan: all entries with `lo ≤ key ≤ hi` under prefix
@@ -242,15 +358,16 @@ impl BTree {
         hi: &'a [u64],
         hi_strict: bool,
     ) -> Scan<'a> {
+        let bounds = Bounds { lo, lo_strict, hi, hi_strict };
+        let packed = self.pack_bounds(&bounds);
         // Descend to the first candidate leaf.
         let mut cur = self.root;
         while let Some(node) = self.internal(cur) {
-            cur = node.children[node.route(self.key_width, lo)];
+            cur = node.children[node.route(packed.route)];
         }
-        let pos = if lo.is_empty() { cur * ORDER } else { self.first_in_leaf(cur, lo, lo_strict) };
         // The lower bound travels with the iterator: a duplicate run may
         // span leaves, so the bound is re-checked per entry.
-        Scan { tree: self, pos, lo, lo_strict, hi, hi_strict }
+        Scan { tree: self, pos: self.first_in_leaf(cur, &bounds, &packed), bounds, packed }
     }
 
     /// Start a galloping seek pass: a cursor advanced with non-decreasing
@@ -304,10 +421,10 @@ pub struct SeekCursor<'a> {
     /// Entry index the cursor sits on.
     pos: usize,
     started: bool,
-    /// Full descents from the root (1 after the first `position`, plus one
-    /// per climb that falls off the recorded path).
+    /// Full descents from the root (1 after the first seek, plus one per
+    /// climb that falls off the recorded path).
     pub descents: u64,
-    /// `position` calls served.
+    /// Seeks served.
     pub seeks: u64,
     /// Internal nodes climbed or re-descended while galloping.
     pub node_hops: u64,
@@ -315,29 +432,45 @@ pub struct SeekCursor<'a> {
 
 impl<'a> SeekCursor<'a> {
     /// Move the cursor to the first entry not below `lo` (strictly above it
-    /// when `lo_strict`), under prefix comparison. Successive calls must
-    /// present non-decreasing `(lo, lo_strict)` bounds — sorted probe keys
-    /// with a per-access constant strictness satisfy this; an empty `lo`
-    /// keeps the cursor in place.
-    pub fn position(&mut self, lo: &[u64], lo_strict: bool) {
+    /// when `lo_strict`), under prefix comparison, and range-scan forward
+    /// from there up to `hi`, without moving the cursor further — each
+    /// probe of a batch gets an independent iterator, so overlapping ranges
+    /// (nested containment intervals) still enumerate every qualifying
+    /// entry. Each bound is packed once. Successive calls must present
+    /// non-decreasing `(lo, lo_strict)` bounds — sorted probe keys with a
+    /// per-access constant strictness satisfy this; an empty `lo` keeps the
+    /// cursor in place. The bounds may be shorter-lived than the cursor
+    /// (reused key buffers); the iterator lives as long as both.
+    pub fn seek<'b>(
+        &mut self,
+        lo: &'b [u64],
+        lo_strict: bool,
+        hi: &'b [u64],
+        hi_strict: bool,
+    ) -> Scan<'b>
+    where
+        'a: 'b,
+    {
         let tree = self.tree;
+        let bounds = Bounds { lo, lo_strict, hi, hi_strict };
+        let packed = tree.pack_bounds(&bounds);
         self.seeks += 1;
         if !self.started {
             self.started = true;
             self.descents += 1;
-            self.descend_from(tree.root, lo);
-        } else if !lo.is_empty() && !tree.leaf_reaches(self.leaf, lo, lo_strict) {
+            self.descend_from(tree.root, packed.route);
+        } else if !lo.is_empty() && !tree.leaf_reaches(self.leaf, packed.lo) {
             // The current leaf is exhausted for this bound: climb the
             // recorded path until an ancestor can route to the target.
             loop {
                 let Some((pnode, pc)) = self.path.pop() else {
                     self.descents += 1;
-                    self.descend_from(tree.root, lo);
+                    self.descend_from(tree.root, packed.route);
                     break;
                 };
                 self.node_hops += 1;
                 let node = tree.internal(pnode).expect("seek paths hold internal nodes");
-                let j = node.route(tree.key_width, lo);
+                let j = node.route(packed.route);
                 // Routed to the last child: `lo` is at/after that
                 // subtree's start, but only an ancestor can prove it is
                 // not beyond this node entirely — keep climbing (the
@@ -349,24 +482,25 @@ impl<'a> SeekCursor<'a> {
                 // of the one we came through.
                 let child = j.max(pc);
                 self.path.push((pnode, child));
-                self.descend_from(node.children[child], lo);
+                self.descend_from(node.children[child], packed.route);
                 break;
             }
         }
-        if lo.is_empty() {
-            return;
+        if !lo.is_empty() {
+            // Never move backward: entries before the cursor failed an
+            // earlier (≤ current) bound.
+            self.pos = self.pos.max(tree.first_in_leaf(self.leaf, &bounds, &packed));
         }
-        // Never move backward: entries before the cursor failed an earlier
-        // (≤ current) bound.
-        self.pos = self.pos.max(tree.first_in_leaf(self.leaf, lo, lo_strict));
+        Scan { tree, pos: self.pos, bounds, packed }
     }
 
-    /// Descend from `start`, recording the path, and land on a leaf.
-    fn descend_from(&mut self, start: usize, lo: &[u64]) {
+    /// Descend from `start` by packed lower bound `route`, recording the
+    /// path, and land on a leaf.
+    fn descend_from(&mut self, start: usize, route: u128) {
         let tree = self.tree;
         let mut cur = start;
         while let Some(node) = tree.internal(cur) {
-            let pos = node.route(tree.key_width, lo);
+            let pos = node.route(route);
             self.node_hops += 1;
             self.path.push((cur, pos));
             cur = node.children[pos];
@@ -374,55 +508,40 @@ impl<'a> SeekCursor<'a> {
         self.leaf = cur;
         self.pos = cur * ORDER;
     }
-
-    /// Range-scan forward from the current position without moving the
-    /// cursor — each probe of a batch gets an independent iterator, so
-    /// overlapping ranges (nested containment intervals) still enumerate
-    /// every qualifying entry. The bounds may be shorter-lived than the
-    /// cursor (reused key buffers); the iterator lives as long as both.
-    pub fn scan_from<'b>(
-        &self,
-        lo: &'b [u64],
-        lo_strict: bool,
-        hi: &'b [u64],
-        hi_strict: bool,
-    ) -> Scan<'b>
-    where
-        'a: 'b,
-    {
-        Scan { tree: self.tree, pos: self.pos, lo, lo_strict, hi, hi_strict }
-    }
 }
 
-/// Leaf-level iterator produced by [`BTree::scan`]: `(key, value)` pairs in
-/// key order.
+/// Leaf-level iterator produced by [`BTree::scan`] and
+/// [`SeekCursor::seek`]: `(packed key, value)` pairs in key order
+/// ([`BTree::decode`] turns a packed key back into codes).
 pub struct Scan<'a> {
     tree: &'a BTree,
     /// Next entry index.
     pos: usize,
-    lo: &'a [u64],
-    lo_strict: bool,
-    hi: &'a [u64],
-    hi_strict: bool,
+    /// The probe as given, which checked builds compare each step with.
+    bounds: Bounds<'a>,
+    packed: Packed,
 }
 
-impl<'a> Iterator for Scan<'a> {
-    type Item = (&'a [u64], u32);
+impl Iterator for Scan<'_> {
+    type Item = (u128, u32);
 
     fn next(&mut self) -> Option<Self::Item> {
-        while self.pos < self.tree.len() {
-            let k = self.tree.key(self.pos);
-            if !self.lo.is_empty() && !above_lo(self.lo, self.lo_strict, k) {
+        let (tree, b) = (self.tree, &self.bounds);
+        while let Some(&k) = tree.keys.get(self.pos) {
+            if k < self.packed.lo {
+                debug_assert!(!tree.admits_lo(b, k), "packed lower bound skips an entry it admits");
                 self.pos += 1;
                 continue;
             }
-            if !self.hi.is_empty() {
-                let c = cmp_prefix(self.hi, k);
-                if c == Ordering::Less || (self.hi_strict && c == Ordering::Equal) {
-                    return None;
-                }
+            if k >= self.packed.hi {
+                debug_assert!(
+                    !tree.admits_hi(b, k),
+                    "packed upper bound stops at an entry it admits"
+                );
+                return None;
             }
-            let v = self.tree.vals[self.pos];
+            debug_assert!(tree.admits_lo(b, k) && tree.admits_hi(b, k), "packed bounds admit more");
+            let v = tree.vals[self.pos];
             self.pos += 1;
             return Some((k, v));
         }
@@ -437,7 +556,17 @@ mod tests {
     /// A width-1 tree over `(key, value)` pairs.
     fn tree1(entries: impl IntoIterator<Item = (u64, u32)>) -> BTree {
         let (keys, vals) = entries.into_iter().unzip();
-        BTree::bulk_load(1, keys, vals)
+        BTree::bulk_load(1, keys, vals).unwrap()
+    }
+
+    /// Every entry's codes and value, in scan order.
+    fn entries(t: &BTree) -> Vec<(Vec<u64>, u32)> {
+        t.iter().map(|(k, v)| (t.decode(k), v)).collect()
+    }
+
+    /// The values `cur.seek` yields for one probe.
+    fn seek_vals(cur: &mut SeekCursor<'_>, lo: &[u64], ls: bool, hi: &[u64], hs: bool) -> Vec<u32> {
+        cur.seek(lo, ls, hi, hs).map(|(_, v)| v).collect()
     }
 
     #[test]
@@ -462,13 +591,25 @@ mod tests {
     }
 
     #[test]
-    fn wide_codes_sort_through_the_comparator() {
-        // Two near-`u64::MAX` components need 128 bits: too wide to pack.
+    fn two_wide_64_bit_codes_pack_and_scan() {
+        // Two near-`u64::MAX` components take all 128 bits: the entries
+        // sort as (key, value) pairs.
         let big = u64::MAX - 10;
-        let t = BTree::bulk_load(2, vec![big, 3, big, 1, 5, big, big, 1], vec![0, 1, 2, 3]);
-        let all: Vec<(Vec<u64>, u32)> = t.iter().map(|(k, v)| (k.to_vec(), v)).collect();
+        let t =
+            BTree::bulk_load(2, vec![big, 3, big, 1, 5, big, big, 1], vec![0, 1, 2, 3]).unwrap();
         let want = [(vec![5, big], 2), (vec![big, 1], 1), (vec![big, 1], 3), (vec![big, 3], 0)];
-        assert_eq!(all, want);
+        assert_eq!(entries(&t), want);
+        let got: Vec<u32> = t.scan(&[big, 1], true, &[u64::MAX], false).map(|(_, v)| v).collect();
+        assert_eq!(got, [0]);
+        let got: Vec<u32> = t.scan(&[big], false, &[big, 3], true).map(|(_, v)| v).collect();
+        assert_eq!(got, [1, 3]);
+        assert!(t.scan(&[u64::MAX], false, &[], false).next().is_none());
+    }
+
+    #[test]
+    fn three_wide_64_bit_keys_are_refused() {
+        let big = u64::MAX - 10;
+        assert!(BTree::bulk_load(3, vec![big, big, big], vec![0]).is_err());
     }
 
     #[test]
@@ -490,7 +631,7 @@ mod tests {
                 vals.push(p as u32);
             }
         }
-        let t = BTree::bulk_load(3, keys, vals);
+        let t = BTree::bulk_load(3, keys, vals).unwrap();
         // Prefix scan on name alone.
         assert_eq!(t.scan_prefix(&[1]).count(), 50);
         // Prefix equality + range on pre: name-1 entries with pre in [30, 60].
@@ -498,6 +639,44 @@ mod tests {
             t.scan(&[1, 1, 30], false, &[1, 1, 60], false).map(|(_, v)| v).collect();
         assert!(ranged.iter().all(|&p| (30..=60).contains(&p)));
         assert!(!ranged.is_empty());
+        // Decoding gives the codes back.
+        assert!(entries(&t).iter().all(|(k, v)| k[2] == *v as u64 && k[1] == 1));
+    }
+
+    #[test]
+    fn probes_beyond_the_stored_codes_clamp_exactly() {
+        // Keys (a, b) with a in 0..4 and b in 0..10: b's codes take 4 bits,
+        // whose largest value 15 lies above them, so any b ≥ 15 compares
+        // with every entry as 15 does and never spills into a's field.
+        let (mut codes, mut vals) = (Vec::new(), Vec::new());
+        for a in 0..4u64 {
+            for b in 0..10u64 {
+                codes.extend([a, b]);
+                vals.push((a * 10 + b) as u32);
+            }
+        }
+        let t = BTree::bulk_load(2, codes, vals).unwrap();
+        let count = |lo: &[u64], ls: bool, hi: &[u64], hs: bool| t.scan(lo, ls, hi, hs).count();
+        for big in [10u64, 15, 16, 1 << 40, u64::MAX] {
+            assert_eq!(count(&[1, 9], false, &[1, big], false), 1);
+            assert_eq!(count(&[], false, &[1, big], true), 20);
+            assert_eq!(count(&[1, big], false, &[], false), 20);
+            assert_eq!(count(&[1, big], true, &[], false), 20);
+            assert_eq!(count(&[big], false, &[], false), 0);
+            assert_eq!(count(&[], false, &[big], false), 40);
+        }
+        // Strict bounds on a prefix pass over every key that extends it.
+        assert_eq!(count(&[1], true, &[2], true), 0);
+        assert_eq!(count(&[1], true, &[2], false), 10);
+        assert_eq!(count(&[0, 0], true, &[0, 0], false), 0);
+        assert_eq!(count(&[], false, &[0, 0], true), 0);
+    }
+
+    #[test]
+    fn heap_bytes_counts_keys_values_and_nodes() {
+        let t = tree1((0..4096).map(|i| (i, i as u32)));
+        let per_entry = t.heap_bytes() as f64 / t.len() as f64;
+        assert!((20.0..21.0).contains(&per_entry), "{per_entry} B per entry");
     }
 
     #[test]
@@ -521,9 +700,7 @@ mod tests {
             let mut cur = t.seek_cursor();
             for lo in [0u64, 3, 3, 120, 121, 300, 499, 600] {
                 let (lo_k, hi_k) = ([lo], [lo + 4]);
-                cur.position(&lo_k, strict);
-                let got: Vec<u32> =
-                    cur.scan_from(&lo_k, strict, &hi_k, strict).map(|(_, v)| v).collect();
+                let got = seek_vals(&mut cur, &lo_k, strict, &hi_k, strict);
                 let fresh: Vec<u32> =
                     t.scan(&lo_k, strict, &hi_k, strict).map(|(_, v)| v).collect();
                 assert_eq!(got, fresh, "lo {lo} strict {strict}");
@@ -539,8 +716,7 @@ mod tests {
         let mut cur = t.seek_cursor();
         let ranges = [(10u64, 200u64), (20, 50), (21, 30), (180, 260)];
         for (lo, hi) in ranges {
-            cur.position(&[lo], false);
-            let got: Vec<u32> = cur.scan_from(&[lo], false, &[hi], false).map(|(_, v)| v).collect();
+            let got = seek_vals(&mut cur, &[lo], false, &[hi], false);
             let expect: Vec<u32> = (lo..=hi.min(299)).map(|i| i as u32).collect();
             assert_eq!(got, expect, "range [{lo}, {hi}]");
         }
@@ -550,13 +726,10 @@ mod tests {
     fn seek_cursor_empty_and_unbounded() {
         let t = BTree::new(1);
         let mut cur = t.seek_cursor();
-        cur.position(&[5], false);
-        assert!(cur.scan_from(&[5], false, &[9], false).next().is_none());
+        assert!(seek_vals(&mut cur, &[5], false, &[9], false).is_empty());
         let t = tree1((0..10).map(|i| (i, i as u32)));
         let mut cur = t.seek_cursor();
-        cur.position(&[], false);
-        let all: Vec<u32> = cur.scan_from(&[], false, &[], false).map(|(_, v)| v).collect();
-        assert_eq!(all, (0..10).collect::<Vec<u32>>());
+        assert_eq!(seek_vals(&mut cur, &[], false, &[], false), (0..10).collect::<Vec<u32>>());
     }
 
     #[test]
@@ -569,8 +742,7 @@ mod tests {
         let mut cur = t.seek_cursor();
         for lo in [7u64, 7, 90, 100, 330, 495, 496, 700] {
             let lo_k = [lo];
-            cur.position(&lo_k, false);
-            let got: Vec<u32> = cur.scan_from(&lo_k, false, &lo_k, false).map(|(_, v)| v).collect();
+            let got = seek_vals(&mut cur, &lo_k, false, &lo_k, false);
             let fresh: Vec<u32> = t.scan(&lo_k, false, &lo_k, false).map(|(_, v)| v).collect();
             assert_eq!(got, fresh, "lo {lo}");
         }
@@ -583,27 +755,17 @@ mod tests {
         let t = tree1((0..500).map(|i| (i * 10, i as u32)));
         let mut cur = t.seek_cursor();
         for lo in [5u64, 15, 1001, 2345] {
-            cur.position(&[lo], false);
-            assert!(
-                cur.scan_from(&[lo], false, &[lo], false).next().is_none(),
-                "gap probe {lo} must be empty"
-            );
+            assert!(seek_vals(&mut cur, &[lo], false, &[lo], false).is_empty(), "gap probe {lo}");
         }
         // An on-key probe after the misses still lands (bounds stay monotone).
-        cur.position(&[4990], false);
-        assert_eq!(cur.scan_from(&[4990], false, &[4990], false).count(), 1);
+        assert_eq!(seek_vals(&mut cur, &[4990], false, &[4990], false).len(), 1);
         for lo in [4995u64, 5001, 9999] {
-            cur.position(&[lo], false);
-            assert!(
-                cur.scan_from(&[lo], false, &[lo], false).next().is_none(),
-                "gap probe {lo} must be empty"
-            );
+            assert!(seek_vals(&mut cur, &[lo], false, &[lo], false).is_empty(), "gap probe {lo}");
         }
         // Empty tree: all probes empty.
         let t = BTree::new(1);
         let mut cur = t.seek_cursor();
-        cur.position(&[5], false);
-        assert!(cur.scan_from(&[5], false, &[9], false).next().is_none());
+        assert!(seek_vals(&mut cur, &[5], false, &[9], false).is_empty());
     }
 
     #[test]
@@ -613,9 +775,7 @@ mod tests {
         let t = tree1((0..65_536).map(|i| (i, i as u32)));
         let mut cur = t.seek_cursor();
         for lo in [10u64, 65_000] {
-            cur.position(&[lo], false);
-            let got: Vec<u32> = cur.scan_from(&[lo], false, &[lo], false).map(|(_, v)| v).collect();
-            assert_eq!(got, vec![lo as u32]);
+            assert_eq!(seek_vals(&mut cur, &[lo], false, &[lo], false), vec![lo as u32]);
         }
         assert!(
             cur.node_hops < 40,
@@ -642,9 +802,7 @@ mod tests {
             let mut cur = t.seek_cursor();
             for &lo in &probes {
                 let (lo_k, hi_k) = ([lo], [lo + 3]);
-                cur.position(&lo_k, strict);
-                let got: Vec<u32> =
-                    cur.scan_from(&lo_k, strict, &hi_k, false).map(|(_, v)| v).collect();
+                let got = seek_vals(&mut cur, &lo_k, strict, &hi_k, false);
                 let fresh: Vec<u32> = t.scan(&lo_k, strict, &hi_k, false).map(|(_, v)| v).collect();
                 assert_eq!(got, fresh, "lo {lo} strict {strict}");
             }
@@ -654,8 +812,11 @@ mod tests {
     #[test]
     fn prefix_cmp_semantics() {
         use Ordering::*;
-        assert_eq!(cmp_prefix(&[3], &[3, 9]), Equal);
-        assert_eq!(cmp_prefix(&[2], &[3, 9]), Less);
-        assert_eq!(cmp_prefix(&[], &[3]), Equal);
+        let t = BTree::bulk_load(2, vec![3, 9], vec![0]).unwrap();
+        let k = t.iter().next().unwrap().0;
+        assert_eq!(t.cmp_prefix(&[3], k), Equal);
+        assert_eq!(t.cmp_prefix(&[2], k), Less);
+        assert_eq!(t.cmp_prefix(&[], k), Equal);
+        assert_eq!(t.cmp_prefix(&[3, 10], k), Greater);
     }
 }

@@ -109,6 +109,11 @@ impl Symbols {
         Symbols { name_rank, value_rank, name_sorted, value_sorted, data_sorted }
     }
 
+    /// The value id of rank `rank`.
+    pub(crate) fn value_id(&self, rank: usize) -> u32 {
+        self.value_sorted[rank]
+    }
+
     /// Rank position of a decimal among the distinct `data` values, under
     /// `f64::total_cmp`.
     fn data_rank_of(&self, x: f64) -> RankOf {
@@ -295,8 +300,8 @@ impl Database {
     /// no copy).
     pub fn new(store: impl Into<Arc<DocStore>>) -> Database {
         let store = store.into();
-        let stats = DocStats::collect(&store);
         let symbols = Symbols::build(&store);
+        let stats = DocStats::collect(&store, &symbols);
         Database { store, stats, indexes: Vec::new(), symbols, id: next_database_id() }
     }
 
@@ -438,27 +443,33 @@ impl Database {
         }
     }
 
-    /// Create an index with the given key/include columns; returns its slot.
-    pub fn create_index(&mut self, key: Vec<IndexCol>, include: Vec<IndexCol>) -> usize {
+    /// Create an index with the given key/include columns; returns its
+    /// slot. Fails if the key's codes need more than 128 bits (no Table 6
+    /// key does on a store under 2³² rows).
+    pub fn create_index(
+        &mut self,
+        key: Vec<IndexCol>,
+        include: Vec<IndexCol>,
+    ) -> Result<usize, String> {
         let mut name: String = key.iter().map(|c| c.letter()).collect();
         if !include.is_empty() {
             name.push('|');
             name.extend(include.iter().map(|c| c.letter()));
         }
         if let Some(pos) = self.indexes.iter().position(|i| i.name == name) {
-            return pos; // idempotent
+            return Ok(pos); // idempotent
         }
-        let (n, w) = (self.store.len(), key.len());
-        let mut codes = vec![NULL_CODE; n * w];
-        for (j, &c) in key.iter().enumerate() {
-            for pre in 0..n {
-                codes[pre * w + j] = self.code(pre as u32, c);
+        let n = self.store.len() as u32;
+        let btree = BTree::build(key.len(), (0..n).collect(), |j, codes| {
+            let col = key[j];
+            for (pre, c) in (0..n).zip(codes) {
+                *c = self.code(pre, col);
             }
-        }
-        let btree = BTree::bulk_load(w, codes, (0..n as u32).collect());
+        })
+        .map_err(|e| format!("index `{name}`: {e}"))?;
         self.indexes.push(Index { name, key, include, btree });
         self.id = next_database_id();
-        self.indexes.len() - 1
+        Ok(self.indexes.len() - 1)
     }
 
     /// Create an index from its letter name (`"nkspl"`, `"p|nvkls"`).
@@ -472,7 +483,7 @@ impl Database {
                 .map(|c| IndexCol::from_letter(c).ok_or_else(|| format!("bad index letter `{c}`")))
                 .collect()
         };
-        Ok(self.create_index(parse(key_s)?, parse(inc_s)?))
+        self.create_index(parse(key_s)?, parse(inc_s)?)
     }
 
     /// Find an index by name.
@@ -529,6 +540,33 @@ mod tests {
         // Idempotent.
         let j = db.create_index_by_name("nkdlp").unwrap();
         assert_eq!(i, j);
+    }
+
+    #[test]
+    fn keys_wider_than_128_bits_are_refused() {
+        // The largest `pre` code is 2n: `bits` bits per `p` component.
+        let mut db = db();
+        let bits = u64::BITS - (2 * db.store.len() as u64 + 1).leading_zeros();
+        let fits = "p".repeat((u128::BITS / bits) as usize);
+        let before = db.id();
+        let err = db.create_index_by_name(&format!("{fits}p")).unwrap_err();
+        assert!(err.contains("128 bits"), "{err}");
+        assert_eq!(db.indexes.len(), DEFAULT_INDEXES.len());
+        assert_eq!(db.id(), before);
+        assert!(db.create_index_by_name(&fits).is_ok());
+    }
+
+    #[test]
+    fn table6_trees_take_one_word_per_entry() {
+        // Each entry is a 16-byte packed key and a 4-byte `pre`, plus about
+        // 24 bytes of internal node per 64 entries.
+        let t = generate_xmark(XmarkConfig { scale: 0.005, seed: 3 });
+        let mut store = DocStore::new();
+        store.add_tree(&t);
+        let db = Database::with_default_indexes(store);
+        let bytes: usize = db.indexes.iter().map(|i| i.btree.heap_bytes()).sum();
+        let per_row = bytes as f64 / db.store.len() as f64;
+        assert!(per_row <= 190.0, "{per_row:.1} B per row over the nine trees");
     }
 
     #[test]
@@ -666,7 +704,7 @@ mod tests {
                 idx.key.iter().map(|&c| db.col_value(pre, c)).collect()
             };
             let entries: Vec<(Vec<u64>, u32)> =
-                idx.btree.iter().map(|(k, pre)| (k.to_vec(), pre)).collect();
+                idx.btree.iter().map(|(k, pre)| (idx.btree.decode(k), pre)).collect();
             assert_eq!(entries.len(), db.store.len());
             for pair in entries.windows(2) {
                 let ((ka, a), (kb, b)) = (&pair[0], &pair[1]);

@@ -1010,9 +1010,8 @@ fn vec_step(
                             for (t, &s) in scr.var_hi.iter().enumerate() {
                                 scr.hi[s] = keys[base + nv_lo + t];
                             }
-                            cursor.position(&scr.lo, scr.lo_strict);
                             for (_, pre) in
-                                cursor.scan_from(&scr.lo, scr.lo_strict, &scr.hi, scr.hi_strict)
+                                cursor.seek(&scr.lo, scr.lo_strict, &scr.hi, scr.hi_strict)
                             {
                                 rows_in += 1;
                                 next.push_extended(batch, i, outer, access.alias, pre);

@@ -12,6 +12,7 @@
 //! * per-name structural aggregates (average subtree size, average level)
 //!   feeding the containment-join selectivity model.
 
+use crate::catalog::Symbols;
 use jgi_algebra::cq::DocCol;
 use jgi_algebra::Value;
 use jgi_xml::encode::{NO_NAME, NO_VALUE};
@@ -36,24 +37,25 @@ pub struct Histogram {
 impl Histogram {
     /// Build from a sample of values (consumes and sorts them).
     pub fn build(mut values: Vec<Value>) -> Histogram {
-        let count = values.len() as u64;
-        if values.is_empty() {
+        values.sort();
+        let distinct = values.windows(2).filter(|w| w[0] != w[1]).count() + 1;
+        Histogram::equi_depth(values.len(), distinct, |i| values[i].clone())
+    }
+
+    /// The histogram of `count` values, `n_distinct` of them distinct,
+    /// whose `i`-th smallest is `nth(i)` (asked for in ascending `i`).
+    fn equi_depth(
+        count: usize,
+        n_distinct: usize,
+        mut nth: impl FnMut(usize) -> Value,
+    ) -> Histogram {
+        if count == 0 {
             return Histogram::default();
         }
-        values.sort();
-        let mut distinct = 1u64;
-        for w in values.windows(2) {
-            if w[0] != w[1] {
-                distinct += 1;
-            }
-        }
-        let mut bounds = Vec::with_capacity(BUCKETS);
-        for b in 1..=BUCKETS {
-            let idx = (b * (values.len() - 1)) / BUCKETS;
-            bounds.push(values[idx].clone());
-        }
+        let mut bounds: Vec<Value> =
+            (1..=BUCKETS).map(|b| nth(b * (count - 1) / BUCKETS)).collect();
         bounds.dedup();
-        Histogram { bounds, count, n_distinct: distinct }
+        Histogram { bounds, count: count as u64, n_distinct: n_distinct as u64 }
     }
 
     /// Estimated fraction of values `< v` (or `<= v` with `inclusive`).
@@ -112,17 +114,35 @@ pub struct DocStats {
     pub value_distinct: u64,
 }
 
+/// The `value` histogram from occurrence counts per rank: the `i`-th
+/// smallest value is the one whose run of the prefix sums holds `i`, which
+/// a walk finds for each bucket bound in turn.
+fn rank_histogram(store: &DocStore, symbols: &Symbols, per_rank: &[usize]) -> Histogram {
+    let count = per_rank.iter().sum();
+    let distinct = per_rank.iter().filter(|&&c| c > 0).count();
+    let (mut rank, mut below) = (0, 0);
+    Histogram::equi_depth(count, distinct, |i| {
+        while below + per_rank[rank] <= i {
+            below += per_rank[rank];
+            rank += 1;
+        }
+        Value::Str(store.values.resolve(symbols.value_id(rank)).to_string())
+    })
+}
+
 impl DocStats {
-    /// Collect statistics in one pass over the store (plus sorting for the
-    /// histograms) — the moral equivalent of `RUNSTATS`.
-    pub fn collect(store: &DocStore) -> DocStats {
+    /// Collect statistics in one pass over the store — the moral
+    /// equivalent of `RUNSTATS`. The `value` histogram comes from
+    /// occurrence counts per [`Symbols`] rank, the `data` one from sorting
+    /// the decimals.
+    pub fn collect(store: &DocStore, symbols: &Symbols) -> DocStats {
         let total = store.len() as u64;
         let mut kind_counts: HashMap<NodeKind, u64> = HashMap::new();
         let mut name_agg: HashMap<(u32, NodeKind), (u64, f64, f64)> = HashMap::new();
         let mut size_sum = 0f64;
         let mut max_level = 0u16;
-        let mut values: Vec<Value> = Vec::new();
-        let mut datas: Vec<Value> = Vec::new();
+        let mut per_rank = vec![0usize; symbols.value_rank.len()];
+        let mut datas: Vec<f64> = Vec::new();
         for pre in 0..store.len() {
             let kind = store.kind[pre];
             *kind_counts.entry(kind).or_default() += 1;
@@ -137,10 +157,10 @@ impl DocStats {
                 e.2 += level as f64;
             }
             if store.value[pre] != NO_VALUE {
-                values.push(Value::Str(store.values.resolve(store.value[pre]).to_string()));
+                per_rank[symbols.value_rank[store.value[pre] as usize] as usize] += 1;
             }
             if !store.data[pre].is_nan() {
-                datas.push(Value::Dec(store.data[pre]));
+                datas.push(store.data[pre]);
             }
         }
         let name_stats = name_agg
@@ -162,8 +182,10 @@ impl DocStats {
             .count()
             .max(1) as f64;
         let avg_children = (total.saturating_sub(n_docs)) as f64 / non_leaf;
-        let value_hist = Histogram::build(values);
-        let data_hist = Histogram::build(datas);
+        let value_hist = rank_histogram(store, symbols, &per_rank);
+        datas.sort_unstable_by(f64::total_cmp);
+        let distinct = datas.windows(2).filter(|w| w[0].total_cmp(&w[1]).is_ne()).count() + 1;
+        let data_hist = Histogram::equi_depth(datas.len(), distinct, |i| Value::Dec(datas[i]));
         let value_distinct = value_hist.n_distinct;
         DocStats {
             total,
@@ -263,21 +285,62 @@ impl DocStats {
 mod tests {
     use super::*;
     use jgi_algebra::pred::CmpOp;
-    use jgi_xml::generate::{generate_xmark, XmarkConfig};
+    use jgi_xml::generate::{generate_dblp, generate_xmark, DblpConfig, XmarkConfig};
 
-    fn stats() -> DocStats {
+    fn xmark_store() -> DocStore {
         let t = generate_xmark(XmarkConfig { scale: 0.005, seed: 3 });
         let mut store = DocStore::new();
         store.add_tree(&t);
-        DocStats::collect(&store)
+        store
+    }
+
+    fn collect(store: &DocStore) -> DocStats {
+        DocStats::collect(store, &Symbols::build(store))
+    }
+
+    fn stats() -> DocStats {
+        collect(&xmark_store())
+    }
+
+    /// The histograms as they were built before the rank counts: one owned
+    /// `Value` per valued row, sorted.
+    fn value_and_data_hists_by_sorting(store: &DocStore) -> (Histogram, Histogram) {
+        let values = (0..store.len())
+            .filter(|&p| store.value[p] != NO_VALUE)
+            .map(|p| Value::Str(store.values.resolve(store.value[p]).to_string()))
+            .collect();
+        let datas = store.data.iter().filter(|d| !d.is_nan()).map(|&d| Value::Dec(d)).collect();
+        (Histogram::build(values), Histogram::build(datas))
+    }
+
+    #[test]
+    fn histograms_match_the_sorting_build() {
+        let dblp = generate_dblp(DblpConfig { publications: 500, seed: 2 });
+        let mut both = xmark_store();
+        both.add_tree(&dblp);
+        // A store whose edits left interned values that no row references
+        // (as a deleted subtree leaves them): every seventh value id.
+        let mut edited = xmark_store();
+        for p in 0..edited.len() {
+            if edited.value[p].is_multiple_of(7) {
+                edited.value[p] = NO_VALUE;
+                edited.data[p] = f64::NAN;
+            }
+        }
+        for store in [xmark_store(), both, edited] {
+            let s = collect(&store);
+            let (value_hist, data_hist) = value_and_data_hists_by_sorting(&store);
+            assert_eq!(format!("{:?}", s.value_hist), format!("{value_hist:?}"));
+            assert_eq!(format!("{:?}", s.data_hist), format!("{data_hist:?}"));
+            assert_eq!(s.value_distinct, value_hist.n_distinct);
+            assert!(s.value_hist.bounds.len() > 1 && s.data_hist.bounds.len() > 1);
+        }
     }
 
     #[test]
     fn name_counts_are_exact() {
-        let t = generate_xmark(XmarkConfig { scale: 0.005, seed: 3 });
-        let mut store = DocStore::new();
-        store.add_tree(&t);
-        let s = DocStats::collect(&store);
+        let store = xmark_store();
+        let s = collect(&store);
         // Count price elements by hand.
         let price_id = store.names.get("price").unwrap();
         let manual = (0..store.len())

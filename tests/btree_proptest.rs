@@ -3,6 +3,7 @@
 
 use jgi_engine::btree::BTree;
 use proptest::prelude::*;
+use std::cmp::Ordering;
 use std::collections::BTreeMap;
 
 /// Total-ordering key of the reference map.
@@ -15,6 +16,18 @@ fn code(i: i64) -> u64 {
 
 fn to_key(k: RefKey) -> [u64; 2] {
     [code(k.0), code(k.1)]
+}
+
+/// Probe codes around a stored domain of `1000..1010`, whose fields take
+/// 10 bits: below the minimum, inside it, above the maximum, at and past
+/// the field's largest value (1023), and `u64::MAX`.
+const EDGE_CODES: [u64; 12] =
+    [0, 1, 999, 1000, 1004, 1009, 1010, 1011, 1023, 1024, 1 << 40, u64::MAX];
+
+/// Lexicographic comparison of a probe prefix with the same-length prefix
+/// of a key, the way the tree's bounds are specified.
+fn cmp_prefix(probe: &[u64], key: &[u64]) -> Ordering {
+    probe.cmp(&key[..probe.len()])
 }
 
 proptest! {
@@ -31,12 +44,18 @@ proptest! {
             2,
             entries.iter().flat_map(|(k, _)| to_key(*k)).collect(),
             entries.iter().map(|(_, v)| *v).collect(),
-        );
+        )
+        .unwrap();
         prop_assert_eq!(tree.len(), entries.len());
 
-        // Full iteration is sorted by (key, value).
-        let all: Vec<(Vec<u64>, u32)> = tree.iter().map(|(k, v)| (k.to_vec(), v)).collect();
+        // Full iteration is sorted by (key, value) and decodes to the
+        // loaded entries.
+        let all: Vec<(Vec<u64>, u32)> = tree.iter().map(|(k, v)| (tree.decode(k), v)).collect();
         prop_assert!(all.windows(2).all(|w| w[0] <= w[1]));
+        let mut loaded: Vec<(Vec<u64>, u32)> =
+            entries.iter().map(|(k, v)| (to_key(*k).to_vec(), *v)).collect();
+        loaded.sort();
+        prop_assert_eq!(&all, &loaded);
 
         // Prefix scan on the first key component.
         let got: Vec<u32> = {
@@ -71,7 +90,8 @@ proptest! {
             1,
             entries.iter().map(|(k, _)| code(*k)).collect(),
             entries.iter().enumerate().map(|(i, (_, v))| *v * 1000 + i as u32).collect(),
-        );
+        )
+        .unwrap();
         let (lo_key, hi_key) = ([code(lo)], [code(hi)]);
         let mut got: Vec<u32> =
             tree.scan(&lo_key, lo_strict, &hi_key, hi_strict).map(|(_, v)| v).collect();
@@ -87,5 +107,64 @@ proptest! {
             .collect();
         want.sort_unstable();
         prop_assert_eq!(got, want);
+    }
+
+    /// Bounds outside the stored domain — below its minimum, above its
+    /// maximum, past a field's largest value, `u64::MAX` — of every prefix
+    /// length and both strictnesses select what the reference does, from a
+    /// scan and from a fresh seek alike.
+    #[test]
+    fn out_of_domain_bounds_match_reference(
+        entries in proptest::collection::vec(
+            ((1000u64..1010, 1000u64..1010, 1000u64..1010), 0u32..1000),
+            0..300,
+        ),
+        probes in proptest::collection::vec(
+            (
+                (0usize..=3, proptest::collection::vec(0usize..EDGE_CODES.len(), 3..4)),
+                (0usize..=3, proptest::collection::vec(0usize..EDGE_CODES.len(), 3..4)),
+                any::<bool>(),
+                any::<bool>(),
+            ),
+            16..17,
+        ),
+    ) {
+        let mut reference: BTreeMap<(Vec<u64>, u32), ()> = BTreeMap::new();
+        for (i, ((a, b, c), v)) in entries.iter().enumerate() {
+            reference.insert((vec![*a, *b, *c], *v * 1000 + i as u32), ());
+        }
+        let tree = BTree::bulk_load(
+            3,
+            entries.iter().flat_map(|((a, b, c), _)| [*a, *b, *c]).collect(),
+            entries.iter().enumerate().map(|(i, (_, v))| *v * 1000 + i as u32).collect(),
+        )
+        .unwrap();
+        for ((lo_len, lo_at), (hi_len, hi_at), lo_strict, hi_strict) in probes {
+            let lo: Vec<u64> = lo_at[..lo_len].iter().map(|&i| EDGE_CODES[i]).collect();
+            let hi: Vec<u64> = hi_at[..hi_len].iter().map(|&i| EDGE_CODES[i]).collect();
+            let want: Vec<u32> = reference
+                .keys()
+                .filter(|(k, _)| {
+                    let lo_ok = lo.is_empty() || match cmp_prefix(&lo, k) {
+                        Ordering::Less => true,
+                        Ordering::Equal => !lo_strict,
+                        Ordering::Greater => false,
+                    };
+                    let hi_ok = hi.is_empty() || match cmp_prefix(&hi, k) {
+                        Ordering::Greater => true,
+                        Ordering::Equal => !hi_strict,
+                        Ordering::Less => false,
+                    };
+                    lo_ok && hi_ok
+                })
+                .map(|(_, v)| *v)
+                .collect();
+            let got: Vec<u32> =
+                tree.scan(&lo, lo_strict, &hi, hi_strict).map(|(_, v)| v).collect();
+            prop_assert_eq!(&got, &want, "lo {:?} {} hi {:?} {}", lo, lo_strict, hi, hi_strict);
+            let sought: Vec<u32> =
+                tree.seek_cursor().seek(&lo, lo_strict, &hi, hi_strict).map(|(_, v)| v).collect();
+            prop_assert_eq!(&sought, &want, "seek lo {:?} {} hi {:?} {}", lo, lo_strict, hi, hi_strict);
+        }
     }
 }

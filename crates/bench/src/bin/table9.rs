@@ -5,6 +5,9 @@
 //! cargo run --release -p jgi-bench --bin table9 -- [xmark_scale] [dblp_pubs] [runs]
 //! ```
 //!
+//! Each navigational time is followed by the steps (node visits) it
+//! charged; a dnf cell spent the whole budget.
+//!
 //! Absolute numbers differ from the paper (synthetic instances at laptop
 //! scale, a different machine, a from-scratch engine); the *shape* — who
 //! wins, by roughly what factor, where dnf strikes — is the reproduction
@@ -50,12 +53,14 @@ struct Row {
     name: &'static str,
     nodes: u64,
     times: [Option<Duration>; 4], // stacked, join graph, nav whole, nav segmented
+    nav_steps: [u64; 2],          // nav whole, nav segmented
 }
 
 fn measure(session: &mut Session, name: &'static str, text: &str, runs: usize) -> Row {
     let ctx = context_doc(name);
     let prepared = session.prepare(text, ctx).expect("paper query compiles");
     let mut times: [Option<Duration>; 4] = [None; 4];
+    let mut nav_steps = [0u64; 2];
     let mut nodes = 0u64;
     // Index construction and buffer warm-up happen outside the measurement
     // (the paper averages warm runs).
@@ -69,6 +74,9 @@ fn measure(session: &mut Session, name: &'static str, text: &str, runs: usize) -
         let mut finished = true;
         for _ in 0..runs {
             let outcome = session.execute(&prepared, engine).expect("plan executes");
+            if let Some(nav) = outcome.report.nav {
+                nav_steps[slot - 2] = nav.steps;
+            }
             match outcome.nodes {
                 Some(result) => {
                     total += outcome.wall;
@@ -82,7 +90,7 @@ fn measure(session: &mut Session, name: &'static str, text: &str, runs: usize) -
         }
         times[slot] = finished.then(|| total / runs as u32);
     }
-    Row { name, nodes, times }
+    Row { name, nodes, times, nav_steps }
 }
 
 /// Q6 goes through the XMLTABLE substitution on the join-graph back-end
@@ -140,19 +148,21 @@ fn main() {
     rows.push(measure_q6(&mut db, w.runs));
 
     println!(
-        "{:<4} {:>10} | {:>10} {:>10} {:>10} {:>10} | paper(s): {:>9} {:>9} {:>9} {:>9}",
-        "", "# nodes", "stacked", "joingraph", "nav-whole", "nav-segm",
+        "{:<4} {:>10} | {:>10} {:>10} {:>10} {:>10} {:>10} {:>10} | paper(s): {:>9} {:>9} {:>9} {:>9}",
+        "", "# nodes", "stacked", "joingraph", "nav-whole", "steps", "nav-segm", "steps",
         "stacked", "joingr", "pureXML-w", "pureXML-s"
     );
     for (row, paper) in rows.iter().zip(PAPER) {
         println!(
-            "{:<4} {:>10} | {} {} {} {} | {:>18} {} {} {} {}",
+            "{:<4} {:>10} | {} {} {} {:>10} {} {:>10} | {:>18} {} {} {} {}",
             row.name,
             row.nodes,
             fmt(row.times[0]),
             fmt(row.times[1]),
             fmt(row.times[2]),
+            row.nav_steps[0],
             fmt(row.times[3]),
+            row.nav_steps[1],
             paper.1,
             fmt_paper(paper.2),
             fmt_paper(paper.3),
@@ -210,6 +220,8 @@ fn main() {
                 ("join_graph_us", us(row.times[1])),
                 ("nav_whole_us", us(row.times[2])),
                 ("nav_segmented_us", us(row.times[3])),
+                ("nav_whole_steps", Json::UInt(row.nav_steps[0])),
+                ("nav_segmented_steps", Json::UInt(row.nav_steps[1])),
             ]);
             println!("{}", obj.render());
         }

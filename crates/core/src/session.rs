@@ -666,10 +666,11 @@ pub fn execute_prepared(
 ///
 /// The single-user, single-thread façade over the shared-state functions
 /// [`prepare_on`] / [`execute_prepared`]. The document store is held behind
-/// an [`Arc`] so handing it to the relational database (or to a serving
-/// snapshot) shares rather than copies the encoding; session-side mutation
-/// (`load_xml` / `add_tree`) goes through [`Arc::make_mut`], which is free
-/// while the session is the only owner.
+/// an [`Arc`] so handing it to the navigational and relational databases
+/// (or to a serving snapshot) shares rather than copies the encoding;
+/// session-side mutation (`load_xml` / `add_tree`) drops the session's own
+/// databases and goes through [`Arc::make_mut`], which is then free unless
+/// a caller still holds the store.
 pub struct Session {
     store: Arc<DocStore>,
     nav: NavDb,
@@ -683,9 +684,10 @@ pub struct Session {
 impl Session {
     /// Empty session.
     pub fn new() -> Session {
+        let store = Arc::new(DocStore::new());
         Session {
-            store: Arc::new(DocStore::new()),
-            nav: NavDb::new(),
+            nav: NavDb::from(Arc::clone(&store)),
+            store,
             db: None,
             budgets: Budgets::default(),
             last_report: None,
@@ -702,9 +704,12 @@ impl Session {
 
     /// Load an already-built tree (e.g. from the synthetic generators).
     pub fn add_tree(&mut self, tree: Tree) {
+        // Release the databases' handles on the store first, so appending
+        // to it does not copy every column; the indexes must be rebuilt.
+        self.db = None;
+        self.nav = NavDb::new();
         Arc::make_mut(&mut self.store).add_tree(&tree);
-        self.nav.add_tree(tree);
-        self.db = None; // indexes must be rebuilt
+        self.nav = NavDb::from(Arc::clone(&self.store));
     }
 
     /// The tabular encoding (for inspection/serialization).
@@ -910,6 +915,21 @@ mod tests {
         let out = s.execute(&p, Engine::JoinGraph).unwrap();
         assert_eq!(out.len(), 2);
         assert!(s.load_xml("bad.xml", "<a>").is_err());
+    }
+
+    /// Loading a document appends to the store in place: neither the built
+    /// database nor the navigational database makes it copy the columns.
+    #[test]
+    fn add_tree_appends_in_place_once_indexes_exist() {
+        let mut s = Session::new();
+        s.load_xml("a.xml", "<a><b>1</b></a>").unwrap();
+        s.database();
+        let before = Arc::as_ptr(&s.store_arc());
+        s.load_xml("b.xml", "<b><c>2</c></b>").unwrap();
+        assert_eq!(Arc::as_ptr(&s.store_arc()), before);
+        let p = s.prepare(r#"doc("b.xml")/child::b/child::c"#, None).unwrap();
+        assert_eq!(s.execute(&p, Engine::NavWhole).unwrap().nodes.unwrap(), vec![6]);
+        assert_eq!(s.execute(&p, Engine::JoinGraph).unwrap().nodes.unwrap(), vec![6]);
     }
 
     /// One document as the serving layer holds it: store, database (its

@@ -1,9 +1,12 @@
-//! The tree-walking evaluator.
+//! The navigating evaluator: each axis step walks the `pre`/`size`/
+//! `parent` columns of the document's tabular encoding.
 
-use jgi_xml::{NodeId, NodeKind, Tree};
+use jgi_xml::encode::{NameId, ValId, NO_NAME, NO_PARENT, NO_VALUE};
+use jgi_xml::{DocStore, NodeId, NodeKind, Tree};
 use jgi_xquery::{Axis, BoolCore, CompOp, Core, Literal, NodeTest};
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::{Arc, OnceLock};
 
 /// Whole-document vs segmented storage mode (paper §4.2).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -50,73 +53,60 @@ impl fmt::Display for NavError {
 
 impl std::error::Error for NavError {}
 
-/// A node reference: document slot plus node id.
+/// A node reference: document slot (its position in the store's
+/// `doc_roots`) plus the node's rank inside its document.
 pub type NodeRef = (usize, NodeId);
 
-/// The navigational database: loaded documents plus (in segmented mode)
-/// the value indexes.
+/// The navigational database: the documents' tabular encoding plus (in
+/// segmented mode) the value index.
 ///
-/// `Clone` supports the serving layer's snapshot publishing: the mutable
-/// master copy stays behind a lock while immutable clones are shared with
-/// reader threads (evaluation takes `&self` throughout).
-#[derive(Clone)]
+/// Cloning shares the encoding; evaluation takes `&self` throughout.
+#[derive(Clone, Default)]
 pub struct NavDb {
-    trees: Vec<Tree>,
-    uris: Vec<String>,
-    /// Document-order rank per node, per tree.
-    order: Vec<Vec<u32>>,
-    /// Value index: (name, string value) → nodes with that name whose
-    /// string value matches (elements with simple content, attributes).
-    value_index: HashMap<(String, String), Vec<NodeRef>>,
+    store: Arc<DocStore>,
+    /// Value index, sorted: `(name, value, pre)` for every attribute and
+    /// simple-content element (the XMLPATTERN `//name` / `//@name`
+    /// family; the encoding's value column has exactly these values).
+    /// Built by the first segmented evaluation: whole-document mode never
+    /// reads it.
+    value_index: OnceLock<Vec<(NameId, ValId, u32)>>,
+}
+
+impl From<Arc<DocStore>> for NavDb {
+    /// Navigate an existing encoding, sharing it (no copy).
+    fn from(store: Arc<DocStore>) -> NavDb {
+        NavDb { store, value_index: OnceLock::new() }
+    }
 }
 
 impl NavDb {
     /// Empty database.
     pub fn new() -> NavDb {
-        NavDb { trees: Vec::new(), uris: Vec::new(), order: Vec::new(), value_index: HashMap::new() }
+        NavDb::default()
     }
 
-    /// Load a document; builds document-order ranks and the value index.
+    /// Load a document: encode it and drop the tree.
     pub fn add_tree(&mut self, tree: Tree) {
-        let slot = self.trees.len();
-        let mut order = vec![0u32; tree.len()];
-        for (rank, id) in tree.preorder().into_iter().enumerate() {
-            order[id.0 as usize] = rank as u32;
-        }
-        // Value index entries: attributes and simple-content elements (the
-        // XMLPATTERN //name / //@name family); the indexable set mirrors
-        // the tabular encoding's value column (subtree size ≤ 1).
-        for id in tree.ids() {
-            let node = tree.node(id);
-            let indexable = node.kind == NodeKind::Attr
-                || (node.kind == NodeKind::Elem && comparable_value(&tree, id).is_some());
-            if indexable {
-                if let Some(name) = tree.name(id) {
-                    let key = (name.to_string(), tree.string_value(id));
-                    self.value_index.entry(key).or_default().push((slot, id));
-                }
-            }
-        }
-        self.uris.push(tree.uri().to_string());
-        self.order.push(order);
-        self.trees.push(tree);
+        Arc::make_mut(&mut self.store).add_tree(&tree);
+        self.value_index = OnceLock::new();
     }
 
-    /// Borrow a loaded tree.
-    pub fn tree(&self, slot: usize) -> &Tree {
-        &self.trees[slot]
-    }
-
-    /// Document-order rank of a node within its tree — equals the `pre`
-    /// rank the tabular encoding assigns (same DFS).
+    /// Document-order rank of a node within its document — the `pre`
+    /// rank relative to the document's root row.
     pub fn order_rank(&self, r: NodeRef) -> u32 {
-        self.order[r.0][r.1 .0 as usize]
+        r.1 .0
     }
 
     /// Convert a result to global `pre` ranks given each document's base
     /// offset in a [`jgi_xml::DocStore`] (its `doc_roots` entry).
     pub fn to_pre(&self, result: &[NodeRef], bases: &[u32]) -> Vec<u32> {
         result.iter().map(|&r| bases[r.0] + self.order_rank(r)).collect()
+    }
+
+    /// Heap bytes held: the encoding (shared or not) and the value index.
+    pub fn heap_bytes(&self) -> usize {
+        let entry = size_of::<(NameId, ValId, u32)>();
+        self.store.heap_bytes() + self.value_index.get().map_or(0, |v| v.capacity() * entry)
     }
 
     /// Evaluate a normalized query.
@@ -133,7 +123,7 @@ impl NavDb {
         core: &Core,
         opts: NavOptions,
     ) -> (Result<Vec<NodeRef>, NavError>, NavStats) {
-        let mut cx = Cx { db: self, opts, budget: opts.budget };
+        let mut cx = Cx { db: self, s: &self.store, opts, budget: opts.budget };
         let env = HashMap::new();
         let result = cx.eval_seq(core, &env);
         let stats = NavStats {
@@ -142,6 +132,34 @@ impl NavDb {
             exhausted: matches!(result, Err(NavError::Budget)),
         };
         (result, stats)
+    }
+
+    fn value_index(&self) -> &[(NameId, ValId, u32)] {
+        self.value_index.get_or_init(|| {
+            let s = &*self.store;
+            let mut index: Vec<_> = (0..s.len())
+                .filter(|&p| {
+                    matches!(s.kind[p], NodeKind::Attr | NodeKind::Elem)
+                        && s.name[p] != NO_NAME
+                        && s.value[p] != NO_VALUE
+                })
+                .map(|p| (s.name[p], s.value[p], p as u32))
+                .collect();
+            index.sort_unstable();
+            index.shrink_to_fit();
+            index
+        })
+    }
+
+    /// Global `pre` rank of a node.
+    fn pre(&self, (slot, id): NodeRef) -> u32 {
+        self.store.doc_roots[slot] + id.0
+    }
+
+    /// The node at global `pre` rank `pre`.
+    fn node_ref(&self, pre: u32) -> NodeRef {
+        let slot = self.store.doc_roots.partition_point(|&r| r <= pre) - 1;
+        (slot, NodeId(pre - self.store.doc_roots[slot]))
     }
 }
 
@@ -156,14 +174,9 @@ pub struct NavStats {
     pub exhausted: bool,
 }
 
-impl Default for NavDb {
-    fn default() -> Self {
-        NavDb::new()
-    }
-}
-
 struct Cx<'a> {
     db: &'a NavDb,
+    s: &'a DocStore,
     opts: NavOptions,
     budget: u64,
 }
@@ -186,17 +199,17 @@ impl<'a> Cx<'a> {
                 .cloned()
                 .ok_or_else(|| NavError::Bad(format!("unbound variable ${v}"))),
             Core::Doc(uri) => {
-                let slot = self
-                    .db
-                    .uris
-                    .iter()
-                    .position(|u| u == uri)
+                let s = self.s;
+                let slot = s
+                    .names
+                    .get(uri)
+                    .and_then(|id| s.doc_roots.iter().position(|&r| s.name[r as usize] == id))
                     .ok_or_else(|| NavError::Bad(format!("document {uri} not loaded")))?;
-                Ok(vec![(slot, self.db.trees[slot].root())])
+                Ok(vec![(slot, NodeId(0))])
             }
             Core::Ddo(inner) => {
                 let mut v = self.eval_seq(inner, env)?;
-                v.sort_by_key(|&r| (r.0, self.db.order_rank(r)));
+                v.sort_unstable();
                 v.dedup();
                 Ok(v)
             }
@@ -255,19 +268,7 @@ impl<'a> Cx<'a> {
                 let nodes = self.eval_seq(lhs, env)?;
                 for n in nodes {
                     self.charge(1)?;
-                    // Atomization convention of the tabular encoding (paper
-                    // §2.1): only nodes with subtree size ≤ 1 carry a value.
-                    let Some(sv) = comparable_value(&self.db.trees[n.0], n.1) else {
-                        continue;
-                    };
-                    let holds = match rhs {
-                        Literal::String(s) => op.test(sv.as_str().cmp(s.as_str())),
-                        Literal::Number(num) => match jgi_xml::encode::parse_decimal(&sv) {
-                            Some(d) => op.test(d.total_cmp(num)),
-                            None => false,
-                        },
-                    };
-                    if holds {
+                    if literal_holds(self.s, self.db.pre(n), *op, rhs) {
                         return Ok(true);
                     }
                 }
@@ -278,16 +279,14 @@ impl<'a> Cx<'a> {
                 // is exactly what makes value joins hopeless for XSCAN.
                 let l = self.eval_seq(lhs, env)?;
                 let r = self.eval_seq(rhs, env)?;
-                for a in &l {
-                    let Some(sa) = comparable_value(&self.db.trees[a.0], a.1) else {
-                        continue;
-                    };
-                    for b in &r {
+                for &a in &l {
+                    // Atomization convention of the tabular encoding (paper
+                    // §2.1): only nodes with subtree size ≤ 1 carry a value.
+                    let Some(sa) = self.s.value_str(self.db.pre(a)) else { continue };
+                    for &b in &r {
                         self.charge(1)?;
-                        let Some(sb) = comparable_value(&self.db.trees[b.0], b.1) else {
-                            continue;
-                        };
-                        if op.test(sa.as_str().cmp(sb.as_str())) {
+                        let Some(sb) = self.s.value_str(self.db.pre(b)) else { continue };
+                        if op.test(sa.cmp(sb)) {
                             return Ok(true);
                         }
                     }
@@ -324,29 +323,28 @@ impl<'a> Cx<'a> {
 
         // Index lookup.
         self.charge(8)?; // the index probe
-        let mut hits: Vec<NodeRef> = Vec::new();
-        match (op, rhs) {
-            (CompOp::Eq, Literal::String(s)) => {
-                if let Some(v) = self.db.value_index.get(&(probe_name.clone(), s.clone())) {
-                    hits.extend(v.iter().copied());
-                }
-            }
-            _ => {
-                // Range/inequality: scan the index entries for this name.
-                for ((n, sv), nodes) in &self.db.value_index {
-                    if n != &probe_name {
-                        continue;
+        let s = self.s;
+        let index = self.db.value_index();
+        let mut hits: Vec<u32> = Vec::new();
+        if let Some(name) = s.names.get(&probe_name) {
+            let entries = &index[index.partition_point(|e| e.0 < name)..];
+            let entries = &entries[..entries.partition_point(|e| e.0 == name)];
+            match (op, rhs) {
+                (CompOp::Eq, Literal::String(lit)) => {
+                    if let Some(value) = s.values.get(lit) {
+                        let from = entries.partition_point(|e| e.1 < value);
+                        let to = entries.partition_point(|e| e.1 <= value);
+                        hits.extend(entries[from..to].iter().map(|e| e.2));
                     }
-                    self.charge(1)?;
-                    let holds = match rhs {
-                        Literal::String(s) => op.test(sv.as_str().cmp(s.as_str())),
-                        Literal::Number(num) => match jgi_xml::encode::parse_decimal(sv) {
-                            Some(d) => op.test(d.total_cmp(num)),
-                            None => false,
-                        },
-                    };
-                    if holds {
-                        hits.extend(nodes.iter().copied());
+                }
+                // Range/inequality: scan the index entries for this name,
+                // one per distinct value.
+                _ => {
+                    for group in entries.chunk_by(|a, b| a.1 == b.1) {
+                        self.charge(1)?;
+                        if literal_holds(s, group[0].2, *op, rhs) {
+                            hits.extend(group.iter().map(|e| e.2));
+                        }
                     }
                 }
             }
@@ -355,21 +353,21 @@ impl<'a> Cx<'a> {
         // descendant steps in the comparison path, nested same-named
         // elements can all be valid bindings for one hit.
         let mut bindings: Vec<NodeRef> = Vec::new();
-        for (slot, mut node) in hits {
+        for mut pre in hits {
             loop {
                 self.charge(1)?;
-                let t = &self.db.trees[slot];
-                if t.node(node).kind == NodeKind::Elem && t.name(node) == Some(bind_name.as_str())
+                if s.kind[pre as usize] == NodeKind::Elem
+                    && s.name_str(pre) == Some(bind_name.as_str())
                 {
-                    bindings.push((slot, node));
+                    bindings.push(self.db.node_ref(pre));
                 }
-                match t.node(node).parent {
-                    Some(p) => node = p,
-                    None => break,
+                match s.parent[pre as usize] {
+                    NO_PARENT => break,
+                    p => pre = p,
                 }
             }
         }
-        bindings.sort_by_key(|&r| (r.0, self.db.order_rank(r)));
+        bindings.sort_unstable();
         bindings.dedup();
         // Verify each candidate against the *full* binding sequence and
         // condition (the index may over-approximate), then run the body.
@@ -391,102 +389,92 @@ impl<'a> Cx<'a> {
     /// One axis step from one context node.
     fn step(
         &mut self,
-        (slot, node): NodeRef,
+        node: NodeRef,
         axis: Axis,
         test: &NodeTest,
         out: &mut Vec<NodeRef>,
     ) -> Result<(), NavError> {
-        let tree = &self.db.trees[slot];
-        let push = |cx: &mut Self, id: NodeId, out: &mut Vec<NodeRef>| -> Result<(), NavError> {
+        let s = self.s;
+        let (slot, base) = (node.0, s.doc_roots[node.0]);
+        let p = base + node.1 .0;
+        let push = |cx: &mut Self, pre: u32, out: &mut Vec<NodeRef>| -> Result<(), NavError> {
             cx.charge(1)?;
-            if matches(tree, id, axis, test) {
-                out.push((slot, id));
+            if matches(s, pre, axis, test) {
+                out.push((slot, NodeId(pre - base)));
             }
             Ok(())
         };
+        let kind = |pre: u32| s.kind[pre as usize];
+        let size = |pre: u32| s.size[pre as usize];
         match axis {
             Axis::Child => {
-                for &c in tree.content_children(node) {
+                for c in children(s, p).filter(|&c| kind(c) != NodeKind::Attr) {
                     push(self, c, out)?;
                 }
             }
             Axis::Attribute => {
-                for &a in tree.attrs(node) {
+                for a in children(s, p).take_while(|&a| kind(a) == NodeKind::Attr) {
                     push(self, a, out)?;
                 }
             }
             Axis::Descendant | Axis::DescendantOrSelf => {
                 if axis == Axis::DescendantOrSelf {
-                    push(self, node, out)?;
+                    push(self, p, out)?;
                 }
-                let mut stack: Vec<NodeId> =
-                    tree.content_children(node).iter().rev().copied().collect();
-                while let Some(id) = stack.pop() {
-                    push(self, id, out)?;
-                    for &c in tree.content_children(id).iter().rev() {
-                        stack.push(c);
-                    }
+                for d in (p + 1..=p + size(p)).filter(|&d| kind(d) != NodeKind::Attr) {
+                    push(self, d, out)?;
                 }
             }
-            Axis::SelfAxis => push(self, node, out)?,
+            Axis::SelfAxis => push(self, p, out)?,
             Axis::Parent => {
-                if let Some(p) = tree.node(node).parent {
-                    push(self, p, out)?;
+                if s.parent[p as usize] != NO_PARENT {
+                    push(self, s.parent[p as usize], out)?;
                 }
             }
             Axis::Ancestor | Axis::AncestorOrSelf => {
                 if axis == Axis::AncestorOrSelf {
-                    push(self, node, out)?;
+                    push(self, p, out)?;
                 }
-                let mut cur = node;
                 let mut chain = Vec::new();
-                while let Some(p) = tree.node(cur).parent {
-                    chain.push(p);
-                    cur = p;
+                let mut cur = p;
+                while s.parent[cur as usize] != NO_PARENT {
+                    cur = s.parent[cur as usize];
+                    chain.push(cur);
                 }
                 // Document order: outermost first.
-                for &p in chain.iter().rev() {
-                    push(self, p, out)?;
+                for &a in chain.iter().rev() {
+                    push(self, a, out)?;
                 }
             }
             Axis::FollowingSibling | Axis::PrecedingSibling => {
-                if tree.node(node).kind == NodeKind::Attr {
-                    return Ok(()); // attributes have no siblings
+                let parent = s.parent[p as usize];
+                if kind(p) == NodeKind::Attr || parent == NO_PARENT {
+                    return Ok(()); // attributes and roots have no siblings
                 }
-                let Some(p) = tree.node(node).parent else { return Ok(()) };
-                let sibs = tree.content_children(p);
-                let pos = sibs.iter().position(|&s| s == node);
-                if let Some(pos) = pos {
-                    if axis == Axis::FollowingSibling {
-                        for &s in &sibs[pos + 1..] {
-                            push(self, s, out)?;
-                        }
-                    } else {
-                        for &s in &sibs[..pos] {
-                            push(self, s, out)?;
-                        }
+                let content = children(s, parent).filter(|&c| kind(c) != NodeKind::Attr);
+                if axis == Axis::FollowingSibling {
+                    for c in content.skip_while(|&c| c <= p) {
+                        push(self, c, out)?;
+                    }
+                } else {
+                    for c in content.take_while(|&c| c < p) {
+                        push(self, c, out)?;
                     }
                 }
             }
             Axis::Following | Axis::Preceding => {
-                // Walk the whole document in order, comparing ranks; this
+                // Visit every row of the document, comparing ranges; this
                 // is exactly the navigational cost profile.
-                let my = self.db.order_rank((slot, node));
-                let my_end = my + subtree_span(tree, node);
-                for id in tree.preorder() {
-                    let r = self.db.order_rank((slot, id));
+                for q in base..=base + size(base) {
                     let keep = if axis == Axis::Following {
-                        r > my_end
+                        q > p + size(p)
                     } else {
                         // preceding: ends before we start, not an ancestor.
-                        r < my && r + subtree_span(tree, id) < my
+                        q < p && q + size(q) < p
                     };
                     self.charge(1)?;
-                    if keep
-                        && tree.node(id).kind != NodeKind::Attr
-                        && matches(tree, id, axis, test)
-                    {
-                        out.push((slot, id));
+                    if keep && kind(q) != NodeKind::Attr && matches(s, q, axis, test) {
+                        out.push((slot, NodeId(q - base)));
                     }
                 }
             }
@@ -495,34 +483,31 @@ impl<'a> Cx<'a> {
     }
 }
 
-/// The comparable (atomizable) string value of a node under the fragment's
-/// encoding convention: nodes with subtree size ≤ 1 only (paper §2.1 — "for
-/// nodes with size ≤ 1, table doc supports value-based node access").
-fn comparable_value(tree: &Tree, id: NodeId) -> Option<String> {
-    if subtree_span(tree, id) <= 1 {
-        Some(tree.string_value(id))
-    } else {
-        None
-    }
+/// The children of row `p` in document order, attributes first: each
+/// child's subtree is skipped to reach the next.
+fn children(s: &DocStore, p: u32) -> impl Iterator<Item = u32> + '_ {
+    let end = p + s.size[p as usize];
+    let within = move |c: u32| (c <= end).then_some(c);
+    std::iter::successors(within(p + 1), move |&c| within(c + s.size[c as usize] + 1))
 }
 
-/// Number of nodes in the subtree below `id` (attributes included).
-fn subtree_span(tree: &Tree, id: NodeId) -> u32 {
-    let mut n = 0;
-    let mut stack: Vec<NodeId> = tree.all_children(id).to_vec();
-    while let Some(c) = stack.pop() {
-        n += 1;
-        stack.extend_from_slice(tree.all_children(c));
+/// Whether row `pre` carries a value satisfying `op literal`: a string
+/// literal compares with the `value` column, a number with `data` (the
+/// value's decimal cast).
+fn literal_holds(s: &DocStore, pre: u32, op: CompOp, literal: &Literal) -> bool {
+    match literal {
+        Literal::String(lit) => s.value_str(pre).is_some_and(|v| op.test(v.cmp(lit.as_str()))),
+        Literal::Number(num) => s.data_val(pre).is_some_and(|d| op.test(d.total_cmp(num))),
     }
-    n
 }
 
 /// XPath node-test semantics (principal node kind per axis).
-fn matches(tree: &Tree, id: NodeId, axis: Axis, test: &NodeTest) -> bool {
-    let kind = tree.node(id).kind;
+fn matches(s: &DocStore, pre: u32, axis: Axis, test: &NodeTest) -> bool {
+    let kind = s.kind[pre as usize];
+    let name = || s.name_str(pre);
     let principal = if axis == Axis::Attribute { NodeKind::Attr } else { NodeKind::Elem };
     match test {
-        NodeTest::Name(n) => kind == principal && tree.name(id) == Some(n.as_str()),
+        NodeTest::Name(n) => kind == principal && name() == Some(n.as_str()),
         NodeTest::Wildcard => kind == principal,
         NodeTest::AnyKind => {
             if axis == Axis::Attribute {
@@ -545,16 +530,13 @@ fn matches(tree: &Tree, id: NodeId, axis: Axis, test: &NodeTest) -> bool {
         NodeTest::Text => kind == NodeKind::Text,
         NodeTest::Comment => kind == NodeKind::Comment,
         NodeTest::Pi(t) => {
-            kind == NodeKind::Pi
-                && t.as_ref().map(|x| tree.name(id) == Some(x.as_str())).unwrap_or(true)
+            kind == NodeKind::Pi && t.as_ref().is_none_or(|x| name() == Some(x.as_str()))
         }
         NodeTest::Element(n) => {
-            kind == NodeKind::Elem
-                && n.as_ref().map(|x| tree.name(id) == Some(x.as_str())).unwrap_or(true)
+            kind == NodeKind::Elem && n.as_ref().is_none_or(|x| name() == Some(x.as_str()))
         }
         NodeTest::AttributeTest(n) => {
-            kind == NodeKind::Attr
-                && n.as_ref().map(|x| tree.name(id) == Some(x.as_str())).unwrap_or(true)
+            kind == NodeKind::Attr && n.as_ref().is_none_or(|x| name() == Some(x.as_str()))
         }
         NodeTest::Document => kind == NodeKind::Doc,
     }
@@ -702,11 +684,9 @@ mod tests {
         // Count budget consumption in both modes.
         let budget = 1_000_000u64;
         let spent = |mode| {
-            let mut cx = Cx { db: &db, opts: NavOptions { mode, budget }, budget };
-            let env = HashMap::new();
-            let r = cx.eval_seq(&core, &env).unwrap();
-            assert_eq!(r.len(), 1);
-            budget - cx.budget
+            let (r, stats) = db.eval_with_stats(&core, NavOptions { mode, budget });
+            assert_eq!(r.unwrap().len(), 1);
+            stats.steps
         };
         let whole = spent(NavMode::Whole);
         let seg = spent(NavMode::Segmented);
@@ -739,6 +719,27 @@ mod tests {
             .unwrap();
         assert_eq!(whole.len(), 2);
         assert_eq!(whole, seg);
+    }
+
+    /// The navigational database is the tabular encoding: 27 bytes of
+    /// columns per node plus the interned names and values, no tree and no
+    /// `String` per value (the tree it replaced held ≈ 197 B per node).
+    /// Whole mode builds no value index; the index adds 12 B per entry.
+    #[test]
+    fn heap_bytes_per_node_are_the_encodings() {
+        use jgi_xml::generate::{generate_xmark, XmarkConfig};
+        let mut db = NavDb::new();
+        db.add_tree(generate_xmark(XmarkConfig { scale: 0.005, seed: 3 }));
+        let nodes = db.store.len() as f64;
+        let per_node = db.heap_bytes() as f64 / nodes;
+        assert!(per_node <= 45.0, "{per_node:.1} B per node");
+        let core = compile_to_core(r#"doc("auction.xml")/descendant::person[@id = "person0"]"#)
+            .unwrap();
+        db.eval(&core, NavOptions::default()).unwrap();
+        assert!(db.value_index.get().is_none(), "whole mode reads no value index");
+        db.eval(&core, NavOptions { mode: NavMode::Segmented, ..NavOptions::default() }).unwrap();
+        let per_node = db.heap_bytes() as f64 / nodes;
+        assert!(per_node <= 52.0, "{per_node:.1} B per node with the value index");
     }
 
     #[test]

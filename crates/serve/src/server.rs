@@ -750,7 +750,7 @@ fn worker_loop(rx: &Mutex<Receiver<Job>>, state: &State) {
         // single-document) or the combined view, then lift result ranks
         // back into the global numbering.
         let (segment, base_pre) = job.snapshot.resolve(&job.prepared.docs);
-        let ctx = segment.ctx(job.engine, job.snapshot.budgets);
+        let ctx = segment.ctx(job.snapshot.budgets);
         let result = execute_prepared(&ctx, &job.prepared, job.engine);
         // One lock acquisition records the whole request.
         let mut reg = state.registry.batch();

@@ -9,9 +9,8 @@
 //!
 //! Since the live-mutation rework the snapshot is **segmented**: each
 //! loaded document owns an independent [`DocSnap`] — its single-document
-//! tabular encoding, eagerly-indexed relational database, and a
-//! navigational database built on the first navigational request — plus
-//! a carried `version`. Publishing a
+//! tabular encoding, shared by an eagerly-indexed relational database and
+//! a navigational database — plus a carried `version`. Publishing a
 //! generation reuses the `Arc<DocSnap>` of every document the commit did
 //! *not* touch, so a mutation to one document never rebuilds the others'
 //! indexes (the old design re-shared one monolithic store and rebuilt the
@@ -36,13 +35,13 @@
 //! snapshot is never written.
 
 use crate::error::ServeError;
-use jgi_core::{Budgets, Engine, ExecCtx};
+use jgi_core::{Budgets, ExecCtx};
 use jgi_engine::Database;
 use jgi_mutate::{MutateError, Op, OverlayDoc};
 use jgi_nav::NavDb;
 use jgi_sync::Mutex;
 use jgi_xml::{DocStore, Tree};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 /// One document's fully-indexed state at one version: the single-document
 /// store (root at local `pre` 0), the eagerly-indexed relational database
@@ -57,34 +56,20 @@ pub struct DocSnap {
     pub store: Arc<DocStore>,
     /// Relational database, Table 6 indexes eagerly built at publish time.
     pub db: Arc<Database>,
-    /// Navigational database, built from `store` by the first
-    /// navigational request — no join-graph request reads it.
-    nav: OnceLock<NavDb>,
+    /// Navigational database over `store` (shared, no copy).
+    nav: NavDb,
 }
 
 impl DocSnap {
     fn build(uri: String, version: u64, store: Arc<DocStore>) -> DocSnap {
         let db = Arc::new(Database::with_default_indexes(Arc::clone(&store)));
-        DocSnap { uri, version, store, db, nav: OnceLock::new() }
+        let nav = NavDb::from(Arc::clone(&store));
+        DocSnap { uri, version, store, db, nav }
     }
 
-    /// The navigational database, one tree per document row, built on
-    /// first use.
-    pub fn nav(&self) -> &NavDb {
-        self.nav.get_or_init(|| {
-            let mut nav = NavDb::new();
-            for &root in &self.store.doc_roots {
-                nav.add_tree(self.store.extract_tree(root));
-            }
-            nav
-        })
-    }
-
-    /// The execution context for running plans on `engine` against this
-    /// document. Only the navigational engines get (and build) the DOM.
-    pub fn ctx(&self, engine: Engine, budgets: Budgets) -> ExecCtx<'_> {
-        let nav = matches!(engine, Engine::NavWhole | Engine::NavSegmented).then(|| self.nav());
-        ExecCtx { store: &self.store, db: Some(&self.db), nav, budgets }
+    /// The execution context for running plans against this document.
+    pub fn ctx(&self, budgets: Budgets) -> ExecCtx<'_> {
+        ExecCtx { store: &self.store, db: Some(&self.db), nav: Some(&self.nav), budgets }
     }
 }
 

@@ -87,6 +87,7 @@ impl DocStore {
         self.name.reserve(n);
         self.value.reserve(n);
         self.data.reserve(n);
+        self.parent.reserve(n);
 
         // Emit rows in document (pre-)order; sizes come from a single
         // bottom-up pass, levels and parent `pre` ranks from the DFS itself.
@@ -105,9 +106,17 @@ impl DocStore {
                 None => NO_NAME,
             };
             let (value, data) = if size <= 1 {
-                let sv = tree.string_value(id);
-                let data = parse_decimal(&sv).unwrap_or(f64::NAN);
-                (self.values.intern(&sv), data)
+                // The string value of a subtree this small is a leaf's own
+                // text, or an element's single text child's; borrow it.
+                let sv = match node.kind {
+                    NodeKind::Elem | NodeKind::Doc => match tree.all_children(id) {
+                        &[c] if tree.node(c).kind == NodeKind::Text => tree.node(c).text.as_deref(),
+                        _ => None,
+                    },
+                    _ => node.text.as_deref(),
+                }
+                .unwrap_or("");
+                (self.values.intern(sv), parse_decimal(sv).unwrap_or(f64::NAN))
             } else {
                 (NO_VALUE, f64::NAN)
             };
@@ -121,6 +130,20 @@ impl DocStore {
         }
         self.doc_roots.push(base);
         base
+    }
+
+    /// Heap bytes held by the columns and both interners.
+    pub fn heap_bytes(&self) -> usize {
+        self.size.capacity() * size_of::<u32>()
+            + self.level.capacity() * size_of::<u16>()
+            + self.kind.capacity() * size_of::<NodeKind>()
+            + self.name.capacity() * size_of::<NameId>()
+            + self.value.capacity() * size_of::<ValId>()
+            + self.data.capacity() * size_of::<f64>()
+            + self.parent.capacity() * size_of::<u32>()
+            + self.doc_roots.capacity() * size_of::<u32>()
+            + self.names.heap_bytes()
+            + self.values.heap_bytes()
     }
 
     /// `pre` rank of the document root whose URI is `uri`, if loaded.
@@ -157,9 +180,10 @@ impl DocStore {
 
     /// Rebuild the in-memory [`Tree`] of the document rooted at `doc_root`
     /// (a `DOC` row). Inverse of [`DocStore::add_tree`] up to interner ids:
-    /// re-encoding the returned tree reproduces the same rows. Used by the
-    /// mutation subsystem to rebuild per-document navigational state after a
-    /// commit, where there is no parsed tree to go back to.
+    /// re-encoding the returned tree reproduces the same rows. The serving
+    /// layer uses it to concatenate separately-stored (and possibly
+    /// mutated) documents into one combined store, where there is no parsed
+    /// tree to go back to.
     pub fn extract_tree(&self, doc_root: u32) -> Tree {
         let d = doc_root as usize;
         assert_eq!(self.kind[d], NodeKind::Doc, "extract_tree starts at a DOC row");

@@ -5,8 +5,8 @@
 //! (EDBT 2010, Fig. 2):
 //!
 //! * a from-scratch, dependency-free XML 1.0 parser ([`parser`]),
-//! * an in-memory document tree ([`tree`]) used both as the parser output and
-//!   as the store for the navigational (pureXML-style) evaluator,
+//! * an in-memory document tree ([`tree`]): the parser's output, the
+//!   generators' and the encoder's input,
 //! * the schema-oblivious **pre/size/level** encoding ([`encode`]): one row
 //!   per node with columns `pre | size | level | kind | name | value | data`,
 //! * a serializer turning encoded subtrees back into XML text ([`serialize`]),

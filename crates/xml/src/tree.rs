@@ -1,12 +1,12 @@
 //! In-memory XML document tree.
 //!
 //! [`Tree`] is the common currency between the parser, the synthetic
-//! generators, the tabular encoder, and the navigational (pureXML-style)
-//! evaluator. It is a plain arena of nodes; attribute nodes are ordinary
-//! children that precede all other children of their owner element — this
-//! matches the pre/size/level encoding of the paper (Fig. 2), where the
-//! attribute `id` of `open_auction` occupies the `pre` rank right after its
-//! owner.
+//! generators and the tabular encoder (every evaluator, the navigational
+//! one included, reads the encoding). It is a plain arena of nodes;
+//! attribute nodes are ordinary children that precede all other children
+//! of their owner element — this matches the pre/size/level encoding of
+//! the paper (Fig. 2), where the attribute `id` of `open_auction` occupies
+//! the `pre` rank right after its owner.
 
 use crate::interner::Interner;
 
@@ -83,9 +83,9 @@ pub struct Node {
 ///
 /// `NodeId`s are allocation order, which need *not* be document order (the
 /// synthetic generators interleave sections). Document order is defined by
-/// [`Tree::preorder`]; the tabular encoder and the navigational evaluator
-/// both derive `pre` ranks from it. Trees built by the streaming parser do
-/// allocate in document order ([`Tree::assert_preorder`] checks this).
+/// [`Tree::preorder`]; the tabular encoder derives `pre` ranks from it.
+/// Trees built by the streaming parser do allocate in document order
+/// ([`Tree::assert_preorder`] checks this).
 #[derive(Debug, Clone)]
 pub struct Tree {
     /// Interned element/attribute/PI names (plus the document URI).

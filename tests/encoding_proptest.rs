@@ -1,8 +1,13 @@
 //! Property tests for the pre/size/level encoding and serialization:
-//! structural invariants (paper §2.1) and full round trips
+//! structural invariants (paper §2.1), a row-by-row check of every column
+//! against the document tree, and full round trips
 //! tree → XML text → parse → encode.
+//!
+//! The navigational evaluator reads the encoding too, so the row-by-row
+//! check is what keeps that oracle tied to the tree rather than to the
+//! encoder it is meant to check the engine against.
 
-use jgi_xml::encode::NO_PARENT;
+use jgi_xml::encode::{parse_decimal, NO_PARENT};
 use jgi_xml::serialize::{serialize_subtree, tree_to_xml};
 use jgi_xml::{parse, DocStore, NodeKind, Tree};
 use proptest::prelude::*;
@@ -109,16 +114,44 @@ fn check_invariants(store: &DocStore) {
     }
 }
 
+/// Every row of `store` (which holds `tree` alone) against the tree node
+/// of the same document-order rank: `kind`, `name`, the parent's rank,
+/// `size`, the string value exactly for subtrees of size ≤ 1, and `data`
+/// as that value's decimal cast.
+fn check_rows_against_tree(store: &DocStore, tree: &Tree) {
+    let order = tree.preorder();
+    assert_eq!(store.len(), order.len());
+    let mut rank = vec![NO_PARENT; tree.len()];
+    for (r, id) in order.iter().enumerate() {
+        rank[id.0 as usize] = r as u32;
+    }
+    for (r, &id) in order.iter().enumerate() {
+        let pre = r as u32;
+        let node = tree.node(id);
+        assert_eq!(store.kind[r], node.kind, "kind of pre {pre}");
+        assert_eq!(store.name_str(pre), tree.name(id), "name of pre {pre}");
+        let parent = node.parent.map_or(NO_PARENT, |p| rank[p.0 as usize]);
+        assert_eq!(store.parent[r], parent, "parent of pre {pre}");
+        let size = tree.subtree_size(id);
+        assert_eq!(store.size[r], size, "size of pre {pre}");
+        let value = (size <= 1).then(|| tree.string_value(id));
+        assert_eq!(store.value_str(pre), value.as_deref(), "value of pre {pre}");
+        let data = value.as_deref().and_then(parse_decimal);
+        assert_eq!(store.data_val(pre), data, "data of pre {pre}");
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
 
-    /// Invariants hold on random trees.
+    /// Invariants hold on random trees, and every row matches the tree.
     #[test]
     fn encoding_invariants(tree in gen_tree()) {
         let mut store = DocStore::new();
         store.add_tree(&tree);
         prop_assert_eq!(store.len(), tree.len());
         check_invariants(&store);
+        check_rows_against_tree(&store, &tree);
     }
 
     /// tree → text → parse → tree' → text' is a fixpoint, and both trees
@@ -173,7 +206,8 @@ proptest! {
         prop_assert_eq!(out, tree_to_xml(&tree));
     }
 
-    /// Generated XMark documents satisfy the invariants too.
+    /// Generated XMark documents satisfy the invariants too, and their
+    /// rows (whose node ids are not in document order) match the tree.
     #[test]
     fn xmark_invariants(seed in 0u64..1000) {
         let tree = jgi_xml::generate::generate_xmark(jgi_xml::generate::XmarkConfig {
@@ -183,5 +217,37 @@ proptest! {
         let mut store = DocStore::new();
         store.add_tree(&tree);
         check_invariants(&store);
+        check_rows_against_tree(&store, &tree);
     }
+}
+
+/// Shapes the random trees do not produce: processing instructions, a
+/// size-1 element whose one child is an attribute, a comment or a PI, and
+/// a DBLP document.
+#[test]
+fn rows_match_tree_on_edge_shapes() {
+    let mut t = Tree::new("edge.xml");
+    let top = t.add_element(t.root(), "top");
+    let a = t.add_element(top, "a");
+    t.add_attr(a, "x", "7");
+    let c = t.add_element(top, "c");
+    t.add_comment(c, "12");
+    let p = t.add_element(top, "p");
+    t.add_pi(p, "target", "3.5");
+    let e = t.add_element(top, "e");
+    t.add_element(e, "empty");
+    t.add_text_element(top, "n", " -4.25 ");
+    t.add_pi(top, "lone", "");
+    let mut store = DocStore::new();
+    store.add_tree(&t);
+    check_invariants(&store);
+    check_rows_against_tree(&store, &t);
+
+    let dblp = jgi_xml::generate::generate_dblp(jgi_xml::generate::DblpConfig {
+        publications: 200,
+        seed: 4,
+    });
+    let mut store = DocStore::new();
+    store.add_tree(&dblp);
+    check_rows_against_tree(&store, &dblp);
 }

@@ -143,7 +143,7 @@ fn mutated_corpus_matches_full_reparse_across_modes_and_degrees() {
         let (segment, base_pre) = snapshot.resolve(&prepared.docs);
         let expect =
             oracle.execute(&oracle_plan, Engine::JoinGraph).expect("oracle executes").nodes;
-        let ctx = segment.ctx(Engine::JoinGraph, Budgets::default());
+        let ctx = segment.ctx(Budgets::default());
         let got = execute_prepared(&ctx, &prepared, Engine::JoinGraph)
             .unwrap_or_else(|e| panic!("{name} fails on the snapshot: {e}"))
             .nodes
@@ -151,7 +151,7 @@ fn mutated_corpus_matches_full_reparse_across_modes_and_degrees() {
         assert_eq!(got, expect, "{name} diverged from the full-reparse oracle");
         // The independent back-ends agree on the mutated documents too.
         for engine in [Engine::Stacked, Engine::NavSegmented] {
-            let got = execute_prepared(&segment.ctx(engine, Budgets::default()), &prepared, engine)
+            let got = execute_prepared(&segment.ctx(Budgets::default()), &prepared, engine)
                 .unwrap_or_else(|e| panic!("{name} fails on {engine:?}: {e}"))
                 .nodes
                 .map(|v| v.into_iter().map(|p| p + base_pre).collect::<Vec<_>>());
@@ -207,7 +207,7 @@ fn commits_never_write_a_pinned_snapshot() {
     let prepared = prepare_on(&s1.prepare_store(), q1, ctx).expect("Q1 prepares");
     let q1_on = |snapshot: &Snapshot| {
         let (segment, base_pre) = snapshot.resolve(&prepared.docs);
-        let ctx = segment.ctx(Engine::JoinGraph, Budgets::default());
+        let ctx = segment.ctx(Budgets::default());
         execute_prepared(&ctx, &prepared, Engine::JoinGraph)
             .expect("Q1 executes")
             .nodes

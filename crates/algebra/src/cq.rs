@@ -93,7 +93,7 @@ impl DocCol {
 }
 
 /// Reference to a column of one `doc` alias (`d3.pre`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ColRef {
     /// Alias index (0-based; prints as `d1`, `d2`, …).
     pub alias: usize,
@@ -109,7 +109,7 @@ impl fmt::Display for ColRef {
 
 /// Scalar term of a conjunctive-query predicate: `d3.pre`,
 /// `d3.pre + d3.size`, `d2.level + 1`, or a constant.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum CqScalar {
     /// Plain column.
     Col(ColRef),
@@ -150,7 +150,7 @@ impl fmt::Display for CqScalar {
 }
 
 /// One predicate atom `lhs op rhs`.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct CqAtom {
     /// Left term.
     pub lhs: CqScalar,

@@ -11,7 +11,7 @@ use jgi_xml::NodeKind;
 use std::fmt;
 
 /// Comparison operator of a predicate atom.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum CmpOp {
     /// `=`
     Eq,

@@ -7,13 +7,15 @@
 //! only leaves are occurrences of the `doc` table. Extraction symbolically
 //! evaluates the bundle — every bundle column resolves to "column `c` of the
 //! `k`-th doc occurrence" or to a constant — and reads the tail off the
-//! wrapper chain. Aliases connected by a `pre = pre` equality (an artifact
-//! of conditions referring to the same variable) are merged afterwards, so
-//! e.g. Q2 yields exactly the 12-fold self-join of Fig. 9.
+//! wrapper chain. Three passes follow: aliases that must bind the same row
+//! merge, the query is folded to its core (so e.g. Q2 yields exactly the
+//! 12-fold self-join of Fig. 9), and the aliases are numbered from the
+//! query alone, so that one join graph prints one SQL text.
 
 use jgi_algebra::cq::{ColRef, CqAtom, CqScalar, DocCol, OutputCol};
-use jgi_algebra::pred::{Atom, CmpOp, Scalar};
+use jgi_algebra::pred::{CmpOp, Scalar};
 use jgi_algebra::{Col, ConjunctiveQuery, NodeId, Op, Plan, Value};
+use jgi_xml::NodeKind;
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 
@@ -74,14 +76,11 @@ pub fn extract_cq(plan: &Plan, root: NodeId) -> Result<ConjunctiveQuery, Extract
         cur = plan.node(cur).inputs[0];
     }
     let bundle_top = cur;
-    let ranks =
-        wrappers.iter().filter(|&&w| matches!(plan.node(w).op, Op::Rank { .. })).count();
-    let distincts =
-        wrappers.iter().filter(|&&w| matches!(plan.node(w).op, Op::Distinct)).count();
-    if ranks > 1 {
+    let count = |f: fn(&Op) -> bool| wrappers.iter().filter(|&&w| f(plan.node(w).op)).count();
+    if count(|op| matches!(op, Op::Rank { .. })) > 1 {
         return Err(ExtractError::TailNotNormal("more than one ϱ"));
     }
-    if distincts > 1 {
+    if count(|op| matches!(op, Op::Distinct)) > 1 {
         return Err(ExtractError::TailNotNormal("more than one δ"));
     }
 
@@ -106,11 +105,7 @@ pub fn extract_cq(plan: &Plan, root: NodeId) -> Result<ConjunctiveQuery, Extract
                         new_rank = Some(*out);
                         continue;
                     }
-                    let sym = map
-                        .get(src)
-                        .cloned()
-                        .ok_or_else(|| ExtractError::Unresolved(plan.col_name(*src).into()))?;
-                    nm.insert(*out, sym);
+                    nm.insert(*out, lookup(plan, &map, *src)?);
                 }
                 map = nm;
                 if new_rank.is_some() {
@@ -122,12 +117,9 @@ pub fn extract_cq(plan: &Plan, root: NodeId) -> Result<ConjunctiveQuery, Extract
             }
             Op::Rank { out, by } => {
                 for b in by {
-                    match map.get(b) {
-                        Some(Sym::Doc(cr)) => order_by.push(*cr),
-                        Some(Sym::Const(_)) => {} // constants don't order
-                        None => {
-                            return Err(ExtractError::Unresolved(plan.col_name(*b).into()))
-                        }
+                    // Constants don't order.
+                    if let Sym::Doc(cr) = lookup(plan, &map, *b)? {
+                        order_by.push(cr);
                     }
                 }
                 rank_col = Some(*out);
@@ -141,11 +133,7 @@ pub fn extract_cq(plan: &Plan, root: NodeId) -> Result<ConjunctiveQuery, Extract
                     if Some(c) == rank_col {
                         continue;
                     }
-                    let sym = map
-                        .get(&c)
-                        .cloned()
-                        .ok_or_else(|| ExtractError::Unresolved(plan.col_name(c).into()))?;
-                    cols.push((c, sym));
+                    cols.push((c, lookup(plan, &map, c)?));
                 }
                 select = Some(cols);
             }
@@ -159,10 +147,8 @@ pub fn extract_cq(plan: &Plan, root: NodeId) -> Result<ConjunctiveQuery, Extract
         _ => return Err(ExtractError::Unresolved(plan.col_name(item).into())),
     };
     if rank_col != Some(pos) {
-        match map.get(&pos) {
-            Some(Sym::Doc(cr)) => order_by.push(*cr),
-            Some(Sym::Const(_)) => {}
-            None => return Err(ExtractError::Unresolved(plan.col_name(pos).into())),
+        if let Sym::Doc(cr) = lookup(plan, &map, pos)? {
+            order_by.push(cr);
         }
     }
 
@@ -174,33 +160,20 @@ pub fn extract_cq(plan: &Plan, root: NodeId) -> Result<ConjunctiveQuery, Extract
         None => vec![(item, Sym::Doc(item_ref))],
     };
     let mut out_select: Vec<OutputCol> = Vec::new();
-    let mut item_output = None;
     for (c, sym) in &select_syms {
         let Sym::Doc(cr) = sym else { continue }; // constants add nothing
-        if out_select.iter().any(|o| o.col == *cr) {
-            continue;
+        if !out_select.iter().any(|o| o.col == *cr) {
+            out_select.push(OutputCol { col: *cr, name: Some(plan.col_name(*c).to_string()) });
         }
-        if *cr == item_ref && item_output.is_none() {
-            item_output = Some(out_select.len());
-        }
-        out_select.push(OutputCol { col: *cr, name: Some(plan.col_name(*c).to_string()) });
     }
-    // Order columns must be available in the output for DISTINCT + ORDER BY.
-    for cr in &order_by {
+    // Order columns must be available in the output for DISTINCT + ORDER BY,
+    // and so must the item.
+    for cr in order_by.iter().chain([&item_ref]) {
         if !out_select.iter().any(|o| o.col == *cr) {
             out_select.push(OutputCol { col: *cr, name: None });
         }
     }
-    let item_output = match item_output {
-        Some(i) => i,
-        None => match out_select.iter().position(|o| o.col == item_ref) {
-            Some(i) => i,
-            None => {
-                out_select.push(OutputCol { col: item_ref, name: None });
-                out_select.len() - 1
-            }
-        },
-    };
+    let item_output = out_select.iter().position(|o| o.col == item_ref).expect("pushed above");
     // The item itself is the final order criterion (the serialize operator
     // breaks position ties by item).
     if !order_by.contains(&item_ref) {
@@ -215,84 +188,303 @@ pub fn extract_cq(plan: &Plan, root: NodeId) -> Result<ConjunctiveQuery, Extract
         order_by,
         item_output,
     };
-    merge_equal_aliases(&mut cq);
-    merge_document_aliases(&mut cq);
+    merge_aliases(&mut cq);
     if cq.distinct {
         minimize(&mut cq);
     }
+    canonicalize(&mut cq);
+    debug_assert!(
+        {
+            let mut again = cq.clone();
+            canonicalize(&mut again);
+            again == cq
+        },
+        "canonical numbering is not a fixpoint: {cq:?}"
+    );
     Ok(cq)
 }
 
-/// Merge aliases that select a document node by URI (`kind = DOC ∧
-/// name = 'uri'`): the `doc` table holds exactly one `DOC` row per URI, so
-/// all such aliases bind the same row and one occurrence suffices (Fig. 8
-/// keeps a single `d1` for `doc("auction.xml")`).
-fn merge_document_aliases(cq: &mut ConjunctiveQuery) {
-    use std::collections::HashMap as Map;
-    let mut uri_of: Map<usize, String> = Map::new();
-    for a in 0..cq.aliases {
-        let locals = cq.local_preds(a);
-        let is_doc = locals.iter().any(|p| {
-            matches!((&p.lhs, &p.rhs), (CqScalar::Col(c), CqScalar::Const(Value::Kind(k)))
-                if c.col == DocCol::Kind && *k == jgi_xml::NodeKind::Doc)
-        });
-        if !is_doc {
-            continue;
-        }
-        let uri = locals.iter().find_map(|p| match (&p.lhs, &p.rhs) {
-            (CqScalar::Col(c), CqScalar::Const(Value::Str(u))) if c.col == DocCol::Name => {
-                Some(u.clone())
-            }
-            _ => None,
-        });
-        if let Some(u) = uri {
-            uri_of.insert(a, u);
+/// Merge the aliases that must bind the same row, in one union-find pass:
+/// those connected by `dA.pre = dB.pre` (pre is the key of doc), then those
+/// that select the document node of one URI (`kind = DOC ∧ name = 'uri'`,
+/// read from all members of a class), since the `doc` table holds exactly
+/// one `DOC` row per URI. Each class keeps its least member: Fig. 8 keeps a
+/// single alias for `doc("auction.xml")`.
+fn merge_aliases(cq: &mut ConjunctiveQuery) {
+    fn find(rep: &[usize], a: usize) -> usize {
+        if rep[a] == a {
+            a
+        } else {
+            find(rep, rep[a])
         }
     }
-    let mut first: Map<String, usize> = Map::new();
-    let mut theta: Vec<usize> = (0..cq.aliases).collect();
-    let mut changed = false;
-    for (a, slot) in theta.iter_mut().enumerate() {
-        if let Some(u) = uri_of.get(&a) {
-            match first.get(u) {
-                Some(&f) => {
-                    *slot = f;
-                    changed = true;
-                }
-                None => {
-                    first.insert(u.clone(), a);
-                }
+    fn union(rep: &mut [usize], a: usize, b: usize) {
+        let (ra, rb) = (find(rep, a), find(rep, b));
+        rep[ra.max(rb)] = ra.min(rb);
+    }
+    let n = cq.aliases;
+    let mut rep: Vec<usize> = (0..n).collect();
+    for p in &cq.predicates {
+        if let (CqScalar::Col(x), CmpOp::Eq, CqScalar::Col(y)) = (&p.lhs, p.op, &p.rhs) {
+            if x.col == DocCol::Pre && y.col == DocCol::Pre {
+                union(&mut rep, x.alias, y.alias);
             }
         }
     }
-    if changed {
-        apply_fold(cq, &theta);
+    let mut is_doc = vec![false; n];
+    let mut uris: Vec<(usize, &str)> = Vec::new();
+    for p in &cq.predicates {
+        if let (CqScalar::Col(c), CmpOp::Eq, CqScalar::Const(v)) = (&p.lhs, p.op, &p.rhs) {
+            match (c.col, v) {
+                (DocCol::Kind, Value::Kind(NodeKind::Doc)) => is_doc[find(&rep, c.alias)] = true,
+                (DocCol::Name, Value::Str(u)) => uris.push((find(&rep, c.alias), u)),
+                _ => {}
+            }
+        }
     }
+    let mut first: HashMap<&str, usize> = HashMap::new();
+    for (class, uri) in uris.into_iter().filter(|&(class, _)| is_doc[class]) {
+        let f = *first.entry(uri).or_insert(class);
+        union(&mut rep, f, class);
+    }
+    let theta: Vec<usize> = (0..n).map(|a| find(&rep, a)).collect();
+    apply_fold(cq, &theta);
 }
 
-/// Classical conjunctive-query minimization under set semantics: find a
-/// fold — a homomorphism θ from the query to itself that fixes the output
-/// columns and maps some alias onto another — and keep only θ's image.
-/// The rename-apart join descent duplicates condition legs (each `where`
-/// conjunct re-derives its variable's step chain); folding removes them, so
-/// Q1 lands on the 3 aliases of Fig. 8 and Q2 on the 12 of Fig. 9. Sound
-/// because the block is `SELECT DISTINCT` (set semantics).
+/// Step budget of the core search, as the rewrite driver's `FUEL` bounds
+/// its fires: one step binds one alias to one candidate image.
+const FOLD_FUEL: usize = 10_000;
+
+/// Classical conjunctive-query minimization under set semantics: replace
+/// the query by its core. A fold is a homomorphism from the query to itself
+/// that fixes the output aliases and misses some alias; keeping only its
+/// image gives an equivalent query, and a query that no fold shrinks is its
+/// core, unique up to renaming (Chandra–Merlin). Folding removes the
+/// condition legs that the rename-apart join descent duplicates, so Q1
+/// lands on the 3 aliases of Fig. 8 and Q2 on the 12 of Fig. 9. The search
+/// is complete; when [`FOLD_FUEL`] runs out, the query keeps the aliases it
+/// has, which is still correct.
 fn minimize(cq: &mut ConjunctiveQuery) {
-    while let Some(theta) = find_fold(cq) {
+    let mut fuel = FOLD_FUEL;
+    while let Some(theta) = find_fold(cq, &mut fuel) {
         apply_fold(cq, &theta);
     }
 }
 
-/// Aliases that must stay fixed: those visible in SELECT or ORDER BY.
+/// A fold that misses some non-output alias `b`, found by backtracking:
+/// the outputs stay fixed, the other aliases are bound breadth-first over
+/// the atoms from `b` (so that a dead end shows next to it), each to an
+/// image whose local atoms include its own, and an atom is checked when
+/// its last alias is bound. `None` when the query is its core, or when
+/// `fuel` ran out.
+fn find_fold(cq: &ConjunctiveQuery, fuel: &mut usize) -> Option<Vec<usize>> {
+    let n = cq.aliases;
+    let outputs = output_aliases(cq);
+    let adj = adjacency(cq);
+    let local = local_atoms(cq);
+    let includes = |d: usize, x: usize| local[x].iter().all(|p| local[d].binary_search(p).is_ok());
+    // The alias itself first: most of a fold is the identity.
+    let cands: Vec<Vec<usize>> = (0..n)
+        .map(|x| std::iter::once(x).chain((0..n).filter(|&d| d != x && includes(d, x))).collect())
+        .collect();
+    let joins: Vec<(&CqAtom, Vec<usize>)> =
+        cq.predicates.iter().map(|p| (p, p.aliases())).filter(|(_, a)| a.len() > 1).collect();
+    let present: HashSet<&CqAtom> = cq.predicates.iter().collect();
+    let mut theta: Vec<usize> = (0..n).collect();
+    for b in (0..n).rev().filter(|b| !outputs.contains(b)) {
+        let order: Vec<usize> = breadth_first(&adj, &[b], |_| ())
+            .into_iter()
+            .filter(|a| !outputs.contains(a))
+            .collect();
+        let mut pos = vec![None; n];
+        for (k, &a) in order.iter().enumerate() {
+            pos[a] = Some(k);
+        }
+        let mut checks = vec![Vec::new(); order.len()];
+        for (p, aliases) in &joins {
+            if let Some(last) = aliases.iter().filter_map(|&a| pos[a]).max() {
+                checks[last].push(*p);
+            }
+        }
+        let search = FoldSearch { order, cands: &cands, checks, present: &present };
+        if search.extend(0, b, &mut theta, fuel) {
+            return Some(theta);
+        }
+        if *fuel == 0 {
+            return None;
+        }
+    }
+    None
+}
+
+struct FoldSearch<'a> {
+    /// The aliases to bind, in order; the outputs are not among them.
+    order: Vec<usize>,
+    /// Candidate images of each alias.
+    cands: &'a [Vec<usize>],
+    /// The atoms whose last alias binds at each position of `order`.
+    checks: Vec<Vec<&'a CqAtom>>,
+    present: &'a HashSet<&'a CqAtom>,
+}
+
+impl FoldSearch<'_> {
+    /// Bind `order[k..]` so that no alias maps to `b` and every atom's image
+    /// is an atom of the query (or a tautology `x = x`).
+    fn extend(&self, k: usize, b: usize, theta: &mut [usize], fuel: &mut usize) -> bool {
+        let Some(&x) = self.order.get(k) else { return true };
+        for &d in self.cands[x].iter().filter(|&&d| d != b) {
+            if *fuel == 0 {
+                return false;
+            }
+            *fuel -= 1;
+            theta[x] = d;
+            let holds = |p: &&CqAtom| {
+                let img = subst_atom(p, |a| theta[a]);
+                (img.op == CmpOp::Eq && img.lhs == img.rhs) || self.present.contains(&img)
+            };
+            if self.checks[k].iter().all(holds) && self.extend(k + 1, b, theta, fuel) {
+                return true;
+            }
+        }
+        false
+    }
+}
+
+/// Number the aliases and order the WHERE atoms from the query alone, so
+/// that one join graph prints one SQL text and gets one plan (the DP
+/// planner breaks exact cost ties by alias number). The item alias comes
+/// first, then the other SELECT and ORDER BY aliases in column order, then
+/// the rest breadth-first over the join atoms, ties broken by colour
+/// refinement. WHERE atoms are sorted by their aliases, local atoms first,
+/// then by text.
+pub fn canonicalize(cq: &mut ConjunctiveQuery) {
+    let n = cq.aliases;
+    // Each join atom as an edge x → y for each ordered pair of its aliases,
+    // labelled with its shape: the atom with x, y and any third alias erased.
+    let mut edges: Vec<(CqAtom, usize, usize)> = Vec::new();
+    for p in &cq.predicates {
+        let aliases = p.aliases();
+        for &x in &aliases {
+            for &y in aliases.iter().filter(|&&y| y != x) {
+                let shape = subst_atom(p, |a| if a == x { 0 } else { 1 + usize::from(a != y) });
+                edges.push((shape, x, y));
+            }
+        }
+    }
+    let mut around: Vec<Vec<(usize, usize)>> = vec![Vec::new(); n];
+    for ((_, x, y), shape) in edges.iter().zip(ranks(edges.iter().map(|e| &e.0))) {
+        around[*x].push((shape, *y));
+    }
+    // Colour refinement: a colour starts as the alias's local atoms and is
+    // refined by the multiset of (edge shape, neighbour colour) until no
+    // class splits.
+    let mut colour = ranks(local_atoms(cq).into_iter());
+    loop {
+        let refined = ranks((0..n).map(|a| {
+            let mut seen: Vec<_> = around[a].iter().map(|&(shape, b)| (shape, colour[b])).collect();
+            seen.sort_unstable();
+            (colour[a], seen)
+        }));
+        if refined.iter().max() == colour.iter().max() {
+            break;
+        }
+        colour = refined;
+    }
+    let order = breadth_first(&adjacency(cq), &output_aliases(cq), |v| colour[v]);
+    let mut theta = vec![0; n];
+    for (k, &a) in order.iter().enumerate() {
+        theta[a] = k;
+    }
+    apply_fold(cq, &theta);
+    cq.predicates.sort_by_cached_key(|p| {
+        let mut aliases = p.aliases();
+        aliases.sort_unstable();
+        (aliases.len(), aliases, p.to_string())
+    });
+}
+
+/// The aliases visible in SELECT or ORDER BY: the item first, then the
+/// SELECT and ORDER BY columns in order.
 fn output_aliases(cq: &ConjunctiveQuery) -> Vec<usize> {
-    let mut out: Vec<usize> = cq.select.iter().map(|o| o.col.alias).collect();
-    out.extend(cq.order_by.iter().map(|c| c.alias));
-    out.sort_unstable();
-    out.dedup();
+    let mut out = vec![cq.select[cq.item_output].col.alias];
+    for c in cq.select.iter().map(|o| &o.col).chain(&cq.order_by) {
+        if !out.contains(&c.alias) {
+            out.push(c.alias);
+        }
+    }
     out
 }
 
-/// Substitute aliases in a scalar.
+/// Each alias's local atoms with the alias erased, sorted.
+fn local_atoms(cq: &ConjunctiveQuery) -> Vec<Vec<CqAtom>> {
+    let mut local = vec![Vec::new(); cq.aliases];
+    for p in &cq.predicates {
+        if let [a] = p.aliases()[..] {
+            local[a].push(subst_atom(p, |_| 0));
+        }
+    }
+    for atoms in &mut local {
+        atoms.sort_unstable();
+    }
+    local
+}
+
+/// Each alias's neighbours over the join atoms (with repeats).
+fn adjacency(cq: &ConjunctiveQuery) -> Vec<Vec<usize>> {
+    let mut adj = vec![Vec::new(); cq.aliases];
+    for p in &cq.predicates {
+        let aliases = p.aliases();
+        for &x in &aliases {
+            adj[x].extend(aliases.iter().filter(|&&y| y != x));
+        }
+    }
+    adj
+}
+
+/// Breadth-first order of all aliases over `adj` from `start`: the
+/// unvisited neighbours of each alias follow in the order of `key`, then of
+/// alias number; an alias no atom reaches starts a new search.
+fn breadth_first<K: Ord>(
+    adj: &[Vec<usize>],
+    start: &[usize],
+    key: impl Fn(usize) -> K,
+) -> Vec<usize> {
+    let n = adj.len();
+    let mut seen = vec![false; n];
+    let mut order: Vec<usize> = Vec::with_capacity(n);
+    let mut head = 0;
+    let mut next = start.to_vec();
+    loop {
+        for v in next {
+            seen[v] = true;
+            order.push(v);
+        }
+        if order.len() == n {
+            return order;
+        }
+        let fresh = |v: &usize| !seen[*v];
+        let unreached = head == order.len();
+        next = match order.get(head) {
+            Some(&u) => adj[u].iter().copied().filter(fresh).collect(),
+            None => (0..n).filter(fresh).collect(),
+        };
+        head += usize::from(!unreached);
+        next.sort_by_key(|&v| (key(v), v));
+        next.dedup();
+        next.truncate(if unreached { 1 } else { n });
+    }
+}
+
+/// Each item's rank among the distinct items: equal items get equal ranks,
+/// whatever order they come in.
+fn ranks<T: Ord>(items: impl Iterator<Item = T>) -> Vec<usize> {
+    let items: Vec<T> = items.collect();
+    let mut distinct: Vec<&T> = items.iter().collect();
+    distinct.sort_unstable();
+    distinct.dedup();
+    items.iter().map(|t| distinct.binary_search(&t).expect("an item ranks")).collect()
+}
+
 fn subst_scalar(s: &CqScalar, theta: impl Fn(usize) -> usize) -> CqScalar {
     let m = |c: &ColRef| ColRef { alias: theta(c.alias), col: c.col };
     match s {
@@ -303,198 +495,48 @@ fn subst_scalar(s: &CqScalar, theta: impl Fn(usize) -> usize) -> CqScalar {
     }
 }
 
-fn subst_atom(a: &CqAtom, theta: &[usize]) -> CqAtom {
-    let theta = |x: usize| theta[x];
+/// Substitute aliases in an atom.
+fn subst_atom(a: &CqAtom, theta: impl Fn(usize) -> usize + Copy) -> CqAtom {
     CqAtom { lhs: subst_scalar(&a.lhs, theta), op: a.op, rhs: subst_scalar(&a.rhs, theta) }
 }
 
-/// The one alias a local atom references (`None` for a join atom or a
-/// constant-only one), without collecting the aliases.
-fn local_alias(a: &CqAtom) -> Option<usize> {
-    let mut only = None;
-    for s in [&a.lhs, &a.rhs] {
-        let cols = match s {
-            CqScalar::Col(c) | CqScalar::ColPlusInt(c, _) => [Some(c), None],
-            CqScalar::ColPlusCol(x, y) => [Some(x), Some(y)],
-            CqScalar::Const(_) => [None, None],
-        };
-        for c in cols.into_iter().flatten() {
-            match only {
-                None => only = Some(c.alias),
-                Some(x) if x != c.alias => return None,
-                Some(_) => {}
-            }
-        }
-    }
-    only
-}
-
-/// Each alias's local-predicate signature: the multiset of its local atoms
-/// with the alias erased, as an id that is equal for two aliases exactly
-/// when their multisets are. Built in one pass over the predicates.
-fn signatures(cq: &ConjunctiveQuery) -> Vec<usize> {
-    let mut atom_ids: HashMap<CqAtom, usize> = HashMap::new();
-    let mut local: Vec<Vec<usize>> = vec![Vec::new(); cq.aliases];
-    for p in &cq.predicates {
-        if let Some(a) = local_alias(p) {
-            let erased = CqAtom {
-                lhs: subst_scalar(&p.lhs, |_| 0),
-                op: p.op,
-                rhs: subst_scalar(&p.rhs, |_| 0),
-            };
-            let next = atom_ids.len();
-            local[a].push(*atom_ids.entry(erased).or_insert(next));
-        }
-    }
-    let mut sig_ids: HashMap<Vec<usize>, usize> = HashMap::new();
-    local
-        .into_iter()
-        .map(|mut atoms| {
-            atoms.sort_unstable();
-            let next = sig_ids.len();
-            *sig_ids.entry(atoms).or_insert(next)
-        })
-        .collect()
-}
-
-/// Try to find a non-trivial fold θ. Strategy: seed θ with `b ↦ a` for some
-/// pair of aliases with equal local-predicate signatures, then repair: any
-/// atom whose image is missing and involves exactly one not-yet-forced
-/// alias forces that alias onto the unique choice making the image present.
-fn find_fold(cq: &ConjunctiveQuery) -> Option<Vec<usize>> {
-    let outputs = output_aliases(cq);
-    let n = cq.aliases;
-    let sigs = signatures(cq);
-    let present: HashSet<&CqAtom> = cq.predicates.iter().collect();
-    for b in (0..n).rev() {
-        if outputs.contains(&b) {
-            continue;
-        }
-        for a in 0..n {
-            if a == b || sigs[a] != sigs[b] {
-                continue;
-            }
-            if let Some(theta) = try_fold(cq, &present, b, a, &outputs, &sigs) {
-                return Some(theta);
-            }
-        }
-    }
-    None
-}
-
-fn try_fold(
-    cq: &ConjunctiveQuery,
-    present: &HashSet<&CqAtom>,
-    b: usize,
-    a: usize,
-    outputs: &[usize],
-    sigs: &[usize],
-) -> Option<Vec<usize>> {
-    let n = cq.aliases;
-    let mut theta: Vec<usize> = (0..n).collect();
-    let mut forced = vec![false; n];
-    for &o in outputs {
-        forced[o] = true;
-    }
-    theta[b] = a;
-    forced[b] = true;
-    forced[a] = true;
-    // Repair loop: force unmapped aliases until the image closes or fails.
-    for _round in 0..n * 4 {
-        let mut all_ok = true;
-        for atom in &cq.predicates {
-            let img = subst_atom(atom, &theta);
-            if present.contains(&img) {
-                continue;
-            }
-            if img.op == CmpOp::Eq && img.lhs == img.rhs {
-                continue; // tautology after folding
-            }
-            all_ok = false;
-            // Which aliases of the image are still free to move?
-            let free: Vec<usize> = img
-                .aliases()
-                .into_iter()
-                .filter(|&x| !forced[x] && theta[x] == x)
-                .collect();
-            if free.len() != 1 {
-                return None; // over- or under-constrained: give up
-            }
-            let c = free[0];
-            // Find the unique target d making the image present.
-            let mut target = None;
-            for d in 0..n {
-                if d == c || sigs[d] != sigs[c] {
-                    continue;
-                }
-                let mut t2 = theta.clone();
-                t2[c] = d;
-                if present.contains(&subst_atom(atom, &t2)) {
-                    if target.is_some() {
-                        return None; // ambiguous
-                    }
-                    target = Some(d);
-                }
-            }
-            let d = target?;
-            theta[c] = d;
-            forced[c] = true;
-            break; // re-scan from the top with the extended θ
-        }
-        if all_ok {
-            return Some(theta);
-        }
-    }
-    None
-}
-
-/// Apply a fold: substitute, drop unused aliases, renumber, and drop the
-/// tautologies and duplicates it leaves in WHERE, SELECT and ORDER BY.
+/// Apply a substitution of aliases: drop the aliases outside its image,
+/// renumber the rest in order, and drop the tautologies and duplicates it
+/// leaves in WHERE, SELECT and ORDER BY.
 fn apply_fold(cq: &mut ConjunctiveQuery, theta: &[usize]) {
-    let n = cq.aliases;
-    let image: Vec<bool> = {
-        let mut v = vec![false; n];
-        for &t in theta {
-            v[t] = true;
-        }
-        v
-    };
-    let mut renum: Vec<usize> = vec![usize::MAX; n];
-    let mut next = 0;
-    for a in 0..n {
-        if image[a] {
-            renum[a] = next;
-            next += 1;
-        }
+    let mut renum = vec![usize::MAX; cq.aliases];
+    for &t in theta {
+        renum[t] = 0;
     }
-    let full: Vec<usize> = (0..n).map(|a| renum[theta[a]]).collect();
+    cq.aliases = 0;
+    for r in renum.iter_mut().filter(|r| **r == 0) {
+        *r = cq.aliases;
+        cq.aliases += 1;
+    }
+    let full: Vec<usize> = theta.iter().map(|&t| renum[t]).collect();
     let mut seen = HashSet::new();
     cq.predicates = cq
         .predicates
         .iter()
-        .map(|p| subst_atom(p, &full))
+        .map(|p| subst_atom(p, |a| full[a]))
         .filter(|img| !(img.op == CmpOp::Eq && img.lhs == img.rhs) && seen.insert(img.clone()))
         .collect();
-    let remap = |c: ColRef| ColRef { alias: full[c.alias], col: c.col };
-    let item = remap(cq.select[cq.item_output].col);
-    let mut select: Vec<OutputCol> = Vec::new();
-    for o in std::mem::take(&mut cq.select) {
-        let col = remap(o.col);
-        if !select.iter().any(|s| s.col == col) {
-            select.push(OutputCol { col, name: o.name });
-        }
-    }
+    let remap = |c: &mut ColRef| c.alias = full[c.alias];
+    let mut item = cq.select[cq.item_output].col;
+    remap(&mut item);
+    cq.select.iter_mut().for_each(|o| remap(&mut o.col));
+    cq.order_by.iter_mut().for_each(remap);
+    let mut cols = HashSet::new();
+    cq.select.retain(|o| cols.insert(o.col));
+    cols.clear();
+    cq.order_by.retain(|&c| cols.insert(c));
     cq.item_output =
-        select.iter().position(|s| s.col == item).expect("the item column survives a fold");
-    cq.select = select;
-    let mut order: Vec<ColRef> = Vec::new();
-    for c in std::mem::take(&mut cq.order_by).into_iter().map(remap) {
-        if !order.contains(&c) {
-            order.push(c);
-        }
-    }
-    cq.order_by = order;
-    cq.aliases = next;
+        cq.select.iter().position(|o| o.col == item).expect("the item column survives a fold");
+}
+
+/// The symbolic value of column `c`.
+fn lookup(plan: &Plan, map: &HashMap<Col, Sym>, c: Col) -> Result<Sym, ExtractError> {
+    map.get(&c).cloned().ok_or_else(|| ExtractError::Unresolved(plan.col_name(c).into()))
 }
 
 struct Builder<'a> {
@@ -503,7 +545,7 @@ struct Builder<'a> {
     predicates: Vec<CqAtom>,
 }
 
-impl<'a> Builder<'a> {
+impl Builder<'_> {
     /// Symbolic evaluation of a bundle node. DAG sharing below joins is
     /// expanded: every *path* to the doc leaf is its own alias, exactly as
     /// in the FROM clause.
@@ -513,51 +555,35 @@ impl<'a> Builder<'a> {
             Op::Doc => {
                 let alias = self.aliases;
                 self.aliases += 1;
-                let mut map = HashMap::new();
-                for dc in DocCol::all() {
-                    let col = Col(self
-                        .plan
-                        .cols
-                        .get(dc.sql())
-                        .expect("doc column names are interned"));
-                    map.insert(col, Sym::Doc(ColRef { alias, col: dc }));
-                }
-                Ok(map)
+                let col = |dc: DocCol| {
+                    Col(self.plan.cols.get(dc.sql()).expect("doc column names are interned"))
+                };
+                Ok(DocCol::all()
+                    .into_iter()
+                    .map(|dc| (col(dc), Sym::Doc(ColRef { alias, col: dc })))
+                    .collect())
             }
-            Op::Select(p) => {
-                let map = self.eval(node.inputs[0])?;
-                for atom in p {
-                    let a = translate_atom(self.plan, atom, &map)?;
-                    self.predicates.push(a);
-                }
-                Ok(map)
-            }
-            Op::Join(p) => {
+            Op::Select(_) | Op::Join(_) | Op::Cross => {
                 let mut map = self.eval(node.inputs[0])?;
-                let rmap = self.eval(node.inputs[1])?;
-                map.extend(rmap);
-                for atom in p {
-                    let a = translate_atom(self.plan, atom, &map)?;
-                    self.predicates.push(a);
+                if let Some(&right) = node.inputs.get(1) {
+                    let right = self.eval(right)?;
+                    map.extend(right);
                 }
-                Ok(map)
-            }
-            Op::Cross => {
-                let mut map = self.eval(node.inputs[0])?;
-                let rmap = self.eval(node.inputs[1])?;
-                map.extend(rmap);
+                if let Op::Select(p) | Op::Join(p) = node.op {
+                    for atom in p {
+                        let atom = CqAtom {
+                            lhs: translate_scalar(self.plan, &atom.lhs, &map)?,
+                            op: atom.op,
+                            rhs: translate_scalar(self.plan, &atom.rhs, &map)?,
+                        };
+                        self.predicates.push(atom);
+                    }
+                }
                 Ok(map)
             }
             Op::Project(m) => {
                 let inner = self.eval(node.inputs[0])?;
-                let mut map = HashMap::new();
-                for (out, src) in m {
-                    let sym = inner.get(src).cloned().ok_or_else(|| {
-                        ExtractError::Unresolved(self.plan.col_name(*src).into())
-                    })?;
-                    map.insert(*out, sym);
-                }
-                Ok(map)
+                m.iter().map(|(out, src)| Ok((*out, lookup(self.plan, &inner, *src)?))).collect()
             }
             Op::Attach(c, v) => {
                 let mut map = self.eval(node.inputs[0])?;
@@ -569,29 +595,14 @@ impl<'a> Builder<'a> {
     }
 }
 
-fn translate_atom(
-    plan: &Plan,
-    atom: &Atom,
-    map: &HashMap<Col, Sym>,
-) -> Result<CqAtom, ExtractError> {
-    Ok(CqAtom {
-        lhs: translate_scalar(plan, &atom.lhs, map)?,
-        op: atom.op,
-        rhs: translate_scalar(plan, &atom.rhs, map)?,
-    })
-}
-
 fn translate_scalar(
     plan: &Plan,
     s: &Scalar,
     map: &HashMap<Col, Sym>,
 ) -> Result<CqScalar, ExtractError> {
-    let resolve = |c: Col| -> Result<Sym, ExtractError> {
-        map.get(&c).cloned().ok_or_else(|| ExtractError::Unresolved(plan.col_name(c).into()))
-    };
     match s {
         Scalar::Const(v) => Ok(CqScalar::Const(v.clone())),
-        Scalar::Col(c) => match resolve(*c)? {
+        Scalar::Col(c) => match lookup(plan, map, *c)? {
             Sym::Doc(cr) => Ok(CqScalar::Col(cr)),
             Sym::Const(v) => Ok(CqScalar::Const(v)),
         },
@@ -608,38 +619,6 @@ fn translate_scalar(
             }
         }
     }
-}
-
-/// Merge aliases connected by `dA.pre = dB.pre`: they denote the same node
-/// (pre is the key of doc), so one occurrence suffices. Keeps the query in
-/// the paper's minimal-alias form (Q2 ⇒ the 12-fold self-join of Fig. 9).
-fn merge_equal_aliases(cq: &mut ConjunctiveQuery) {
-    // Union-find over aliases.
-    let mut rep: Vec<usize> = (0..cq.aliases).collect();
-    fn find(rep: &mut Vec<usize>, a: usize) -> usize {
-        if rep[a] != a {
-            let r = find(rep, rep[a]);
-            rep[a] = r;
-        }
-        rep[a]
-    }
-    for p in &cq.predicates {
-        if p.op == CmpOp::Eq {
-            if let (CqScalar::Col(x), CqScalar::Col(y)) = (&p.lhs, &p.rhs) {
-                if x.col == DocCol::Pre && y.col == DocCol::Pre {
-                    let (ra, rb) = (find(&mut rep, x.alias), find(&mut rep, y.alias));
-                    if ra != rb {
-                        let (lo, hi) = (ra.min(rb), ra.max(rb));
-                        rep[hi] = lo;
-                    }
-                }
-            }
-        }
-    }
-    // Every alias onto its class's least member: the fold keeps one
-    // occurrence per class, in alias order.
-    let theta: Vec<usize> = (0..cq.aliases).map(|a| find(&mut rep, a)).collect();
-    apply_fold(cq, &theta);
 }
 
 #[cfg(test)]
@@ -760,7 +739,7 @@ mod tests {
             order_by: vec![col(1, DocCol::Pre), col(0, DocCol::Pre), col(2, DocCol::Pre)],
             item_output: 1,
         };
-        merge_equal_aliases(&mut cq);
+        merge_aliases(&mut cq);
         assert_eq!(cq.aliases, 2, "{cq:?}");
         assert_eq!(cq.select, vec![out(0, DocCol::Pre, "a"), out(1, DocCol::Value, "v")]);
         assert_eq!(cq.item_output, 0);
@@ -773,6 +752,97 @@ mod tests {
                 rhs: CqScalar::Col(col(0, DocCol::Pre)),
             }]
         );
+    }
+
+    /// `d{a+1}` is an element, named `name` unless it is empty.
+    fn element(a: usize, name: &str) -> Vec<CqAtom> {
+        let test = |col, v| CqAtom {
+            lhs: CqScalar::Col(ColRef { alias: a, col }),
+            op: CmpOp::Eq,
+            rhs: CqScalar::Const(v),
+        };
+        let mut atoms = vec![test(DocCol::Kind, Value::Kind(jgi_xml::NodeKind::Elem))];
+        if !name.is_empty() {
+            atoms.push(test(DocCol::Name, Value::Str(name.into())));
+        }
+        atoms
+    }
+
+    /// `d{y+1}` is a descendant of `d{x+1}`.
+    fn descendant(x: usize, y: usize) -> Vec<CqAtom> {
+        let pre = |alias| ColRef { alias, col: DocCol::Pre };
+        let size = ColRef { alias: x, col: DocCol::Size };
+        vec![
+            CqAtom { lhs: CqScalar::Col(pre(x)), op: CmpOp::Lt, rhs: CqScalar::Col(pre(y)) },
+            CqAtom {
+                lhs: CqScalar::Col(pre(y)),
+                op: CmpOp::Le,
+                rhs: CqScalar::ColPlusCol(pre(x), size),
+            },
+        ]
+    }
+
+    /// `SELECT DISTINCT d1.pre AS item … ORDER BY d1.pre` over `atoms`.
+    fn item_query(aliases: usize, atoms: Vec<Vec<CqAtom>>) -> ConjunctiveQuery {
+        let item = ColRef { alias: 0, col: DocCol::Pre };
+        ConjunctiveQuery {
+            aliases,
+            predicates: atoms.into_iter().flatten().collect(),
+            select: vec![OutputCol { col: item, name: Some("item".into()) }],
+            distinct: true,
+            order_by: vec![item],
+            item_output: 0,
+        }
+    }
+
+    /// `d1[.//a][.//*]`: the unnamed descendant folds onto the named one,
+    /// whose local atoms are a strict superset of its own (a fold that
+    /// seeding only between equal local atoms misses).
+    #[test]
+    fn fold_onto_an_alias_with_more_local_atoms() {
+        let mut cq = item_query(
+            3,
+            vec![
+                element(0, "c"),
+                element(1, "a"),
+                element(2, ""),
+                descendant(0, 1),
+                descendant(0, 2),
+            ],
+        );
+        minimize(&mut cq);
+        assert_eq!(cq.aliases, 2, "{cq:?}");
+        assert_eq!(cq.local_preds(1).len(), 2, "the named alias stays: {cq:?}");
+    }
+
+    /// `d1` has the `c` descendants `d2` and `d3` and the element `d4`
+    /// below both `d1` and `d3`; `d2//d5//a` folds onto `d3//d4//a`. A
+    /// repair that meets `d5 ↦ d4` first must pick `d2`'s image among the
+    /// two `c` ancestors of `d4`, `d1` and `d3`: only backtracking tells
+    /// them apart.
+    #[test]
+    fn fold_through_an_ambiguous_image() {
+        let mut cq = item_query(
+            7,
+            vec![
+                element(0, "c"),
+                element(1, "c"),
+                element(2, "c"),
+                element(3, ""),
+                element(4, ""),
+                element(5, "a"),
+                element(6, "a"),
+                descendant(0, 1),
+                descendant(0, 2),
+                descendant(0, 3),
+                descendant(1, 4),
+                descendant(3, 5),
+                descendant(4, 6),
+                descendant(2, 3),
+            ],
+        );
+        minimize(&mut cq);
+        assert_eq!(cq.aliases, 4, "{cq:?}");
     }
 
     #[test]

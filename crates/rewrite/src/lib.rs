@@ -27,5 +27,5 @@ pub mod props;
 pub mod rules;
 
 pub use driver::{isolate, IsolateStats};
-pub use extract::{extract_cq, ExtractError};
+pub use extract::{canonicalize, extract_cq, ExtractError};
 pub use props::{infer, Props};

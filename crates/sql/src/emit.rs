@@ -18,7 +18,7 @@
 //! root.
 
 use crate::dialect::Dialect;
-use jgi_algebra::cq::{ColRef, CqScalar, DocCol};
+use jgi_algebra::cq::{ColRef, CqAtom, CqScalar, DocCol};
 use jgi_algebra::pred::{Atom, CmpOp, Scalar};
 use jgi_algebra::{Col, ConjunctiveQuery, NodeId, Op, Plan, Value};
 use std::fmt::Write as _;
@@ -120,42 +120,31 @@ pub fn emit_join_graph(cq: &ConjunctiveQuery, opts: &EmitOptions) -> String {
     out.push_str("\nFROM   ");
     let from: Vec<String> = (0..cq.aliases).map(|a| format!("doc AS d{}", a + 1)).collect();
     out.push_str(&from.join(", "));
-    // WHERE with BETWEEN folding.
+    // WHERE with BETWEEN folding: the two halves of a containment pair,
+    // in either order, print as one clause where the first one stood.
     let mut printed = vec![false; cq.predicates.len()];
     let mut clauses: Vec<String> = Vec::new();
     for (i, p) in cq.predicates.iter().enumerate() {
         if printed[i] {
             continue;
         }
-        // Look for the partner atom forming a containment pair.
-        if p.op == CmpOp::Lt {
-            if let (CqScalar::Col(b), CqScalar::Col(a)) = (&p.lhs, &p.rhs) {
-                if a.col == DocCol::Pre && b.col == DocCol::Pre {
-                    let partner = cq.predicates.iter().enumerate().find(|(j, q)| {
-                        !printed[*j]
-                            && *j != i
-                            && q.op == CmpOp::Le
-                            && matches!(&q.lhs, CqScalar::Col(x) if x == a)
-                            && matches!(&q.rhs, CqScalar::ColPlusCol(x, y)
-                                if x.alias == b.alias && x.col == DocCol::Pre
-                                && y.alias == b.alias && y.col == DocCol::Size)
-                    });
-                    if let Some((j, _)) = partner {
-                        printed[i] = true;
-                        printed[j] = true;
-                        clauses.push(format!(
-                            "{a} BETWEEN {b} + 1 AND {b} + d{n}.{size}",
-                            a = colref_sql(a, d),
-                            b = colref_sql(b, d),
-                            n = b.alias + 1,
-                            size = d.ident("size"),
-                        ));
-                        continue;
-                    }
-                }
+        printed[i] = true;
+        if let Some((a, b, lower)) = containment_half(p) {
+            let partner = (0..cq.predicates.len()).find(|&j| {
+                !printed[j] && containment_half(&cq.predicates[j]) == Some((a, b, !lower))
+            });
+            if let Some(j) = partner {
+                printed[j] = true;
+                clauses.push(format!(
+                    "{a} BETWEEN {b} + 1 AND {b} + d{n}.{size}",
+                    a = colref_sql(&a, d),
+                    b = colref_sql(&b, d),
+                    n = b.alias + 1,
+                    size = d.ident("size"),
+                ));
+                continue;
             }
         }
-        printed[i] = true;
         clauses.push(format!(
             "{} {} {}",
             sql_scalar(&p.lhs, d),
@@ -177,6 +166,21 @@ pub fn emit_join_graph(cq: &ConjunctiveQuery, opts: &EmitOptions) -> String {
         out.push_str(&d.limit_clause(n));
     }
     out
+}
+
+/// `(a, b, true)` for the lower half `b.pre < a.pre` of a containment
+/// pair, `(a, b, false)` for its upper half `a.pre <= b.pre + b.size`.
+fn containment_half(p: &CqAtom) -> Option<(ColRef, ColRef, bool)> {
+    let pre = |c: &ColRef| c.col == DocCol::Pre;
+    match (&p.lhs, p.op, &p.rhs) {
+        (CqScalar::Col(b), CmpOp::Lt, CqScalar::Col(a)) if pre(a) && pre(b) => Some((*a, *b, true)),
+        (CqScalar::Col(a), CmpOp::Le, CqScalar::ColPlusCol(b, s))
+            if pre(a) && pre(b) && s.alias == b.alias && s.col == DocCol::Size =>
+        {
+            Some((*a, *b, false))
+        }
+        _ => None,
+    }
 }
 
 /// Emit the *stacked* plan as a `WITH …` CTE chain — the translation of the

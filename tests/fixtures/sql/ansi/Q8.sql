@@ -4,19 +4,19 @@ WHERE  d1.kind = 'ELEM'
 AND    d1.name = 'increase'
 AND    d2.kind = 'ELEM'
 AND    d2.name = 'bidder'
+AND    d3.kind <> 'ATTR'
 AND    d3.kind = 'ELEM'
-AND    d3.name = 'increase'
-AND    d4.kind = 'ELEM'
-AND    d4.name = 'bidder'
-AND    d5.kind = 'DOC'
-AND    d5.name = 'auction.xml'
-AND    d4.pre BETWEEN d5.pre + 1 AND d5.pre + d5."size"
-AND    d3.pre BETWEEN d4.pre + 1 AND d4.pre + d4."size"
-AND    d4."level" + 1 = d3."level"
-AND    d3.data > 20
-AND    d4.parent = d2.parent
-AND    d2.pre < d4.pre
-AND    d4.kind <> 'ATTR'
+AND    d3.name = 'bidder'
+AND    d4.kind = 'DOC'
+AND    d4.name = 'auction.xml'
+AND    d5.data > 20
+AND    d5.kind = 'ELEM'
+AND    d5.name = 'increase'
 AND    d1.pre BETWEEN d2.pre + 1 AND d2.pre + d2."size"
 AND    d2."level" + 1 = d1."level"
+AND    d2.pre < d3.pre
+AND    d3.parent = d2.parent
+AND    d3.pre BETWEEN d4.pre + 1 AND d4.pre + d4."size"
+AND    d3."level" + 1 = d5."level"
+AND    d5.pre BETWEEN d3.pre + 1 AND d3.pre + d3."size"
 ORDER BY d1.pre

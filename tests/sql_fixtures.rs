@@ -16,6 +16,7 @@
 
 use jgi_core::queries::paper_corpus;
 use jgi_core::Session;
+use jgi_rewrite::canonicalize;
 use jgi_sql::fixture::check_fixture;
 use jgi_sql::{emit_join_graph, parse_join_graph, Dialect, EmitOptions, FixtureOutcome};
 use jgi_xml::generate::{generate_dblp, generate_xmark, DblpConfig, XmarkConfig};
@@ -81,5 +82,26 @@ fn committed_fixtures_stay_inside_the_parse_fragment() {
         let sqlite = parse_join_graph(&read(Dialect::Sqlite))
             .unwrap_or_else(|e| panic!("{name} sqlite fixture does not parse: {e}"));
         assert_eq!(ansi, sqlite, "{name}: dialect renderings parse to different join graphs");
+    }
+}
+
+/// The committed fixtures are fixpoints of canonical numbering: parsing a
+/// fixture, canonicalising the join graph and emitting it again gives the
+/// same bytes, so the fixtures pin a text that depends on the join graph
+/// alone.
+#[test]
+fn committed_fixtures_are_canonical() {
+    let root = Path::new(FIXTURES);
+    for dialect in Dialect::all() {
+        for (name, _, _) in paper_corpus() {
+            let path = root.join(dialect.name()).join(format!("{name}.sql"));
+            let text = std::fs::read_to_string(&path)
+                .unwrap_or_else(|e| panic!("missing fixture {name} ({e}); bless first"));
+            let mut cq = parse_join_graph(&text)
+                .unwrap_or_else(|e| panic!("{name} {dialect} fixture does not parse: {e}"));
+            canonicalize(&mut cq);
+            let again = emit_join_graph(&cq, &EmitOptions::for_dialect(dialect)) + "\n";
+            assert_eq!(again, text, "[{dialect}] {name}: the fixture is not in canonical form");
+        }
     }
 }

@@ -4,8 +4,8 @@ use crate::btree::BTree;
 use crate::stats::DocStats;
 use jgi_algebra::cq::DocCol;
 use jgi_algebra::Value;
-use jgi_xml::encode::{NO_NAME, NO_PARENT, NO_VALUE};
 use jgi_sync::AtomicU64;
+use jgi_xml::encode::{NO_NAME, NO_PARENT, NO_VALUE};
 use jgi_xml::{DocStore, NodeKind};
 use std::cmp::Ordering;
 use std::sync::Arc;
@@ -126,9 +126,7 @@ impl Symbols {
 
     /// Rank position of a constant among the interned *values*.
     pub fn value_rank_of(&self, store: &DocStore, s: &str) -> RankOf {
-        let p = self
-            .value_sorted
-            .partition_point(|&id| store.values.resolve(id) < s) as u32;
+        let p = self.value_sorted.partition_point(|&id| store.values.resolve(id) < s) as u32;
         match store.values.get(s) {
             Some(_) => RankOf::Present(p),
             None => RankOf::Absent(p),
@@ -137,8 +135,7 @@ impl Symbols {
 
     /// Rank position of a constant among the interned *names*.
     pub fn name_rank_of(&self, store: &DocStore, s: &str) -> RankOf {
-        let p =
-            self.name_sorted.partition_point(|&id| store.names.resolve(id) < s) as u32;
+        let p = self.name_sorted.partition_point(|&id| store.names.resolve(id) < s) as u32;
         match store.names.get(s) {
             Some(_) => RankOf::Present(p),
             None => RankOf::Absent(p),
@@ -444,8 +441,12 @@ impl Database {
     }
 
     /// Create an index with the given key/include columns; returns its
-    /// slot. Fails if the key's codes need more than 128 bits (no Table 6
-    /// key does on a store under 2³² rows).
+    /// slot. Each entry's `pre` is read from the key's `p` field; a key
+    /// without one gets `p` appended as its last field in the tree, which
+    /// orders equal keys by `pre` (the index's `key` and name stay as
+    /// declared). Fails if the declared key needs more than 128 bits (no
+    /// Table 6 key does on a store under 2³² rows); the appended `p` does
+    /// not count.
     pub fn create_index(
         &mut self,
         key: Vec<IndexCol>,
@@ -460,8 +461,14 @@ impl Database {
             return Ok(pos); // idempotent
         }
         let n = self.store.len() as u32;
-        let btree = BTree::build(key.len(), (0..n).collect(), |j, codes| {
-            let col = key[j];
+        let p = IndexCol::Col(DocCol::Pre);
+        let mut fields = key.clone();
+        let value_field = key.iter().position(|&c| c == p).unwrap_or_else(|| {
+            fields.push(p);
+            key.len()
+        });
+        let btree = BTree::build(key.len(), value_field, n as usize, |j, codes| {
+            let col = fields[j];
             for (pre, c) in (0..n).zip(codes) {
                 *c = self.code(pre, col);
             }
@@ -509,7 +516,7 @@ pub const DEFAULT_INDEXES: &[&str] = &[
 #[cfg(test)]
 mod tests {
     use super::*;
-    use jgi_xml::generate::{generate_xmark, XmarkConfig};
+    use jgi_xml::generate::{generate_dblp, generate_xmark, DblpConfig, XmarkConfig};
 
     fn db() -> Database {
         let t = generate_xmark(XmarkConfig { scale: 0.002, seed: 5 });
@@ -557,16 +564,67 @@ mod tests {
     }
 
     #[test]
+    fn a_128_bit_key_without_pre_takes_the_widest_word() {
+        // `s` (`pre + size`) components up to 128 bits, then `p` appended:
+        // the tree passes 128 bits, and still yields every `pre` once, in
+        // key order.
+        let mut db = db();
+        let s = IndexCol::PreSize;
+        let top = (0..db.store.len() as u32).map(|pre| db.code(pre, s)).max().unwrap();
+        let bits = u64::BITS - (top + 1).leading_zeros();
+        let fits = "s".repeat((u128::BITS / bits) as usize);
+        assert!(db.create_index_by_name(&format!("{fits}s")).unwrap_err().contains("128 bits"));
+        let i = db.create_index_by_name(&fits).unwrap();
+        let idx = &db.indexes[i];
+        assert_eq!(idx.btree.word_bytes(), 24);
+        let pres: Vec<u32> = idx.btree.iter().collect();
+        let mut by_key: Vec<u32> = (0..db.store.len() as u32).collect();
+        by_key.sort_by_key(|&pre| (db.code(pre, s), pre));
+        assert_eq!(pres, by_key);
+    }
+
+    #[test]
     fn table6_trees_take_one_word_per_entry() {
-        // Each entry is a 16-byte packed key and a 4-byte `pre`, plus about
-        // 24 bytes of internal node per 64 entries.
+        // Each entry is one 8-byte packed key, its `pre` inside, plus about
+        // 0.3 bytes of internal node: about 74.5 B per row over nine trees.
         let t = generate_xmark(XmarkConfig { scale: 0.005, seed: 3 });
         let mut store = DocStore::new();
         store.add_tree(&t);
         let db = Database::with_default_indexes(store);
         let bytes: usize = db.indexes.iter().map(|i| i.btree.heap_bytes()).sum();
         let per_row = bytes as f64 / db.store.len() as f64;
-        assert!(per_row <= 190.0, "{per_row:.1} B per row over the nine trees");
+        assert!(per_row <= 80.0, "{per_row:.1} B per row over the nine trees");
+    }
+
+    #[test]
+    fn table6_keys_fit_the_8_byte_word_and_hold_every_pre() {
+        let mut store = DocStore::new();
+        store.add_tree(&generate_xmark(XmarkConfig { scale: 0.005, seed: 3 }));
+        store.add_tree(&generate_dblp(DblpConfig { publications: 1_000, seed: 3 }));
+        let db = Database::with_default_indexes(store);
+        let n = db.store.len();
+        for idx in &db.indexes {
+            assert_eq!(idx.btree.word_bytes(), 8, "{}", idx.name);
+            let mut seen = vec![false; n];
+            for pre in idx.btree.iter() {
+                assert!(!std::mem::replace(&mut seen[pre as usize], true), "{}: {pre}", idx.name);
+            }
+            assert!(seen.iter().all(|&s| s), "{}: every pre once", idx.name);
+        }
+    }
+
+    #[test]
+    fn a_key_without_pre_orders_by_pre() {
+        let mut db = db();
+        let i = db.create_index_by_name("kl").unwrap();
+        let idx = &db.indexes[i];
+        assert_eq!(idx.key.len(), 2);
+        let entries = idx.btree.entries();
+        assert_eq!(entries.len(), db.store.len());
+        for ((ka, a), (kb, b)) in entries.iter().zip(&entries[1..]) {
+            assert!((ka, a) < (kb, b), "rows {a} and {b} out of order");
+            assert_eq!(ka[2], db.code(*a, IndexCol::Col(DocCol::Pre)), "`p` appended");
+        }
     }
 
     #[test]
@@ -577,7 +635,7 @@ mod tests {
             db.value_code(IndexCol::Col(DocCol::Name), &Value::Str("price".to_string())),
             db.value_code(IndexCol::Col(DocCol::Kind), &Value::Kind(NodeKind::Elem)),
         ];
-        let prices: Vec<u32> = idx.btree.scan_prefix(&probe).map(|(_, v)| v).collect();
+        let prices: Vec<u32> = idx.btree.scan_prefix(&probe).collect();
         let expected = db.stats.name_count("price", jgi_xml::NodeKind::Elem);
         assert_eq!(prices.len() as u64, expected);
         // All hits really are price elements.
@@ -612,8 +670,7 @@ mod tests {
             RankOf::Absent(p) => {
                 for id in 0..n {
                     let below = sym.value_rank[id as usize] < p;
-                    let smaller =
-                        db.store.values.resolve(id) < "\u{10FFFF}not-interned";
+                    let smaller = db.store.values.resolve(id) < "\u{10FFFF}not-interned";
                     assert_eq!(below, smaller, "id {id}");
                 }
             }
@@ -634,7 +691,7 @@ mod tests {
         let idx = db.index_by_name("vnlkp").unwrap();
         // person0 id attribute value must be findable.
         let probe = [db.value_code(IndexCol::Col(DocCol::Value), &Value::Str("person0".into()))];
-        let hits: Vec<u32> = idx.btree.scan_prefix(&probe).map(|(_, v)| v).collect();
+        let hits: Vec<u32> = idx.btree.scan_prefix(&probe).collect();
         assert!(!hits.is_empty());
         for pre in hits {
             assert_eq!(db.store.value_str(pre), Some("person0"));
@@ -703,8 +760,7 @@ mod tests {
             let tuple = |pre: u32| -> Vec<Value> {
                 idx.key.iter().map(|&c| db.col_value(pre, c)).collect()
             };
-            let entries: Vec<(Vec<u64>, u32)> =
-                idx.btree.iter().map(|(k, pre)| (idx.btree.decode(k), pre)).collect();
+            let entries = idx.btree.entries();
             assert_eq!(entries.len(), db.store.len());
             for pair in entries.windows(2) {
                 let ((ka, a), (kb, b)) = (&pair[0], &pair[1]);

@@ -670,7 +670,7 @@ fn scan_access(
                 }
             }
             counts.index_probes += 1;
-            for (_, pre) in idx.btree.scan(lo, *lo_strict, hi, *hi_strict) {
+            for pre in idx.btree.scan(lo, *lo_strict, hi, *hi_strict) {
                 if check(db, pre, bws, &mut counts) && !f(pre) {
                     return counts;
                 }
@@ -905,7 +905,7 @@ fn vec_step(
                         // batch. Logically still one probe per outer
                         // tuple; physically a single descent.
                         cands.clear();
-                        for (_, pre) in tree.scan(&scr.lo, scr.lo_strict, &scr.hi, scr.hi_strict) {
+                        for pre in tree.scan(&scr.lo, scr.lo_strict, &scr.hi, scr.hi_strict) {
                             cands.push(pre);
                         }
                         stats.per_op[op_idx].index_probes += sel.len() as u64;
@@ -1010,9 +1010,7 @@ fn vec_step(
                             for (t, &s) in scr.var_hi.iter().enumerate() {
                                 scr.hi[s] = keys[base + nv_lo + t];
                             }
-                            for (_, pre) in
-                                cursor.seek(&scr.lo, scr.lo_strict, &scr.hi, scr.hi_strict)
-                            {
+                            for pre in cursor.seek(&scr.lo, scr.lo_strict, &scr.hi, scr.hi_strict) {
                                 rows_in += 1;
                                 next.push_extended(batch, i, outer, access.alias, pre);
                                 if next.rows >= cx.batch_size {

@@ -721,6 +721,36 @@ mod tests {
     }
 
     #[test]
+    fn stats_reports_bytes_per_structure() {
+        let server =
+            crate::Server::new(crate::ServeConfig { workers: 1, ..crate::ServeConfig::default() });
+        let load = parse_command("LOAD XMARK 0.002 42").unwrap().unwrap();
+        assert!(handle_command(&server, &load).render().contains("\"ok\":true"));
+        let Reply::Json(Json::Obj(stats)) = handle_command(&server, &Command::Stats) else {
+            panic!("STATS is one object")
+        };
+        let field = |obj: &[(String, Json)], key: &str| -> Json {
+            obj.iter().find(|(k, _)| k == key).map(|(_, v)| v.clone()).expect(key)
+        };
+        let Json::Arr(docs) = field(&stats, "docs") else { panic!("docs is an array") };
+        let Json::Obj(doc) = &docs[0] else { panic!("a doc is an object") };
+        let Json::UInt(nodes) = field(doc, "nodes") else { panic!("nodes is a count") };
+        let Json::UInt(store_bytes) = field(doc, "store_bytes") else { panic!("store_bytes") };
+        assert!(store_bytes > 0);
+        let Json::Obj(trees) = field(doc, "index_bytes") else { panic!("index_bytes") };
+        let names: Vec<&str> = trees.iter().map(|(name, _)| name.as_str()).collect();
+        assert_eq!(names, jgi_engine::catalog::DEFAULT_INDEXES);
+        let index_bytes: u64 = trees
+            .iter()
+            .map(|(name, b)| match b {
+                Json::UInt(b) => *b,
+                other => panic!("{name}: {other:?}"),
+            })
+            .sum();
+        assert!(index_bytes <= 80 * nodes, "{index_bytes} B over {nodes} nodes");
+    }
+
+    #[test]
     fn sql_command_over_a_live_server() {
         let server = crate::Server::new(crate::ServeConfig {
             workers: 1,

@@ -537,6 +537,13 @@ impl Server {
                                 ("version", Json::UInt(d.snap.version)),
                                 ("nodes", Json::UInt(d.snap.store.len() as u64)),
                                 ("base_pre", Json::UInt(d.base_pre as u64)),
+                                ("store_bytes", Json::UInt(d.snap.store.heap_bytes() as u64)),
+                                (
+                                    "index_bytes",
+                                    Json::obj(d.snap.db.indexes.iter().map(|i| {
+                                        (i.name.clone(), Json::UInt(i.btree.heap_bytes() as u64))
+                                    })),
+                                ),
                             ])
                         })
                         .collect(),

@@ -30,6 +30,43 @@ fn cmp_prefix(probe: &[u64], key: &[u64]) -> Ordering {
     probe.cmp(&key[..probe.len()])
 }
 
+/// Does `key` lie within the bounds, under prefix comparison?
+fn admits(key: &[u64], lo: &[u64], lo_strict: bool, hi: &[u64], hi_strict: bool) -> bool {
+    let lo_ok = lo.is_empty()
+        || match cmp_prefix(lo, key) {
+            Ordering::Less => true,
+            Ordering::Equal => !lo_strict,
+            Ordering::Greater => false,
+        };
+    let hi_ok = hi.is_empty()
+        || match cmp_prefix(hi, key) {
+            Ordering::Greater => true,
+            Ordering::Equal => !hi_strict,
+            Ordering::Less => false,
+        };
+    lo_ok && hi_ok
+}
+
+/// A bulk-loaded tree's entries: the codes of its `width` key components
+/// (the appended value field dropped) and the value.
+fn key_entries(tree: &BTree, width: usize) -> Vec<(Vec<u64>, u32)> {
+    tree.entries().into_iter().map(|(k, v)| (k[..width].to_vec(), v)).collect()
+}
+
+/// Bits a field takes for codes up to `max`.
+fn field_bits(max: u64) -> u32 {
+    u128::BITS - (max as u128 + 1).leading_zeros()
+}
+
+/// Probe codes around the offset domain `base..base + 6` of a field of
+/// `bits` bits (`base` is its top bit): below it, inside it, above it, at
+/// and past the field's largest value, and `u64::MAX`.
+fn edge_codes(bits: u32) -> [u64; 9] {
+    let base = 1u64 << (bits - 1);
+    let top = (1u64 << bits) - 1;
+    [0, base - 1, base, base + 2, base + 5, base + 6, top, top + 1, u64::MAX]
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
 
@@ -50,7 +87,7 @@ proptest! {
 
         // Full iteration is sorted by (key, value) and decodes to the
         // loaded entries.
-        let all: Vec<(Vec<u64>, u32)> = tree.iter().map(|(k, v)| (tree.decode(k), v)).collect();
+        let all = key_entries(&tree, 2);
         prop_assert!(all.windows(2).all(|w| w[0] <= w[1]));
         let mut loaded: Vec<(Vec<u64>, u32)> =
             entries.iter().map(|(k, v)| (to_key(*k).to_vec(), *v)).collect();
@@ -59,7 +96,7 @@ proptest! {
 
         // Prefix scan on the first key component.
         let got: Vec<u32> = {
-            let mut v: Vec<u32> = tree.scan_prefix(&[code(probe)]).map(|(_, x)| x).collect();
+            let mut v: Vec<u32> = tree.scan_prefix(&[code(probe)]).collect();
             v.sort_unstable();
             v
         };
@@ -93,8 +130,7 @@ proptest! {
         )
         .unwrap();
         let (lo_key, hi_key) = ([code(lo)], [code(hi)]);
-        let mut got: Vec<u32> =
-            tree.scan(&lo_key, lo_strict, &hi_key, hi_strict).map(|(_, v)| v).collect();
+        let mut got: Vec<u32> = tree.scan(&lo_key, lo_strict, &hi_key, hi_strict).collect();
         got.sort_unstable();
         let mut want: Vec<u32> = reference
             .keys()
@@ -144,27 +180,110 @@ proptest! {
             let hi: Vec<u64> = hi_at[..hi_len].iter().map(|&i| EDGE_CODES[i]).collect();
             let want: Vec<u32> = reference
                 .keys()
-                .filter(|(k, _)| {
-                    let lo_ok = lo.is_empty() || match cmp_prefix(&lo, k) {
-                        Ordering::Less => true,
-                        Ordering::Equal => !lo_strict,
-                        Ordering::Greater => false,
-                    };
-                    let hi_ok = hi.is_empty() || match cmp_prefix(&hi, k) {
-                        Ordering::Greater => true,
-                        Ordering::Equal => !hi_strict,
-                        Ordering::Less => false,
-                    };
-                    lo_ok && hi_ok
-                })
+                .filter(|(k, _)| admits(k, &lo, lo_strict, &hi, hi_strict))
                 .map(|(_, v)| *v)
                 .collect();
-            let got: Vec<u32> =
-                tree.scan(&lo, lo_strict, &hi, hi_strict).map(|(_, v)| v).collect();
+            let got: Vec<u32> = tree.scan(&lo, lo_strict, &hi, hi_strict).collect();
             prop_assert_eq!(&got, &want, "lo {:?} {} hi {:?} {}", lo, lo_strict, hi, hi_strict);
-            let sought: Vec<u32> =
-                tree.seek_cursor().seek(&lo, lo_strict, &hi, hi_strict).map(|(_, v)| v).collect();
+            let sought: Vec<u32> = tree.seek_cursor().seek(&lo, lo_strict, &hi, hi_strict).collect();
             prop_assert_eq!(&sought, &want, "seek lo {:?} {} hi {:?} {}", lo, lo_strict, hi, hi_strict);
+        }
+    }
+
+    /// Two fields of offset domains whose widths, with the value field's,
+    /// sum to about 55–71 or 113–136 bits: the tree takes the 8-byte word
+    /// exactly when they fit in 64, the 16-byte word when they fit in 128,
+    /// and on every word its iteration, prefix scans, range scans and seek
+    /// passes match the reference, duplicates included.
+    #[test]
+    fn keys_straddling_word_boundaries_match_reference(
+        (wa, wb) in prop_oneof![
+            (8u32..=46, 54u32..=61).prop_map(|(wa, sum)| (wa, sum - wa)),
+            (56u32..=63, 56u32..=63),
+        ],
+        entries in proptest::collection::vec(((0u64..6, 0u64..6), 0u32..256), 1..300),
+        bounds in proptest::collection::vec(
+            (
+                (0usize..=2, 0usize..9, 0usize..9),
+                (0usize..=2, 0usize..9, 0usize..9),
+                any::<bool>(),
+                any::<bool>(),
+            ),
+            12..13,
+        ),
+        pass in proptest::collection::vec((0usize..9, 0usize..9, 0u64..4), 1..40),
+        (pass_len, pass_strict) in (1usize..=2, any::<bool>()),
+    ) {
+        let (base_a, base_b) = (1u64 << (wa - 1), 1u64 << (wb - 1));
+        let mut reference: BTreeMap<(Vec<u64>, u32), usize> = BTreeMap::new();
+        for ((a, b), v) in &entries {
+            *reference.entry((vec![base_a + a, base_b + b], *v)).or_default() += 1;
+        }
+        let select = |lo: &[u64], lo_strict: bool, hi: &[u64], hi_strict: bool| -> Vec<u32> {
+            reference
+                .iter()
+                .filter(|((k, _), _)| admits(k, lo, lo_strict, hi, hi_strict))
+                .flat_map(|((_, v), &n)| std::iter::repeat_n(*v, n))
+                .collect()
+        };
+        let tree = BTree::bulk_load(
+            2,
+            entries.iter().flat_map(|((a, b), _)| [base_a + a, base_b + b]).collect(),
+            entries.iter().map(|(_, v)| *v).collect(),
+        )
+        .unwrap();
+        let max_v = entries.iter().map(|(_, v)| *v).max().unwrap();
+        let width = wa + wb + field_bits(2 * max_v as u64 + 2);
+        let word = match width {
+            ..=64 => 8,
+            65..=128 => 16,
+            _ => 24,
+        };
+        prop_assert_eq!(tree.word_bytes(), word, "{} bits", width);
+
+        // Iteration.
+        let want: Vec<(Vec<u64>, u32)> = reference
+            .iter()
+            .flat_map(|(e, &n)| std::iter::repeat_n(e.clone(), n))
+            .collect();
+        prop_assert_eq!(key_entries(&tree, 2), want);
+
+        // Prefix scans on one and on both components.
+        for a in 0..6 {
+            let got: Vec<u32> = tree.scan_prefix(&[base_a + a]).collect();
+            prop_assert_eq!(got, select(&[base_a + a], false, &[base_a + a], false));
+            let key = [base_a + a, base_b + a];
+            prop_assert_eq!(tree.scan_prefix(&key).collect::<Vec<u32>>(), select(&key, false, &key, false));
+        }
+
+        // Range scans and fresh seeks with bounds around both domains.
+        let (edges_a, edges_b) = (edge_codes(wa), edge_codes(wb));
+        let bound = |(len, ia, ib): (usize, usize, usize)| -> Vec<u64> {
+            [edges_a[ia], edges_b[ib]][..len].to_vec()
+        };
+        for (lo, hi, lo_strict, hi_strict) in bounds {
+            let (lo, hi) = (bound(lo), bound(hi));
+            let want = select(&lo, lo_strict, &hi, hi_strict);
+            let got: Vec<u32> = tree.scan(&lo, lo_strict, &hi, hi_strict).collect();
+            prop_assert_eq!(&got, &want, "lo {:?} {} hi {:?} {}", lo, lo_strict, hi, hi_strict);
+            let sought: Vec<u32> = tree.seek_cursor().seek(&lo, lo_strict, &hi, hi_strict).collect();
+            prop_assert_eq!(&sought, &want, "seek lo {:?} {} hi {:?} {}", lo, lo_strict, hi, hi_strict);
+        }
+
+        // One seek pass over sorted lower bounds of one length and
+        // strictness, as an access presents them, each with an upper bound a
+        // few codes past it in its last component.
+        let mut pass: Vec<(Vec<u64>, u64)> =
+            pass.into_iter().map(|(ia, ib, reach)| (bound((pass_len, ia, ib)), reach)).collect();
+        pass.sort();
+        let mut cursor = tree.seek_cursor();
+        for (lo, reach) in &pass {
+            let mut hi = lo.clone();
+            let last = hi.last_mut().expect("a pass bound has a component");
+            *last = last.saturating_add(*reach);
+            let want = select(lo, pass_strict, &hi, false);
+            let got: Vec<u32> = cursor.seek(lo, pass_strict, &hi, false).collect();
+            prop_assert_eq!(&got, &want, "pass lo {:?} {} hi {:?}", lo, pass_strict, hi);
         }
     }
 }

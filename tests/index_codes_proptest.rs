@@ -205,7 +205,6 @@ proptest! {
             let got: Vec<u32> = idx
                 .btree
                 .scan(&code(&lo), lo_strict, &code(&hi), hi_strict)
-                .map(|(_, pre)| pre)
                 .collect();
             let mut want: Vec<(Vec<Value>, u32)> = (0..n)
                 .map(|pre| (idx.key.iter().map(|&c| db.col_value(pre, c)).collect::<Vec<_>>(), pre))

@@ -636,17 +636,26 @@ impl<W: Word> Tree<W> {
         end > start && self.keys[end - 1] >= lo
     }
 
-    /// First entry of `leaf` that reaches the packed lower bound (the leaf
-    /// end if none does).
-    fn first_in_leaf(&self, leaf: usize, b: &Bounds<'_>, p: &Packed<W>) -> usize {
+    /// First entry of `leaf` from entry `from` on (`from` lies in the leaf
+    /// or at its end) that reaches the packed lower bound; the leaf end if
+    /// none does. The search gallops from `from`, so a seek that lands a
+    /// few entries past the cursor costs a few compares.
+    fn first_from(&self, leaf: usize, from: usize, b: &Bounds<'_>, p: &Packed<W>) -> usize {
         let (start, end) = self.leaf_range(leaf);
-        let at = start + self.keys[start..end].partition_point(|&k| k < p.lo);
+        debug_assert!((start..=end).contains(&from), "the cursor lies in its leaf");
+        let keys = &self.keys[from..end];
+        let mut bound = 1;
+        while bound <= keys.len() && keys[bound - 1] < p.lo {
+            bound *= 2;
+        }
+        let below = bound / 2;
+        let at = from + below + keys[below..bound.min(keys.len())].partition_point(|&k| k < p.lo);
         debug_assert!(
             at == end || self.admits_lo(b, self.keys[at]),
             "packed lower bound admits less"
         );
         debug_assert!(
-            at == start || !self.admits_lo(b, self.keys[at - 1]),
+            at == from || !self.admits_lo(b, self.keys[at - 1]),
             "packed lower bound admits more"
         );
         at
@@ -662,7 +671,8 @@ impl<W: Word> Tree<W> {
         }
         // The lower bound travels with the iterator: a duplicate run may
         // span leaves, so the bound is re-checked per entry.
-        TreeScan { tree: self, pos: self.first_in_leaf(cur, &bounds, &packed), bounds, packed }
+        let pos = self.first_from(cur, self.leaf_range(cur).0, &bounds, &packed);
+        TreeScan { tree: self, pos, bounds, packed }
     }
 }
 
@@ -764,7 +774,7 @@ impl<'a> SeekCursor<'a> {
         if !bounds.lo.is_empty() {
             // Never move backward: entries before the cursor failed an
             // earlier (≤ current) bound.
-            self.pos = self.pos.max(tree.first_in_leaf(self.leaf, &bounds, &packed));
+            self.pos = tree.first_from(self.leaf, self.pos, &bounds, &packed);
         }
         TreeScan { tree, pos: self.pos, bounds, packed }
     }

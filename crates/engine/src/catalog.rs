@@ -150,7 +150,7 @@ pub(crate) const NULL_CODE: u64 = 0;
 /// code a value as if every integer in `0..INT_DOMAIN` were stored: the
 /// value is its own rank. Every such integer is exact as an `f64`, which
 /// is how `Value::cmp` compares an `Int` with a `Dec`.
-const INT_DOMAIN: u64 = 1 << 53;
+pub(crate) const INT_DOMAIN: u64 = 1 << 53;
 
 /// Code of the stored value of rank `r` in its column's sorted domain.
 const fn stored(r: u64) -> u64 {
@@ -159,13 +159,13 @@ const fn stored(r: u64) -> u64 {
 
 /// Code of a value that is not stored, with `p` stored values below it:
 /// strictly between two stored codes, so it equals none of them.
-const fn between(p: u64) -> u64 {
+pub(crate) const fn between(p: u64) -> u64 {
     2 * p + 1
 }
 
 /// Code of a value whose class sorts below every non-NULL value of the
 /// column (a number probing `name`).
-const BELOW: u64 = between(0);
+pub(crate) const BELOW: u64 = between(0);
 
 /// Code of a value whose class sorts above every value of the column (a
 /// string probing `data`).
@@ -180,8 +180,9 @@ impl RankOf {
     }
 }
 
-/// An integer's code in an integer column.
-fn int_code(v: i64) -> u64 {
+/// An integer's code in an integer column (`pre`, `size`, `level`,
+/// `parent`, `pre + size`).
+pub(crate) fn int_code(v: i64) -> u64 {
     match u64::try_from(v) {
         Err(_) => BELOW,
         Ok(v) if v >= INT_DOMAIN => between(INT_DOMAIN),

@@ -13,8 +13,13 @@
 //! Every form also has a columnar kernel ([`FastAtom::eval_batch`])
 //! filtering a selection vector over a struct-of-arrays binding batch in
 //! one pass; only [`FastAtom::Generic`] falls back to per-row evaluation.
+//!
+//! Index probes compile the same way: each per-tuple key slot of a
+//! nested-loop step becomes a [`ProbeSlot`], which codes a structural
+//! probe key with integer arithmetic alone.
 
-use crate::catalog::{Database, RankOf};
+use crate::catalog::{int_code, Database, IndexCol, RankOf};
+use crate::physical::Probe;
 use jgi_algebra::cq::{CqAtom, CqScalar, DocCol};
 use jgi_algebra::pred::CmpOp;
 use jgi_algebra::Value;
@@ -279,33 +284,83 @@ fn retain(sel: &mut Vec<u32>, mut keep: impl FnMut(usize) -> bool) {
     sel.truncate(kept);
 }
 
+/// The structural integer expression a scalar computes, if it is one:
+/// `pre`, `size`, `level` or `parent` of an alias, one of those plus a
+/// constant, `pre + size` of one alias, or an integer constant.
+fn int_expr(s: &CqScalar) -> Option<IntExpr> {
+    match s {
+        CqScalar::Col(c) => Some(match c.col {
+            DocCol::Pre => IntExpr::Pre(c.alias),
+            DocCol::Size => IntExpr::Size(c.alias),
+            DocCol::Level => IntExpr::Level(c.alias),
+            DocCol::Parent => IntExpr::Parent(c.alias),
+            _ => return None,
+        }),
+        CqScalar::ColPlusInt(c, d) => match c.col {
+            DocCol::Pre | DocCol::Size | DocCol::Level | DocCol::Parent => {
+                Some(IntExpr::Plus(c.col, c.alias, *d))
+            }
+            _ => None,
+        },
+        CqScalar::ColPlusCol(a, b)
+            if a.alias == b.alias && a.col == DocCol::Pre && b.col == DocCol::Size =>
+        {
+            Some(IntExpr::PreEnd(a.alias))
+        }
+        CqScalar::Const(Value::Int(i)) => Some(IntExpr::Const(*i)),
+        _ => None,
+    }
+}
+
+/// One per-tuple key slot of an index probe, compiled once per execution
+/// the way a residual atom becomes a [`FastAtom`]. A structural probe
+/// (`pre`, `size`, `level`, `parent`, `pre + size`, column + constant)
+/// against an integer key column (`pre`, `size`, `level`, `parent`,
+/// `pre + size`) becomes an [`IntExpr`] coded by the catalog's integer rule
+/// ([`int_code`]); any other slot (`name`, `value`, `data`) codes through
+/// [`Probe::code_at`]. Checked builds compare every compiled code with
+/// `Probe::code_at`.
+#[derive(Debug, Clone)]
+pub(crate) struct ProbeSlot {
+    probe: Probe,
+    col: IndexCol,
+    int: Option<IntExpr>,
+}
+
+impl ProbeSlot {
+    /// Compile `probe` against key column `col`.
+    pub(crate) fn compile(probe: &Probe, col: IndexCol) -> ProbeSlot {
+        let int = match col {
+            IndexCol::PreSize
+            | IndexCol::Col(DocCol::Pre | DocCol::Size | DocCol::Level | DocCol::Parent) => {
+                int_expr(&probe.to_scalar())
+            }
+            IndexCol::Col(_) => None,
+        };
+        ProbeSlot { probe: probe.clone(), col, int }
+    }
+
+    /// The slot's key code for the tuple `get` (alias → `pre`) binds;
+    /// `None` when a referenced value is NULL.
+    #[inline]
+    pub(crate) fn code_at(&self, db: &Database, get: impl Fn(usize) -> u32) -> Option<u64> {
+        let code = match self.int {
+            Some(e) => e.eval_at(db, &get).map(int_code),
+            None => self.probe.code_at(db, self.col, &get),
+        };
+        debug_assert_eq!(
+            code,
+            self.probe.code_at(db, self.col, &get),
+            "compiled probe slot {:?} on {:?} codes unlike Probe::code_at",
+            self.probe,
+            self.col
+        );
+        code
+    }
+}
+
 /// Compile one atom. Interned-id lookups happen here, once.
 pub fn compile_atom(db: &Database, atom: &CqAtom) -> FastAtom {
-    // Structural integer expressions.
-    let int_expr = |s: &CqScalar| -> Option<IntExpr> {
-        match s {
-            CqScalar::Col(c) => Some(match c.col {
-                DocCol::Pre => IntExpr::Pre(c.alias),
-                DocCol::Size => IntExpr::Size(c.alias),
-                DocCol::Level => IntExpr::Level(c.alias),
-                DocCol::Parent => IntExpr::Parent(c.alias),
-                _ => return None,
-            }),
-            CqScalar::ColPlusInt(c, d) => match c.col {
-                DocCol::Pre | DocCol::Size | DocCol::Level | DocCol::Parent => {
-                    Some(IntExpr::Plus(c.col, c.alias, *d))
-                }
-                _ => None,
-            },
-            CqScalar::ColPlusCol(a, b)
-                if a.alias == b.alias && a.col == DocCol::Pre && b.col == DocCol::Size =>
-            {
-                Some(IntExpr::PreEnd(a.alias))
-            }
-            CqScalar::Const(Value::Int(i)) => Some(IntExpr::Const(*i)),
-            _ => None,
-        }
-    };
     if let (Some(l), Some(r)) = (int_expr(&atom.lhs), int_expr(&atom.rhs)) {
         return FastAtom::Int(l, atom.op, r);
     }
@@ -470,6 +525,56 @@ mod tests {
                 })
                 .collect();
             assert_eq!(sel, expect, "kernel disagrees with scalar for {atom}");
+        }
+    }
+
+    /// Every structural probe form codes through its compiled slot exactly
+    /// as through `Probe::code_at`, against every integer key column, on
+    /// every node of an XMark store; the edges code as the catalog's
+    /// integer rule says.
+    #[test]
+    fn compiled_probe_slots_code_as_probes_do() {
+        use crate::catalog::{between, BELOW, INT_DOMAIN};
+        use jgi_xml::generate::{generate_xmark, XmarkConfig};
+        let mut store = DocStore::new();
+        store.add_tree(&generate_xmark(XmarkConfig { scale: 0.002, seed: 5 }));
+        let db = Database::new(store);
+        let cr = |col| ColRef { alias: 0, col };
+        let structural = [DocCol::Pre, DocCol::Size, DocCol::Level, DocCol::Parent];
+        let mut probes: Vec<Probe> = structural.iter().map(|&c| Probe::Bound(cr(c))).collect();
+        for &c in &structural {
+            for d in [-1, 0, 1, INT_DOMAIN as i64, 1 << 60] {
+                probes.push(Probe::BoundPlusInt(cr(c), d));
+            }
+        }
+        probes.push(Probe::BoundPlusBound(cr(DocCol::Pre), cr(DocCol::Size)));
+        let int_cols = structural.map(IndexCol::Col).into_iter().chain([IndexCol::PreSize]);
+        for col in int_cols {
+            for probe in &probes {
+                let slot = ProbeSlot::compile(probe, col);
+                assert!(slot.int.is_some(), "{probe:?} on {col:?} compiles to an IntExpr");
+                for pre in 0..db.store.len() as u32 {
+                    let get = |_| pre;
+                    assert_eq!(
+                        slot.code_at(&db, get),
+                        probe.code_at(&db, col, get),
+                        "{probe:?} on {col:?} at {pre}"
+                    );
+                }
+            }
+            let doc = |p: Probe| ProbeSlot::compile(&p, col).code_at(&db, |_| 0);
+            assert_eq!(doc(Probe::Bound(cr(DocCol::Parent))), None, "NO_PARENT is NULL");
+            assert_eq!(doc(Probe::BoundPlusInt(cr(DocCol::Pre), -1)), Some(BELOW));
+            let top = Probe::BoundPlusInt(cr(DocCol::Pre), INT_DOMAIN as i64);
+            assert_eq!(doc(top), Some(between(INT_DOMAIN)));
+        }
+        // A `value` slot keeps the generic coding.
+        let value = Probe::Bound(cr(DocCol::Value));
+        let slot = ProbeSlot::compile(&value, IndexCol::Col(DocCol::Value));
+        assert!(slot.int.is_none());
+        for pre in 0..db.store.len() as u32 {
+            let code = value.code_at(&db, IndexCol::Col(DocCol::Value), |_| pre);
+            assert_eq!(slot.code_at(&db, |_| pre), code);
         }
     }
 

@@ -9,9 +9,10 @@
 //! `SELECT DISTINCT … ORDER BY` block.
 
 use crate::catalog::{Cell, Database, IndexCol, NULL_CODE};
-use crate::fastpred::{compile_atoms, FastAtom};
+use crate::fastpred::{compile_atoms, FastAtom, ProbeSlot};
 use jgi_algebra::cq::{ColRef, CqAtom, CqScalar, DocCol};
 use jgi_algebra::Value;
+use jgi_xml::encode::NO_PARENT;
 use std::collections::HashMap;
 
 /// A value computable from the already-bound aliases (plus constants) —
@@ -53,6 +54,16 @@ impl Probe {
                 c => Some(c),
             },
             _ => self.cell_at(db, get).map(|c| db.cell_code(col, c)),
+        }
+    }
+
+    /// The probe as a CQ scalar (the form residual atoms compile from).
+    pub(crate) fn to_scalar(&self) -> CqScalar {
+        match self {
+            Probe::Const(v) => CqScalar::Const(v.clone()),
+            Probe::Bound(c) => CqScalar::Col(*c),
+            Probe::BoundPlusInt(c, i) => CqScalar::ColPlusInt(*c, *i),
+            Probe::BoundPlusBound(a, b) => CqScalar::ColPlusCol(*a, *b),
         }
     }
 
@@ -275,9 +286,10 @@ pub struct ExecStats {
     /// Configured rows-per-batch capacity.
     pub vector_batch_size: u64,
     /// Physical B-tree root descents performed by galloping cursors and
-    /// shared constant-probe scans. `per_op[..].index_probes` stays
-    /// *logical* (one per outer tuple, identical at every batch size); the
-    /// gap between probes and descents is the work batching saved.
+    /// shared constant-probe scans of NL steps, early-out ones included.
+    /// `per_op[..].index_probes` stays *logical* (one per outer tuple,
+    /// identical at every batch size); the gap between probes and descents
+    /// is the work batching saved.
     pub btree_descents: u64,
     /// Work done instead of root descents: internal-node hops of galloping
     /// cursors plus outer tuples sharing one constant-probe scan.
@@ -285,12 +297,12 @@ pub struct ExecStats {
     /// Rows loaded into [`Step::Hash`] build tables. Charged once at build
     /// time, before the pipeline runs, so it is batch-size-*independent*.
     pub join_build_rows: u64,
-    /// Sorted variable-probe batches served by one galloping
-    /// [`crate::btree::SeekCursor`] each (batch-size-dependent, like
-    /// `vector_*`).
+    /// Sorted variable-probe batches of NL steps, early-out ones included,
+    /// served by one galloping [`crate::btree::SeekCursor`] each
+    /// (batch-size-dependent, like `vector_*`).
     pub join_probe_batches: u64,
-    /// Seeks performed by those cursors, one per logical probe; each
-    /// replaces a root descent from the top of the tree.
+    /// Seeks performed by those cursors, one per logical probe whose key
+    /// is not NULL; each replaces a root descent from the top of the tree.
     pub join_seeks: u64,
 }
 
@@ -348,9 +360,9 @@ struct ScanCounts {
 }
 
 impl OpActuals {
+    /// Add one scan's work (the caller counts the invocation).
     #[inline]
     fn absorb(&mut self, c: ScanCounts) {
-        self.invocations += 1;
         self.rows_in += c.rows_in;
         self.index_probes += c.index_probes;
         self.comparisons += c.comparisons;
@@ -375,14 +387,16 @@ pub fn execute_with_stats(db: &Database, plan: &PhysPlan) -> (Vec<u32>, ExecStat
     execute_with_stats_opts(db, plan, &ExecOptions::default())
 }
 
-/// [`execute_with_stats`] with explicit executor options.
+/// [`execute_with_stats`] with explicit executor options. The item column
+/// is read straight out of the flat result rows.
 pub fn execute_with_stats_opts(
     db: &Database,
     plan: &PhysPlan,
     opts: &ExecOptions,
 ) -> (Vec<u32>, ExecStats) {
-    let (rows, stats) = execute_rows_opts(db, plan, opts);
-    let out = rows.iter().map(|r| r[plan.item_output]).collect();
+    let (flat, stats) = execute_flat(db, plan, opts);
+    let width = plan.select.len().max(1);
+    let out = flat.iter().skip(plan.item_output).step_by(width).copied().collect();
     (out, stats)
 }
 
@@ -391,14 +405,21 @@ pub fn execute_rows_with_stats(db: &Database, plan: &PhysPlan) -> (Vec<Vec<u32>>
     execute_rows_opts(db, plan, &ExecOptions::default())
 }
 
-/// Row-returning executor — the single code path under every `execute*`
-/// entry point; statistics are always collected (plain counter increments).
-/// The batch pipeline runs on the calling thread and ends in the SORT tail.
+/// Row-returning executor: the flat result rows, one `Vec` per row.
 pub fn execute_rows_opts(
     db: &Database,
     plan: &PhysPlan,
     opts: &ExecOptions,
 ) -> (Vec<Vec<u32>>, ExecStats) {
+    let (flat, stats) = execute_flat(db, plan, opts);
+    (flat.chunks_exact(plan.select.len().max(1)).map(<[u32]>::to_vec).collect(), stats)
+}
+
+/// The single code path under every `execute*` entry point; statistics
+/// are always collected (plain counter increments). The batch pipeline
+/// runs on the calling thread and ends in the SORT tail. The result is one
+/// flat buffer of rows `select.len()` cells wide, in SELECT order.
+fn execute_flat(db: &Database, plan: &PhysPlan, opts: &ExecOptions) -> (Vec<u32>, ExecStats) {
     let mut stats = ExecStats::shaped(plan.steps.len() + 1);
     // Compile residual predicates once (id-compared fast atoms).
     let driver_fast = compile_atoms(db, &plan.driver.residual);
@@ -455,10 +476,7 @@ fn build_join_tables(db: &Database, plan: &PhysPlan, stats: &mut ExecStats) -> J
                     true
                 });
                 // Build-side work charges the step's operator.
-                let op = &mut stats.per_op[i + 1];
-                op.rows_in += counts.rows_in;
-                op.index_probes += counts.index_probes;
-                op.comparisons += counts.comparisons;
+                stats.per_op[i + 1].absorb(counts);
                 stats.join_build_rows += built;
                 tables[i] = Some(table);
             }
@@ -468,65 +486,118 @@ fn build_join_tables(db: &Database, plan: &PhysPlan, stats: &mut ExecStats) -> J
     tables
 }
 
-/// The SELECT row of one binding tuple (`get`: alias → `pre`). Every
-/// SELECT column is a node column (`pre`, `size`, `level`, `parent`), so
-/// each cell is read as the `u32` it holds without building a `Value`.
-fn select_row(db: &Database, plan: &PhysPlan, get: impl Fn(usize) -> u32) -> Vec<u32> {
-    plan.select
-        .iter()
-        .map(|cr| match db.cell(get(cr.alias), IndexCol::Col(cr.col)) {
-            Cell::Int(i) => i as u32,
-            other => panic!("select column holds non-node value {}", other.to_value()),
-        })
-        .collect()
+/// A SELECT cell: every SELECT column is a node column (`pre`, `size`,
+/// `level`, `parent`), read as the `u32` it holds without building a
+/// `Value`.
+#[inline]
+fn node_cell(db: &Database, pre: u32, col: DocCol) -> u32 {
+    let p = pre as usize;
+    match col {
+        DocCol::Pre => pre,
+        DocCol::Size => db.store.size[p],
+        DocCol::Level => db.store.level[p] as u32,
+        DocCol::Parent if db.store.parent[p] != NO_PARENT => db.store.parent[p],
+        _ => panic!("select column holds non-node value {}", db.col_value(pre, IndexCol::Col(col))),
+    }
 }
 
-/// Positions of the ORDER BY columns inside the SELECT list.
-fn order_indices(plan: &PhysPlan) -> Vec<usize> {
-    plan.order_by
-        .iter()
-        .filter_map(|cr| plan.select.iter().position(|s| s == cr))
-        .collect()
-}
-
-/// The SORT tail's comparator: ORDER BY keys first, then the whole row as
-/// a tiebreak. The tiebreak makes the order *total*, which is what makes
-/// the batch pipeline's output independent of the order its sorted probe
+/// The SORT tail's column order over `width`-column rows: the ORDER BY
+/// columns (as SELECT positions, first occurrence), then the remaining
+/// SELECT positions in SELECT order. Comparing rows lexicographically in
+/// this order is comparing ORDER BY keys first with the whole row as the
+/// tiebreak. The tiebreak makes the order *total*, which is what makes the
+/// batch pipeline's output independent of the order its sorted probe
 /// batches enumerate candidates in — the final sequence is a function of
-/// the row multiset alone, not of arrival order.
-fn cmp_rows(a: &[u32], b: &[u32], order_idx: &[usize]) -> std::cmp::Ordering {
-    for &i in order_idx {
-        match a[i].cmp(&b[i]) {
-            std::cmp::Ordering::Equal => continue,
-            other => return other,
+/// the row multiset alone, not of arrival order. The pipeline writes each
+/// row's cells in this order.
+fn sort_columns(order: impl IntoIterator<Item = usize>, width: usize) -> Vec<usize> {
+    let mut cols = Vec::with_capacity(width);
+    for c in order.into_iter().chain(0..width) {
+        if !cols.contains(&c) {
+            cols.push(c);
         }
     }
-    a.cmp(b)
+    cols
 }
 
-/// The SORT tail: one sort under the ORDER BY comparator, then DISTINCT.
-/// The comparator breaks ties by the whole row, so only identical rows
-/// compare equal and the sort leaves duplicates adjacent.
+/// [`sort_columns`] of a plan.
+fn plan_sort_columns(plan: &PhysPlan) -> Vec<usize> {
+    let order = plan.order_by.iter().filter_map(|cr| plan.select.iter().position(|s| s == cr));
+    sort_columns(order, plan.select.len())
+}
+
+/// The SORT tail: one integer sort of the flat rows, written in `cols`
+/// order ([`sort_columns`]), then DISTINCT, then the rows back in SELECT
+/// order. A one-column row sorts as the bare `u32`; a row of two to four
+/// columns as one `u128` holding them, the first most significant; a wider
+/// row by its cells. Only identical rows compare equal, so the sort leaves
+/// duplicates adjacent.
 fn sort_tail(
-    mut rows: Vec<Vec<u32>>,
-    order_idx: &[usize],
+    mut rows: Vec<u32>,
+    cols: &[usize],
     distinct: bool,
     stats: &mut ExecStats,
-) -> Vec<Vec<u32>> {
-    stats.sort_rows = rows.len() as u64;
-    rows.sort_unstable_by(|a, b| cmp_rows(a, b, order_idx));
+) -> Vec<u32> {
+    let w = cols.len().max(1);
+    let n = rows.len() / w;
+    stats.sort_rows = n as u64;
+    // Cell `j` of a row in `cols` order lands at SELECT position `cols[j]`.
+    let unpermute = |out: &mut Vec<u32>, cell: &dyn Fn(usize) -> u32| {
+        let base = out.len();
+        out.resize(base + w, 0);
+        for (j, &c) in cols.iter().enumerate() {
+            out[base + c] = cell(j);
+        }
+    };
+    let out = match w {
+        1 => {
+            rows.sort_unstable();
+            if distinct {
+                rows.dedup();
+            }
+            rows
+        }
+        2..=4 => {
+            let mut keys: Vec<u128> = rows
+                .chunks_exact(w)
+                .map(|r| r.iter().fold(0, |k, &c| k << 32 | c as u128))
+                .collect();
+            keys.sort_unstable();
+            if distinct {
+                keys.dedup();
+            }
+            let mut out = Vec::with_capacity(keys.len() * w);
+            for k in keys {
+                unpermute(&mut out, &|j| (k >> (32 * (w - 1 - j))) as u32);
+            }
+            out
+        }
+        _ => {
+            let row = |i: u32| &rows[i as usize * w..(i as usize + 1) * w];
+            let mut order: Vec<u32> = (0..n as u32).collect();
+            order.sort_unstable_by(|&a, &b| row(a).cmp(row(b)));
+            if distinct {
+                order.dedup_by(|a, b| row(*a) == row(*b));
+            }
+            let mut out = Vec::with_capacity(order.len() * w);
+            for i in order {
+                unpermute(&mut out, &|j| row(i)[j]);
+            }
+            out
+        }
+    };
     if distinct {
-        rows.dedup();
-        stats.dedup_removed = stats.sort_rows - rows.len() as u64;
+        stats.dedup_removed = stats.sort_rows - (out.len() / w) as u64;
     }
-    rows
+    out
 }
 
 /// Reusable per-access scan state: the bindings-with-self buffer for
 /// residual checks plus the coded probe-key buffers.
-/// [`AccessScratch::prepare`] codes the constant key slots once (recording
-/// which slots are per-tuple); variable slots are overwritten with their
-/// codes on every scan, so the hot path allocates nothing.
+/// [`AccessScratch::prepare`] codes the constant key slots once and
+/// compiles the per-tuple ones into [`ProbeSlot`]s; the per-tuple slots are
+/// overwritten with their codes on every probe, so the hot path allocates
+/// nothing.
 #[derive(Debug, Default)]
 struct AccessScratch {
     init: bool,
@@ -540,11 +611,14 @@ struct AccessScratch {
     hi: Vec<u64>,
     lo_strict: bool,
     hi_strict: bool,
-    /// Key-slot positions (lo side) that depend on the outer tuple, in
-    /// increasing slot order.
-    var_lo: Vec<usize>,
-    /// Key-slot positions (hi side) that depend on the outer tuple.
-    var_hi: Vec<usize>,
+    /// Per-tuple lower-bound slots in increasing key position: the
+    /// variable equality slots, whose codes the upper bound shares, then
+    /// the range's lower end if it is variable.
+    var_lo: Vec<(usize, ProbeSlot)>,
+    /// The range's upper end, if it is variable.
+    var_hi: Option<(usize, ProbeSlot)>,
+    /// Equality slots of the probe: a `var_lo` slot below this is one.
+    n_eq: usize,
 }
 
 impl AccessScratch {
@@ -555,11 +629,11 @@ impl AccessScratch {
         self.init = true;
         let Method::IxScan { index, eq, range } = &access.method else { return };
         let key = &db.indexes[*index].key;
+        self.n_eq = eq.len();
         for (s, p) in eq.iter().enumerate() {
             let c = self.constant(db, key[s], p);
             if c.is_none() {
-                self.var_lo.push(s);
-                self.var_hi.push(s);
+                self.var_lo.push((s, ProbeSlot::compile(p, key[s])));
             }
             self.lo.push(c.unwrap_or(NULL_CODE));
             self.hi.push(c.unwrap_or(NULL_CODE));
@@ -570,7 +644,7 @@ impl AccessScratch {
                 self.lo_strict = *strict;
                 let c = self.constant(db, key[s], p);
                 if c.is_none() {
-                    self.var_lo.push(s);
+                    self.var_lo.push((s, ProbeSlot::compile(p, key[s])));
                 }
                 self.lo.push(c.unwrap_or(NULL_CODE));
             }
@@ -578,7 +652,7 @@ impl AccessScratch {
                 self.hi_strict = *strict;
                 let c = self.constant(db, key[s], p);
                 if c.is_none() {
-                    self.var_hi.push(s);
+                    self.var_hi = Some((s, ProbeSlot::compile(p, key[s])));
                 }
                 self.hi.push(c.unwrap_or(NULL_CODE));
             }
@@ -592,13 +666,57 @@ impl AccessScratch {
         self.dead |= v.is_null();
         Some(db.value_code(col, v))
     }
+
+    /// Does the probe depend on the outer tuple?
+    fn has_var(&self) -> bool {
+        !self.var_lo.is_empty() || self.var_hi.is_some()
+    }
+
+    /// Codes per tuple: the `var_lo` slots, then `var_hi`.
+    fn width(&self) -> usize {
+        self.var_lo.len() + usize::from(self.var_hi.is_some())
+    }
+
+    /// Append the per-tuple codes of the tuple `get` binds to `keys`
+    /// ([`AccessScratch::width`] of them). A NULL probe matches nothing:
+    /// on one, `keys` is left as it was and the answer is false.
+    #[inline]
+    fn code_tuple(&self, db: &Database, get: impl Fn(usize) -> u32, keys: &mut Vec<u64>) -> bool {
+        let start = keys.len();
+        for (_, slot) in self.var_lo.iter().chain(&self.var_hi) {
+            match slot.code_at(db, &get) {
+                Some(c) => keys.push(c),
+                None => {
+                    keys.truncate(start);
+                    return false;
+                }
+            }
+        }
+        true
+    }
+
+    /// Install one tuple's codes (from [`AccessScratch::code_tuple`]) in
+    /// the bounds.
+    #[inline]
+    fn set_bounds(&mut self, codes: &[u64]) {
+        let AccessScratch { lo, hi, var_lo, var_hi, n_eq, .. } = self;
+        for (&c, &(s, _)) in codes.iter().zip(var_lo.iter()) {
+            lo[s] = c;
+            if s < *n_eq {
+                hi[s] = c;
+            }
+        }
+        if let Some((s, _)) = var_hi {
+            hi[*s] = codes[var_lo.len()];
+        }
+    }
 }
 
-/// Run an access: call `f(pre)` for every matching row; `f` returns false
-/// to stop early (early-out semijoins). Returns the work counters for the
-/// caller to merge (local `u64`s — the hot loop never touches shared
-/// state or allocates for accounting). `scratch` must be dedicated to
-/// this access and is reused across calls.
+/// Run an access alone: call `f(pre)` for every matching row; `f` returns
+/// false to stop early. Serves the driver and hash build sides, both of
+/// which probe with constants only. Returns the work counters for the caller to merge (local `u64`s — the
+/// hot loop never touches shared state or allocates for accounting).
+/// `scratch` must be dedicated to this access and is reused across calls.
 fn scan_access(
     db: &Database,
     access: &Access,
@@ -612,72 +730,92 @@ fn scan_access(
     if scratch.dead {
         return counts; // a constant probe is NULL: nothing matches
     }
+    assert!(!scratch.has_var(), "a lone access probes with constants only");
     let AccessScratch { bindings: bws, lo, hi, lo_strict, hi_strict, .. } = scratch;
     bws.clear();
     bws.extend_from_slice(bindings);
-    let check = |db: &Database, pre: u32, b: &mut Vec<u32>, c: &mut ScanCounts| -> bool {
+    let mut check = |pre: u32, c: &mut ScanCounts| -> bool {
         c.rows_in += 1;
-        b[access.alias] = pre;
-        let ok = fast.iter().all(|a| {
-            c.comparisons += 1;
-            a.eval(db, b)
-        });
-        b[access.alias] = u32::MAX;
-        ok
+        passes(db, fast, bws, access.alias, pre, &mut c.comparisons)
     };
     match &access.method {
         Method::TbScan => {
             for pre in 0..db.store.len() as u32 {
-                if check(db, pre, bws, &mut counts) && !f(pre) {
+                if check(pre, &mut counts) && !f(pre) {
                     return counts;
                 }
             }
         }
-        Method::IxScan { index, eq, range } => {
-            // Code the per-tuple key slots (constants sit there already).
-            // A NULL probe matches nothing.
-            let idx = &db.indexes[*index];
-            let code = |s: usize, p: &Probe| p.code_at(db, idx.key[s], |a| bindings[a]);
-            for (s, p) in eq.iter().enumerate() {
-                if matches!(p, Probe::Const(_)) {
-                    continue;
-                }
-                match code(s, p) {
-                    Some(c) => {
-                        lo[s] = c;
-                        hi[s] = c;
-                    }
-                    None => return counts,
-                }
-            }
-            if let Some(r) = range {
-                let s = eq.len();
-                if let Some((p, _)) = &r.lo {
-                    if !matches!(p, Probe::Const(_)) {
-                        match code(s, p) {
-                            Some(c) => lo[s] = c,
-                            None => return counts,
-                        }
-                    }
-                }
-                if let Some((p, _)) = &r.hi {
-                    if !matches!(p, Probe::Const(_)) {
-                        match code(s, p) {
-                            Some(c) => hi[s] = c,
-                            None => return counts,
-                        }
-                    }
-                }
-            }
+        Method::IxScan { index, .. } => {
             counts.index_probes += 1;
-            for pre in idx.btree.scan(lo, *lo_strict, hi, *hi_strict) {
-                if check(db, pre, bws, &mut counts) && !f(pre) {
+            for pre in db.indexes[*index].btree.scan(lo, *lo_strict, hi, *hi_strict) {
+                if check(pre, &mut counts) && !f(pre) {
                     return counts;
                 }
             }
         }
     }
     counts
+}
+
+/// Order a probe batch by lower bound: `order` lists the tuples of `keys`
+/// (`w` codes each, the first `nv_lo` of them the variable lower slots)
+/// so that their lower bounds ascend, as the galloping cursor needs.
+/// Comparing the variable lower slots in slot order is the full-key
+/// lexicographic order: constant slots are equal across the batch. A batch
+/// whose bounds already ascend (outer rows in document order probing by
+/// `pre`, say) is probed as it stands; one linear pass finds it out.
+/// Otherwise each tuple's lower codes are packed above its index into one
+/// `u128`, at the width of the batch's largest lower code, and the words
+/// sorted unstably — an integer sort, on the bare code when there is one
+/// variable lower slot. Only lower codes too wide to pack fall back to
+/// sorting indices by code slice.
+fn order_probes(
+    keys: &[u64],
+    w: usize,
+    nv_lo: usize,
+    order: &mut Vec<u32>,
+    packed: &mut Vec<u128>,
+) {
+    let lo_of = |j: usize| &keys[j * w..j * w + nv_lo];
+    let n = keys.len() / w;
+    order.clear();
+    order.extend(0..n as u32);
+    if (1..n).all(|j| lo_of(j - 1) <= lo_of(j)) {
+        return;
+    }
+    let top = keys.chunks_exact(w).flat_map(|k| &k[..nv_lo]).max().copied().unwrap_or(0);
+    let bits = u64::BITS - top.leading_zeros();
+    if nv_lo as u32 * bits + u32::BITS <= u128::BITS {
+        packed.clear();
+        packed.extend(keys.chunks_exact(w).zip(0u128..).map(|(k, j)| {
+            k[..nv_lo].iter().fold(0u128, |p, &c| p << bits | c as u128) << u32::BITS | j
+        }));
+        packed.sort_unstable();
+        order.clear();
+        order.extend(packed.iter().map(|&p| p as u32));
+    } else {
+        order.sort_unstable_by(|&x, &y| lo_of(x as usize).cmp(lo_of(y as usize)));
+    }
+}
+
+/// Does candidate `pre` for `alias` pass every residual atom over
+/// `bindings`? Charges one comparison per atom evaluated, stopping at the
+/// first failure.
+#[inline]
+fn passes(
+    db: &Database,
+    fast: &[FastAtom],
+    bindings: &mut [u32],
+    alias: usize,
+    pre: u32,
+    comparisons: &mut u64,
+) -> bool {
+    bindings[alias] = pre;
+    fast.iter().all(|a| {
+        *comparisons += 1;
+        a.eval(db, bindings)
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -736,8 +874,7 @@ struct VecLevel {
     next: Batch,
     /// Selection vector over `next` (indices of surviving rows).
     sel: Vec<u32>,
-    /// Bindings tuple for per-row detours (early-out scans, hash residual
-    /// short-circuits).
+    /// Bindings tuple for early-out residual checks.
     bindings: Vec<u32>,
     /// Scratch bindings for the generic-atom fallback kernel.
     fallback: Vec<u32>,
@@ -745,13 +882,14 @@ struct VecLevel {
     access: AccessScratch,
     /// Hash probe-key buffer.
     key: Vec<Value>,
-    /// Var-probe key pool: `w` codes per live tuple (lo vars, then hi
-    /// vars).
+    /// Var-probe key pool: [`AccessScratch::width`] codes per live tuple.
     keys: Vec<u64>,
     /// Selected batch rows whose probe keys are all non-NULL.
     live: Vec<u32>,
-    /// Sort permutation over `live` (ascending lo keys).
+    /// Probe order over `live` (ascending lower bounds).
     order: Vec<u32>,
+    /// Packed sort keys behind `order` ([`order_probes`]).
+    packed: Vec<u128>,
     /// Candidate rows of a shared constant-probe scan.
     cands: Vec<u32>,
 }
@@ -771,6 +909,9 @@ struct VecCtx<'a> {
     /// `bound_at[d]`: aliases bound on entry to step `d` (driver plus
     /// steps `0..d`), i.e. the columns a depth-`d` batch carries.
     bound_at: Vec<Vec<usize>>,
+    /// The SELECT columns in [`sort_columns`] order: the cells of each
+    /// result row as the pipeline writes them.
+    out_cols: Vec<ColRef>,
     batch_size: usize,
 }
 
@@ -801,7 +942,7 @@ fn flush_batch(
     sel: &mut Vec<u32>,
     fallback: &mut Vec<u32>,
     deeper: &mut [VecLevel],
-    rows: &mut Vec<Vec<u32>>,
+    rows: &mut Vec<u32>,
     stats: &mut ExecStats,
 ) {
     if next.rows == 0 {
@@ -838,7 +979,7 @@ fn vec_step(
     batch: &Batch,
     sel: &[u32],
     levels: &mut [VecLevel],
-    rows: &mut Vec<Vec<u32>>,
+    rows: &mut Vec<u32>,
     stats: &mut ExecStats,
 ) {
     if sel.is_empty() {
@@ -846,9 +987,11 @@ fn vec_step(
     }
     let db = cx.db;
     if depth == cx.plan.steps.len() {
+        stats.raw_rows += sel.len() as u64;
         for &i in sel {
-            stats.raw_rows += 1;
-            rows.push(select_row(db, cx.plan, |a| batch.cols[a][i as usize]));
+            for cr in &cx.out_cols {
+                rows.push(node_cell(db, batch.cols[cr.alias][i as usize], cr.col));
+            }
         }
         return;
     }
@@ -863,13 +1006,50 @@ fn vec_step(
         keys,
         live,
         order,
+        packed,
         cands,
     } = lvl;
     let outer: &[usize] = &cx.bound_at[depth];
     let op_idx = depth + 1;
     let fast: &[FastAtom] = &cx.step_fast[depth];
-    match &cx.plan.steps[depth] {
-        Step::Nl(access) if !access.early_out => {
+    let step = &cx.plan.steps[depth];
+    let access = step.access();
+    // An early-out step residual-checks each candidate as it is fetched
+    // and stops at an outer tuple's first match, so its rows reach the
+    // next depth already checked and charged.
+    let early = access.early_out;
+    let (mut rows_in, mut comparisons, mut emitted) = (0u64, 0u64, 0u64);
+    if early {
+        bindings.clear();
+        bindings.resize(cx.plan.n_aliases, u32::MAX);
+    }
+    // Gather one (outer row, candidate) pair, flushing a full batch.
+    macro_rules! gather {
+        ($i:expr, $pre:expr) => {{
+            next.push_extended(batch, $i, outer, access.alias, $pre);
+            if next.rows >= cx.batch_size {
+                flush_batch(cx, fast, op_idx, !early, next, sel_buf, fallback, deeper, rows, stats);
+            }
+        }};
+    }
+    // Early-out: gather outer row `i`'s first candidate that passes the
+    // residuals, fetching no further.
+    macro_rules! first_match {
+        ($i:expr, $cands:expr) => {{
+            for &a in outer {
+                bindings[a] = batch.cols[a][$i];
+            }
+            for pre in $cands {
+                if passes(db, fast, bindings, access.alias, pre, &mut comparisons) {
+                    emitted += 1;
+                    gather!($i, pre);
+                    break;
+                }
+            }
+        }};
+    }
+    match step {
+        Step::Nl(access) => {
             stats.per_op[op_idx].invocations += sel.len() as u64;
             scr.prepare(db, access);
             if scr.dead {
@@ -878,223 +1058,91 @@ fn vec_step(
             match &access.method {
                 Method::TbScan => {
                     let n = db.store.len() as u32;
-                    stats.per_op[op_idx].rows_in += n as u64 * sel.len() as u64;
                     for &i in sel {
-                        for pre in 0..n {
-                            next.push_extended(batch, i as usize, outer, access.alias, pre);
-                            if next.rows >= cx.batch_size {
-                                flush_batch(
-                                    cx, fast, op_idx, true, next, sel_buf, fallback, deeper, rows,
-                                    stats,
-                                );
+                        if early {
+                            first_match!(i as usize, (0..n).inspect(|_| rows_in += 1));
+                        } else {
+                            rows_in += n as u64;
+                            for pre in 0..n {
+                                gather!(i as usize, pre);
                             }
                         }
                     }
                 }
-                Method::IxScan { index, eq, range } => {
-                    let has_var = eq.iter().any(|p| !matches!(p, Probe::Const(_)))
-                        || range.iter().any(|r| {
-                            r.lo
-                                .iter()
-                                .chain(r.hi.iter())
-                                .any(|(p, _)| !matches!(p, Probe::Const(_)))
-                        });
+                Method::IxScan { index, .. } if !scr.has_var() => {
+                    // Constant probe: one shared scan serves the whole
+                    // batch. Logically still one probe per outer tuple;
+                    // physically a single descent. An early-out step pulls
+                    // candidates only as far as some tuple needs them.
                     let tree = &db.indexes[*index].btree;
-                    if !has_var {
-                        // Constant probe: one shared scan serves the whole
-                        // batch. Logically still one probe per outer
-                        // tuple; physically a single descent.
-                        cands.clear();
-                        for pre in tree.scan(&scr.lo, scr.lo_strict, &scr.hi, scr.hi_strict) {
-                            cands.push(pre);
-                        }
-                        stats.per_op[op_idx].index_probes += sel.len() as u64;
-                        stats.per_op[op_idx].rows_in += cands.len() as u64 * sel.len() as u64;
-                        stats.btree_descents += 1;
-                        stats.btree_skips += sel.len() as u64 - 1;
+                    let mut scan = tree.scan(&scr.lo, scr.lo_strict, &scr.hi, scr.hi_strict);
+                    cands.clear();
+                    stats.per_op[op_idx].index_probes += sel.len() as u64;
+                    stats.btree_descents += 1;
+                    stats.btree_skips += sel.len() as u64 - 1;
+                    if !early {
+                        cands.extend(scan);
+                        rows_in += cands.len() as u64 * sel.len() as u64;
                         for &i in sel {
                             for &pre in cands.iter() {
-                                next.push_extended(batch, i as usize, outer, access.alias, pre);
-                                if next.rows >= cx.batch_size {
-                                    flush_batch(
-                                        cx, fast, op_idx, true, next, sel_buf, fallback, deeper,
-                                        rows, stats,
-                                    );
-                                }
+                                gather!(i as usize, pre);
                             }
                         }
                     } else {
-                        // Per-tuple probes, batched: code the variable key
-                        // slots for every selected tuple, sort the tuples
-                        // by key, and serve all probes with one galloping
-                        // SeekCursor (one descent, then O(log gap) node
-                        // hops per probe). Sorting only permutes candidate
-                        // enumeration across outer tuples, which the SORT
-                        // tail's total order makes unobservable.
-                        let key_cols = &db.indexes[*index].key;
-                        let nv_lo = scr.var_lo.len();
-                        let w = nv_lo + scr.var_hi.len();
-                        keys.clear();
-                        live.clear();
-                        'tuples: for &i in sel {
-                            let start = keys.len();
-                            let code = |s: usize, p: &Probe| {
-                                p.code_at(db, key_cols[s], |a| batch.cols[a][i as usize])
-                            };
-                            for &s in &scr.var_lo {
-                                let p = if s < eq.len() {
-                                    &eq[s]
-                                } else {
-                                    &range.as_ref().expect("var slot beyond eq is the range")
-                                        .lo
-                                        .as_ref()
-                                        .expect("lo var slot recorded")
-                                        .0
-                                };
-                                match code(s, p) {
-                                    Some(c) => keys.push(c),
-                                    None => {
-                                        keys.truncate(start);
-                                        continue 'tuples;
-                                    }
+                        for &i in sel {
+                            let pulled = (0..).map_while(|k| match cands.get(k) {
+                                Some(&pre) => Some(pre),
+                                None => {
+                                    let pre = scan.next()?;
+                                    cands.push(pre);
+                                    Some(pre)
                                 }
-                            }
-                            for &s in &scr.var_hi {
-                                if s < eq.len() {
-                                    // Equality slots share the lo-side code.
-                                    let pos = scr
-                                        .var_lo
-                                        .iter()
-                                        .position(|&x| x == s)
-                                        .expect("eq var slot present on the lo side");
-                                    keys.push(keys[start + pos]);
-                                } else {
-                                    let p = &range
-                                        .as_ref()
-                                        .expect("var slot beyond eq is the range")
-                                        .hi
-                                        .as_ref()
-                                        .expect("hi var slot recorded")
-                                        .0;
-                                    match code(s, p) {
-                                        Some(c) => keys.push(c),
-                                        None => {
-                                            keys.truncate(start);
-                                            continue 'tuples;
-                                        }
-                                    }
-                                }
-                            }
+                            });
+                            first_match!(i as usize, pulled.inspect(|_| rows_in += 1));
+                        }
+                    }
+                }
+                Method::IxScan { index, .. } => {
+                    // Per-tuple probes, batched: code the variable key
+                    // slots of every selected tuple, order the tuples by
+                    // lower bound, and serve all probes with one galloping
+                    // SeekCursor (one descent, then O(log gap) node hops
+                    // per probe). The order only permutes candidate
+                    // enumeration across outer tuples, which the SORT
+                    // tail's total order makes unobservable.
+                    let (w, nv_lo) = (scr.width(), scr.var_lo.len());
+                    keys.clear();
+                    live.clear();
+                    for &i in sel {
+                        if scr.code_tuple(db, |a| batch.cols[a][i as usize], keys) {
                             live.push(i);
                         }
-                        order.clear();
-                        order.extend(0..live.len() as u32);
-                        // Comparing the variable slots in slot order is the
-                        // full-key lexicographic order: constant slots are
-                        // equal across the batch and never discriminate.
-                        order.sort_by(|&x, &y| {
-                            let kx = &keys[x as usize * w..x as usize * w + nv_lo];
-                            let ky = &keys[y as usize * w..y as usize * w + nv_lo];
-                            kx.cmp(ky)
-                        });
-                        stats.join_probe_batches += 1;
-                        let mut rows_in = 0u64;
-                        let mut cursor = tree.seek_cursor();
-                        for &o in order.iter() {
-                            let j = o as usize;
-                            let i = live[j] as usize;
-                            let base = j * w;
-                            for (t, &s) in scr.var_lo.iter().enumerate() {
-                                scr.lo[s] = keys[base + t];
-                            }
-                            for (t, &s) in scr.var_hi.iter().enumerate() {
-                                scr.hi[s] = keys[base + nv_lo + t];
-                            }
-                            for pre in cursor.seek(&scr.lo, scr.lo_strict, &scr.hi, scr.hi_strict) {
-                                rows_in += 1;
-                                next.push_extended(batch, i, outer, access.alias, pre);
-                                if next.rows >= cx.batch_size {
-                                    flush_batch(
-                                        cx, fast, op_idx, true, next, sel_buf, fallback, deeper,
-                                        rows, stats,
-                                    );
-                                }
+                    }
+                    order_probes(keys, w, nv_lo, order, packed);
+                    stats.join_probe_batches += 1;
+                    let mut cursor = db.indexes[*index].btree.seek_cursor();
+                    for &j in order.iter() {
+                        let (j, i) = (j as usize, live[j as usize] as usize);
+                        scr.set_bounds(&keys[j * w..(j + 1) * w]);
+                        let found = cursor.seek(&scr.lo, scr.lo_strict, &scr.hi, scr.hi_strict);
+                        let found = found.inspect(|_| rows_in += 1);
+                        if early {
+                            first_match!(i, found);
+                        } else {
+                            for pre in found {
+                                gather!(i, pre);
                             }
                         }
-                        stats.btree_descents += cursor.descents;
-                        stats.btree_skips += cursor.node_hops;
-                        stats.join_seeks += cursor.seeks;
-                        stats.per_op[op_idx].rows_in += rows_in;
-                        stats.per_op[op_idx].index_probes += live.len() as u64;
                     }
+                    stats.btree_descents += cursor.descents;
+                    stats.btree_skips += cursor.node_hops;
+                    stats.join_seeks += cursor.seeks;
+                    stats.per_op[op_idx].index_probes += live.len() as u64;
                 }
             }
-            flush_batch(cx, fast, op_idx, true, next, sel_buf, fallback, deeper, rows, stats);
         }
-        Step::Nl(access) => {
-            // Early-out semijoin: candidate enumeration stops at the first
-            // residual match, so batching the probes would change the
-            // work. Run the scan one outer tuple at a time; survivors
-            // still flow downstream in batches.
-            for &i in sel {
-                bindings.clear();
-                bindings.resize(cx.plan.n_aliases, u32::MAX);
-                for &a in outer {
-                    bindings[a] = batch.cols[a][i as usize];
-                }
-                let counts = scan_access(db, access, fast, bindings, scr, &mut |pre| {
-                    stats.rows_scanned[op_idx] += 1;
-                    stats.per_op[op_idx].rows_out += 1;
-                    next.push_extended(batch, i as usize, outer, access.alias, pre);
-                    if next.rows >= cx.batch_size {
-                        flush_batch(
-                            cx, fast, op_idx, false, next, sel_buf, fallback, deeper, rows, stats,
-                        );
-                    }
-                    false
-                });
-                stats.per_op[op_idx].absorb(counts);
-            }
-            flush_batch(cx, fast, op_idx, false, next, sel_buf, fallback, deeper, rows, stats);
-        }
-        Step::Hash { access, probe_key, .. } if !access.early_out => {
+        Step::Hash { probe_key, .. } => {
             let table = cx.tables[depth].as_ref().expect("hash table built");
-            for &i in sel {
-                stats.per_op[op_idx].invocations += 1;
-                key.clear();
-                let mut null_key = false;
-                for p in probe_key {
-                    match p.eval_at(db, |a| batch.cols[a][i as usize]) {
-                        Some(v) => key.push(v),
-                        None => {
-                            null_key = true;
-                            break;
-                        }
-                    }
-                }
-                if null_key {
-                    continue;
-                }
-                if let Some(matches) = table.get(key.as_slice()) {
-                    for &pre in matches {
-                        next.push_extended(batch, i as usize, outer, access.alias, pre);
-                        if next.rows >= cx.batch_size {
-                            flush_batch(
-                                cx, fast, op_idx, true, next, sel_buf, fallback, deeper, rows,
-                                stats,
-                            );
-                        }
-                    }
-                }
-            }
-            flush_batch(cx, fast, op_idx, true, next, sel_buf, fallback, deeper, rows, stats);
-        }
-        Step::Hash { access, probe_key, .. } => {
-            // Early-out hash semijoin: stop at each outer tuple's first
-            // match that passes the residuals.
-            let table = cx.tables[depth].as_ref().expect("hash table built");
-            let mut comparisons = 0u64;
-            let mut emitted = 0u64;
             for &i in sel {
                 stats.per_op[op_idx].invocations += 1;
                 key.clear();
@@ -1112,37 +1160,22 @@ fn vec_step(
                     continue;
                 }
                 let Some(matches) = table.get(key.as_slice()) else { continue };
-                bindings.clear();
-                bindings.resize(cx.plan.n_aliases, u32::MAX);
-                for &a in outer {
-                    bindings[a] = batch.cols[a][i as usize];
-                }
-                for &pre in matches {
-                    bindings[access.alias] = pre;
-                    let ok = fast.iter().all(|a| {
-                        comparisons += 1;
-                        a.eval(db, bindings)
-                    });
-                    if ok {
-                        stats.rows_scanned[op_idx] += 1;
-                        emitted += 1;
-                        next.push_extended(batch, i as usize, outer, access.alias, pre);
-                        if next.rows >= cx.batch_size {
-                            flush_batch(
-                                cx, fast, op_idx, false, next, sel_buf, fallback, deeper, rows,
-                                stats,
-                            );
-                        }
-                        break;
+                if early {
+                    first_match!(i as usize, matches.iter().copied());
+                } else {
+                    for &pre in matches {
+                        gather!(i as usize, pre);
                     }
                 }
             }
-            let op = &mut stats.per_op[op_idx];
-            op.comparisons += comparisons;
-            op.rows_out += emitted;
-            flush_batch(cx, fast, op_idx, false, next, sel_buf, fallback, deeper, rows, stats);
         }
     }
+    let op = &mut stats.per_op[op_idx];
+    op.rows_in += rows_in;
+    op.comparisons += comparisons;
+    op.rows_out += emitted;
+    stats.rows_scanned[op_idx] += emitted;
+    flush_batch(cx, fast, op_idx, !early, next, sel_buf, fallback, deeper, rows, stats);
 }
 
 /// Vectorized execution: the driver gathers candidates into a
@@ -1158,19 +1191,21 @@ fn run_pipeline(
     tables: &JoinTables,
     opts: &ExecOptions,
     stats: &mut ExecStats,
-) -> Vec<Vec<u32>> {
+) -> Vec<u32> {
+    let cols = plan_sort_columns(plan);
     let cx = VecCtx {
         db,
         plan,
         tables,
         step_fast,
         bound_at: bound_aliases(plan),
+        out_cols: cols.iter().map(|&c| plan.select[c]).collect(),
         batch_size: opts.batch_size.max(1),
     };
     let mut levels: Vec<VecLevel> =
         plan.steps.iter().map(|_| VecLevel::shaped(plan.n_aliases)).collect();
     let mut driver_lvl = VecLevel::shaped(plan.n_aliases);
-    let mut rows: Vec<Vec<u32>> = Vec::new();
+    let mut rows: Vec<u32> = Vec::new();
     let empty = vec![u32::MAX; plan.n_aliases];
     let driver = &plan.driver;
     let VecLevel { next, sel, fallback, access: scr, .. } = &mut driver_lvl;
@@ -1186,9 +1221,9 @@ fn run_pipeline(
         true
     });
     flush_batch(&cx, driver_fast, 0, true, next, sel, fallback, &mut levels, &mut rows, stats);
+    stats.per_op[0].invocations += 1;
     stats.per_op[0].absorb(counts);
-    let order_idx = order_indices(plan);
-    sort_tail(rows, &order_idx, plan.distinct, stats)
+    sort_tail(rows, &cols, plan.distinct, stats)
 }
 
 #[cfg(test)]
@@ -1197,6 +1232,7 @@ mod tests {
     use jgi_algebra::pred::CmpOp;
     use jgi_xml::generate::{generate_xmark, XmarkConfig};
     use jgi_xml::{DocStore, NodeKind};
+    use proptest::prelude::*;
 
     fn db() -> Database {
         let t = generate_xmark(XmarkConfig { scale: 0.002, seed: 5 });
@@ -1209,9 +1245,97 @@ mod tests {
     fn sort_tail_orders_then_dedups_in_one_sort() {
         let rows = vec![vec![2, 1], vec![1, 2], vec![2, 1], vec![1, 1]];
         let mut stats = ExecStats::default();
-        let sorted = sort_tail(rows, &[1], true, &mut stats);
+        let sorted = flat_tail(&rows, 2, &[1], true, &mut stats);
         assert_eq!(sorted, vec![vec![1, 1], vec![2, 1], vec![1, 2]]);
         assert_eq!((stats.sort_rows, stats.dedup_removed), (4, 1));
+    }
+
+    /// The flat SORT tail on `width`-column rows with ORDER BY positions
+    /// `order_idx`: each row written in sort-column order, as the pipeline
+    /// writes it, and the result cut back into rows.
+    fn flat_tail(
+        rows: &[Vec<u32>],
+        width: usize,
+        order_idx: &[usize],
+        distinct: bool,
+        stats: &mut ExecStats,
+    ) -> Vec<Vec<u32>> {
+        let cols = sort_columns(order_idx.iter().copied(), width);
+        let flat = rows.iter().flat_map(|r| cols.iter().map(|&c| r[c])).collect();
+        sort_tail(flat, &cols, distinct, stats).chunks_exact(width).map(<[u32]>::to_vec).collect()
+    }
+
+    /// The SORT tail as it was over `Vec<Vec<u32>>` rows: ORDER BY keys
+    /// first, the whole row as the tiebreak, then `dedup`.
+    fn reference_tail(
+        mut rows: Vec<Vec<u32>>,
+        order_idx: &[usize],
+        distinct: bool,
+    ) -> (Vec<Vec<u32>>, u64) {
+        let n = rows.len();
+        rows.sort_unstable_by(|a, b| {
+            order_idx.iter().map(|&i| a[i].cmp(&b[i])).find(|o| o.is_ne()).unwrap_or(a.cmp(b))
+        });
+        if distinct {
+            rows.dedup();
+        }
+        let removed = if distinct { (n - rows.len()) as u64 } else { 0 };
+        (rows, removed)
+    }
+
+    /// Random rows of one width, ORDER BY positions (repeats allowed) and
+    /// a DISTINCT flag. Cells are drawn mostly from a small range, so rows
+    /// repeat and tie, and sometimes from the whole `u32` range, so every
+    /// bit of a packed key is exercised.
+    fn tail_case() -> impl Strategy<Value = (usize, Vec<Vec<u32>>, Vec<usize>, bool)> {
+        let cell = prop_oneof![0u32..4, 0u32..4, 0u32..4, any::<u32>()];
+        let row = proptest::collection::vec(cell, 5..6);
+        (
+            1usize..=5,
+            proptest::collection::vec(row, 0..40),
+            proptest::collection::vec(0usize..5, 0..6),
+            any::<bool>(),
+        )
+            .prop_map(|(w, mut rows, order, distinct)| {
+                rows.iter_mut().for_each(|r| r.truncate(w));
+                let order = order.into_iter().map(|i| i % w).take(w).collect();
+                (w, rows, order, distinct)
+            })
+    }
+
+    proptest! {
+        /// A probe order is a permutation of the batch under which the
+        /// lower bounds ascend, whether the codes pack into one word or
+        /// (too wide to pack) sort by slice.
+        #[test]
+        fn probe_order_ascends(
+            (w, nv_lo) in (1usize..4, 0usize..4).prop_map(|(w, n)| (w, n.min(w))),
+            codes in proptest::collection::vec(
+                prop_oneof![0u64..6, 0u64..6, any::<u64>()],
+                0..120,
+            ),
+        ) {
+            let keys = &codes[..codes.len() / w * w];
+            let (mut order, mut packed) = (Vec::new(), Vec::new());
+            order_probes(keys, w, nv_lo, &mut order, &mut packed);
+            let mut seen = order.clone();
+            seen.sort_unstable();
+            prop_assert_eq!(seen, (0..(keys.len() / w) as u32).collect::<Vec<_>>());
+            let lo_of = |j: u32| &keys[j as usize * w..j as usize * w + nv_lo];
+            prop_assert!(order.windows(2).all(|p| lo_of(p[0]) <= lo_of(p[1])));
+        }
+
+        /// The flat tail gives exactly the rows, and the SORT counters, of
+        /// the old row-vector sort under the same comparator.
+        #[test]
+        fn flat_sort_tail_matches_row_vectors((w, rows, order_idx, distinct) in tail_case()) {
+            let mut stats = ExecStats::default();
+            let flat = flat_tail(&rows, w, &order_idx, distinct, &mut stats);
+            let (expect, removed) = reference_tail(rows.clone(), &order_idx, distinct);
+            prop_assert_eq!(flat, expect);
+            prop_assert_eq!(stats.sort_rows, rows.len() as u64);
+            prop_assert_eq!(stats.dedup_removed, removed);
+        }
     }
 
     /// Hand-built plan: all `bidder` elements via the nksp index, in order.
@@ -1472,30 +1596,99 @@ mod tests {
         assert_eq!(a.dedup_removed, b.dedup_removed, "{what}: dedup_removed");
     }
 
+    /// Every node up to level 2 (driver, a table scan), kept if its parent
+    /// is an element: an early-out step probing `p|nvkls` by the driver's
+    /// `parent`. The document node's `parent` is NULL, so its probe codes
+    /// NULL; the site's parent is the document node, which fails the
+    /// residual; every level-2 node's parent is the site.
+    fn parent_probe_plan(db: &Database) -> PhysPlan {
+        let p = db.indexes.iter().position(|i| i.name == "p|nvkls").unwrap();
+        let d0 = |col| ColRef { alias: 0, col };
+        PhysPlan {
+            n_aliases: 2,
+            driver: Access {
+                alias: 0,
+                method: Method::TbScan,
+                residual: vec![CqAtom {
+                    lhs: CqScalar::Col(d0(DocCol::Level)),
+                    op: CmpOp::Le,
+                    rhs: CqScalar::Const(Value::Int(2)),
+                }],
+                all_atoms: vec![],
+                early_out: false,
+                est_rows: 0.0,
+            },
+            steps: vec![Step::Nl(Access {
+                alias: 1,
+                method: Method::IxScan {
+                    index: p,
+                    eq: vec![Probe::Bound(d0(DocCol::Parent))],
+                    range: None,
+                },
+                residual: vec![CqAtom {
+                    lhs: CqScalar::Col(ColRef { alias: 1, col: DocCol::Kind }),
+                    op: CmpOp::Eq,
+                    rhs: CqScalar::Const(Value::Kind(NodeKind::Elem)),
+                }],
+                all_atoms: vec![],
+                early_out: true,
+                est_rows: 0.0,
+            })],
+            select: vec![d0(DocCol::Pre)],
+            distinct: true,
+            order_by: vec![d0(DocCol::Pre)],
+            item_output: 0,
+            est_cost: 0.0,
+            est_rows: 0.0,
+        }
+    }
+
     /// The batch pipeline must be bit-identical across batch sizes — rows
     /// and every batch-size-independent counter — with batch 1 (one row
     /// per batch) as the baseline and sizes that force mid-gather flushes.
+    /// Early-out steps are covered over a shared constant scan, over
+    /// variable range probes and over a `parent` probe that codes NULL.
     #[test]
     fn batch_sizes_agree() {
         let db = db();
-        for (range_probe, early_out) in
-            [(false, false), (false, true), (true, false), (true, true)]
-        {
-            let plan = oa_bidder_plan(&db, range_probe, early_out);
+        let plans = [(false, false), (false, true), (true, false), (true, true)]
+            .map(|(range, early)| {
+                (format!("range={range} early={early}"), oa_bidder_plan(&db, range, early))
+            })
+            .into_iter()
+            .chain([("parent probe".to_string(), parent_probe_plan(&db))]);
+        for (what, plan) in plans {
             let one = ExecOptions { batch_size: 1, ..ExecOptions::default() };
             let (b_rows, b_stats) = execute_rows_opts(&db, &plan, &one);
-            let what = format!("range={range_probe} early={early_out}");
             assert!(b_stats.vector_batches > 0, "{what}: no batches recorded");
             for batch in [2usize, 7, 1024] {
                 let opts = ExecOptions { batch_size: batch, ..ExecOptions::default() };
                 let (v_rows, v_stats) = execute_rows_opts(&db, &plan, &opts);
-                let what = format!("range={range_probe} early={early_out} batch={batch}");
+                let what = format!("{what} batch={batch}");
                 assert_eq!(b_rows, v_rows, "{what}: rows diverge");
                 assert_invariant_stats_eq(&b_stats, &v_stats, &what);
                 assert!(v_stats.vector_batches > 0, "{what}: no batches recorded");
                 assert_eq!(v_stats.vector_batch_size, batch as u64);
             }
         }
+    }
+
+    /// An early-out probe that codes NULL drops its tuple without counting
+    /// a probe or a seek; every other tuple seeks once.
+    #[test]
+    fn null_early_out_probe_is_dropped_unprobed() {
+        let db = db();
+        let plan = parent_probe_plan(&db);
+        let (rows, st) = execute_rows_opts(&db, &plan, &ExecOptions::default());
+        let upper = (0..db.store.len()).filter(|&p| db.store.level[p] <= 2).count() as u64;
+        let kept: Vec<u32> =
+            (0..db.store.len() as u32).filter(|&p| db.store.level[p as usize] == 2).collect();
+        assert_eq!(rows.concat(), kept, "level-2 nodes, whose parent is the site");
+        let step = st.per_op[1];
+        assert_eq!(step.invocations, upper, "one invocation per outer tuple");
+        assert_eq!(step.index_probes, upper - 1, "the document node's NULL probe is not one");
+        assert_eq!(step.rows_in, upper - 1, "each `pre` probe finds one row");
+        assert_eq!(st.join_seeks, upper - 1, "one seek per non-NULL probe");
     }
 
     /// Variable-probe steps must probe through one galloping cursor per
@@ -1517,10 +1710,23 @@ mod tests {
         assert!(v.join_probe_batches > 0, "no probe batch went through a seek cursor");
         assert_eq!(v.join_seeks, probes, "one seek per logical probe");
         assert!(v.btree_skips > 0, "seeks should gallop through internal nodes");
-        // Constant-probe steps share one scan per batch.
-        let const_plan = oa_bidder_plan(&db, false, false);
-        let (_, c) = execute_rows_opts(&db, &const_plan, &opts);
-        assert!(c.btree_skips > 0, "shared constant scan counts skipped probes");
+        // An early-out step seeks through the same cursor, once per
+        // non-NULL probe, stopping each tuple at its first match.
+        let early = oa_bidder_plan(&db, true, true);
+        let (_, e) = execute_rows_opts(&db, &early, &opts);
+        let e_probes = e.per_op[1].index_probes;
+        assert_eq!(e_probes, probes, "early-out probes the same outer tuples");
+        assert_eq!(e.join_seeks, e_probes, "one seek per early-out probe");
+        assert_eq!(e.join_probe_batches, v.join_probe_batches);
+        assert!(e.btree_descents < e_probes, "early-out probes gallop too");
+        assert!(e.per_op[1].rows_in < v.per_op[1].rows_in, "early-out stops at first matches");
+        // Constant-probe steps share one scan per batch, early-out or not.
+        for early_out in [false, true] {
+            let const_plan = oa_bidder_plan(&db, false, early_out);
+            let (_, c) = execute_rows_opts(&db, &const_plan, &opts);
+            assert!(c.btree_skips > 0, "shared constant scan counts skipped probes");
+            assert_eq!(c.btree_descents, 1, "one shared descent serves the one outer batch");
+        }
     }
 
     #[test]

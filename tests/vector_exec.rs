@@ -9,7 +9,8 @@
 //!
 //! * the Q1–Q8 paper corpus, plus the contract that the inert
 //!   `Budgets::parallelism` changes nothing observable,
-//! * a vacuity guard: the corpus runs actually batch,
+//! * a vacuity guard: the corpus runs actually batch, and its early-out
+//!   steps with variable probes seek through the sorted probe batches,
 //! * property tests over random documents × random workhorse queries,
 //!   driving `execute_rows_opts` directly with batch sizes 2 and 1024
 //!   against batch 1, so flush boundaries land everywhere.
@@ -17,7 +18,9 @@
 use jgi_compiler::compile;
 use jgi_core::queries::paper_corpus;
 use jgi_core::{Budgets, Engine, Parallelism, Session};
-use jgi_engine::physical::{execute_rows_opts, ExecOptions, ExecStats};
+use jgi_engine::physical::{
+    execute_rows_opts, Access, ExecOptions, ExecStats, Method, Probe, Step,
+};
 use jgi_engine::{optimizer, Database};
 use jgi_rewrite::{extract_cq, isolate};
 use jgi_xml::generate::{generate_dblp, generate_xmark, DblpConfig, XmarkConfig};
@@ -99,6 +102,54 @@ fn corpus_vectorization_is_not_vacuous() {
     }
     assert!(batched > 0, "no corpus query pushed a batch through the pipeline");
     assert!(descended > 0, "no corpus query exercised the batched B-tree cursor");
+}
+
+/// Does the access probe with a key computed from the outer tuple?
+fn has_var_probe(a: &Access) -> bool {
+    let Method::IxScan { eq, range, .. } = &a.method else { return false };
+    let range = range.iter().flat_map(|r| r.lo.iter().chain(&r.hi).map(|(p, _)| p));
+    eq.iter().chain(range).any(|p| !matches!(p, Probe::Const(_)))
+}
+
+/// Early-out steps with variable probes seek through the same sorted,
+/// galloping probe batches as every other NL step: on every corpus query
+/// `join_seeks` is exactly the logical probes of its variable-probe NL
+/// steps, early-out ones included. Q1, Q6 and Q8 each have an early-out
+/// step with variable probes that probes; without one the check is
+/// vacuous.
+#[test]
+fn early_out_var_probes_seek_in_batches() {
+    let mut session = corpus_session(0.005, 1000);
+    let mut early_out = Vec::new();
+    for &(name, query, ctx) in &paper_corpus() {
+        let prepared = session.prepare(query, ctx).expect("corpus compiles");
+        let Some(cq) = prepared.plannable_cq() else { continue };
+        let db = session.database();
+        let phys = optimizer::plan(db, cq);
+        let (_, stats) = execute_rows_opts(db, &phys, &ExecOptions::default());
+        let var_nl = phys.steps.iter().enumerate().filter_map(|(d, s)| match s {
+            Step::Nl(a) if has_var_probe(a) => {
+                Some((stats.per_op[d + 1].index_probes, a.early_out))
+            }
+            _ => None,
+        });
+        let (mut probes, mut early_probes) = (0, 0);
+        for (n, early) in var_nl {
+            probes += n;
+            early_probes += if early { n } else { 0 };
+        }
+        assert_eq!(stats.join_seeks, probes, "{name}: one seek per variable probe");
+        if early_probes > 0 {
+            assert!(stats.join_probe_batches > 0, "{name}: early-out probes ran in no batch");
+            early_out.push(name);
+        }
+    }
+    for name in ["Q1", "Q6", "Q8"] {
+        assert!(
+            early_out.contains(&name),
+            "{name}: no early-out step with variable probes probed (those that did: {early_out:?})"
+        );
+    }
 }
 
 /// The independent back-ends agree with the vectorized join-graph engine:

@@ -9,11 +9,8 @@
 //! which is exactly the "half-cooked step" reading of the paper.
 
 use crate::catalog::Database;
-use crate::optimizer::PlanStats;
+use crate::optimizer::{node_test, pair_shape, PairShape, PlanStats};
 use crate::physical::{Access, ExecStats, Method, OpActuals, PhysPlan, Step};
-use jgi_algebra::cq::{CqAtom, CqScalar, DocCol};
-use jgi_algebra::pred::CmpOp;
-use jgi_algebra::Value;
 use std::fmt::Write as _;
 
 /// Render the plan as indented text.
@@ -188,7 +185,7 @@ pub fn describe_access(db: &Database, a: &Access) -> String {
         }
     };
     let mut notes: Vec<String> = Vec::new();
-    if let Some(t) = node_test(a) {
+    if let Some(t) = node_label(a) {
         notes.push(format!("d{d} = {t}"));
     }
     for (other, axis) in continuations(a) {
@@ -201,25 +198,10 @@ pub fn describe_access(db: &Database, a: &Access) -> String {
     }
 }
 
-/// The node test an access performs, read off its name/kind predicates.
-fn node_test(a: &Access) -> Option<String> {
-    let mut name = None;
-    let mut kind = None;
-    for p in &a.all_atoms {
-        if p.op != CmpOp::Eq {
-            continue;
-        }
-        if let (CqScalar::Col(c), CqScalar::Const(v)) = (&p.lhs, &p.rhs) {
-            if c.alias == a.alias {
-                match (c.col, v) {
-                    (DocCol::Name, Value::Str(s)) => name = Some(s.clone()),
-                    (DocCol::Kind, Value::Kind(k)) => kind = Some(*k),
-                    _ => {}
-                }
-            }
-        }
-    }
-    match (name, kind) {
+/// The node test an access performs, read off its name/kind predicates
+/// ([`node_test`]).
+fn node_label(a: &Access) -> Option<String> {
+    match node_test(&a.all_atoms, a.alias) {
         (Some(n), Some(jgi_xml::NodeKind::Attr)) => Some(format!("@{n}")),
         (Some(n), _) => Some(format!("::{n}")),
         (None, Some(k)) => Some(format!("::{}()", k.tag().to_lowercase())),
@@ -229,7 +211,6 @@ fn node_test(a: &Access) -> Option<String> {
 
 /// Axis relationships this access resumes against earlier aliases.
 fn continuations(a: &Access) -> Vec<(usize, &'static str)> {
-    let mut out: Vec<(usize, &'static str)> = Vec::new();
     let mut partners: Vec<usize> = Vec::new();
     for p in &a.all_atoms {
         for x in p.aliases() {
@@ -238,88 +219,25 @@ fn continuations(a: &Access) -> Vec<(usize, &'static str)> {
             }
         }
     }
-    for b in partners {
-        let pair: Vec<&CqAtom> = a
-            .all_atoms
-            .iter()
-            .filter(|p| {
-                let al = p.aliases();
-                al.contains(&a.alias) && al.contains(&b)
-            })
-            .collect();
-        let axis = classify_pair(&pair, a.alias, b);
-        out.push((b, axis));
-    }
-    out
+    partners.into_iter().map(|b| (b, axis(&pair_shape(&a.all_atoms, a.alias, b)))).collect()
 }
 
-/// Classify the atom set between `alias` and `b` as an axis direction.
-fn classify_pair(pair: &[&CqAtom], alias: usize, b: usize) -> &'static str {
-    let mut a_after_b = false; // b.pre < a.pre
-    let mut a_in_b = false; // a.pre <= b.pre + b.size
-    let mut b_after_a = false;
-    let mut b_in_a = false;
-    let mut level = false;
-    let mut value = false;
-    let mut parent = false;
-    for p in pair {
-        let is = |s: &CqScalar, x: usize, col: DocCol| {
-            matches!(s, CqScalar::Col(c) if c.alias == x && c.col == col)
-        };
-        let is_end = |s: &CqScalar, x: usize| {
-            matches!(s, CqScalar::ColPlusCol(u, v)
-                if u.alias == x && v.alias == x && u.col == DocCol::Pre && v.col == DocCol::Size)
-        };
-        match p.op {
-            CmpOp::Lt | CmpOp::Le => {
-                if is(&p.lhs, b, DocCol::Pre) && is(&p.rhs, alias, DocCol::Pre) {
-                    a_after_b = true;
-                }
-                if is(&p.lhs, alias, DocCol::Pre) && is_end(&p.rhs, b) {
-                    a_in_b = true;
-                }
-                if is(&p.lhs, alias, DocCol::Pre) && is(&p.rhs, b, DocCol::Pre) {
-                    b_after_a = true;
-                }
-                if is(&p.lhs, b, DocCol::Pre) && is_end(&p.rhs, alias) {
-                    b_in_a = true;
-                }
-            }
-            CmpOp::Eq => {
-                if matches!(&p.lhs, CqScalar::ColPlusInt(c, 1) if c.col == DocCol::Level)
-                    || matches!(&p.rhs, CqScalar::ColPlusInt(c, 1) if c.col == DocCol::Level)
-                {
-                    level = true;
-                }
-                if is(&p.lhs, alias, DocCol::Value) || is(&p.rhs, alias, DocCol::Value) {
-                    value = true;
-                }
-                if is(&p.lhs, alias, DocCol::Parent) && is(&p.rhs, b, DocCol::Parent) {
-                    parent = true;
-                }
-                if is(&p.rhs, alias, DocCol::Parent) && is(&p.lhs, b, DocCol::Parent) {
-                    parent = true;
-                }
-            }
-            _ => {}
-        }
-    }
-    match (a_after_b && a_in_b, b_after_a && b_in_a, level, parent, value) {
+/// Name the axis a [`PairShape`] spells out, reading order terms as written
+/// with `<`/`<=` and starts only (a `pre + size` end form is no
+/// following/preceding here).
+fn axis(s: &PairShape) -> &'static str {
+    let down = s.after.written() && s.inside.written();
+    let up = s.before.written() && s.contains.written();
+    match (down, up, s.level_link, s.parent_eq, s.a_value_eq) {
         (true, _, true, _, _) => "child",
         (true, _, false, _, _) => "descendant",
         (_, true, true, _, _) => "parent",
         (_, true, false, _, _) => "ancestor",
         (_, _, _, true, _) => "sibling",
         (_, _, _, _, true) => "value join",
-        _ => {
-            if a_after_b {
-                "following"
-            } else if b_after_a {
-                "preceding"
-            } else {
-                "join"
-            }
-        }
+        _ if s.after.written() => "following",
+        _ if s.before.written() => "preceding",
+        _ => "join",
     }
 }
 
@@ -327,8 +245,9 @@ fn classify_pair(pair: &[&CqAtom], alias: usize, b: usize) -> &'static str {
 mod tests {
     use super::*;
     use crate::optimizer;
-    use jgi_algebra::cq::{ColRef, OutputCol};
-    use jgi_algebra::ConjunctiveQuery;
+    use jgi_algebra::cq::{ColRef, CqAtom, CqScalar, DocCol, OutputCol};
+    use jgi_algebra::pred::CmpOp;
+    use jgi_algebra::{ConjunctiveQuery, Value};
     use jgi_xml::generate::{generate_xmark, XmarkConfig};
     use jgi_xml::DocStore;
 

@@ -15,12 +15,13 @@
 //! one pass; only [`FastAtom::Generic`] falls back to per-row evaluation.
 //!
 //! Index probes compile the same way: each per-tuple key slot of a
-//! nested-loop step becomes a [`ProbeSlot`], which codes a structural
-//! probe key with integer arithmetic alone.
+//! nested-loop step, and each slot of a hash step's probe key, becomes a
+//! `ProbeSlot`, which codes a structural probe key with integer
+//! arithmetic alone. Every other scalar is read through one borrowed
+//! evaluator, `scalar_cell`.
 
-use crate::catalog::{int_code, Database, IndexCol, RankOf};
-use crate::physical::Probe;
-use jgi_algebra::cq::{CqAtom, CqScalar, DocCol};
+use crate::catalog::{int_code, Cell, Database, IndexCol, RankOf, NULL_CODE};
+use jgi_algebra::cq::{ColRef, CqAtom, CqScalar, DocCol};
 use jgi_algebra::pred::CmpOp;
 use jgi_algebra::Value;
 use jgi_xml::encode::{NO_NAME, NO_PARENT, NO_VALUE};
@@ -312,32 +313,85 @@ fn int_expr(s: &CqScalar) -> Option<IntExpr> {
     }
 }
 
-/// One per-tuple key slot of an index probe, compiled once per execution
-/// the way a residual atom becomes a [`FastAtom`]. A structural probe
-/// (`pre`, `size`, `level`, `parent`, `pre + size`, column + constant)
-/// against an integer key column (`pre`, `size`, `level`, `parent`,
-/// `pre + size`) becomes an [`IntExpr`] coded by the catalog's integer rule
-/// ([`int_code`]); any other slot (`name`, `value`, `data`) codes through
-/// [`Probe::code_at`]. Checked builds compare every compiled code with
-/// `Probe::code_at`.
+/// The value a scalar computes over the tuple `get` (alias → `pre`) binds,
+/// borrowed from the store: no `name`/`value` read copies its string.
+/// `None` when a referenced value is NULL (the scalar then equals nothing).
+pub(crate) fn scalar_cell<'a>(
+    db: &'a Database,
+    s: &'a CqScalar,
+    get: impl Fn(usize) -> u32,
+) -> Option<Cell<'a>> {
+    let col = |cr: &ColRef| -> Option<Cell<'a>> {
+        let pre = get(cr.alias);
+        debug_assert_ne!(pre, u32::MAX, "scalar references an unbound alias");
+        match db.cell(pre, IndexCol::Col(cr.col)) {
+            Cell::Null => None,
+            c => Some(c),
+        }
+    };
+    match s {
+        CqScalar::Const(v) => match Cell::of(v) {
+            Cell::Null => None,
+            c => Some(c),
+        },
+        CqScalar::Col(cr) => col(cr),
+        CqScalar::ColPlusInt(cr, i) => match col(cr)? {
+            Cell::Int(x) => Some(Cell::Int(x + i)),
+            Cell::Dec(x) => Some(Cell::Dec(x + *i as f64)),
+            _ => None,
+        },
+        CqScalar::ColPlusCol(a, b) => match (col(a)?, col(b)?) {
+            (Cell::Int(x), Cell::Int(y)) => Some(Cell::Int(x + y)),
+            (x, y) => Some(Cell::Dec(x.as_f64()? + y.as_f64()?)),
+        },
+    }
+}
+
+/// The scalar's index-key code against key column `col`
+/// ([`Database::value_code`]) for the tuple `get` binds; `None` when a
+/// referenced value is NULL. A bare column probing its own key column reads
+/// the row's stored code; any other scalar codes its [`scalar_cell`].
+pub(crate) fn scalar_code(
+    db: &Database,
+    s: &CqScalar,
+    col: IndexCol,
+    get: impl Fn(usize) -> u32,
+) -> Option<u64> {
+    match s {
+        CqScalar::Col(cr) if IndexCol::Col(cr.col) == col => match db.code(get(cr.alias), col) {
+            NULL_CODE => None,
+            c => Some(c),
+        },
+        _ => scalar_cell(db, s, get).map(|c| db.cell_code(col, c)),
+    }
+}
+
+/// One per-tuple key slot of an index probe or a hash probe key, compiled
+/// once per execution the way a residual atom becomes a [`FastAtom`]. A
+/// structural scalar (`pre`, `size`, `level`, `parent`, `pre + size`,
+/// column + constant) against an integer key column (`pre`, `size`,
+/// `level`, `parent`, `pre + size`) becomes an [`IntExpr`] coded by the
+/// catalog's integer rule ([`int_code`]); any other slot (`name`, `value`,
+/// `data`) codes through [`scalar_code`]. Checked builds compare every
+/// compiled code with `scalar_code`.
 #[derive(Debug, Clone)]
 pub(crate) struct ProbeSlot {
-    probe: Probe,
+    scalar: CqScalar,
     col: IndexCol,
     int: Option<IntExpr>,
 }
 
 impl ProbeSlot {
-    /// Compile `probe` against key column `col`.
-    pub(crate) fn compile(probe: &Probe, col: IndexCol) -> ProbeSlot {
+    /// Compile `scalar` against key column `col`.
+    pub(crate) fn compile(scalar: &CqScalar, col: IndexCol) -> ProbeSlot {
         let int = match col {
             IndexCol::PreSize
             | IndexCol::Col(DocCol::Pre | DocCol::Size | DocCol::Level | DocCol::Parent) => {
-                int_expr(&probe.to_scalar())
+                int_expr(scalar)
             }
             IndexCol::Col(_) => None,
         };
-        ProbeSlot { probe: probe.clone(), col, int }
+        ProbeSlot { scalar: scalar.clone(), col, int }
     }
 
     /// The slot's key code for the tuple `get` (alias → `pre`) binds;
@@ -346,13 +400,13 @@ impl ProbeSlot {
     pub(crate) fn code_at(&self, db: &Database, get: impl Fn(usize) -> u32) -> Option<u64> {
         let code = match self.int {
             Some(e) => e.eval_at(db, &get).map(int_code),
-            None => self.probe.code_at(db, self.col, &get),
+            None => scalar_code(db, &self.scalar, self.col, &get),
         };
         debug_assert_eq!(
             code,
-            self.probe.code_at(db, self.col, &get),
-            "compiled probe slot {:?} on {:?} codes unlike Probe::code_at",
-            self.probe,
+            scalar_code(db, &self.scalar, self.col, &get),
+            "compiled probe slot {:?} on {:?} codes unlike scalar_code",
+            self.scalar,
             self.col
         );
         code
@@ -425,7 +479,6 @@ pub fn compile_atoms(db: &Database, atoms: &[CqAtom]) -> Vec<FastAtom> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use jgi_algebra::cq::ColRef;
     use jgi_xml::{DocStore, Tree};
 
     fn db() -> Database {
@@ -529,7 +582,7 @@ mod tests {
     }
 
     /// Every structural probe form codes through its compiled slot exactly
-    /// as through `Probe::code_at`, against every integer key column, on
+    /// as through `scalar_code`, against every integer key column, on
     /// every node of an XMark store; the edges code as the catalog's
     /// integer rule says.
     #[test]
@@ -541,13 +594,14 @@ mod tests {
         let db = Database::new(store);
         let cr = |col| ColRef { alias: 0, col };
         let structural = [DocCol::Pre, DocCol::Size, DocCol::Level, DocCol::Parent];
-        let mut probes: Vec<Probe> = structural.iter().map(|&c| Probe::Bound(cr(c))).collect();
+        let mut probes: Vec<CqScalar> =
+            structural.iter().map(|&c| CqScalar::Col(cr(c))).collect();
         for &c in &structural {
             for d in [-1, 0, 1, INT_DOMAIN as i64, 1 << 60] {
-                probes.push(Probe::BoundPlusInt(cr(c), d));
+                probes.push(CqScalar::ColPlusInt(cr(c), d));
             }
         }
-        probes.push(Probe::BoundPlusBound(cr(DocCol::Pre), cr(DocCol::Size)));
+        probes.push(CqScalar::ColPlusCol(cr(DocCol::Pre), cr(DocCol::Size)));
         let int_cols = structural.map(IndexCol::Col).into_iter().chain([IndexCol::PreSize]);
         for col in int_cols {
             for probe in &probes {
@@ -557,23 +611,23 @@ mod tests {
                     let get = |_| pre;
                     assert_eq!(
                         slot.code_at(&db, get),
-                        probe.code_at(&db, col, get),
+                        scalar_code(&db, probe, col, get),
                         "{probe:?} on {col:?} at {pre}"
                     );
                 }
             }
-            let doc = |p: Probe| ProbeSlot::compile(&p, col).code_at(&db, |_| 0);
-            assert_eq!(doc(Probe::Bound(cr(DocCol::Parent))), None, "NO_PARENT is NULL");
-            assert_eq!(doc(Probe::BoundPlusInt(cr(DocCol::Pre), -1)), Some(BELOW));
-            let top = Probe::BoundPlusInt(cr(DocCol::Pre), INT_DOMAIN as i64);
+            let doc = |p: CqScalar| ProbeSlot::compile(&p, col).code_at(&db, |_| 0);
+            assert_eq!(doc(CqScalar::Col(cr(DocCol::Parent))), None, "NO_PARENT is NULL");
+            assert_eq!(doc(CqScalar::ColPlusInt(cr(DocCol::Pre), -1)), Some(BELOW));
+            let top = CqScalar::ColPlusInt(cr(DocCol::Pre), INT_DOMAIN as i64);
             assert_eq!(doc(top), Some(between(INT_DOMAIN)));
         }
         // A `value` slot keeps the generic coding.
-        let value = Probe::Bound(cr(DocCol::Value));
+        let value = CqScalar::Col(cr(DocCol::Value));
         let slot = ProbeSlot::compile(&value, IndexCol::Col(DocCol::Value));
         assert!(slot.int.is_none());
         for pre in 0..db.store.len() as u32 {
-            let code = value.code_at(&db, IndexCol::Col(DocCol::Value), |_| pre);
+            let code = scalar_code(&db, &value, IndexCol::Col(DocCol::Value), |_| pre);
             assert_eq!(slot.code_at(&db, |_| pre), code);
         }
     }

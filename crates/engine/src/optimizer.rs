@@ -20,7 +20,7 @@
 //! a child step resolved upward becomes one `pre` probe.
 
 use crate::catalog::{Database, IndexCol};
-use crate::physical::{Access, Method, PhysPlan, Probe, RangeProbe, Step};
+use crate::physical::{Access, Method, PhysPlan, RangeProbe, Step};
 use jgi_algebra::cq::{ColRef, CqAtom, CqScalar, DocCol};
 use jgi_algebra::pred::CmpOp;
 use jgi_algebra::{ConjunctiveQuery, Value};
@@ -381,7 +381,7 @@ pub fn plan_with_stats_opts(
         est_cost: final_node.cost,
         est_rows: final_node.card,
     };
-    mark_early_out(cq, &mut phys);
+    mark_early_out(&mut phys);
     (phys, stats)
 }
 
@@ -408,10 +408,116 @@ pub fn parent_keys(atoms: &[CqAtom]) -> Vec<CqAtom> {
 }
 
 /// The alias pairs `(parent, child)` whose atoms hold Fig. 3's child-axis
-/// form (see [`parent_keys`]), each once.
+/// form (see [`parent_keys`], [`PairShape::is_child`]), each once, in the
+/// order of their first strict `parent.pre < child.pre` atom.
 fn child_pairs(atoms: &[CqAtom]) -> Vec<(usize, usize)> {
-    let col = |s: &CqScalar, want: DocCol| match s {
-        CqScalar::Col(c) if c.col == want => Some(c.alias),
+    let mut pairs: Vec<(usize, usize)> = Vec::new();
+    for p in atoms {
+        let al = p.aliases();
+        for (a, b) in al.iter().flat_map(|&x| al.iter().map(move |&y| (x, y))) {
+            if a != b
+                && !pairs.contains(&(a, b))
+                && pair_shape(std::slice::from_ref(p), a, b).before.strict()
+                && pair_shape(atoms, a, b).is_child()
+            {
+                pairs.push((a, b));
+            }
+        }
+    }
+    pairs
+}
+
+/// The comparison forms one order term of a [`PairShape`] was written in.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct Forms(u8);
+
+impl Forms {
+    /// `x < y`, as written.
+    const LT: u8 = 1;
+    /// `x <= y`, as written.
+    const LE: u8 = 2;
+    /// `y > x`, the mirrored `<`.
+    const GT: u8 = 4;
+    /// `y >= x`, the mirrored `<=`.
+    const GE: u8 = 8;
+
+    /// Written `<` or `<=`: the term as the estimator and EXPLAIN read it.
+    pub(crate) fn written(self) -> bool {
+        self.0 & (Forms::LT | Forms::LE) != 0
+    }
+
+    /// Strict, in either orientation.
+    fn strict(self) -> bool {
+        self.0 & (Forms::LT | Forms::GT) != 0
+    }
+
+    /// Non-strict, in either orientation.
+    fn closed(self) -> bool {
+        self.0 & (Forms::LE | Forms::GE) != 0
+    }
+}
+
+/// What the atoms between aliases `a` and `b` say about the two nodes in
+/// Fig. 3's encoding terms: the one reader of an atom pair's axis shape.
+/// The estimator, [`parent_keys`], [`lint_parent_probes`] and EXPLAIN's
+/// continuation labels each read the part they need. They accept different
+/// forms of the same term, so an order term (`x ⊲ y` below: `x < y`,
+/// `x <= y`, `y > x` or `y >= x`) keeps the [`Forms`] it was written in,
+/// and the level link is kept both as the estimator reads it (any
+/// `level + 1`, no direction) and as the child form reads it (a direction).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct PairShape {
+    /// `b.pre ⊲ a.pre`: `a` starts after `b`.
+    pub after: Forms,
+    /// `b.pre + b.size ⊲ a.pre`: `a` follows `b`'s subtree.
+    pub after_end: Forms,
+    /// `a.pre ⊲ b.pre + b.size`: `a` starts inside `b`'s subtree.
+    pub inside: Forms,
+    /// `a.pre ⊲ b.pre`: `b` starts after `a`.
+    pub before: Forms,
+    /// `a.pre + a.size ⊲ b.pre`: `b` follows `a`'s subtree.
+    pub before_end: Forms,
+    /// `b.pre ⊲ a.pre + a.size`: `b` starts inside `a`'s subtree.
+    pub contains: Forms,
+    /// An `=` atom with `x.level + 1` on one side, of either alias and
+    /// whatever the other side is.
+    pub level_link: bool,
+    /// `b.level = a.level + 1`, written as `=` of the two level columns
+    /// with any offsets.
+    pub level_down: bool,
+    /// `a.value = b.value`.
+    pub value_eq: bool,
+    /// An `=` atom with a bare `a.value` on one side.
+    pub a_value_eq: bool,
+    /// `a.parent = b.parent`.
+    pub parent_eq: bool,
+    /// Atoms that read as none of the written (`<`, `<=`) order terms,
+    /// `level_link`, `value_eq` or `parent_eq`.
+    pub other: u32,
+}
+
+impl PairShape {
+    /// Fig. 3's child axis, `a.pre < b.pre ≤ a.pre + a.size ∧ a.level + 1 =
+    /// b.level`, with the start strict, the end closed and either
+    /// orientation accepted: `b` is a child of `a`.
+    fn is_child(&self) -> bool {
+        self.before.strict() && self.contains.closed() && self.level_down
+    }
+}
+
+/// Read the atoms that mention both `a` and `b` (two distinct aliases) as
+/// a [`PairShape`].
+pub(crate) fn pair_shape(atoms: &[CqAtom], a: usize, b: usize) -> PairShape {
+    debug_assert_ne!(a, b, "a pair of two aliases");
+    // A term's place in the encoding: `x.pre` starts `x`, `x.pre + x.size`
+    // ends it.
+    let place = |s: &CqScalar| match s {
+        CqScalar::Col(c) if c.col == DocCol::Pre => Some((c.alias, false)),
+        CqScalar::ColPlusCol(u, v)
+            if u.alias == v.alias && u.col == DocCol::Pre && v.col == DocCol::Size =>
+        {
+            Some((u.alias, true))
+        }
         _ => None,
     };
     let level = |s: &CqScalar| match s {
@@ -419,48 +525,79 @@ fn child_pairs(atoms: &[CqAtom]) -> Vec<(usize, usize)> {
         CqScalar::ColPlusInt(c, i) if c.col == DocCol::Level => Some((c.alias, *i)),
         _ => None,
     };
-    // Pairs `(a, b)` holding each of the three conjuncts.
-    let mut before = Vec::new(); // a.pre < b.pre
-    let mut within = Vec::new(); // b.pre ≤ a.pre + a.size
-    let mut one_down = Vec::new(); // b.level = a.level + 1
+    let bare = |s: &CqScalar, x: usize, col: DocCol| {
+        matches!(s, CqScalar::Col(c) if c.alias == x && c.col == col)
+    };
+    let mut shape = PairShape::default();
     for p in atoms {
-        let (lhs, op, rhs) = match p.op {
-            CmpOp::Gt | CmpOp::Ge => (&p.rhs, p.op.flipped(), &p.lhs),
-            op => (&p.lhs, op, &p.rhs),
-        };
-        match (op, rhs) {
-            (CmpOp::Lt, _) => {
-                if let (Some(a), Some(b)) = (col(lhs, DocCol::Pre), col(rhs, DocCol::Pre)) {
-                    before.push((a, b));
-                }
-            }
-            (CmpOp::Le, CqScalar::ColPlusCol(u, v))
-                if u.alias == v.alias && u.col == DocCol::Pre && v.col == DocCol::Size =>
-            {
-                if let Some(b) = col(lhs, DocCol::Pre) {
-                    within.push((u.alias, b));
-                }
-            }
-            (CmpOp::Eq, _) => {
-                // x.level + i = y.level + j
-                if let (Some((x, i)), Some((y, j))) = (level(lhs), level(rhs)) {
-                    match i - j {
-                        1 => one_down.push((x, y)),
-                        -1 => one_down.push((y, x)),
-                        _ => {}
+        let al = p.aliases();
+        if !al.contains(&a) || !al.contains(&b) {
+            continue;
+        }
+        let read = match p.op {
+            CmpOp::Lt | CmpOp::Le | CmpOp::Gt | CmpOp::Ge => {
+                let (form, lo, hi) = match p.op {
+                    CmpOp::Lt => (Forms::LT, &p.lhs, &p.rhs),
+                    CmpOp::Le => (Forms::LE, &p.lhs, &p.rhs),
+                    CmpOp::Gt => (Forms::GT, &p.rhs, &p.lhs),
+                    _ => (Forms::GE, &p.rhs, &p.lhs),
+                };
+                // The atom mentions both aliases, so two places are one
+                // of each.
+                let term = match (place(lo), place(hi)) {
+                    (Some((x, false)), Some((_, false))) => {
+                        Some(if x == a { &mut shape.before } else { &mut shape.after })
                     }
+                    (Some((x, true)), Some((_, false))) => {
+                        Some(if x == a { &mut shape.before_end } else { &mut shape.after_end })
+                    }
+                    (Some((x, false)), Some((_, true))) => {
+                        Some(if x == a { &mut shape.inside } else { &mut shape.contains })
+                    }
+                    _ => None,
+                };
+                match term {
+                    Some(t) => {
+                        t.0 |= form;
+                        Forms(form).written()
+                    }
+                    None => false,
                 }
             }
-            _ => {}
+            CmpOp::Eq => {
+                let plus_one = |s: &CqScalar| {
+                    matches!(s, CqScalar::ColPlusInt(c, 1) if c.col == DocCol::Level)
+                };
+                let both = |col| {
+                    (bare(&p.lhs, a, col) && bare(&p.rhs, b, col))
+                        || (bare(&p.lhs, b, col) && bare(&p.rhs, a, col))
+                };
+                let link = plus_one(&p.lhs) || plus_one(&p.rhs);
+                let (value_eq, parent_eq) = (both(DocCol::Value), both(DocCol::Parent));
+                // `x.level + i = y.level + j`: `i - j = 1` puts `y` one
+                // level below `x`.
+                if let (Some((x, i)), Some((y, j))) = (level(&p.lhs), level(&p.rhs)) {
+                    let below = match i - j {
+                        1 => Some((x, y)),
+                        -1 => Some((y, x)),
+                        _ => None,
+                    };
+                    shape.level_down |= below == Some((a, b));
+                }
+                shape.level_link |= link;
+                shape.value_eq |= value_eq;
+                shape.parent_eq |= parent_eq;
+                shape.a_value_eq |=
+                    bare(&p.lhs, a, DocCol::Value) || bare(&p.rhs, a, DocCol::Value);
+                link || value_eq || parent_eq
+            }
+            CmpOp::Ne => false,
+        };
+        if !read {
+            shape.other += 1;
         }
     }
-    let mut pairs: Vec<(usize, usize)> = Vec::new();
-    for &ab in &before {
-        if ab.0 != ab.1 && within.contains(&ab) && one_down.contains(&ab) && !pairs.contains(&ab) {
-            pairs.push(ab);
-        }
-    }
-    pairs
+    shape
 }
 
 /// DP state: cost/cardinality plus a parent pointer into the subset table.
@@ -546,7 +683,7 @@ fn compute_step_options(
 ) -> StepOptions {
     let (access, per_probe, probe_cost) =
         best_access(db, cq, alias, locals, joins, keys, mask, stats);
-    let has_var = access_has_var(&access);
+    let has_var = access.method.probes().any(|p| !p.aliases().is_empty());
     // Under NL forcing the hash join is not merely penalized — it is not
     // even enumerated, so forced-NL planning stays the cheap baseline.
     let hash = if join == JoinStrategy::Nl {
@@ -556,26 +693,6 @@ fn compute_step_options(
             .map(|(step, build_cost, per_probe)| HashOpt { step, build_cost, per_probe })
     };
     StepOptions { access, per_probe, probe_cost, has_var, hash }
-}
-
-/// Does this access probe with values of already-bound aliases (as opposed
-/// to constants only)? Variable probes are what the executor sorts and
-/// serves with a galloping cursor.
-fn access_has_var(a: &Access) -> bool {
-    let var = |p: &Probe| !matches!(p, Probe::Const(_));
-    match &a.method {
-        Method::IxScan { eq, range, .. } => {
-            eq.iter().any(var)
-                || range
-                    .as_ref()
-                    .map(|r| {
-                        r.lo.as_ref().map(|(p, _)| var(p)).unwrap_or(false)
-                            || r.hi.as_ref().map(|(p, _)| var(p)).unwrap_or(false)
-                    })
-                    .unwrap_or(false)
-        }
-        Method::TbScan => false,
-    }
 }
 
 fn consider(best: &mut [Option<Node>], mask: u32, node: Node, stats: &mut PlanStats) {
@@ -613,7 +730,7 @@ fn best_access(
         }
     }
     // Sargable forms: (index column, op, probe, index of the source atom).
-    let sargs: Vec<(IndexCol, CmpOp, Probe, usize)> = applicable
+    let sargs: Vec<(IndexCol, CmpOp, CqScalar, usize)> = applicable
         .iter()
         .enumerate()
         .filter_map(|(i, p)| sargable(alias, p, mask).map(|(c, op, pr)| (c, op, pr, i)))
@@ -640,7 +757,7 @@ fn best_access(
 
     // Candidate: each index, matched by key prefix.
     for (i, idx) in db.indexes.iter().enumerate() {
-        let mut eq: Vec<Probe> = Vec::new();
+        let mut eq: Vec<CqScalar> = Vec::new();
         let mut range: Option<RangeProbe> = None;
         let mut used_sel = 1.0f64;
         let mut used_atoms: Vec<usize> = Vec::new();
@@ -649,7 +766,7 @@ fn best_access(
             if let Some((_, _, probe, ai)) =
                 sargs.iter().find(|(c, op, _, _)| *c == kc && *op == CmpOp::Eq)
             {
-                used_sel *= col_eq_selectivity(db, cq, alias, kc, &applicable, mask);
+                used_sel *= col_eq_selectivity(db, cq, alias, kc);
                 eq.push(probe.clone());
                 used_atoms.push(*ai);
                 continue;
@@ -722,7 +839,7 @@ fn hash_option(
 ) -> Option<(Step, f64, f64)> {
     // Find equality atoms `alias.col = bound-expr` suitable as hash keys.
     let mut build_key: Vec<DocCol> = Vec::new();
-    let mut probe_key: Vec<Probe> = Vec::new();
+    let mut probe_key: Vec<CqScalar> = Vec::new();
     let mut residual: Vec<CqAtom> = Vec::new();
     for p in joins {
         let al = p.aliases();
@@ -739,10 +856,10 @@ fn hash_option(
             (o, CqScalar::Col(c)) if c.alias == alias => (Some(c.col), o),
             _ => (None, &p.lhs),
         };
-        match (mine, scalar_to_probe(other, mask)) {
-            (Some(col), Some(probe)) => {
+        match mine {
+            Some(col) if bound(other, mask) => {
                 build_key.push(col);
-                probe_key.push(probe);
+                probe_key.push(other.clone());
             }
             _ => residual.push(p.clone()),
         }
@@ -767,8 +884,7 @@ fn hash_option(
 
 /// Can this atom drive an index probe for `alias` given `mask`?
 /// Normalizes to `(alias column, op, probe over the bound side)`.
-fn sargable(alias: usize, p: &CqAtom, mask: u32) -> Option<(IndexCol, CmpOp, Probe)> {
-    let bound_ok = |s: &CqScalar| s.aliases().iter().all(|&x| mask & (1 << x) != 0);
+fn sargable(alias: usize, p: &CqAtom, mask: u32) -> Option<(IndexCol, CmpOp, CqScalar)> {
     let this_side = |s: &CqScalar| -> Option<IndexCol> {
         match s {
             CqScalar::Col(c) if c.alias == alias => Some(IndexCol::Col(c.col)),
@@ -785,67 +901,53 @@ fn sargable(alias: usize, p: &CqAtom, mask: u32) -> Option<(IndexCol, CmpOp, Pro
     };
     // alias-col op bound-side
     if let Some(c) = this_side(&p.lhs) {
-        if bound_ok(&p.rhs) {
-            return Some((c, p.op, scalar_to_probe(&p.rhs, mask)?));
+        if bound(&p.rhs, mask) {
+            return Some((c, p.op, p.rhs.clone()));
         }
     }
     if let Some(c) = this_side(&p.rhs) {
-        if bound_ok(&p.lhs) {
-            return Some((c, p.op.flipped(), scalar_to_probe(&p.lhs, mask)?));
+        if bound(&p.lhs, mask) {
+            return Some((c, p.op.flipped(), p.lhs.clone()));
         }
     }
     // `alias.level + 1 = bound` ⇒ level = bound - 1.
-    if let (CqScalar::ColPlusInt(c, i), other) = (&p.lhs, &p.rhs) {
-        if c.alias == alias && bound_ok(other) && p.op == CmpOp::Eq {
-            if let Some(probe) = scalar_to_probe(other, mask) {
-                let shifted = shift_probe(probe, -i);
-                return Some((IndexCol::Col(c.col), CmpOp::Eq, shifted?));
-            }
-        }
-    }
-    if let (other, CqScalar::ColPlusInt(c, i)) = (&p.lhs, &p.rhs) {
-        if c.alias == alias && bound_ok(other) && p.op == CmpOp::Eq {
-            if let Some(probe) = scalar_to_probe(other, mask) {
-                let shifted = shift_probe(probe, -i);
-                return Some((IndexCol::Col(c.col), CmpOp::Eq, shifted?));
+    for (mine, other) in [(&p.lhs, &p.rhs), (&p.rhs, &p.lhs)] {
+        if let CqScalar::ColPlusInt(c, i) = mine {
+            if c.alias == alias && bound(other, mask) && p.op == CmpOp::Eq {
+                return Some((IndexCol::Col(c.col), CmpOp::Eq, shift_probe(other.clone(), -i)?));
             }
         }
     }
     None
 }
 
-fn scalar_to_probe(s: &CqScalar, mask: u32) -> Option<Probe> {
-    let bound = |c: &ColRef| mask & (1 << c.alias) != 0;
-    match s {
-        CqScalar::Const(v) => Some(Probe::Const(v.clone())),
-        CqScalar::Col(c) if bound(c) => Some(Probe::Bound(*c)),
-        CqScalar::ColPlusInt(c, i) if bound(c) => Some(Probe::BoundPlusInt(*c, *i)),
-        CqScalar::ColPlusCol(a, b) if bound(a) && bound(b) => {
-            Some(Probe::BoundPlusBound(*a, *b))
-        }
-        _ => None,
-    }
+/// Does the scalar read only constants and aliases of the bound set `mask`,
+/// so that a probe can compute it?
+fn bound(s: &CqScalar, mask: u32) -> bool {
+    s.aliases().iter().all(|&x| mask & (1 << x) != 0)
 }
 
-fn shift_probe(p: Probe, delta: i64) -> Option<Probe> {
+fn shift_probe(p: CqScalar, delta: i64) -> Option<CqScalar> {
     Some(match p {
-        Probe::Const(Value::Int(i)) => Probe::Const(Value::Int(i + delta)),
-        Probe::Bound(c) => Probe::BoundPlusInt(c, delta),
-        Probe::BoundPlusInt(c, i) => Probe::BoundPlusInt(c, i + delta),
+        CqScalar::Const(Value::Int(i)) => CqScalar::Const(Value::Int(i + delta)),
+        CqScalar::Col(c) => CqScalar::ColPlusInt(c, delta),
+        CqScalar::ColPlusInt(c, i) => CqScalar::ColPlusInt(c, i + delta),
         _ => return None,
     })
 }
 
-/// Name/kind of an alias, read off its local predicates (for the
-/// structural selectivity model).
-fn alias_name(cq: &ConjunctiveQuery, alias: usize) -> (Option<String>, Option<NodeKind>) {
+/// The node test of `alias`: the name and kind constants its `=` atoms
+/// among `atoms` pin (`alias.name = 'n'`, `alias.kind = K`, the last one
+/// of each winning). The estimator reads it off the query, EXPLAIN off an
+/// access.
+pub(crate) fn node_test(atoms: &[CqAtom], alias: usize) -> (Option<&str>, Option<NodeKind>) {
     let mut name = None;
     let mut kind = None;
-    for p in cq.predicates.iter().filter(|p| p.op == CmpOp::Eq) {
+    for p in atoms.iter().filter(|p| p.op == CmpOp::Eq) {
         if let (CqScalar::Col(c), CqScalar::Const(v)) = (&p.lhs, &p.rhs) {
             if c.alias == alias {
                 match (c.col, v) {
-                    (DocCol::Name, Value::Str(s)) => name = Some(s.clone()),
+                    (DocCol::Name, Value::Str(s)) => name = Some(s.as_str()),
                     (DocCol::Kind, Value::Kind(k)) => kind = Some(*k),
                     _ => {}
                 }
@@ -857,9 +959,8 @@ fn alias_name(cq: &ConjunctiveQuery, alias: usize) -> (Option<String>, Option<No
 
 /// Estimated count of rows matching an alias's name/kind tests.
 fn alias_count(db: &Database, cq: &ConjunctiveQuery, alias: usize) -> f64 {
-    let (name, kind) = alias_name(cq, alias);
-    match (name, kind) {
-        (Some(n), Some(k)) => db.stats.name_count(&n, k) as f64,
+    match node_test(&cq.predicates, alias) {
+        (Some(n), Some(k)) => db.stats.name_count(n, k) as f64,
         (Some(n), None) => db
             .stats
             .name_stats
@@ -875,9 +976,8 @@ fn alias_count(db: &Database, cq: &ConjunctiveQuery, alias: usize) -> f64 {
 
 /// Average subtree size of the alias's nodes.
 fn alias_avg_size(db: &Database, cq: &ConjunctiveQuery, alias: usize) -> f64 {
-    let (name, kind) = alias_name(cq, alias);
-    match (name, kind) {
-        (Some(n), Some(k)) => db.stats.name_avg_size(&n, k),
+    match node_test(&cq.predicates, alias) {
+        (Some(n), Some(k)) => db.stats.name_avg_size(n, k),
         _ => db.stats.avg_size,
     }
     .max(1.0)
@@ -905,14 +1005,7 @@ fn combined_selectivity(
         }
     }
     for &b in &partners {
-        let pair: Vec<&CqAtom> = atoms
-            .iter()
-            .filter(|p| {
-                let al = p.aliases();
-                al.contains(&alias) && al.contains(&b)
-            })
-            .collect();
-        sel *= structural_pair_selectivity(db, cq, alias, b, &pair, n);
+        sel *= structural_pair_selectivity(db, cq, alias, b, &pair_shape(atoms, alias, b), n);
     }
     // Local predicates.
     for p in atoms.iter().filter(|p| p.is_local() && p.aliases() == vec![alias]) {
@@ -930,39 +1023,25 @@ fn local_atom_selectivity(db: &Database, p: &CqAtom) -> f64 {
     }
 }
 
-/// Selectivity of the atom *set* connecting `alias` to bound alias `b`.
-/// Classifies the set as an axis relationship and applies the containment
-/// model: P(a inside b) ≈ avg_size(b) / N, with the dual for reverse axes
-/// and a level factor for child/parent.
+/// Selectivity of the atom *set* connecting `alias` to bound alias `b`,
+/// read as its [`PairShape`]: the containment model P(a inside b) ≈
+/// avg_size(b) / N, with the dual for reverse axes and a level factor for
+/// child/parent. Order terms count as written with `<`/`<=`, a
+/// following/preceding end form as the start it bounds, and the level link
+/// without its direction.
 fn structural_pair_selectivity(
     db: &Database,
     cq: &ConjunctiveQuery,
     alias: usize,
     b: usize,
-    pair: &[&CqAtom],
+    shape: &PairShape,
     n: f64,
 ) -> f64 {
-    let mut a_low = false; // b.pre < a.pre (a after b's start)
-    let mut a_in_b = false; // a.pre <= b.pre + b.size
-    let mut b_low = false;
-    let mut b_in_a = false;
-    let mut level_link = false;
-    let mut value_eq = false;
-    let mut parent_eq = false;
-    let mut other = 0usize;
-    for p in pair {
-        let classified = classify_atom(p, alias, b);
-        match classified {
-            AtomClass::ALow => a_low = true,
-            AtomClass::AInB => a_in_b = true,
-            AtomClass::BLow => b_low = true,
-            AtomClass::BInA => b_in_a = true,
-            AtomClass::LevelLink => level_link = true,
-            AtomClass::ValueEq => value_eq = true,
-            AtomClass::ParentEq => parent_eq = true,
-            AtomClass::Other => other += 1,
-        }
-    }
+    let a_low = shape.after.written() || shape.after_end.written();
+    let a_in_b = shape.inside.written();
+    let b_low = shape.before.written() || shape.before_end.written();
+    let b_in_a = shape.contains.written();
+    let PairShape { level_link, value_eq, parent_eq, other, .. } = *shape;
     let mut sel = 1.0;
     if a_low && a_in_b {
         // a inside b's subtree (descendant-direction edge).
@@ -993,76 +1072,8 @@ fn structural_pair_selectivity(
     sel * 0.5f64.powi(other as i32)
 }
 
-enum AtomClass {
-    ALow,
-    AInB,
-    BLow,
-    BInA,
-    LevelLink,
-    ValueEq,
-    ParentEq,
-    Other,
-}
-
-fn classify_atom(p: &CqAtom, a: usize, b: usize) -> AtomClass {
-    use CqScalar::*;
-    let is = |s: &CqScalar, alias: usize, col: DocCol| matches!(s, Col(c) if c.alias == alias && c.col == col);
-    let is_end = |s: &CqScalar, alias: usize| matches!(s, ColPlusCol(x, y) if x.alias == alias && y.alias == alias && x.col == DocCol::Pre && y.col == DocCol::Size);
-    match p.op {
-        CmpOp::Lt | CmpOp::Le => {
-            if is(&p.lhs, b, DocCol::Pre) && is(&p.rhs, a, DocCol::Pre) {
-                return AtomClass::ALow;
-            }
-            if is(&p.lhs, a, DocCol::Pre) && is_end(&p.rhs, b) {
-                return AtomClass::AInB;
-            }
-            if is(&p.lhs, a, DocCol::Pre) && is(&p.rhs, b, DocCol::Pre) {
-                return AtomClass::BLow;
-            }
-            if is(&p.lhs, b, DocCol::Pre) && is_end(&p.rhs, a) {
-                return AtomClass::BInA;
-            }
-            // following/preceding forms (x.pre + x.size < y.pre).
-            if is_end(&p.lhs, b) && is(&p.rhs, a, DocCol::Pre) {
-                return AtomClass::ALow;
-            }
-            if is_end(&p.lhs, a) && is(&p.rhs, b, DocCol::Pre) {
-                return AtomClass::BLow;
-            }
-            AtomClass::Other
-        }
-        CmpOp::Eq => {
-            if (is(&p.lhs, a, DocCol::Value) && is(&p.rhs, b, DocCol::Value))
-                || (is(&p.lhs, b, DocCol::Value) && is(&p.rhs, a, DocCol::Value))
-            {
-                return AtomClass::ValueEq;
-            }
-            if (is(&p.lhs, a, DocCol::Parent) && is(&p.rhs, b, DocCol::Parent))
-                || (is(&p.lhs, b, DocCol::Parent) && is(&p.rhs, a, DocCol::Parent))
-            {
-                return AtomClass::ParentEq;
-            }
-            // level + 1 links.
-            if matches!(&p.lhs, ColPlusInt(c, 1) if c.col == DocCol::Level)
-                || matches!(&p.rhs, ColPlusInt(c, 1) if c.col == DocCol::Level)
-            {
-                return AtomClass::LevelLink;
-            }
-            AtomClass::Other
-        }
-        _ => AtomClass::Other,
-    }
-}
-
 /// Selectivity used for the key prefix consumed by equality probes.
-fn col_eq_selectivity(
-    db: &Database,
-    cq: &ConjunctiveQuery,
-    alias: usize,
-    col: IndexCol,
-    _atoms: &[CqAtom],
-    _mask: u32,
-) -> f64 {
+fn col_eq_selectivity(db: &Database, cq: &ConjunctiveQuery, alias: usize, col: IndexCol) -> f64 {
     let n = db.stats.total.max(1) as f64;
     match col {
         IndexCol::Col(DocCol::Name) | IndexCol::Col(DocCol::Kind) => {
@@ -1070,7 +1081,7 @@ fn col_eq_selectivity(
             let count = alias_count(db, cq, alias);
             // Attribute both columns' selectivity jointly to the first one
             // consumed; the second contributes nothing more.
-            let has_name = alias_name(cq, alias).0.is_some();
+            let has_name = node_test(&cq.predicates, alias).0.is_some();
             if has_name && matches!(col, IndexCol::Col(DocCol::Kind)) {
                 1.0 // already folded into the name column's estimate
             } else {
@@ -1135,7 +1146,7 @@ fn range_selectivity(
 /// Flag early-out semijoins: an alias whose binding is never used later
 /// (not in SELECT/ORDER BY, not referenced by residuals of later steps)
 /// only needs an existence check (paper Fig. 10's `n` flag).
-fn mark_early_out(cq: &ConjunctiveQuery, plan: &mut PhysPlan) {
+fn mark_early_out(plan: &mut PhysPlan) {
     let mut needed: Vec<bool> = vec![false; plan.n_aliases];
     for o in &plan.select {
         needed[o.alias] = true;
@@ -1143,43 +1154,11 @@ fn mark_early_out(cq: &ConjunctiveQuery, plan: &mut PhysPlan) {
     for o in &plan.order_by {
         needed[o.alias] = true;
     }
-    let _ = cq;
     for i in (0..plan.steps.len()).rev() {
         let alias = plan.steps[i].access().alias;
         let used_later = plan.steps[i + 1..].iter().any(|s| {
-            let a = s.access();
-            let in_residual = a.residual.iter().any(|p| p.aliases().contains(&alias));
-            let in_probe = match s {
-                Step::Nl(acc) => match &acc.method {
-                    Method::IxScan { eq, range, .. } => {
-                        let probe_uses = |p: &Probe| match p {
-                            Probe::Bound(c) | Probe::BoundPlusInt(c, _) => c.alias == alias,
-                            Probe::BoundPlusBound(x, y) => {
-                                x.alias == alias || y.alias == alias
-                            }
-                            Probe::Const(_) => false,
-                        };
-                        eq.iter().any(probe_uses)
-                            || range
-                                .as_ref()
-                                .map(|r| {
-                                    r.lo.as_ref().map(|(p, _)| probe_uses(p)).unwrap_or(false)
-                                        || r.hi
-                                            .as_ref()
-                                            .map(|(p, _)| probe_uses(p))
-                                            .unwrap_or(false)
-                                })
-                                .unwrap_or(false)
-                    }
-                    Method::TbScan => false,
-                },
-                Step::Hash { probe_key, .. } => probe_key.iter().any(|p| match p {
-                    Probe::Bound(c) | Probe::BoundPlusInt(c, _) => c.alias == alias,
-                    Probe::BoundPlusBound(x, y) => x.alias == alias || y.alias == alias,
-                    Probe::Const(_) => false,
-                }),
-            };
-            in_residual || in_probe
+            let in_residual = s.access().residual.iter().any(|p| p.aliases().contains(&alias));
+            in_residual || s.probes().any(|p| p.aliases().contains(&alias))
         });
         if !needed[alias] && !used_later {
             match &mut plan.steps[i] {
@@ -1311,7 +1290,7 @@ mod tests {
 
     /// The name test of an alias in the query.
     fn name_of(cq: &ConjunctiveQuery, alias: usize) -> Option<String> {
-        alias_name(cq, alias).0
+        node_test(&cq.predicates, alias).0.map(str::to_string)
     }
 
     /// §4.1 step reordering: for Q2, evaluation must *not* start at the

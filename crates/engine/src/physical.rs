@@ -8,101 +8,19 @@
 //! `SORT` with duplicate elimination plus `RETURN` — implements the
 //! `SELECT DISTINCT … ORDER BY` block.
 
-use crate::catalog::{Cell, Database, IndexCol, NULL_CODE};
-use crate::fastpred::{compile_atoms, FastAtom, ProbeSlot};
+use crate::catalog::{Database, IndexCol, NULL_CODE};
+use crate::fastpred::{compile_atoms, scalar_cell, FastAtom, ProbeSlot};
 use jgi_algebra::cq::{ColRef, CqAtom, CqScalar, DocCol};
-use jgi_algebra::Value;
 use jgi_xml::encode::NO_PARENT;
 use std::collections::HashMap;
-
-/// A value computable from the already-bound aliases (plus constants) —
-/// what an index probe may use.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Probe {
-    /// Constant.
-    Const(Value),
-    /// Column of a bound alias.
-    Bound(ColRef),
-    /// Column of a bound alias plus an integer (`level + 1`, `pre - 1`).
-    BoundPlusInt(ColRef, i64),
-    /// Sum of two bound columns (`pre + size`).
-    BoundPlusBound(ColRef, ColRef),
-}
-
-impl Probe {
-    /// Evaluate through an alias → `pre` accessor, so the batch pipeline
-    /// can evaluate probes straight out of column vectors without
-    /// materializing a bindings tuple. `None` when a referenced value is
-    /// NULL (the probe then matches nothing).
-    pub fn eval_at(&self, db: &Database, get: impl Fn(usize) -> u32) -> Option<Value> {
-        self.cell_at(db, get).map(Cell::to_value)
-    }
-
-    /// The probe's index-key code against key column `col`
-    /// ([`Database::value_code`]); `None` when a referenced value is NULL.
-    /// A bound column probing its own index column reads the row's code
-    /// straight from the column vectors; no probe builds a `Value`.
-    pub(crate) fn code_at(
-        &self,
-        db: &Database,
-        col: IndexCol,
-        get: impl Fn(usize) -> u32,
-    ) -> Option<u64> {
-        match self {
-            Probe::Bound(cr) if IndexCol::Col(cr.col) == col => match db.code(get(cr.alias), col) {
-                NULL_CODE => None,
-                c => Some(c),
-            },
-            _ => self.cell_at(db, get).map(|c| db.cell_code(col, c)),
-        }
-    }
-
-    /// The probe as a CQ scalar (the form residual atoms compile from).
-    pub(crate) fn to_scalar(&self) -> CqScalar {
-        match self {
-            Probe::Const(v) => CqScalar::Const(v.clone()),
-            Probe::Bound(c) => CqScalar::Col(*c),
-            Probe::BoundPlusInt(c, i) => CqScalar::ColPlusInt(*c, *i),
-            Probe::BoundPlusBound(a, b) => CqScalar::ColPlusCol(*a, *b),
-        }
-    }
-
-    /// [`Probe::eval_at`], borrowed.
-    fn cell_at<'a>(&'a self, db: &'a Database, get: impl Fn(usize) -> u32) -> Option<Cell<'a>> {
-        let col = |cr: &ColRef| -> Option<Cell<'a>> {
-            let pre = get(cr.alias);
-            debug_assert_ne!(pre, u32::MAX, "probe references an unbound alias");
-            match db.cell(pre, IndexCol::Col(cr.col)) {
-                Cell::Null => None,
-                c => Some(c),
-            }
-        };
-        match self {
-            Probe::Const(v) => match Cell::of(v) {
-                Cell::Null => None,
-                c => Some(c),
-            },
-            Probe::Bound(cr) => col(cr),
-            Probe::BoundPlusInt(cr, i) => match col(cr)? {
-                Cell::Int(x) => Some(Cell::Int(x + i)),
-                Cell::Dec(x) => Some(Cell::Dec(x + *i as f64)),
-                _ => None,
-            },
-            Probe::BoundPlusBound(a, b) => match (col(a)?, col(b)?) {
-                (Cell::Int(x), Cell::Int(y)) => Some(Cell::Int(x + y)),
-                (x, y) => Some(Cell::Dec(x.as_f64()? + y.as_f64()?)),
-            },
-        }
-    }
-}
 
 /// A range bound on one index column.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RangeProbe {
     /// Lower bound (value, strict).
-    pub lo: Option<(Probe, bool)>,
+    pub lo: Option<(CqScalar, bool)>,
     /// Upper bound (value, strict).
-    pub hi: Option<(Probe, bool)>,
+    pub hi: Option<(CqScalar, bool)>,
 }
 
 /// How one alias is accessed.
@@ -116,10 +34,22 @@ pub enum Method {
         /// Index slot in the database catalog.
         index: usize,
         /// Values for the leading key columns.
-        eq: Vec<Probe>,
+        eq: Vec<CqScalar>,
         /// Range on key column `eq.len()`.
         range: Option<RangeProbe>,
     },
+}
+
+impl Method {
+    /// The scalars the method probes with: equality values, then the
+    /// range's bounds. Each reads constants and already-bound aliases only.
+    pub fn probes(&self) -> impl Iterator<Item = &CqScalar> {
+        let (eq, range): (&[CqScalar], _) = match self {
+            Method::IxScan { eq, range, .. } => (eq, range.as_ref()),
+            Method::TbScan => (&[], None),
+        };
+        eq.iter().chain(range.into_iter().flat_map(|r| r.lo.iter().chain(&r.hi).map(|(p, _)| p)))
+    }
 }
 
 /// Access of a single alias, with residual predicates checked per row.
@@ -153,7 +83,7 @@ pub enum Step {
         /// Build key: columns of the step's alias.
         build_key: Vec<DocCol>,
         /// Probe key: computed from bound aliases.
-        probe_key: Vec<Probe>,
+        probe_key: Vec<CqScalar>,
     },
 }
 
@@ -164,6 +94,16 @@ impl Step {
             Step::Nl(a) => a,
             Step::Hash { access, .. } => access,
         }
+    }
+
+    /// Every scalar the step probes with: its access's [`Method::probes`],
+    /// then a hash step's probe key.
+    pub fn probes(&self) -> impl Iterator<Item = &CqScalar> {
+        let key: &[CqScalar] = match self {
+            Step::Nl(_) => &[],
+            Step::Hash { probe_key, .. } => probe_key,
+        };
+        self.access().method.probes().chain(key)
     }
 
     /// Short strategy tag for EXPLAIN / lints.
@@ -198,40 +138,11 @@ pub struct PhysPlan {
     pub est_rows: f64,
 }
 
-/// Evaluate a scalar over the bindings; `None` for NULL.
-pub fn eval_cq_scalar(db: &Database, s: &CqScalar, bindings: &[u32]) -> Option<Value> {
-    let col = |cr: &ColRef| -> Option<Value> {
-        let v = db.col_value(bindings[cr.alias], IndexCol::Col(cr.col));
-        if v.is_null() {
-            None
-        } else {
-            Some(v)
-        }
-    };
-    match s {
-        CqScalar::Const(v) => {
-            if v.is_null() {
-                None
-            } else {
-                Some(v.clone())
-            }
-        }
-        CqScalar::Col(c) => col(c),
-        CqScalar::ColPlusInt(c, i) => match col(c)? {
-            Value::Int(x) => Some(Value::Int(x + i)),
-            v => Some(Value::Dec(v.as_f64()? + *i as f64)),
-        },
-        CqScalar::ColPlusCol(a, b) => match (col(a)?, col(b)?) {
-            (Value::Int(x), Value::Int(y)) => Some(Value::Int(x + y)),
-            (x, y) => Some(Value::Dec(x.as_f64()? + y.as_f64()?)),
-        },
-    }
-}
-
 /// Evaluate a predicate atom (NULL ⇒ false).
 pub fn eval_cq_atom(db: &Database, a: &CqAtom, bindings: &[u32]) -> bool {
-    match (eval_cq_scalar(db, &a.lhs, bindings), eval_cq_scalar(db, &a.rhs, bindings)) {
-        (Some(l), Some(r)) => a.op.test(l.cmp(&r)),
+    let get = |x: usize| bindings[x];
+    match (scalar_cell(db, &a.lhs, get), scalar_cell(db, &a.rhs, get)) {
+        (Some(l), Some(r)) => a.op.test(l.to_value().cmp(&r.to_value())),
         _ => false,
     }
 }
@@ -378,8 +289,7 @@ pub fn execute(db: &Database, plan: &PhysPlan) -> Vec<u32> {
 /// Execute and return whole result *rows* (every SELECT column as a `pre`
 /// rank), in ORDER BY order — the XMLTABLE-style tuple output.
 pub fn execute_rows(db: &Database, plan: &PhysPlan) -> Vec<Vec<u32>> {
-    let (rows, _) = execute_rows_with_stats(db, plan);
-    rows
+    execute_rows_opts(db, plan, &ExecOptions::default()).0
 }
 
 /// Execute and report per-operator actuals.
@@ -398,11 +308,6 @@ pub fn execute_with_stats_opts(
     let width = plan.select.len().max(1);
     let out = flat.iter().skip(plan.item_output).step_by(width).copied().collect();
     (out, stats)
-}
-
-/// Row-returning executor at the default options.
-pub fn execute_rows_with_stats(db: &Database, plan: &PhysPlan) -> (Vec<Vec<u32>>, ExecStats) {
-    execute_rows_opts(db, plan, &ExecOptions::default())
 }
 
 /// Row-returning executor: the flat result rows, one `Vec` per row.
@@ -434,54 +339,52 @@ fn execute_flat(db: &Database, plan: &PhysPlan, opts: &ExecOptions) -> (Vec<u32>
     (rows, stats)
 }
 
-/// Pre-built join build sides, one slot per pipeline step: a value-keyed
+/// One [`Step::Hash`]'s build side: the step's rows by the catalog codes
+/// of their build-key columns, and the probe key compiled slot by slot
+/// against those columns. A probe coded against column `c` equals a stored
+/// code of `c` exactly when the values are equal, so the table is looked up
+/// by code slice.
+pub(crate) struct HashTable {
+    rows: HashMap<Vec<u64>, Vec<u32>>,
+    probe: Vec<ProbeSlot>,
+}
+
+/// Pre-built join build sides, one slot per pipeline step: a code-keyed
 /// table for each [`Step::Hash`], built once before the pipeline runs.
-pub(crate) type JoinTables = Vec<Option<HashMap<Vec<Value>, Vec<u32>>>>;
+pub(crate) type JoinTables = Vec<Option<HashTable>>;
 
 /// Pre-build the join tables for every hash step in the plan.
 fn build_join_tables(db: &Database, plan: &PhysPlan, stats: &mut ExecStats) -> JoinTables {
     let mut tables: JoinTables = (0..plan.steps.len()).map(|_| None).collect();
     let empty = vec![u32::MAX; plan.n_aliases];
     for (i, step) in plan.steps.iter().enumerate() {
-        match step {
-            Step::Hash { access, build_key, .. } => {
-                let mut table: HashMap<Vec<Value>, Vec<u32>> = HashMap::new();
-                let mut scratch = AccessScratch::default();
-                // Local-only atoms can run on the build side; the full
-                // residual set (join atoms included) is re-checked at
-                // probe time.
-                let fast: Vec<FastAtom> = access
-                    .residual
-                    .iter()
-                    .filter(|p| p.aliases().iter().all(|&x| x == access.alias))
-                    .map(|p| crate::fastpred::compile_atom(db, p))
-                    .collect();
-                let mut built = 0u64;
-                let counts = scan_access(db, access, &fast, &empty, &mut scratch, &mut |pre| {
-                    let key: Option<Vec<Value>> = build_key
-                        .iter()
-                        .map(|&c| {
-                            let v = db.col_value(pre, IndexCol::Col(c));
-                            if v.is_null() {
-                                None
-                            } else {
-                                Some(v)
-                            }
-                        })
-                        .collect();
-                    if let Some(key) = key {
-                        table.entry(key).or_default().push(pre);
-                        built += 1;
-                    }
-                    true
-                });
-                // Build-side work charges the step's operator.
-                stats.per_op[i + 1].absorb(counts);
-                stats.join_build_rows += built;
-                tables[i] = Some(table);
+        let Step::Hash { access, build_key, probe_key } = step else { continue };
+        let cols: Vec<IndexCol> = build_key.iter().map(|&c| IndexCol::Col(c)).collect();
+        let mut rows: HashMap<Vec<u64>, Vec<u32>> = HashMap::new();
+        let mut scratch = AccessScratch::default();
+        // Local-only atoms can run on the build side; the full residual set
+        // (join atoms included) is re-checked at probe time.
+        let fast: Vec<FastAtom> = access
+            .residual
+            .iter()
+            .filter(|p| p.aliases().iter().all(|&x| x == access.alias))
+            .map(|p| crate::fastpred::compile_atom(db, p))
+            .collect();
+        let mut built = 0u64;
+        let counts = scan_access(db, access, &fast, &empty, &mut scratch, &mut |pre| {
+            let key: Vec<u64> = cols.iter().map(|&c| db.code(pre, c)).collect();
+            // A NULL key equals nothing.
+            if !key.contains(&NULL_CODE) {
+                rows.entry(key).or_default().push(pre);
+                built += 1;
             }
-            Step::Nl(_) => {}
-        }
+            true
+        });
+        // Build-side work charges the step's operator.
+        stats.per_op[i + 1].absorb(counts);
+        stats.join_build_rows += built;
+        let probe = probe_key.iter().zip(&cols).map(|(p, &c)| ProbeSlot::compile(p, c)).collect();
+        tables[i] = Some(HashTable { rows, probe });
     }
     tables
 }
@@ -661,8 +564,8 @@ impl AccessScratch {
 
     /// The code of a constant probe on key column `col` (a NULL constant
     /// marks the access dead); `None` for a per-tuple probe.
-    fn constant(&mut self, db: &Database, col: IndexCol, p: &Probe) -> Option<u64> {
-        let Probe::Const(v) = p else { return None };
+    fn constant(&mut self, db: &Database, col: IndexCol, p: &CqScalar) -> Option<u64> {
+        let CqScalar::Const(v) = p else { return None };
         self.dead |= v.is_null();
         Some(db.value_code(col, v))
     }
@@ -678,21 +581,10 @@ impl AccessScratch {
     }
 
     /// Append the per-tuple codes of the tuple `get` binds to `keys`
-    /// ([`AccessScratch::width`] of them). A NULL probe matches nothing:
-    /// on one, `keys` is left as it was and the answer is false.
+    /// ([`AccessScratch::width`] of them), as [`code_slots`] does.
     #[inline]
     fn code_tuple(&self, db: &Database, get: impl Fn(usize) -> u32, keys: &mut Vec<u64>) -> bool {
-        let start = keys.len();
-        for (_, slot) in self.var_lo.iter().chain(&self.var_hi) {
-            match slot.code_at(db, &get) {
-                Some(c) => keys.push(c),
-                None => {
-                    keys.truncate(start);
-                    return false;
-                }
-            }
-        }
-        true
+        code_slots(db, self.var_lo.iter().chain(&self.var_hi).map(|(_, s)| s), get, keys)
     }
 
     /// Install one tuple's codes (from [`AccessScratch::code_tuple`]) in
@@ -710,6 +602,29 @@ impl AccessScratch {
             hi[*s] = codes[var_lo.len()];
         }
     }
+}
+
+/// Append the codes of `slots` for the tuple `get` binds to `keys`. A NULL
+/// probe matches nothing: on one, `keys` is left as it was and the answer
+/// is false.
+#[inline]
+fn code_slots<'s>(
+    db: &Database,
+    slots: impl IntoIterator<Item = &'s ProbeSlot>,
+    get: impl Fn(usize) -> u32,
+    keys: &mut Vec<u64>,
+) -> bool {
+    let start = keys.len();
+    for slot in slots {
+        match slot.code_at(db, &get) {
+            Some(c) => keys.push(c),
+            None => {
+                keys.truncate(start);
+                return false;
+            }
+        }
+    }
+    true
 }
 
 /// Run an access alone: call `f(pre)` for every matching row; `f` returns
@@ -880,9 +795,8 @@ struct VecLevel {
     fallback: Vec<u32>,
     /// Probe-key/residual scratch of the step's access.
     access: AccessScratch,
-    /// Hash probe-key buffer.
-    key: Vec<Value>,
-    /// Var-probe key pool: [`AccessScratch::width`] codes per live tuple.
+    /// Var-probe key pool: [`AccessScratch::width`] codes per live tuple;
+    /// a hash step's probe key, one tuple at a time.
     keys: Vec<u64>,
     /// Selected batch rows whose probe keys are all non-NULL.
     live: Vec<u32>,
@@ -1002,7 +916,6 @@ fn vec_step(
         bindings,
         fallback,
         access: scr,
-        key,
         keys,
         live,
         order,
@@ -1141,25 +1054,15 @@ fn vec_step(
                 }
             }
         }
-        Step::Hash { probe_key, .. } => {
+        Step::Hash { .. } => {
             let table = cx.tables[depth].as_ref().expect("hash table built");
+            stats.per_op[op_idx].invocations += sel.len() as u64;
             for &i in sel {
-                stats.per_op[op_idx].invocations += 1;
-                key.clear();
-                let mut null_key = false;
-                for p in probe_key {
-                    match p.eval_at(db, |a| batch.cols[a][i as usize]) {
-                        Some(v) => key.push(v),
-                        None => {
-                            null_key = true;
-                            break;
-                        }
-                    }
-                }
-                if null_key {
+                keys.clear();
+                if !code_slots(db, &table.probe, |a| batch.cols[a][i as usize], keys) {
                     continue;
                 }
-                let Some(matches) = table.get(key.as_slice()) else { continue };
+                let Some(matches) = table.rows.get(keys.as_slice()) else { continue };
                 if early {
                     first_match!(i as usize, matches.iter().copied());
                 } else {
@@ -1229,7 +1132,9 @@ fn run_pipeline(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use jgi_algebra::cq::OutputCol;
     use jgi_algebra::pred::CmpOp;
+    use jgi_algebra::{ConjunctiveQuery, Value};
     use jgi_xml::generate::{generate_xmark, XmarkConfig};
     use jgi_xml::{DocStore, NodeKind};
     use proptest::prelude::*;
@@ -1350,8 +1255,8 @@ mod tests {
                 method: Method::IxScan {
                     index,
                     eq: vec![
-                        Probe::Const(Value::Str("bidder".into())),
-                        Probe::Const(Value::Kind(NodeKind::Elem)),
+                        CqScalar::Const(Value::Str("bidder".into())),
+                        CqScalar::Const(Value::Kind(NodeKind::Elem)),
                     ],
                     range: None,
                 },
@@ -1388,8 +1293,8 @@ mod tests {
                 method: Method::IxScan {
                     index: nksp,
                     eq: vec![
-                        Probe::Const(Value::Str("open_auction".into())),
-                        Probe::Const(Value::Kind(NodeKind::Elem)),
+                        CqScalar::Const(Value::Str("open_auction".into())),
+                        CqScalar::Const(Value::Kind(NodeKind::Elem)),
                     ],
                     range: None,
                 },
@@ -1403,8 +1308,8 @@ mod tests {
                 method: Method::IxScan {
                     index: nksp,
                     eq: vec![
-                        Probe::Const(Value::Str("bidder".into())),
-                        Probe::Const(Value::Kind(NodeKind::Elem)),
+                        CqScalar::Const(Value::Str("bidder".into())),
+                        CqScalar::Const(Value::Kind(NodeKind::Elem)),
                     ],
                     // Range on the `s = pre + size` key column is not what
                     // we want here; nksp key is n,k,s,p — so instead use a
@@ -1456,8 +1361,8 @@ mod tests {
                 method: Method::IxScan {
                     index: nksp,
                     eq: vec![
-                        Probe::Const(Value::Str("open_auction".into())),
-                        Probe::Const(Value::Kind(NodeKind::Elem)),
+                        CqScalar::Const(Value::Str("open_auction".into())),
+                        CqScalar::Const(Value::Kind(NodeKind::Elem)),
                     ],
                     range: None,
                 },
@@ -1471,8 +1376,8 @@ mod tests {
                 method: Method::IxScan {
                     index: nksp,
                     eq: vec![
-                        Probe::Const(Value::Str("bidder".into())),
-                        Probe::Const(Value::Kind(NodeKind::Elem)),
+                        CqScalar::Const(Value::Str("bidder".into())),
+                        CqScalar::Const(Value::Kind(NodeKind::Elem)),
                     ],
                     range: None,
                 },
@@ -1524,8 +1429,8 @@ mod tests {
             // column: per-outer-tuple (variable) probe bounds.
             (
                 Some(RangeProbe {
-                    lo: Some((Probe::Bound(oa), true)),
-                    hi: Some((Probe::BoundPlusBound(oa, oa_size), false)),
+                    lo: Some((CqScalar::Col(oa), true)),
+                    hi: Some((CqScalar::ColPlusCol(oa, oa_size), false)),
                 }),
                 vec![],
             )
@@ -1554,8 +1459,8 @@ mod tests {
                 method: Method::IxScan {
                     index: nksp,
                     eq: vec![
-                        Probe::Const(Value::Str("open_auction".into())),
-                        Probe::Const(Value::Kind(NodeKind::Elem)),
+                        CqScalar::Const(Value::Str("open_auction".into())),
+                        CqScalar::Const(Value::Kind(NodeKind::Elem)),
                     ],
                     range: None,
                 },
@@ -1569,8 +1474,8 @@ mod tests {
                 method: Method::IxScan {
                     index: nksp,
                     eq: vec![
-                        Probe::Const(Value::Str("bidder".into())),
-                        Probe::Const(Value::Kind(NodeKind::Elem)),
+                        CqScalar::Const(Value::Str("bidder".into())),
+                        CqScalar::Const(Value::Kind(NodeKind::Elem)),
                     ],
                     range,
                 },
@@ -1622,7 +1527,7 @@ mod tests {
                 alias: 1,
                 method: Method::IxScan {
                     index: p,
-                    eq: vec![Probe::Bound(d0(DocCol::Parent))],
+                    eq: vec![CqScalar::Col(d0(DocCol::Parent))],
                     range: None,
                 },
                 residual: vec![CqAtom {
@@ -1670,6 +1575,109 @@ mod tests {
                 assert!(v_stats.vector_batches > 0, "{what}: no batches recorded");
                 assert_eq!(v_stats.vector_batch_size, batch as u64);
             }
+        }
+    }
+
+    /// Every node (driver, a table scan), a child of it through JD's hash
+    /// step (build key `[level, parent]`, probe `[d0.level + 1, d0.pre]`),
+    /// and a node with the child's `value` under the driver's parent
+    /// through a second hash step (build key `[parent, value]`, probe
+    /// `[d0.parent, d1.value]`). Elements with `size > 1` hold a NULL
+    /// `value` and the document node a NULL `parent`, so both build sides
+    /// skip rows and the document node's probes code NULL.
+    fn hash_plan() -> (PhysPlan, ConjunctiveQuery) {
+        let c = |alias, col| ColRef { alias, col };
+        let all = |alias| Access {
+            alias,
+            method: Method::TbScan,
+            residual: vec![],
+            all_atoms: vec![],
+            early_out: false,
+            est_rows: 0.0,
+        };
+        let eq = |lhs, rhs| CqAtom { lhs, op: CmpOp::Eq, rhs };
+        let plan = PhysPlan {
+            n_aliases: 3,
+            driver: all(0),
+            steps: vec![
+                Step::Hash {
+                    access: all(1),
+                    build_key: vec![DocCol::Level, DocCol::Parent],
+                    probe_key: vec![
+                        CqScalar::ColPlusInt(c(0, DocCol::Level), 1),
+                        CqScalar::Col(c(0, DocCol::Pre)),
+                    ],
+                },
+                Step::Hash {
+                    access: all(2),
+                    build_key: vec![DocCol::Parent, DocCol::Value],
+                    probe_key: vec![
+                        CqScalar::Col(c(0, DocCol::Parent)),
+                        CqScalar::Col(c(1, DocCol::Value)),
+                    ],
+                },
+            ],
+            select: vec![c(0, DocCol::Pre), c(1, DocCol::Pre), c(2, DocCol::Pre)],
+            distinct: true,
+            order_by: vec![c(2, DocCol::Pre)],
+            item_output: 2,
+            est_cost: 0.0,
+            est_rows: 0.0,
+        };
+        let cq = ConjunctiveQuery {
+            aliases: 3,
+            predicates: vec![
+                eq(
+                    CqScalar::Col(c(1, DocCol::Level)),
+                    CqScalar::ColPlusInt(c(0, DocCol::Level), 1),
+                ),
+                eq(CqScalar::Col(c(1, DocCol::Parent)), CqScalar::Col(c(0, DocCol::Pre))),
+                eq(CqScalar::Col(c(2, DocCol::Parent)), CqScalar::Col(c(0, DocCol::Parent))),
+                eq(CqScalar::Col(c(2, DocCol::Value)), CqScalar::Col(c(1, DocCol::Value))),
+            ],
+            select: plan.select.iter().map(|&col| OutputCol { col, name: None }).collect(),
+            distinct: true,
+            order_by: plan.order_by.clone(),
+            item_output: 2,
+        };
+        (plan, cq)
+    }
+
+    /// Hash steps key on catalog codes: the rows are those of the same
+    /// query planned with forced NL, a build row with a NULL key column is
+    /// not loaded, every outer tuple is one invocation (NULL probe keys
+    /// included), and every batch size gives the same rows and logical
+    /// counters.
+    #[test]
+    fn hash_steps_key_on_codes() {
+        use crate::optimizer::{plan_opts, JoinStrategy, PlanOptions};
+        let db = db();
+        let (plan, cq) = hash_plan();
+        let nl = plan_opts(&db, &cq, &PlanOptions { join: JoinStrategy::Nl, ..Default::default() });
+        assert!(nl.steps.iter().all(|s| matches!(s, Step::Nl(_))), "{nl:?}");
+        let (rows, st) = execute_rows_opts(&db, &plan, &ExecOptions::default());
+        assert_eq!(rows, execute_rows(&db, &nl), "hash rows differ from forced NL's");
+        assert!(!rows.is_empty());
+        let s = &db.store;
+        let n = s.len();
+        let parented = (0..n).filter(|&p| s.parent[p] != NO_PARENT).count();
+        let valued = (0..n)
+            .filter(|&p| s.parent[p] != NO_PARENT && s.value[p] != jgi_xml::encode::NO_VALUE)
+            .count();
+        assert!(valued < parented && parented < n, "both build sides skip NULL keys");
+        assert_eq!(st.join_build_rows, (parented + valued) as u64);
+        assert_eq!((st.per_op[1].rows_in, st.per_op[2].rows_in), (n as u64, n as u64));
+        assert_eq!(st.per_op[1].invocations, st.per_op[0].rows_out);
+        assert_eq!(st.per_op[2].invocations, st.per_op[1].rows_out);
+        assert_eq!(st.per_op[1].rows_out, parented as u64, "one (parent, child) pair per child");
+        let one = ExecOptions { batch_size: 1, ..ExecOptions::default() };
+        let (b_rows, b_stats) = execute_rows_opts(&db, &plan, &one);
+        for batch in [2usize, 7, 1024] {
+            let opts = ExecOptions { batch_size: batch, ..ExecOptions::default() };
+            let (v_rows, v_stats) = execute_rows_opts(&db, &plan, &opts);
+            assert_eq!(b_rows, v_rows, "batch={batch}: rows diverge");
+            assert_invariant_stats_eq(&b_stats, &v_stats, &format!("batch={batch}"));
+            assert_eq!(b_stats.join_build_rows, v_stats.join_build_rows);
         }
     }
 
@@ -1733,15 +1741,16 @@ mod tests {
     fn probe_evaluation() {
         let db = db();
         let bindings = |_: usize| 1u32;
+        let eval = |s: CqScalar| scalar_cell(&db, &s, bindings).map(|c| c.to_value());
         let cr = ColRef { alias: 0, col: DocCol::Pre };
-        assert_eq!(Probe::Bound(cr).eval_at(&db, bindings), Some(Value::Int(1)));
-        assert_eq!(Probe::BoundPlusInt(cr, 5).eval_at(&db, bindings), Some(Value::Int(6)));
+        assert_eq!(eval(CqScalar::Col(cr)), Some(Value::Int(1)));
+        assert_eq!(eval(CqScalar::ColPlusInt(cr, 5)), Some(Value::Int(6)));
         let size = ColRef { alias: 0, col: DocCol::Size };
-        let s = Probe::BoundPlusBound(cr, size).eval_at(&db, bindings).unwrap();
+        let s = eval(CqScalar::ColPlusCol(cr, size)).unwrap();
         assert_eq!(s, Value::Int(1 + db.store.size[1] as i64));
         // NULL propagates to None.
         let val = ColRef { alias: 0, col: DocCol::Value };
         // Node 1 is <site> (size > 1) so value is NULL.
-        assert_eq!(Probe::Bound(val).eval_at(&db, bindings), None);
+        assert_eq!(eval(CqScalar::Col(val)), None);
     }
 }

@@ -33,6 +33,7 @@ use crate::snapshot::{CommitOutcome, Master, Snapshot};
 use jgi_core::{
     execute_prepared, prepare_on, rewrite_counters, Budgets, Engine, Prepared, QueryReport,
 };
+use jgi_engine::optimizer::PlanOptions;
 use jgi_engine::Database;
 use jgi_mutate::Op;
 use jgi_obs::expo::render_prometheus;
@@ -479,13 +480,18 @@ impl Server {
                 if let (Json::Obj(fields), Some(p)) = (&mut json, &r.payload) {
                     // EXPLAIN ANALYZE from the run's own ExecStats:
                     // re-deriving the physical plan is deterministic given
-                    // (db, cq), so the recorded actuals line up
-                    // operator-for-operator without re-executing.
+                    // (db, cq) and the join strategy the run planned under,
+                    // so the recorded actuals line up operator-for-operator
+                    // without re-executing.
                     if let (Some(cq), Some(planning), Some(exec)) =
                         (p.prepared.plannable_cq(), &p.report.optimizer, &p.report.exec)
                     {
                         let explain = p.db.upgrade().map_or(Json::Null, |db| {
-                            let plan = jgi_engine::optimizer::plan(&db, cq);
+                            let opts = PlanOptions {
+                                join: self.state.config.budgets.join,
+                                ..PlanOptions::default()
+                            };
+                            let plan = jgi_engine::optimizer::plan_opts(&db, cq, &opts);
                             Json::Str(jgi_engine::explain::render_analyze(
                                 &db,
                                 &plan,
@@ -805,6 +811,7 @@ fn worker_loop(rx: &Mutex<Receiver<Job>>, state: &State) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use jgi_engine::optimizer::JoinStrategy;
     use jgi_xml::generate::{generate_xmark, XmarkConfig};
 
     fn server() -> Server {
@@ -1019,6 +1026,25 @@ mod tests {
         let (retained, offered, admitted) = s.flight_stats();
         assert_eq!(retained as u64, admitted);
         assert_eq!(offered, 3);
+    }
+
+    /// `TRACE` renders the plan the request ran: under a forced join
+    /// strategy, not the plan `auto` would pick.
+    #[test]
+    fn trace_explains_the_plan_of_the_forced_strategy() {
+        let q7 = r#"let $a := doc("auction.xml")
+            for $p in $a//person, $b in $a//open_auction/bidder
+            where $b/personref/@person = $p/@id return $p/name"#;
+        for (join, hsjoin) in [(JoinStrategy::Nl, false), (JoinStrategy::Hash, true)] {
+            let mut config = ServeConfig::default();
+            config.budgets.join = join;
+            let s = Server::new(config);
+            s.add_tree(generate_xmark(XmarkConfig { scale: 0.002, seed: 5 }));
+            s.execute(q7, None, Engine::JoinGraph, None).unwrap();
+            let dump: Vec<String> = s.trace_dump(16).iter().map(|j| j.render()).collect();
+            let explain = dump.iter().find(|r| r.contains("\"explain\":\"")).expect("explained");
+            assert_eq!(explain.contains("HSJOIN"), hsjoin, "join={join}: {explain}");
+        }
     }
 
     /// `STATS` reports the worker threads that run, not the configured

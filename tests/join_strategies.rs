@@ -11,7 +11,9 @@
 //!   sorted probe batches,
 //! * property tests over random documents × random workhorse queries
 //!   (including generated value joins), planning each strategy forcing
-//!   explicitly and driving `execute_rows_opts` at two batch sizes.
+//!   explicitly and driving `execute_rows_opts` at two batch sizes, and
+//!   over SQL-written joins on column pairs the XQuery compiler never
+//!   writes.
 
 use jgi_compiler::compile;
 use jgi_core::queries::{context_doc, paper_corpus, Q1, Q4, Q7};
@@ -222,6 +224,54 @@ fn check_strategies_on(tree: &Tree, query: &str) {
     }
 }
 
+/// SQL-written join graphs whose equality edges join column pairs the
+/// hash join accepts but the XQuery compiler never writes: `value = name`,
+/// `data = data`, `level = level + 1`, `pre = parent`, and a two-column
+/// key. Each has a hash step under forced `hash`.
+const SQL_JOINS: &[&str] = &[
+    "SELECT DISTINCT d1.pre AS item, d2.pre FROM doc AS d1, doc AS d2 \
+     WHERE d2.value = d1.name ORDER BY d1.pre",
+    "SELECT DISTINCT d1.pre AS item, d2.pre FROM doc AS d1, doc AS d2 \
+     WHERE d2.data = d1.data ORDER BY d1.pre",
+    "SELECT DISTINCT d1.pre AS item, d2.pre FROM doc AS d1, doc AS d2 \
+     WHERE d1.kind = 'ELEM' AND d2.level = d1.level + 1 ORDER BY d1.pre",
+    "SELECT DISTINCT d1.pre AS item, d2.pre FROM doc AS d1, doc AS d2 \
+     WHERE d2.pre = d1.parent ORDER BY d1.pre",
+    "SELECT DISTINCT d1.pre AS item, d2.pre FROM doc AS d1, doc AS d2 \
+     WHERE d2.parent = d1.parent AND d2.value = d1.value ORDER BY d1.pre",
+];
+
+/// A random document with leaves appended whose `data` is a decimal, or an
+/// integer written as a decimal (`2.0` has the `data` of `2` but another
+/// `value`), and whose `value` is a tag name.
+fn with_decimal_leaves(mut tree: Tree) -> Tree {
+    let top = tree.content_children(tree.root())[0];
+    for (tag, text) in [("b", "2.0"), ("c", "1.5"), ("a", "15"), ("c", "a")] {
+        tree.add_text_element(top, tag, text);
+    }
+    tree
+}
+
+/// Plan each [`SQL_JOINS`] text under every strategy forcing and check the
+/// plans against the nested-loop baseline row for row.
+fn check_sql_joins_on(tree: &Tree) {
+    let mut store = DocStore::new();
+    store.add_tree(tree);
+    let db = Database::with_default_indexes(store);
+    for sql in SQL_JOINS {
+        let cq = jgi_sql::parse_join_graph(sql).expect("SQL join graph parses");
+        let plan_of =
+            |join| optimizer::plan_opts(&db, &cq, &PlanOptions { join, ..PlanOptions::default() });
+        let (base, _) = execute_rows_opts(&db, &plan_of(JoinStrategy::Nl), &ExecOptions::default());
+        let hashed = plan_of(JoinStrategy::Hash);
+        assert!(hashed.steps.iter().any(|s| s.strategy() == "hash"), "no hash step: {sql}");
+        for join in JoinStrategy::ALL {
+            let (rows, _) = execute_rows_opts(&db, &plan_of(join), &ExecOptions::default());
+            assert_eq!(base, rows, "rows diverged on {sql} (join={join})");
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig {
         cases: 48,
@@ -233,5 +283,13 @@ proptest! {
     #[test]
     fn strategies_agree_on_random_queries(tree in gen_tree(), query in gen_query()) {
         check_strategies_on(&tree, &query);
+    }
+
+    /// Hash keys are catalog codes of the build columns, whatever column
+    /// the probe reads: joins across column pairs agree under `hash`,
+    /// `nl` and `auto`.
+    #[test]
+    fn strategies_agree_on_sql_joins_across_columns(tree in gen_tree()) {
+        check_sql_joins_on(&with_decimal_leaves(tree));
     }
 }

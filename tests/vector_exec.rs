@@ -18,9 +18,7 @@
 use jgi_compiler::compile;
 use jgi_core::queries::paper_corpus;
 use jgi_core::{Budgets, Engine, Parallelism, Session};
-use jgi_engine::physical::{
-    execute_rows_opts, Access, ExecOptions, ExecStats, Method, Probe, Step,
-};
+use jgi_engine::physical::{execute_rows_opts, ExecOptions, ExecStats, Step};
 use jgi_engine::{optimizer, Database};
 use jgi_rewrite::{extract_cq, isolate};
 use jgi_xml::generate::{generate_dblp, generate_xmark, DblpConfig, XmarkConfig};
@@ -104,13 +102,6 @@ fn corpus_vectorization_is_not_vacuous() {
     assert!(descended > 0, "no corpus query exercised the batched B-tree cursor");
 }
 
-/// Does the access probe with a key computed from the outer tuple?
-fn has_var_probe(a: &Access) -> bool {
-    let Method::IxScan { eq, range, .. } = &a.method else { return false };
-    let range = range.iter().flat_map(|r| r.lo.iter().chain(&r.hi).map(|(p, _)| p));
-    eq.iter().chain(range).any(|p| !matches!(p, Probe::Const(_)))
-}
-
 /// Early-out steps with variable probes seek through the same sorted,
 /// galloping probe batches as every other NL step: on every corpus query
 /// `join_seeks` is exactly the logical probes of its variable-probe NL
@@ -128,7 +119,7 @@ fn early_out_var_probes_seek_in_batches() {
         let phys = optimizer::plan(db, cq);
         let (_, stats) = execute_rows_opts(db, &phys, &ExecOptions::default());
         let var_nl = phys.steps.iter().enumerate().filter_map(|(d, s)| match s {
-            Step::Nl(a) if has_var_probe(a) => {
+            Step::Nl(a) if a.method.probes().any(|p| !p.aliases().is_empty()) => {
                 Some((stats.per_op[d + 1].index_probes, a.early_out))
             }
             _ => None,
